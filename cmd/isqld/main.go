@@ -32,34 +32,41 @@
 // # Durability
 //
 // With -wal, the catalog is durable: every committed transaction is
-// appended (statement texts plus a page delta, CRC-framed, fsynced) to
-// dir/wal.log before it becomes visible, and dir/checkpoint.wsd holds
-// the last checkpoint as an incremental page file — each checkpoint
-// rewrites only the pages of components touched since the previous one,
-// through a fixed-size buffer pool (-pool-pages frames per shard), and
-// a checkpoint with nothing new writes zero bytes. A pre-existing v1
-// JSON checkpoint is still recovered; the first checkpoint after the
-// upgrade migrates it to the page format in place. On startup the
-// server recovers the checkpoint plus the replayed log tail — records
-// carrying page deltas apply directly to the base without re-executing
-// statements — so a crash loses nothing committed. -checkpoint-every
-// bounds replay work by checkpointing after that many logged commits
-// (0 = checkpoint only on graceful shutdown). When the directory
-// already holds state, it wins over -demo/-load; a fresh directory is
-// seeded from them and checkpointed immediately so the seed itself is
-// durable.
+// appended (commit epoch, page delta and statement texts, CRC-framed,
+// fsynced) to the WAL segment of each shard it wrote —
+// dir/wal-<shard>.log — before it becomes visible, and
+// dir/checkpoint.wsd (plus dir/checkpoint.wsd.s<i> for shards beyond
+// the first) holds the last checkpoint as incremental page files — each
+// checkpoint rewrites only the pages of components touched since the
+// previous one, through a fixed-size buffer pool (-pool-pages frames
+// per shard), and a checkpoint with nothing new writes zero bytes. A
+// pre-existing v1 JSON checkpoint is still recovered; the first
+// checkpoint after the upgrade migrates it to the page format in place.
+// A dir/wal.log written by a release that predates per-shard segments
+// is adopted as shard 0's segment on startup. On startup the server
+// recovers the checkpoint plus the log tail, merged across segments by
+// commit epoch — records apply their page deltas directly to the base;
+// statement re-execution is the per-record fallback, counted in
+// wsdb_replay_fallback_total — so a crash loses nothing committed.
+// -checkpoint-every bounds replay work by checkpointing after that many
+// logged commits (0 = checkpoint only on graceful shutdown). When the
+// directory already holds state, it wins over -demo/-load; a fresh
+// directory is seeded from them and checkpointed immediately so the
+// seed itself is durable.
 //
 // # Sharding
 //
-// With -shards n (n > 1), the catalog is component-sharded: relations
-// hash to one of n shards, commits touching disjoint shards execute
-// and fsync fully in parallel, and with -wal each shard logs to its own
-// dir/wal-<i>.log segment (cross-shard commits use a two-phase
-// stage+marker protocol; recovery merges the segments by epoch). The
-// shard count is a runtime property: restarting with a different
-// -shards is allowed after a clean shutdown (the checkpoint carries no
-// shard layout), but segments written at one count must be recovered at
-// the same count before changing it.
+// The catalog is partitioned into -shards n component shards (default
+// 1): relations hash to one of the n shards, each shard has its own
+// writer lock, group-commit queue and WAL segment, and commits touching
+// disjoint shards execute and fsync fully in parallel. A commit on one
+// shard is one record through that shard's queue; a commit spanning
+// shards uses a two-phase stage+marker protocol, and recovery discards
+// staged epochs whose marker is missing. The shard count is a runtime
+// property: restarting with a different -shards is allowed after a
+// clean shutdown (the checkpoint carries no shard layout), but segments
+// written at one count must be recovered at the same count before
+// changing it.
 package main
 
 import (
@@ -88,10 +95,10 @@ func main() {
 	load := flag.String("load", "", "open a catalog persisted as a .wsd JSON file")
 	save := flag.String("save", "", "persist the catalog to a .wsd JSON file on graceful shutdown")
 	engine := flag.String("engine", "", "evaluation engine for fragment statements (default: wsdexec)")
-	walDir := flag.String("wal", "", "directory for WAL-backed durability (checkpoint.wsd + wal.log)")
+	walDir := flag.String("wal", "", "directory for WAL-backed durability (checkpoint.wsd + one wal-<shard>.log per shard)")
 	ckptEvery := flag.Int("checkpoint-every", 256, "with -wal: checkpoint after this many logged commits (0 = only on shutdown)")
 	txnRetries := flag.Int("txn-retries", 16, "automatic conflict retries per transaction (0 = surface conflicts immediately)")
-	shards := flag.Int("shards", 1, "component shards: commits on disjoint shards run in parallel, each with its own WAL segment (1 = unsharded)")
+	shards := flag.Int("shards", 1, "component shards: commits on disjoint shards run in parallel, each with its own WAL segment")
 	poolPages := flag.Int("pool-pages", store.DefaultPoolPages, "with -wal: buffer-pool capacity in pages per shard for the paged checkpoint base")
 	slowQuery := flag.Duration("slow-query", 0, "log the span tree of statements slower than this as JSON lines on stderr (0 = off)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on a second listener (keep it private)")
@@ -126,12 +133,7 @@ func main() {
 		}
 		return n
 	}
-	checkpoint := func() error {
-		if cat.Shards() > 1 {
-			return cat.CheckpointAll(ckptPath)
-		}
-		return cat.Checkpoint(wals[0], ckptPath)
-	}
+	checkpoint := func() error { return cat.Checkpoint(ckptPath) }
 
 	// Bound WAL replay work: checkpoint once enough commits accumulated
 	// across all segments.
@@ -195,10 +197,10 @@ func main() {
 }
 
 // openCatalog builds the serving catalog. Without -wal it is in-memory
-// (empty, demo, or loaded file), sharded on request. With -wal,
-// existing durable state (checkpoint and/or log segments) is recovered
-// and wins; otherwise the seed is installed and immediately
-// checkpointed. A nil/empty WAL slice means not durable.
+// (empty, demo, or loaded file). With -wal, existing durable state
+// (checkpoint and/or log segments) is recovered and wins; otherwise the
+// seed is installed and immediately checkpointed. A nil WAL slice means
+// not durable.
 func openCatalog(demo, load, walDir string, shards, poolPages int) (*store.Catalog, []*store.WAL, string, error) {
 	if walDir == "" {
 		cat, err := newCatalog(demo, load)
@@ -212,56 +214,13 @@ func openCatalog(demo, load, walDir string, shards, poolPages int) (*store.Catal
 		return nil, nil, "", err
 	}
 	ckptPath := filepath.Join(walDir, "checkpoint.wsd")
-	if shards > 1 {
-		return openShardedCatalog(demo, load, walDir, ckptPath, shards, poolPages)
-	}
-	walPath := filepath.Join(walDir, "wal.log")
 	_, ckErr := os.Stat(ckptPath)
-	wi, wErr := os.Stat(walPath)
-	if ckErr == nil || (wErr == nil && wi.Size() > 0) {
-		if demo != "" || load != "" {
-			log.Printf("isqld: %s already holds catalog state; ignoring -demo/-load", walDir)
-		}
-		cat, wal, err := isql.OpenStorePaged(ckptPath, walPath, poolPages)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return cat, []*store.WAL{wal}, ckptPath, nil
-	}
-	cat, err := newCatalog(demo, load)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	wal, _, err := store.OpenWAL(walPath)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	// Make the seed itself durable before the first transaction: replay
-	// starts from the checkpoint, which must therefore include it.
-	// Paging is attached first so the seed checkpoint already writes the
-	// incremental page format.
-	if err := cat.EnablePaging(ckptPath, poolPages); err != nil {
-		wal.Close()
-		return nil, nil, "", err
-	}
-	if err := cat.Checkpoint(wal, ckptPath); err != nil {
-		wal.Close()
-		return nil, nil, "", err
-	}
-	cat.SetLogger(wal)
-	return cat, []*store.WAL{wal}, ckptPath, nil
-}
-
-// openShardedCatalog is openCatalog's durable sharded arm: per-shard
-// wal-<i>.log segments, merged epoch recovery (isql.OpenStoreSharded)
-// when the directory holds state, seed + immediate checkpoint when not.
-func openShardedCatalog(demo, load, walDir, ckptPath string, shards, poolPages int) (*store.Catalog, []*store.WAL, string, error) {
-	exists := false
-	if _, err := os.Stat(ckptPath); err == nil {
-		exists = true
-	}
-	for si := 0; si < shards && !exists; si++ {
-		if wi, err := os.Stat(store.SegmentPath(walDir, si)); err == nil && wi.Size() > 0 {
+	exists := ckErr == nil
+	// Any non-empty log counts, wal-<shard>.log segments and a legacy
+	// wal.log alike: seeding next to one would shadow committed state.
+	logs, _ := filepath.Glob(filepath.Join(walDir, "wal*.log"))
+	for _, l := range logs {
+		if fi, err := os.Stat(l); err == nil && fi.Size() > 0 {
 			exists = true
 		}
 	}
@@ -269,7 +228,7 @@ func openShardedCatalog(demo, load, walDir, ckptPath string, shards, poolPages i
 		if demo != "" || load != "" {
 			log.Printf("isqld: %s already holds catalog state; ignoring -demo/-load", walDir)
 		}
-		cat, wals, err := isql.OpenStoreShardedPaged(ckptPath, walDir, shards, poolPages)
+		cat, wals, err := isql.OpenStore(ckptPath, walDir, shards, poolPages)
 		if err != nil {
 			return nil, nil, "", err
 		}
@@ -280,25 +239,32 @@ func openShardedCatalog(demo, load, walDir, ckptPath string, shards, poolPages i
 		return nil, nil, "", err
 	}
 	cat.Reshard(shards)
+	// Make the seed itself durable before the first transaction: replay
+	// starts from the checkpoint, which must therefore include it.
+	// Paging is attached first so the seed checkpoint already writes the
+	// incremental page format.
 	if err := cat.EnablePaging(ckptPath, poolPages); err != nil {
 		return nil, nil, "", err
 	}
-	wals := make([]*store.WAL, shards)
+	wals := make([]*store.WAL, cat.Shards())
+	closeWALs := func() {
+		for _, w := range wals {
+			if w != nil {
+				w.Close()
+			}
+		}
+	}
 	for si := range wals {
 		w, _, err := store.OpenWAL(store.SegmentPath(walDir, si))
 		if err != nil {
-			for _, o := range wals[:si] {
-				o.Close()
-			}
+			closeWALs()
 			return nil, nil, "", err
 		}
 		wals[si] = w
 	}
 	cat.SetShardLoggers(wals)
-	if err := cat.CheckpointAll(ckptPath); err != nil {
-		for _, w := range wals {
-			w.Close()
-		}
+	if err := cat.Checkpoint(ckptPath); err != nil {
+		closeWALs()
 		return nil, nil, "", fmt.Errorf("isqld: checkpointing seed: %w", err)
 	}
 	return cat, wals, ckptPath, nil

@@ -783,10 +783,7 @@ func expTxn() {
 		records := records * *scale
 		dir, err := os.MkdirTemp("", "wsabench_txn")
 		must(err)
-		wsdPath := filepath.Join(dir, "checkpoint.wsd")
-		walPath := filepath.Join(dir, "wal.log")
-		cat, wal, err := isql.OpenStore(wsdPath, walPath)
-		must(err)
+		cat, wal := openStore(dir, 0)
 		sess := isql.FromCatalog(cat)
 		_, err = sess.ExecString("create table T (A, B);")
 		must(err)
@@ -798,14 +795,13 @@ func expTxn() {
 		var recovered *store.Catalog
 		d := bench(fmt.Sprintf("TXN/recovery/records=%d", records), nil, func() {
 			var w2 *store.WAL
-			recovered, w2, err = isql.OpenStore(wsdPath, walPath)
-			must(err)
+			recovered, w2 = openStore(dir, 0)
 			must(w2.Close())
 		})
 		if recovered.Snapshot().Version != cat.Snapshot().Version {
 			must(fmt.Errorf("recovery ended at v%d, want v%d", recovered.Snapshot().Version, cat.Snapshot().Version))
 		}
-		info, err := os.Stat(walPath)
+		info, err := os.Stat(wal.Path())
 		must(err)
 		fmt.Printf("recovery replay of %d logged commits: %s (%d-byte log)\n", records+1, d, info.Size())
 		os.RemoveAll(dir)
@@ -876,8 +872,7 @@ func txnGroupCommit() {
 	for _, writers := range []int{1, 8} {
 		dir, err := os.MkdirTemp("", "wsabench_gc")
 		must(err)
-		cat, wal, err := isql.OpenStore(filepath.Join(dir, "checkpoint.wsd"), filepath.Join(dir, "wal.log"))
-		must(err)
+		cat, wal := openStore(dir, 0)
 		seed := isql.FromCatalog(cat)
 		_, err = seed.ExecString("create table T (A, B);")
 		must(err)
@@ -942,8 +937,7 @@ func txnCommitLatency(op string, k int, withWAL bool) time.Duration {
 		dir, err := os.MkdirTemp("", "wsabench_txn")
 		must(err)
 		defer os.RemoveAll(dir)
-		cat, wal, err = isql.OpenStore(filepath.Join(dir, "checkpoint.wsd"), filepath.Join(dir, "wal.log"))
-		must(err)
+		cat, wal = openStore(dir, 0)
 		defer wal.Close()
 	} else {
 		cat = store.New(nil)
@@ -981,8 +975,7 @@ func expCkpt() {
 	must(err)
 	defer os.RemoveAll(dir)
 	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	cat, wal, err := isql.OpenStorePaged(wsdPath, filepath.Join(dir, "wal.log"), pool)
-	must(err)
+	cat, wal := openStore(dir, pool)
 	sess := isql.FromCatalog(cat)
 	for i := 0; i < rels; i++ {
 		_, err := sess.ExecString(fmt.Sprintf("create table T%02d (A, B);", i))
@@ -1015,14 +1008,14 @@ func expCkpt() {
 		p := filepath.Join(dir, fmt.Sprintf("full-%d.wsd", iter))
 		iter++
 		swapPagers(p)
-		must(cat.Checkpoint(wal, p))
+		must(cat.Checkpoint(p))
 	})
 	fullBytes := cat.Pagers()[0].Stats().BytesWritten
 
 	// Incremental: re-home on the main path, establish the base, then
 	// each iteration dirties one relation and checkpoints only its pages.
 	swapPagers(wsdPath)
-	must(cat.Checkpoint(wal, wsdPath))
+	must(cat.Checkpoint(wsdPath))
 	ps := cat.Pagers()[0]
 	incrBase := ps.Stats()
 	v := 0
@@ -1030,14 +1023,14 @@ func expCkpt() {
 		_, err := sess.ExecString(fmt.Sprintf("insert into T00 values (%d, %d);", 900000+v, v))
 		must(err)
 		v++
-		must(cat.Checkpoint(wal, wsdPath))
+		must(cat.Checkpoint(wsdPath))
 	})
 	incrStats := ps.Stats()
 	incrBytes := (incrStats.BytesWritten - incrBase.BytesWritten) /
 		(incrStats.Checkpoints - incrBase.Checkpoints)
 	noopBase := ps.Stats()
 	dNoop := bench("CKPT/checkpoint-noop", nil, func() {
-		must(cat.Checkpoint(wal, wsdPath))
+		must(cat.Checkpoint(wsdPath))
 	})
 	noopStats := ps.Stats()
 	fmt.Printf("%-28s %-14s %12s\n", "checkpoint", "time", "bytes")
@@ -1058,8 +1051,7 @@ func expCkpt() {
 	must(wal.Close())
 	coldstart := func(op string, poolPages int) time.Duration {
 		return bench(op, nil, func() {
-			c2, w2, err := isql.OpenStorePaged(wsdPath, filepath.Join(dir, "wal.log"), poolPages)
-			must(err)
+			c2, w2 := openStore(dir, poolPages)
 			if got := c2.Snapshot().Version; got != wantVersion {
 				must(fmt.Errorf("cold start recovered v%d, want v%d", got, wantVersion))
 			}
@@ -1110,17 +1102,14 @@ func expCkpt() {
 		for mode, deltas := range map[int]bool{0: true, 1: false} {
 			rdir, err := os.MkdirTemp("", "wsabench_ckpt_rec")
 			must(err)
-			wsd2 := filepath.Join(rdir, "checkpoint.wsd")
-			wal2path := filepath.Join(rdir, "wal.log")
-			c2, w2, err := isql.OpenStorePaged(wsd2, wal2path, pool)
-			must(err)
+			c2, w2 := openStore(rdir, pool)
 			c2.SetLogDeltas(deltas)
 			s2 := isql.FromCatalog(c2)
 			_, err = s2.ExecString("create table Lineitem (Product, Quantity, Price, Year);")
 			must(err)
 			_, err = s2.ExecString(seed.String())
 			must(err)
-			must(c2.Checkpoint(w2, wsd2)) // the WAL tail holds only the analyses
+			must(c2.Checkpoint(filepath.Join(rdir, "checkpoint.wsd"))) // the WAL tail holds only the analyses
 			for i := 0; i < records; i++ {
 				if i > 0 {
 					_, err := s2.ExecString("drop table YearQuantity;")
@@ -1135,8 +1124,7 @@ func expCkpt() {
 				name = "stmt"
 			}
 			times[mode] = bench(fmt.Sprintf("CKPT/recovery-%s/records=%d", name, records), nil, func() {
-				c3, w3, err := isql.OpenStorePaged(wsd2, wal2path, pool)
-				must(err)
+				c3, w3 := openStore(rdir, pool)
 				if got := c3.Snapshot().Version; got != c2.Snapshot().Version {
 					must(fmt.Errorf("recovery ended at v%d, want v%d", got, c2.Snapshot().Version))
 				}
@@ -1300,7 +1288,7 @@ func aggTornDB(k, d int) (*wsd.DecompDB, wsa.Expr) {
 // (1) transactional commit throughput under contention — concurrent
 // writers each looping BEGIN → inserts into their own table → COMMIT,
 // swept over shard counts {1,2,4,8} × writers {1,8}, every commit
-// WAL-logged. On the unsharded catalog every concurrent commit loses
+// WAL-logged. On the one-shard catalog every concurrent commit loses
 // first-committer-wins validation to whichever writer published first
 // and re-executes its statements (a conflict-retry storm); shard-level
 // validation confines conflicts to writers whose tables share a home
@@ -1308,9 +1296,9 @@ func aggTornDB(k, d int) (*wsd.DecompDB, wsa.Expr) {
 // own WAL segment — without ever retrying. Floor: ≥3x commit throughput
 // at 8 writers on 4 shards versus 8 writers on 1 shard. (2) routed
 // single-statement latency — a lone writer's auto-commit inserts take
-// one shard's write path and must stay within 10% of the unsharded
-// path. (3) scattered reads — selects over choice tables spread across
-// the shards plus a cross-shard merge join, where the sharded snapshot
+// one shard's write path and must stay within 10% of the one-shard
+// catalog's. (3) scattered reads — selects over choice tables spread
+// across the shards plus a cross-shard merge join, where the sharded snapshot
 // hands the engine its component-to-shard map: scatter ordering may
 // change scan chunking, never latency class or answers.
 func expShard() {
@@ -1332,7 +1320,7 @@ func expShard() {
 		for _, writers := range []int{1, 8} {
 			dir, err := os.MkdirTemp("", "wsabench_shard")
 			must(err)
-			cat, wals := shardBenchCatalog(dir, shards)
+			cat, wals := openShards(dir, shards, 0)
 			tables := shardSpreadNames(cat, writers)
 			seed := isql.FromCatalog(cat)
 			for _, tbl := range tables {
@@ -1429,8 +1417,7 @@ func expShard() {
 	}
 	var cfgs [2]*singleCfg
 	for i, shards := range []int{1, 4} {
-		cat := store.New(nil)
-		cat.Reshard(shards)
+		cat := store.NewSharded(nil, shards)
 		sess := isql.FromCatalog(cat)
 		_, err := sess.ExecString("create table T (A, B);")
 		must(err)
@@ -1459,16 +1446,15 @@ func expShard() {
 		})
 	}
 	single := float64(cfgs[0].best) / float64(cfgs[1].best)
-	fmt.Printf("\nrouted single-writer insert, 4 shards vs unsharded: %.2fx (blocking floor 0.9x, i.e. within ~10%%)\n", single)
-	acceptRatio("routed single-shard insert latency, 4 shards vs unsharded", single, 0.9)
+	fmt.Printf("\nrouted single-writer insert, 4 shards vs 1 shard: %.2fx (blocking floor 0.9x, i.e. within ~10%%)\n", single)
+	acceptRatio("routed single-shard insert latency, 4 shards vs 1 shard", single, 0.9)
 
 	// Scattered reads over a sharded snapshot (in-memory): 8 choice
 	// tables spread round-robin over the shards, read one select per
 	// table plus one cross-shard merge join per pass.
 	var scanNs [2]time.Duration
 	for i, shards := range []int{1, 4} {
-		cat := store.New(nil)
-		cat.Reshard(shards)
+		cat := store.NewSharded(nil, shards)
 		sess := isql.FromCatalog(cat)
 		tables := shardSpreadNames(cat, 8)
 		choices := make([]string, len(tables))
@@ -1497,24 +1483,23 @@ func expShard() {
 		})
 	}
 	scatter := float64(scanNs[0]) / float64(scanNs[1])
-	fmt.Printf("scattered selects + cross-shard join, 4 shards vs unsharded: %.2fx (blocking floor 0.7x)\n", scatter)
-	acceptRatio("scattered read latency, 4 shards vs unsharded", scatter, 0.7)
+	fmt.Printf("scattered selects + cross-shard join, 4 shards vs 1 shard: %.2fx (blocking floor 0.7x)\n", scatter)
+	acceptRatio("scattered read latency, 4 shards vs 1 shard", scatter, 0.7)
 }
 
-// shardBenchCatalog opens a fresh WAL-backed catalog sharded n ways in
-// dir — the cmd/isqld wiring without the recovery arm. shards = 1 opens
-// the unsharded single-log write path.
-func shardBenchCatalog(dir string, shards int) (*store.Catalog, []*store.WAL) {
-	cat := store.New(nil)
-	cat.Reshard(shards)
-	wals := make([]*store.WAL, cat.Shards())
-	for i := range wals {
-		w, _, err := store.OpenWAL(store.SegmentPath(dir, i))
-		must(err)
-		wals[i] = w
-	}
-	cat.SetShardLoggers(wals)
+// openShards opens the WAL-backed catalog in dir (checkpoint.wsd +
+// wal-<i>.log) sharded n ways, recovering whatever the directory holds,
+// with a buffer pool of poolPages frames per shard (0 = default).
+func openShards(dir string, shards, poolPages int) (*store.Catalog, []*store.WAL) {
+	cat, wals, err := isql.OpenStore(filepath.Join(dir, "checkpoint.wsd"), dir, shards, poolPages)
+	must(err)
 	return cat, wals
+}
+
+// openStore is openShards at one shard.
+func openStore(dir string, poolPages int) (*store.Catalog, *store.WAL) {
+	cat, wals := openShards(dir, 1, poolPages)
+	return cat, wals[0]
 }
 
 // shardSpreadNames picks n distinct table names whose home shards cycle

@@ -5,12 +5,14 @@
 // translations to relational algebra of §5 (Theorem 5.7), and the
 // algebraic equivalences and rewriting of §6.
 //
-// The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); runnable entry points are cmd/isql, cmd/isqld (the
-// concurrent I-SQL server), cmd/wsatrans and cmd/wsabench, and the
-// examples/ directory walks through the paper's application scenarios.
-// The benchmarks in bench_test.go regenerate the performance-relevant
-// artifacts (EXPERIMENTS.md records a captured run).
+// The implementation lives under internal/ (ROADMAP.md's architecture
+// snapshot is the system inventory); runnable entry points are cmd/isql,
+// cmd/isqld (the concurrent I-SQL server), cmd/wsatrans and
+// cmd/wsabench, and the examples/ directory walks through the paper's
+// application scenarios. The benchmarks in bench_test.go and
+// cmd/wsabench regenerate the performance-relevant artifacts
+// (BENCH_results.json records a captured run), and bench/ drives a real
+// isqld process under closed-loop load.
 //
 // # The decomposition-native store
 //
@@ -18,8 +20,8 @@
 // backed by a multi-relation world-set decomposition (wsd.DecompDB)
 // under MVCC-style versioning. Readers take an immutable snapshot with
 // one atomic pointer load and evaluate against it wait-free; writers
-// serialize through a single-writer transaction that publishes a new
-// catalog version (copy-on-write down to individual relations). I-SQL
+// serialize per component shard through a transaction that publishes a
+// new catalog version (copy-on-write down to individual relations). I-SQL
 // sessions (internal/isql) run on the catalog: statements in the clean
 // World-set Algebra fragment compile and evaluate through any
 // registered engine — by default wsdexec, natively on the decomposition
@@ -60,26 +62,40 @@
 // retry is exactly the serial schedule "winner first, then this
 // transaction" (differentially enforced by difftest.CheckTxnRetry).
 //
-// Durability is a statement-level write-ahead log (store.WAL): every
-// committed transaction appends one CRC-framed record — the statement
-// texts plus the version they committed as — and fsyncs before the
-// version becomes visible. Concurrent committers group-commit: each
-// stages and takes its version under the writer lock, then enqueues its
-// record and releases the lock; a leader coalesces every queued record
-// into one write and one fsync, publishes the versions in order, and
-// hands leadership of later arrivals to a fresh flusher so no committer
-// waits on work that is not its own. Readers only ever observe durable
-// versions (the read pointer advances after the fsync; writers chain on
-// the newest assigned version), and ordering guarantees survive a crash
-// anywhere — including mid-batch — because recovery replays exactly the
-// intact record prefix: an un-acked commit may be recovered (its record
-// hit disk before the crash) but an acked commit is never lost and no
-// record replays out of order. store.Open (isql.OpenStore with the
-// I-SQL replayer) recovers the last checkpoint plus the log tail,
-// reproducing the committed catalog byte-for-byte; torn tails are
-// CRC-detected and truncated, and checkpoints (Catalog.Checkpoint)
-// bound replay work by draining in-flight group commits and resetting
-// the log under the writer lock.
+// There is one write path. The catalog is always partitioned into n ≥ 1
+// component shards (isqld -shards, default 1; relations hash to a home
+// shard), each with its own writer lock, version chain, group-commit
+// queue and write-ahead log segment (store.WAL, wal-<shard>.log), and
+// every commit — auto-commit statement or staged transaction, at any n
+// — becomes durable and reader-visible the same way: it locks the
+// shards its relations (and their component closure) route to — all of
+// them for DDL, CTAS, view changes and legacy DML — validates, takes a
+// global commit epoch, and logs one CRC-framed record per participant
+// segment carrying the epoch, a page delta and the statement texts,
+// fsynced before the version becomes visible. A commit with one
+// participant is one ordinary record through that shard's queue:
+// the committer enqueues and releases the shard lock; a leader
+// coalesces every queued record into one write and one fsync, publishes
+// the epochs in order, and hands leadership of later arrivals to a
+// fresh flusher so no committer waits on work that is not its own. A
+// commit spanning shards stages its record on every participant
+// segment in parallel and becomes durable when a marker reaches the
+// coordinator (lowest participant) segment. Readers only ever observe
+// durable versions (the merged read pointer advances after the fsync;
+// writers chain on their shard's newest assigned epoch), and ordering
+// guarantees survive a crash anywhere — mid-batch, or between stage and
+// marker — because recovery merges the segments by epoch, replays
+// exactly the intact records, and discards — on every shard — any
+// cross-shard epoch whose marker is missing: an un-acked commit may be
+// recovered (its record hit disk before the crash) but an acked commit
+// is never lost, none is torn across shards, and no record replays out
+// of order.
+// store.Open (isql.OpenStore with the I-SQL replayer) recovers the last
+// checkpoint plus the log tail, reproducing the committed catalog
+// byte-for-byte; torn tails are CRC-detected and truncated, and
+// checkpoints (Catalog.Checkpoint) bound replay work by taking every
+// shard lock, draining in-flight group commits, writing the base and
+// truncating the segments.
 //
 // # Paged storage
 //
@@ -98,10 +114,10 @@
 // file. A checkpoint at an unchanged version is skipped entirely
 // (zero bytes written); a v1 JSON .wsd file found at the checkpoint
 // path is migrated to the page format on the first checkpoint through
-// it. Component-sharded catalogs write one page file per shard
-// (checkpoint.wsd, checkpoint.wsd.s1, ...) with the coordinator file
-// committed last, so a crash between shard files recovers a
-// consistent mixed-epoch merge healed by WAL replay.
+// it. There is one page file per shard (checkpoint.wsd,
+// checkpoint.wsd.s1, ...) with the coordinator file committed last, so
+// a crash between shard files recovers a consistent mixed-epoch merge
+// healed by WAL replay.
 //
 // WAL records additionally carry page deltas (store.CommitDelta): the
 // commit's durable effect — touched certain relations, upserted and
@@ -113,10 +129,13 @@
 // decomposition directly — time proportional to the touched data,
 // skipping parse, compile, the rewrite search and query evaluation —
 // and falls back to deterministic statement re-execution for records
-// without a delta or whose patch does not match the replay state
-// (wsabench's CKPT family gates both the incremental-write and the
-// delta-replay floors). Catalog.DurabilityStats feeds the /metrics
-// durability gauges: checkpoint age, on-disk bytes, WAL tail depth,
+// without a delta, whose patch does not match the replay state, or that
+// follow a gap in the epoch chain (a rolled-back cross-shard commit, an
+// epoch burned by a failed fsync); each fallback is counted
+// (wsdb_replay_fallback_total). wsabench's CKPT family gates both the
+// incremental-write and the delta-replay floors.
+// Catalog.DurabilityStats feeds the /metrics durability gauges:
+// checkpoint age, on-disk bytes, WAL tail depth, replay fallbacks,
 // checkpoint and buffer-pool counters per shard.
 //
 // PREPARE parses a statement once — optionally with $1..$N
@@ -137,7 +156,7 @@
 // serves I-SQL sessions concurrently over one shared catalog through a
 // line-oriented HTTP protocol (POST /exec, /prepare, /execute; GET
 // /stats): each request gets its own session, selects run on snapshots
-// (readers never block), and DML serializes through the catalog writer.
+// (readers never block), and DML serializes per shard it touches.
 // A request carrying an X-ISQL-Session token gets a sticky session that
 // holds transaction state across requests (idle sessions are evicted
 // and rolled back after a TTL), and the -wal/-checkpoint-every flags

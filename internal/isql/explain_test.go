@@ -25,11 +25,8 @@ import (
 // byte-identical.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	dir := t.TempDir()
-	cat, wal, err := OpenStore(filepath.Join(dir, "ckpt.wsd"), filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal.Close()
+	cat, wals := openStoreDir(t, dir, 1)
+	defer closeWALs(wals)
 	s := FromCatalog(cat)
 
 	// Seed: the 2^40-world census (1000 people, 40 uncertain) plus a

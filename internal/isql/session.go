@@ -367,10 +367,9 @@ func (s *Session) execSelectWith(sel *SelectStmt, pre *Prepared, args []value.Va
 		return nil, err
 	}
 	if s.txn != nil {
-		// Record the relations this select reads (views expanded): on a
-		// sharded catalog their shards join commit-time validation, so
-		// read-write transactions stay serializable, not just
-		// write-consistent.
+		// Record the relations this select reads (views expanded): their
+		// shards join commit-time validation, so read-write transactions
+		// stay serializable, not just write-consistent.
 		refs := map[string]bool{}
 		s.stmtRelations(sel, refs)
 		s.txn.MarkReads(refs)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"worldsetdb/internal/store"
@@ -36,12 +35,7 @@ func crossShardTables(t *testing.T, cat *store.Catalog) (string, string) {
 func TestShardedCrashRecoveryByteIdentical(t *testing.T) {
 	const nshards = 4
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-
-	cat, wals, err := OpenStoreSharded(wsdPath, dir, nshards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat, wals := openStoreDir(t, dir, nshards)
 	ta, tb := crossShardTables(t, cat)
 	s := FromCatalog(cat)
 	mustScript(t, s,
@@ -58,21 +52,15 @@ func TestShardedCrashRecoveryByteIdentical(t *testing.T) {
 
 	// An in-flight transaction at crash time: staged, never committed.
 	mustScript(t, s, "begin;", fmt.Sprintf("delete from %s;", ta))
-	for _, w := range wals {
-		w.Close() // crash: no checkpoint, open transaction dropped
-	}
+	closeWALs(wals) // crash: no checkpoint, open transaction dropped
 
-	cat2, wals2, err := OpenStoreSharded(wsdPath, dir, nshards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, w := range wals2 {
-			w.Close()
-		}
-	}()
+	cat2, wals2 := openStoreDir(t, dir, nshards)
+	defer closeWALs(wals2)
 	if got := rawSnapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatalf("recovered catalog differs from last committed snapshot\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if f := replayFallbacks(cat2); f != 0 {
+		t.Fatalf("dense delta replay fell back to statements %d time(s)", f)
 	}
 	// And the recovered catalog serves, with the cross-shard commit
 	// visible on both shards.
@@ -89,17 +77,16 @@ func TestShardedCrashRecoveryByteIdentical(t *testing.T) {
 // the worst crash point: the stage records of a cross-shard transaction
 // reached every participant segment, but the crash tore off the
 // coordinator's commit marker. Recovery must discard the transaction on
-// ALL participants — neither shard may show a torn half — restoring the
-// catalog byte-identical to the state before the transaction began.
+// ALL participants — neither shard may show a torn half. A later commit
+// on the non-coordinator participant survives behind the rolled-back
+// epoch; the gap makes its delta unsafe to apply, so recovery
+// re-executes it — counted as a replay fallback — and the result is the
+// state before the transaction began plus that commit, at the pre-crash
+// version.
 func TestShardedCrashTornMarkerRollsBack(t *testing.T) {
 	const nshards = 4
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-
-	cat, wals, err := OpenStoreSharded(wsdPath, dir, nshards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat, wals := openStoreDir(t, dir, nshards)
 	ta, tb := crossShardTables(t, cat)
 	s := FromCatalog(cat)
 	mustScript(t, s,
@@ -108,23 +95,33 @@ func TestShardedCrashTornMarkerRollsBack(t *testing.T) {
 		fmt.Sprintf("insert into %s values (1), (2);", ta),
 		fmt.Sprintf("insert into %s values (10);", tb),
 	)
-	want := rawSnapBytes(t, cat.Snapshot())
+	// The coordinator is the lowest participant shard; the survivor goes
+	// to the other participant's table.
+	co, later := cat.ShardOf(ta), tb
+	if o := cat.ShardOf(tb); o < co {
+		co, later = o, ta
+	}
+	ref := NewSession()
+	mustScript(t, ref,
+		fmt.Sprintf("create table %s (A);", ta),
+		fmt.Sprintf("create table %s (A);", tb),
+		fmt.Sprintf("insert into %s values (1), (2);", ta),
+		fmt.Sprintf("insert into %s values (10);", tb),
+		fmt.Sprintf("insert into %s values (5);", later),
+	)
+	want := snapBytes(t, ref.Catalog().Snapshot())
 	mustScript(t, s,
 		"begin;",
 		fmt.Sprintf("insert into %s values (777);", ta),
 		fmt.Sprintf("insert into %s values (888);", tb),
 		"commit;",
+		fmt.Sprintf("insert into %s values (5);", later),
 	)
-	for _, w := range wals {
-		w.Close()
-	}
+	wantVer := cat.Snapshot().Version
+	closeWALs(wals)
 
-	// Tear the marker off the coordinator segment (the lowest
-	// participant shard), leaving the stage records on both segments.
-	co := cat.ShardOf(ta)
-	if o := cat.ShardOf(tb); o < co {
-		co = o
-	}
+	// Tear the marker off the coordinator segment, leaving the stage
+	// records on both segments.
 	seg := store.SegmentPath(dir, co)
 	data, err := os.ReadFile(seg)
 	if err != nil {
@@ -138,23 +135,23 @@ func TestShardedCrashTornMarkerRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cat2, wals2, err := OpenStoreSharded(wsdPath, dir, nshards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, w := range wals2 {
-			w.Close()
-		}
-	}()
-	if got := rawSnapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+	cat2, wals2 := openStoreDir(t, dir, nshards)
+	defer closeWALs(wals2)
+	if got := snapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatalf("unmarked cross-shard commit not rolled back on every shard\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	s2 := FromCatalog(cat2)
-	if got := singleAnswer(t, s2, fmt.Sprintf("select certain A from %s;", ta)); got.Len() != 2 {
-		t.Fatalf("%s has %d certain rows after rollback, want 2 (777 must not survive)", ta, got.Len())
+	if got := cat2.Snapshot().Version; got != wantVer {
+		t.Fatalf("recovered version %d, want the pre-crash %d", got, wantVer)
 	}
-	if got := singleAnswer(t, s2, fmt.Sprintf("select certain A from %s;", tb)); got.Len() != 1 {
-		t.Fatalf("%s has %d certain rows after rollback, want 1 (888 must not survive)", tb, got.Len())
+	if f := replayFallbacks(cat2); f != 1 {
+		t.Fatalf("%d replay fallbacks, want 1 (the commit behind the rolled-back epoch)", f)
+	}
+	s2 := FromCatalog(cat2)
+	for _, v := range []int{777, 888} {
+		for _, tbl := range []string{ta, tb} {
+			if got := singleAnswer(t, s2, fmt.Sprintf("select certain A from %s where A = %d;", tbl, v)); got.Len() != 0 {
+				t.Fatalf("%d survived in %s after the rollback", v, tbl)
+			}
+		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Transactional sessions. Outside a transaction every statement
-// auto-commits through the catalog's single-writer Update (one
-// statement, one version). BEGIN switches the session's execution
+// auto-commits through the catalog's UpdateRouted (one statement, one
+// version). BEGIN switches the session's execution
 // target to a store.Staged transaction: the same statement code runs
 // against a private staging snapshot, invisible to every other session,
 // until COMMIT publishes the whole batch as one catalog version (or
@@ -23,12 +23,11 @@ import (
 // run unchanged inside and outside a transaction.
 type execTarget interface {
 	Snapshot() *store.Snapshot
-	Update(fn func(*store.Tx) error) error
-	// UpdateRouted is Update carrying the statement's relation
-	// references: on a sharded catalog the commit takes only the locks
-	// of the shards those relations (and their component closure) route
-	// to. nil refs means the statement has no routing information (DDL,
-	// CTAS, legacy DML) and commits against every shard.
+	// UpdateRouted stages and commits fn, carrying the statement's
+	// relation references: the commit takes only the locks of the shards
+	// those relations (and their component closure) route to. nil refs
+	// means the statement has no routing information (DDL, CTAS, legacy
+	// DML) and commits against every shard.
 	UpdateRouted(refs []string, fn func(*store.Tx) error) error
 }
 
@@ -158,10 +157,10 @@ func (s *Session) execTxnControl(st Statement) (*Result, error) {
 	return &Result{Decomp: s.target().Snapshot().DB}, nil
 }
 
-// ReplayRecord is the store.Applier for statement-level WAL recovery:
-// it re-executes one committed transaction's statements as a single
-// staged transaction, reproducing exactly the catalog version the
-// record committed as. Statement execution is deterministic, so the
+// ReplayRecord is the store.Applier — recovery's fallback for WAL
+// records that cannot replay by page delta: it re-executes one committed transaction's statements as a single
+// staged transaction, reproducing exactly the catalog state the record
+// committed. Statement execution is deterministic, so the
 // recovered catalog is byte-identical (through store.Save) to the
 // pre-crash committed state.
 func ReplayRecord(cat *store.Catalog, rec store.WALRecord) error {
@@ -183,31 +182,12 @@ func ReplayRecord(cat *store.Catalog, rec store.WALRecord) error {
 	return sess.Commit()
 }
 
-// OpenStore opens a WAL-backed catalog: the last checkpoint at wsdPath
-// plus the replayed statement-log tail at walPath (see store.Open). The
-// returned catalog has the WAL attached, so every further commit is
-// logged and fsynced before it becomes visible.
-func OpenStore(wsdPath, walPath string) (*store.Catalog, *store.WAL, error) {
-	return store.Open(wsdPath, walPath, ReplayRecord)
-}
-
-// OpenStoreSharded opens a component-sharded WAL-backed catalog: the
+// OpenStore opens a WAL-backed catalog partitioned nshards ways: the
 // last checkpoint at wsdPath plus the merged replay of the per-shard
-// statement-log segments wal-<i>.log under walDir (see
-// store.OpenSharded). nshards <= 1 degrades to the single-segment
-// OpenStore layout.
-func OpenStoreSharded(wsdPath, walDir string, nshards int) (*store.Catalog, []*store.WAL, error) {
-	return store.OpenSharded(wsdPath, walDir, nshards, ReplayRecord)
-}
-
-// OpenStorePaged is OpenStore with an explicit buffer-pool capacity (in
-// pages) for the page-file checkpoint base.
-func OpenStorePaged(wsdPath, walPath string, poolPages int) (*store.Catalog, *store.WAL, error) {
-	return store.OpenPaged(wsdPath, walPath, ReplayRecord, poolPages)
-}
-
-// OpenStoreShardedPaged is OpenStoreSharded with an explicit per-shard
-// buffer-pool capacity.
-func OpenStoreShardedPaged(wsdPath, walDir string, nshards, poolPages int) (*store.Catalog, []*store.WAL, error) {
-	return store.OpenShardedPaged(wsdPath, walDir, nshards, ReplayRecord, poolPages)
+// log segments wal-<i>.log under walDir, through a buffer pool of
+// poolPages frames per shard (see store.Open). The returned catalog has
+// the segments attached, so every further commit is logged and fsynced
+// before it becomes visible.
+func OpenStore(wsdPath, walDir string, nshards, poolPages int) (*store.Catalog, []*store.WAL, error) {
+	return store.Open(wsdPath, walDir, nshards, ReplayRecord, poolPages)
 }

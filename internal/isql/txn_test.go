@@ -39,6 +39,40 @@ func rawSnapBytes(t *testing.T, snap *store.Snapshot) []byte {
 	return buf.Bytes()
 }
 
+// forShardCounts runs fn against a one-shard and a 4-way sharded
+// catalog: both go through the same OpenStore, commit and recovery.
+func forShardCounts(t *testing.T, fn func(t *testing.T, nshards int)) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { fn(t, n) })
+	}
+}
+
+// openStoreDir opens (recovers) the WAL-backed catalog rooted at dir:
+// checkpoint at dir/checkpoint.wsd, one wal-<i>.log segment per shard.
+func openStoreDir(t *testing.T, dir string, nshards int) (*store.Catalog, []*store.WAL) {
+	t.Helper()
+	cat, wals, err := OpenStore(filepath.Join(dir, "checkpoint.wsd"), dir, nshards, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat, wals
+}
+
+func closeWALs(wals []*store.WAL) {
+	for _, w := range wals {
+		w.Close()
+	}
+}
+
+// replayFallbacks sums the statement-replay fallbacks of cat's recovery.
+func replayFallbacks(cat *store.Catalog) uint64 {
+	var n uint64
+	for _, st := range cat.DurabilityStats() {
+		n += st.ReplayFallbacks
+	}
+	return n
+}
+
 func mustScript(t *testing.T, s *Session, stmts ...string) {
 	t.Helper()
 	for _, sql := range stmts {
@@ -298,143 +332,121 @@ func TestPrepareRoundTripString(t *testing.T) {
 // multi-statement transaction, and an uncommitted one in flight — kill
 // the process (drop the WAL without checkpointing), reopen, and require
 // the recovered catalog byte-identical (version included) to the last
-// committed snapshot.
+// committed snapshot, rebuilt from page deltas alone.
 func TestCrashRecoveryByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		cat, wals := openStoreDir(t, dir, n)
+		s := FromCatalog(cat)
+		mustScript(t, s,
+			"create table Census (SSN, Name, POB);",
+			"insert into Census values (1, 'Smith', 'NYC'), (1, 'Smith', 'LA'), (2, 'Brown', 'SF');",
+			"begin;",
+			"create table Clean as select * from Census repair by key SSN;",
+			"create view NYC as select Name from Clean where POB = 'NYC';",
+			"commit;",
+			"update Census set POB = 'CHI' where SSN = 2;",
+		)
+		want := rawSnapBytes(t, cat.Snapshot())
 
-	cat, wal, err := OpenStore(wsdPath, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := FromCatalog(cat)
-	mustScript(t, s,
-		"create table Census (SSN, Name, POB);",
-		"insert into Census values (1, 'Smith', 'NYC'), (1, 'Smith', 'LA'), (2, 'Brown', 'SF');",
-		"begin;",
-		"create table Clean as select * from Census repair by key SSN;",
-		"create view NYC as select Name from Clean where POB = 'NYC';",
-		"commit;",
-		"update Census set POB = 'CHI' where SSN = 2;",
-	)
-	want := rawSnapBytes(t, cat.Snapshot())
+		// An in-flight transaction at crash time: staged, never committed.
+		mustScript(t, s, "begin;", "delete from Census;", "drop table Clean;")
+		closeWALs(wals) // crash: no checkpoint, open transaction dropped
 
-	// An in-flight transaction at crash time: staged, never committed.
-	mustScript(t, s, "begin;", "delete from Census;", "drop table Clean;")
-	wal.Close() // crash: no checkpoint, open transaction dropped
-
-	cat2, wal2, err := OpenStore(wsdPath, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	got := rawSnapBytes(t, cat2.Snapshot())
-	if !bytes.Equal(got, want) {
-		t.Fatalf("recovered catalog differs from last committed snapshot\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-	// And the recovered catalog serves: the view works, worlds intact.
-	s2 := FromCatalog(cat2)
-	if got := singleAnswer(t, s2, "select certain Name from NYC;"); got.Len() != 0 {
-		// repair made POB alternatives; certain NYC names may be empty —
-		// just require the query to run. (Checked via error above.)
-		_ = got
-	}
-	if s2.Worlds().Int64() != 2 {
-		t.Fatalf("recovered worlds = %s, want 2", s2.Worlds())
-	}
+		cat2, wals2 := openStoreDir(t, dir, n)
+		defer closeWALs(wals2)
+		got := rawSnapBytes(t, cat2.Snapshot())
+		if !bytes.Equal(got, want) {
+			t.Fatalf("recovered catalog differs from last committed snapshot\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		}
+		if f := replayFallbacks(cat2); f != 0 {
+			t.Fatalf("dense delta replay fell back to statements %d time(s)", f)
+		}
+		// And the recovered catalog serves: the view works, worlds intact.
+		s2 := FromCatalog(cat2)
+		singleAnswer(t, s2, "select certain Name from NYC;")
+		if s2.Worlds().Int64() != 2 {
+			t.Fatalf("recovered worlds = %s, want 2", s2.Worlds())
+		}
+	})
 }
 
 // TestCrashRecoveryAfterCheckpoint: checkpoint mid-workload, more
 // commits, crash — recovery = checkpoint + replayed tail.
 func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		cat, wals := openStoreDir(t, dir, n)
+		s := FromCatalog(cat)
+		mustScript(t, s,
+			"create table T (A);",
+			"insert into T values (1);",
+		)
+		if err := cat.Checkpoint(filepath.Join(dir, "checkpoint.wsd")); err != nil {
+			t.Fatal(err)
+		}
+		mustScript(t, s,
+			"insert into T values (2);",
+			"begin;", "insert into T values (3);", "update T set A = 30 where A = 3;", "commit;",
+		)
+		want := rawSnapBytes(t, cat.Snapshot())
+		closeWALs(wals)
 
-	cat, wal, err := OpenStore(wsdPath, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := FromCatalog(cat)
-	mustScript(t, s,
-		"create table T (A);",
-		"insert into T values (1);",
-	)
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	mustScript(t, s,
-		"insert into T values (2);",
-		"begin;", "insert into T values (3);", "update T set A = 30 where A = 3;", "commit;",
-	)
-	want := rawSnapBytes(t, cat.Snapshot())
-	wal.Close()
-
-	cat2, wal2, err := OpenStore(wsdPath, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	if got := rawSnapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("checkpoint + tail recovery differs from last committed state")
-	}
+		cat2, wals2 := openStoreDir(t, dir, n)
+		defer closeWALs(wals2)
+		if got := rawSnapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatal("checkpoint + tail recovery differs from last committed state")
+		}
+	})
 }
 
-// TestWALLiteralRoundTrip pins the literal-rendering invariant WAL
-// replay depends on: floats that would render in scientific notation,
-// strings with embedded quotes, negatives, bools and nulls must all
-// survive commit → statement log → crash → replay byte-for-byte.
+// TestWALLiteralRoundTrip pins the literal-rendering invariant
+// statement replay depends on: floats that would render in scientific
+// notation, strings with embedded quotes, negatives, bools and nulls
+// must all survive commit → statement log → crash → replay
+// byte-for-byte. Deltas are off so recovery really re-parses the texts.
 func TestWALLiteralRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
-	cat, wal, err := OpenStore(wsdPath, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := FromCatalog(cat)
-	mustScript(t, s,
-		"create table T (A, B);",
-		"insert into T values (10000000.5, 'it''s quoted');",
-		"insert into T values (-0.00000125, 'plain');",
-		"insert into T values (true, null);",
-		"update T set B = 'x''y' where A = -0.00000125;",
-	)
-	want := rawSnapBytes(t, cat.Snapshot())
-	wal.Close()
-	cat2, wal2, err := OpenStore(wsdPath, walPath)
-	if err != nil {
-		t.Fatalf("replaying literal-heavy WAL: %v", err)
-	}
-	defer wal2.Close()
-	if got := rawSnapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatalf("literal round trip through the WAL diverged\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		cat, wals := openStoreDir(t, dir, n)
+		cat.SetLogDeltas(false)
+		s := FromCatalog(cat)
+		mustScript(t, s,
+			"create table T (A, B);",
+			"insert into T values (10000000.5, 'it''s quoted');",
+			"insert into T values (-0.00000125, 'plain');",
+			"insert into T values (true, null);",
+			"update T set B = 'x''y' where A = -0.00000125;",
+		)
+		want := rawSnapBytes(t, cat.Snapshot())
+		closeWALs(wals)
+		cat2, wals2 := openStoreDir(t, dir, n)
+		defer closeWALs(wals2)
+		if got := rawSnapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatalf("literal round trip through the WAL diverged\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		}
+		if f := replayFallbacks(cat2); f != 5 {
+			t.Fatalf("%d statement replays for 5 delta-less records", f)
+		}
+	})
 }
 
 // TestWALLargeRecordRecovered: a committed record far larger than any
 // scanner buffer must replay, not be mistaken for a torn tail.
 func TestWALLargeRecordRecovered(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
-	cat, wal, err := OpenStore(wsdPath, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := FromCatalog(cat)
-	mustScript(t, s, "create table T (A, B);")
-	big := strings.Repeat("x", 3<<20) // one 3 MiB statement text
-	mustScript(t, s, "begin;", fmt.Sprintf("insert into T values (1, '%s');", big), "commit;")
-	want := rawSnapBytes(t, cat.Snapshot())
-	wal.Close()
-	cat2, wal2, err := OpenStore(wsdPath, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	if got := rawSnapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("multi-megabyte WAL record was not recovered intact")
-	}
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		cat, wals := openStoreDir(t, dir, n)
+		s := FromCatalog(cat)
+		mustScript(t, s, "create table T (A, B);")
+		big := strings.Repeat("x", 3<<20) // one 3 MiB statement text
+		mustScript(t, s, "begin;", fmt.Sprintf("insert into T values (1, '%s');", big), "commit;")
+		want := rawSnapBytes(t, cat.Snapshot())
+		closeWALs(wals)
+		cat2, wals2 := openStoreDir(t, dir, n)
+		defer closeWALs(wals2)
+		if got := rawSnapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatal("multi-megabyte WAL record was not recovered intact")
+		}
+	})
 }

@@ -108,12 +108,8 @@ type healthz struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := healthz{Status: "ok", Version: s.cat.Snapshot().Version, Shards: s.cat.Shards()}
-	if s.cat.Shards() > 1 {
-		for _, st := range s.cat.ShardStats() {
-			h.ShardEpochs = append(h.ShardEpochs, st.Version)
-		}
-	} else {
-		h.ShardEpochs = []uint64{h.Version}
+	for _, st := range s.cat.ShardStats() {
+		h.ShardEpochs = append(h.ShardEpochs, st.Version)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(h)
@@ -132,7 +128,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Gauge("wsdb_catalog_size", "Decomposition size (total stored tuples).", "", float64(snap.DB.Size()))
 	p.Gauge("wsdb_catalog_components", "Independent components in the catalog decomposition.", "", float64(len(snap.DB.Components)))
 	p.Gauge("wsdb_catalog_worlds_log2", "Base-2 logarithm (floor) of the represented world count.", "", worldsLog2(snap.DB))
-	p.Gauge("wsdb_catalog_shards", "Catalog shards (1 when unsharded).", "", float64(s.cat.Shards()))
+	p.Gauge("wsdb_catalog_shards", "Catalog shards.", "", float64(s.cat.Shards()))
 	s.mu.Lock()
 	live := len(s.sessions)
 	s.mu.Unlock()
@@ -167,25 +163,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	// Per-shard commit statistics and latency histograms. Unsharded
-	// catalogs report one shard 0 so dashboards keep a uniform shape.
-	if s.cat.Shards() > 1 {
-		stats := s.cat.ShardStats()
-		for _, st := range stats {
-			p.Gauge("wsdb_shard_version", "Newest published epoch per shard.", shardLabel(st.Shard), float64(st.Version))
-		}
-		for _, st := range stats {
-			p.Counter("wsdb_shard_commits_total", "Commits published per shard.", shardLabel(st.Shard), st.Commits)
-		}
-		for _, st := range stats {
-			p.Counter("wsdb_shard_conflicts_total", "Staged commits refused validation per shard.", shardLabel(st.Shard), st.Conflicts)
-		}
-		for _, st := range stats {
-			p.Gauge("wsdb_shard_pending", "Commits queued for group commit per shard.", shardLabel(st.Shard), float64(st.Pending))
-		}
-		for _, st := range stats {
-			p.Counter("wsdb_shard_wal_fsyncs_total", "WAL fsyncs per shard segment.", shardLabel(st.Shard), st.Syncs)
-		}
+	// Per-shard commit statistics and latency histograms.
+	stats := s.cat.ShardStats()
+	for _, st := range stats {
+		p.Gauge("wsdb_shard_version", "Newest published epoch per shard.", shardLabel(st.Shard), float64(st.Version))
+	}
+	for _, st := range stats {
+		p.Counter("wsdb_shard_commits_total", "Commits published per shard.", shardLabel(st.Shard), st.Commits)
+	}
+	for _, st := range stats {
+		p.Counter("wsdb_shard_conflicts_total", "Staged commits refused validation per shard.", shardLabel(st.Shard), st.Conflicts)
+	}
+	for _, st := range stats {
+		p.Gauge("wsdb_shard_pending", "Commits queued for group commit per shard.", shardLabel(st.Shard), float64(st.Pending))
+	}
+	for _, st := range stats {
+		p.Counter("wsdb_shard_wal_fsyncs_total", "WAL fsyncs per shard segment.", shardLabel(st.Shard), st.Syncs)
 	}
 	shardObs := s.cat.ObsShards()
 	for _, so := range shardObs {
@@ -218,8 +211,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	// Durability posture per shard: how stale the recovery base is, how
 	// big it is on disk, and how much WAL tail a crash right now would
-	// replay. Always exported (an unsharded catalog reports one shard 0)
-	// so dashboards and the CI smoke can assert on them unconditionally.
+	// replay — and how many records the last recovery had to re-execute
+	// by statement because delta replay could not apply.
 	ds := s.cat.DurabilityStats()
 	for _, d := range ds {
 		p.Gauge("wsdb_checkpoint_age_seconds", "Seconds since the shard's last checkpoint completed or was skipped as a no-op (-1 before the first).",
@@ -233,6 +226,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.Gauge("wsdb_wal_tail_records", "Records in the shard's WAL segment — the crash-replay backlog.",
 			shardLabel(d.Shard), float64(d.WALTailRecords))
 	}
+	var fallbacks uint64
+	for _, d := range ds {
+		fallbacks += d.ReplayFallbacks
+	}
+	p.Counter("wsdb_replay_fallback_total", "WAL records the last recovery replayed by statement re-execution instead of by page delta.", "", fallbacks)
 	// Paged-checkpoint I/O and buffer-pool counters, present once the
 	// catalog runs on the page-file base.
 	if pagers := s.cat.Pagers(); len(pagers) > 0 {

@@ -3,6 +3,7 @@ package isqld
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -24,12 +25,17 @@ import (
 // serves it — the acceptance shape for /metrics: per-shard commit and
 // fsync histograms must all be present.
 func shardedWALServer(t *testing.T, opts ...Option) (*httptest.Server, *store.Catalog) {
+	return walServer(t, 4, opts...)
+}
+
+// walServer is shardedWALServer at any shard count.
+func walServer(t *testing.T, nshards int, opts ...Option) (*httptest.Server, *store.Catalog) {
 	t.Helper()
 	dir := t.TempDir()
 	cat := store.FromComplete([]string{"Census"},
 		[]*relation.Relation{datagen.Census(50, 10, 7)})
-	cat.Reshard(4)
-	wals := make([]*store.WAL, 4)
+	cat.Reshard(nshards)
+	wals := make([]*store.WAL, nshards)
 	for si := range wals {
 		w, _, err := store.OpenWAL(store.SegmentPath(dir, si))
 		if err != nil {
@@ -43,12 +49,18 @@ func shardedWALServer(t *testing.T, opts ...Option) (*httptest.Server, *store.Ca
 }
 
 // TestMetricsEndpoint asserts GET /metrics serves valid Prometheus
-// text exposition on a 4-shard WAL-backed catalog, with every
-// required series present: per-shard commit-queue and fsync
-// histograms, per-relation decomposition gauges, execution-path and
-// request counters.
+// text exposition on a WAL-backed catalog — one shard and four alike —
+// with every required series present: per-shard commit statistics,
+// commit-queue and fsync histograms, per-relation decomposition gauges,
+// execution-path and request counters.
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _ := shardedWALServer(t)
+	for _, nshards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", nshards), func(t *testing.T) { testMetricsEndpoint(t, nshards) })
+	}
+}
+
+func testMetricsEndpoint(t *testing.T, nshards int) {
+	ts, _ := walServer(t, nshards)
 
 	// Traffic on several paths: a repair CTAS (native), a select, an
 	// aggregate (legacy fallback), and inserts routing to shards.
@@ -103,15 +115,20 @@ insert into Audit values ('b', 2);
 		"wsdb_checkpoint_age_seconds",
 		"wsdb_shard_disk_bytes",
 		"wsdb_wal_tail_records",
+		"wsdb_replay_fallback_total",
 	} {
 		if !obs.HasSeries(data, series) {
 			t.Errorf("missing required series %s", series)
 		}
 	}
-	// All four shards expose a fsync histogram (count line per shard).
-	for _, shard := range []string{`shard="0"`, `shard="1"`, `shard="2"`, `shard="3"`} {
-		if !strings.Contains(string(data), "wsdb_wal_fsync_seconds_count{"+shard+"}") {
-			t.Errorf("missing per-shard fsync histogram for %s", shard)
+	// Every shard exposes its commit counter and a fsync histogram (count
+	// line per shard).
+	for si := 0; si < nshards; si++ {
+		shard := fmt.Sprintf(`{shard="%d"}`, si)
+		for _, series := range []string{"wsdb_wal_fsync_seconds_count", "wsdb_shard_commits_total"} {
+			if !strings.Contains(string(data), series+shard) {
+				t.Errorf("missing per-shard series %s%s", series, shard)
+			}
 		}
 	}
 	// The repaired relation reports its decomposition split.
@@ -139,7 +156,7 @@ insert into Audit values ('b', 2);
 `); code != http.StatusOK {
 		t.Fatalf("traffic: %d %s", code, out)
 	}
-	if err := cat.CheckpointAll(wsdPath); err != nil {
+	if err := cat.Checkpoint(wsdPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,7 +198,7 @@ insert into Audit values ('b', 2);
 			t.Errorf("missing checkpoint-bytes histogram for %s", shard)
 		}
 	}
-	// After CheckpointAll: zero WAL tail everywhere, age non-negative,
+	// After the checkpoint: zero WAL tail everywhere, age non-negative,
 	// bases on disk. Parse the gauge samples directly.
 	for _, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(line, "wsdb_wal_tail_records{") {

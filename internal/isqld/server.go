@@ -434,10 +434,10 @@ type Stats struct {
 	// statements outside the WSA fragment — attributed per operator, the
 	// serving-path view of the "fallbacks should be rare" invariant.
 	Exec isql.ExecStatsSnapshot `json:"exec"`
-	// Shards holds per-shard commit statistics on a component-sharded
-	// catalog (published epoch, commits, validation conflicts, queued
-	// group commits, segment fsyncs); absent when unsharded.
-	Shards []store.ShardStat `json:"shards,omitempty"`
+	// Shards holds per-shard commit statistics (published epoch,
+	// commits, validation conflicts, queued group commits, segment
+	// fsyncs).
+	Shards []store.ShardStat `json:"shards"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -460,9 +460,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Prepared:  s.prep.Names(),
 		Sessions:  live,
 		Exec:      s.exec.Snapshot(),
-	}
-	if s.cat.Shards() > 1 {
-		st.Shards = s.cat.ShardStats()
+		Shards:    s.cat.ShardStats(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

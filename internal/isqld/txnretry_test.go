@@ -64,11 +64,11 @@ func TestBackgroundSweepEvictsIdleTxn(t *testing.T) {
 // to publish, not spin its budget against the in-flight version.
 func TestConcurrentTxnWritersRetry(t *testing.T) {
 	dir := t.TempDir()
-	cat, wal, err := isql.OpenStore(filepath.Join(dir, "checkpoint.wsd"), filepath.Join(dir, "wal.log"))
+	cat, wals, err := isql.OpenStore(filepath.Join(dir, "checkpoint.wsd"), dir, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wal.Close()
+	defer wals[0].Close()
 	srv := New(cat, WithTxnRetries(32))
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())

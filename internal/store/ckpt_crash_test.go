@@ -15,7 +15,7 @@ import (
 // leave recovery falling back to the previous base plus WAL replay,
 // byte-identically.
 
-// sIns commits one routed "ins" transaction on a sharded catalog.
+// sIns commits one routed "ins" transaction.
 func sIns(t *testing.T, cat *Catalog, table string, v int) {
 	t.Helper()
 	err := cat.UpdateRouted([]string{table}, func(tx *Tx) error {
@@ -44,224 +44,111 @@ func mkAll(t *testing.T, cat *Catalog, names []string) {
 
 // TestTornCheckpointTempFileIgnored: a crash between the checkpoint's
 // temp-file write and its rename leaves a stray dot-temp in the catalog
-// directory. Recovery on a 4-shard catalog must ignore the strays (for
-// the main and side files alike) and rebuild the committed state from
-// the previous base plus the WALs.
+// directory. Recovery must ignore the strays (for the main and side
+// files alike) and rebuild the committed state from the previous base
+// plus the WALs.
 func TestTornCheckpointTempFileIgnored(t *testing.T) {
-	const nshards = 4
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	names := shardNames(nshards)
-
-	cat, wals, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkAll(t, cat, names)
-	for i, n := range names {
-		sIns(t, cat, n, 100+i)
-	}
-	if err := cat.CheckpointAll(wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range names {
-		sIns(t, cat, n, 200+i) // WAL tail on every shard
-	}
-	want := dbBytes(t, cat.Snapshot())
-	for _, w := range wals {
-		w.Close()
-	}
-
-	// Simulate the torn checkpoint: half-written temp files for the main
-	// file and a side file, killed before their renames.
-	for _, base := range []string{"cat.wsd", "cat.wsd.s2"} {
-		stray := filepath.Join(dir, "."+base+".tmp-1234")
-		if err := os.WriteFile(stray, bytes.Repeat([]byte{0xAB}, 12345), 0o644); err != nil {
+	forShardCounts(t, func(t *testing.T, nshards int) {
+		dir := t.TempDir()
+		names := shardNames(nshards)
+		cat, wals := openDir(t, dir, nshards, shardApplier)
+		mkAll(t, cat, names)
+		for i, n := range names {
+			sIns(t, cat, n, 100+i)
+		}
+		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	cat2, wals2, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range wals2 {
-		defer w.Close()
-	}
-	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("recovery with stray checkpoint temp files differs from the committed state")
-	}
-}
-
-// TestCrashMidPageFlushUnsharded: an incremental checkpoint that dies
-// after flushing data pages but before the meta-slot commit leaves the
-// base at the previous version; reopening replays the un-truncated WAL
-// onto it byte-identically, and the next checkpoint succeeds.
-func TestCrashMidPageFlushUnsharded(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	walPath := filepath.Join(dir, "cat.wal")
-	cat, wal, err := Open(wsdPath, walPath, putApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	put(t, cat, "T", 1)
-	put(t, cat, "U", 2)
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	baseVer := cat.Pagers()[0].Version()
-	put(t, cat, "T", 3)
-	put(t, cat, "U", 4)
-	want := saveBytes(t, cat.Snapshot())
-
-	cat.Pagers()[0].failBeforeMeta = func() error { return errors.New("injected crash before meta commit") }
-	if err := cat.Checkpoint(wal, wsdPath); err == nil {
-		t.Fatal("checkpoint with injected crash reported success")
-	}
-	if st := cat.DurabilityStats(); st[0].WALTailRecords == 0 {
-		t.Fatal("failed checkpoint truncated the WAL — commits would be lost")
-	}
-	wal.Close() // crash
-
-	// The base on disk must still be the previous checkpoint.
-	ps, loaded, err := OpenPageStore(wsdPath, 0, true, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded == nil || loaded.Version != baseVer {
-		t.Fatalf("base after torn checkpoint is at version %v, want %d", loaded, baseVer)
-	}
-	ps.Close()
-
-	cat2, wal2, err := Open(wsdPath, walPath, putApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("recovery after mid-flush crash differs from the committed state")
-	}
-	// The store heals: the next checkpoint commits and reloads cleanly.
-	if err := cat2.Checkpoint(wal2, wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	got := reloadSnap(t, wsdPath, 16)
-	if !bytes.Equal(saveBytes(t, got), want) {
-		t.Fatal("checkpoint after recovery differs from the committed state")
-	}
-}
-
-// TestShardedCrashMidPageFlush: CheckpointAll on a 4-shard catalog dies
-// mid-flush on one side shard — other side files may already be at the
-// new version, the main file is still at the old one, and no WAL was
-// truncated. Recovery merges the mixed-epoch files and replays the WALs
-// to the exact committed state.
-func TestShardedCrashMidPageFlush(t *testing.T) {
-	const nshards = 4
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	names := shardNames(nshards)
-
-	cat, wals, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkAll(t, cat, names)
-	for i, n := range names {
-		sIns(t, cat, n, 100+i)
-	}
-	if err := cat.CheckpointAll(wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range names {
-		sIns(t, cat, n, 200+i)
-	}
-	want := dbBytes(t, cat.Snapshot())
-
-	cat.Pagers()[2].failBeforeMeta = func() error { return errors.New("injected crash before meta commit") }
-	if err := cat.CheckpointAll(wsdPath); err == nil {
-		t.Fatal("CheckpointAll with injected crash reported success")
-	}
-	for i, st := range cat.DurabilityStats() {
-		if st.WALTailRecords == 0 {
-			t.Fatalf("failed CheckpointAll truncated shard %d's WAL", i)
+		for i, n := range names {
+			sIns(t, cat, n, 200+i) // WAL tail on every shard
 		}
-	}
-	for _, w := range wals {
-		w.Close() // crash
-	}
+		want := dbBytes(t, cat.Snapshot())
+		closeWALs(wals)
 
-	cat2, wals2, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("recovery after torn CheckpointAll differs from the committed state")
-	}
-	// The store heals: a clean CheckpointAll commits every shard and a
-	// further reopen still matches.
-	if err := cat2.CheckpointAll(wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range wals2 {
-		w.Close()
-	}
-	cat3, wals3, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range wals3 {
-		defer w.Close()
-	}
-	if got := dbBytes(t, cat3.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("reopen after healing checkpoint differs from the committed state")
-	}
+		// Simulate the torn checkpoint: half-written temp files for the main
+		// file and a side file, killed before their renames.
+		for _, base := range []string{"checkpoint.wsd", "checkpoint.wsd.s2"} {
+			stray := filepath.Join(dir, "."+base+".tmp-1234")
+			if err := os.WriteFile(stray, bytes.Repeat([]byte{0xAB}, 12345), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		cat2, wals2 := openDir(t, dir, nshards, shardApplier)
+		defer closeWALs(wals2)
+		if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatal("recovery with stray checkpoint temp files differs from the committed state")
+		}
+	})
 }
 
-// TestShardedTornCheckpointEverySideShard: sweep the injected mid-flush
-// crash across each side shard in turn (and the main file last) — every
-// tear point must recover byte-identically.
-func TestShardedTornCheckpointEverySideShard(t *testing.T) {
-	const nshards = 4
-	for victim := 0; victim < nshards; victim++ {
-		victim := victim
-		t.Run(fmt.Sprintf("shard%d", victim), func(t *testing.T) {
-			dir := t.TempDir()
-			wsdPath := filepath.Join(dir, "cat.wsd")
-			names := shardNames(nshards)
-			cat, wals, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mkAll(t, cat, names)
-			for i, n := range names {
-				sIns(t, cat, n, 10+i)
-			}
-			if err := cat.CheckpointAll(wsdPath); err != nil {
-				t.Fatal(err)
-			}
-			sIns(t, cat, names[victim], 777)
-			sIns(t, cat, names[(victim+1)%nshards], 888)
-			want := dbBytes(t, cat.Snapshot())
+// TestCrashMidPageFlush: an incremental checkpoint that dies after
+// flushing data pages but before one shard's meta-slot commit — swept
+// over every victim shard, main file included — leaves the main file at
+// the previous version (side files may already be at the new one) and
+// truncates no WAL. Recovery merges the mixed-epoch files and replays
+// the WALs to the exact committed state, by delta alone; the next
+// checkpoint heals the base and a further reopen still matches.
+func TestCrashMidPageFlush(t *testing.T) {
+	forShardCounts(t, func(t *testing.T, nshards int) {
+		for victim := 0; victim < nshards; victim++ {
+			t.Run(fmt.Sprintf("victim=%d", victim), func(t *testing.T) {
+				dir := t.TempDir()
+				names := shardNames(nshards)
+				cat, wals := openDir(t, dir, nshards, shardApplier)
+				mkAll(t, cat, names)
+				for i, n := range names {
+					sIns(t, cat, n, 100+i)
+				}
+				if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+					t.Fatal(err)
+				}
+				baseVer := cat.Pagers()[0].Version()
+				for i, n := range names {
+					sIns(t, cat, n, 200+i)
+				}
+				want := dbBytes(t, cat.Snapshot())
 
-			cat.Pagers()[victim].failBeforeMeta = func() error { return errors.New("injected crash") }
-			if err := cat.CheckpointAll(wsdPath); err == nil {
-				t.Fatal("CheckpointAll with injected crash reported success")
-			}
-			for _, w := range wals {
-				w.Close()
-			}
-			cat2, wals2, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range wals2 {
-				defer w.Close()
-			}
-			if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-				t.Fatal("recovery differs from the committed state")
-			}
-		})
-	}
+				cat.Pagers()[victim].failBeforeMeta = func() error { return errors.New("injected crash before meta commit") }
+				if err := cat.Checkpoint(ckptPath(dir)); err == nil {
+					t.Fatal("checkpoint with injected crash reported success")
+				}
+				for i, st := range cat.DurabilityStats() {
+					if st.WALTailRecords == 0 {
+						t.Fatalf("failed checkpoint truncated shard %d's WAL — commits would be lost", i)
+					}
+				}
+				closeWALs(wals) // crash
+
+				// The main file on disk must still be the previous checkpoint.
+				ps, loaded, err := OpenPageStore(ckptPath(dir), 0, true, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if loaded == nil || loaded.Version != baseVer {
+					t.Fatalf("base after torn checkpoint is at version %v, want %d", loaded, baseVer)
+				}
+				ps.Close()
+
+				cat2, wals2 := openDir(t, dir, nshards, shardApplier)
+				if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+					t.Fatal("recovery after mid-flush crash differs from the committed state")
+				}
+				if f := replayFallbacks(cat2); f != 0 {
+					t.Fatalf("recovery over a torn checkpoint fell back to statements %d time(s)", f)
+				}
+				// The store heals: a clean checkpoint commits every shard and a
+				// further reopen still matches.
+				if err := cat2.Checkpoint(ckptPath(dir)); err != nil {
+					t.Fatal(err)
+				}
+				closeWALs(wals2)
+				cat3, wals3 := openDir(t, dir, nshards, shardApplier)
+				defer closeWALs(wals3)
+				if got := dbBytes(t, cat3.Snapshot()); !bytes.Equal(got, want) {
+					t.Fatal("reopen after healing checkpoint differs from the committed state")
+				}
+			})
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,304 +73,308 @@ func put(t *testing.T, cat *Catalog, name string, v int64) {
 	}
 }
 
+// ckptTotals sums the checkpoint I/O counters over the catalog's page
+// files.
+func ckptTotals(cat *Catalog) CkptStats {
+	var sum CkptStats
+	for _, ps := range cat.Pagers() {
+		st := ps.Stats()
+		sum.PagesWritten += st.PagesWritten
+		sum.BytesWritten += st.BytesWritten
+		sum.Checkpoints += st.Checkpoints
+		sum.NoopSkips += st.NoopSkips
+	}
+	return sum
+}
+
 // TestCheckpointNoopZeroWrites: a second Catalog.Checkpoint with no
-// intervening commit performs zero page writes and leaves the base file
-// untouched — the no-op skip.
+// intervening commit performs zero page writes and leaves the base
+// files untouched — the no-op skip.
 func TestCheckpointNoopZeroWrites(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	cat, wal, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal.Close()
-	put(t, cat, "T", 1)
-	put(t, cat, "T", 2)
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	ps := cat.Pagers()[0]
-	before := ps.Stats()
-	fi1, err := os.Stat(wsdPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	after := ps.Stats()
-	if after.PagesWritten != before.PagesWritten || after.BytesWritten != before.BytesWritten {
-		t.Fatalf("no-op checkpoint wrote %d pages / %d bytes",
-			after.PagesWritten-before.PagesWritten, after.BytesWritten-before.BytesWritten)
-	}
-	if after.NoopSkips != before.NoopSkips+1 {
-		t.Fatalf("noop skips %d, want %d", after.NoopSkips, before.NoopSkips+1)
-	}
-	fi2, err := os.Stat(wsdPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi2.Size() != fi1.Size() || !fi2.ModTime().Equal(fi1.ModTime()) {
-		t.Fatal("no-op checkpoint modified the base file")
-	}
-	// The skip still refreshes durability bookkeeping.
-	if v, _ := wal.LastCheckpoint(); v != cat.Snapshot().Version {
-		t.Fatalf("no-op checkpoint recorded WAL checkpoint version %d, want %d", v, cat.Snapshot().Version)
-	}
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		cat, wals := openDir(t, dir, n, putApplier)
+		defer closeWALs(wals)
+		put(t, cat, "T", 1)
+		put(t, cat, "T", 2)
+		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		before := ckptTotals(cat)
+		fi1, err := os.Stat(ckptPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		after := ckptTotals(cat)
+		if after.PagesWritten != before.PagesWritten || after.BytesWritten != before.BytesWritten {
+			t.Fatalf("no-op checkpoint wrote %d pages / %d bytes",
+				after.PagesWritten-before.PagesWritten, after.BytesWritten-before.BytesWritten)
+		}
+		if after.NoopSkips != before.NoopSkips+uint64(n) {
+			t.Fatalf("noop skips %d, want %d", after.NoopSkips, before.NoopSkips+uint64(n))
+		}
+		fi2, err := os.Stat(ckptPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi2.Size() != fi1.Size() || !fi2.ModTime().Equal(fi1.ModTime()) {
+			t.Fatal("no-op checkpoint modified the base file")
+		}
+		// The skip still refreshes durability bookkeeping.
+		for si, w := range wals {
+			if v, _ := w.LastCheckpoint(); v != cat.Snapshot().Version {
+				t.Fatalf("no-op checkpoint recorded WAL checkpoint version %d on segment %d, want %d", v, si, cat.Snapshot().Version)
+			}
+		}
+	})
 }
 
 // TestCheckpointIncrementalBytes: after a full checkpoint of a wide
 // catalog, committing to one relation and checkpointing again writes a
 // small fraction of the bytes — O(dirty components), not O(catalog).
 func TestCheckpointIncrementalBytes(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	cat, wal, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal.Close()
-	for i := 0; i < 32; i++ {
-		for k := 0; k < 20; k++ {
-			put(t, cat, fmt.Sprintf("T%02d", i), int64(i*100+k))
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		cat, wals := openDir(t, dir, n, putApplier)
+		// Wide enough that the fixed directory + meta rewrite every shard
+		// file pays per checkpoint stays a small share at four shards too.
+		for i := 0; i < 80; i++ {
+			for k := 0; k < 8; k++ {
+				put(t, cat, fmt.Sprintf("T%02d", i), int64(i*100+k))
+			}
 		}
-	}
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	ps := cat.Pagers()[0]
-	full := ps.Stats().BytesWritten
+		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		full := ckptTotals(cat).BytesWritten
 
-	put(t, cat, "T00", 424242)
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	incr := ps.Stats().BytesWritten - full
-	if incr*8 >= full {
-		t.Fatalf("incremental checkpoint wrote %d bytes vs %d for the full one — not O(dirty)", incr, full)
-	}
+		put(t, cat, "T00", 424242)
+		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		incr := ckptTotals(cat).BytesWritten - full
+		if incr*8 >= full {
+			t.Fatalf("incremental checkpoint wrote %d bytes vs %d for the full one — not O(dirty)", incr, full)
+		}
 
-	want := saveBytes(t, cat.Snapshot())
-	wal.Close()
-	cat2, wal2, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("reopen after incremental checkpoint differs from the committed state")
-	}
+		want := saveBytes(t, cat.Snapshot())
+		closeWALs(wals)
+		cat2, wals2 := openDir(t, dir, n, putApplier)
+		defer closeWALs(wals2)
+		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatal("reopen after incremental checkpoint differs from the committed state")
+		}
+	})
 }
 
 // TestCheckpointMigratesV1: a catalog saved in the v1 JSON format opens
-// through OpenPaged, keeps serving commits, and its first checkpoint
+// through Open, keeps serving commits, and its first checkpoint
 // rewrites the base in the v2 page format — reopening from the migrated
 // file is byte-identical.
 func TestCheckpointMigratesV1(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	db := deltaDB()
-	db.Components = []wsd.DBComponent{compOf(db, 1, "A", 10, 11), compOf(db, 2, "B", 20)}
-	if err := SaveFile(wsdPath, &Snapshot{Version: 4, DB: db, Views: map[string]string{"V": "select 1"}}); err != nil {
-		t.Fatal(err)
-	}
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		db := deltaDB()
+		db.Components = []wsd.DBComponent{compOf(db, 1, "A", 10, 11), compOf(db, 2, "B", 20)}
+		if err := SaveFile(ckptPath(dir), &Snapshot{Version: 4, DB: db, Views: map[string]string{"V": "select 1"}}); err != nil {
+			t.Fatal(err)
+		}
 
-	cat, wal, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
-	if err != nil {
-		t.Fatalf("opening a v1 base: %v", err)
-	}
-	if cat.Snapshot().Version != 4 {
-		t.Fatalf("v1 base loaded at version %d, want 4", cat.Snapshot().Version)
-	}
-	put(t, cat, "A", 99)
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	want := saveBytes(t, cat.Snapshot())
-	wal.Close()
+		cat, wals := openDir(t, dir, n, putApplier)
+		if cat.Snapshot().Version != 4 {
+			t.Fatalf("v1 base loaded at version %d, want 4", cat.Snapshot().Version)
+		}
+		put(t, cat, "A", 99)
+		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		want := saveBytes(t, cat.Snapshot())
+		closeWALs(wals)
 
-	// The base is now a v2 page file, not JSON.
-	ps, loaded, err := OpenPageStore(wsdPath, 0, true, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded == nil {
-		t.Fatal("base is still a v1 file after a paged checkpoint")
-	}
-	ps.Close()
+		// The base is now a v2 page file, not JSON.
+		ps, loaded, err := OpenPageStore(ckptPath(dir), 0, true, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded == nil {
+			t.Fatal("base is still a v1 file after a paged checkpoint")
+		}
+		ps.Close()
 
-	cat2, wal2, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("reopen from the migrated page file differs from the pre-migration state")
-	}
+		cat2, wals2 := openDir(t, dir, n, putApplier)
+		defer closeWALs(wals2)
+		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatal("reopen from the migrated page file differs from the pre-migration state")
+		}
+	})
 }
 
 // TestRecoveryReplaysDeltas: recovery applies WAL page deltas without
 // re-executing statements — proven by recovering with an applier that
 // always fails, which only delta replay can survive.
 func TestRecoveryReplaysDeltas(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	walPath := filepath.Join(dir, "cat.wal")
-	cat, wal, err := Open(wsdPath, walPath, putApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	put(t, cat, "T", 1)
-	put(t, cat, "U", 2)
-	put(t, cat, "T", 3)
-	want := saveBytes(t, cat.Snapshot())
-	wal.Close() // crash: no checkpoint, state lives only in the log
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		cat, wals := openDir(t, dir, n, putApplier)
+		put(t, cat, "T", 1)
+		put(t, cat, "U", 2)
+		put(t, cat, "T", 3)
+		want := saveBytes(t, cat.Snapshot())
+		closeWALs(wals) // crash: no checkpoint, state lives only in the log
 
-	noStmts := func(cat *Catalog, rec WALRecord) error {
-		return fmt.Errorf("statement replay invoked for v%d — delta replay should have handled it", rec.Version)
-	}
-	cat2, wal2, err := Open(wsdPath, walPath, noStmts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("delta-only recovery differs from the pre-crash state")
-	}
+		noStmts := func(cat *Catalog, rec WALRecord) error {
+			return fmt.Errorf("statement replay invoked for v%d — delta replay should have handled it", rec.Version)
+		}
+		cat2, wals2 := openDir(t, dir, n, noStmts)
+		defer closeWALs(wals2)
+		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatal("delta-only recovery differs from the pre-crash state")
+		}
+		if f := replayFallbacks(cat2); f != 0 {
+			t.Fatalf("delta-only recovery counted %d fallbacks", f)
+		}
+	})
 }
 
 // TestRecoveryStmtFallbackWithoutDeltas: with delta logging disabled
 // (SetLogDeltas(false)), recovery still works through statement replay
-// — the compatibility path for logs written by older builds.
+// — the compatibility path for logs written by older builds — and every
+// record is counted as a fallback.
 func TestRecoveryStmtFallbackWithoutDeltas(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	walPath := filepath.Join(dir, "cat.wal")
-	cat, wal, err := Open(wsdPath, walPath, putApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat.SetLogDeltas(false)
-	put(t, cat, "T", 1)
-	put(t, cat, "T", 2)
-	want := saveBytes(t, cat.Snapshot())
-	wal.Close()
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		cat, wals := openDir(t, dir, n, putApplier)
+		cat.SetLogDeltas(false)
+		put(t, cat, "T", 1)
+		put(t, cat, "T", 2)
+		want := saveBytes(t, cat.Snapshot())
+		closeWALs(wals)
 
-	cat2, wal2, err := Open(wsdPath, walPath, putApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("statement-replay recovery differs from the pre-crash state")
-	}
+		cat2, wals2 := openDir(t, dir, n, putApplier)
+		defer closeWALs(wals2)
+		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatal("statement-replay recovery differs from the pre-crash state")
+		}
+		if f := replayFallbacks(cat2); f != 2 {
+			t.Fatalf("%d fallbacks for 2 delta-less records, want 2", f)
+		}
+	})
 }
 
-// TestColdStartPoolSmallerThanCatalog: a catalog whose page file spans
+// TestColdStartPoolSmallerThanCatalog: a catalog whose page files span
 // far more pages than the buffer pool still recovers byte-identically
 // and keeps serving reads and commits — chains page in and out on
 // demand.
 func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	walPath := filepath.Join(dir, "cat.wal")
-	cat, wal, err := OpenPaged(wsdPath, walPath, putApplier, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 24; i++ {
-		for k := 0; k < 30; k++ {
-			put(t, cat, fmt.Sprintf("T%02d", i), int64(i*1000+k))
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		cat, wals, err := Open(ckptPath(dir), dir, n, putApplier, 256)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	put(t, cat, "T00", -1) // leave a WAL tail too
-	want := saveBytes(t, cat.Snapshot())
-	wal.Close()
+		for i := 0; i < 24; i++ {
+			for k := 0; k < 30; k++ {
+				put(t, cat, fmt.Sprintf("T%02d", i), int64(i*1000+k))
+			}
+		}
+		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		put(t, cat, "T00", -1) // leave a WAL tail too
+		want := saveBytes(t, cat.Snapshot())
+		closeWALs(wals)
 
-	fi, err := os.Stat(wsdPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pool = 4
-	if npages := fi.Size() / 8192; npages <= pool*3 {
-		t.Fatalf("test catalog spans only %d pages — not meaningfully larger than the %d-page pool", npages, pool)
-	}
-	cat2, wal2, err := OpenPaged(wsdPath, walPath, putApplier, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("cold start with a small pool differs from the committed state")
-	}
-	st := cat2.Pagers()[0].PoolStats()
-	if st.Evictions == 0 {
-		t.Fatalf("pool smaller than catalog recorded no evictions (stats %+v)", st)
-	}
-	// And it keeps working as a live catalog.
-	put(t, cat2, "T23", 777777)
-	if err := cat2.Checkpoint(wal2, wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	got := reloadSnap(t, wsdPath, 8)
-	if !bytes.Equal(saveBytes(t, got), saveBytes(t, cat2.Snapshot())) {
-		t.Fatal("post-recovery checkpoint through a small pool differs from the live state")
-	}
+		const pool = 2
+		for si := 0; si < n; si++ {
+			fi, err := os.Stat(shardCkptPath(ckptPath(dir), si))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if npages := fi.Size() / 8192; npages <= pool*3 {
+				t.Fatalf("shard %d's page file spans only %d pages — not meaningfully larger than the %d-page pool", si, npages, pool)
+			}
+		}
+		cat2, wals2, err := Open(ckptPath(dir), dir, n, putApplier, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeWALs(wals2)
+		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatal("cold start with a small pool differs from the committed state")
+		}
+		for si, ps := range cat2.Pagers() {
+			if st := ps.PoolStats(); st.Evictions == 0 {
+				t.Fatalf("shard %d: pool smaller than its page file recorded no evictions (stats %+v)", si, st)
+			}
+		}
+		// And it keeps working as a live catalog.
+		put(t, cat2, "T23", 777777)
+		if err := cat2.Checkpoint(ckptPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		closeWALs(wals2)
+		cat3, wals3 := openDir(t, dir, n, putApplier)
+		defer closeWALs(wals3)
+		if !bytes.Equal(saveBytes(t, cat3.Snapshot()), saveBytes(t, cat2.Snapshot())) {
+			t.Fatal("post-recovery checkpoint through a small pool differs from the live state")
+		}
+	})
 }
 
 // TestDurabilityStats: the per-shard durability rows report checkpoint
 // age, disk bytes, and WAL tail consistent with the catalog's actual
 // state.
 func TestDurabilityStats(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	cat, wal, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal.Close()
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		cat, wals := openDir(t, dir, n, putApplier)
+		defer closeWALs(wals)
 
-	st := cat.DurabilityStats()
-	if len(st) != 1 {
-		t.Fatalf("unsharded catalog reports %d durability rows, want 1", len(st))
-	}
-	if st[0].CheckpointAgeSeconds >= 0 {
-		t.Fatalf("never-checkpointed catalog reports age %f, want negative", st[0].CheckpointAgeSeconds)
-	}
-	if st[0].WALTailRecords != 0 {
-		t.Fatalf("fresh WAL tail %d, want 0", st[0].WALTailRecords)
-	}
+		st := cat.DurabilityStats()
+		if len(st) != n {
+			t.Fatalf("%d-shard catalog reports %d durability rows", n, len(st))
+		}
+		// Assert on the last shard's row: it holds one record per commit
+		// (markers, when a commit has several participants, go to shard 0).
+		row := func() DurabilityStat { return cat.DurabilityStats()[n-1] }
+		if row().CheckpointAgeSeconds >= 0 {
+			t.Fatalf("never-checkpointed catalog reports age %f, want negative", row().CheckpointAgeSeconds)
+		}
+		if row().WALTailRecords != 0 {
+			t.Fatalf("fresh WAL tail %d, want 0", row().WALTailRecords)
+		}
 
-	put(t, cat, "T", 1)
-	put(t, cat, "T", 2)
-	st = cat.DurabilityStats()
-	if st[0].WALTailRecords != 2 {
-		t.Fatalf("WAL tail %d after 2 commits, want 2", st[0].WALTailRecords)
-	}
-	if st[0].DiskBytes != 0 {
-		t.Fatalf("disk bytes %d before any checkpoint, want 0", st[0].DiskBytes)
-	}
+		put(t, cat, "T", 1)
+		put(t, cat, "T", 2)
+		if row().WALTailRecords != 2 {
+			t.Fatalf("WAL tail %d after 2 commits, want 2", row().WALTailRecords)
+		}
+		if row().DiskBytes != 0 {
+			t.Fatalf("disk bytes %d before any checkpoint, want 0", row().DiskBytes)
+		}
 
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	st = cat.DurabilityStats()
-	if st[0].WALTailRecords != 0 {
-		t.Fatalf("WAL tail %d after checkpoint, want 0", st[0].WALTailRecords)
-	}
-	if st[0].CheckpointAgeSeconds < 0 {
-		t.Fatal("checkpoint age still negative after a checkpoint")
-	}
-	if st[0].DiskBytes == 0 {
-		t.Fatal("disk bytes 0 after a checkpoint")
-	}
-	if st[0].BaseVersion != cat.Snapshot().Version {
-		t.Fatalf("base version %d, want %d", st[0].BaseVersion, cat.Snapshot().Version)
-	}
-	if st[0].Checkpoints == 0 {
-		t.Fatal("checkpoint counter not incremented")
-	}
+		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range cat.DurabilityStats() {
+			if r.WALTailRecords != 0 {
+				t.Fatalf("shard %d: WAL tail %d after checkpoint, want 0", r.Shard, r.WALTailRecords)
+			}
+			if r.CheckpointAgeSeconds < 0 {
+				t.Fatalf("shard %d: checkpoint age still negative after a checkpoint", r.Shard)
+			}
+			if r.DiskBytes == 0 {
+				t.Fatalf("shard %d: disk bytes 0 after a checkpoint", r.Shard)
+			}
+			if r.BaseVersion != cat.Snapshot().Version {
+				t.Fatalf("shard %d: base version %d, want %d", r.Shard, r.BaseVersion, cat.Snapshot().Version)
+			}
+			if r.Checkpoints == 0 {
+				t.Fatalf("shard %d: checkpoint counter not incremented", r.Shard)
+			}
+		}
+	})
 }

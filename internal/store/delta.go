@@ -211,7 +211,7 @@ func fullDelta(next *Snapshot) *CommitDelta {
 }
 
 // diffSnapshots computes the delta carrying base → next. Component IDs
-// must already be assigned on next (commitLocked assigns before
+// must already be assigned on next (commit assigns before
 // diffing); a component without one forces a Full delta.
 func diffSnapshots(base, next *Snapshot) *CommitDelta {
 	if !sameSchema(base.DB, next.DB) {

@@ -194,7 +194,7 @@ func TestDeltaShardDiffMirrorsPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Catalog{nshards: nshards}
+	c := NewSharded(nil, nshards)
 	published := c.applyShardDiff(db, next, []int{si}, wset)
 	a := saveBytes(t, &Snapshot{Version: 1, DB: replayed, Views: map[string]string{}})
 	b := saveBytes(t, &Snapshot{Version: 1, DB: published, Views: map[string]string{}})

@@ -40,28 +40,25 @@ type DurabilityStat struct {
 	// Buffer-pool counters (zero without paging or before the first
 	// page-file open/write).
 	Pool bufpool.Stats `json:"pool"`
+
+	// ReplayFallbacks is the number of WAL records homed on this shard's
+	// segment (the coordinator's, for cross-shard commits) that the last
+	// recovery re-executed by statement because delta replay could not
+	// apply: the record carried no delta, its patch no longer matched,
+	// or an earlier epoch was missing from the chain. Zero after a crash
+	// that tore nothing.
+	ReplayFallbacks uint64 `json:"replay_fallbacks"`
 }
 
-// DurabilityStats reports the per-shard durability posture (one entry
-// for the whole catalog when unsharded). Safe to call concurrently with
-// commits and checkpoints.
+// DurabilityStats reports the per-shard durability posture. Safe to
+// call concurrently with commits and checkpoints.
 func (c *Catalog) DurabilityStats() []DurabilityStat {
-	n := c.Shards()
-	out := make([]DurabilityStat, n)
+	out := make([]DurabilityStat, len(c.shards))
 	now := time.Now()
-	for i := 0; i < n; i++ {
-		st := DurabilityStat{Shard: i, CheckpointAgeSeconds: -1}
-		var w *WAL
-		if c.nshards <= 1 {
-			w, _ = c.logger.(*WAL)
-		} else {
-			w = c.shards[i].wal
-		}
-		var last time.Time
-		if w != nil {
-			st.WALTailRecords = w.TailRecords()
-			_, last = w.LastCheckpoint()
-		}
+	for i, sh := range c.shards {
+		st := DurabilityStat{Shard: i, CheckpointAgeSeconds: -1, ReplayFallbacks: sh.replayFallbacks}
+		st.WALTailRecords = sh.wal.TailRecords()
+		_, last := sh.wal.LastCheckpoint()
 		if i < len(c.pagers) && c.pagers[i] != nil {
 			ps := c.pagers[i]
 			st.BaseVersion = ps.Version()
@@ -87,9 +84,9 @@ func (c *Catalog) DurabilityStats() []DurabilityStat {
 }
 
 // EnablePaging attaches one PageStore per shard to a catalog that was
-// constructed fresh (not through Open/OpenSharded, which wire the
-// stores themselves): checkpoints through Checkpoint/CheckpointAll at
-// wsdPath then write the incremental page format. Call before
+// constructed fresh (not through Open, which wires the stores itself):
+// checkpoints through Checkpoint at wsdPath then write the incremental
+// page format. Call before
 // concurrent use. Existing page files at the shard paths are adopted;
 // a v1 JSON file (or nothing) at a path leaves that store
 // uninitialized until its first checkpoint migrates it.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +12,7 @@ import (
 	"worldsetdb/internal/relation"
 )
 
-// gatedBatchLogger is a BatchTxLogger whose AppendBatch blocks until
+// gatedBatchLogger is a batchLogger whose AppendBatch blocks until
 // released, so tests can hold a flush leader mid-fsync while more
 // committers enqueue — making batch formation deterministic.
 type gatedBatchLogger struct {
@@ -24,12 +23,14 @@ type gatedBatchLogger struct {
 	fail    error         // when set, AppendBatch returns it (after the gate)
 }
 
-func newGatedBatchLogger() *gatedBatchLogger {
-	return &gatedBatchLogger{entered: make(chan struct{}, 64), release: make(chan struct{}, 64)}
-}
-
-func (g *gatedBatchLogger) AppendCommit(version uint64, stmts []string) error {
-	return g.AppendBatch([]WALRecord{{Version: version, Stmts: stmts}})
+// newGatedCatalog returns a one-shard catalog whose only group-commit
+// queue logs through a fresh gated fake.
+func newGatedCatalog() (*Catalog, *gatedBatchLogger) {
+	// Room for every AppendBatch a test lets through without a reader.
+	g := &gatedBatchLogger{entered: make(chan struct{}, 64), release: make(chan struct{}, 64)}
+	c := New(nil)
+	c.shards[0].log = g
+	return c, g
 }
 
 func (g *gatedBatchLogger) AppendBatch(recs []WALRecord) error {
@@ -85,12 +86,11 @@ func waitPending(t *testing.T, c *Catalog, n int) {
 }
 
 // TestGroupCommitBatches: committers arriving while the leader is
-// inside its fsync coalesce into the leader's next batch — one
-// AppendBatch, one fsync, many records.
+// inside its fsync coalesce into the next batch — one AppendBatch, one
+// fsync, many records — and the leader returns as soon as its own record
+// is durable, handing the next batch's leadership off.
 func TestGroupCommitBatches(t *testing.T) {
-	g := newGatedBatchLogger()
-	c := New(nil)
-	c.SetLogger(g)
+	c, g := newGatedCatalog()
 
 	first := commitRelAsync(c, "T0")
 	<-g.entered // leader is mid-"fsync" with batch [T0]
@@ -106,7 +106,7 @@ func TestGroupCommitBatches(t *testing.T) {
 	if err := <-first; err != nil {
 		t.Fatalf("leader commit: %v", err)
 	}
-	<-g.entered // leader drained the queue into batch 2
+	<-g.entered // a fresh leader drained the queue into batch 2
 	g.release <- struct{}{}
 	for i, done := range rest {
 		if err := <-done; err != nil {
@@ -121,12 +121,12 @@ func TestGroupCommitBatches(t *testing.T) {
 	if len(batches[0]) != 1 || len(batches[1]) != waiters {
 		t.Fatalf("batch sizes %d,%d; want 1,%d", len(batches[0]), len(batches[1]), waiters)
 	}
-	// Versions are contiguous across batches and published in order.
+	// Epochs are contiguous across batches and published in order.
 	want := uint64(2)
 	for _, b := range batches {
 		for _, rec := range b {
-			if rec.Version != want {
-				t.Fatalf("record version %d, want %d", rec.Version, want)
+			if rec.Version != want || rec.Marker || len(rec.Parts) != 0 {
+				t.Fatalf("record %+v, want a plain single-participant record at epoch %d", rec, want)
 			}
 			want++
 		}
@@ -137,44 +137,208 @@ func TestGroupCommitBatches(t *testing.T) {
 	if c.PendingCommits() != 0 {
 		t.Fatalf("queue not drained: %d pending", c.PendingCommits())
 	}
+	if st := c.ShardStats()[0]; st.Commits != 1+waiters {
+		t.Fatalf("shard counted %d commits, want %d", st.Commits, 1+waiters)
+	}
 }
 
 // TestGroupCommitFailureAborts: a failing batch write publishes
-// nothing, rolls the writer head back, and the next commit succeeds
-// with the reused version number.
+// nothing, fails the commits queued behind it on the aborted chain,
+// rolls the shard head back, and the next commit re-bases on the
+// durable version and succeeds (the failed epochs stay burned).
 func TestGroupCommitFailureAborts(t *testing.T) {
-	g := newGatedBatchLogger()
+	c, g := newGatedCatalog()
 	boom := errors.New("disk on fire")
-	c := New(nil)
-	c.SetLogger(g)
 	g.setFail(boom)
+
+	first := commitRelAsync(c, "T0")
+	<-g.entered // leader mid-"fsync" with [T0]
+	behind := commitRelAsync(c, "T1")
+	waitPending(t, c, 1) // T1 chained on T0's head and queued behind it
 	g.release <- struct{}{}
-	err := c.Update(func(tx *Tx) error {
-		tx.Log("T0")
-		tx.SetDB(tx.DB().WithRelation("T0", relation.NewSchema("X"), nil))
-		return nil
-	})
-	<-g.entered
-	if !errors.Is(err, boom) {
+	if err := <-first; !errors.Is(err, boom) {
 		t.Fatalf("commit error = %v, want wrapped %v", err, boom)
+	}
+	if err := <-behind; !errors.Is(err, boom) {
+		t.Fatalf("commit queued behind the failed batch = %v, want wrapped %v", err, boom)
 	}
 	if got := c.Snapshot().Version; got != 1 {
 		t.Fatalf("failed commit published version %d", got)
 	}
+	if c.PendingCommits() != 0 {
+		t.Fatalf("aborted chain left %d commits queued", c.PendingCommits())
+	}
 	// The next commit re-bases on the durable version and succeeds.
 	g.setFail(nil)
 	g.release <- struct{}{}
-	if err := <-commitRelAsync(c, "T1"); err != nil {
+	if err := <-commitRelAsync(c, "T2"); err != nil {
 		t.Fatalf("commit after failure: %v", err)
 	}
 	<-g.entered
 	snap := c.Snapshot()
-	if snap.Version != 2 || snap.DB.IndexOf("T1") < 0 || snap.DB.IndexOf("T0") >= 0 {
+	if snap.Version != 4 || snap.DB.IndexOf("T2") < 0 || snap.DB.IndexOf("T0") >= 0 || snap.DB.IndexOf("T1") >= 0 {
 		t.Fatalf("post-failure catalog wrong: v%d, names %v", snap.Version, snap.DB.Names)
 	}
 	batches := g.snapshotBatches()
-	if len(batches) != 1 || batches[0][0].Version != 2 {
+	if len(batches) != 1 || batches[0][0].Version != 4 {
 		t.Fatalf("logged batches after failure: %v", batches)
+	}
+}
+
+// TestGroupCommitStaleChainAborts: a commit that chained on a head the
+// failed flush has since rolled back (it was between taking its epoch
+// and entering the queue when the abort drained it) reaches the flusher
+// with a base epoch that is no longer the published chain. It must be
+// failed without ever being written.
+func TestGroupCommitStaleChainAborts(t *testing.T) {
+	c, g := newGatedCatalog()
+	stale := &commitReq{ps: []int{0}, epoch: 7, baseVer: 6, stmts: []string{"T"},
+		db: c.Snapshot().DB, done: make(chan error, 1)}
+	c.flushShardBatch(0, []*commitReq{stale})
+	if err := <-stale.done; err == nil {
+		t.Fatal("commit staged on an aborted chain was acknowledged")
+	}
+	if len(g.entered) != 0 {
+		t.Fatal("stale commit reached the log")
+	}
+	if got := c.Snapshot().Version; got != 1 {
+		t.Fatalf("stale commit published version %d", got)
+	}
+}
+
+// TestWaitPublished: the advisory wait conflict retry relies on blocks
+// while the awaited epoch sits in the group-commit queue, returns once
+// it is reader-visible — and also returns when the queue goes idle
+// without it (the commit was aborted).
+func TestWaitPublished(t *testing.T) {
+	c, g := newGatedCatalog()
+	waitFor := func(v uint64) chan uint64 {
+		out := make(chan uint64, 1)
+		go func() {
+			c.WaitPublished(v)
+			out <- c.Snapshot().Version
+		}()
+		return out
+	}
+
+	first := commitRelAsync(c, "T0")
+	<-g.entered // epoch 2 assigned, unpublished
+	waited := waitFor(2)
+	select {
+	case v := <-waited:
+		t.Fatalf("WaitPublished(2) returned at v%d while epoch 2 was still awaiting its fsync", v)
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.release <- struct{}{}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if v := <-waited; v < 2 {
+		t.Fatalf("WaitPublished(2) returned at v%d", v)
+	}
+
+	g.setFail(errors.New("disk on fire"))
+	second := commitRelAsync(c, "T1")
+	<-g.entered // epoch 3 assigned, about to fail
+	waited = waitFor(3)
+	g.release <- struct{}{}
+	if err := <-second; err == nil {
+		t.Fatal("failing commit succeeded")
+	}
+	if v := <-waited; v != 2 {
+		t.Fatalf("WaitPublished(3) after the abort returned at v%d, want the durable v2", v)
+	}
+}
+
+// delayedLogger is a real WAL segment whose appends take at least a
+// millisecond, so committers reliably pile up behind a flush leader
+// whatever the filesystem's fsync cost or the scheduler's mood.
+type delayedLogger struct{ w *WAL }
+
+func (d delayedLogger) AppendBatch(recs []WALRecord) error {
+	time.Sleep(time.Millisecond)
+	return d.w.AppendBatch(recs)
+}
+
+// TestOneShardCommitCostsOneFsync: on a one-shard WAL-backed catalog
+// every kind of commit — DDL, routed auto-commit, un-routed and routed
+// staged transactions — is one ordinary record and one fsync through
+// the group-commit queue (no stage + marker pair), and concurrent
+// auto-commit writers still coalesce.
+func TestOneShardCommitCostsOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	cat, wals := openDir(t, dir, 1, shardApplier)
+	defer closeWALs(wals)
+	cost := func(what string, commit func() error) {
+		t.Helper()
+		before, tail := cat.ShardStats()[0], wals[0].TailRecords()
+		if err := commit(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		after := cat.ShardStats()[0]
+		if after.Syncs != before.Syncs+1 || wals[0].TailRecords() != tail+1 || after.Commits != before.Commits+1 {
+			t.Fatalf("%s cost %d fsync(s) and %d record(s) for %d commit(s), want 1/1/1", what,
+				after.Syncs-before.Syncs, wals[0].TailRecords()-tail, after.Commits-before.Commits)
+		}
+	}
+	cost("DDL", func() error { return cat.Update(func(tx *Tx) error { return mkTable(tx, "A") }) })
+	cost("routed auto-commit", func() error {
+		return cat.UpdateRouted([]string{"A"}, func(tx *Tx) error { return insInto(tx, "A", 1) })
+	})
+	cost("un-routed transaction", func() error {
+		txn := cat.Begin()
+		if err := txn.Update(func(tx *Tx) error { return mkTable(tx, "B") }); err != nil {
+			return err
+		}
+		if err := txn.Update(func(tx *Tx) error { return insInto(tx, "B", 2) }); err != nil {
+			return err
+		}
+		return txn.Commit()
+	})
+	cost("routed transaction", func() error {
+		txn := cat.Begin()
+		for _, tbl := range []string{"A", "B"} {
+			if err := txn.UpdateRouted([]string{tbl}, func(tx *Tx) error { return insInto(tx, tbl, 3) }); err != nil {
+				return err
+			}
+		}
+		return txn.Commit()
+	})
+
+	cat.shards[0].log = delayedLogger{wals[0]}
+	const writers, per = 8, 10
+	before := cat.ShardStats()[0]
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < per; k++ {
+				if err := cat.UpdateRouted([]string{"A"}, func(tx *Tx) error { return insInto(tx, "A", 100+w*per+k) }); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	after := cat.ShardStats()[0]
+	commits, syncs := after.Commits-before.Commits, after.Syncs-before.Syncs
+	if commits != writers*per || syncs >= commits {
+		t.Fatalf("%d commits over %d fsyncs: 8 concurrent writers on one shard did not coalesce", commits, syncs)
+	}
+	t.Logf("%d commits, %d fsyncs (amortization %.1fx)", commits, syncs, float64(commits)/float64(syncs))
+
+	// And all of it recovers, by delta alone.
+	want := dbBytes(t, cat.Snapshot())
+	closeWALs(wals)
+	cat2, wals2 := openDir(t, dir, 1, shardApplier)
+	defer closeWALs(wals2)
+	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("one-shard commits do not recover byte-identically")
+	}
+	if f := replayFallbacks(cat2); f != 0 {
+		t.Fatalf("recovery fell back to statements %d time(s)", f)
 	}
 }
 
@@ -183,12 +347,7 @@ func TestGroupCommitFailureAborts(t *testing.T) {
 // never fsyncs more than once per commit (run under -race in CI).
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
-	cat, wal, err := Open(wsdPath, walPath, addRelApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat, wals := openDir(t, dir, 1, addRelApplier)
 	const writers = 8
 	const commitsPer = 20
 	var wg sync.WaitGroup
@@ -217,18 +376,15 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	if got := cat.Snapshot().Version; got != commits+1 {
 		t.Fatalf("final version %d, want %d", got, commits+1)
 	}
-	if s := wal.Syncs(); s > commits {
+	if s := wals[0].Syncs(); s > commits {
 		t.Fatalf("%d fsyncs for %d commits: group commit never batched", s, commits)
 	} else {
 		t.Logf("%d commits, %d fsyncs (amortization %.1fx)", commits, s, float64(commits)/float64(s))
 	}
 	want := saveBytes(t, cat.Snapshot())
-	wal.Close()
-	cat2, wal2, err := Open(wsdPath, walPath, addRelApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
+	closeWALs(wals)
+	cat2, wals2 := openDir(t, dir, 1, addRelApplier)
+	defer closeWALs(wals2)
 	if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatal("group-committed catalog does not recover byte-identically")
 	}
@@ -238,41 +394,39 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 // group commits, so the truncated log never orphans a commit that was
 // acknowledged (or is about to be).
 func TestGroupCommitCheckpointDrains(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
-	cat, wal, err := Open(wsdPath, walPath, addRelApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				addRel(t, cat, fmt.Sprintf("W%d_%d", g, i))
-			}
-		}(g)
-	}
-	// Checkpoint racing the writers: every one must land either in the
-	// checkpoint or in the log tail.
-	for i := 0; i < 5; i++ {
-		if err := cat.Checkpoint(wal, wsdPath); err != nil {
-			t.Fatal(err)
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		cat, wals := openDir(t, dir, n, addRelApplier)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					name := fmt.Sprintf("W%d_%d", g, i)
+					if err := addRelApplier(cat, WALRecord{Stmts: []string{name}}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
 		}
-	}
-	wg.Wait()
-	want := saveBytes(t, cat.Snapshot())
-	wal.Close()
-	cat2, wal2, err := Open(wsdPath, walPath, addRelApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("checkpoint during group commit lost a commit")
-	}
+		// Checkpoint racing the writers: every one must land either in the
+		// checkpoint or in the log tail.
+		for i := 0; i < 5; i++ {
+			if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+		want := saveBytes(t, cat.Snapshot())
+		closeWALs(wals)
+		cat2, wals2 := openDir(t, dir, n, addRelApplier)
+		defer closeWALs(wals2)
+		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatal("checkpoint during group commit lost a commit")
+		}
+	})
 }
 
 // TestGroupBatchTornMidBatchTruncated: a crash anywhere inside a
@@ -280,8 +434,7 @@ func TestGroupCommitCheckpointDrains(t *testing.T) {
 // byte-identically to the intact record prefix, for every cut point.
 func TestGroupBatchTornMidBatchTruncated(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-	wal, _, err := OpenWAL(walPath)
+	wal, _, err := OpenWAL(SegmentPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +447,7 @@ func TestGroupBatchTornMidBatchTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	wal.Close()
-	full, err := os.ReadFile(walPath)
+	full, err := os.ReadFile(SegmentPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,16 +479,12 @@ func TestGroupBatchTornMidBatchTruncated(t *testing.T) {
 			intact++
 		}
 		caseDir := t.TempDir()
-		caseWal := filepath.Join(caseDir, "wal.log")
-		if err := os.WriteFile(caseWal, full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(SegmentPath(caseDir, 0), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cat, w, err := Open(filepath.Join(caseDir, "checkpoint.wsd"), caseWal, addRelApplier)
-		if err != nil {
-			t.Fatalf("cut at byte %d: %v", cut, err)
-		}
+		cat, wals := openDir(t, caseDir, 1, addRelApplier)
 		got := saveBytes(t, cat.Snapshot())
-		w.Close()
+		closeWALs(wals)
 		if !bytes.Equal(got, wants[intact]) {
 			t.Fatalf("cut at byte %d (%d intact records): recovered state differs from the intact-prefix replay", cut, intact)
 		}

@@ -199,8 +199,8 @@ func (t *atomic64Time) get() time.Time {
 }
 
 // shardCkptPath returns the checkpoint file of shard si: the main path
-// for shard 0 (the coordinator — also the unsharded file, so the
-// layout is shard-count agnostic), path + ".s<i>" beyond.
+// for shard 0 (the coordinator — the only file of a one-shard catalog,
+// so the layout is shard-count agnostic), path + ".s<i>" beyond.
 func shardCkptPath(wsdPath string, si int) string {
 	if si == 0 {
 		return wsdPath
@@ -489,16 +489,12 @@ type ckptCert struct {
 	Rel  *relation.Relation
 }
 
-// ckptSlices splits snap into per-shard checkpoint inputs (one slice
-// covering everything when nshards <= 1). Certain relations home by
-// name hash; components by the shard of their lowest contributing
-// relation (shard 0 when they contribute nowhere) — the same rule as
-// Snapshot.CompShards. Empty relations are skipped: recovery rebuilds
-// them from the schema.
+// ckptSlices splits snap into per-shard checkpoint inputs. Certain
+// relations home by name hash; components by the shard of their lowest
+// contributing relation (shard 0 when they contribute nowhere) — the
+// same rule as Snapshot.CompShards. Empty relations are skipped:
+// recovery rebuilds them from the schema.
 func ckptSlices(snap *Snapshot, nshards int, compID uint64) []ckptData {
-	if nshards < 1 {
-		nshards = 1
-	}
 	out := make([]ckptData, nshards)
 	order := make([]uint64, len(snap.DB.Components))
 	for i := range out {
@@ -512,30 +508,24 @@ func ckptSlices(snap *Snapshot, nshards int, compID uint64) []ckptData {
 		if rel == nil || rel.Len() == 0 {
 			continue
 		}
-		home := 0
-		if nshards > 1 {
-			home = shardOfName(snap.DB.Names[ri], nshards)
-		}
+		home := shardOfName(snap.DB.Names[ri], nshards)
 		out[home].Certs = append(out[home].Certs, ckptCert{Name: snap.DB.Names[ri], Rel: rel})
 	}
 	for ci, comp := range snap.DB.Components {
 		order[ci] = comp.ID
-		home := 0
-		if nshards > 1 {
-			first := -1
-			for _, a := range comp.Alternatives {
-				for ri, r := range a.Rels {
-					if r == nil || r.Len() == 0 {
-						continue
-					}
-					if first < 0 || ri < first {
-						first = ri
-					}
+		home, first := 0, -1
+		for _, a := range comp.Alternatives {
+			for ri, r := range a.Rels {
+				if r == nil || r.Len() == 0 {
+					continue
+				}
+				if first < 0 || ri < first {
+					first = ri
 				}
 			}
-			if first >= 0 {
-				home = shardOfName(snap.DB.Names[first], nshards)
-			}
+		}
+		if first >= 0 {
+			home = shardOfName(snap.DB.Names[first], nshards)
 		}
 		out[home].Comps = append(out[home].Comps, comp)
 	}

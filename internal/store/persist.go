@@ -295,7 +295,7 @@ func Load(r io.Reader) (*Catalog, error) {
 	if m := db.MaxComponentID(); m > compID {
 		compID = m
 	}
-	return newCatalogSeeded(&Snapshot{Version: version, DB: db, Views: views}, compID), nil
+	return newCatalog(&Snapshot{Version: version, DB: db, Views: views}, compID), nil
 }
 
 // SaveFile writes the snapshot to path atomically: the document goes to

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -15,11 +14,13 @@ import (
 
 // Component-sharded catalog: the decomposition's independence structure
 // used as a physical partitioning key. Every relation has a home shard
-// (FNV-1a of its name mod N), and a component belongs to the shards of
-// the relations it touches. Each shard has its own writer lock, its own
-// WAL segment (wal-<shard>.log) with its own group-commit queue, and
-// its own portion of the merged snapshot, so commits touching disjoint
-// shards execute, fsync and publish fully in parallel.
+// (FNV-1a of its name mod n, n ≥ 1), and a component belongs to the
+// shards of the relations it touches. Each shard has its own writer
+// lock, its own WAL segment (wal-<shard>.log) with its own group-commit
+// queue, and its own portion of the merged snapshot, so commits touching
+// disjoint shards execute, fsync and publish fully in parallel. A
+// one-shard catalog is the same machinery with every route resolving to
+// shard 0.
 //
 // # Routing
 //
@@ -44,110 +45,133 @@ import (
 // participant shards, replace or drop the touched components by their
 // stable IDs (routed commits never create components: the native DML
 // paths only rewrite or fold existing ones, and every creating
-// statement is all-shard). Snapshot.Version is the highest published
-// epoch; shardVers carries the per-shard read timestamps staged
-// transactions validate against.
+// statement is all-shard and replaces the merged snapshot wholesale).
+// Snapshot.Version is the highest published epoch; shardVers carries
+// the per-shard read timestamps staged transactions validate against.
 //
-// # Cross-shard two-phase publish
+// # Durability: one record, or stage + marker
 //
-// A multi-shard commit drains the participant queues while holding
-// their locks, stages one record per participant segment (each carrying
-// the full participant list), fsyncs them in parallel, then appends a
-// commit marker to the coordinator segment (the lowest participant).
-// Recovery (OpenSharded) merges all segments by epoch and discards
-// cross-shard epochs whose marker is absent — a crash between staging
-// and the marker rolls the transaction back on every shard, never on
-// just some.
+// A commit with a single participant shard is one ordinary record
+// through that shard's group-commit queue: the committer gets its epoch
+// and chains the shard head under the shard lock, enqueues, and
+// releases the lock before the fsync; one committer — the leader —
+// drains the queue with a single write and a single fsync and publishes
+// the epochs in order. A commit spanning shards drains the participant
+// queues while holding their locks, stages one record per participant
+// segment (each carrying the full participant list), fsyncs them in
+// parallel, then appends a commit marker to the coordinator segment
+// (the lowest participant). Recovery (Open) merges all segments by
+// epoch and discards cross-shard epochs whose marker is absent — a
+// crash between staging and the marker rolls the transaction back on
+// every shard, never on just some.
 type shardState struct {
-	mu  sync.Mutex // writer lock for commits touching this shard
-	wal *WAL       // per-shard log segment; nil = not durable
+	mu sync.Mutex // writer lock for commits touching this shard
+
+	// log receives the shard's commit records; nil = not durable. wal is
+	// the same value when it is a real segment (statistics, checkpoint
+	// truncation) — tests substitute a gated fake for log alone.
+	log batchLogger
+	wal *WAL
 
 	// head is the newest assigned (possibly unpublished) merged view
 	// with this shard's portion current — single-shard commits chain on
-	// it exactly like the unsharded catalog chains on its head. nil
-	// means the published snapshot is current for this shard.
+	// it while a group commit is in flight. nil means the published
+	// snapshot is current for this shard.
 	hmu     sync.Mutex
 	head    *Snapshot
 	headVer uint64 // epoch of the newest assigned commit on this shard
 	pubVer  uint64 // epoch of the newest published commit on this shard
 
-	// Per-shard group-commit queue, the same leader/batch protocol as
-	// the unsharded catalog's.
+	// Group-commit queue: commits enqueued under mu, then flushed (one
+	// write + one fsync for the whole batch) by a leader outside it.
 	qmu      sync.Mutex
-	qcond    *sync.Cond
-	queue    []*shardReq
+	qcond    *sync.Cond // signaled after every flushed batch
+	queue    []*commitReq
 	flushing bool
 
 	// stats, guarded by hmu (cheap, already taken on every commit).
 	commits   uint64
 	conflicts uint64
+	// replayFallbacks counts the records homed on this segment that Open
+	// replayed by statement re-execution instead of by delta; written
+	// only during recovery, before the catalog is shared.
+	replayFallbacks uint64
 
 	// queueHist measures group-commit queue wait on this shard (enqueue
 	// to flush start). Zero-value usable, exported at isqld /metrics.
 	queueHist obs.Histogram
 }
 
-// shardReq is one enqueued single-shard commit awaiting durability.
-type shardReq struct {
+// batchLogger persists a batch of commit records with one append and
+// one fsync. *WAL is the implementation; the group-commit tests gate a
+// fake to make batch formation deterministic.
+type batchLogger interface {
+	AppendBatch(recs []WALRecord) error
+}
+
+// commitReq is one staged commit on its way to durability and
+// publication. Callers fill the staged state; commit assigns the rest.
+type commitReq struct {
+	db *wsd.DecompDB
+	// views non-nil marks a whole-catalog commit: db and views replace
+	// the merged snapshot. nil is a routed commit: the participants'
+	// certain relations and the wset components overlay the snapshot.
+	views map[string]string
+	wset  map[uint64]bool // component IDs a routed commit may replace
+	stmts []string
+	trace *obs.Span // committer's trace; the flush leader attaches spans
+
+	ps      []int // participant shards, sorted
 	epoch   uint64
-	baseVer uint64 // headVer the commit chained on (stale-abort check)
-	db      *wsd.DecompDB
-	wset    map[uint64]bool // component IDs the commit may replace
-	stmts   []string
+	baseVer uint64       // headVer the commit chained on (stale-abort check)
 	delta   *CommitDelta // page-delta record for replay-free recovery
 	done    chan error
 	enq     time.Time // when the commit entered the queue
-	trace   *obs.Span // committer's trace; the flush leader attaches spans
 }
 
 // NewSharded returns a catalog over db partitioned into nshards
-// component shards. nshards <= 1 is the plain unsharded catalog.
+// component shards (at least one). A nil db means the empty complete
+// database.
 func NewSharded(db *wsd.DecompDB, nshards int) *Catalog {
-	c := New(db)
+	if db == nil {
+		db = wsd.NewDecompDB(nil, nil)
+	}
+	c := newCatalog(&Snapshot{Version: 1, DB: db, Views: map[string]string{}}, 0)
 	c.shard(nshards)
 	return c
 }
 
 // Reshard converts a freshly constructed catalog (no concurrent users
 // yet — server/bench wiring, before serving starts) into an nshards-way
-// sharded one. nshards <= 1 leaves it unsharded. The shard count is a
-// runtime property, not a persisted one: Save/Load carry no shard
-// layout, so the same catalog file can be reopened at any count.
+// sharded one. The shard count is a runtime property, not a persisted
+// one: Save/Load carry no shard layout, so the same catalog file can be
+// reopened at any count.
 func (c *Catalog) Reshard(nshards int) { c.shard(nshards) }
 
-// shard converts a freshly constructed (or freshly recovered,
-// single-threaded) catalog into an nshards-way sharded one: assigns
-// component IDs, initializes the per-shard states and stamps the
-// current snapshot with per-shard versions.
+// shard partitions a freshly constructed (or freshly recovered,
+// single-threaded) catalog nshards ways: initializes the per-shard
+// states and stamps the current snapshot with per-shard versions.
 func (c *Catalog) shard(nshards int) {
-	if nshards <= 1 {
-		return
-	}
-	c.nshards = nshards
-	c.shards = make([]*shardState, nshards)
+	c.shards = make([]*shardState, max(nshards, 1))
 	for i := range c.shards {
 		sh := &shardState{}
 		sh.qcond = sync.NewCond(&sh.qmu)
 		c.shards[i] = sh
 	}
-	c.resetSharded(c.cur.Load())
+	c.reset(c.cur.Load())
 }
 
-// resetSharded republishes snap as the sharded catalog's current state
-// with every shard at snap.Version. Single-threaded use only
-// (construction and recovery).
-func (c *Catalog) resetSharded(snap *Snapshot) {
+// reset republishes snap as the catalog's current state with every
+// shard at snap.Version, assigning IDs to components that lack one.
+// Single-threaded use only (construction and recovery).
+func (c *Catalog) reset(snap *Snapshot) {
 	c.assignIDs(snap.DB)
-	vers := make([]uint64, c.nshards)
+	vers := make([]uint64, len(c.shards))
 	for i := range vers {
 		vers[i] = snap.Version
 	}
-	ns := &Snapshot{Version: snap.Version, DB: snap.DB, Views: snap.Views,
-		shardVers: vers, nshards: c.nshards, compID: c.compID.Load()}
-	c.hmu.Lock()
-	c.head = ns
-	c.hmu.Unlock()
-	c.cur.Store(ns)
+	c.cur.Store(&Snapshot{Version: snap.Version, DB: snap.DB, Views: snap.Views,
+		shardVers: vers, compID: c.compID.Load()})
 	c.epoch.Store(snap.Version)
 	for _, sh := range c.shards {
 		sh.hmu.Lock()
@@ -156,21 +180,11 @@ func (c *Catalog) resetSharded(snap *Snapshot) {
 	}
 }
 
-// Shards reports the catalog's shard count (1 when unsharded).
-func (c *Catalog) Shards() int {
-	if c.nshards <= 1 {
-		return 1
-	}
-	return c.nshards
-}
+// Shards reports the catalog's shard count.
+func (c *Catalog) Shards() int { return len(c.shards) }
 
 // ShardOf returns the home shard of a relation name.
-func (c *Catalog) ShardOf(name string) int {
-	if c.nshards <= 1 {
-		return 0
-	}
-	return shardOfName(name, c.nshards)
-}
+func (c *Catalog) ShardOf(name string) int { return shardOfName(name, len(c.shards)) }
 
 func shardOfName(name string, nshards int) int {
 	h := fnv.New32a()
@@ -182,15 +196,11 @@ func shardOfName(name string, nshards int) int {
 // before concurrent use (cmd wiring attaches them once, after
 // recovery), with exactly Shards() entries.
 func (c *Catalog) SetShardLoggers(wals []*WAL) {
-	if len(wals) != c.Shards() {
-		panic(fmt.Sprintf("store: %d WAL segments for %d shards", len(wals), c.Shards()))
-	}
-	if c.nshards <= 1 {
-		c.SetLogger(wals[0])
-		return
+	if len(wals) != len(c.shards) {
+		panic(fmt.Sprintf("store: %d WAL segments for %d shards", len(wals), len(c.shards)))
 	}
 	for i, sh := range c.shards {
-		sh.wal = wals[i]
+		sh.log, sh.wal = wals[i], wals[i]
 	}
 }
 
@@ -201,7 +211,7 @@ func (c *Catalog) refShards(db *wsd.DecompDB, refs []string) []int {
 	set := map[int]bool{}
 	refIdx := map[int]bool{}
 	for _, name := range refs {
-		set[shardOfName(name, c.nshards)] = true
+		set[shardOfName(name, len(c.shards))] = true
 		if i := db.IndexOf(name); i >= 0 {
 			refIdx[i] = true
 		}
@@ -222,7 +232,7 @@ func (c *Catalog) refShards(db *wsd.DecompDB, refs []string) []int {
 		}
 		if touchesRef {
 			for _, ri := range touched {
-				set[shardOfName(db.Names[ri], c.nshards)] = true
+				set[shardOfName(db.Names[ri], len(c.shards))] = true
 			}
 		}
 	}
@@ -270,7 +280,7 @@ func (c *Catalog) unlockShards(ps []int) {
 }
 
 func (c *Catalog) allShards() []int {
-	all := make([]int, c.nshards)
+	all := make([]int, len(c.shards))
 	for i := range all {
 		all[i] = i
 	}
@@ -286,11 +296,11 @@ func (c *Catalog) allShards() []int {
 func (c *Catalog) lockRoute(refs []string) []int {
 	ps := map[int]bool{}
 	for _, name := range refs {
-		ps[shardOfName(name, c.nshards)] = true
+		ps[shardOfName(name, len(c.shards))] = true
 	}
 	hold := setToSorted(ps)
 	for try := 0; ; try++ {
-		if try >= 4 || len(hold) == c.nshards {
+		if try >= 4 || len(hold) == len(c.shards) {
 			hold = c.allShards()
 			c.lockShards(hold)
 			return hold
@@ -321,30 +331,84 @@ func setToSorted(set map[int]bool) []int {
 	return out
 }
 
-// UpdateRouted is Update with routing information: refs names every
-// relation the transaction can read or write. Statements whose route
-// resolves to one shard take that shard's write path (group commit on
-// its WAL segment); statements spanning shards commit through the
-// two-phase publish; refs == nil (no routing information) serializes
-// against all shards. On an unsharded catalog it is exactly Update.
-func (c *Catalog) UpdateRouted(refs []string, fn func(*Tx) error) error {
-	if c.nshards <= 1 {
-		return c.Update(fn)
+// relIndex maps relation names to their indices in db (unknown names
+// are skipped).
+func relIndex(db *wsd.DecompDB, names []string) map[int]bool {
+	idx := map[int]bool{}
+	for _, name := range names {
+		if i := db.IndexOf(name); i >= 0 {
+			idx[i] = true
+		}
 	}
-	if refs == nil {
-		return c.updateAll(fn)
-	}
-	ps := c.lockRoute(refs)
-	if len(ps) == 1 {
-		return c.updateShard(ps[0], refs, fn)
-	}
-	return c.updateMulti(ps, refs, fn)
+	return idx
 }
 
-// shardHead returns the base the next commit on sh must build on: the
-// shard's assigned head when a group commit is in flight, the published
-// snapshot otherwise. Callers hold sh.mu.
-func (c *Catalog) shardHead(sh *shardState) *Snapshot {
+// UpdateRouted runs fn as a writer against the latest state of the
+// shards it touches and, if fn succeeds and staged anything, atomically
+// publishes the staged state as a new catalog version. On error nothing
+// is published. Readers holding older snapshots are unaffected either
+// way. refs names every relation the transaction can read or write: the
+// commit locks only the shards those relations (and their component
+// closure) route to; empty refs (no routing information) serializes
+// against all shards, and the staged state may then reshape anything —
+// schema, components, views. With WAL segments attached, the
+// transaction's record (statement texts plus page delta) is fsynced
+// before the version becomes visible, outside the shard lock and
+// coalesced with every committer waiting on the same shard (group
+// commit); UpdateRouted still returns only once its own version is
+// durable and published, and a logging failure aborts the commit.
+func (c *Catalog) UpdateRouted(refs []string, fn func(*Tx) error) error {
+	var ps []int
+	if len(refs) == 0 {
+		ps = c.allShards()
+		c.lockShards(ps)
+	} else {
+		ps = c.lockRoute(refs)
+	}
+	// Until commit takes the locks over, release them on every way out —
+	// a panic in fn included.
+	locked := true
+	defer func() {
+		if locked {
+			c.unlockShards(ps)
+		}
+	}()
+	base := c.commitBase(ps)
+	tx := &Tx{base: base}
+	if err := fn(tx); err != nil || (tx.db == nil && tx.views == nil) {
+		return err
+	}
+	req := &commitReq{db: tx.DB(), stmts: tx.stmts, trace: tx.trace}
+	switch {
+	case len(refs) == 0:
+		req.views = tx.Views()
+	case tx.views != nil:
+		// Routed statements never change views; a caller that does has
+		// mis-routed (views are global) — escalate rather than tear.
+		locked = false
+		c.unlockShards(ps)
+		return c.UpdateRouted(nil, fn)
+	default:
+		req.wset = compIDsTouching(base.DB, relIndex(base.DB, refs))
+	}
+	locked = false
+	return c.commit(ps, ps, base, req)
+}
+
+// commitBase returns the state a commit on the locked participants ps
+// builds on. A single participant chains on its shard's assigned head,
+// so committers queue behind an in-flight group commit instead of
+// waiting it out under the lock. Several participants drain their
+// queues first — the two-phase publish does not chain — after which the
+// published snapshot is current for every one of them.
+func (c *Catalog) commitBase(ps []int) *Snapshot {
+	if len(ps) > 1 {
+		for _, p := range ps {
+			c.shards[p].drain()
+		}
+		return c.cur.Load()
+	}
+	sh := c.shards[ps[0]]
 	sh.hmu.Lock()
 	defer sh.hmu.Unlock()
 	if sh.head != nil {
@@ -353,89 +417,88 @@ func (c *Catalog) shardHead(sh *shardState) *Snapshot {
 	return c.cur.Load()
 }
 
-// updateShard runs a single-shard commit. Called with shard si's lock
-// held; releases it on every path.
-func (c *Catalog) updateShard(si int, refs []string, fn func(*Tx) error) error {
-	sh := c.shards[si]
-	locked := true
-	defer func() {
-		if locked {
-			sh.mu.Unlock()
+// commit makes a staged state durable on the participant shards ps and
+// reader-visible. base is commitBase(ps); held ⊇ ps are the shard locks
+// the caller holds, released here on every path. One participant: the
+// commit is one ordinary record through that shard's group-commit queue
+// (recovery ignores markers for single-participant epochs, so none is
+// written), and the lock is released before the fsync. Several: stage
+// on every participant, then the marker, under the locks.
+func (c *Catalog) commit(held, ps []int, base *Snapshot, req *commitReq) error {
+	durable := c.shards[ps[0]].log != nil
+	if durable && len(req.stmts) == 0 {
+		// A record with no statements cannot replay to a new version;
+		// surface the bug (a writer that never called Tx.Log) at commit
+		// time instead of bricking recovery.
+		c.unlockShards(held)
+		return fmt.Errorf("store: refusing to log a commit with no statement records (writer did not call Tx.Log)")
+	}
+	if req.views != nil {
+		// New components get their IDs before the diff so the logged delta
+		// names the same IDs recovery will re-derive.
+		c.assignIDs(req.db)
+	}
+	req.ps = ps
+	req.epoch = c.epoch.Add(1)
+	if durable && !c.noDeltas {
+		sp := req.trace.Child("wal.delta")
+		if req.views != nil {
+			req.delta = diffSnapshots(base, &Snapshot{DB: req.db, Views: req.views})
+		} else {
+			req.delta = diffShard(base.DB, req.db, len(c.shards), ps, req.wset)
 		}
-	}()
-	base := c.shardHead(sh)
-	tx := &Tx{base: base}
-	if err := fn(tx); err != nil {
-		return err
+		sp.End()
 	}
-	if tx.views != nil {
-		// Routed statements never change views; a caller that does has
-		// mis-routed (views are global) — escalate rather than tear.
-		sh.mu.Unlock()
-		locked = false
-		return c.updateAll(fn)
-	}
-	if tx.db == nil {
+	if len(ps) > 1 {
+		defer c.unlockShards(held)
+		if durable {
+			if err := c.stageAndMark(req); err != nil {
+				return err
+			}
+		}
+		c.publish(req)
 		return nil
 	}
-	refIdx := map[int]bool{}
-	for _, name := range refs {
-		if i := base.DB.IndexOf(name); i >= 0 {
-			refIdx[i] = true
-		}
-	}
-	wset := compIDsTouching(base.DB, refIdx)
-	done, err := c.enqueueShard(si, base, tx.db, wset, tx.stmts, tx.trace)
-	if err != nil {
-		return err
-	}
-	sh.mu.Unlock()
-	locked = false
-	if done == nil {
-		return nil // published inline (not durable)
-	}
-	c.flushShard(si)
-	return <-done
-}
-
-// enqueueShard assigns the commit's epoch, advances the shard head and
-// either publishes inline (no WAL) or enqueues for the shard's group
-// commit. Called with shard si's lock held. A nil done channel with nil
-// error means the commit is already published.
-func (c *Catalog) enqueueShard(si int, base *Snapshot, db *wsd.DecompDB, wset map[uint64]bool, stmts []string, trace *obs.Span) (chan error, error) {
+	si := ps[0]
 	sh := c.shards[si]
-	if sh.wal != nil && len(stmts) == 0 {
-		return nil, fmt.Errorf("store: refusing to log a commit with no statement records (writer did not call Tx.Log)")
+	req.trace.SetInt("shard", int64(si))
+	views := req.views
+	if views == nil {
+		views = base.Views
 	}
-	epoch := c.epoch.Add(1)
 	vers := append([]uint64{}, base.shardVers...)
-	vers[si] = epoch
-	head := &Snapshot{Version: epoch, DB: db, Views: base.Views,
-		shardVers: vers, nshards: c.nshards, compID: c.compID.Load()}
-	req := &shardReq{epoch: epoch, db: db, wset: wset, stmts: stmts,
-		enq: time.Now(), trace: trace}
-	if sh.wal != nil && !c.noDeltas {
-		req.delta = diffShard(base.DB, db, c.nshards, []int{si}, wset)
-	}
-	trace.SetInt("shard", int64(si))
+	vers[si] = req.epoch
+	head := &Snapshot{Version: req.epoch, DB: req.db, Views: views,
+		shardVers: vers, compID: c.compID.Load()}
 	sh.hmu.Lock()
 	req.baseVer = sh.headVer
-	sh.head, sh.headVer = head, epoch
+	sh.head, sh.headVer = head, req.epoch
 	sh.hmu.Unlock()
-	if sh.wal == nil {
-		c.publishShard(si, req)
-		return nil, nil
+	if !durable {
+		c.publish(req)
+		c.unlockShards(held)
+		return nil
 	}
 	req.done = make(chan error, 1)
+	req.enq = time.Now()
 	sh.qmu.Lock()
 	sh.queue = append(sh.queue, req)
 	sh.qmu.Unlock()
-	return req.done, nil
+	c.unlockShards(held)
+	c.flushShard(si)
+	return <-req.done
 }
 
-// flushShard elects a group-commit leader for one shard — the same
-// leader/batch/handoff protocol as the unsharded catalog's flush, per
-// shard, so disjoint shards fsync concurrently.
+// flushShard elects a group-commit leader for one shard: the first
+// committer to arrive while no flush is running takes the whole queue as
+// one batch — its own record plus every committer that queued behind it
+// — and persists it with a single fsync; everyone else returns
+// immediately and waits on its own done channel. Commits that arrive
+// during the fsync form the next batch; its leadership is handed to a
+// fresh goroutine so a committer returns as soon as its own record is
+// durable and published, instead of staying conscripted as the flusher
+// of later arrivals for as long as load lasts. Disjoint shards flush
+// concurrently.
 func (c *Catalog) flushShard(si int) {
 	sh := c.shards[si]
 	sh.qmu.Lock()
@@ -450,6 +513,8 @@ func (c *Catalog) flushShard(si int) {
 	c.flushShardBatch(si, batch)
 	sh.qmu.Lock()
 	sh.flushing = false
+	// Wake waiters after every batch: WaitPublished blocks on versions
+	// published mid-chain, not only on the queue going idle.
 	sh.qcond.Broadcast()
 	if len(sh.queue) > 0 {
 		go c.flushShard(si)
@@ -461,7 +526,7 @@ func (c *Catalog) flushShard(si int) {
 // with a single fsync and publishes its epochs in order. Requests
 // staged on an aborted chain (their base epoch no longer matches the
 // published chain) are failed without being written.
-func (c *Catalog) flushShardBatch(si int, batch []*shardReq) {
+func (c *Catalog) flushShardBatch(si int, batch []*commitReq) {
 	sh := c.shards[si]
 	sh.hmu.Lock()
 	expect := sh.pubVer
@@ -478,7 +543,7 @@ func (c *Catalog) flushShardBatch(si int, batch []*shardReq) {
 			recs[i] = WALRecord{Version: r.epoch, Stmts: r.stmts, Shard: si, Delta: r.delta}
 		}
 		flushStart := time.Now()
-		err := sh.wal.AppendBatch(recs)
+		err := sh.log.AppendBatch(recs)
 		flushDur := time.Since(flushStart)
 		if err != nil {
 			c.abortShard(si, batch, fmt.Errorf("store: logging shard %d commit batch e%d..e%d: %w",
@@ -494,7 +559,7 @@ func (c *Catalog) flushShardBatch(si int, batch []*shardReq) {
 				r.trace.ChildSpan("wal.fsync", flushStart, flushDur).
 					SetInt("batch", int64(len(ok)))
 			}
-			c.publishShard(si, r)
+			c.publish(r)
 			r.done <- nil
 		}
 	}
@@ -504,8 +569,13 @@ func (c *Catalog) flushShardBatch(si int, batch []*shardReq) {
 }
 
 // abortShard fails queued commits on one shard after a log-write
-// failure and rolls the shard head back to its published state.
-func (c *Catalog) abortShard(si int, failed []*shardReq, err error) {
+// failure: the shard head rolls back to its published state so the next
+// transaction re-bases, and every commit already staged on the aborted
+// chain (the failed batch plus anything queued behind it) gets the
+// error. The catalog stays consistent — nothing unlogged was ever
+// published — but concurrent commits in flight at the moment of a
+// failed fsync fail with it.
+func (c *Catalog) abortShard(si int, failed []*commitReq, err error) {
 	sh := c.shards[si]
 	sh.hmu.Lock()
 	sh.head, sh.headVer = nil, sh.pubVer
@@ -515,48 +585,43 @@ func (c *Catalog) abortShard(si int, failed []*shardReq, err error) {
 	sh.queue = nil
 	sh.qmu.Unlock()
 	for _, r := range failed {
-		if r.done != nil {
-			r.done <- err
-		}
+		r.done <- err
 	}
 	for _, r := range trailing {
-		if r.done != nil {
-			r.done <- err
-		}
+		r.done <- err
 	}
 }
 
-// publishShard merges one single-shard commit into the reader-visible
-// snapshot: participant certain relations and wset components come from
-// the commit, everything else from the current snapshot.
-func (c *Catalog) publishShard(si int, req *shardReq) {
+// publish merges one durable commit into the reader-visible snapshot
+// and advances its participant shards past the epoch. A routed commit
+// overlays the current snapshot (other shards may have published since
+// it was staged); a whole-catalog commit holds every shard and replaces
+// it.
+func (c *Catalog) publish(req *commitReq) {
 	c.pub.Lock()
 	cur := c.cur.Load()
-	db := c.applyShardDiff(cur.DB, req.db, []int{si}, req.wset)
-	c.storeMerged(cur, db, cur.Views, []int{si}, req.epoch)
-	c.pub.Unlock()
-	sh := c.shards[si]
-	sh.hmu.Lock()
-	sh.pubVer = req.epoch
-	if sh.headVer == req.epoch {
-		sh.head = nil // chain drained: next base is the merged snapshot
+	db, views := req.db, req.views
+	if views == nil {
+		db, views = c.applyShardDiff(cur.DB, req.db, req.ps, req.wset), cur.Views
 	}
-	sh.commits++
-	sh.hmu.Unlock()
-}
-
-// storeMerged publishes a merged snapshot. Caller holds pub.
-func (c *Catalog) storeMerged(cur *Snapshot, db *wsd.DecompDB, views map[string]string, ps []int, epoch uint64) {
 	vers := append([]uint64{}, cur.shardVers...)
-	for _, p := range ps {
-		vers[p] = epoch
+	for _, p := range req.ps {
+		vers[p] = req.epoch
 	}
-	ver := cur.Version
-	if epoch > ver {
-		ver = epoch
+	c.cur.Store(&Snapshot{Version: max(cur.Version, req.epoch), DB: db, Views: views,
+		shardVers: vers, compID: c.compID.Load()})
+	c.pub.Unlock()
+	for _, p := range req.ps {
+		sh := c.shards[p]
+		sh.hmu.Lock()
+		sh.pubVer = req.epoch
+		if sh.headVer <= req.epoch {
+			// Chain drained: the next base is the merged snapshot.
+			sh.head, sh.headVer = nil, req.epoch
+		}
+		sh.commits++
+		sh.hmu.Unlock()
 	}
-	c.cur.Store(&Snapshot{Version: ver, DB: db, Views: views,
-		shardVers: vers, nshards: c.nshards, compID: c.compID.Load()})
 }
 
 // applyShardDiff overlays a commit's staged decomposition onto the
@@ -577,7 +642,7 @@ func (c *Catalog) applyShardDiff(base, next *wsd.DecompDB, ps []int, wset map[ui
 		Certain: make([]*relation.Relation, len(base.Certain)),
 	}
 	for i := range base.Certain {
-		if inP[shardOfName(base.Names[i], c.nshards)] {
+		if inP[shardOfName(base.Names[i], len(c.shards))] {
 			out.Certain[i] = next.Certain[i]
 		} else {
 			out.Certain[i] = base.Certain[i]
@@ -614,105 +679,6 @@ func (sh *shardState) drain() {
 	sh.qmu.Unlock()
 }
 
-// updateMulti runs a cross-shard commit over the locked participant set
-// ps (1 < len(ps)). Called with the locks held; releases them.
-func (c *Catalog) updateMulti(ps []int, refs []string, fn func(*Tx) error) error {
-	defer c.unlockShards(ps)
-	for _, p := range ps {
-		c.shards[p].drain()
-	}
-	base := c.cur.Load()
-	tx := &Tx{base: base}
-	if err := fn(tx); err != nil {
-		return err
-	}
-	if tx.views != nil {
-		return fmt.Errorf("store: routed commit staged view changes (views are global; commit with refs == nil)")
-	}
-	if tx.db == nil {
-		return nil
-	}
-	refIdx := map[int]bool{}
-	for _, name := range refs {
-		if i := base.DB.IndexOf(name); i >= 0 {
-			refIdx[i] = true
-		}
-	}
-	wset := compIDsTouching(base.DB, refIdx)
-	epoch := c.epoch.Add(1)
-	var delta *CommitDelta
-	if c.shards[ps[0]].wal != nil && !c.noDeltas {
-		delta = diffShard(base.DB, tx.db, c.nshards, ps, wset)
-	}
-	if err := c.stageAndMark(ps, epoch, tx.stmts, delta, tx.trace); err != nil {
-		return err
-	}
-	c.pub.Lock()
-	cur := c.cur.Load()
-	db := c.applyShardDiff(cur.DB, tx.db, ps, wset)
-	c.storeMerged(cur, db, cur.Views, ps, epoch)
-	c.pub.Unlock()
-	c.finishShards(ps, epoch)
-	return nil
-}
-
-// updateAll runs a commit serialized against every shard: DDL, CTAS,
-// view changes and legacy DML — anything that can create components,
-// reshape the schema or read the whole catalog. The staged state
-// replaces the merged snapshot wholesale; new components get IDs here.
-func (c *Catalog) updateAll(fn func(*Tx) error) error {
-	all := c.allShards()
-	c.lockShards(all)
-	defer c.unlockShards(all)
-	for _, p := range all {
-		c.shards[p].drain()
-	}
-	base := c.cur.Load()
-	tx := &Tx{base: base}
-	if err := fn(tx); err != nil {
-		return err
-	}
-	if tx.db == nil && tx.views == nil {
-		return nil
-	}
-	db := tx.DB()
-	// IDs are assigned before staging so the logged delta names the same
-	// component IDs recovery will re-derive.
-	c.assignIDs(db)
-	epoch := c.epoch.Add(1)
-	next := &Snapshot{Version: epoch, DB: db, Views: tx.Views(),
-		nshards: c.nshards, compID: c.compID.Load()}
-	var delta *CommitDelta
-	if c.shards[all[0]].wal != nil && !c.noDeltas {
-		delta = diffSnapshots(base, next)
-	}
-	if err := c.stageAndMark(all, epoch, tx.stmts, delta, tx.trace); err != nil {
-		return err
-	}
-	c.pub.Lock()
-	vers := make([]uint64, c.nshards)
-	for i := range vers {
-		vers[i] = epoch
-	}
-	next.shardVers = vers
-	c.cur.Store(next)
-	c.pub.Unlock()
-	c.finishShards(all, epoch)
-	return nil
-}
-
-// finishShards advances participant shards past a published cross-shard
-// epoch. Caller holds the participant locks.
-func (c *Catalog) finishShards(ps []int, epoch uint64) {
-	for _, p := range ps {
-		sh := c.shards[p]
-		sh.hmu.Lock()
-		sh.head, sh.headVer, sh.pubVer = nil, epoch, epoch
-		sh.commits++
-		sh.hmu.Unlock()
-	}
-}
-
 // stageAndMark is the two-phase durability protocol for a cross-shard
 // commit: stage one record per participant segment (fsynced in
 // parallel, each carrying the full participant list), then append the
@@ -720,22 +686,17 @@ func (c *Catalog) finishShards(ps []int, epoch uint64) {
 // Recovery discards staged cross-shard epochs without their marker, so
 // a failure (or crash) anywhere before the marker aborts the commit on
 // every shard; after the marker it is durable on every shard.
-func (c *Catalog) stageAndMark(ps []int, epoch uint64, stmts []string, delta *CommitDelta, trace *obs.Span) error {
-	if c.shards[ps[0]].wal == nil {
-		return nil
-	}
-	if len(stmts) == 0 {
-		return fmt.Errorf("store: refusing to log a commit with no statement records (writer did not call Tx.Log)")
-	}
-	stage := trace.Child("txn.2pc.stage").SetInt("participants", int64(len(ps)))
+func (c *Catalog) stageAndMark(req *commitReq) error {
+	ps := req.ps
+	stage := req.trace.Child("txn.2pc.stage").SetInt("participants", int64(len(ps)))
 	var wg sync.WaitGroup
 	errs := make([]error, len(ps))
 	for i, p := range ps {
 		wg.Add(1)
 		go func(i, p int) {
 			defer wg.Done()
-			errs[i] = c.shards[p].wal.AppendBatch([]WALRecord{
-				{Version: epoch, Stmts: stmts, Shard: p, Parts: ps, Delta: delta}})
+			errs[i] = c.shards[p].log.AppendBatch([]WALRecord{
+				{Version: req.epoch, Stmts: req.stmts, Shard: p, Parts: ps, Delta: req.delta}})
 		}(i, p)
 	}
 	wg.Wait()
@@ -744,27 +705,27 @@ func (c *Catalog) stageAndMark(ps []int, epoch uint64, stmts []string, delta *Co
 		if err != nil {
 			// Staged records without a marker are discarded by recovery;
 			// nothing needs undoing on the shards that did fsync.
-			return fmt.Errorf("store: staging cross-shard commit e%d: %w", epoch, err)
+			return fmt.Errorf("store: staging cross-shard commit e%d: %w", req.epoch, err)
 		}
 	}
-	mark := trace.Child("txn.2pc.marker").SetInt("coordinator", int64(ps[0]))
-	if err := c.shards[ps[0]].wal.AppendBatch([]WALRecord{
-		{Version: epoch, Shard: ps[0], Parts: ps, Marker: true}}); err != nil {
-		mark.End()
-		return fmt.Errorf("store: writing commit marker for e%d: %w", epoch, err)
+	mark := req.trace.Child("txn.2pc.marker").SetInt("coordinator", int64(ps[0]))
+	defer mark.End()
+	if err := c.shards[ps[0]].log.AppendBatch([]WALRecord{
+		{Version: req.epoch, Shard: ps[0], Parts: ps, Marker: true}}); err != nil {
+		return fmt.Errorf("store: writing commit marker for e%d: %w", req.epoch, err)
 	}
-	mark.End()
 	return nil
 }
 
-// waitPublishedSharded blocks until the merged snapshot reaches version
-// v or every shard's group-commit queue goes idle (the commit that
-// would have produced v was aborted).
-func (c *Catalog) waitPublishedSharded(v uint64) {
-	for {
-		if c.cur.Load().Version >= v {
-			return
-		}
+// WaitPublished blocks until the catalog's durable, reader-visible
+// version reaches v, or until every shard's group-commit queue is idle
+// (the commit that would have produced v was aborted). It is an
+// advisory wait: conflict retry uses it so a transaction that lost
+// first-committer-wins re-bases on the winner's published state instead
+// of spinning its retry budget against a version still waiting on the
+// group-commit fsync.
+func (c *Catalog) WaitPublished(v uint64) {
+	for c.cur.Load().Version < v {
 		busy := false
 		for _, sh := range c.shards {
 			sh.qmu.Lock()
@@ -785,109 +746,27 @@ func (c *Catalog) waitPublishedSharded(v uint64) {
 	}
 }
 
-// CheckpointAll persists the merged snapshot as the new recovery base
-// and truncates every shard segment, with all shard locks held and all
-// queues drained so no commit can land between the snapshot read and
-// the truncates. The unsharded catalog keeps using Checkpoint.
-//
-// With paging enabled the base is one page file per shard (the main
-// file plus <wsdPath>.s<i> side files), each written incrementally —
-// only shards whose homed state changed rewrite any pages. Side files
-// commit before the main file, so a crash mid-checkpoint leaves either
-// the old base (main file not yet renamed/advanced) or a mixed set of
-// per-shard epochs that recovery merges and heals from the WALs.
-func (c *Catalog) CheckpointAll(wsdPath string) error {
-	if c.nshards <= 1 {
-		return fmt.Errorf("store: CheckpointAll requires a sharded catalog (use Checkpoint)")
-	}
-	all := c.allShards()
-	c.lockShards(all)
-	defer c.unlockShards(all)
-	for _, p := range all {
-		c.shards[p].drain()
-	}
-	snap := c.cur.Load()
-	if len(c.pagers) == c.nshards && c.pagers[0] != nil && c.pagers[0].Path() == wsdPath {
-		if err := c.checkpointPaged(snap, wsdPath); err != nil {
-			return err
-		}
-	} else {
-		if err := SaveFile(wsdPath, snap); err != nil {
-			return fmt.Errorf("store: writing checkpoint: %w", err)
-		}
-	}
+// PendingCommits reports how many commits are enqueued for group
+// commit but not yet durable (statistics and tests).
+func (c *Catalog) PendingCommits() int {
+	n := 0
 	for _, sh := range c.shards {
-		if sh.wal == nil {
-			continue
-		}
-		if err := sh.wal.reset(); err != nil {
-			return err
-		}
-		sh.wal.noteCheckpoint(snap.Version)
+		sh.qmu.Lock()
+		n += len(sh.queue)
+		sh.qmu.Unlock()
 	}
-	return nil
-}
-
-// checkpointPaged writes the sharded snapshot across the per-shard page
-// files: side shards first (in parallel — they are independent files),
-// the coordinating main file last. Every file records the full global
-// version, so recovery can tell exactly which files a torn checkpoint
-// advanced. Called with all shard locks held and queues drained.
-func (c *Catalog) checkpointPaged(snap *Snapshot, wsdPath string) error {
-	allNoop := true
-	for _, ps := range c.pagers {
-		if ps.Version() != snap.Version {
-			allNoop = false
-			break
-		}
-	}
-	if allNoop {
-		// Nothing committed since the last checkpoint on any shard: the
-		// on-disk base already is this state. Zero writes.
-		for _, ps := range c.pagers {
-			ps.NoteNoop()
-		}
-		return nil
-	}
-	slices := ckptSlices(snap, c.nshards, c.compID.Load())
-	var wg sync.WaitGroup
-	errs := make([]error, c.nshards)
-	for i := 1; i < c.nshards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.pagers[i].WriteCheckpoint(slices[i])
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < c.nshards; i++ {
-		if errs[i] != nil {
-			return fmt.Errorf("store: writing shard %d page checkpoint: %w", i, errs[i])
-		}
-	}
-	if err := c.pagers[0].WriteCheckpoint(slices[0]); err != nil {
-		return fmt.Errorf("store: writing shard 0 page checkpoint: %w", err)
-	}
-	// A previous run at a higher shard count can leave side files beyond
-	// ours; they are stale the moment this full-set checkpoint commits.
-	for i := c.nshards; ; i++ {
-		p := shardCkptPath(wsdPath, i)
-		if _, err := os.Stat(p); err != nil {
-			break
-		}
-		os.Remove(p)
-	}
-	return nil
+	return n
 }
 
 // CompShards maps each component of the snapshot's decomposition to its
 // home shard — the shard of the lowest-indexed relation it contributes
 // tuples to (shard 0 for a component contributing nowhere). nil when
-// the snapshot is not from a sharded catalog; query execution uses the
-// map to align its parallel scan chunks with shard boundaries
-// (wsdexec.Options.Shards).
+// there is a single shard and so no boundary to align with; query
+// execution uses the map to align its parallel scan chunks with shard
+// boundaries (wsdexec.Options.Shards).
 func (s *Snapshot) CompShards() []int {
-	if s.nshards <= 1 {
+	nshards := len(s.shardVers)
+	if nshards <= 1 {
 		return nil
 	}
 	out := make([]int, len(s.DB.Components))
@@ -905,138 +784,11 @@ func (s *Snapshot) CompShards() []int {
 			}
 		}
 		if first >= 0 {
-			home = shardOfName(s.DB.Names[first], s.nshards)
+			home = shardOfName(s.DB.Names[first], nshards)
 		}
 		out[ci] = home
 	}
 	return out
-}
-
-// commitSharded publishes a staged transaction on a sharded catalog
-// with shard-level first-committer-wins: the shards the transaction's
-// reads and writes route to are locked and validated against the
-// transaction's per-shard read timestamps (base.shardVers); commits
-// that touched disjoint shards since Begin do not conflict. Validation
-// happens under the locks at the serialization point, covering reads as
-// well as writes, so a successful commit is equivalent to running the
-// whole transaction at its commit epoch.
-func (s *Staged) commitSharded() error {
-	c := s.cat
-	all := s.all || len(s.writes) == 0 // no routing info (direct Staged.Update): conservative
-	var ps []int
-	if all {
-		ps = c.allShards()
-		c.lockShards(ps)
-	} else {
-		refs := make([]string, 0, len(s.reads)+len(s.writes))
-		for r := range s.reads {
-			refs = append(refs, r)
-		}
-		for r := range s.writes {
-			if !s.reads[r] {
-				refs = append(refs, r)
-			}
-		}
-		ps = c.lockRoute(refs)
-	}
-	// Validate: every touched shard must still be at the epoch the
-	// transaction read it at. headVer (not pubVer) — a conflicting
-	// commit awaiting its group-commit fsync already wins.
-	curV := c.cur.Load().Version
-	for _, p := range ps {
-		sh := c.shards[p]
-		sh.hmu.Lock()
-		hv := sh.headVer
-		if hv != s.base.shardVers[p] {
-			sh.conflicts++
-			sh.hmu.Unlock()
-			c.unlockShards(ps)
-			// Wait out the winner's group-commit flush before reporting
-			// the conflict. The retry re-begins from the published
-			// snapshot; returning while the winning epoch is still queued
-			// would make the retried transaction conflict against the
-			// same head again — a validation spin instead of one wait for
-			// the in-flight fsync. (The unsharded path gets this from
-			// WaitPublished on the global version, which cannot see
-			// per-shard heads.)
-			sh.drain()
-			if hv > curV {
-				curV = hv
-			}
-			return &ConflictError{Base: s.base.Version, Current: curV}
-		}
-		sh.hmu.Unlock()
-	}
-	if all {
-		defer c.unlockShards(ps)
-		for _, p := range ps {
-			c.shards[p].drain()
-		}
-		db := s.cur.DB
-		c.assignIDs(db)
-		epoch := c.epoch.Add(1)
-		next := &Snapshot{Version: epoch, DB: db, Views: s.cur.Views,
-			nshards: c.nshards, compID: c.compID.Load()}
-		var delta *CommitDelta
-		if c.shards[ps[0]].wal != nil && !c.noDeltas {
-			delta = diffSnapshots(c.cur.Load(), next)
-		}
-		if err := c.stageAndMark(ps, epoch, s.stmts, delta, nil); err != nil {
-			return err
-		}
-		c.pub.Lock()
-		vers := make([]uint64, c.nshards)
-		for i := range vers {
-			vers[i] = epoch
-		}
-		next.shardVers = vers
-		c.cur.Store(next)
-		c.pub.Unlock()
-		c.finishShards(ps, epoch)
-		return nil
-	}
-	wrefs := make([]string, 0, len(s.writes))
-	wIdx := map[int]bool{}
-	for r := range s.writes {
-		wrefs = append(wrefs, r)
-		if i := s.base.DB.IndexOf(r); i >= 0 {
-			wIdx[i] = true
-		}
-	}
-	wset := compIDsTouching(s.base.DB, wIdx)
-	wps := c.refShards(s.base.DB, wrefs)
-	if len(wps) == 1 {
-		si := wps[0]
-		done, err := c.enqueueShard(si, c.shardHead(c.shards[si]), s.cur.DB, wset, s.stmts, nil)
-		c.unlockShards(ps)
-		if err != nil {
-			return err
-		}
-		if done == nil {
-			return nil
-		}
-		c.flushShard(si)
-		return <-done
-	}
-	defer c.unlockShards(ps)
-	for _, p := range wps {
-		c.shards[p].drain()
-	}
-	epoch := c.epoch.Add(1)
-	var delta *CommitDelta
-	if c.shards[wps[0]].wal != nil && !c.noDeltas {
-		delta = diffShard(s.base.DB, s.cur.DB, c.nshards, wps, wset)
-	}
-	if err := c.stageAndMark(wps, epoch, s.stmts, delta, nil); err != nil {
-		return err
-	}
-	c.pub.Lock()
-	cur := c.cur.Load()
-	db := c.applyShardDiff(cur.DB, s.cur.DB, wps, wset)
-	c.storeMerged(cur, db, cur.Views, wps, epoch)
-	c.pub.Unlock()
-	c.finishShards(wps, epoch)
-	return nil
 }
 
 // ShardStat is one shard's commit statistics.
@@ -1057,36 +809,20 @@ type ShardObs struct {
 	Fsync *obs.Histogram
 }
 
-// ObsShards returns the live latency histograms per shard (one entry
-// for the whole catalog when unsharded). The histograms are the
-// catalog's own — concurrent commits keep updating them — so callers
-// snapshot before exporting.
+// ObsShards returns the live latency histograms per shard. The
+// histograms are the catalog's own — concurrent commits keep updating
+// them — so callers snapshot before exporting.
 func (c *Catalog) ObsShards() []ShardObs {
-	if c.nshards <= 1 {
-		o := ShardObs{Shard: 0, Queue: &c.queueHist}
-		if w, ok := c.logger.(*WAL); ok {
-			o.Fsync = w.FsyncHist()
-		}
-		return []ShardObs{o}
-	}
-	out := make([]ShardObs, c.nshards)
+	out := make([]ShardObs, len(c.shards))
 	for i, sh := range c.shards {
 		out[i] = ShardObs{Shard: i, Queue: &sh.queueHist, Fsync: sh.wal.FsyncHist()}
 	}
 	return out
 }
 
-// ShardStats reports per-shard commit statistics (one entry for the
-// whole catalog when unsharded).
+// ShardStats reports per-shard commit statistics.
 func (c *Catalog) ShardStats() []ShardStat {
-	if c.nshards <= 1 {
-		st := ShardStat{Shard: 0, Version: c.cur.Load().Version, Pending: c.PendingCommits()}
-		if w, ok := c.logger.(*WAL); ok && w != nil {
-			st.Syncs = w.Syncs()
-		}
-		return []ShardStat{st}
-	}
-	out := make([]ShardStat, c.nshards)
+	out := make([]ShardStat, len(c.shards))
 	for i, sh := range c.shards {
 		sh.hmu.Lock()
 		out[i] = ShardStat{Shard: i, Version: sh.pubVer, Commits: sh.commits, Conflicts: sh.conflicts}

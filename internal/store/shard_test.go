@@ -386,15 +386,8 @@ func TestMergeComponentsSnapshotRace(t *testing.T) {
 // shard's segment syncs independently.
 func TestShardedWALGroupCommitPerShard(t *testing.T) {
 	dir := t.TempDir()
-	cat, wals, err := OpenSharded("", dir, 4, shardApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, w := range wals {
-			w.Close()
-		}
-	}()
+	cat, wals := openDir(t, dir, 4, shardApplier)
+	defer closeWALs(wals)
 	names := shardNames(4)
 	for _, n := range names {
 		if err := cat.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, n) }); err != nil {
@@ -423,20 +416,14 @@ func TestShardedWALGroupCommitPerShard(t *testing.T) {
 	wantVer := cat.Snapshot().Version
 
 	// Crash (drop the segments without checkpointing) and recover.
-	for _, w := range wals {
-		w.Close()
-	}
-	cat2, wals2, err := OpenSharded("", dir, 4, shardApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, w := range wals2 {
-			w.Close()
-		}
-	}()
+	closeWALs(wals)
+	cat2, wals2 := openDir(t, dir, 4, shardApplier)
+	defer closeWALs(wals2)
 	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatalf("recovered catalog differs from pre-crash state\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if f := replayFallbacks(cat2); f != 0 {
+		t.Fatalf("dense delta replay fell back to statements %d time(s)", f)
 	}
 	if got := cat2.Snapshot().Version; got != wantVer {
 		t.Fatalf("recovered version %d, want last durable epoch %d", got, wantVer)
@@ -464,110 +451,118 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// TestShardedCrashSweepEveryCutPoint is the sharded crash-recovery
-// acceptance sweep: run a workload mixing single-shard commits, an
-// all-shard DDL and a cross-shard staged transaction over per-shard
-// segments, then for every segment and every torn-tail cut point (each
-// line boundary and mid-line) recover the truncated directory and
-// require the result byte-identical to an independent deterministic
-// replay of the surviving epochs — including the cut that severs the
-// cross-shard commit marker, which must roll the transaction back on
-// every shard.
-func TestShardedCrashSweepEveryCutPoint(t *testing.T) {
-	const nshards = 4
-	dir := t.TempDir()
-	cat, wals, err := OpenSharded("", dir, nshards, shardApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := shardNames(nshards)
-	for _, n := range names {
-		if err := cat.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, n) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 0; k < 3; k++ {
+// TestCrashSweepEveryCutPoint is the crash-recovery acceptance sweep,
+// at one shard and at four: run a workload mixing single-shard commits,
+// an all-shard DDL, a staged transaction over two tables (cross-shard at
+// four shards) and one more single-shard commit over per-shard segments,
+// then for every segment and every torn-tail cut point (each line
+// boundary and mid-line) recover the truncated directory and require
+// the result byte-identical to an independent deterministic replay of
+// the surviving epochs — including the cut that severs the cross-shard
+// commit marker, which must roll the transaction back on every shard.
+// The replay-fallback counter must say exactly how the state was
+// rebuilt: zero while the surviving chain is dense (delta replay), one
+// per surviving epoch from the first gap on (a torn record, or a torn
+// marker, in front of epochs that survived on other segments).
+func TestCrashSweepEveryCutPoint(t *testing.T) {
+	forShardCounts(t, func(t *testing.T, nshards int) {
+		dir := t.TempDir()
+		cat, wals := openDir(t, dir, nshards, shardApplier)
+		names := shardNames(nshards)
 		for _, n := range names {
-			n := n
-			if err := cat.UpdateRouted([]string{n}, func(tx *Tx) error { return insInto(tx, n, k) }); err != nil {
+			if err := cat.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, n) }); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	// Cross-shard staged transaction, the LAST commit: truncating the
-	// coordinator's marker simulates a crash mid two-phase publish.
-	txn := cat.Begin()
-	if err := txn.UpdateRouted([]string{names[0]}, func(tx *Tx) error { return insInto(tx, names[0], 777) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.UpdateRouted([]string{names[2]}, func(tx *Tx) error { return insInto(tx, names[2], 888) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range wals {
-		w.Close()
-	}
-
-	for si := 0; si < nshards; si++ {
-		data, err := os.ReadFile(SegmentPath(dir, si))
-		if err != nil {
+		for k := 0; k < 3; k++ {
+			for _, n := range names {
+				sIns(t, cat, n, k)
+			}
+		}
+		// Staged transaction over two tables — two shards when there are
+		// four: truncating the coordinator's marker simulates a crash mid
+		// two-phase publish.
+		ta, tb := names[0], names[nshards/2]
+		txn := cat.Begin()
+		if err := txn.UpdateRouted([]string{ta}, func(tx *Tx) error { return insInto(tx, ta, 777) }); err != nil {
 			t.Fatal(err)
 		}
-		// Every line boundary, plus a point inside each line.
-		cuts := []int{0}
-		for off, b := range data {
-			if b == '\n' {
-				cuts = append(cuts, off+1)
-				if off+1 < len(data) {
-					cuts = append(cuts, off+3) // mid next line: torn record
+		if err := txn.UpdateRouted([]string{tb}, func(tx *Tx) error { return insInto(tx, tb, 888) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		// One more epoch on the last shard, so a rolled-back transaction
+		// leaves a gap in front of a survivor.
+		sIns(t, cat, names[nshards-1], 999)
+		closeWALs(wals)
+
+		sawGap := false
+		for si := 0; si < nshards; si++ {
+			data, err := os.ReadFile(SegmentPath(dir, si))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every line boundary, plus a point inside each line.
+			cuts := []int{0}
+			for off, b := range data {
+				if b == '\n' {
+					cuts = append(cuts, off+1)
+					if off+1 < len(data) {
+						cuts = append(cuts, off+3) // mid next line: torn record
+					}
 				}
 			}
+			for _, cut := range cuts {
+				if cut > len(data) {
+					continue
+				}
+				cdir := fmt.Sprintf("%s-s%d-c%d", dir, si, cut)
+				copyDir(t, dir, cdir)
+				if err := os.WriteFile(SegmentPath(cdir, si), data[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				want, lastEpoch, wantFallbacks := sweepReference(t, cdir, nshards)
+				rec, rwals := openDir(t, cdir, nshards, shardApplier)
+				got := dbBytes(t, rec.Snapshot())
+				if !bytes.Equal(got, want) {
+					t.Fatalf("shard %d cut %d: recovery differs from deterministic replay\n--- got ---\n%s\n--- want ---\n%s", si, cut, got, want)
+				}
+				if lastEpoch > 0 && rec.Snapshot().Version != lastEpoch {
+					t.Fatalf("shard %d cut %d: recovered version %d, want %d", si, cut, rec.Snapshot().Version, lastEpoch)
+				}
+				if f := replayFallbacks(rec); f != wantFallbacks {
+					t.Fatalf("shard %d cut %d: %d replay fallbacks, want %d", si, cut, f, wantFallbacks)
+				}
+				sawGap = sawGap || wantFallbacks > 0
+				// Atomicity of the transaction: 777 and 888 appear together
+				// or not at all.
+				db := rec.Snapshot().DB
+				h7 := db.IndexOf(ta) >= 0 && db.Certain[db.IndexOf(ta)].Contains(relation.Tuple{value.Int(777)})
+				h8 := db.IndexOf(tb) >= 0 && db.Certain[db.IndexOf(tb)].Contains(relation.Tuple{value.Int(888)})
+				if h7 != h8 {
+					t.Fatalf("shard %d cut %d: torn cross-shard commit (777=%v, 888=%v)", si, cut, h7, h8)
+				}
+				closeWALs(rwals)
+				os.RemoveAll(cdir)
+			}
 		}
-		for _, cut := range cuts {
-			if cut > len(data) {
-				continue
-			}
-			cdir := fmt.Sprintf("%s-s%d-c%d", dir, si, cut)
-			copyDir(t, dir, cdir)
-			if err := os.WriteFile(SegmentPath(cdir, si), data[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			rec, rwals, err := OpenSharded("", cdir, nshards, shardApplier)
-			if err != nil {
-				t.Fatalf("shard %d cut %d: recovery failed: %v", si, cut, err)
-			}
-			got := dbBytes(t, rec.Snapshot())
-			want, lastEpoch := sweepReference(t, cdir, nshards)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("shard %d cut %d: recovery differs from deterministic replay\n--- got ---\n%s\n--- want ---\n%s", si, cut, got, want)
-			}
-			if lastEpoch > 0 && rec.Snapshot().Version != lastEpoch {
-				t.Fatalf("shard %d cut %d: recovered version %d, want %d", si, cut, rec.Snapshot().Version, lastEpoch)
-			}
-			// Atomicity of the cross-shard tail: 777 and 888 appear
-			// together or not at all.
-			db := rec.Snapshot().DB
-			h7 := db.IndexOf(names[0]) >= 0 && db.Certain[db.IndexOf(names[0])].Contains(relation.Tuple{value.Int(777)})
-			h8 := db.IndexOf(names[2]) >= 0 && db.Certain[db.IndexOf(names[2])].Contains(relation.Tuple{value.Int(888)})
-			if h7 != h8 {
-				t.Fatalf("shard %d cut %d: torn cross-shard commit (777=%v, 888=%v)", si, cut, h7, h8)
-			}
-			for _, w := range rwals {
-				w.Close()
-			}
-			os.RemoveAll(cdir)
+		if nshards > 1 && !sawGap {
+			t.Fatal("no cut left a gap in the epoch chain: the sweep never exercised the statement fallback")
 		}
-	}
+	})
 }
 
-// sweepReference independently computes the state recovery must produce
+// sweepReference independently computes what recovery must produce
 // from a (possibly truncated) segment directory: scan each segment,
 // merge records by epoch, drop cross-shard epochs without a marker,
-// replay ascending onto a fresh sharded catalog. A deliberate
-// reimplementation of the recovery contract, not a call into it.
-func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64) {
+// replay ascending onto a fresh catalog. It returns the state, the last
+// surviving epoch, and how many of the surviving epochs sit at or after
+// the first gap in the chain (the ones delta replay must not touch). A
+// deliberate reimplementation of the recovery contract, not a call into
+// it.
+func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64, uint64) {
 	t.Helper()
 	type er struct {
 		stmts  []string
@@ -613,60 +608,15 @@ func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64) {
 		}
 	}
 	ref := NewSharded(nil, nshards)
-	for _, v := range order {
+	var last, afterGap uint64
+	for i, v := range order {
 		if err := shardApplier(ref, WALRecord{Version: v, Stmts: epochs[v].stmts}); err != nil {
 			t.Fatalf("reference replay of e%d: %v", v, err)
 		}
-	}
-	var last uint64
-	if len(order) > 0 {
-		last = order[len(order)-1]
-	}
-	return dbBytes(t, ref.Snapshot()), last
-}
-
-// TestCheckpointAllTruncatesSegments: CheckpointAll persists the merged
-// snapshot and truncates every segment; recovery from the checkpoint
-// alone reproduces the state.
-func TestCheckpointAllTruncatesSegments(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := dir + "/checkpoint.wsd"
-	cat, wals, err := OpenSharded(wsdPath, dir, 2, shardApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := shardNames(2)
-	for _, n := range names {
-		if err := cat.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, n) }); err != nil {
-			t.Fatal(err)
+		if afterGap > 0 || v != uint64(i)+2 { // the fresh catalog is at version 1
+			afterGap++
 		}
-		n := n
-		if err := cat.UpdateRouted([]string{n}, func(tx *Tx) error { return insInto(tx, n, 1) }); err != nil {
-			t.Fatal(err)
-		}
+		last = v
 	}
-	want := dbBytes(t, cat.Snapshot())
-	if err := cat.CheckpointAll(wsdPath); err != nil {
-		t.Fatal(err)
-	}
-	for si := range wals {
-		if fi, err := os.Stat(SegmentPath(dir, si)); err != nil || fi.Size() != 0 {
-			t.Fatalf("segment %d not truncated after checkpoint (err %v)", si, err)
-		}
-	}
-	for _, w := range wals {
-		w.Close()
-	}
-	cat2, wals2, err := OpenSharded(wsdPath, dir, 2, shardApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, w := range wals2 {
-			w.Close()
-		}
-	}()
-	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("checkpoint-only recovery differs from checkpointed state")
-	}
+	return dbBytes(t, ref.Snapshot()), last, afterGap
 }

@@ -12,11 +12,12 @@
 // as they like — wait-free, never blocked by writers, and guaranteed a
 // consistent catalog version (relations inside a snapshot are immutable
 // by convention, enforced by the copy-on-write editing operations of
-// wsd.DecompDB). Writers serialize through Update, which runs a
-// single-writer transaction against the latest snapshot and publishes
-// the staged state as a new version; the version chain gives concurrent
-// I-SQL sessions (cmd/isqld) snapshot isolation with a single atomic
-// pointer load per statement.
+// wsd.DecompDB). Writers go through UpdateRouted (Update when they have
+// no routing information), which stages a transaction against the
+// latest state of the shards it touches and publishes it as a new
+// version; the version chain gives concurrent I-SQL sessions
+// (cmd/isqld) snapshot isolation with a single atomic pointer load per
+// statement.
 //
 // # Queries
 //
@@ -29,21 +30,25 @@
 // wsd.Refactor, so even a fallback step hands the next statement a
 // decomposition, not an enumeration.
 //
-// # Sharding
+// # One write path
 //
-// Reshard(n) splits the catalog into n component shards, each with its
-// own version chain, writer lock, group-commit queue, and WAL segment:
-// commits touching disjoint shards run fully in parallel, cross-shard
-// transactions commit atomically through a staged two-phase record,
-// and readers still get one wait-free merged Snapshot. See shard.go
-// for the routing, epoch, and recovery rules.
+// The catalog is always partitioned into n ≥ 1 component shards (New
+// is NewSharded(db, 1)), each with its own version chain, writer lock,
+// group-commit queue and WAL segment, and there is exactly one way a
+// staged version becomes durable and reader-visible: a commit with one
+// participant shard is one record through that shard's group-commit
+// queue; a commit spanning shards stages a record on every participant
+// and becomes durable with a marker on the coordinator segment.
+// Commits touching disjoint shards run fully in parallel, and readers
+// always get one wait-free merged Snapshot. See shard.go for the
+// routing, epoch and publish rules, wal.go for recovery and
+// checkpoints.
 package store
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"worldsetdb/internal/obs"
 	"worldsetdb/internal/relation"
@@ -57,23 +62,21 @@ import (
 // Neither the decomposition nor the view map may be mutated; editing
 // happens by committing a new version through Catalog.Update.
 type Snapshot struct {
-	// Version increases by one per committed transaction. On a sharded
-	// catalog it is the highest commit epoch published so far (epochs
-	// are global across shards, so it stays monotone even though shards
-	// publish independently).
+	// Version is the highest commit epoch published so far. Epochs are
+	// global across shards, so it stays monotone even though shards
+	// publish independently; on a one-shard catalog it increases by one
+	// per committed transaction.
 	Version uint64
 	// DB is the decomposition backing all named tables.
 	DB *wsd.DecompDB
 	// Views maps view names to their I-SQL select text.
 	Views map[string]string
 
-	// shardVers, on a sharded catalog, records per shard the epoch of
-	// the newest commit included in this snapshot — the read timestamps
-	// staged transactions validate against at commit. Nil when the
-	// catalog is unsharded.
+	// shardVers records per shard the epoch of the newest commit included
+	// in this snapshot — the read timestamps staged transactions validate
+	// against at commit. Its length is the owning catalog's shard count;
+	// nil on the private staging snapshots of a Staged transaction.
 	shardVers []uint64
-	// nshards is the owning catalog's shard count (0 or 1 = unsharded).
-	nshards int
 	// compID is the catalog's component ID counter at publication.
 	// Checkpoints persist it so recovery resumes ID assignment exactly
 	// where the writer left off — WAL page-delta records address
@@ -98,127 +101,48 @@ func (s *Snapshot) HasRelation(name string) bool {
 }
 
 // Catalog is a versioned, concurrently readable store of named tables
-// backed by a world-set decomposition. The zero value is not usable;
-// construct with New.
+// backed by a world-set decomposition, partitioned into one or more
+// component shards (shard.go). The zero value is not usable; construct
+// with New or NewSharded.
 //
-// With a batch-capable commit logger attached (BatchTxLogger — the
-// WAL), commits go through group commit: a committer stages and gets
-// its version under the writer lock, enqueues its statement record,
-// and releases the lock before the fsync. One committer — the leader —
-// drains the queue and persists every waiting record with a single
-// write and a single fsync, then publishes the versions in order.
-// Under concurrent write load the fsync cost amortizes over the whole
-// batch; a lone committer degenerates to exactly the old behavior (one
-// record, one fsync). Readers only ever see durable versions: cur
-// advances after the fsync, while writers chain on head, the newest
-// assigned version.
+// Readers only ever see durable versions: cur advances after a commit's
+// WAL record is fsynced, while writers chain on their shard's head, the
+// newest assigned version.
 type Catalog struct {
-	writer sync.Mutex
-	cur    atomic.Pointer[Snapshot]
-	// logger, when set, receives every committed transaction's statement
-	// records before the new version becomes visible (write-ahead).
-	logger TxLogger
+	cur atomic.Pointer[Snapshot]
 
-	// head is the newest assigned (possibly not yet durable) version;
-	// writers base transactions on it so versions stay sequential while
-	// a group commit is in flight. Equal to cur when the queue is idle.
-	hmu  sync.Mutex
-	head *Snapshot
+	shards []*shardState
+	epoch  atomic.Uint64 // global commit epoch counter
+	pub    sync.Mutex    // serializes merged-snapshot publication
+	compID atomic.Uint64 // component ID counter
 
-	// Group-commit queue: commits enqueued under the writer lock, then
-	// flushed (one write + one fsync for the whole batch) by a leader
-	// outside it.
-	qmu      sync.Mutex
-	qcond    *sync.Cond // signaled when the flush loop goes idle
-	queue    []*commitReq
-	flushing bool
-
-	// Component sharding (shard.go). nshards <= 1 leaves every path in
-	// this file exactly as it was; nshards > 1 redirects Update through
-	// the routed scatter/gather commit paths, with one writer lock, WAL
-	// segment and group-commit queue per shard.
-	nshards int
-	shards  []*shardState
-	epoch   atomic.Uint64 // global commit epoch counter
-	pub     sync.Mutex    // serializes merged-snapshot publication
-	compID  atomic.Uint64 // component ID counter
-
-	// pagers, when paging is enabled (Open/OpenSharded attach them, or
-	// EnablePaging for a fresh catalog), hold one paged checkpoint file
-	// per shard; Checkpoint/CheckpointAll write incrementally through
-	// them instead of rewriting a v1 JSON document.
+	// pagers, when paging is enabled (Open attaches them, or EnablePaging
+	// for a fresh catalog), hold one paged checkpoint file per shard;
+	// Checkpoint writes incrementally through them instead of rewriting a
+	// v1 JSON document.
 	pagers []*PageStore
 
 	// noDeltas disables WAL page-delta records (commits then log only
 	// their statement texts, and recovery re-executes them) — a bench
 	// knob for measuring what delta replay buys; see SetLogDeltas.
 	noDeltas bool
-
-	// queueHist measures group-commit queue wait (enqueue to flush
-	// start) on the unsharded path; sharded catalogs keep one per shard.
-	queueHist obs.Histogram
 }
 
-// commitReq is one enqueued commit awaiting durability.
-type commitReq struct {
-	snap  *Snapshot
-	stmts []string
-	delta *CommitDelta // page-delta record content; nil = statements only
-	done  chan error
-	enq   time.Time // when the commit entered the queue
-	trace *obs.Span // committer's trace; the flush leader attaches spans
-}
-
-// TxLogger receives committed transactions for durability. AppendCommit
-// is called under the catalog writer lock, before the new version is
-// published; an error aborts the commit. The store's WAL implements it.
-type TxLogger interface {
-	AppendCommit(version uint64, stmts []string) error
-}
-
-// BatchTxLogger is a TxLogger that can persist several committed
-// transactions with one append and one fsync. A logger implementing it
-// opts the catalog into group commit; the store's WAL does.
-type BatchTxLogger interface {
-	TxLogger
-	AppendBatch(recs []WALRecord) error
-}
-
-// SetLogger attaches a commit logger (typically a WAL). Pass nil to
-// detach. Must not be called while transactions are in flight on other
-// goroutines; cmd wiring attaches the logger once at startup, after
-// recovery replay.
-func (c *Catalog) SetLogger(l TxLogger) {
-	c.writer.Lock()
-	defer c.writer.Unlock()
-	c.waitFlushed()
-	c.logger = l
-}
-
-// New returns a catalog whose first version holds the given
+// New returns a one-shard catalog whose first version holds the given
 // decomposition. A nil db means the empty complete database (one world,
 // no relations). The decomposition is adopted, not copied: the caller
 // must not mutate it afterwards.
-func New(db *wsd.DecompDB) *Catalog {
-	if db == nil {
-		db = wsd.NewDecompDB(nil, nil)
-	}
-	return newCatalog(&Snapshot{Version: 1, DB: db, Views: map[string]string{}})
-}
+func New(db *wsd.DecompDB) *Catalog { return NewSharded(db, 1) }
 
-// newCatalog builds a catalog publishing snap as its current version.
-func newCatalog(snap *Snapshot) *Catalog { return newCatalogSeeded(snap, 0) }
-
-// newCatalogSeeded is newCatalog with the component ID counter resumed
-// from a persisted checkpoint, so IDs assigned after recovery continue
-// the pre-crash sequence.
-func newCatalogSeeded(snap *Snapshot, compID uint64) *Catalog {
-	c := &Catalog{head: snap}
-	c.qcond = sync.NewCond(&c.qmu)
+// newCatalog builds a one-shard catalog publishing snap as its current
+// version, with the component ID counter resumed from a persisted
+// checkpoint (0 for a fresh catalog) so IDs assigned after recovery
+// continue the pre-crash sequence.
+func newCatalog(snap *Snapshot, compID uint64) *Catalog {
+	c := &Catalog{}
 	c.compID.Store(compID)
-	c.assignIDs(snap.DB)
-	snap.compID = c.compID.Load()
 	c.cur.Store(snap)
+	c.shard(1)
 	return c
 }
 
@@ -226,8 +150,8 @@ func newCatalogSeeded(snap *Snapshot, compID uint64) *Catalog {
 // raised past every ID already present (two passes — a fresh component
 // ordered before a high-ID survivor must not be assigned a colliding
 // ID), then unassigned components get fresh ones in order. Safe under
-// any of the commit locks; the counter is atomic so all-shard and
-// routed paths never race it.
+// any of the commit locks; the counter is atomic so commits on
+// different shards never race it.
 func (c *Catalog) assignIDs(db *wsd.DecompDB) {
 	for i := range db.Components {
 		id := db.Components[i].ID
@@ -251,31 +175,6 @@ func (c *Catalog) assignIDs(db *wsd.DecompDB) {
 // concurrent use.
 func (c *Catalog) SetLogDeltas(on bool) { c.noDeltas = !on }
 
-// headSnap returns the newest assigned version (what the next writer
-// must base on). Callers hold the writer lock, so the head cannot be
-// reassigned concurrently by another committer — only rolled back by a
-// failing flush, which the hmu guards.
-func (c *Catalog) headSnap() *Snapshot {
-	c.hmu.Lock()
-	defer c.hmu.Unlock()
-	return c.head
-}
-
-// advanceHead moves the writer-visible head from base to next. The
-// compare guards a failed-flush race: abort may roll head back to the
-// durable version while this committer is between its enqueue and its
-// head store — if base is no longer the head, this commit was built on
-// an aborted chain (the flusher will fail its queued record as stale)
-// and must not resurrect the rolled-back head for later writers to base
-// phantom transactions on.
-func (c *Catalog) advanceHead(base, next *Snapshot) {
-	c.hmu.Lock()
-	if c.head == base {
-		c.head = next
-	}
-	c.hmu.Unlock()
-}
-
 // FromComplete returns a catalog over the singleton world-set of a
 // complete database.
 func FromComplete(names []string, rels []*relation.Relation) *Catalog {
@@ -288,7 +187,7 @@ func FromComplete(names []string, rels []*relation.Relation) *Catalog {
 func (c *Catalog) Snapshot() *Snapshot { return c.cur.Load() }
 
 // Tx is a single-writer transaction: staged edits against the latest
-// snapshot. Obtain one through Update.
+// state of the shards it holds. Obtain one through Update/UpdateRouted.
 type Tx struct {
 	base  *Snapshot
 	db    *wsd.DecompDB     // staged decomposition; nil = unchanged
@@ -357,241 +256,10 @@ func (tx *Tx) cowViews() {
 	}
 }
 
-// Update runs fn as the single writer against the latest snapshot and,
-// if fn succeeds and staged anything, atomically publishes the staged
-// state as a new catalog version. On error nothing is published.
-// Readers holding older snapshots are unaffected either way. When a
-// commit logger is attached, the transaction's statement records are
-// appended (and fsynced) to it before the version becomes visible; a
-// logging failure aborts the commit. With a batch-capable logger the
-// fsync happens outside the writer lock, coalesced across every
-// committer waiting at that moment (group commit); Update still returns
-// only once its own version is durable and published.
-func (c *Catalog) Update(fn func(*Tx) error) error {
-	if c.nshards > 1 {
-		// No routing information: the commit may touch anything, so it
-		// serializes against every shard (DDL, CTAS and legacy DML do).
-		return c.updateAll(fn)
-	}
-	c.writer.Lock()
-	locked := true
-	defer func() {
-		if locked {
-			c.writer.Unlock()
-		}
-	}()
-	tx := &Tx{base: c.headSnap()}
-	if err := fn(tx); err != nil {
-		return err
-	}
-	if tx.db == nil && tx.views == nil {
-		return nil
-	}
-	next := &Snapshot{
-		Version: tx.base.Version + 1,
-		DB:      tx.DB(),
-		Views:   tx.Views(),
-	}
-	locked = false
-	return c.commitLocked(tx.base, next, tx.stmts, tx.trace)
-}
-
-// commitLocked makes next the new catalog version. Called with the
-// writer lock held; releases it on every path. Without a batch-capable
-// logger the commit is inline and fully under the lock, exactly the
-// pre-group-commit behavior. With one, the record is enqueued and the
-// lock released before the flush, so concurrent committers coalesce
-// into one write + one fsync; commitLocked returns once next is durable
-// and visible to readers.
-func (c *Catalog) commitLocked(base, next *Snapshot, stmts []string, trace *obs.Span) error {
-	c.assignIDs(next.DB)
-	next.compID = c.compID.Load()
-	bl, group := c.logger.(BatchTxLogger)
-	var delta *CommitDelta
-	if group && !c.noDeltas {
-		sp := trace.Child("wal.delta")
-		delta = diffSnapshots(base, next)
-		sp.End()
-	}
-	if !group {
-		defer c.writer.Unlock()
-		if c.logger != nil {
-			sp := trace.Child("wal.append")
-			if err := c.logger.AppendCommit(next.Version, stmts); err != nil {
-				sp.End()
-				return fmt.Errorf("store: logging commit v%d: %w", next.Version, err)
-			}
-			sp.End()
-		}
-		c.advanceHead(base, next)
-		c.cur.Store(next)
-		return nil
-	}
-	if len(stmts) == 0 {
-		// A record with no statements cannot replay to a new version;
-		// surface the bug (a writer that never called Tx.Log) at commit
-		// time instead of bricking recovery.
-		c.writer.Unlock()
-		return fmt.Errorf("store: refusing to log commit v%d with no statement records (writer did not call Tx.Log)", next.Version)
-	}
-	req := &commitReq{snap: next, stmts: stmts, delta: delta, done: make(chan error, 1),
-		enq: time.Now(), trace: trace}
-	c.qmu.Lock()
-	c.queue = append(c.queue, req)
-	c.qmu.Unlock()
-	c.advanceHead(base, next)
-	c.writer.Unlock()
-	c.flush(bl)
-	return <-req.done
-}
-
-// flush elects a leader: the first committer to arrive while no flush
-// is running takes the whole queue as one batch — its own record plus
-// every committer that queued behind it — and persists it with a
-// single fsync; everyone else returns immediately and waits on its own
-// done channel. Commits that arrive during the fsync form the next
-// batch; its leadership is handed to a fresh goroutine so a committer
-// returns as soon as its own record is durable and published, instead
-// of staying conscripted as the flusher of later arrivals for as long
-// as load lasts.
-func (c *Catalog) flush(bl BatchTxLogger) {
-	c.qmu.Lock()
-	if c.flushing || len(c.queue) == 0 {
-		c.qmu.Unlock()
-		return
-	}
-	c.flushing = true
-	batch := c.queue
-	c.queue = nil
-	c.qmu.Unlock()
-	c.flushBatch(bl, batch)
-	c.qmu.Lock()
-	c.flushing = false
-	// Wake waiters after every batch: WaitPublished blocks on versions
-	// published mid-chain, not only on the queue going idle.
-	c.qcond.Broadcast()
-	if len(c.queue) > 0 {
-		go c.flush(bl)
-	}
-	c.qmu.Unlock()
-}
-
-// WaitPublished blocks until the catalog's durable, reader-visible
-// version reaches v, or until no group commit is in flight (the commit
-// that would have produced v was aborted — its version number will be
-// reused by a later commit). It is an advisory wait: conflict retry
-// uses it so a transaction that lost first-committer-wins re-bases on
-// the winner's published state instead of spinning its retry budget
-// against a version still waiting on the group-commit fsync.
-func (c *Catalog) WaitPublished(v uint64) {
-	if c.cur.Load().Version >= v {
-		return
-	}
-	if c.nshards > 1 {
-		c.waitPublishedSharded(v)
-		return
-	}
-	c.qmu.Lock()
-	for c.cur.Load().Version < v && (c.flushing || len(c.queue) > 0) {
-		c.qcond.Wait()
-	}
-	c.qmu.Unlock()
-}
-
-// flushBatch persists one drained batch with a single append + fsync
-// and publishes its versions in order. Versions are assigned under the
-// writer lock and enqueued in order, so a batch is a contiguous run
-// starting at cur+1 — except right after a failed flush, when a commit
-// staged on the aborted chain may still be draining; those are failed
-// without being written.
-func (c *Catalog) flushBatch(bl BatchTxLogger, batch []*commitReq) {
-	expect := c.cur.Load().Version + 1
-	n := 0
-	for n < len(batch) && batch[n].snap.Version == expect+uint64(n) {
-		n++
-	}
-	ok, stale := batch[:n], batch[n:]
-	if len(ok) > 0 {
-		recs := make([]WALRecord, len(ok))
-		for i, r := range ok {
-			recs[i] = WALRecord{Version: r.snap.Version, Stmts: r.stmts, Delta: r.delta}
-		}
-		flushStart := time.Now()
-		err := bl.AppendBatch(recs)
-		flushDur := time.Since(flushStart)
-		if err != nil {
-			c.abort(batch, fmt.Errorf("store: logging commit batch v%d..v%d: %w",
-				recs[0].Version, recs[len(recs)-1].Version, err))
-			return
-		}
-		for _, r := range ok {
-			c.queueHist.Observe(flushStart.Sub(r.enq))
-			if r.trace != nil {
-				// The done-channel send below orders these attaches before
-				// the committer reads its trace.
-				r.trace.ChildSpan("wal.queue", r.enq, flushStart.Sub(r.enq))
-				r.trace.ChildSpan("wal.fsync", flushStart, flushDur).
-					SetInt("batch", int64(len(ok)))
-			}
-			c.cur.Store(r.snap)
-			r.done <- nil
-		}
-	}
-	if len(stale) > 0 {
-		c.abort(stale, fmt.Errorf("store: commit aborted: it was staged on a version whose log write failed"))
-	}
-}
-
-// abort fails a set of queued commits after a log-write failure: the
-// writer-visible head rolls back to the last durable version so the
-// next transaction re-bases, and every commit already staged on the
-// aborted chain (the failed batch plus anything queued behind it) gets
-// the error. The catalog stays consistent — nothing unlogged was ever
-// published — but concurrent commits in flight at the moment of a
-// failed fsync fail with it.
-func (c *Catalog) abort(failed []*commitReq, err error) {
-	c.hmu.Lock()
-	c.head = c.cur.Load()
-	c.hmu.Unlock()
-	c.qmu.Lock()
-	trailing := c.queue
-	c.queue = nil
-	c.qmu.Unlock()
-	for _, r := range failed {
-		r.done <- err
-	}
-	for _, r := range trailing {
-		r.done <- err
-	}
-}
-
-// waitFlushed blocks until no group commit is queued or mid-flush. The
-// caller holds the writer lock, so no new commit can be enqueued while
-// it waits.
-func (c *Catalog) waitFlushed() {
-	c.qmu.Lock()
-	for c.flushing || len(c.queue) > 0 {
-		c.qcond.Wait()
-	}
-	c.qmu.Unlock()
-}
-
-// PendingCommits reports how many commits are enqueued for group
-// commit but not yet durable (statistics and tests).
-func (c *Catalog) PendingCommits() int {
-	if c.nshards > 1 {
-		n := 0
-		for _, sh := range c.shards {
-			sh.qmu.Lock()
-			n += len(sh.queue)
-			sh.qmu.Unlock()
-		}
-		return n
-	}
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	return len(c.queue)
-}
+// Update is UpdateRouted without routing information: the commit may
+// touch anything, so it serializes against every shard (DDL, CTAS, view
+// changes and legacy DML do).
+func (c *Catalog) Update(fn func(*Tx) error) error { return c.UpdateRouted(nil, fn) }
 
 // Query evaluates a compiled World-set Algebra query against the
 // snapshot and returns the snapshot's decomposition extended with the

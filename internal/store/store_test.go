@@ -72,6 +72,32 @@ func TestUpdateErrorPublishesNothing(t *testing.T) {
 	}
 }
 
+// TestUpdatePanicReleasesLocks: a panic inside the staging closure (the
+// server recovers per request) must not leave the shard locks held:
+// the next writer goes through.
+func TestUpdatePanicReleasesLocks(t *testing.T) {
+	for _, refs := range [][]string{nil, {"Census"}} {
+		c := censusCatalog(t, 10, 1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("closure panic was swallowed")
+				}
+			}()
+			c.UpdateRouted(refs, func(tx *Tx) error { panic("boom") })
+		}()
+		if err := c.Update(func(tx *Tx) error {
+			tx.SetDB(tx.DB().WithRelation("After", relation.NewSchema("X"), nil))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if c.Snapshot().DB.IndexOf("After") < 0 {
+			t.Fatal("commit after a panicking writer was lost")
+		}
+	}
+}
+
 // TestQueryNativeAt2Pow40: the factorized engine answers the census
 // repair certain-answer question natively on a 2^40-world catalog.
 func TestQueryNativeAt2Pow40(t *testing.T) {

@@ -10,11 +10,11 @@ import "fmt"
 // through Begin.
 //
 // Concurrency control is optimistic, first-committer-wins: Begin takes
-// no locks, and Commit publishes only if the catalog is still at the
-// base version the transaction started from — otherwise it fails with
-// *ConflictError and nothing is published (the catalog behaves as if
-// the transaction never ran). A Staged value is single-goroutine, like
-// the session that owns it.
+// no locks, and Commit publishes only if the shards the transaction
+// touched are still at the versions it started from — otherwise it
+// fails with *ConflictError and nothing is published (the catalog
+// behaves as if the transaction never ran). A Staged value is
+// single-goroutine, like the session that owns it.
 type Staged struct {
 	cat   *Catalog
 	base  *Snapshot // catalog version the transaction started from
@@ -22,8 +22,8 @@ type Staged struct {
 	stmts []string  // statement records for the commit log
 	done  bool
 
-	// Shard-level conflict tracking (sharded catalogs): the relations
-	// the transaction read and wrote, and whether any statement had no
+	// Shard-level conflict tracking: the relations the transaction read
+	// and wrote, and whether any statement had no
 	// routing information (DDL/CTAS/legacy — validates against every
 	// shard). Commit validates that the shards these route to are
 	// unchanged since base; commits on disjoint shards don't conflict.
@@ -81,8 +81,8 @@ func (s *Staged) UpdateRouted(refs []string, fn func(*Tx) error) error {
 }
 
 // MarkReads records relations a statement inside the transaction read
-// (selects). On a sharded catalog the shards they route to join the
-// commit-time validation set, so the transaction stays serializable:
+// (selects). The shards they route to join the commit-time validation
+// set, so the transaction stays serializable:
 // its reads are revalidated at the commit point, not just its writes.
 func (s *Staged) MarkReads(refs map[string]bool) {
 	if len(refs) == 0 {
@@ -116,7 +116,7 @@ func (s *Staged) Update(fn func(*Tx) error) error {
 	if tx.views != nil {
 		// Views are global, not homed on a shard: a transaction that
 		// changes them commits against every shard whatever else it
-		// routed (no-op on an unsharded catalog).
+		// routed.
 		s.all = true
 	}
 	s.stmts = append(s.stmts, tx.stmts...)
@@ -129,14 +129,19 @@ func (s *Staged) Update(fn func(*Tx) error) error {
 }
 
 // Commit atomically publishes the staging chain as one new catalog
-// version (base version + 1, however many statements were staged). A
-// read-only transaction commits trivially. When another writer
-// committed since Begin — even one whose version is still awaiting its
-// group-commit fsync — Commit fails with *ConflictError and publishes
-// nothing. With a commit logger attached, the transaction's statement
-// records are appended and fsynced before the version becomes visible;
-// a batch-capable logger coalesces that fsync with concurrent
-// committers (group commit).
+// version (however many statements were staged), with shard-level
+// first-committer-wins: the shards the transaction's reads and writes
+// route to are locked and validated against the transaction's per-shard
+// read timestamps (base.shardVers), so commits that touched disjoint
+// shards since Begin do not conflict — and on a one-shard catalog any
+// commit since Begin does. Validation happens under the locks at the
+// serialization point, covering reads as well as writes, so a
+// successful commit is equivalent to running the whole transaction at
+// its commit epoch. A read-only transaction commits trivially. On a
+// conflict — even with a commit still awaiting its group-commit fsync —
+// Commit fails with *ConflictError and publishes nothing. Durability is
+// UpdateRouted's: the record is fsynced before the version becomes
+// visible, coalesced with concurrent committers on the same shard.
 func (s *Staged) Commit() error {
 	if s.done {
 		return errTxnDone
@@ -146,20 +151,62 @@ func (s *Staged) Commit() error {
 		return nil // read-only: nothing staged, nothing to publish
 	}
 	c := s.cat
-	if c.nshards > 1 {
-		return s.commitSharded()
+	// No routing information (a DDL/CTAS/legacy statement, a view change,
+	// or direct Staged.Update calls): validate and commit against every
+	// shard.
+	all := s.all || len(s.writes) == 0
+	var held []int
+	if all {
+		held = c.allShards()
+		c.lockShards(held)
+	} else {
+		refs := make([]string, 0, len(s.reads)+len(s.writes))
+		for r := range s.reads {
+			refs = append(refs, r)
+		}
+		for r := range s.writes {
+			if !s.reads[r] {
+				refs = append(refs, r)
+			}
+		}
+		held = c.lockRoute(refs)
 	}
-	c.writer.Lock()
-	if latest := c.headSnap(); latest != s.base {
-		c.writer.Unlock()
-		return &ConflictError{Base: s.base.Version, Current: latest.Version}
+	// Validate: every touched shard must still be at the epoch the
+	// transaction read it at. headVer (not pubVer) — a conflicting
+	// commit awaiting its group-commit fsync already wins.
+	curV := c.cur.Load().Version
+	for _, p := range held {
+		sh := c.shards[p]
+		sh.hmu.Lock()
+		hv := sh.headVer
+		if hv != s.base.shardVers[p] {
+			sh.conflicts++
+			sh.hmu.Unlock()
+			c.unlockShards(held)
+			// Wait out the winner's group-commit flush before reporting
+			// the conflict. The retry re-begins from the published
+			// snapshot; returning while the winning epoch is still queued
+			// would make the retried transaction conflict against the
+			// same head again — a validation spin instead of one wait for
+			// the in-flight fsync.
+			sh.drain()
+			return &ConflictError{Base: s.base.Version, Current: max(curV, hv)}
+		}
+		sh.hmu.Unlock()
 	}
-	next := &Snapshot{
-		Version: s.base.Version + 1,
-		DB:      s.cur.DB,
-		Views:   s.cur.Views,
+	req := &commitReq{db: s.cur.DB, stmts: s.stmts}
+	ps := held
+	if all {
+		req.views = s.cur.Views
+	} else {
+		wrefs := make([]string, 0, len(s.writes))
+		for r := range s.writes {
+			wrefs = append(wrefs, r)
+		}
+		req.wset = compIDsTouching(s.base.DB, relIndex(s.base.DB, wrefs))
+		ps = c.refShards(s.base.DB, wrefs)
 	}
-	return c.commitLocked(s.base, next, s.stmts, nil)
+	return c.commit(held, ps, c.commitBase(ps), req)
 }
 
 // Rollback discards the staging chain. The catalog never saw it.

@@ -16,37 +16,39 @@ import (
 	"worldsetdb/internal/obs"
 )
 
-// Statement-level write-ahead log: durability for the catalog without
-// whole-snapshot saves. Every committed transaction appends one record
-// — the I-SQL statement texts that produced it plus the catalog version
-// it committed as — and fsyncs before the version becomes visible
-// (Catalog.Update / Staged.Commit call AppendCommit under the writer
-// lock). Recovery (Open) loads the last checkpoint — a plain .wsd
-// snapshot written atomically — and deterministically re-executes the
-// log tail: statement execution is pure, so replaying record v against
-// the catalog at version v-1 reproduces version v exactly, byte for
-// byte through Save.
+// Write-ahead log: durability for the catalog without whole-snapshot
+// saves. The log is one segment per shard (wal-<shard>.log under the
+// WAL directory). Every committed transaction appends one record to the
+// segment of each shard it wrote — the commit epoch, a page delta
+// (delta.go) describing the commit's effect on durable state, and the
+// I-SQL statement texts that produced it — and fsyncs before the
+// version becomes visible (see commit in shard.go). Recovery (Open)
+// loads the last checkpoint — one page file per shard — merges the
+// segments by epoch and replays the tail: a record's delta is patched
+// straight into the decomposition; statement re-execution (pure, hence
+// deterministic: replaying record e against the state before e
+// reproduces the state after it, byte for byte through Save) is the
+// per-record fallback, counted in DurabilityStats.
 //
 // # On-disk format
 //
-// One JSON object per line: {"v":<version>,"stmts":[...],"crc":<sum>},
-// where crc is the IEEE CRC-32 of the version and the length-prefixed
-// statement texts. A torn tail (crash mid-append) fails the CRC or the
-// JSON decode; OpenWAL truncates the file back to the last intact
-// record. Checkpointing writes the snapshot with SaveFile (temp file +
-// atomic rename) and then truncates the log; records are filtered by
-// version on replay, so a crash between those two steps only leaves
+// One JSON object per line:
+// {"v":<epoch>,"stmts":[...],"shard":<i>,"parts":[...],"m":<marker>,
+// "delta":{...},"crc":<sum>} with empty fields omitted, where crc is
+// the IEEE CRC-32 of the record content (crcOfRecord). A torn tail
+// (crash mid-append) fails the CRC or the JSON decode; OpenWAL truncates
+// the file back to the last intact record. Checkpointing commits the
+// page files and then truncates the segments; records are filtered by
+// epoch on replay, so a crash between those two steps only leaves
 // already-checkpointed records that replay skips.
 
 // WALRecord is one committed transaction in the log.
 type WALRecord struct {
-	// Version is the catalog version (on a sharded catalog: the global
-	// commit epoch) the transaction committed as.
+	// Version is the global commit epoch the transaction committed as.
 	Version uint64
 	// Stmts are the statement texts that produced it, in execution order.
 	Stmts []string
-	// Shard is the shard whose segment holds the record (sharded
-	// catalogs only; 0 otherwise).
+	// Shard is the shard whose segment holds the record.
 	Shard int
 	// Parts, when the commit spans shards, lists every participant
 	// shard. A cross-shard record is staged once per participant
@@ -69,8 +71,8 @@ type WALRecord struct {
 }
 
 // walLine is the on-disk framing of a record. The shard fields are
-// omitted when empty, so unsharded logs keep the historical format
-// byte-for-byte.
+// omitted when empty, so shard 0's single-participant records keep the
+// historical single-log format byte-for-byte (and such logs replay).
 type walLine struct {
 	Version uint64          `json:"v"`
 	Stmts   []string        `json:"stmts"`
@@ -84,11 +86,7 @@ type walLine struct {
 // crcOf sums the record content: version plus length-prefixed statement
 // texts (the prefix keeps ["ab","c"] distinct from ["a","bc"]), plus —
 // only when present, so historical records keep their sums — the
-// cross-shard participant list and the marker flag.
-func crcOf(version uint64, stmts []string) uint32 {
-	return crcOfRecord(WALRecord{Version: version, Stmts: stmts})
-}
-
+// cross-shard participant list, the marker flag and the delta bytes.
 func crcOfRecord(rec WALRecord) uint32 {
 	h := crc32.NewIEEE()
 	var buf [8]byte
@@ -120,12 +118,11 @@ func crcOfRecord(rec WALRecord) uint32 {
 	return h.Sum32()
 }
 
-// WAL is an open write-ahead log. It implements TxLogger and
-// BatchTxLogger; attached to a catalog with SetLogger it opts commits
-// into group commit — the catalog's flush leader persists every
-// waiting committer's record with one AppendBatch, one fsync. Safe for
-// concurrent use (appends serialize on the WAL mutex; Checkpoint may
-// race a commit from another goroutine).
+// WAL is one open log segment. Attached to a catalog shard (Open, or
+// SetShardLoggers), the shard's flush leader persists every waiting
+// committer's record with one AppendBatch, one fsync. Safe for
+// concurrent use (appends serialize on the WAL mutex; a checkpoint's
+// truncate may race a commit from another goroutine).
 type WAL struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -223,20 +220,12 @@ func scanWAL(f *os.File) ([]WALRecord, int64, error) {
 // Path returns the log's file path.
 func (w *WAL) Path() string { return w.path }
 
-// AppendCommit writes one committed transaction and fsyncs. It is the
-// TxLogger hook: called before the new version is published. On a
-// write or fsync failure the log is truncated back to its pre-append
-// length — the commit is being aborted, and a half-durable record must
-// not shadow a later successful commit of the same version.
-func (w *WAL) AppendCommit(version uint64, stmts []string) error {
-	return w.AppendBatch([]WALRecord{{Version: version, Stmts: stmts}})
-}
-
 // AppendBatch writes a batch of committed transactions as one append
-// and one fsync — the BatchTxLogger hook behind group commit. The
-// batch is all-or-nothing from the caller's perspective: on a write or
-// fsync failure the log is truncated back to its pre-append length and
-// every record in the batch is aborted together. (A crash between the
+// and one fsync — the hook behind group commit. The batch is
+// all-or-nothing from the caller's perspective: on a write or fsync
+// failure the log is truncated back to its pre-append length and every
+// record in the batch is aborted together — a half-durable record must
+// not shadow a later successful commit. (A crash between the
 // write and the fsync can still leave a durable prefix of the batch on
 // disk; recovery replays exactly that intact prefix — those commits
 // were never acknowledged, and replaying un-acked but durable records
@@ -355,30 +344,18 @@ func (w *WAL) noteCheckpoint(v uint64) {
 	w.mu.Unlock()
 }
 
-// Checkpoint persists the snapshot as the new recovery base at wsdPath
-// (atomically, via SaveFile's temp-file + rename) and truncates the
-// log. Crash safety: replay filters records by version, so dying
-// between the save and the truncate merely leaves records the next
-// Open skips. The caller must ensure no commit is logged between the
-// snapshot read and this call — use Catalog.Checkpoint, which holds the
-// writer lock, when writers may be live.
-func (w *WAL) Checkpoint(snap *Snapshot, wsdPath string) error {
-	if err := SaveFile(wsdPath, snap); err != nil {
-		return fmt.Errorf("store: writing checkpoint: %w", err)
-	}
-	if err := w.reset(); err != nil {
-		return err
-	}
-	w.noteCheckpoint(snap.Version)
-	return nil
-}
-
 // reset truncates the log to empty after a checkpoint save.
 func (w *WAL) reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return fmt.Errorf("store: WAL is closed")
+	}
+	if w.tail == 0 {
+		// Already empty (torn tails are cut at open, failed appends on the
+		// spot): a checkpoint with nothing logged since the last one pays
+		// no truncate and no fsync.
+		return nil
 	}
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("store: truncating WAL after checkpoint: %w", err)
@@ -394,44 +371,98 @@ func (w *WAL) reset() error {
 	return nil
 }
 
-// Checkpoint writes the catalog's current snapshot as the new recovery
-// base and truncates the WAL, under the writer lock so no commit can be
-// appended (and then lost to the truncate) between the snapshot read
-// and the log reset. Group commits still in flight are drained first —
-// their records must land in the log (and their versions in cur) before
-// the snapshot is taken, or the truncate would orphan them. Readers are
-// unaffected; writers wait for the checkpoint save.
+// Checkpoint persists the merged snapshot as the new recovery base and
+// truncates every shard segment, with all shard locks held and all
+// queues drained so no commit can land (and then be lost to a truncate)
+// between the snapshot read and the truncates — in-flight group commits
+// finish first. Readers are unaffected; writers wait for the checkpoint.
 //
-// On a catalog with paging enabled (OpenPaged / EnablePaging) the base
-// at wsdPath is a page file and the checkpoint is incremental: only
-// pages of components touched since the previous checkpoint are
-// rewritten, and a checkpoint at an already-persisted version writes
-// nothing at all.
-func (c *Catalog) Checkpoint(w *WAL, wsdPath string) error {
-	c.writer.Lock()
-	defer c.writer.Unlock()
-	c.waitFlushed()
+// With paging enabled (Open / EnablePaging) the base is one page file
+// per shard (the main file plus <wsdPath>.s<i> side files), each
+// written incrementally — only pages of components touched since the
+// previous checkpoint are rewritten, and a checkpoint at an
+// already-persisted version writes nothing at all. Side files commit
+// before the main file, so a crash mid-checkpoint leaves either the old
+// base or a mixed set of per-shard epochs that recovery merges and
+// heals from the WALs. Without paging the base is a v1 JSON document
+// written atomically by SaveFile.
+func (c *Catalog) Checkpoint(wsdPath string) error {
+	all := c.allShards()
+	c.lockShards(all)
+	defer c.unlockShards(all)
+	for _, sh := range c.shards {
+		sh.drain()
+	}
 	snap := c.cur.Load()
-	if len(c.pagers) > 0 && c.pagers[0] != nil && c.pagers[0].Path() == wsdPath {
-		ps := c.pagers[0]
-		if ps.Version() == snap.Version {
-			// Nothing committed since the last checkpoint: the base on
-			// disk is already this exact state and the WAL holds only
-			// records the next recovery will skip. Zero writes.
-			ps.NoteNoop()
-			w.noteCheckpoint(snap.Version)
-			return nil
-		}
-		if err := ps.WriteCheckpoint(ckptSlices(snap, 1, c.compID.Load())[0]); err != nil {
-			return fmt.Errorf("store: writing page checkpoint: %w", err)
-		}
-		if err := w.reset(); err != nil {
+	if len(c.pagers) == len(c.shards) && c.pagers[0] != nil && c.pagers[0].Path() == wsdPath {
+		if err := c.checkpointPaged(snap, wsdPath); err != nil {
 			return err
 		}
-		w.noteCheckpoint(snap.Version)
+	} else if err := SaveFile(wsdPath, snap); err != nil {
+		return fmt.Errorf("store: writing checkpoint: %w", err)
+	}
+	for _, sh := range c.shards {
+		if sh.wal == nil {
+			continue
+		}
+		if err := sh.wal.reset(); err != nil {
+			return err
+		}
+		sh.wal.noteCheckpoint(snap.Version)
+	}
+	return nil
+}
+
+// checkpointPaged writes the snapshot across the per-shard page
+// files: side shards first (in parallel — they are independent files),
+// the coordinating main file last. Every file records the full global
+// version, so recovery can tell exactly which files a torn checkpoint
+// advanced. Called with all shard locks held and queues drained.
+func (c *Catalog) checkpointPaged(snap *Snapshot, wsdPath string) error {
+	allNoop := true
+	for _, ps := range c.pagers {
+		if ps.Version() != snap.Version {
+			allNoop = false
+			break
+		}
+	}
+	if allNoop {
+		// Nothing committed since the last checkpoint on any shard: the
+		// on-disk base already is this state. Zero writes.
+		for _, ps := range c.pagers {
+			ps.NoteNoop()
+		}
 		return nil
 	}
-	return w.Checkpoint(snap, wsdPath)
+	slices := ckptSlices(snap, len(c.shards), c.compID.Load())
+	var wg sync.WaitGroup
+	errs := make([]error, len(c.shards))
+	for i := 1; i < len(c.shards); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = c.pagers[i].WriteCheckpoint(slices[i])
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < len(c.shards); i++ {
+		if errs[i] != nil {
+			return fmt.Errorf("store: writing shard %d page checkpoint: %w", i, errs[i])
+		}
+	}
+	if err := c.pagers[0].WriteCheckpoint(slices[0]); err != nil {
+		return fmt.Errorf("store: writing shard 0 page checkpoint: %w", err)
+	}
+	// A previous run at a higher shard count can leave side files beyond
+	// ours; they are stale the moment this full-set checkpoint commits.
+	for i := len(c.shards); ; i++ {
+		p := shardCkptPath(wsdPath, i)
+		if _, err := os.Stat(p); err != nil {
+			break
+		}
+		os.Remove(p)
+	}
+	return nil
 }
 
 // Close closes the log file. Appends after Close fail.
@@ -447,199 +478,116 @@ func (w *WAL) Close() error {
 }
 
 // Applier re-executes one committed WAL record against the catalog
-// during recovery. It must apply the record's statements as a single
-// transaction committing exactly version rec.Version (isql.ReplayRecord
-// is the canonical implementation — the store itself cannot parse
-// I-SQL).
+// during recovery — the fallback for records that cannot replay by
+// delta. It must apply the record's statements as a single transaction
+// (isql.ReplayRecord is the canonical implementation — the store itself
+// cannot parse I-SQL).
 type Applier func(cat *Catalog, rec WALRecord) error
-
-// Open recovers a WAL-backed catalog: load the last checkpoint from
-// wsdPath (the empty catalog when none exists), replay the log tail —
-// every intact record newer than the checkpoint, applied as a page
-// delta when the record carries one, re-executed through applier
-// otherwise — and return the catalog with the WAL attached as its
-// commit logger, ready for new transactions. The catalog after Open is
-// byte-identical (through Save) to the last committed state before the
-// crash: committed transactions survive, uncommitted ones vanish.
-//
-// The checkpoint base at wsdPath may be either the historical v1 JSON
-// document or a v2 page file; subsequent checkpoints through the
-// returned catalog write the page format (the v1→v2 migration happens
-// on the first checkpoint after an upgrade).
-func Open(wsdPath, walPath string, applier Applier) (*Catalog, *WAL, error) {
-	return OpenPaged(wsdPath, walPath, applier, DefaultPoolPages)
-}
-
-// OpenPaged is Open with an explicit buffer-pool capacity (in pages)
-// for the page-file base. Catalogs larger than the pool still recover:
-// the pool pages object chains in and out of memory on demand.
-func OpenPaged(wsdPath, walPath string, applier Applier, poolPages int) (*Catalog, *WAL, error) {
-	ps, loaded, err := OpenPageStore(wsdPath, 0, true, poolPages)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: loading checkpoint: %w", err)
-	}
-	var cat *Catalog
-	if loaded != nil {
-		snap, compID, err := mergeLoaded([]*loadedShard{loaded})
-		if err != nil {
-			ps.Close()
-			return nil, nil, fmt.Errorf("store: loading page checkpoint: %w", err)
-		}
-		cat = newCatalogSeeded(snap, compID)
-	} else {
-		switch _, err := os.Stat(wsdPath); {
-		case err == nil:
-			cat, err = LoadFile(wsdPath)
-			if err != nil {
-				ps.Close()
-				return nil, nil, fmt.Errorf("store: loading checkpoint: %w", err)
-			}
-		case os.IsNotExist(err):
-			cat = New(nil)
-		default:
-			ps.Close()
-			return nil, nil, err
-		}
-	}
-	cat.pagers = []*PageStore{ps}
-	wal, records, err := OpenWAL(walPath)
-	if err != nil {
-		ps.Close()
-		return nil, nil, err
-	}
-	fail := func(err error) (*Catalog, *WAL, error) {
-		wal.Close()
-		ps.Close()
-		return nil, nil, err
-	}
-	for _, rec := range records {
-		snap := cat.Snapshot()
-		if rec.Version <= snap.Version {
-			continue // already in the checkpoint
-		}
-		if rec.Version != snap.Version+1 {
-			return fail(fmt.Errorf("store: WAL gap: catalog at v%d, next record is v%d", snap.Version, rec.Version))
-		}
-		if rec.Delta != nil {
-			// Delta replay is the fast path; a delta that no longer applies
-			// (e.g. the epoch that created a relation it touches was itself
-			// discarded by crash filtering) falls back to deterministic
-			// statement re-execution below.
-			if err := cat.replayDelta(rec.Version, rec.Delta); err == nil {
-				continue
-			}
-		}
-		if err := applier(cat, rec); err != nil {
-			return fail(fmt.Errorf("store: replaying WAL record v%d: %w", rec.Version, err))
-		}
-		if got := cat.Snapshot().Version; got != rec.Version {
-			return fail(fmt.Errorf("store: replaying WAL record v%d left the catalog at v%d (non-deterministic replay?)", rec.Version, got))
-		}
-	}
-	cat.SetLogger(wal)
-	return cat, wal, nil
-}
-
-// replayDelta installs the effect of one delta-carrying WAL record:
-// the delta is applied to the current snapshot and the result published
-// as version v — no statement re-execution, no query-engine
-// involvement. Recovery-only; the catalog must have no live writers.
-func (c *Catalog) replayDelta(v uint64, d *CommitDelta) error {
-	cur := c.cur.Load()
-	db, views, err := applyDelta(cur.DB, cur.Views, d)
-	if err != nil {
-		return err
-	}
-	next := &Snapshot{Version: v, DB: db, Views: views}
-	c.assignIDs(next.DB)
-	next.compID = c.compID.Load()
-	c.hmu.Lock()
-	c.head = next
-	c.hmu.Unlock()
-	c.cur.Store(next)
-	return nil
-}
 
 // SegmentPath returns the path of shard si's WAL segment under walDir.
 func SegmentPath(walDir string, si int) string {
 	return filepath.Join(walDir, fmt.Sprintf("wal-%d.log", si))
 }
 
-// OpenSharded recovers a sharded WAL-backed catalog: load the last
-// checkpoint from wsdPath, scan every shard segment wal-<i>.log under
-// walDir (torn tails truncated per segment), merge the intact records
-// by epoch, discard cross-shard epochs whose commit marker is absent
-// (the two-phase publish never finished — the transaction rolls back on
-// every shard), replay the surviving epochs in ascending order through
-// applier, and return the catalog with one WAL segment per shard
-// attached. Epoch order is a valid serialization of the pre-crash
-// execution: single-shard commits read only their shard and epochs are
-// assigned under the shard locks, so replaying the merged sequence
-// serially reproduces the per-shard states byte-identically.
-//
-// nshards == 1 delegates to Open on wal-0.log (the strict
-// density-checked single-log recovery).
-//
-// With a page-file base, the checkpoint is one file per shard (wsdPath
-// plus wsdPath.s<i> side files); a torn multi-file checkpoint leaves
-// the files at mixed epochs, so recovery merges them — each object from
-// the newest file holding it — and replays every WAL epoch newer than
-// the oldest file, which delta replay makes idempotent.
-func OpenSharded(wsdPath, walDir string, nshards int, applier Applier) (*Catalog, []*WAL, error) {
-	return OpenShardedPaged(wsdPath, walDir, nshards, applier, DefaultPoolPages)
+// adoptLegacyLog upgrades a WAL directory written by the pre-sharding
+// single-log layout: its wal.log becomes shard 0's segment (the record
+// format is the same — shard 0, no participant list — and the merged
+// replay orders by epoch whatever the shard count). A non-empty wal.log
+// next to a non-empty wal-0.log is ambiguous and refused: starting
+// without either would silently drop committed transactions.
+func adoptLegacyLog(walDir string) error {
+	legacy := filepath.Join(walDir, "wal.log")
+	li, err := os.Stat(legacy)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return err
+	}
+	seg := SegmentPath(walDir, 0)
+	if si, err := os.Stat(seg); err == nil && si.Size() > 0 {
+		if li.Size() > 0 {
+			return fmt.Errorf("store: %s holds both a non-empty wal.log and a non-empty %s; refusing to pick one", walDir, filepath.Base(seg))
+		}
+		return os.Remove(legacy)
+	}
+	if err := os.Rename(legacy, seg); err != nil {
+		return fmt.Errorf("store: adopting legacy wal.log as shard 0 segment: %w", err)
+	}
+	return fsyncDir(walDir)
 }
 
-// OpenShardedPaged is OpenSharded with an explicit per-shard
-// buffer-pool capacity in pages.
-func OpenShardedPaged(wsdPath, walDir string, nshards int, applier Applier, poolPages int) (*Catalog, []*WAL, error) {
-	if nshards <= 1 {
-		cat, wal, err := OpenPaged(wsdPath, SegmentPath(walDir, 0), applier, poolPages)
-		if err != nil {
-			return nil, nil, err
-		}
-		return cat, []*WAL{wal}, nil
+// Open recovers a WAL-backed catalog partitioned nshards ways: load the
+// last checkpoint from wsdPath (the empty catalog when none exists),
+// scan every shard segment wal-<i>.log under walDir (torn tails
+// truncated per segment), merge the intact records by epoch, discard
+// cross-shard epochs whose commit marker is absent (the two-phase
+// publish never finished — the transaction rolls back on every shard),
+// replay the surviving epochs newer than the checkpoint in ascending
+// order, and return the catalog with one WAL segment per shard
+// attached, ready for new transactions. Epoch order is a valid
+// serialization of the pre-crash execution: single-shard commits read
+// only their shard and epochs are assigned under the shard locks, so
+// replaying the merged sequence serially reproduces the per-shard
+// states. The catalog after Open is byte-identical (through Save) to
+// the last committed state before the crash: committed transactions
+// survive, uncommitted ones vanish.
+//
+// A record replays by applying its page delta; a record without one,
+// whose delta no longer applies, or that follows a gap in the epoch
+// chain is re-executed through applier instead, and counted in
+// DurabilityStats (ReplayFallbacks).
+//
+// The checkpoint base is one page file per shard (wsdPath plus
+// wsdPath.s<i> side files) read through a buffer pool of poolPages
+// frames per shard (<= 0 selects DefaultPoolPages; catalogs larger than
+// the pool still recover). A torn multi-file checkpoint leaves the
+// files at mixed epochs, so recovery merges them — each object from the
+// newest file holding it — and replays every WAL epoch newer than the
+// oldest file, which delta replay makes idempotent. A historical v1
+// JSON document at wsdPath also loads; the first checkpoint through the
+// returned catalog migrates it to the page format. A wal.log left by
+// the pre-sharding single-log layout is adopted as shard 0's segment.
+func Open(wsdPath, walDir string, nshards int, applier Applier, poolPages int) (*Catalog, []*WAL, error) {
+	if err := adoptLegacyLog(walDir); err != nil {
+		return nil, nil, err
 	}
-	cat, pagers, err := loadShardedBase(wsdPath, nshards, poolPages)
+	cat, err := loadBase(wsdPath, nshards, poolPages)
 	if err != nil {
 		return nil, nil, err
 	}
-	cat.shard(nshards)
-	cat.pagers = pagers
-	closePagers := func() {
-		for _, ps := range pagers {
-			if ps != nil {
-				ps.Close()
-			}
-		}
-	}
-	wals := make([]*WAL, nshards)
-	closeAll := func() {
+	wals := make([]*WAL, len(cat.shards))
+	fail := func(err error) (*Catalog, []*WAL, error) {
 		for _, w := range wals {
 			if w != nil {
 				w.Close()
 			}
 		}
-		closePagers()
+		for _, ps := range cat.pagers {
+			if ps != nil {
+				ps.Close()
+			}
+		}
+		return nil, nil, err
 	}
 	type epochRec struct {
 		stmts  []string
 		parts  []int
 		delta  *CommitDelta
-		staged map[int]bool // shards whose segment holds the stage record
+		home   int // lowest shard whose segment holds the stage record
 		marked bool
 	}
 	epochs := map[uint64]*epochRec{}
-	for si := 0; si < nshards; si++ {
+	for si := range wals {
 		wal, records, err := OpenWAL(SegmentPath(walDir, si))
 		if err != nil {
-			closeAll()
-			return nil, nil, err
+			return fail(err)
 		}
 		wals[si] = wal
 		for _, rec := range records {
 			er := epochs[rec.Version]
 			if er == nil {
-				er = &epochRec{staged: map[int]bool{}}
+				er = &epochRec{home: si}
 				epochs[rec.Version] = er
 			}
 			if rec.Marker {
@@ -651,7 +599,6 @@ func OpenShardedPaged(wsdPath, walDir string, nshards int, applier Applier, pool
 			if rec.Delta != nil {
 				er.delta = rec.Delta
 			}
-			er.staged[si] = true
 		}
 	}
 	base := cat.Snapshot().Version
@@ -672,9 +619,10 @@ func OpenShardedPaged(wsdPath, walDir string, nshards int, applier Applier, pool
 	// Delta replay is only sound while the surviving epoch chain is
 	// dense: a delta captures whole objects as of its commit, so applying
 	// one after an earlier epoch was discarded (torn segment, rolled-back
-	// cross-shard commit) would resurrect that epoch's effects. The first
-	// gap switches the rest of the replay to statement re-execution —
-	// the reference semantics for arbitrary surviving subsets.
+	// cross-shard commit, epoch burned by a failed fsync) would resurrect
+	// that epoch's effects. The first gap switches the rest of the replay
+	// to statement re-execution — the reference semantics for arbitrary
+	// surviving subsets.
 	dense := true
 	expected := base + 1
 	for _, e := range order {
@@ -686,14 +634,14 @@ func OpenShardedPaged(wsdPath, walDir string, nshards int, applier Applier, pool
 		if dense && er.delta != nil {
 			cur := cat.Snapshot()
 			if db, views, aerr := applyDelta(cur.DB, cur.Views, er.delta); aerr == nil {
-				cat.resetSharded(&Snapshot{Version: e, DB: db, Views: views})
+				cat.reset(&Snapshot{Version: e, DB: db, Views: views})
 				continue
 			}
 			dense = false
 		}
+		cat.shards[er.home].replayFallbacks++
 		if err := applier(cat, WALRecord{Version: e, Stmts: er.stmts}); err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("store: replaying WAL epoch e%d: %w", e, err)
+			return fail(fmt.Errorf("store: replaying WAL epoch e%d: %w", e, err))
 		}
 	}
 	// Re-stamp the catalog at the last durable epoch so the recovered
@@ -703,22 +651,28 @@ func OpenShardedPaged(wsdPath, walDir string, nshards int, applier Applier, pool
 	if len(order) > 0 {
 		last = order[len(order)-1]
 	}
-	cat.resetSharded(&Snapshot{Version: last, DB: cat.Snapshot().DB, Views: cat.Snapshot().Views})
+	cat.reset(&Snapshot{Version: last, DB: cat.Snapshot().DB, Views: cat.Snapshot().Views})
 	cat.SetShardLoggers(wals)
 	return cat, wals, nil
 }
 
-// loadShardedBase loads the checkpoint base for an nshards-way catalog
-// and returns it with one PageStore per shard (uninitialized stores for
-// files that do not exist yet — the first checkpoint creates them).
+// loadBase loads the checkpoint base into an nshards-way catalog with
+// one PageStore per shard attached (uninitialized stores for files that
+// do not exist yet — the first checkpoint creates them).
 // With a page-file main base, side files are probed past nshards too: a
 // catalog checkpointed at a higher shard count keeps its objects in
 // files the current count does not write, and the merge must still see
 // them.
-func loadShardedBase(wsdPath string, nshards, poolPages int) (*Catalog, []*PageStore, error) {
+func loadBase(wsdPath string, nshards, poolPages int) (*Catalog, error) {
+	nshards = max(nshards, 1)
 	pagers := make([]*PageStore, nshards)
 	var extras []*PageStore
-	fail := func(err error) (*Catalog, []*PageStore, error) {
+	done := func(cat *Catalog) (*Catalog, error) {
+		cat.shard(nshards)
+		cat.pagers = pagers
+		return cat, nil
+	}
+	fail := func(err error) (*Catalog, error) {
 		for _, ps := range pagers {
 			if ps != nil {
 				ps.Close()
@@ -727,7 +681,7 @@ func loadShardedBase(wsdPath string, nshards, poolPages int) (*Catalog, []*PageS
 		for _, ps := range extras {
 			ps.Close()
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	main, loaded, err := OpenPageStore(wsdPath, 0, true, poolPages)
 	if err != nil {
@@ -757,7 +711,7 @@ func loadShardedBase(wsdPath string, nshards, poolPages int) (*Catalog, []*PageS
 			}
 			pagers[i] = ps
 		}
-		return cat, pagers, nil
+		return done(cat)
 	}
 	files := []*loadedShard{loaded}
 	for i := 1; ; i++ {
@@ -798,5 +752,5 @@ func loadShardedBase(wsdPath string, nshards, poolPages int) (*Catalog, []*PageS
 	for _, ps := range extras {
 		ps.Close()
 	}
-	return newCatalogSeeded(snap, compID), pagers, nil
+	return done(newCatalog(snap, compID))
 }

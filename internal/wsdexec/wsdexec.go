@@ -401,7 +401,7 @@ type engine struct {
 	budget   int
 	inWorlds *big.Int // input world count: the fallback's enumeration cost estimate
 	noMerge  bool     // strictly disable merging (differential ablation arm)
-	shards   []int    // component index -> home shard (Options.Shards); nil when unsharded
+	shards   []int    // component index -> home shard (Options.Shards); nil at one shard
 	slaved   map[int]slaveRef
 	merges   []MergeStep
 	trace    *obs.Span // current operator span; nil = tracing off
