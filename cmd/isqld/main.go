@@ -8,9 +8,9 @@
 //	      [-slow-query dur] [-debug-addr host:port]
 //
 // The catalog starts empty, from one of the paper's demo datasets
-// (-demo flights | acquisition | census | lineitem), or from a .wsd
-// catalog file (-load). With -save, the catalog is persisted on
-// graceful shutdown (SIGINT/SIGTERM). Clients POST I-SQL scripts to
+// (-demo flights | acquisition | census | lineitem), or imported from a
+// .wsd JSON catalog file (-load). With -save, the catalog is exported
+// to one on graceful shutdown (SIGINT/SIGTERM). Clients POST I-SQL scripts to
 // /exec (with an X-ISQL-Session header for sticky transactional
 // sessions), register prepared statements on /prepare, run them via
 // /execute, and read catalog statistics from /stats:
@@ -40,19 +40,27 @@
 // checkpoint rewrites only the pages of components touched since the
 // previous one, through a fixed-size buffer pool (-pool-pages frames
 // per shard), and a checkpoint with nothing new writes zero bytes. A
-// pre-existing v1 JSON checkpoint is still recovered; the first
-// checkpoint after the upgrade migrates it to the page format in place.
-// A dir/wal.log written by a release that predates per-shard segments
-// is adopted as shard 0's segment on startup. On startup the server
+// dir/wal.log written by a release that predates per-shard segments is
+// adopted as shard 0's segment on startup. On startup the server
 // recovers the checkpoint plus the log tail, merged across segments by
-// commit epoch — records apply their page deltas directly to the base;
-// statement re-execution is the per-record fallback, counted in
-// wsdb_replay_fallback_total — so a crash loses nothing committed.
-// -checkpoint-every bounds replay work by checkpointing after that many
-// logged commits (0 = checkpoint only on graceful shutdown). When the
-// directory already holds state, it wins over -demo/-load; a fresh
-// directory is seeded from them and checkpointed immediately so the
-// seed itself is durable.
+// commit epoch, by applying each record's page delta to the base — no
+// statement is ever re-executed — so a crash loses nothing committed.
+// State the server cannot reproduce exactly (a record whose predecessor
+// on its shard is missing, a record without a delta) makes it refuse to
+// start and name the shard and epoch, rather than serve a different
+// world-set. Page files are the only checkpoint format: a .wsd JSON
+// file is imported with -load into a fresh directory, never opened in
+// place. -checkpoint-every bounds replay work by checkpointing after
+// that many logged commits (0 = checkpoint only on graceful shutdown).
+// When the directory already holds state, it wins over -demo/-load; a
+// fresh directory is seeded from them and checkpointed immediately so
+// the seed itself is durable.
+//
+// Upgrading: a directory written by a release whose WAL records carry
+// no per-shard links opens as long as its log tail is dense (always
+// true after a clean shutdown, which leaves the tail empty); one whose
+// records carry no page deltas at all must be shut down cleanly by the
+// release that wrote it first.
 //
 // # Sharding
 //
@@ -84,7 +92,6 @@ import (
 	"time"
 
 	"worldsetdb/internal/datagen"
-	"worldsetdb/internal/isql"
 	"worldsetdb/internal/isqld"
 	"worldsetdb/internal/store"
 )
@@ -92,8 +99,8 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8486", "listen address")
 	demo := flag.String("demo", "", "preload a demo database: flights | acquisition | census | lineitem")
-	load := flag.String("load", "", "open a catalog persisted as a .wsd JSON file")
-	save := flag.String("save", "", "persist the catalog to a .wsd JSON file on graceful shutdown")
+	load := flag.String("load", "", "import the seed catalog from a .wsd JSON file (ignored when -wal already holds state)")
+	save := flag.String("save", "", "export the catalog to a .wsd JSON file on graceful shutdown")
 	engine := flag.String("engine", "", "evaluation engine for fragment statements (default: wsdexec)")
 	walDir := flag.String("wal", "", "directory for WAL-backed durability (checkpoint.wsd + one wal-<shard>.log per shard)")
 	ckptEvery := flag.Int("checkpoint-every", 256, "with -wal: checkpoint after this many logged commits (0 = only on shutdown)")
@@ -104,7 +111,24 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on a second listener (keep it private)")
 	flag.Parse()
 
-	cat, wals, ckptPath, err := openCatalog(*demo, *load, *walDir, *shards, *poolPages)
+	// Without -wal the catalog is in-memory. With it, store.Open creates
+	// or recovers the durable one; existing state wins over the seed.
+	var (
+		cat  *store.Catalog
+		wals []*store.WAL
+		err  error
+	)
+	if *walDir == "" {
+		if cat, err = newCatalog(*demo, *load); err == nil {
+			cat.Reshard(*shards)
+		}
+	} else {
+		cat, wals, err = store.Open(filepath.Join(*walDir, "checkpoint.wsd"), *walDir, *shards, *poolPages,
+			func() (*store.Catalog, error) {
+				log.Printf("isqld: %s holds no catalog state; seeding it (-demo/-load apply)", *walDir)
+				return newCatalog(*demo, *load)
+			})
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -133,8 +157,6 @@ func main() {
 		}
 		return n
 	}
-	checkpoint := func() error { return cat.Checkpoint(ckptPath) }
-
 	// Bound WAL replay work: checkpoint once enough commits accumulated
 	// across all segments.
 	stopCkpt := make(chan struct{})
@@ -148,7 +170,7 @@ func main() {
 					return
 				case <-tick.C:
 					if appended() >= *ckptEvery {
-						if err := checkpoint(); err != nil {
+						if err := cat.Checkpoint(); err != nil {
 							log.Printf("isqld: checkpoint: %v", err)
 						} else {
 							log.Printf("isqld: checkpointed catalog v%d, WAL truncated", cat.Snapshot().Version)
@@ -180,13 +202,13 @@ func main() {
 		log.Printf("isqld: shutdown: %v", err)
 	}
 	if len(wals) > 0 {
-		if err := checkpoint(); err != nil {
+		if err := cat.Checkpoint(); err != nil {
 			log.Fatalf("isqld: final checkpoint: %v", err)
 		}
 		for _, w := range wals {
 			w.Close()
 		}
-		log.Printf("isqld: checkpointed to %s", ckptPath)
+		log.Printf("isqld: checkpointed to %s", *walDir)
 	}
 	if *save != "" {
 		if err := store.SaveFile(*save, cat.Snapshot()); err != nil {
@@ -196,80 +218,7 @@ func main() {
 	}
 }
 
-// openCatalog builds the serving catalog. Without -wal it is in-memory
-// (empty, demo, or loaded file). With -wal, existing durable state
-// (checkpoint and/or log segments) is recovered and wins; otherwise the
-// seed is installed and immediately checkpointed. A nil WAL slice means
-// not durable.
-func openCatalog(demo, load, walDir string, shards, poolPages int) (*store.Catalog, []*store.WAL, string, error) {
-	if walDir == "" {
-		cat, err := newCatalog(demo, load)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		cat.Reshard(shards)
-		return cat, nil, "", nil
-	}
-	if err := os.MkdirAll(walDir, 0o755); err != nil {
-		return nil, nil, "", err
-	}
-	ckptPath := filepath.Join(walDir, "checkpoint.wsd")
-	_, ckErr := os.Stat(ckptPath)
-	exists := ckErr == nil
-	// Any non-empty log counts, wal-<shard>.log segments and a legacy
-	// wal.log alike: seeding next to one would shadow committed state.
-	logs, _ := filepath.Glob(filepath.Join(walDir, "wal*.log"))
-	for _, l := range logs {
-		if fi, err := os.Stat(l); err == nil && fi.Size() > 0 {
-			exists = true
-		}
-	}
-	if exists {
-		if demo != "" || load != "" {
-			log.Printf("isqld: %s already holds catalog state; ignoring -demo/-load", walDir)
-		}
-		cat, wals, err := isql.OpenStore(ckptPath, walDir, shards, poolPages)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return cat, wals, ckptPath, nil
-	}
-	cat, err := newCatalog(demo, load)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	cat.Reshard(shards)
-	// Make the seed itself durable before the first transaction: replay
-	// starts from the checkpoint, which must therefore include it.
-	// Paging is attached first so the seed checkpoint already writes the
-	// incremental page format.
-	if err := cat.EnablePaging(ckptPath, poolPages); err != nil {
-		return nil, nil, "", err
-	}
-	wals := make([]*store.WAL, cat.Shards())
-	closeWALs := func() {
-		for _, w := range wals {
-			if w != nil {
-				w.Close()
-			}
-		}
-	}
-	for si := range wals {
-		w, _, err := store.OpenWAL(store.SegmentPath(walDir, si))
-		if err != nil {
-			closeWALs()
-			return nil, nil, "", err
-		}
-		wals[si] = w
-	}
-	cat.SetShardLoggers(wals)
-	if err := cat.Checkpoint(ckptPath); err != nil {
-		closeWALs()
-		return nil, nil, "", fmt.Errorf("isqld: checkpointing seed: %w", err)
-	}
-	return cat, wals, ckptPath, nil
-}
-
+// newCatalog builds the seed catalog: empty, a demo, or a .wsd import.
 func newCatalog(demo, load string) (*store.Catalog, error) {
 	if load != "" {
 		if demo != "" {

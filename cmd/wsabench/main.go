@@ -284,7 +284,7 @@ func main() {
 		{"AGG", "bounded component merging + world-count-independent aggregation (PR 6 tentpole)", expAgg},
 		{"SHARD", "component-sharded catalog: parallel commits, per-shard WAL group commit, scatter reads (PR 7 tentpole)", expShard},
 		{"PLAN", "cost-based planning over decomposition statistics: pruned rewrite search, ordered product chains, merge-vs-fallback decisions (PR 9 tentpole)", expPlan},
-		{"CKPT", "paged checkpoints: full vs incremental write volume, delta vs statement recovery, cold start under a small buffer pool (PR 10 tentpole)", expCkpt},
+		{"CKPT", "paged checkpoints: full vs incremental write volume, delta recovery, cold start under a small buffer pool (PR 10 tentpole)", expCkpt},
 		{"SQL3", "§2 I-SQL vs division vs double-not-exists (EXP-S2-SQL)", expThreeWays},
 		{"E56", "Examples 5.6/5.8: naive vs general vs optimized evaluation", expTranslations},
 		{"F8F9", "Figures 8/9: rewriting ablation q1→q1′, q2→q2′", expRewriting},
@@ -963,9 +963,8 @@ func txnCommitLatency(op string, k int, withWAL bool) time.Duration {
 // write must be a small fraction of the full one) and a no-op
 // checkpoint (which must write zero bytes); (2) cold start with a
 // buffer pool far smaller than the catalog — the pool pages chains in
-// and out, recovery still completes; (3) crash-recovery replay with
-// WAL page deltas versus pure statement re-execution (SetLogDeltas
-// toggles what the log carries).
+// and out, recovery still completes; (3) crash-recovery replay of WAL
+// page deltas whose statements would each re-run an analytic CTAS.
 func expCkpt() {
 	const pool = 256
 	rels := 16 * *scale
@@ -993,29 +992,24 @@ func expCkpt() {
 		must(err)
 	}
 
-	// Full checkpoints: every iteration writes the whole catalog to a
-	// fresh page file.
-	swapPagers := func(path string) {
-		for _, ps := range cat.Pagers() {
-			if ps != nil {
-				must(ps.Close())
-			}
-		}
-		must(cat.EnablePaging(path, pool))
-	}
+	// Full checkpoints: every iteration seeds a fresh directory with the
+	// whole catalog — store.Open writes it as the seed checkpoint.
 	iter := 0
+	var fullBytes uint64
 	dFull := bench(fmt.Sprintf("CKPT/checkpoint-full/rels=%d", rels), nil, func() {
-		p := filepath.Join(dir, fmt.Sprintf("full-%d.wsd", iter))
+		fdir := filepath.Join(dir, fmt.Sprintf("full-%d", iter))
 		iter++
-		swapPagers(p)
-		must(cat.Checkpoint(p))
+		fcat, fwals, err := store.Open(filepath.Join(fdir, "checkpoint.wsd"), fdir, 1, pool,
+			func() (*store.Catalog, error) { return store.New(cat.Snapshot().DB), nil })
+		must(err)
+		fullBytes = fcat.Pagers()[0].Stats().BytesWritten
+		must(fcat.Pagers()[0].Close())
+		must(fwals[0].Close())
 	})
-	fullBytes := cat.Pagers()[0].Stats().BytesWritten
 
-	// Incremental: re-home on the main path, establish the base, then
-	// each iteration dirties one relation and checkpoints only its pages.
-	swapPagers(wsdPath)
-	must(cat.Checkpoint(wsdPath))
+	// Incremental: establish the base on the main path, then each
+	// iteration dirties one relation and checkpoints only its pages.
+	must(cat.Checkpoint())
 	ps := cat.Pagers()[0]
 	incrBase := ps.Stats()
 	v := 0
@@ -1023,14 +1017,14 @@ func expCkpt() {
 		_, err := sess.ExecString(fmt.Sprintf("insert into T00 values (%d, %d);", 900000+v, v))
 		must(err)
 		v++
-		must(cat.Checkpoint(wsdPath))
+		must(cat.Checkpoint())
 	})
 	incrStats := ps.Stats()
 	incrBytes := (incrStats.BytesWritten - incrBase.BytesWritten) /
 		(incrStats.Checkpoints - incrBase.Checkpoints)
 	noopBase := ps.Stats()
 	dNoop := bench("CKPT/checkpoint-noop", nil, func() {
-		must(cat.Checkpoint(wsdPath))
+		must(cat.Checkpoint())
 	})
 	noopStats := ps.Stats()
 	fmt.Printf("%-28s %-14s %12s\n", "checkpoint", "time", "bytes")
@@ -1071,13 +1065,9 @@ func expCkpt() {
 	// Recovery replay: the checkpointed base is a raw Lineitem table;
 	// every committed record past the checkpoint drops and rebuilds the
 	// §2 what-if analysis with an analytic CTAS (choice-of worlds, a
-	// not-in subquery, grouped aggregation). Replaying such a record
-	// from statements re-runs the whole analysis through the engine;
-	// replaying its WAL page delta just patches the resulting relations
-	// back into the catalog. The gap is the query-evaluation cost deltas
-	// skip — trivial single-row statements would hide it (their
-	// execution is cheaper than decoding the post-commit state the
-	// delta carries).
+	// not-in subquery, grouped aggregation). Replaying its WAL page
+	// delta just patches the resulting relations back into the catalog;
+	// the analysis itself is never re-run.
 	li := datagen.Lineitem(20, 3, 4, 42)
 	var seed strings.Builder
 	seed.WriteString("insert into Lineitem values")
@@ -1096,50 +1086,37 @@ func expCkpt() {
 		from (select * from Lineitem choice of Year) as A
 		where Quantity not in (select * from Lineitem choice of Quantity)
 		group by A.Year;`
-	for _, records := range []int{10} {
-		records := records * *scale
-		var times [2]time.Duration
-		for mode, deltas := range map[int]bool{0: true, 1: false} {
-			rdir, err := os.MkdirTemp("", "wsabench_ckpt_rec")
+	records := 10 * *scale
+	rdir, err := os.MkdirTemp("", "wsabench_ckpt_rec")
+	must(err)
+	defer os.RemoveAll(rdir)
+	c2, w2 := openStore(rdir, pool)
+	s2 := isql.FromCatalog(c2)
+	_, err = s2.ExecString("create table Lineitem (Product, Quantity, Price, Year);")
+	must(err)
+	_, err = s2.ExecString(seed.String())
+	must(err)
+	must(c2.Checkpoint()) // the WAL tail holds only the analyses
+	for i := 0; i < records; i++ {
+		if i > 0 {
+			_, err := s2.ExecString("drop table YearQuantity;")
 			must(err)
-			c2, w2 := openStore(rdir, pool)
-			c2.SetLogDeltas(deltas)
-			s2 := isql.FromCatalog(c2)
-			_, err = s2.ExecString("create table Lineitem (Product, Quantity, Price, Year);")
-			must(err)
-			_, err = s2.ExecString(seed.String())
-			must(err)
-			must(c2.Checkpoint(filepath.Join(rdir, "checkpoint.wsd"))) // the WAL tail holds only the analyses
-			for i := 0; i < records; i++ {
-				if i > 0 {
-					_, err := s2.ExecString("drop table YearQuantity;")
-					must(err)
-				}
-				_, err := s2.ExecString(whatIf)
-				must(err)
-			}
-			must(w2.Close()) // crash: the analyses live only in the log
-			name := "delta"
-			if !deltas {
-				name = "stmt"
-			}
-			times[mode] = bench(fmt.Sprintf("CKPT/recovery-%s/records=%d", name, records), nil, func() {
-				c3, w3 := openStore(rdir, pool)
-				if got := c3.Snapshot().Version; got != c2.Snapshot().Version {
-					must(fmt.Errorf("recovery ended at v%d, want v%d", got, c2.Snapshot().Version))
-				}
-				for _, p := range c3.Pagers() {
-					must(p.Close())
-				}
-				must(w3.Close())
-			})
-			os.RemoveAll(rdir)
 		}
-		speedup := float64(times[1]) / float64(times[0])
-		fmt.Printf("recovery of %d commits: deltas %s, statements %s — %.1fx (floor 1.5x)\n",
-			records, times[0], times[1], speedup)
-		acceptRatio("delta vs statement recovery", speedup, 1.5)
+		_, err := s2.ExecString(whatIf)
+		must(err)
 	}
+	must(w2.Close()) // crash: the analyses live only in the log
+	dRec := bench(fmt.Sprintf("CKPT/recovery-delta/records=%d", records), nil, func() {
+		c3, w3 := openStore(rdir, pool)
+		if got := c3.Snapshot().Version; got != c2.Snapshot().Version {
+			must(fmt.Errorf("recovery ended at v%d, want v%d", got, c2.Snapshot().Version))
+		}
+		for _, p := range c3.Pagers() {
+			must(p.Close())
+		}
+		must(w3.Close())
+	})
+	fmt.Printf("recovery of %d analytic commits by delta: %s\n", records, dRec)
 }
 
 // expAgg is the tentpole ablation for the bounded evaluator: (1) the
@@ -1491,7 +1468,7 @@ func expShard() {
 // wal-<i>.log) sharded n ways, recovering whatever the directory holds,
 // with a buffer pool of poolPages frames per shard (0 = default).
 func openShards(dir string, shards, poolPages int) (*store.Catalog, []*store.WAL) {
-	cat, wals, err := isql.OpenStore(filepath.Join(dir, "checkpoint.wsd"), dir, shards, poolPages)
+	cat, wals, err := store.Open(filepath.Join(dir, "checkpoint.wsd"), dir, shards, poolPages, nil)
 	must(err)
 	return cat, wals
 }

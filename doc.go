@@ -90,12 +90,13 @@
 // recovered (its record hit disk before the crash) but an acked commit
 // is never lost, none is torn across shards, and no record replays out
 // of order.
-// store.Open (isql.OpenStore with the I-SQL replayer) recovers the last
-// checkpoint plus the log tail, reproducing the committed catalog
-// byte-for-byte; torn tails are CRC-detected and truncated, and
-// checkpoints (Catalog.Checkpoint) bound replay work by taking every
-// shard lock, draining in-flight group commits, writing the base and
-// truncating the segments.
+// store.Open is the one way a durable catalog comes into being: it
+// seeds a directory that holds no state (and checkpoints the seed), or
+// recovers the last checkpoint plus the log tail, reproducing the
+// committed catalog byte-for-byte; torn tails are CRC-detected and
+// truncated, and checkpoints (Catalog.Checkpoint) bound replay work by
+// taking every shard lock, draining in-flight group commits, writing
+// the base and truncating the segments.
 //
 // # Paged storage
 //
@@ -112,14 +113,15 @@
 // recovery falls back to it), and the pages freed by the flip are
 // recycled into a free list so repeated checkpoints do not grow the
 // file. A checkpoint at an unchanged version is skipped entirely
-// (zero bytes written); a v1 JSON .wsd file found at the checkpoint
-// path is migrated to the page format on the first checkpoint through
-// it. There is one page file per shard (checkpoint.wsd,
+// (zero bytes written). Page files are the only base recovery reads:
+// the .wsd JSON document is import/export (-load / -save), and one
+// found at the checkpoint path is refused, not migrated. There is one
+// page file per shard (checkpoint.wsd,
 // checkpoint.wsd.s1, ...) with the coordinator file committed last, so
 // a crash between shard files recovers a consistent mixed-epoch merge
 // healed by WAL replay.
 //
-// WAL records additionally carry page deltas (store.CommitDelta): the
+// WAL records carry page deltas (store.CommitDelta): the
 // commit's durable effect — touched certain relations, upserted and
 // dropped components by stable ID, view and schema changes — computed
 // on the commit path by pointer/shape diffing of the copy-on-write
@@ -128,15 +130,20 @@
 // insert-heavy workloads. Recovery replays deltas by patching the
 // decomposition directly — time proportional to the touched data,
 // skipping parse, compile, the rewrite search and query evaluation —
-// and falls back to deterministic statement re-execution for records
-// without a delta, whose patch does not match the replay state, or that
-// follow a gap in the epoch chain (a rolled-back cross-shard commit, an
-// epoch burned by a failed fsync); each fallback is counted
-// (wsdb_replay_fallback_total). wsabench's CKPT family gates both the
-// incremental-write and the delta-replay floors.
+// and by nothing else: the statement texts in a record are provenance
+// (and the oracle the crash tests re-execute to check delta replay
+// byte for byte). Each record also names, per participant shard, the
+// shard version it was staged on; recovery applies it only where that
+// is the version it has reached, so a hole elsewhere in the epoch chain
+// (a rolled-back cross-shard commit, an epoch burned by a failed fsync)
+// is harmless and a hole on the record's own shard is caught. A record
+// that does not link, has no delta, or does not apply makes Open fail
+// with a typed *store.RecoveryError naming shard and epoch — never a
+// silently different world-set. wsabench's CKPT family gates the
+// incremental-write floor and the delta-replay time.
 // Catalog.DurabilityStats feeds the /metrics durability gauges:
-// checkpoint age, on-disk bytes, WAL tail depth, replay fallbacks,
-// checkpoint and buffer-pool counters per shard.
+// checkpoint age, on-disk bytes, WAL tail depth, checkpoint and
+// buffer-pool counters per shard.
 //
 // PREPARE parses a statement once — optionally with $1..$N
 // placeholders — into a PlanCache shared across sessions; EXECUTE binds

@@ -9,20 +9,24 @@ import (
 	"worldsetdb/internal/store"
 )
 
-// crossShardTables picks two table names homing on different shards of
-// cat, so a transaction writing both must take the cross-shard
-// two-phase commit path.
-func crossShardTables(t *testing.T, cat *store.Catalog) (string, string) {
+// tableOn picks a table name homing on the given shard of cat.
+func tableOn(t *testing.T, cat *store.Catalog, shard int) string {
 	t.Helper()
-	ta := "T0"
-	for i := 1; i < 64; i++ {
-		tb := fmt.Sprintf("T%d", i)
-		if cat.ShardOf(tb) != cat.ShardOf(ta) {
-			return ta, tb
+	for i := 0; i < 256; i++ {
+		if name := fmt.Sprintf("T%d", i); cat.ShardOf(name) == shard {
+			return name
 		}
 	}
-	t.Fatal("no two table names home on different shards")
-	return "", ""
+	t.Fatalf("no table name homes on shard %d", shard)
+	return ""
+}
+
+// crossShardTables picks two table names homing on shards 1 and 2 of
+// cat, so a transaction writing both must take the cross-shard
+// two-phase commit path with shard 1 as its coordinator.
+func crossShardTables(t *testing.T, cat *store.Catalog) (string, string) {
+	t.Helper()
+	return tableOn(t, cat, 1), tableOn(t, cat, 2)
 }
 
 // TestShardedCrashRecoveryByteIdentical is the sharded WAL acceptance
@@ -59,8 +63,8 @@ func TestShardedCrashRecoveryByteIdentical(t *testing.T) {
 	if got := rawSnapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatalf("recovered catalog differs from last committed snapshot\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	if f := replayFallbacks(cat2); f != 0 {
-		t.Fatalf("dense delta replay fell back to statements %d time(s)", f)
+	if oracle := rawSnapBytes(t, statementOracle(t, dir, nshards).Snapshot()); !bytes.Equal(oracle, want) {
+		t.Fatalf("delta recovery differs from statement re-execution of the log\n--- oracle ---\n%s\n--- want ---\n%s", oracle, want)
 	}
 	// And the recovered catalog serves, with the cross-shard commit
 	// visible on both shards.
@@ -73,85 +77,110 @@ func TestShardedCrashRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedCrashTornMarkerRollsBack pins cross-shard atomicity under
-// the worst crash point: the stage records of a cross-shard transaction
-// reached every participant segment, but the crash tore off the
-// coordinator's commit marker. Recovery must discard the transaction on
-// ALL participants — neither shard may show a torn half. A later commit
-// on the non-coordinator participant survives behind the rolled-back
-// epoch; the gap makes its delta unsafe to apply, so recovery
-// re-executes it — counted as a replay fallback — and the result is the
-// state before the transaction began plus that commit, at the pre-crash
-// version.
-func TestShardedCrashTornMarkerRollsBack(t *testing.T) {
-	const nshards = 4
-	dir := t.TempDir()
+// tornMarkerDir runs a workload whose last commit is a cross-shard
+// transaction over ta (shard 1, the coordinator) and tb (shard 2), then
+// crashes with the coordinator's commit marker torn off: the stage
+// records reached both participant segments, the decision did not. It
+// returns the directory and the catalog version before the transaction.
+func tornMarkerDir(t *testing.T, nshards int) (dir, ta, tb string, before uint64) {
+	t.Helper()
+	dir = t.TempDir()
 	cat, wals := openStoreDir(t, dir, nshards)
-	ta, tb := crossShardTables(t, cat)
+	ta, tb = crossShardTables(t, cat)
 	s := FromCatalog(cat)
 	mustScript(t, s,
 		fmt.Sprintf("create table %s (A);", ta),
 		fmt.Sprintf("create table %s (A);", tb),
+		fmt.Sprintf("create table %s (A);", tableOn(t, cat, 0)),
 		fmt.Sprintf("insert into %s values (1), (2);", ta),
 		fmt.Sprintf("insert into %s values (10);", tb),
 	)
-	// The coordinator is the lowest participant shard; the survivor goes
-	// to the other participant's table.
-	co, later := cat.ShardOf(ta), tb
-	if o := cat.ShardOf(tb); o < co {
-		co, later = o, ta
-	}
-	ref := NewSession()
-	mustScript(t, ref,
-		fmt.Sprintf("create table %s (A);", ta),
-		fmt.Sprintf("create table %s (A);", tb),
-		fmt.Sprintf("insert into %s values (1), (2);", ta),
-		fmt.Sprintf("insert into %s values (10);", tb),
-		fmt.Sprintf("insert into %s values (5);", later),
-	)
-	want := snapBytes(t, ref.Catalog().Snapshot())
+	before = cat.Snapshot().Version
 	mustScript(t, s,
 		"begin;",
 		fmt.Sprintf("insert into %s values (777);", ta),
 		fmt.Sprintf("insert into %s values (888);", tb),
 		"commit;",
-		fmt.Sprintf("insert into %s values (5);", later),
 	)
-	wantVer := cat.Snapshot().Version
+	coordinator := wals[cat.ShardOf(ta)].Path()
 	closeWALs(wals)
-
-	// Tear the marker off the coordinator segment, leaving the stage
-	// records on both segments.
-	seg := store.SegmentPath(dir, co)
-	data, err := os.ReadFile(seg)
+	data, err := os.ReadFile(coordinator)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trim := bytes.LastIndexByte(bytes.TrimSuffix(data, []byte("\n")), '\n')
 	if trim < 0 {
-		t.Fatalf("coordinator segment %s has no line to tear", seg)
+		t.Fatalf("coordinator segment %s has no line to tear", coordinator)
 	}
-	if err := os.WriteFile(seg, data[:trim+1], 0o644); err != nil {
+	if err := os.WriteFile(coordinator, data[:trim+1], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return dir, ta, tb, before
+}
+
+// TestShardedCrashTornMarkerRollsBack pins cross-shard atomicity under
+// the worst crash point: the stage records of a cross-shard transaction
+// reached every participant segment, but the crash tore off the
+// coordinator's commit marker. Recovery must discard the transaction on
+// ALL participants — neither shard may show a torn half. A commit on
+// the non-coordinator participant after the restart lands behind the
+// stale stage records; it was staged on the state without the
+// transaction, so the next recovery links it past them and replays it
+// by delta: the state before the transaction plus that commit, equal to
+// statement re-execution of the surviving log.
+func TestShardedCrashTornMarkerRollsBack(t *testing.T) {
+	const nshards = 4
+	dir, ta, tb, before := tornMarkerDir(t, nshards)
 
 	cat2, wals2 := openStoreDir(t, dir, nshards)
-	defer closeWALs(wals2)
-	if got := snapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+	if got := cat2.Snapshot().Version; got != before {
+		t.Fatalf("recovered version %d, want %d (the transaction rolled back)", got, before)
+	}
+	mustScript(t, FromCatalog(cat2), fmt.Sprintf("insert into %s values (5);", tb))
+	want := rawSnapBytes(t, cat2.Snapshot())
+	closeWALs(wals2)
+
+	cat3, wals3 := openStoreDir(t, dir, nshards)
+	defer closeWALs(wals3)
+	if got := rawSnapBytes(t, cat3.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatalf("unmarked cross-shard commit not rolled back on every shard\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	if got := cat2.Snapshot().Version; got != wantVer {
-		t.Fatalf("recovered version %d, want the pre-crash %d", got, wantVer)
+	// The oracle numbers its commits densely, so compare without versions.
+	if got, oracle := snapBytes(t, cat3.Snapshot()), snapBytes(t, statementOracle(t, dir, nshards).Snapshot()); !bytes.Equal(got, oracle) {
+		t.Fatalf("delta recovery differs from statement re-execution of the surviving log\n--- got ---\n%s\n--- oracle ---\n%s", got, oracle)
 	}
-	if f := replayFallbacks(cat2); f != 1 {
-		t.Fatalf("%d replay fallbacks, want 1 (the commit behind the rolled-back epoch)", f)
-	}
-	s2 := FromCatalog(cat2)
+	s3 := FromCatalog(cat3)
 	for _, v := range []int{777, 888} {
 		for _, tbl := range []string{ta, tb} {
-			if got := singleAnswer(t, s2, fmt.Sprintf("select certain A from %s where A = %d;", tbl, v)); got.Len() != 0 {
+			if got := singleAnswer(t, s3, fmt.Sprintf("select certain A from %s where A = %d;", tbl, v)); got.Len() != 0 {
 				t.Fatalf("%d survived in %s after the rollback", v, tbl)
 			}
 		}
+	}
+	if got := singleAnswer(t, s3, fmt.Sprintf("select certain A from %s where A = 5;", tb)); got.Len() != 1 {
+		t.Fatalf("the commit behind the rolled-back epoch is missing from %s", tb)
+	}
+}
+
+// TestShardedEpochNotReusedAfterRollback is the isql-level twin of the
+// store's TestEpochNotReusedAfterRollback: after recovery rolled back
+// the highest epoch in the log, an acknowledged insert into a table on
+// a shard scanned before the stale stage records must survive the next
+// recovery — it may not be numbered like the discarded epoch and merged
+// into it.
+func TestShardedEpochNotReusedAfterRollback(t *testing.T) {
+	const nshards = 4
+	dir, _, _, _ := tornMarkerDir(t, nshards)
+
+	cat2, wals2 := openStoreDir(t, dir, nshards)
+	t0 := tableOn(t, cat2, 0)
+	mustScript(t, FromCatalog(cat2), fmt.Sprintf("insert into %s values (42);", t0)) // acknowledged
+	want := rawSnapBytes(t, cat2.Snapshot())
+	closeWALs(wals2)
+
+	cat3, wals3 := openStoreDir(t, dir, nshards)
+	defer closeWALs(wals3)
+	if got := rawSnapBytes(t, cat3.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatalf("acknowledged commit lost behind a rolled-back epoch\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

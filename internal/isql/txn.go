@@ -156,38 +156,3 @@ func (s *Session) execTxnControl(st Statement) (*Result, error) {
 	}
 	return &Result{Decomp: s.target().Snapshot().DB}, nil
 }
-
-// ReplayRecord is the store.Applier — recovery's fallback for WAL
-// records that cannot replay by page delta: it re-executes one committed transaction's statements as a single
-// staged transaction, reproducing exactly the catalog state the record
-// committed. Statement execution is deterministic, so the
-// recovered catalog is byte-identical (through store.Save) to the
-// pre-crash committed state.
-func ReplayRecord(cat *store.Catalog, rec store.WALRecord) error {
-	sess := FromCatalog(cat)
-	if err := sess.Begin(); err != nil {
-		return err
-	}
-	for _, sql := range rec.Stmts {
-		st, err := Parse(sql)
-		if err != nil {
-			sess.Rollback()
-			return fmt.Errorf("isql: WAL statement %q does not parse: %w", sql, err)
-		}
-		if _, err := sess.Exec(st); err != nil {
-			sess.Rollback()
-			return fmt.Errorf("isql: replaying %q: %w", sql, err)
-		}
-	}
-	return sess.Commit()
-}
-
-// OpenStore opens a WAL-backed catalog partitioned nshards ways: the
-// last checkpoint at wsdPath plus the merged replay of the per-shard
-// log segments wal-<i>.log under walDir, through a buffer pool of
-// poolPages frames per shard (see store.Open). The returned catalog has
-// the segments attached, so every further commit is logged and fsynced
-// before it becomes visible.
-func OpenStore(wsdPath, walDir string, nshards, poolPages int) (*store.Catalog, []*store.WAL, error) {
-	return store.Open(wsdPath, walDir, nshards, ReplayRecord, poolPages)
-}

@@ -2,9 +2,12 @@ package isql
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -40,18 +43,19 @@ func rawSnapBytes(t *testing.T, snap *store.Snapshot) []byte {
 }
 
 // forShardCounts runs fn against a one-shard and a 4-way sharded
-// catalog: both go through the same OpenStore, commit and recovery.
+// catalog: both go through the same store.Open, commit and recovery.
 func forShardCounts(t *testing.T, fn func(t *testing.T, nshards int)) {
 	for _, n := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { fn(t, n) })
 	}
 }
 
-// openStoreDir opens (recovers) the WAL-backed catalog rooted at dir:
-// checkpoint at dir/checkpoint.wsd, one wal-<i>.log segment per shard.
+// openStoreDir creates or recovers the WAL-backed catalog rooted at
+// dir: checkpoint at dir/checkpoint.wsd, one wal-<i>.log segment per
+// shard.
 func openStoreDir(t *testing.T, dir string, nshards int) (*store.Catalog, []*store.WAL) {
 	t.Helper()
-	cat, wals, err := OpenStore(filepath.Join(dir, "checkpoint.wsd"), dir, nshards, 0)
+	cat, wals, err := store.Open(filepath.Join(dir, "checkpoint.wsd"), dir, nshards, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +68,79 @@ func closeWALs(wals []*store.WAL) {
 	}
 }
 
-// replayFallbacks sums the statement-replay fallbacks of cat's recovery.
-func replayFallbacks(cat *store.Catalog) uint64 {
-	var n uint64
-	for _, st := range cat.DurabilityStats() {
-		n += st.ReplayFallbacks
+// ReplayRecord re-executes one committed WAL record's statements as a
+// single staged transaction. Recovery never does this — it patches the
+// record's page delta — but statement execution is deterministic, so
+// re-executing a log's records in epoch order is the oracle the crash
+// tests hold delta replay to, byte for byte through store.Save.
+func ReplayRecord(cat *store.Catalog, rec store.WALRecord) error {
+	sess := FromCatalog(cat)
+	if err := sess.Begin(); err != nil {
+		return err
 	}
-	return n
+	for _, sql := range rec.Stmts {
+		st, err := Parse(sql)
+		if err != nil {
+			sess.Rollback()
+			return fmt.Errorf("isql: WAL statement %q does not parse: %w", sql, err)
+		}
+		if _, err := sess.Exec(st); err != nil {
+			sess.Rollback()
+			return fmt.Errorf("isql: replaying %q: %w", sql, err)
+		}
+	}
+	return sess.Commit()
+}
+
+// statementOracle reads the statement texts logged in dir's segments —
+// its own reading of the record lines, not the store's — drops staged
+// cross-shard epochs without a marker, and re-executes the rest in
+// epoch order on a fresh catalog: the state delta recovery of a
+// directory that was never checkpointed past its empty seed must equal,
+// version included.
+func statementOracle(t *testing.T, dir string, nshards int) *store.Catalog {
+	t.Helper()
+	type logged struct {
+		Epoch  uint64   `json:"v"`
+		Stmts  []string `json:"stmts"`
+		Parts  []int    `json:"parts"`
+		Marker bool     `json:"m"`
+	}
+	txns, marked := map[uint64]logged{}, map[uint64]bool{}
+	for si := 0; si < nshards; si++ {
+		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("wal-%d.log", si)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+			var rec logged
+			if len(line) == 0 {
+				continue
+			}
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("segment %d: %v", si, err)
+			}
+			if rec.Marker {
+				marked[rec.Epoch] = true
+			} else {
+				txns[rec.Epoch] = rec
+			}
+		}
+	}
+	var order []uint64
+	for e, rec := range txns {
+		if len(rec.Parts) <= 1 || marked[e] {
+			order = append(order, e)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	ref := store.NewSharded(nil, nshards)
+	for _, e := range order {
+		if err := ReplayRecord(ref, store.WALRecord{Stmts: txns[e].Stmts}); err != nil {
+			t.Fatalf("oracle replay of e%d: %v", e, err)
+		}
+	}
+	return ref
 }
 
 func mustScript(t *testing.T, s *Session, stmts ...string) {
@@ -332,7 +402,7 @@ func TestPrepareRoundTripString(t *testing.T) {
 // multi-statement transaction, and an uncommitted one in flight — kill
 // the process (drop the WAL without checkpointing), reopen, and require
 // the recovered catalog byte-identical (version included) to the last
-// committed snapshot, rebuilt from page deltas alone.
+// committed snapshot and to statement re-execution of the log.
 func TestCrashRecoveryByteIdentical(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
@@ -359,8 +429,8 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("recovered catalog differs from last committed snapshot\n--- got ---\n%s\n--- want ---\n%s", got, want)
 		}
-		if f := replayFallbacks(cat2); f != 0 {
-			t.Fatalf("dense delta replay fell back to statements %d time(s)", f)
+		if oracle := rawSnapBytes(t, statementOracle(t, dir, n).Snapshot()); !bytes.Equal(got, oracle) {
+			t.Fatalf("delta recovery differs from statement re-execution of the log\n--- got ---\n%s\n--- oracle ---\n%s", got, oracle)
 		}
 		// And the recovered catalog serves: the view works, worlds intact.
 		s2 := FromCatalog(cat2)
@@ -382,7 +452,7 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 			"create table T (A);",
 			"insert into T values (1);",
 		)
-		if err := cat.Checkpoint(filepath.Join(dir, "checkpoint.wsd")); err != nil {
+		if err := cat.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		mustScript(t, s,
@@ -400,16 +470,16 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 	})
 }
 
-// TestWALLiteralRoundTrip pins the literal-rendering invariant
-// statement replay depends on: floats that would render in scientific
-// notation, strings with embedded quotes, negatives, bools and nulls
-// must all survive commit → statement log → crash → replay
-// byte-for-byte. Deltas are off so recovery really re-parses the texts.
+// TestWALLiteralRoundTrip pins the literal-rendering invariant the
+// logged statement texts must keep to stay faithful provenance: floats
+// that would render in scientific notation, strings with embedded
+// quotes, negatives, bools and nulls must all survive commit → log →
+// crash, both ways: recovery's delta replay and re-parsing and
+// re-executing the logged texts reach the pre-crash bytes.
 func TestWALLiteralRoundTrip(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
 		cat, wals := openStoreDir(t, dir, n)
-		cat.SetLogDeltas(false)
 		s := FromCatalog(cat)
 		mustScript(t, s,
 			"create table T (A, B);",
@@ -425,8 +495,8 @@ func TestWALLiteralRoundTrip(t *testing.T) {
 		if got := rawSnapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 			t.Fatalf("literal round trip through the WAL diverged\n--- got ---\n%s\n--- want ---\n%s", got, want)
 		}
-		if f := replayFallbacks(cat2); f != 5 {
-			t.Fatalf("%d statement replays for 5 delta-less records", f)
+		if oracle := rawSnapBytes(t, statementOracle(t, dir, n).Snapshot()); !bytes.Equal(oracle, want) {
+			t.Fatalf("re-executing the logged texts diverged\n--- got ---\n%s\n--- want ---\n%s", oracle, want)
 		}
 	})
 }

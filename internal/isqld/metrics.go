@@ -211,8 +211,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	// Durability posture per shard: how stale the recovery base is, how
 	// big it is on disk, and how much WAL tail a crash right now would
-	// replay — and how many records the last recovery had to re-execute
-	// by statement because delta replay could not apply.
+	// replay.
 	ds := s.cat.DurabilityStats()
 	for _, d := range ds {
 		p.Gauge("wsdb_checkpoint_age_seconds", "Seconds since the shard's last checkpoint completed or was skipped as a no-op (-1 before the first).",
@@ -226,11 +225,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.Gauge("wsdb_wal_tail_records", "Records in the shard's WAL segment — the crash-replay backlog.",
 			shardLabel(d.Shard), float64(d.WALTailRecords))
 	}
-	var fallbacks uint64
-	for _, d := range ds {
-		fallbacks += d.ReplayFallbacks
-	}
-	p.Counter("wsdb_replay_fallback_total", "WAL records the last recovery replayed by statement re-execution instead of by page delta.", "", fallbacks)
 	// Paged-checkpoint I/O and buffer-pool counters, present once the
 	// catalog runs on the page-file base.
 	if pagers := s.cat.Pagers(); len(pagers) > 0 {
@@ -253,10 +247,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			p.Counter("wsdb_bufpool_evictions_total", "Buffer-pool frames recycled by the clock hand.", shardLabel(d.Shard), d.Pool.Evictions)
 		}
 		for i, ps := range pagers {
-			if ps != nil {
-				p.HistogramRaw("wsdb_checkpoint_bytes", "Bytes written per checkpoint (incremental checkpoints observe only dirty pages).",
-					shardLabel(i), ps.BytesHist().Snapshot())
-			}
+			p.HistogramRaw("wsdb_checkpoint_bytes", "Bytes written per checkpoint (incremental checkpoints observe only dirty pages).",
+				shardLabel(i), ps.BytesHist().Snapshot())
 		}
 	}
 

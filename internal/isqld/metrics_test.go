@@ -32,19 +32,16 @@ func shardedWALServer(t *testing.T, opts ...Option) (*httptest.Server, *store.Ca
 func walServer(t *testing.T, nshards int, opts ...Option) (*httptest.Server, *store.Catalog) {
 	t.Helper()
 	dir := t.TempDir()
-	cat := store.FromComplete([]string{"Census"},
-		[]*relation.Relation{datagen.Census(50, 10, 7)})
-	cat.Reshard(nshards)
-	wals := make([]*store.WAL, nshards)
-	for si := range wals {
-		w, _, err := store.OpenWAL(store.SegmentPath(dir, si))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wals[si] = w
+	cat, wals, err := store.Open(filepath.Join(dir, "checkpoint.wsd"), dir, nshards, 64, func() (*store.Catalog, error) {
+		return store.FromComplete([]string{"Census"},
+			[]*relation.Relation{datagen.Census(50, 10, 7)}), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range wals {
 		t.Cleanup(func() { w.Close() })
 	}
-	cat.SetShardLoggers(wals)
 	return serveCat(t, cat, opts...), cat
 }
 
@@ -115,7 +112,6 @@ insert into Audit values ('b', 2);
 		"wsdb_checkpoint_age_seconds",
 		"wsdb_shard_disk_bytes",
 		"wsdb_wal_tail_records",
-		"wsdb_replay_fallback_total",
 	} {
 		if !obs.HasSeries(data, series) {
 			t.Errorf("missing required series %s", series)
@@ -144,11 +140,6 @@ insert into Audit values ('b', 2);
 // stays promlint-clean.
 func TestMetricsDurabilityGauges(t *testing.T) {
 	ts, cat := shardedWALServer(t)
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	if err := cat.EnablePaging(wsdPath, 64); err != nil {
-		t.Fatal(err)
-	}
 	if code, out := post(t, ts.URL+"/exec", `
 create table Audit (Who, What);
 insert into Audit values ('a', 1);
@@ -156,7 +147,7 @@ insert into Audit values ('b', 2);
 `); code != http.StatusOK {
 		t.Fatalf("traffic: %d %s", code, out)
 	}
-	if err := cat.Checkpoint(wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 

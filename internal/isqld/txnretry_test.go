@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"worldsetdb/internal/isql"
 	"worldsetdb/internal/store"
 )
 
@@ -64,7 +63,7 @@ func TestBackgroundSweepEvictsIdleTxn(t *testing.T) {
 // to publish, not spin its budget against the in-flight version.
 func TestConcurrentTxnWritersRetry(t *testing.T) {
 	dir := t.TempDir()
-	cat, wals, err := isql.OpenStore(filepath.Join(dir, "checkpoint.wsd"), dir, 1, 0)
+	cat, wals, err := store.Open(filepath.Join(dir, "checkpoint.wsd"), dir, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

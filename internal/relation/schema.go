@@ -30,13 +30,16 @@ type Schema []string
 // construction is programmer-controlled, so a duplicate is a bug.
 func NewSchema(names ...string) Schema {
 	s := Schema(names)
-	if dup := s.firstDuplicate(); dup != "" {
+	if dup := s.FirstDuplicate(); dup != "" {
 		panic(fmt.Sprintf("relation: duplicate attribute %q in schema %v", dup, names))
 	}
 	return s
 }
 
-func (s Schema) firstDuplicate() string {
+// FirstDuplicate returns the first name that repeats in s, or "" — the
+// check for schemas decoded from outside the program, where a
+// duplicate is an input error and NewSchema's panic is not wanted.
+func (s Schema) FirstDuplicate() string {
 	seen := make(map[string]bool, len(s))
 	for _, n := range s {
 		if seen[n] {

@@ -13,30 +13,13 @@ import (
 	"worldsetdb/internal/wsd"
 )
 
-// putApplier interprets statement records of the form "put <name> <v>":
+// applyPut interprets a statement record of the form "put <name> <v>":
 // insert integer v into certain relation name, creating the relation
-// (schema X) when missing. Deterministic, so statement replay and delta
-// replay must converge on the same bytes.
-func putApplier(cat *Catalog, rec WALRecord) error {
-	return cat.Update(func(tx *Tx) error {
-		db := tx.DB()
-		for _, stmt := range rec.Stmts {
-			tx.Log(stmt)
-			var err error
-			db, err = applyPut(db, stmt)
-			if err != nil {
-				return err
-			}
-		}
-		tx.SetDB(db)
-		return nil
-	})
-}
-
+// (schema X) when missing.
 func applyPut(db *wsd.DecompDB, stmt string) (*wsd.DecompDB, error) {
 	f := strings.Fields(stmt)
 	if len(f) != 3 || f[0] != "put" {
-		return nil, fmt.Errorf("putApplier: bad statement %q", stmt)
+		return nil, fmt.Errorf("applyPut: bad statement %q", stmt)
 	}
 	v, err := strconv.ParseInt(f[2], 10, 64)
 	if err != nil {
@@ -93,11 +76,11 @@ func ckptTotals(cat *Catalog) CkptStats {
 func TestCheckpointNoopZeroWrites(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, putApplier)
+		cat, wals := openDir(t, dir, n)
 		defer closeWALs(wals)
 		put(t, cat, "T", 1)
 		put(t, cat, "T", 2)
-		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+		if err := cat.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		before := ckptTotals(cat)
@@ -105,7 +88,7 @@ func TestCheckpointNoopZeroWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+		if err := cat.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		after := ckptTotals(cat)
@@ -138,7 +121,7 @@ func TestCheckpointNoopZeroWrites(t *testing.T) {
 func TestCheckpointIncrementalBytes(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, putApplier)
+		cat, wals := openDir(t, dir, n)
 		// Wide enough that the fixed directory + meta rewrite every shard
 		// file pays per checkpoint stays a small share at four shards too.
 		for i := 0; i < 80; i++ {
@@ -146,13 +129,13 @@ func TestCheckpointIncrementalBytes(t *testing.T) {
 				put(t, cat, fmt.Sprintf("T%02d", i), int64(i*100+k))
 			}
 		}
-		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+		if err := cat.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		full := ckptTotals(cat).BytesWritten
 
 		put(t, cat, "T00", 424242)
-		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+		if err := cat.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		incr := ckptTotals(cat).BytesWritten - full
@@ -162,7 +145,7 @@ func TestCheckpointIncrementalBytes(t *testing.T) {
 
 		want := saveBytes(t, cat.Snapshot())
 		closeWALs(wals)
-		cat2, wals2 := openDir(t, dir, n, putApplier)
+		cat2, wals2 := openDir(t, dir, n)
 		defer closeWALs(wals2)
 		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 			t.Fatal("reopen after incremental checkpoint differs from the committed state")
@@ -170,96 +153,24 @@ func TestCheckpointIncrementalBytes(t *testing.T) {
 	})
 }
 
-// TestCheckpointMigratesV1: a catalog saved in the v1 JSON format opens
-// through Open, keeps serving commits, and its first checkpoint
-// rewrites the base in the v2 page format — reopening from the migrated
-// file is byte-identical.
-func TestCheckpointMigratesV1(t *testing.T) {
-	forShardCounts(t, func(t *testing.T, n int) {
-		dir := t.TempDir()
-		db := deltaDB()
-		db.Components = []wsd.DBComponent{compOf(db, 1, "A", 10, 11), compOf(db, 2, "B", 20)}
-		if err := SaveFile(ckptPath(dir), &Snapshot{Version: 4, DB: db, Views: map[string]string{"V": "select 1"}}); err != nil {
-			t.Fatal(err)
-		}
-
-		cat, wals := openDir(t, dir, n, putApplier)
-		if cat.Snapshot().Version != 4 {
-			t.Fatalf("v1 base loaded at version %d, want 4", cat.Snapshot().Version)
-		}
-		put(t, cat, "A", 99)
-		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
-			t.Fatal(err)
-		}
-		want := saveBytes(t, cat.Snapshot())
-		closeWALs(wals)
-
-		// The base is now a v2 page file, not JSON.
-		ps, loaded, err := OpenPageStore(ckptPath(dir), 0, true, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loaded == nil {
-			t.Fatal("base is still a v1 file after a paged checkpoint")
-		}
-		ps.Close()
-
-		cat2, wals2 := openDir(t, dir, n, putApplier)
-		defer closeWALs(wals2)
-		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-			t.Fatal("reopen from the migrated page file differs from the pre-migration state")
-		}
-	})
-}
-
-// TestRecoveryReplaysDeltas: recovery applies WAL page deltas without
-// re-executing statements — proven by recovering with an applier that
-// always fails, which only delta replay can survive.
+// TestRecoveryReplaysDeltas: with no checkpoint past the seed, the
+// state lives only in the log — whole-relation captures, and full
+// deltas where a put created a relation — and recovery patches it back
+// byte-identically.
 func TestRecoveryReplaysDeltas(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, putApplier)
+		cat, wals := openDir(t, dir, n)
 		put(t, cat, "T", 1)
 		put(t, cat, "U", 2)
 		put(t, cat, "T", 3)
 		want := saveBytes(t, cat.Snapshot())
-		closeWALs(wals) // crash: no checkpoint, state lives only in the log
+		closeWALs(wals) // crash
 
-		noStmts := func(cat *Catalog, rec WALRecord) error {
-			return fmt.Errorf("statement replay invoked for v%d — delta replay should have handled it", rec.Version)
-		}
-		cat2, wals2 := openDir(t, dir, n, noStmts)
+		cat2, wals2 := openDir(t, dir, n)
 		defer closeWALs(wals2)
 		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-			t.Fatal("delta-only recovery differs from the pre-crash state")
-		}
-		if f := replayFallbacks(cat2); f != 0 {
-			t.Fatalf("delta-only recovery counted %d fallbacks", f)
-		}
-	})
-}
-
-// TestRecoveryStmtFallbackWithoutDeltas: with delta logging disabled
-// (SetLogDeltas(false)), recovery still works through statement replay
-// — the compatibility path for logs written by older builds — and every
-// record is counted as a fallback.
-func TestRecoveryStmtFallbackWithoutDeltas(t *testing.T) {
-	forShardCounts(t, func(t *testing.T, n int) {
-		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, putApplier)
-		cat.SetLogDeltas(false)
-		put(t, cat, "T", 1)
-		put(t, cat, "T", 2)
-		want := saveBytes(t, cat.Snapshot())
-		closeWALs(wals)
-
-		cat2, wals2 := openDir(t, dir, n, putApplier)
-		defer closeWALs(wals2)
-		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-			t.Fatal("statement-replay recovery differs from the pre-crash state")
-		}
-		if f := replayFallbacks(cat2); f != 2 {
-			t.Fatalf("%d fallbacks for 2 delta-less records, want 2", f)
+			t.Fatal("delta recovery differs from the pre-crash state")
 		}
 	})
 }
@@ -271,7 +182,7 @@ func TestRecoveryStmtFallbackWithoutDeltas(t *testing.T) {
 func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals, err := Open(ckptPath(dir), dir, n, putApplier, 256)
+		cat, wals, err := Open(ckptPath(dir), dir, n, 256, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +191,7 @@ func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 				put(t, cat, fmt.Sprintf("T%02d", i), int64(i*1000+k))
 			}
 		}
-		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+		if err := cat.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		put(t, cat, "T00", -1) // leave a WAL tail too
@@ -297,7 +208,7 @@ func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 				t.Fatalf("shard %d's page file spans only %d pages — not meaningfully larger than the %d-page pool", si, npages, pool)
 			}
 		}
-		cat2, wals2, err := Open(ckptPath(dir), dir, n, putApplier, pool)
+		cat2, wals2, err := Open(ckptPath(dir), dir, n, pool, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,11 +223,11 @@ func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 		}
 		// And it keeps working as a live catalog.
 		put(t, cat2, "T23", 777777)
-		if err := cat2.Checkpoint(ckptPath(dir)); err != nil {
+		if err := cat2.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		closeWALs(wals2)
-		cat3, wals3 := openDir(t, dir, n, putApplier)
+		cat3, wals3 := openDir(t, dir, n)
 		defer closeWALs(wals3)
 		if !bytes.Equal(saveBytes(t, cat3.Snapshot()), saveBytes(t, cat2.Snapshot())) {
 			t.Fatal("post-recovery checkpoint through a small pool differs from the live state")
@@ -330,7 +241,7 @@ func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 func TestDurabilityStats(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, putApplier)
+		cat, wals := openDir(t, dir, n)
 		defer closeWALs(wals)
 
 		st := cat.DurabilityStats()
@@ -340,8 +251,10 @@ func TestDurabilityStats(t *testing.T) {
 		// Assert on the last shard's row: it holds one record per commit
 		// (markers, when a commit has several participants, go to shard 0).
 		row := func() DurabilityStat { return cat.DurabilityStats()[n-1] }
-		if row().CheckpointAgeSeconds >= 0 {
-			t.Fatalf("never-checkpointed catalog reports age %f, want negative", row().CheckpointAgeSeconds)
+		// Open seeded the fresh directory: the seed checkpoint is the base.
+		if r := row(); r.CheckpointAgeSeconds < 0 || r.DiskBytes == 0 || r.BaseVersion != cat.Snapshot().Version {
+			t.Fatalf("freshly seeded catalog reports age %f, %d disk bytes, base v%d; want the seed checkpoint at v%d",
+				r.CheckpointAgeSeconds, r.DiskBytes, r.BaseVersion, cat.Snapshot().Version)
 		}
 		if row().WALTailRecords != 0 {
 			t.Fatalf("fresh WAL tail %d, want 0", row().WALTailRecords)
@@ -352,11 +265,11 @@ func TestDurabilityStats(t *testing.T) {
 		if row().WALTailRecords != 2 {
 			t.Fatalf("WAL tail %d after 2 commits, want 2", row().WALTailRecords)
 		}
-		if row().DiskBytes != 0 {
-			t.Fatalf("disk bytes %d before any checkpoint, want 0", row().DiskBytes)
+		if row().BaseVersion == cat.Snapshot().Version {
+			t.Fatal("base version moved without a checkpoint")
 		}
 
-		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+		if err := cat.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range cat.DurabilityStats() {

@@ -10,15 +10,12 @@ import (
 	"worldsetdb/internal/wsd"
 )
 
-// WAL page-delta records. A commit's WAL record historically carried
-// only the SQL statements; recovery re-executed them through the engine
-// (O(query cost) per record). A CommitDelta captures the commit's
-// effect on durable state instead — which certain relations changed,
-// which components (by stable ID) were upserted or dropped, view and
-// schema changes — so store.Open can replay a record by patching the
-// decomposition directly, in time proportional to the touched data.
-// Statements stay in the record as provenance and as the fallback for
-// records written before deltas existed.
+// WAL page-delta records. A CommitDelta captures a commit's effect on
+// durable state — which certain relations changed, which components (by
+// stable ID) were upserted or dropped, view and schema changes — so
+// store.Open replays a record by patching the decomposition directly,
+// in time proportional to the touched data, never by running a query.
+// The statement texts stay in the record as provenance.
 //
 // The delta is computed on the commit path by pointer/shape diffing
 // (see wsd.SameComponentShape): copy-on-write edits share
@@ -378,7 +375,15 @@ func (d *CommitDelta) isEmpty() bool {
 // engine's own copy-on-write edits. The result is NOT re-normalized —
 // the writer's state already was, and skipping it keeps replayed
 // snapshots byte-identical to the originals.
-func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta) (*wsd.DecompDB, map[string]string, error) {
+//
+// reapply marks a delta the state may already contain (the tail of a
+// torn mixed-epoch checkpoint, replayed over objects a newer file
+// supplied): tuple patches then tolerate an already-present insert or
+// an already-absent delete, and an explicit order tolerates components
+// it does not list, instead of failing. Relations are sets and every
+// later edit is re-applied too, so each tuple still ends where its last
+// edit put it.
+func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta, reapply bool) (*wsd.DecompDB, map[string]string, error) {
 	if d.Full {
 		return applyFullDelta(d)
 	}
@@ -400,7 +405,7 @@ func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta) (*wsd
 		if ri < 0 {
 			return nil, nil, fmt.Errorf("store: delta patches unknown relation %q", name)
 		}
-		rel, err := applyPatch(out.Certain[ri], out.Schemas[ri], p)
+		rel, err := applyPatch(out.Certain[ri], out.Schemas[ri], p, reapply)
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: delta patch for %q: %w", name, err)
 		}
@@ -444,16 +449,27 @@ func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta) (*wsd
 		for _, c := range out.Components {
 			byID[c.ID] = c
 		}
-		if len(d.Order) != len(out.Components) {
+		if len(d.Order) != len(out.Components) && !reapply {
 			return nil, nil, fmt.Errorf("store: delta order lists %d components, state has %d", len(d.Order), len(out.Components))
 		}
-		reordered := make([]wsd.DBComponent, 0, len(d.Order))
+		reordered := make([]wsd.DBComponent, 0, len(out.Components))
 		for _, id := range d.Order {
 			c, ok := byID[id]
-			if !ok {
+			if !ok && !reapply {
 				return nil, nil, fmt.Errorf("store: delta order references unknown component %d", id)
 			}
-			reordered = append(reordered, c)
+			if ok {
+				reordered = append(reordered, c)
+				delete(byID, id)
+			}
+		}
+		// Only on reapply can anything be left: components a newer
+		// checkpoint file supplied ahead of the epoch that creates them
+		// keep their place behind the listed ones.
+		for _, c := range out.Components {
+			if _, left := byID[c.ID]; left {
+				reordered = append(reordered, c)
+			}
 		}
 		out.Components = reordered
 	}
@@ -465,11 +481,11 @@ func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta) (*wsd
 }
 
 // applyPatch replays a tuple-level edit against the replay state's
-// copy of the relation. A deletion of a missing tuple or an insertion
-// of a present one means the patch was diffed against a different base
-// than the one being replayed — that is an error (the caller falls
-// back to statement re-execution), never a silent divergence.
-func applyPatch(base *relation.Relation, schema relation.Schema, p *relPatch) (*relation.Relation, error) {
+// copy of the relation. Unless reapply is set, a deletion of a missing
+// tuple or an insertion of a present one means the patch was diffed
+// against a different base than the one being replayed — that is an
+// error (recovery refuses), never a silent divergence.
+func applyPatch(base *relation.Relation, schema relation.Schema, p *relPatch, reapply bool) (*relation.Relation, error) {
 	var rel *relation.Relation
 	if base == nil {
 		rel = relation.New(schema)
@@ -481,7 +497,7 @@ func applyPatch(base *relation.Relation, schema relation.Schema, p *relPatch) (*
 		if err != nil {
 			return nil, err
 		}
-		if !rel.Delete(t) {
+		if !rel.Delete(t) && !reapply {
 			return nil, fmt.Errorf("deleted tuple %v not in replay state", t)
 		}
 	}
@@ -490,7 +506,7 @@ func applyPatch(base *relation.Relation, schema relation.Schema, p *relPatch) (*
 		if err != nil {
 			return nil, err
 		}
-		if !rel.Insert(t) {
+		if !rel.Insert(t) && !reapply {
 			return nil, fmt.Errorf("inserted tuple %v already in replay state", t)
 		}
 	}
@@ -498,12 +514,20 @@ func applyPatch(base *relation.Relation, schema relation.Schema, p *relPatch) (*
 }
 
 func applyFullDelta(d *CommitDelta) (*wsd.DecompDB, map[string]string, error) {
+	if len(d.Names) != len(d.Schemas) {
+		return nil, nil, fmt.Errorf("store: full delta has %d names, %d schemas", len(d.Names), len(d.Schemas))
+	}
+	// The bytes come from disk: a repeated name is an error here, not the
+	// panic relation.NewSchema reserves for programmer-built schemas.
+	if dup := relation.Schema(d.Names).FirstDuplicate(); dup != "" {
+		return nil, nil, fmt.Errorf("store: full delta names relation %q twice", dup)
+	}
 	schemas := make([]relation.Schema, len(d.Schemas))
 	for i, s := range d.Schemas {
-		schemas[i] = relation.NewSchema(s...)
-	}
-	if len(d.Names) != len(schemas) {
-		return nil, nil, fmt.Errorf("store: full delta has %d names, %d schemas", len(d.Names), len(schemas))
+		if dup := relation.Schema(s).FirstDuplicate(); dup != "" {
+			return nil, nil, fmt.Errorf("store: full delta relation %q has attribute %q twice", d.Names[i], dup)
+		}
+		schemas[i] = relation.Schema(s)
 	}
 	out := wsd.NewDecompDB(d.Names, schemas)
 	for name, rows := range d.Certain {

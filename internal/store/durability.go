@@ -40,14 +40,6 @@ type DurabilityStat struct {
 	// Buffer-pool counters (zero without paging or before the first
 	// page-file open/write).
 	Pool bufpool.Stats `json:"pool"`
-
-	// ReplayFallbacks is the number of WAL records homed on this shard's
-	// segment (the coordinator's, for cross-shard commits) that the last
-	// recovery re-executed by statement because delta replay could not
-	// apply: the record carried no delta, its patch no longer matched,
-	// or an earlier epoch was missing from the chain. Zero after a crash
-	// that tore nothing.
-	ReplayFallbacks uint64 `json:"replay_fallbacks"`
 }
 
 // DurabilityStats reports the per-shard durability posture. Safe to
@@ -56,10 +48,10 @@ func (c *Catalog) DurabilityStats() []DurabilityStat {
 	out := make([]DurabilityStat, len(c.shards))
 	now := time.Now()
 	for i, sh := range c.shards {
-		st := DurabilityStat{Shard: i, CheckpointAgeSeconds: -1, ReplayFallbacks: sh.replayFallbacks}
+		st := DurabilityStat{Shard: i, CheckpointAgeSeconds: -1}
 		st.WALTailRecords = sh.wal.TailRecords()
 		_, last := sh.wal.LastCheckpoint()
-		if i < len(c.pagers) && c.pagers[i] != nil {
+		if i < len(c.pagers) {
 			ps := c.pagers[i]
 			st.BaseVersion = ps.Version()
 			cs := ps.Stats()
@@ -83,32 +75,6 @@ func (c *Catalog) DurabilityStats() []DurabilityStat {
 	return out
 }
 
-// EnablePaging attaches one PageStore per shard to a catalog that was
-// constructed fresh (not through Open, which wires the stores itself):
-// checkpoints through Checkpoint at wsdPath then write the incremental
-// page format. Call before
-// concurrent use. Existing page files at the shard paths are adopted;
-// a v1 JSON file (or nothing) at a path leaves that store
-// uninitialized until its first checkpoint migrates it.
-func (c *Catalog) EnablePaging(wsdPath string, poolPages int) error {
-	n := c.Shards()
-	pagers := make([]*PageStore, n)
-	for i := 0; i < n; i++ {
-		ps, _, err := OpenPageStore(shardCkptPath(wsdPath, i), i, i == 0, poolPages)
-		if err != nil {
-			for _, p := range pagers {
-				if p != nil {
-					p.Close()
-				}
-			}
-			return err
-		}
-		pagers[i] = ps
-	}
-	c.pagers = pagers
-	return nil
-}
-
-// Pagers exposes the catalog's page stores (nil entries possible; empty
-// without paging). Read-only observability access for /metrics.
+// Pagers exposes the catalog's page stores (empty when the catalog is
+// not durable). Read-only observability access for /metrics.
 func (c *Catalog) Pagers() []*PageStore { return c.pagers }

@@ -1,0 +1,138 @@
+package store
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"testing"
+
+	"worldsetdb/internal/relation"
+	"worldsetdb/internal/value"
+	"worldsetdb/internal/wsd"
+)
+
+// Native fuzz targets for the two decoders recovery feeds with bytes
+// from disk. Arbitrary input may be rejected; it must never panic and
+// never produce a catalog the engine cannot normalize and save. The
+// seeds are the delta_test.go fixtures (built live, so they follow the
+// format) plus the committed corpus under testdata/fuzz; plain `go test`
+// runs both.
+
+// fuzzBase is the state fuzzed deltas apply to: relation A large enough
+// for tuple patches, B small, three components.
+func fuzzBase() *Snapshot {
+	db := deltaDB()
+	a := relation.New(db.Schemas[0])
+	for i := int64(0); i < 8; i++ {
+		a.Insert(relation.Tuple{value.Int(i)})
+	}
+	db.Certain[0] = a
+	db.Components = []wsd.DBComponent{
+		compOf(db, 1, "A", 10, 11),
+		compOf(db, 2, "B", 20, 21),
+		compOf(db, 3, "A", 30),
+	}
+	return &Snapshot{Version: 5, DB: db, Views: map[string]string{"V": "select 1"}}
+}
+
+// fuzzSeedDeltas diffs fuzzBase against one successor per delta shape:
+// patch + upsert + drop + create, schema change (Full), reorder, views.
+func fuzzSeedDeltas(tb testing.TB) [][]byte {
+	base := fuzzBase()
+	db := base.DB
+	var nexts []*Snapshot
+
+	edited := db.Certain[0].Clone()
+	edited.Insert(relation.Tuple{value.Int(99)})
+	inc := db.WithCertain(0, edited)
+	inc.Components = []wsd.DBComponent{inc.Components[0], compOf(inc, 2, "B", 20, 21, 22), compOf(inc, 4, "A", 40)}
+	nexts = append(nexts, &Snapshot{DB: inc, Views: base.Views})
+
+	nexts = append(nexts, &Snapshot{DB: db.WithRelation("C", relation.NewSchema("Y", "Z"), nil), Views: base.Views})
+
+	swapped := db.WithCertain(0, db.Certain[0])
+	swapped.Components[0], swapped.Components[1] = swapped.Components[1], swapped.Components[0]
+	nexts = append(nexts, &Snapshot{DB: swapped, Views: base.Views})
+
+	nexts = append(nexts, &Snapshot{DB: db, Views: map[string]string{}})
+
+	var out [][]byte
+	for _, next := range nexts {
+		raw, err := json.Marshal(diffSnapshots(base, next))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, raw)
+	}
+	return out
+}
+
+func FuzzApplyDelta(f *testing.F) {
+	for _, raw := range fuzzSeedDeltas(f) {
+		f.Add(raw, false)
+		f.Add(raw, true)
+	}
+	base := fuzzBase()
+	f.Fuzz(func(t *testing.T, raw []byte, reapply bool) {
+		d, err := decodeDelta(raw)
+		if err != nil {
+			return
+		}
+		db, views, err := applyDelta(base.DB, base.Views, d, reapply)
+		if err != nil {
+			return
+		}
+		if err := Save(io.Discard, &Snapshot{DB: db.Normalize(), Views: views}); err != nil {
+			t.Fatalf("accepted delta yields a catalog that does not save: %v", err)
+		}
+	})
+}
+
+// frameLine is frameRecord for records that must encode.
+func frameLine(tb testing.TB, rec WALRecord) []byte {
+	line, err := frameRecord(rec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return line
+}
+
+func FuzzScanWAL(f *testing.F) {
+	f.Add([]byte(legacyWALLog))
+	// A log in the current format: stage records with links, a marker.
+	var log bytes.Buffer
+	for i, raw := range fuzzSeedDeltas(f) {
+		log.Write(frameLine(f, WALRecord{Version: uint64(i + 6), Stmts: []string{"s"},
+			Parts: []int{0, 2}, Prev: []uint64{uint64(i + 5), 1}, deltaRaw: raw}))
+	}
+	log.Write(frameLine(f, WALRecord{Version: 6, Parts: []int{0, 2}, Marker: true}))
+	f.Add(log.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, valid, err := scanWAL(bytes.NewReader(data), 0)
+		if err == nil {
+			if valid < 0 || valid > int64(len(data)) {
+				t.Fatalf("intact prefix of %d bytes in a %d-byte log", valid, len(data))
+			}
+			// The intact prefix is stable: scanning it alone finds the
+			// same records and nothing to cut.
+			again, validAgain, err := scanWAL(bytes.NewReader(data[:valid]), 0)
+			if err != nil || validAgain != valid || len(again) != len(recs) {
+				t.Fatalf("rescan of the intact prefix: %d records, %d bytes, err %v; want %d, %d", len(again), validAgain, err, len(recs), valid)
+			}
+		}
+		// Mutated bytes rarely keep a CRC, so also frame them as the delta
+		// of a record whose CRC holds: the line was written whole, so it
+		// either decodes or is refused — never cut off as a torn tail.
+		raw, err := json.Marshal(json.RawMessage(data)) // compact and escaped, as Marshal leaves a delta
+		if err != nil {
+			return // not JSON
+		}
+		line := frameLine(t, WALRecord{Version: 2, Stmts: []string{"s"}, deltaRaw: raw})
+		recs, valid, err = scanWAL(bytes.NewReader(line), 0)
+		var re *RecoveryError
+		if !errors.As(err, &re) && (err != nil || len(recs) != 1 || valid != int64(len(line))) {
+			t.Fatalf("CRC-intact record: %d records, %d of %d bytes, err %v", len(recs), valid, len(line), err)
+		}
+	})
+}

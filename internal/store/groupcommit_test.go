@@ -192,7 +192,7 @@ func TestGroupCommitFailureAborts(t *testing.T) {
 // failed without ever being written.
 func TestGroupCommitStaleChainAborts(t *testing.T) {
 	c, g := newGatedCatalog()
-	stale := &commitReq{ps: []int{0}, epoch: 7, baseVer: 6, stmts: []string{"T"},
+	stale := &commitReq{ps: []int{0}, epoch: 7, prev: []uint64{6}, stmts: []string{"T"},
 		db: c.Snapshot().DB, done: make(chan error, 1)}
 	c.flushShardBatch(0, []*commitReq{stale})
 	if err := <-stale.done; err == nil {
@@ -267,7 +267,7 @@ func (d delayedLogger) AppendBatch(recs []WALRecord) error {
 // auto-commit writers still coalesce.
 func TestOneShardCommitCostsOneFsync(t *testing.T) {
 	dir := t.TempDir()
-	cat, wals := openDir(t, dir, 1, shardApplier)
+	cat, wals := openDir(t, dir, 1)
 	defer closeWALs(wals)
 	cost := func(what string, commit func() error) {
 		t.Helper()
@@ -329,16 +329,13 @@ func TestOneShardCommitCostsOneFsync(t *testing.T) {
 	}
 	t.Logf("%d commits, %d fsyncs (amortization %.1fx)", commits, syncs, float64(commits)/float64(syncs))
 
-	// And all of it recovers, by delta alone.
+	// And all of it recovers.
 	want := dbBytes(t, cat.Snapshot())
 	closeWALs(wals)
-	cat2, wals2 := openDir(t, dir, 1, shardApplier)
+	cat2, wals2 := openDir(t, dir, 1)
 	defer closeWALs(wals2)
 	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatal("one-shard commits do not recover byte-identically")
-	}
-	if f := replayFallbacks(cat2); f != 0 {
-		t.Fatalf("recovery fell back to statements %d time(s)", f)
 	}
 }
 
@@ -347,7 +344,7 @@ func TestOneShardCommitCostsOneFsync(t *testing.T) {
 // never fsyncs more than once per commit (run under -race in CI).
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	cat, wals := openDir(t, dir, 1, addRelApplier)
+	cat, wals := openDir(t, dir, 1)
 	const writers = 8
 	const commitsPer = 20
 	var wg sync.WaitGroup
@@ -383,7 +380,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	}
 	want := saveBytes(t, cat.Snapshot())
 	closeWALs(wals)
-	cat2, wals2 := openDir(t, dir, 1, addRelApplier)
+	cat2, wals2 := openDir(t, dir, 1)
 	defer closeWALs(wals2)
 	if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatal("group-committed catalog does not recover byte-identically")
@@ -396,15 +393,14 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 func TestGroupCommitCheckpointDrains(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, addRelApplier)
+		cat, wals := openDir(t, dir, n)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < 10; i++ {
-					name := fmt.Sprintf("W%d_%d", g, i)
-					if err := addRelApplier(cat, WALRecord{Stmts: []string{name}}); err != nil {
+					if err := addRelApplier(cat, WALRecord{Stmts: []string{fmt.Sprintf("W%d_%d", g, i)}}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -414,14 +410,14 @@ func TestGroupCommitCheckpointDrains(t *testing.T) {
 		// Checkpoint racing the writers: every one must land either in the
 		// checkpoint or in the log tail.
 		for i := 0; i < 5; i++ {
-			if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+			if err := cat.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		wg.Wait()
 		want := saveBytes(t, cat.Snapshot())
 		closeWALs(wals)
-		cat2, wals2 := openDir(t, dir, n, addRelApplier)
+		cat2, wals2 := openDir(t, dir, n)
 		defer closeWALs(wals2)
 		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 			t.Fatal("checkpoint during group commit lost a commit")
@@ -430,24 +426,21 @@ func TestGroupCommitCheckpointDrains(t *testing.T) {
 }
 
 // TestGroupBatchTornMidBatchTruncated: a crash anywhere inside a
-// multi-record batch append — the kill -9 mid-batch case — recovers
-// byte-identically to the intact record prefix, for every cut point.
+// multi-record batch append — the kill -9 mid-batch case; a batch is
+// its records' lines back to back — recovers byte-identically to the
+// statement-level replay of the intact record prefix, for every cut
+// point.
 func TestGroupBatchTornMidBatchTruncated(t *testing.T) {
 	dir := t.TempDir()
-	wal, _, err := OpenWAL(SegmentPath(dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat, wals := openDir(t, dir, 1)
 	const n = 4
 	recs := make([]WALRecord, n)
 	for i := range recs {
-		recs[i] = WALRecord{Version: uint64(i + 2), Stmts: []string{fmt.Sprintf("T%d", i)}}
+		recs[i] = WALRecord{Stmts: []string{fmt.Sprintf("T%d", i)}}
+		addRel(t, cat, recs[i].Stmts[0])
 	}
-	if err := wal.AppendBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	wal.Close()
-	full, err := os.ReadFile(SegmentPath(dir, 0))
+	closeWALs(wals)
+	full, err := os.ReadFile(segmentPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +463,7 @@ func TestGroupBatchTornMidBatchTruncated(t *testing.T) {
 		}
 	}
 	if len(ends) != n {
-		t.Fatalf("batch wrote %d lines, want %d", len(ends), n)
+		t.Fatalf("log holds %d lines, want %d", len(ends), n)
 	}
 	for cut := 1; cut <= len(full); cut++ {
 		// intact = number of whole records before the cut.
@@ -479,10 +472,11 @@ func TestGroupBatchTornMidBatchTruncated(t *testing.T) {
 			intact++
 		}
 		caseDir := t.TempDir()
-		if err := os.WriteFile(SegmentPath(caseDir, 0), full[:cut], 0o644); err != nil {
+		copyDir(t, dir, caseDir)
+		if err := os.WriteFile(segmentPath(caseDir, 0), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cat, wals := openDir(t, caseDir, 1, addRelApplier)
+		cat, wals := openDir(t, caseDir, 1)
 		got := saveBytes(t, cat.Snapshot())
 		closeWALs(wals)
 		if !bytes.Equal(got, wants[intact]) {

@@ -21,9 +21,9 @@ import (
 	"worldsetdb/internal/wsd"
 )
 
-// Paged checkpoint storage (format v2). The catalog's recovery base is
-// no longer a monolithic JSON document rewritten wholesale on every
-// checkpoint: it is a page file — fixed-size CRC-framed pages (see
+// Paged checkpoint storage (format v2), the one base format recovery
+// reads. The catalog's recovery base is a page file — fixed-size
+// CRC-framed pages (see
 // internal/page) read through a buffer pool (internal/bufpool) — whose
 // objects are the snapshot's certain relations and components, each
 // stored as a chain of data pages. Because the catalog's copy-on-write
@@ -39,9 +39,9 @@ import (
 // it reaches) stays intact until the new one is durable. The meta
 // payload names the directory chain head; the directory lists the
 // catalog schema, views, and one (name|ID → chain head) entry per
-// stored object. All payloads are the same JSON encodings the v1
-// format uses (encodeRelation / encodeAlternatives), so v1 and v2
-// persist byte-compatible content.
+// stored object. All payloads are the same JSON encodings the .wsd
+// export uses (encodeRelation / encodeAlternatives), so both persist
+// byte-compatible content.
 //
 // # Crash safety
 //
@@ -52,10 +52,8 @@ import (
 // slot → fsync; a crash anywhere before the meta write leaves the
 // previous checkpoint untouched, and a torn meta write is caught by
 // the page CRC, falling back to the other slot. The first checkpoint
-// over a fresh or v1-format file goes through a temp file + atomic
-// rename instead (there is no previous page state to preserve), which
-// is also how v1 catalogs migrate: Open reads v1 JSON as before, and
-// the next checkpoint replaces it with a page file in one rename.
+// of a file goes through a temp file + atomic rename instead (there is
+// no previous page state to preserve).
 //
 // # Sharding
 //
@@ -233,20 +231,25 @@ type loadedComp struct {
 	Comp wsd.DBComponent
 }
 
-// OpenPageStore opens the checkpoint file at path. When the file is
-// missing, empty, or in the v1 JSON format, it returns an
-// uninitialized store (and a nil loadedShard): the caller recovers
-// from v1/empty state as before, and the first checkpoint migrates.
-// When the file is a page file, both meta slots are probed and the
-// newest fully loadable checkpoint wins — a torn in-place checkpoint
-// (valid newer meta never written, or written but its chains
-// unreadable) falls back to the previous one.
-func OpenPageStore(path string, shard int, coord bool, poolPages int) (*PageStore, *loadedShard, error) {
+// newPageStore returns shard's uninitialized store for path, whatever
+// the path currently holds.
+func newPageStore(path string, shard, poolPages int) *PageStore {
 	if poolPages <= 0 {
 		poolPages = DefaultPoolPages
 	}
-	ps := &PageStore{path: path, shard: shard, coord: coord, poolPages: poolPages,
+	return &PageStore{path: path, shard: shard, coord: shard == 0, poolPages: poolPages,
 		certs: map[string]*certState{}, comps: map[uint64]*compState{}}
+}
+
+// openPageStore opens the checkpoint file at path. When the file is
+// missing or empty it returns an uninitialized store (and a nil
+// loadedShard). Otherwise both meta slots are probed and the newest
+// fully loadable checkpoint wins — a torn in-place checkpoint (valid
+// newer meta never written, or written but its chains unreadable) falls
+// back to the previous one. A non-empty file without a valid meta slot
+// is not a checkpoint and is refused.
+func openPageStore(path string, shard, poolPages int) (*PageStore, *loadedShard, error) {
+	ps := newPageStore(path, shard, poolPages)
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -259,9 +262,7 @@ func OpenPageStore(path string, shard int, coord bool, poolPages int) (*PageStor
 		f.Close()
 		return nil, nil, err
 	}
-	if info.Size() < 2*page.Size {
-		// Too short for meta slots: empty file, or a v1 JSON catalog
-		// smaller than two pages. Either way, not page-formatted.
+	if info.Size() == 0 {
 		f.Close()
 		return ps, nil, nil
 	}
@@ -284,10 +285,7 @@ func OpenPageStore(path string, shard int, coord bool, poolPages int) (*PageStor
 	}
 	if metas[0] == nil && metas[1] == nil {
 		f.Close()
-		if looksLikeV1(path) {
-			return ps, nil, nil
-		}
-		return nil, nil, fmt.Errorf("store: %s: no valid page-file meta slot (corrupt checkpoint?)", path)
+		return nil, nil, fmt.Errorf("store: %s has no valid page-file meta slot, so it is not a checkpoint; if it is a .wsd JSON catalog, import it with -load into a fresh directory", path)
 	}
 	// Newest epoch first; fall back to the other slot if its chains do
 	// not load (crash between the meta write and its data becoming
@@ -311,28 +309,6 @@ func OpenPageStore(path string, shard int, coord bool, poolPages int) (*PageStor
 	}
 	f.Close()
 	return nil, nil, fmt.Errorf("store: %s: loading page file: %w", path, lastErr)
-}
-
-// looksLikeV1 sniffs whether path holds a v1 JSON catalog (first
-// non-space byte is '{').
-func looksLikeV1(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var b [1]byte
-	for {
-		if _, err := f.Read(b[:]); err != nil {
-			return false
-		}
-		switch b[0] {
-		case ' ', '\t', '\n', '\r':
-			continue
-		default:
-			return b[0] == '{'
-		}
-	}
 }
 
 // loadMeta loads the checkpoint m describes and adopts it as the
@@ -408,7 +384,7 @@ func (ps *PageStore) loadMeta(f *os.File, m *pageMeta) (*loadedShard, error) {
 }
 
 // decodeTupleRows parses a certain relation's payload ([]jsonTuple)
-// with UseNumber, matching the v1 decoder's number handling.
+// with UseNumber, matching the .wsd decoder's number handling.
 func decodeTupleRows(payload []byte) ([]jsonTuple, error) {
 	var rows []jsonTuple
 	if err := unmarshalUseNumber(payload, &rows); err != nil {
@@ -552,8 +528,8 @@ func (ps *PageStore) NoteNoop() {
 }
 
 // WriteCheckpoint persists d as the shard's new recovery base. The
-// first call (or the first over a v1 file) writes a complete page file
-// through a temp file + atomic rename; later calls rewrite only the
+// first call writes a complete page file through a temp file + atomic
+// rename; later calls rewrite only the
 // chains of objects that changed since the previous checkpoint, plus
 // the directory, and commit with one meta-slot write.
 func (ps *PageStore) WriteCheckpoint(d ckptData) error {
@@ -743,8 +719,8 @@ func (ps *PageStore) alloc() uint64 {
 }
 
 // writeFresh writes a complete page file for d through a temp file +
-// atomic rename — the first checkpoint, and the v1 → v2 migration
-// (path may currently hold a v1 JSON catalog; the rename replaces it).
+// atomic rename — the first checkpoint (the rename replaces whatever a
+// torn earlier attempt left at path).
 func (ps *PageStore) writeFresh(d ckptData) error {
 	dirName := filepath.Dir(ps.path)
 	tmpf, err := os.CreateTemp(dirName, "."+filepath.Base(ps.path)+".tmp-*")

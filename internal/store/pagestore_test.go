@@ -44,7 +44,7 @@ func relName(i int) string {
 // holds.
 func reloadSnap(t *testing.T, path string, poolPages int) *Snapshot {
 	t.Helper()
-	ps, loaded, err := OpenPageStore(path, 0, true, poolPages)
+	ps, loaded, err := openPageStore(path, 0, poolPages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func reloadSnap(t *testing.T, path string, poolPages int) *Snapshot {
 func TestPageStoreFreshWriteReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cat.wsd")
 	snap := pageSnap(8, 3, 5)
-	ps, loaded, err := OpenPageStore(path, 0, true, 64)
+	ps, loaded, err := openPageStore(path, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestPageStoreFreshWriteReload(t *testing.T) {
 func TestPageStoreIncrementalWritesOnlyDirty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cat.wsd")
 	snap := pageSnap(24, 1, 40)
-	ps, _, err := OpenPageStore(path, 0, true, 256)
+	ps, _, err := openPageStore(path, 0, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestPageStoreIncrementalWritesOnlyDirty(t *testing.T) {
 func TestPageStoreNoopSkipZeroWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cat.wsd")
 	snap := pageSnap(4, 7, 3)
-	ps, _, err := OpenPageStore(path, 0, true, 64)
+	ps, _, err := openPageStore(path, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestPageStoreNoopSkipZeroWrites(t *testing.T) {
 func TestPageStoreRecyclesFreedPages(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cat.wsd")
 	snap := pageSnap(6, 1, 30)
-	ps, _, err := OpenPageStore(path, 0, true, 128)
+	ps, _, err := openPageStore(path, 0, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPageStoreRecyclesFreedPages(t *testing.T) {
 func TestPageStoreMetaSlotFallback(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cat.wsd")
 	snap1 := pageSnap(4, 1, 3)
-	ps, _, err := OpenPageStore(path, 0, true, 64)
+	ps, _, err := openPageStore(path, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestPageStoreShardedSlicesMerge(t *testing.T) {
 	slices := ckptSlices(snap, nshards, 12)
 	var files []*loadedShard
 	for i := 0; i < nshards; i++ {
-		ps, _, err := OpenPageStore(shardCkptPath(main, i), i, i == 0, 64)
+		ps, _, err := openPageStore(shardCkptPath(main, i), i, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestPageStoreShardedSlicesMerge(t *testing.T) {
 		ps.Close()
 	}
 	for i := 0; i < nshards; i++ {
-		ps, sl, err := OpenPageStore(shardCkptPath(main, i), i, i == 0, 64)
+		ps, sl, err := openPageStore(shardCkptPath(main, i), i, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

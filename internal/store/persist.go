@@ -17,12 +17,15 @@ import (
 	"worldsetdb/internal/wsd"
 )
 
-// Catalog persistence: a snapshot round-trips through a JSON ".wsd"
+// Catalog import/export: a snapshot round-trips through a JSON ".wsd"
 // document holding the decomposition (certain tuples plus components,
 // with alternative contributions keyed by relation name) and the view
 // definitions. The format stores the factored form directly — a
 // 2^40-world catalog persists in space linear in its decomposition
-// size.
+// size. Import/export only (cmd/isql and isqld -load/-save, seeds):
+// durable catalogs checkpoint to page files (pagestore.go) and Open
+// reads nothing else; the tuple and alternative encodings below are
+// shared with the page and WAL-delta payloads.
 
 // formatTag identifies the persisted format.
 const formatTag = "worldsetdb-catalog/v1"

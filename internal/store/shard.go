@@ -92,10 +92,6 @@ type shardState struct {
 	// stats, guarded by hmu (cheap, already taken on every commit).
 	commits   uint64
 	conflicts uint64
-	// replayFallbacks counts the records homed on this segment that Open
-	// replayed by statement re-execution instead of by delta; written
-	// only during recovery, before the catalog is shared.
-	replayFallbacks uint64
 
 	// queueHist measures group-commit queue wait on this shard (enqueue
 	// to flush start). Zero-value usable, exported at isqld /metrics.
@@ -121,12 +117,15 @@ type commitReq struct {
 	stmts []string
 	trace *obs.Span // committer's trace; the flush leader attaches spans
 
-	ps      []int // participant shards, sorted
-	epoch   uint64
-	baseVer uint64       // headVer the commit chained on (stale-abort check)
-	delta   *CommitDelta // page-delta record for replay-free recovery
-	done    chan error
-	enq     time.Time // when the commit entered the queue
+	ps    []int // participant shards, sorted
+	epoch uint64
+	// prev is, per participant, the shard version the commit chained on:
+	// logged so recovery can check the link, and with one participant
+	// the stale-abort check of the flush leader.
+	prev  []uint64
+	delta *CommitDelta // what recovery replays
+	done  chan error
+	enq   time.Time // when the commit entered the queue
 }
 
 // NewSharded returns a catalog over db partitioned into nshards
@@ -158,24 +157,27 @@ func (c *Catalog) shard(nshards int) {
 		sh.qcond = sync.NewCond(&sh.qmu)
 		c.shards[i] = sh
 	}
-	c.reset(c.cur.Load())
+	c.reset(c.cur.Load(), nil)
 }
 
-// reset republishes snap as the catalog's current state with every
-// shard at snap.Version, assigning IDs to components that lack one.
-// Single-threaded use only (construction and recovery).
-func (c *Catalog) reset(snap *Snapshot) {
+// reset republishes snap as the catalog's current state with shard i at
+// vers[i] (nil = every shard at snap.Version), assigning IDs to
+// components that lack one. Single-threaded use only (construction and
+// recovery).
+func (c *Catalog) reset(snap *Snapshot, vers []uint64) {
 	c.assignIDs(snap.DB)
-	vers := make([]uint64, len(c.shards))
-	for i := range vers {
-		vers[i] = snap.Version
+	if vers == nil {
+		vers = make([]uint64, len(c.shards))
+		for i := range vers {
+			vers[i] = snap.Version
+		}
 	}
 	c.cur.Store(&Snapshot{Version: snap.Version, DB: snap.DB, Views: snap.Views,
 		shardVers: vers, compID: c.compID.Load()})
 	c.epoch.Store(snap.Version)
-	for _, sh := range c.shards {
+	for i, sh := range c.shards {
 		sh.hmu.Lock()
-		sh.head, sh.headVer, sh.pubVer = nil, snap.Version, snap.Version
+		sh.head, sh.headVer, sh.pubVer = nil, vers[i], vers[i]
 		sh.hmu.Unlock()
 	}
 }
@@ -190,18 +192,6 @@ func shardOfName(name string, nshards int) int {
 	h := fnv.New32a()
 	h.Write([]byte(name))
 	return int(h.Sum32() % uint32(nshards))
-}
-
-// SetShardLoggers attaches one WAL segment per shard. Must be called
-// before concurrent use (cmd wiring attaches them once, after
-// recovery), with exactly Shards() entries.
-func (c *Catalog) SetShardLoggers(wals []*WAL) {
-	if len(wals) != len(c.shards) {
-		panic(fmt.Sprintf("store: %d WAL segments for %d shards", len(wals), len(c.shards)))
-	}
-	for i, sh := range c.shards {
-		sh.log, sh.wal = wals[i], wals[i]
-	}
 }
 
 // refShards returns, sorted, the shards a statement referencing refs
@@ -427,20 +417,19 @@ func (c *Catalog) commitBase(ps []int) *Snapshot {
 func (c *Catalog) commit(held, ps []int, base *Snapshot, req *commitReq) error {
 	durable := c.shards[ps[0]].log != nil
 	if durable && len(req.stmts) == 0 {
-		// A record with no statements cannot replay to a new version;
-		// surface the bug (a writer that never called Tx.Log) at commit
-		// time instead of bricking recovery.
+		// The statement texts are the record's provenance; surface a
+		// writer that never called Tx.Log here, before an epoch is spent.
 		c.unlockShards(held)
 		return fmt.Errorf("store: refusing to log a commit with no statement records (writer did not call Tx.Log)")
 	}
 	if req.views != nil {
-		// New components get their IDs before the diff so the logged delta
-		// names the same IDs recovery will re-derive.
+		// New components get their IDs before the diff, so the logged delta
+		// carries them.
 		c.assignIDs(req.db)
 	}
 	req.ps = ps
 	req.epoch = c.epoch.Add(1)
-	if durable && !c.noDeltas {
+	if durable {
 		sp := req.trace.Child("wal.delta")
 		if req.views != nil {
 			req.delta = diffSnapshots(base, &Snapshot{DB: req.db, Views: req.views})
@@ -452,6 +441,9 @@ func (c *Catalog) commit(held, ps []int, base *Snapshot, req *commitReq) error {
 	if len(ps) > 1 {
 		defer c.unlockShards(held)
 		if durable {
+			for _, p := range ps {
+				req.prev = append(req.prev, base.shardVers[p])
+			}
 			if err := c.stageAndMark(req); err != nil {
 				return err
 			}
@@ -471,7 +463,7 @@ func (c *Catalog) commit(held, ps []int, base *Snapshot, req *commitReq) error {
 	head := &Snapshot{Version: req.epoch, DB: req.db, Views: views,
 		shardVers: vers, compID: c.compID.Load()}
 	sh.hmu.Lock()
-	req.baseVer = sh.headVer
+	req.prev = []uint64{sh.headVer}
 	sh.head, sh.headVer = head, req.epoch
 	sh.hmu.Unlock()
 	if !durable {
@@ -532,7 +524,7 @@ func (c *Catalog) flushShardBatch(si int, batch []*commitReq) {
 	expect := sh.pubVer
 	sh.hmu.Unlock()
 	n := 0
-	for n < len(batch) && batch[n].baseVer == expect {
+	for n < len(batch) && batch[n].prev[0] == expect {
 		expect = batch[n].epoch
 		n++
 	}
@@ -540,7 +532,7 @@ func (c *Catalog) flushShardBatch(si int, batch []*commitReq) {
 	if len(ok) > 0 {
 		recs := make([]WALRecord, len(ok))
 		for i, r := range ok {
-			recs[i] = WALRecord{Version: r.epoch, Stmts: r.stmts, Shard: si, Delta: r.delta}
+			recs[i] = WALRecord{Version: r.epoch, Stmts: r.stmts, Shard: si, Prev: r.prev, Delta: r.delta}
 		}
 		flushStart := time.Now()
 		err := sh.log.AppendBatch(recs)
@@ -696,7 +688,7 @@ func (c *Catalog) stageAndMark(req *commitReq) error {
 		go func(i, p int) {
 			defer wg.Done()
 			errs[i] = c.shards[p].log.AppendBatch([]WALRecord{
-				{Version: req.epoch, Stmts: req.stmts, Shard: p, Parts: ps, Delta: req.delta}})
+				{Version: req.epoch, Stmts: req.stmts, Shard: p, Parts: ps, Prev: req.prev, Delta: req.delta}})
 		}(i, p)
 	}
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -53,10 +54,9 @@ func mkTable(tx *Tx, name string) error {
 	return nil
 }
 
-// shardApplier replays the "mk <name>" / "ins <table> <v>" records the
-// sharded tests log — the store-level stand-in for isql.ReplayRecord.
-// "ins" creates the relation when absent so any filtered subset of a
-// crash sweep replays deterministically.
+// shardApplier re-executes the "mk <name>" / "ins <table> <v>" records
+// the sharded tests log — the statement-level oracle sweepReference
+// compares delta recovery against.
 func shardApplier(cat *Catalog, rec WALRecord) error {
 	txn := cat.Begin()
 	for _, stmt := range rec.Stmts {
@@ -67,14 +67,7 @@ func shardApplier(cat *Catalog, rec WALRecord) error {
 			err = txn.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, f[1]) })
 		case "ins":
 			v, _ := strconv.Atoi(f[2])
-			err = txn.UpdateRouted([]string{f[1]}, func(tx *Tx) error {
-				if tx.DB().IndexOf(f[1]) < 0 {
-					if err := mkTable(tx, f[1]); err != nil {
-						return err
-					}
-				}
-				return insInto(tx, f[1], v)
-			})
+			err = txn.UpdateRouted([]string{f[1]}, func(tx *Tx) error { return insInto(tx, f[1], v) })
 		default:
 			err = fmt.Errorf("unknown test statement %q", stmt)
 		}
@@ -386,7 +379,7 @@ func TestMergeComponentsSnapshotRace(t *testing.T) {
 // shard's segment syncs independently.
 func TestShardedWALGroupCommitPerShard(t *testing.T) {
 	dir := t.TempDir()
-	cat, wals := openDir(t, dir, 4, shardApplier)
+	cat, wals := openDir(t, dir, 4)
 	defer closeWALs(wals)
 	names := shardNames(4)
 	for _, n := range names {
@@ -417,13 +410,10 @@ func TestShardedWALGroupCommitPerShard(t *testing.T) {
 
 	// Crash (drop the segments without checkpointing) and recover.
 	closeWALs(wals)
-	cat2, wals2 := openDir(t, dir, 4, shardApplier)
+	cat2, wals2 := openDir(t, dir, 4)
 	defer closeWALs(wals2)
 	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatalf("recovered catalog differs from pre-crash state\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-	if f := replayFallbacks(cat2); f != 0 {
-		t.Fatalf("dense delta replay fell back to statements %d time(s)", f)
 	}
 	if got := cat2.Snapshot().Version; got != wantVer {
 		t.Fatalf("recovered version %d, want last durable epoch %d", got, wantVer)
@@ -454,20 +444,21 @@ func copyDir(t *testing.T, src, dst string) {
 // TestCrashSweepEveryCutPoint is the crash-recovery acceptance sweep,
 // at one shard and at four: run a workload mixing single-shard commits,
 // an all-shard DDL, a staged transaction over two tables (cross-shard at
-// four shards) and one more single-shard commit over per-shard segments,
-// then for every segment and every torn-tail cut point (each line
-// boundary and mid-line) recover the truncated directory and require
-// the result byte-identical to an independent deterministic replay of
-// the surviving epochs — including the cut that severs the cross-shard
-// commit marker, which must roll the transaction back on every shard.
-// The replay-fallback counter must say exactly how the state was
-// rebuilt: zero while the surviving chain is dense (delta replay), one
-// per surviving epoch from the first gap on (a torn record, or a torn
-// marker, in front of epochs that survived on other segments).
+// four shards) and one more commit per participant over per-shard
+// segments, then for every segment and every torn-tail cut point (each
+// line boundary and mid-line) recover the truncated directory. The
+// outcome must be the one an independent reference computes from the
+// surviving records: either the state byte-identical to statement
+// re-execution of the surviving epochs — every cut a crash can produce,
+// including the one that severs the cross-shard commit marker and must
+// roll the transaction back on every shard — or, for a cut no crash can
+// produce, which leaves a committed epoch behind a hole on one of its
+// shards, a *RecoveryError naming that shard and epoch. Either way the
+// segments of a refused directory are left alone.
 func TestCrashSweepEveryCutPoint(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, nshards int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, nshards, shardApplier)
+		cat, wals := openDir(t, dir, nshards)
 		names := shardNames(nshards)
 		for _, n := range names {
 			if err := cat.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, n) }); err != nil {
@@ -493,14 +484,17 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		// One more epoch on the last shard, so a rolled-back transaction
-		// leaves a gap in front of a survivor.
+		// More epochs behind the transaction: on a bystander shard (it
+		// survives a rolled-back transaction in front of it) and on a
+		// participant (it was staged on the transaction's state, so it
+		// cannot survive without it).
 		sIns(t, cat, names[nshards-1], 999)
+		sIns(t, cat, tb, 1000)
 		closeWALs(wals)
 
-		sawGap := false
+		recovered, refused := 0, 0
 		for si := 0; si < nshards; si++ {
-			data, err := os.ReadFile(SegmentPath(dir, si))
+			data, err := os.ReadFile(segmentPath(dir, si))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -520,22 +514,28 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 				}
 				cdir := fmt.Sprintf("%s-s%d-c%d", dir, si, cut)
 				copyDir(t, dir, cdir)
-				if err := os.WriteFile(SegmentPath(cdir, si), data[:cut], 0o644); err != nil {
+				if err := os.WriteFile(segmentPath(cdir, si), data[:cut], 0o644); err != nil {
 					t.Fatal(err)
 				}
-				want, lastEpoch, wantFallbacks := sweepReference(t, cdir, nshards)
-				rec, rwals := openDir(t, cdir, nshards, shardApplier)
+				want, lastEpoch, orphan := sweepReference(t, cdir, nshards)
+				if orphan != nil {
+					re := openRefused(t, cdir, nshards)
+					if re.Shard != orphan.Shard || re.Epoch != orphan.Epoch {
+						t.Fatalf("shard %d cut %d: refused at shard %d e%d, want shard %d e%d: %v",
+							si, cut, re.Shard, re.Epoch, orphan.Shard, orphan.Epoch, re)
+					}
+					refused++
+					os.RemoveAll(cdir)
+					continue
+				}
+				rec, rwals := openDir(t, cdir, nshards)
 				got := dbBytes(t, rec.Snapshot())
 				if !bytes.Equal(got, want) {
-					t.Fatalf("shard %d cut %d: recovery differs from deterministic replay\n--- got ---\n%s\n--- want ---\n%s", si, cut, got, want)
+					t.Fatalf("shard %d cut %d: recovery differs from statement re-execution\n--- got ---\n%s\n--- want ---\n%s", si, cut, got, want)
 				}
-				if lastEpoch > 0 && rec.Snapshot().Version != lastEpoch {
+				if rec.Snapshot().Version != lastEpoch {
 					t.Fatalf("shard %d cut %d: recovered version %d, want %d", si, cut, rec.Snapshot().Version, lastEpoch)
 				}
-				if f := replayFallbacks(rec); f != wantFallbacks {
-					t.Fatalf("shard %d cut %d: %d replay fallbacks, want %d", si, cut, f, wantFallbacks)
-				}
-				sawGap = sawGap || wantFallbacks > 0
 				// Atomicity of the transaction: 777 and 888 appear together
 				// or not at all.
 				db := rec.Snapshot().DB
@@ -545,33 +545,38 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 					t.Fatalf("shard %d cut %d: torn cross-shard commit (777=%v, 888=%v)", si, cut, h7, h8)
 				}
 				closeWALs(rwals)
+				recovered++
 				os.RemoveAll(cdir)
 			}
 		}
-		if nshards > 1 && !sawGap {
-			t.Fatal("no cut left a gap in the epoch chain: the sweep never exercised the statement fallback")
+		if recovered == 0 || (refused > 0) != (nshards > 1) {
+			t.Fatalf("%d cuts recovered, %d refused: the sweep must recover cuts at every shard count and meet orphaned epochs exactly when there are several segments", recovered, refused)
 		}
 	})
 }
 
-// sweepReference independently computes what recovery must produce
-// from a (possibly truncated) segment directory: scan each segment,
-// merge records by epoch, drop cross-shard epochs without a marker,
-// replay ascending onto a fresh catalog. It returns the state, the last
-// surviving epoch, and how many of the surviving epochs sit at or after
-// the first gap in the chain (the ones delta replay must not touch). A
-// deliberate reimplementation of the recovery contract, not a call into
-// it.
-func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64, uint64) {
+// sweepReference independently computes what recovery must do with a
+// (possibly truncated) segment directory: scan each segment, merge
+// records by epoch, drop cross-shard epochs without a marker, then walk
+// the survivors in epoch order keeping the last epoch applied per shard.
+// An epoch whose staged-on version on some participant is not that
+// shard's last applied epoch is an orphan — recovery must refuse, naming
+// it (returned as a RecoveryError value, Reason unset). Otherwise every
+// survivor is re-executed by statement on a fresh catalog, and the
+// resulting state and last epoch are what recovery must reach by delta.
+// A deliberate reimplementation of the recovery contract, not a call
+// into it.
+func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64, *RecoveryError) {
 	t.Helper()
 	type er struct {
 		stmts  []string
 		parts  []int
+		prev   []uint64
 		marked bool
 	}
 	epochs := map[uint64]*er{}
 	for si := 0; si < nshards; si++ {
-		w, recs, err := OpenWAL(SegmentPath(dir, si))
+		w, recs, err := openWAL(dir, si)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -585,8 +590,10 @@ func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64, uint
 			if rec.Marker {
 				e.marked = true
 			} else {
-				e.stmts = rec.Stmts
-				e.parts = rec.Parts
+				e.stmts, e.prev = rec.Stmts, rec.Prev
+				if e.parts = rec.Parts; len(e.parts) == 0 {
+					e.parts = []int{si}
+				}
 			}
 		}
 	}
@@ -600,23 +607,27 @@ func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64, uint
 		}
 		order = append(order, v)
 	}
-	for i := range order {
-		for j := i + 1; j < len(order); j++ {
-			if order[j] < order[i] {
-				order[i], order[j] = order[j], order[i]
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	ref := NewSharded(nil, nshards)
+	last := ref.Snapshot().Version
+	at := make([]uint64, nshards) // last epoch applied per shard
+	for p := range at {
+		at[p] = last
+	}
+	for _, v := range order {
+		e := epochs[v]
+		for i, p := range e.parts {
+			if e.prev[i] != at[p] {
+				return nil, 0, &RecoveryError{Shard: p, Epoch: v}
 			}
 		}
-	}
-	ref := NewSharded(nil, nshards)
-	var last, afterGap uint64
-	for i, v := range order {
-		if err := shardApplier(ref, WALRecord{Version: v, Stmts: epochs[v].stmts}); err != nil {
+		if err := shardApplier(ref, WALRecord{Version: v, Stmts: e.stmts}); err != nil {
 			t.Fatalf("reference replay of e%d: %v", v, err)
 		}
-		if afterGap > 0 || v != uint64(i)+2 { // the fresh catalog is at version 1
-			afterGap++
+		for _, p := range e.parts {
+			at[p] = v
 		}
 		last = v
 	}
-	return dbBytes(t, ref.Snapshot()), last, afterGap
+	return dbBytes(t, ref.Snapshot()), last, nil
 }

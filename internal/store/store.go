@@ -41,8 +41,16 @@
 // and becomes durable with a marker on the coordinator segment.
 // Commits touching disjoint shards run fully in parallel, and readers
 // always get one wait-free merged Snapshot. See shard.go for the
-// routing, epoch and publish rules, wal.go for recovery and
-// checkpoints.
+// routing, epoch and publish rules.
+//
+// # One way to be durable
+//
+// Open is the only constructor of a durable catalog: it seeds a fresh
+// directory or recovers one that holds state, from page-file
+// checkpoints plus per-shard WAL segments, by patching logged page
+// deltas — and refuses, with a *RecoveryError, state it cannot
+// reproduce exactly. Checkpoint bounds the replay work. The .wsd JSON
+// document of persist.go is import/export only. See wal.go.
 package store
 
 import (
@@ -116,16 +124,10 @@ type Catalog struct {
 	pub    sync.Mutex    // serializes merged-snapshot publication
 	compID atomic.Uint64 // component ID counter
 
-	// pagers, when paging is enabled (Open attaches them, or EnablePaging
-	// for a fresh catalog), hold one paged checkpoint file per shard;
-	// Checkpoint writes incrementally through them instead of rewriting a
-	// v1 JSON document.
+	// pagers, on a durable catalog (Open attaches them), hold one paged
+	// checkpoint file per shard; Checkpoint writes incrementally through
+	// them.
 	pagers []*PageStore
-
-	// noDeltas disables WAL page-delta records (commits then log only
-	// their statement texts, and recovery re-executes them) — a bench
-	// knob for measuring what delta replay buys; see SetLogDeltas.
-	noDeltas bool
 }
 
 // New returns a one-shard catalog whose first version holds the given
@@ -154,13 +156,7 @@ func newCatalog(snap *Snapshot, compID uint64) *Catalog {
 // different shards never race it.
 func (c *Catalog) assignIDs(db *wsd.DecompDB) {
 	for i := range db.Components {
-		id := db.Components[i].ID
-		for id != 0 {
-			cur := c.compID.Load()
-			if id <= cur || c.compID.CompareAndSwap(cur, id) {
-				break
-			}
-		}
+		c.raiseCompID(db.Components[i].ID)
 	}
 	for i := range db.Components {
 		if db.Components[i].ID == 0 {
@@ -169,11 +165,15 @@ func (c *Catalog) assignIDs(db *wsd.DecompDB) {
 	}
 }
 
-// SetLogDeltas toggles WAL page-delta records (default on). With them
-// off, commits log only statement texts and recovery re-executes them
-// — the pre-paging behavior, kept as a benchmark baseline. Call before
-// concurrent use.
-func (c *Catalog) SetLogDeltas(on bool) { c.noDeltas = !on }
+// raiseCompID raises the component ID counter to at least id.
+func (c *Catalog) raiseCompID(id uint64) {
+	for {
+		cur := c.compID.Load()
+		if id <= cur || c.compID.CompareAndSwap(cur, id) {
+			return
+		}
+	}
+}
 
 // FromComplete returns a catalog over the singleton world-set of a
 // complete database.

@@ -24,23 +24,26 @@ import (
 // I-SQL statement texts that produced it — and fsyncs before the
 // version becomes visible (see commit in shard.go). Recovery (Open)
 // loads the last checkpoint — one page file per shard — merges the
-// segments by epoch and replays the tail: a record's delta is patched
-// straight into the decomposition; statement re-execution (pure, hence
-// deterministic: replaying record e against the state before e
-// reproduces the state after it, byte for byte through Save) is the
-// per-record fallback, counted in DurabilityStats.
+// segments by epoch and replays the tail by patching each record's
+// delta straight into the decomposition. A record replays only if it
+// links: on every participant shard it was staged on exactly the
+// version recovery has reached there (prev). Anything else — a broken
+// link, a committed record without a delta, a delta that does not apply
+// — is a *RecoveryError, never a silently different world-set. The
+// statement texts are provenance (slow-query logs, and the oracle the
+// crash tests compare delta replay against); recovery never runs them.
 //
 // # On-disk format
 //
 // One JSON object per line:
 // {"v":<epoch>,"stmts":[...],"shard":<i>,"parts":[...],"m":<marker>,
-// "delta":{...},"crc":<sum>} with empty fields omitted, where crc is
-// the IEEE CRC-32 of the record content (crcOfRecord). A torn tail
-// (crash mid-append) fails the CRC or the JSON decode; OpenWAL truncates
-// the file back to the last intact record. Checkpointing commits the
-// page files and then truncates the segments; records are filtered by
-// epoch on replay, so a crash between those two steps only leaves
-// already-checkpointed records that replay skips.
+// "prev":[...],"delta":{...},"crc":<sum>} with empty fields omitted,
+// where crc is the IEEE CRC-32 of the record content (crcOfRecord). A
+// torn tail (crash mid-append) fails the CRC or the JSON decode; Open
+// truncates the file back to the last intact record. Checkpointing
+// commits the page files and then truncates the segments; records are
+// filtered by epoch on replay, so a crash between those two steps only
+// leaves already-checkpointed records that replay skips.
 
 // WALRecord is one committed transaction in the log.
 type WALRecord struct {
@@ -59,9 +62,14 @@ type WALRecord struct {
 	// is durable. A staged cross-shard epoch without its marker is
 	// discarded by recovery — the commit rolls back on all shards.
 	Marker bool
-	// Delta, when present, is the commit's effect on durable state
-	// (delta.go); recovery applies it directly instead of re-executing
-	// Stmts. Records written before deltas existed replay by statement.
+	// Prev is, per participant shard (aligned with Parts, or the one
+	// entry for Shard when Parts is empty), the shard version the commit
+	// was staged on. Recovery applies the record only where every entry
+	// matches the version it has reached on that shard. Absent on records
+	// written before it existed, which link by epoch density instead.
+	Prev []uint64
+	// Delta is the commit's effect on durable state (delta.go) — what
+	// recovery applies. Absent only on markers.
 	Delta *CommitDelta
 
 	// deltaRaw is Delta's verbatim JSON as stored on disk — the CRC
@@ -79,6 +87,7 @@ type walLine struct {
 	Shard   int             `json:"shard,omitempty"`
 	Parts   []int           `json:"parts,omitempty"`
 	Marker  bool            `json:"m,omitempty"`
+	Prev    []uint64        `json:"prev,omitempty"`
 	Delta   json.RawMessage `json:"delta,omitempty"`
 	CRC     uint32          `json:"crc"`
 }
@@ -86,7 +95,8 @@ type walLine struct {
 // crcOf sums the record content: version plus length-prefixed statement
 // texts (the prefix keeps ["ab","c"] distinct from ["a","bc"]), plus —
 // only when present, so historical records keep their sums — the
-// cross-shard participant list, the marker flag and the delta bytes.
+// cross-shard participant list, the marker flag, the staged-on shard
+// versions and the delta bytes.
 func crcOfRecord(rec WALRecord) uint32 {
 	h := crc32.NewIEEE()
 	var buf [8]byte
@@ -110,6 +120,14 @@ func crcOfRecord(rec WALRecord) uint32 {
 			h.Write([]byte{0})
 		}
 	}
+	if len(rec.Prev) > 0 {
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(rec.Prev)))
+		h.Write(buf[:])
+		for _, v := range rec.Prev {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+	}
 	if len(rec.deltaRaw) > 0 {
 		binary.LittleEndian.PutUint64(buf[:], uint64(len(rec.deltaRaw)))
 		h.Write(buf[:])
@@ -118,11 +136,11 @@ func crcOfRecord(rec WALRecord) uint32 {
 	return h.Sum32()
 }
 
-// WAL is one open log segment. Attached to a catalog shard (Open, or
-// SetShardLoggers), the shard's flush leader persists every waiting
-// committer's record with one AppendBatch, one fsync. Safe for
-// concurrent use (appends serialize on the WAL mutex; a checkpoint's
-// truncate may race a commit from another goroutine).
+// WAL is one open log segment, attached to a catalog shard by Open: the
+// shard's flush leader persists every waiting committer's record with
+// one AppendBatch, one fsync. Safe for concurrent use (appends
+// serialize on the WAL mutex; a checkpoint's truncate may race a commit
+// from another goroutine).
 type WAL struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -143,16 +161,37 @@ type WAL struct {
 	fsync obs.Histogram
 }
 
-// OpenWAL opens (creating if absent) the log at path and returns the
-// intact records it holds. A torn tail — a final record interrupted by
-// a crash — is detected by CRC/framing and truncated away so appending
-// resumes from the last durable record.
-func OpenWAL(path string) (*WAL, []WALRecord, error) {
+// RecoveryError reports durable state Open cannot recover without
+// guessing: a record that does not link to the version recovery reached
+// on one of its shards, a committed record without a page delta, a
+// delta that does not apply, or a CRC-intact record that does not
+// decode. The directory is left as found.
+type RecoveryError struct {
+	Shard  int    // shard (segment) the offending record belongs to
+	Epoch  uint64 // its commit epoch
+	Reason string
+}
+
+func (e *RecoveryError) Error() string {
+	return fmt.Sprintf("store: recovery refused at shard %d, epoch e%d: %s", e.Shard, e.Epoch, e.Reason)
+}
+
+// segmentName is the file name of shard si's WAL segment.
+func segmentName(si int) string { return fmt.Sprintf("wal-%d.log", si) }
+
+func segmentPath(walDir string, si int) string { return filepath.Join(walDir, segmentName(si)) }
+
+// openWAL opens (creating if absent) shard si's segment under walDir
+// and returns the intact records it holds. A torn tail — a final record
+// interrupted by a crash — is detected by CRC/framing and truncated
+// away so appending resumes from the last durable record.
+func openWAL(walDir string, si int) (*WAL, []WALRecord, error) {
+	path := segmentPath(walDir, si)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: opening WAL: %w", err)
 	}
-	records, valid, err := scanWAL(f)
+	records, valid, err := scanWAL(f, si)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -175,19 +214,19 @@ func OpenWAL(path string) (*WAL, []WALRecord, error) {
 	return &WAL{f: f, path: path, tail: len(records)}, records, nil
 }
 
-// scanWAL reads records from the start of f, stopping (without error)
-// at the first torn or corrupt line, and returns the records plus the
-// byte length of the intact prefix. Lines are read without a length
-// cap: a large committed record must never be mistaken for a torn tail.
-func scanWAL(f *os.File) ([]WALRecord, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, err
-	}
+// scanWAL reads shard si's records from r, stopping (without error) at
+// the first torn or corrupt line, and returns the records plus the byte
+// length of the intact prefix. Lines are read without a length cap: a
+// large committed record must never be mistaken for a torn tail. A line
+// whose CRC holds was written whole, so a delta in it that does not
+// decode is format skew or a bug, not a tear: that is a *RecoveryError,
+// and nothing behind it is touched.
+func scanWAL(r io.Reader, si int) ([]WALRecord, int64, error) {
 	var records []WALRecord
 	var valid int64
-	r := bufio.NewReaderSize(f, 1<<20)
+	br := bufio.NewReaderSize(r, 1<<20)
 	for {
-		line, err := r.ReadBytes('\n')
+		line, err := br.ReadBytes('\n')
 		if err == io.EOF {
 			// A final line without its newline is a torn append.
 			break
@@ -199,15 +238,16 @@ func scanWAL(f *os.File) ([]WALRecord, int64, error) {
 		if err := json.Unmarshal(line[:len(line)-1], &rec); err != nil {
 			break // torn or corrupt tail
 		}
-		decoded := WALRecord{Version: rec.Version, Stmts: rec.Stmts,
-			Shard: rec.Shard, Parts: rec.Parts, Marker: rec.Marker, deltaRaw: rec.Delta}
+		decoded := WALRecord{Version: rec.Version, Stmts: rec.Stmts, Shard: rec.Shard,
+			Parts: rec.Parts, Marker: rec.Marker, Prev: rec.Prev, deltaRaw: rec.Delta}
 		if rec.CRC != crcOfRecord(decoded) {
 			break
 		}
 		if len(decoded.deltaRaw) > 0 {
 			d, err := decodeDelta(decoded.deltaRaw)
 			if err != nil {
-				break // CRC-intact but undecodable delta: treat as torn
+				return nil, 0, &RecoveryError{Shard: si, Epoch: rec.Version,
+					Reason: fmt.Sprintf("%s holds a CRC-intact record whose delta does not decode: %v", segmentName(si), err)}
 			}
 			decoded.Delta = d
 		}
@@ -215,6 +255,25 @@ func scanWAL(f *os.File) ([]WALRecord, int64, error) {
 		valid += int64(len(line))
 	}
 	return records, valid, nil
+}
+
+// frameRecord renders rec as its log line, newline included: the delta
+// is encoded once and the CRC sums those exact bytes.
+func frameRecord(rec WALRecord) ([]byte, error) {
+	if rec.Delta != nil && len(rec.deltaRaw) == 0 {
+		raw, err := json.Marshal(rec.Delta)
+		if err != nil {
+			return nil, fmt.Errorf("store: encoding commit delta v%d: %w", rec.Version, err)
+		}
+		rec.deltaRaw = raw
+	}
+	line, err := json.Marshal(walLine{Version: rec.Version, Stmts: rec.Stmts,
+		Shard: rec.Shard, Parts: rec.Parts, Marker: rec.Marker, Prev: rec.Prev,
+		Delta: json.RawMessage(rec.deltaRaw), CRC: crcOfRecord(rec)})
+	if err != nil {
+		return nil, err
+	}
+	return append(line, '\n'), nil
 }
 
 // Path returns the log's file path.
@@ -238,29 +297,23 @@ func (w *WAL) AppendBatch(recs []WALRecord) error {
 	}
 	var buf []byte
 	for _, rec := range recs {
-		if len(rec.Stmts) == 0 && !rec.Marker {
-			// A record with no statements cannot replay to a new version;
-			// logging it would brick recovery. The caller staged changes
-			// without Tx.Log — surface the bug at commit time. (Marker
-			// records are the exception: they carry a decision, not
-			// statements.)
+		switch {
+		case rec.Marker: // carries a decision, not a change
+		case len(rec.Stmts) == 0:
+			// The statement texts are the record's provenance; a commit
+			// without them was staged by a writer that skipped Tx.Log —
+			// surface the bug at commit time.
 			return fmt.Errorf("store: refusing to log commit v%d with no statement records (writer did not call Tx.Log)", rec.Version)
+		case rec.Delta == nil && len(rec.deltaRaw) == 0:
+			// Recovery replays deltas and nothing else: logging a commit
+			// without one would make Open refuse the directory.
+			return fmt.Errorf("store: refusing to log commit v%d with no page delta", rec.Version)
 		}
-		if rec.Delta != nil && len(rec.deltaRaw) == 0 {
-			raw, err := json.Marshal(rec.Delta)
-			if err != nil {
-				return fmt.Errorf("store: encoding commit delta v%d: %w", rec.Version, err)
-			}
-			rec.deltaRaw = raw
-		}
-		line, err := json.Marshal(walLine{Version: rec.Version, Stmts: rec.Stmts,
-			Shard: rec.Shard, Parts: rec.Parts, Marker: rec.Marker,
-			Delta: json.RawMessage(rec.deltaRaw), CRC: crcOfRecord(rec)})
+		line, err := frameRecord(rec)
 		if err != nil {
 			return err
 		}
 		buf = append(buf, line...)
-		buf = append(buf, '\n')
 	}
 	base, err := w.f.Seek(0, io.SeekCurrent)
 	if err != nil {
@@ -377,16 +430,17 @@ func (w *WAL) reset() error {
 // between the snapshot read and the truncates — in-flight group commits
 // finish first. Readers are unaffected; writers wait for the checkpoint.
 //
-// With paging enabled (Open / EnablePaging) the base is one page file
-// per shard (the main file plus <wsdPath>.s<i> side files), each
-// written incrementally — only pages of components touched since the
-// previous checkpoint are rewritten, and a checkpoint at an
-// already-persisted version writes nothing at all. Side files commit
-// before the main file, so a crash mid-checkpoint leaves either the old
-// base or a mixed set of per-shard epochs that recovery merges and
-// heals from the WALs. Without paging the base is a v1 JSON document
-// written atomically by SaveFile.
-func (c *Catalog) Checkpoint(wsdPath string) error {
+// The base is the page files Open attached, one per shard (the main
+// file plus <wsdPath>.s<i> side files), each written incrementally —
+// only pages of components touched since the previous checkpoint are
+// rewritten, and a checkpoint at an already-persisted version writes
+// nothing at all. Side files commit before the main file, so a crash
+// mid-checkpoint leaves either the old base or a mixed set of per-shard
+// epochs that recovery merges and heals from the WALs.
+func (c *Catalog) Checkpoint() error {
+	if len(c.pagers) == 0 {
+		return fmt.Errorf("store: Checkpoint on a catalog that was not opened with Open")
+	}
 	all := c.allShards()
 	c.lockShards(all)
 	defer c.unlockShards(all)
@@ -394,17 +448,10 @@ func (c *Catalog) Checkpoint(wsdPath string) error {
 		sh.drain()
 	}
 	snap := c.cur.Load()
-	if len(c.pagers) == len(c.shards) && c.pagers[0] != nil && c.pagers[0].Path() == wsdPath {
-		if err := c.checkpointPaged(snap, wsdPath); err != nil {
-			return err
-		}
-	} else if err := SaveFile(wsdPath, snap); err != nil {
-		return fmt.Errorf("store: writing checkpoint: %w", err)
+	if err := c.checkpointPaged(snap); err != nil {
+		return err
 	}
 	for _, sh := range c.shards {
-		if sh.wal == nil {
-			continue
-		}
 		if err := sh.wal.reset(); err != nil {
 			return err
 		}
@@ -418,7 +465,7 @@ func (c *Catalog) Checkpoint(wsdPath string) error {
 // the coordinating main file last. Every file records the full global
 // version, so recovery can tell exactly which files a torn checkpoint
 // advanced. Called with all shard locks held and queues drained.
-func (c *Catalog) checkpointPaged(snap *Snapshot, wsdPath string) error {
+func (c *Catalog) checkpointPaged(snap *Snapshot) error {
 	allNoop := true
 	for _, ps := range c.pagers {
 		if ps.Version() != snap.Version {
@@ -456,7 +503,7 @@ func (c *Catalog) checkpointPaged(snap *Snapshot, wsdPath string) error {
 	// A previous run at a higher shard count can leave side files beyond
 	// ours; they are stale the moment this full-set checkpoint commits.
 	for i := len(c.shards); ; i++ {
-		p := shardCkptPath(wsdPath, i)
+		p := shardCkptPath(c.pagers[0].Path(), i)
 		if _, err := os.Stat(p); err != nil {
 			break
 		}
@@ -477,18 +524,6 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// Applier re-executes one committed WAL record against the catalog
-// during recovery — the fallback for records that cannot replay by
-// delta. It must apply the record's statements as a single transaction
-// (isql.ReplayRecord is the canonical implementation — the store itself
-// cannot parse I-SQL).
-type Applier func(cat *Catalog, rec WALRecord) error
-
-// SegmentPath returns the path of shard si's WAL segment under walDir.
-func SegmentPath(walDir string, si int) string {
-	return filepath.Join(walDir, fmt.Sprintf("wal-%d.log", si))
-}
-
 // adoptLegacyLog upgrades a WAL directory written by the pre-sharding
 // single-log layout: its wal.log becomes shard 0's segment (the record
 // format is the same — shard 0, no participant list — and the merged
@@ -504,7 +539,7 @@ func adoptLegacyLog(walDir string) error {
 		}
 		return err
 	}
-	seg := SegmentPath(walDir, 0)
+	seg := segmentPath(walDir, 0)
 	if si, err := os.Stat(seg); err == nil && si.Size() > 0 {
 		if li.Size() > 0 {
 			return fmt.Errorf("store: %s holds both a non-empty wal.log and a non-empty %s; refusing to pick one", walDir, filepath.Base(seg))
@@ -517,44 +552,88 @@ func adoptLegacyLog(walDir string) error {
 	return fsyncDir(walDir)
 }
 
-// Open recovers a WAL-backed catalog partitioned nshards ways: load the
-// last checkpoint from wsdPath (the empty catalog when none exists),
-// scan every shard segment wal-<i>.log under walDir (torn tails
-// truncated per segment), merge the intact records by epoch, discard
-// cross-shard epochs whose commit marker is absent (the two-phase
-// publish never finished — the transaction rolls back on every shard),
-// replay the surviving epochs newer than the checkpoint in ascending
-// order, and return the catalog with one WAL segment per shard
-// attached, ready for new transactions. Epoch order is a valid
-// serialization of the pre-crash execution: single-shard commits read
-// only their shard and epochs are assigned under the shard locks, so
-// replaying the merged sequence serially reproduces the per-shard
-// states. The catalog after Open is byte-identical (through Save) to
-// the last committed state before the crash: committed transactions
-// survive, uncommitted ones vanish.
+// holdsState reports whether the directory already holds a durable
+// catalog: a checkpoint at wsdPath or a non-empty log segment. Empty
+// files are what a crash before the seed checkpoint committed leaves
+// behind, and count as fresh.
+func holdsState(wsdPath, walDir string) (bool, error) {
+	segs, err := filepath.Glob(filepath.Join(walDir, "wal-*.log"))
+	if err != nil {
+		return false, err
+	}
+	for _, p := range append(segs, wsdPath) {
+		fi, err := os.Stat(p)
+		if err == nil && fi.Size() > 0 {
+			return true, nil
+		}
+		if err != nil && !os.IsNotExist(err) {
+			return false, err
+		}
+	}
+	return false, nil
+}
+
+// Open is the one way a durable catalog comes into being: it creates or
+// recovers the catalog rooted at walDir (created if absent), partitioned
+// nshards ways, with its checkpoint base at wsdPath and one WAL segment
+// wal-<i>.log per shard attached, ready for new transactions.
 //
-// A record replays by applying its page delta; a record without one,
-// whose delta no longer applies, or that follows a gap in the epoch
-// chain is re-executed through applier instead, and counted in
-// DurabilityStats (ReplayFallbacks).
+// A directory that holds no state is seeded: seed() (nil = the empty
+// catalog) becomes the first version and is checkpointed before Open
+// returns, so the seed itself is durable. A directory that holds state
+// — a checkpoint or a non-empty segment; a wal.log left by the
+// pre-sharding single-log layout is adopted as shard 0's segment — is
+// recovered and seed is never called: load the last checkpoint, scan
+// every segment (torn tails truncated per segment) and replay the tail
+// by patching page deltas (see replay). The catalog after Open is
+// byte-identical (through Save) to the last committed state before the
+// crash: committed transactions survive, uncommitted ones vanish. A
+// record that does not link, carries no delta, or whose delta does not
+// apply makes Open fail with a *RecoveryError and leaves the directory
+// as found.
 //
 // The checkpoint base is one page file per shard (wsdPath plus
 // wsdPath.s<i> side files) read through a buffer pool of poolPages
 // frames per shard (<= 0 selects DefaultPoolPages; catalogs larger than
 // the pool still recover). A torn multi-file checkpoint leaves the
 // files at mixed epochs, so recovery merges them — each object from the
-// newest file holding it — and replays every WAL epoch newer than the
-// oldest file, which delta replay makes idempotent. A historical v1
-// JSON document at wsdPath also loads; the first checkpoint through the
-// returned catalog migrates it to the page format. A wal.log left by
-// the pre-sharding single-log layout is adopted as shard 0's segment.
-func Open(wsdPath, walDir string, nshards int, applier Applier, poolPages int) (*Catalog, []*WAL, error) {
+// newest file holding it — and re-applies every WAL epoch newer than
+// the oldest file, which is idempotent. Anything else at wsdPath (a
+// .wsd JSON export, say) is refused: import it into a fresh directory
+// through the seed.
+func Open(wsdPath, walDir string, nshards, poolPages int, seed func() (*Catalog, error)) (*Catalog, []*WAL, error) {
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		return nil, nil, err
+	}
 	if err := adoptLegacyLog(walDir); err != nil {
 		return nil, nil, err
 	}
-	cat, err := loadBase(wsdPath, nshards, poolPages)
+	recovering, err := holdsState(wsdPath, walDir)
 	if err != nil {
 		return nil, nil, err
+	}
+	var cat *Catalog
+	var newest uint64 // newest checkpoint file version; above it deltas apply strictly
+	if recovering {
+		if cat, newest, err = loadBase(wsdPath, nshards, poolPages); err != nil {
+			return nil, nil, err
+		}
+	}
+	if cat == nil {
+		// Nothing checkpointed: a fresh directory starts from the seed, one
+		// that holds only log segments from the empty catalog. The first
+		// checkpoint creates (or atomically replaces) the page files.
+		cat = New(nil)
+		if !recovering && seed != nil {
+			if cat, err = seed(); err != nil {
+				return nil, nil, err
+			}
+		}
+		cat.shard(nshards)
+		cat.pagers = make([]*PageStore, len(cat.shards))
+		for i := range cat.pagers {
+			cat.pagers[i] = newPageStore(shardCkptPath(wsdPath, i), i, poolPages)
+		}
 	}
 	wals := make([]*WAL, len(cat.shards))
 	fail := func(err error) (*Catalog, []*WAL, error) {
@@ -564,193 +643,208 @@ func Open(wsdPath, walDir string, nshards int, applier Applier, poolPages int) (
 			}
 		}
 		for _, ps := range cat.pagers {
-			if ps != nil {
-				ps.Close()
-			}
+			ps.Close()
 		}
 		return nil, nil, err
 	}
-	type epochRec struct {
-		stmts  []string
-		parts  []int
-		delta  *CommitDelta
-		home   int // lowest shard whose segment holds the stage record
-		marked bool
-	}
-	epochs := map[uint64]*epochRec{}
+	segs := make([][]WALRecord, len(wals))
 	for si := range wals {
-		wal, records, err := OpenWAL(SegmentPath(walDir, si))
-		if err != nil {
+		if wals[si], segs[si], err = openWAL(walDir, si); err != nil {
 			return fail(err)
 		}
-		wals[si] = wal
-		for _, rec := range records {
-			er := epochs[rec.Version]
-			if er == nil {
-				er = &epochRec{home: si}
-				epochs[rec.Version] = er
-			}
-			if rec.Marker {
-				er.marked = true
-				continue
-			}
-			er.stmts = rec.Stmts
-			er.parts = rec.Parts
-			if rec.Delta != nil {
-				er.delta = rec.Delta
-			}
+	}
+	if err := cat.replay(segs, newest); err != nil {
+		return fail(err)
+	}
+	for i, sh := range cat.shards {
+		sh.log, sh.wal = wals[i], wals[i]
+	}
+	if !recovering {
+		// Replay starts from the checkpoint, so the seed must be in one
+		// before the first transaction is acknowledged.
+		if err := cat.Checkpoint(); err != nil {
+			return fail(fmt.Errorf("store: checkpointing seed: %w", err))
 		}
 	}
-	base := cat.Snapshot().Version
-	var order []uint64
-	for e, er := range epochs {
-		if e <= base {
-			continue // already in the checkpoint (crash between save and truncate)
-		}
-		if len(er.parts) > 1 && !er.marked {
-			continue // unmarked cross-shard prefix: rolls back everywhere
-		}
-		if len(er.stmts) == 0 {
-			continue // marker without any surviving stage record
-		}
-		order = append(order, e)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	// Delta replay is only sound while the surviving epoch chain is
-	// dense: a delta captures whole objects as of its commit, so applying
-	// one after an earlier epoch was discarded (torn segment, rolled-back
-	// cross-shard commit, epoch burned by a failed fsync) would resurrect
-	// that epoch's effects. The first gap switches the rest of the replay
-	// to statement re-execution — the reference semantics for arbitrary
-	// surviving subsets.
-	dense := true
-	expected := base + 1
-	for _, e := range order {
-		er := epochs[e]
-		if e != expected {
-			dense = false
-		}
-		expected = e + 1
-		if dense && er.delta != nil {
-			cur := cat.Snapshot()
-			if db, views, aerr := applyDelta(cur.DB, cur.Views, er.delta); aerr == nil {
-				cat.reset(&Snapshot{Version: e, DB: db, Views: views})
-				continue
-			}
-			dense = false
-		}
-		cat.shards[er.home].replayFallbacks++
-		if err := applier(cat, WALRecord{Version: e, Stmts: er.stmts}); err != nil {
-			return fail(fmt.Errorf("store: replaying WAL epoch e%d: %w", e, err))
-		}
-	}
-	// Re-stamp the catalog at the last durable epoch so the recovered
-	// Version (which Save persists) matches the pre-crash published
-	// state rather than the compressed replay count.
-	last := base
-	if len(order) > 0 {
-		last = order[len(order)-1]
-	}
-	cat.reset(&Snapshot{Version: last, DB: cat.Snapshot().DB, Views: cat.Snapshot().Views})
-	cat.SetShardLoggers(wals)
 	return cat, wals, nil
 }
 
-// loadBase loads the checkpoint base into an nshards-way catalog with
-// one PageStore per shard attached (uninitialized stores for files that
-// do not exist yet — the first checkpoint creates them).
-// With a page-file main base, side files are probed past nshards too: a
-// catalog checkpointed at a higher shard count keeps its objects in
-// files the current count does not write, and the merge must still see
-// them.
-func loadBase(wsdPath string, nshards, poolPages int) (*Catalog, error) {
-	nshards = max(nshards, 1)
-	pagers := make([]*PageStore, nshards)
-	var extras []*PageStore
-	done := func(cat *Catalog) (*Catalog, error) {
-		cat.shard(nshards)
-		cat.pagers = pagers
-		return cat, nil
+// loggedCommit is one commit as the segments describe it: the stage
+// records of its participants merged, plus whether its marker was seen.
+type loggedCommit struct {
+	epoch  uint64
+	home   int      // lowest shard whose segment holds a stage record
+	parts  []int    // participant shards
+	prev   []uint64 // per participant, the shard version it was staged on; nil on legacy records
+	delta  *CommitDelta
+	staged bool
+	marked bool
+}
+
+// replay applies the surviving log tail in segs (one record slice per
+// shard segment) to the freshly loaded base and republishes the result
+// with every shard at the version replay reached on it, so the next
+// commit's prev links on the next recovery whether or not a checkpoint
+// comes first.
+//
+// Records are grouped into commits by epoch and participant list — a
+// stale stage record of a rolled-back epoch can never merge with a live
+// commit that was later numbered the same — and a staged cross-shard
+// commit without its marker is discarded: the two-phase publish never
+// finished, the transaction rolls back on every shard. The survivors
+// newer than the checkpoint apply in epoch order, a valid serialization
+// of the pre-crash execution (single-shard commits read only their
+// shard, and epochs are assigned under the shard locks). A commit links
+// if, on every participant shard p, the version it was staged on is the
+// version replay has reached on p (a predecessor at or below the
+// checkpoint is in the base). Routed deltas are shard-scoped, so only
+// the per-shard chain matters: an epoch missing elsewhere (burned by a
+// failed fsync, rolled back, or torn off another segment) does not
+// break it. Records written before prev existed link by density of the
+// global epoch chain instead. Deltas at or below newest — the newest
+// file of a torn mixed-epoch checkpoint — may already be in the base
+// and re-apply leniently.
+func (c *Catalog) replay(segs [][]WALRecord, newest uint64) error {
+	type key struct {
+		epoch uint64
+		parts string
 	}
-	fail := func(err error) (*Catalog, error) {
-		for _, ps := range pagers {
-			if ps != nil {
-				ps.Close()
+	commits := map[key]*loggedCommit{}
+	base := c.cur.Load()
+	top := base.Version // the epoch counter resumes above every epoch seen, discarded or not
+	for si, records := range segs {
+		for _, rec := range records {
+			top = max(top, rec.Version)
+			parts := rec.Parts
+			if len(parts) == 0 {
+				parts = []int{si}
 			}
-		}
-		for _, ps := range extras {
-			ps.Close()
-		}
-		return nil, err
-	}
-	main, loaded, err := OpenPageStore(wsdPath, 0, true, poolPages)
-	if err != nil {
-		return fail(fmt.Errorf("store: loading checkpoint: %w", err))
-	}
-	pagers[0] = main
-	if loaded == nil {
-		// Legacy v1 JSON (or no file at all): load it whole; the pagers
-		// stay uninitialized until the first checkpoint migrates the base
-		// to the page format.
-		var cat *Catalog
-		switch _, serr := os.Stat(wsdPath); {
-		case serr == nil:
-			cat, err = LoadFile(wsdPath)
-			if err != nil {
-				return fail(fmt.Errorf("store: loading checkpoint: %w", err))
+			k := key{rec.Version, fmt.Sprint(parts)}
+			lc := commits[k]
+			if lc == nil {
+				lc = &loggedCommit{epoch: rec.Version, home: si, parts: parts}
+				commits[k] = lc
 			}
-		case os.IsNotExist(serr):
-			cat = New(nil)
-		default:
-			return fail(serr)
-		}
-		for i := 1; i < nshards; i++ {
-			ps, _, perr := OpenPageStore(shardCkptPath(wsdPath, i), i, false, poolPages)
-			if perr != nil {
-				return fail(fmt.Errorf("store: opening shard %d page store: %w", i, perr))
-			}
-			pagers[i] = ps
-		}
-		return done(cat)
-	}
-	files := []*loadedShard{loaded}
-	for i := 1; ; i++ {
-		p := shardCkptPath(wsdPath, i)
-		if _, serr := os.Stat(p); os.IsNotExist(serr) {
-			if i < nshards {
-				ps, _, perr := OpenPageStore(p, i, false, poolPages)
-				if perr != nil {
-					return fail(fmt.Errorf("store: opening shard %d page store: %w", i, perr))
-				}
-				pagers[i] = ps
+			if rec.Marker {
+				lc.marked = true
 				continue
 			}
-			break
+			// Every stage record of a commit carries the same delta and
+			// links; between a stale and a live one, the later is live.
+			lc.staged = true
+			lc.delta, lc.prev = rec.Delta, rec.Prev
 		}
-		ps, sl, perr := OpenPageStore(p, i, false, poolPages)
-		if perr != nil {
-			return fail(fmt.Errorf("store: loading shard %d checkpoint: %w", i, perr))
+	}
+	var order []*loggedCommit
+	for _, lc := range commits {
+		if lc.epoch <= base.Version {
+			continue // already in the checkpoint (crash between save and truncate)
 		}
-		if sl == nil {
+		if len(lc.parts) > 1 && !lc.marked {
+			continue // unmarked cross-shard prefix: rolls back everywhere
+		}
+		if !lc.staged {
+			return &RecoveryError{Shard: lc.home, Epoch: lc.epoch, Reason: "commit marker without a surviving stage record"}
+		}
+		order = append(order, lc)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].epoch < order[j].epoch })
+
+	ver := make([]uint64, len(c.shards))
+	for p := range ver {
+		ver[p] = base.Version
+	}
+	db, views, last := base.DB, base.Views, base.Version
+	for _, lc := range order {
+		refuse := func(shard int, format string, a ...any) error {
+			return &RecoveryError{Shard: shard, Epoch: lc.epoch, Reason: fmt.Sprintf(format, a...)}
+		}
+		if lc.epoch == last {
+			return refuse(lc.home, "two committed records claim the epoch")
+		}
+		if lc.prev != nil && len(lc.prev) != len(lc.parts) {
+			return refuse(lc.home, "record lists %d staged-on versions for %d participant shard(s)", len(lc.prev), len(lc.parts))
+		}
+		for i, p := range lc.parts {
+			switch {
+			case p < 0 || p >= len(ver):
+				return refuse(lc.home, "participant shard %d does not exist at %d shard(s); recover at the shard count that wrote the log", p, len(ver))
+			case lc.prev == nil && lc.epoch != last+1:
+				return refuse(p, "record from a build that predates per-shard links does not follow e%d densely; recover with the build that wrote it, shut that down cleanly, then reopen", last)
+			case lc.prev != nil && max(lc.prev[i], base.Version) != ver[p]:
+				return refuse(p, "staged on shard version e%d, but recovery reached e%d there: a predecessor is missing from %s", lc.prev[i], ver[p], segmentName(p))
+			}
+		}
+		if lc.delta == nil {
+			return refuse(lc.home, "committed record carries no page delta (written by a build that replayed statements); recover with that build, shut it down cleanly, then reopen")
+		}
+		var err error
+		if db, views, err = applyDelta(db, views, lc.delta, lc.epoch <= newest); err != nil {
+			return refuse(lc.home, "page delta does not apply: %v", err)
+		}
+		for _, u := range lc.delta.Upserts {
+			c.raiseCompID(u.ID)
+		}
+		for _, p := range lc.parts {
+			ver[p] = lc.epoch
+		}
+		last = lc.epoch
+	}
+	c.reset(&Snapshot{Version: last, DB: db, Views: views}, ver)
+	c.epoch.Store(top)
+	return nil
+}
+
+// loadBase loads the checkpoint base into an nshards-way catalog with
+// one PageStore per shard attached, and returns the newest version any
+// of its files holds (the catalog's own version is the oldest); a nil
+// catalog when there is no main file — a directory holding only log
+// segments. Side files are probed past nshards too: a catalog
+// checkpointed at a higher shard count keeps its objects in files the
+// current count does not write, and the merge must still see them.
+func loadBase(wsdPath string, nshards, poolPages int) (*Catalog, uint64, error) {
+	nshards = max(nshards, 1)
+	var opened []*PageStore
+	fail := func(err error) (*Catalog, uint64, error) {
+		for _, ps := range opened {
 			ps.Close()
-			return fail(fmt.Errorf("store: shard checkpoint %s exists but is not a page file", p))
 		}
-		files = append(files, sl)
-		if i < nshards {
-			pagers[i] = ps
-		} else {
-			// Stale file from a higher shard count: its objects join the
-			// merge, but the store closes now — the next checkpoint
-			// deletes the file.
-			extras = append(extras, ps)
+		return nil, 0, err
+	}
+	var files []*loadedShard
+	for i := 0; ; i++ {
+		ps, ls, err := openPageStore(shardCkptPath(wsdPath, i), i, poolPages)
+		if err != nil {
+			return fail(fmt.Errorf("store: loading shard %d checkpoint: %w", i, err))
+		}
+		if ls == nil {
+			if i == 0 {
+				return nil, 0, nil
+			}
+			if i >= nshards {
+				break
+			}
+		}
+		opened = append(opened, ps)
+		if ls != nil {
+			files = append(files, ls)
 		}
 	}
 	snap, compID, err := mergeLoaded(files)
 	if err != nil {
 		return fail(fmt.Errorf("store: merging shard checkpoints: %w", err))
 	}
-	for _, ps := range extras {
+	newest := snap.Version
+	for _, f := range files {
+		newest = max(newest, f.Version)
+	}
+	// Files past nshards are stale the moment the next checkpoint
+	// commits (it deletes them); their objects joined the merge above.
+	for _, ps := range opened[nshards:] {
 		ps.Close()
 	}
-	return done(newCatalog(snap, compID))
+	cat := newCatalog(snap, compID)
+	cat.shard(nshards)
+	cat.pagers = opened[:nshards]
+	return cat, newest, nil
 }

@@ -16,8 +16,8 @@ import (
 )
 
 // addRelApplier interprets WAL statement records of the form "T<name>"
-// by adding an empty relation of that name — a store-level stand-in for
-// the I-SQL applier, so the log machinery is testable without parsing.
+// by adding an empty relation of that name — the statement-level oracle
+// the torn-batch sweep compares delta recovery against.
 func addRelApplier(cat *Catalog, rec WALRecord) error {
 	return cat.Update(func(tx *Tx) error {
 		db := tx.DB()
@@ -156,15 +156,31 @@ func forShardCounts(t *testing.T, fn func(t *testing.T, nshards int)) {
 // ckptPath is where openDir keeps dir's checkpoint base.
 func ckptPath(dir string) string { return filepath.Join(dir, "checkpoint.wsd") }
 
-// openDir recovers the WAL-backed catalog rooted at dir (checkpoint
-// base at ckptPath(dir), segments dir/wal-<i>.log) at nshards shards.
-func openDir(t *testing.T, dir string, nshards int, applier Applier) (*Catalog, []*WAL) {
+// openDir creates or recovers the WAL-backed catalog rooted at dir
+// (checkpoint base at ckptPath(dir), segments dir/wal-<i>.log) at
+// nshards shards; a fresh directory is seeded empty.
+func openDir(t *testing.T, dir string, nshards int) (*Catalog, []*WAL) {
 	t.Helper()
-	cat, wals, err := Open(ckptPath(dir), dir, nshards, applier, 0)
+	cat, wals, err := Open(ckptPath(dir), dir, nshards, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cat, wals
+}
+
+// openRefused opens dir expecting a *RecoveryError, and returns it.
+func openRefused(t *testing.T, dir string, nshards int) *RecoveryError {
+	t.Helper()
+	cat, wals, err := Open(ckptPath(dir), dir, nshards, 0, nil)
+	var re *RecoveryError
+	if !errors.As(err, &re) {
+		if err == nil {
+			closeWALs(wals)
+			t.Fatalf("Open recovered v%d, want a *RecoveryError", cat.Snapshot().Version)
+		}
+		t.Fatalf("Open failed with %v, want a *RecoveryError", err)
+	}
+	return re
 }
 
 func closeWALs(wals []*WAL) {
@@ -173,38 +189,25 @@ func closeWALs(wals []*WAL) {
 	}
 }
 
-// replayFallbacks sums the statement-replay fallbacks of cat's recovery.
-func replayFallbacks(cat *Catalog) uint64 {
-	var n uint64
-	for _, st := range cat.DurabilityStats() {
-		n += st.ReplayFallbacks
-	}
-	return n
-}
-
 // TestWALRoundTrip: commits append records; reopening replays them into
-// an identical catalog, byte for byte through Save — by delta alone: the
-// chain is dense, so no record falls back to statement replay.
+// an identical catalog, byte for byte through Save.
 func TestWALRoundTrip(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, addRelApplier)
+		cat, wals := openDir(t, dir, n)
 		for i := 0; i < 5; i++ {
 			addRel(t, cat, fmt.Sprintf("T%d", i))
 		}
 		want := saveBytes(t, cat.Snapshot())
 		closeWALs(wals) // crash: no checkpoint was ever written
 
-		cat2, wals2 := openDir(t, dir, n, addRelApplier)
+		cat2, wals2 := openDir(t, dir, n)
 		defer closeWALs(wals2)
 		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 			t.Fatalf("recovered catalog differs\n--- got ---\n%s\n--- want ---\n%s", got, want)
 		}
 		if cat2.Snapshot().Version != 6 {
 			t.Fatalf("recovered version %d, want 6", cat2.Snapshot().Version)
-		}
-		if f := replayFallbacks(cat2); f != 0 {
-			t.Fatalf("dense delta replay fell back to statements %d time(s)", f)
 		}
 	})
 }
@@ -215,7 +218,7 @@ func TestWALRoundTrip(t *testing.T) {
 func TestWALTornTailTruncated(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, addRelApplier)
+		cat, wals := openDir(t, dir, n)
 		addRel(t, cat, "T0")
 		addRel(t, cat, "T1")
 		want := saveBytes(t, cat.Snapshot())
@@ -223,7 +226,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 		// Simulate a torn append on the last segment: half a record, no
 		// newline.
-		f, err := os.OpenFile(SegmentPath(dir, n-1), os.O_APPEND|os.O_WRONLY, 0)
+		f, err := os.OpenFile(segmentPath(dir, n-1), os.O_APPEND|os.O_WRONLY, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +235,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		}
 		f.Close()
 
-		cat2, wals2 := openDir(t, dir, n, addRelApplier)
+		cat2, wals2 := openDir(t, dir, n)
 		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 			t.Fatal("torn tail changed the recovered catalog")
 		}
@@ -241,7 +244,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		addRel(t, cat2, "T2")
 		want2 := saveBytes(t, cat2.Snapshot())
 		closeWALs(wals2)
-		cat3, wals3 := openDir(t, dir, n, addRelApplier)
+		cat3, wals3 := openDir(t, dir, n)
 		defer closeWALs(wals3)
 		if got := saveBytes(t, cat3.Snapshot()); !bytes.Equal(got, want2) {
 			t.Fatal("recovery after torn-tail truncation + append differs")
@@ -257,13 +260,13 @@ func TestWALTornTailTruncated(t *testing.T) {
 func TestWALCorruptRecordStopsReplay(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, addRelApplier)
+		cat, wals := openDir(t, dir, n)
 		addRel(t, cat, "T0")
 		good := saveBytes(t, cat.Snapshot())
 		addRel(t, cat, "T1")
 		closeWALs(wals)
 
-		seg := SegmentPath(dir, 0)
+		seg := segmentPath(dir, 0)
 		data, err := os.ReadFile(seg)
 		if err != nil {
 			t.Fatal(err)
@@ -276,7 +279,7 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 		if err := os.WriteFile(seg, []byte(mangled), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cat2, wals2 := openDir(t, dir, n, addRelApplier)
+		cat2, wals2 := openDir(t, dir, n)
 		defer closeWALs(wals2)
 		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, good) {
 			t.Fatal("replay did not stop at the corrupt record")
@@ -289,7 +292,7 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 func TestWALCheckpointTruncates(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, addRelApplier)
+		cat, wals := openDir(t, dir, n)
 		addRel(t, cat, "T0")
 		addRel(t, cat, "T1")
 		// The last segment holds exactly the two commit records (markers,
@@ -298,7 +301,7 @@ func TestWALCheckpointTruncates(t *testing.T) {
 		if last.Appended() != 2 {
 			t.Fatalf("appended = %d, want 2", last.Appended())
 		}
-		if err := cat.Checkpoint(ckptPath(dir)); err != nil {
+		if err := cat.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		for si, w := range wals {
@@ -313,7 +316,7 @@ func TestWALCheckpointTruncates(t *testing.T) {
 		want := saveBytes(t, cat.Snapshot())
 		closeWALs(wals)
 
-		cat2, wals2 := openDir(t, dir, n, addRelApplier)
+		cat2, wals2 := openDir(t, dir, n)
 		defer closeWALs(wals2)
 		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 			t.Fatal("checkpoint + tail recovery differs from pre-crash state")
@@ -322,21 +325,38 @@ func TestWALCheckpointTruncates(t *testing.T) {
 }
 
 // TestWALStaleRecordsSkipped: records at or below the checkpoint
-// version (a crash between checkpoint save and log truncate) are
-// skipped on replay instead of being applied twice.
+// version (a crash between the checkpoint commit and the log truncate)
+// are skipped on replay instead of being applied twice.
 func TestWALStaleRecordsSkipped(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, addRelApplier)
+		cat, wals := openDir(t, dir, n)
 		addRel(t, cat, "T0")
-		// Checkpoint WITHOUT truncating the log: exactly the crash window.
-		if err := SaveFile(ckptPath(dir), cat.Snapshot()); err != nil {
+		// Checkpoint, then put the pre-checkpoint segments back: exactly
+		// what a crash after the page files committed but before the
+		// truncates leaves.
+		logs := make([][]byte, n)
+		for si := range logs {
+			var err error
+			if logs[si], err = os.ReadFile(segmentPath(dir, si)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cat.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		want := saveBytes(t, cat.Snapshot())
 		closeWALs(wals)
+		for si, data := range logs {
+			if len(data) == 0 {
+				t.Fatalf("test setup: segment %d held no record before the checkpoint", si)
+			}
+			if err := os.WriteFile(segmentPath(dir, si), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-		cat2, wals2 := openDir(t, dir, n, addRelApplier)
+		cat2, wals2 := openDir(t, dir, n)
 		defer closeWALs(wals2)
 		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 			t.Fatal("stale record was replayed on top of the checkpoint that already contains it")
@@ -349,7 +369,7 @@ func TestWALStaleRecordsSkipped(t *testing.T) {
 func TestWALConcurrentWriters(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, addRelApplier)
+		cat, wals := openDir(t, dir, n)
 		const writers = 8
 		var wg sync.WaitGroup
 		errs := make([]error, writers)
@@ -373,7 +393,7 @@ func TestWALConcurrentWriters(t *testing.T) {
 		}
 		want := saveBytes(t, cat.Snapshot())
 		closeWALs(wals)
-		cat2, wals2 := openDir(t, dir, n, addRelApplier)
+		cat2, wals2 := openDir(t, dir, n)
 		defer closeWALs(wals2)
 		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 			t.Fatal("concurrent-writer recovery differs")
@@ -381,29 +401,34 @@ func TestWALConcurrentWriters(t *testing.T) {
 	})
 }
 
-// failNextLogger is a real WAL segment whose next append fails.
+// failNextLogger is a real WAL segment whose next append — after skip
+// more that succeed — fails once fail is set.
 type failNextLogger struct {
 	w    *WAL
+	skip int // set before fail; appends on one shard are sequential
 	fail atomic.Bool
 }
 
 func (f *failNextLogger) AppendBatch(recs []WALRecord) error {
-	if f.fail.CompareAndSwap(true, false) {
-		return errors.New("injected fsync failure")
+	if f.fail.Load() {
+		if f.skip == 0 {
+			f.fail.Store(false)
+			return errors.New("injected fsync failure")
+		}
+		f.skip--
 	}
 	return f.w.AppendBatch(recs)
 }
 
-// TestBurnedEpochReplaysByStatement: a commit whose fsync fails is
-// aborted, but its epoch stays burned, so the segment's chain has a gap.
-// Recovery must neither reject the log nor apply the later deltas
-// across the gap: it re-executes the records from the gap on, says so
-// in the fallback counter, and still recovers the committed state
-// byte-identically.
-func TestBurnedEpochReplaysByStatement(t *testing.T) {
+// TestBurnedEpochReplaysByDelta: a commit whose fsync fails is aborted,
+// but its epoch stays burned, so the global epoch chain has a gap. The
+// commits after it were staged on the shard state without it, so they
+// link on their shard and recovery replays them by delta to the
+// committed state, byte-identically.
+func TestBurnedEpochReplaysByDelta(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		cat, wals := openDir(t, dir, n, shardApplier)
+		cat, wals := openDir(t, dir, n)
 		names := shardNames(n)
 		mkAll(t, cat, names)
 		tbl := names[n-1]
@@ -424,7 +449,7 @@ func TestBurnedEpochReplaysByStatement(t *testing.T) {
 		wantVer := cat.Snapshot().Version
 		closeWALs(wals)
 
-		cat2, wals2 := openDir(t, dir, n, shardApplier)
+		cat2, wals2 := openDir(t, dir, n)
 		defer closeWALs(wals2)
 		if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 			t.Fatal("recovery across a burned epoch differs from the committed state")
@@ -432,10 +457,226 @@ func TestBurnedEpochReplaysByStatement(t *testing.T) {
 		if got := cat2.Snapshot().Version; got != wantVer {
 			t.Fatalf("recovered version %d, want %d", got, wantVer)
 		}
-		if f := replayFallbacks(cat2); f != 2 {
-			t.Fatalf("%d replay fallbacks, want 2 (the two commits after the burned epoch)", f)
+	})
+}
+
+// TestRolledBackCrossShardEpochLinks: a cross-shard commit whose marker
+// append fails rolls back, leaving its stage records in the segments.
+// Later commits on the participants were staged on the state without
+// it: they link past the stale stage records and replay by delta, and
+// the rolled-back transaction stays invisible on every shard.
+func TestRolledBackCrossShardEpochLinks(t *testing.T) {
+	dir := t.TempDir()
+	cat, wals := openDir(t, dir, 4)
+	names := shardNames(4)
+	mkAll(t, cat, names)
+	// The coordinator (shard 1) logs the stage record, then fails the
+	// marker.
+	flaky := &failNextLogger{w: wals[1], skip: 1}
+	cat.shards[1].log = flaky
+	flaky.fail.Store(true)
+	txn := cat.Begin()
+	for i, v := range []int{777, 888} {
+		tbl := names[1+i]
+		if err := txn.UpdateRouted([]string{tbl}, func(tx *Tx) error { return insInto(tx, tbl, v) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := txn.Commit(); err == nil {
+		t.Fatal("cross-shard commit with a failed marker reported success")
+	}
+	sIns(t, cat, names[1], 5)
+	sIns(t, cat, names[2], 6)
+	want := dbBytes(t, cat.Snapshot())
+	wantVer := cat.Snapshot().Version
+	closeWALs(wals)
+
+	cat2, wals2 := openDir(t, dir, 4)
+	defer closeWALs(wals2)
+	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatalf("recovery past a rolled-back cross-shard epoch differs from the committed state\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if got := cat2.Snapshot().Version; got != wantVer {
+		t.Fatalf("recovered version %d, want %d", got, wantVer)
+	}
+}
+
+// TestEpochNotReusedAfterRollback: recovery rolls back an unmarked
+// cross-shard epoch that was the highest in the log. Its stage records
+// stay in their segments until the next checkpoint, so the epoch
+// counter must resume above it: a commit renumbered to the same epoch
+// would merge with the stale stage records on the following recovery
+// and be discarded with them — an acknowledged commit lost.
+func TestEpochNotReusedAfterRollback(t *testing.T) {
+	dir := t.TempDir()
+	cat, wals := openDir(t, dir, 4)
+	names := shardNames(4)
+	mkAll(t, cat, names)
+	txn := cat.Begin()
+	for i, v := range []int{777, 888} {
+		tbl := names[1+i]
+		if err := txn.UpdateRouted([]string{tbl}, func(tx *Tx) error { return insInto(tx, tbl, v) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rolledBack := cat.Snapshot().Version
+	closeWALs(wals)
+	tearLastLine(t, segmentPath(dir, 1)) // the marker
+
+	cat2, wals2 := openDir(t, dir, 4)
+	if got := cat2.Snapshot().Version; got != rolledBack-1 {
+		t.Fatalf("recovered version %d, want %d (the transaction rolled back)", got, rolledBack-1)
+	}
+	sIns(t, cat2, names[0], 1) // acknowledged
+	if got := cat2.Snapshot().Version; got <= rolledBack {
+		t.Fatalf("commit after the rollback was numbered e%d, reusing the discarded e%d", got, rolledBack)
+	}
+	want := dbBytes(t, cat2.Snapshot())
+	closeWALs(wals2)
+
+	cat3, wals3 := openDir(t, dir, 4)
+	defer closeWALs(wals3)
+	if got := dbBytes(t, cat3.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatalf("acknowledged commit lost behind a rolled-back epoch\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// tearLastLine truncates the last record off a segment file.
+func tearLastLine(t *testing.T, seg string) {
+	t.Helper()
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trim := bytes.LastIndexByte(bytes.TrimSuffix(data, []byte("\n")), '\n')
+	if trim < 0 {
+		t.Fatalf("segment %s has no line to tear", seg)
+	}
+	if err := os.WriteFile(seg, data[:trim+1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestartTwiceWithoutCheckpoint: after a recovery every shard
+// continues from the version recovery reached on it, so records logged
+// after the restart link behind the replayed tail on the next recovery
+// — with no checkpoint anywhere in between, and with shards at
+// different versions.
+func TestRestartTwiceWithoutCheckpoint(t *testing.T) {
+	forShardCounts(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		names := shardNames(n)
+		cat, wals := openDir(t, dir, n)
+		mkAll(t, cat, names)
+		sIns(t, cat, names[n-1], 1)
+		for round := 2; round <= 3; round++ {
+			closeWALs(wals) // crash
+			cat, wals = openDir(t, dir, n)
+			sIns(t, cat, names[0], round)      // a shard the tail may not have touched
+			sIns(t, cat, names[n-1], 10*round) // a shard it did
+		}
+		want := dbBytes(t, cat.Snapshot())
+		wantVer := cat.Snapshot().Version
+		closeWALs(wals)
+		cat2, wals2 := openDir(t, dir, n)
+		defer closeWALs(wals2)
+		if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatal("third recovery over an un-checkpointed log differs from the committed state")
+		}
+		if got := cat2.Snapshot().Version; got != wantVer {
+			t.Fatalf("recovered version %d, want %d", got, wantVer)
 		}
 	})
+}
+
+// TestFirstRecordAfterCheckpointLinks: a checkpoint stamps the base
+// with the global version while shards sit at older ones. The first
+// record a lagging shard logs afterwards names a predecessor below the
+// base version — it is in the base, so the record links.
+func TestFirstRecordAfterCheckpointLinks(t *testing.T) {
+	dir := t.TempDir()
+	names := shardNames(4)
+	cat, wals := openDir(t, dir, 4)
+	mkAll(t, cat, names)
+	sIns(t, cat, names[1], 1) // shard 1 stays here
+	sIns(t, cat, names[3], 2)
+	sIns(t, cat, names[3], 3) // the global version moves on
+	if err := cat.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sIns(t, cat, names[1], 4)
+	sIns(t, cat, names[1], 5)
+	want := dbBytes(t, cat.Snapshot())
+	closeWALs(wals)
+	cat2, wals2 := openDir(t, dir, 4)
+	defer closeWALs(wals2)
+	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("tail behind a checkpoint newer than its shard's version did not recover")
+	}
+}
+
+// TestOrphanedRecordRefused: a record whose predecessor on its shard is
+// missing from the log is refused with a *RecoveryError naming shard
+// and epoch — never applied across the hole — and the directory is
+// left as found.
+func TestOrphanedRecordRefused(t *testing.T) {
+	dir := t.TempDir()
+	cat, wals := openDir(t, dir, 1)
+	names := shardNames(1)
+	mkAll(t, cat, names)
+	sIns(t, cat, names[0], 1)
+	sIns(t, cat, names[0], 2)
+	last := cat.Snapshot().Version
+	closeWALs(wals)
+	seg := segmentPath(dir, 0)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	holed := append(append([]byte{}, lines[0]...), lines[2]...) // drop the middle record
+	if err := os.WriteFile(seg, holed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := openRefused(t, dir, 1)
+	if re.Shard != 0 || re.Epoch != last {
+		t.Fatalf("refusal names shard %d epoch e%d, want shard 0 epoch e%d: %v", re.Shard, re.Epoch, last, re)
+	}
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, holed) {
+		t.Fatalf("refused recovery modified the segment (err %v)", err)
+	}
+}
+
+// TestUndecodableDeltaRefused: a record whose CRC holds was written
+// whole, so a delta in it that does not decode is not a torn tail. Open
+// must refuse, naming segment and epoch, and must not truncate the
+// record — or the acknowledged record behind it — away.
+func TestUndecodableDeltaRefused(t *testing.T) {
+	dir := t.TempDir()
+	cat, wals := openDir(t, dir, 1)
+	addRel(t, cat, "T0")
+	err := wals[0].AppendBatch([]WALRecord{
+		{Version: 3, Stmts: []string{"T1"}, Prev: []uint64{2}, deltaRaw: []byte(`{"full":"yes"}`)},
+		{Version: 4, Stmts: []string{"T2"}, Prev: []uint64{3}, Delta: &CommitDelta{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeWALs(wals)
+	seg := segmentPath(dir, 0)
+	before, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re := openRefused(t, dir, 1); re.Shard != 0 || re.Epoch != 3 {
+		t.Fatalf("refusal names shard %d epoch e%d, want shard 0 epoch e3: %v", re.Shard, re.Epoch, re)
+	}
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused recovery truncated the segment (err %v)", err)
+	}
 }
 
 // legacyWALLog is a wal.log exactly as the pre-sharding single-log
@@ -484,9 +725,9 @@ const legacySaved = `{
 // TestLegacyWALLogAdopted is the upgrade path: Open adopts a wal.log
 // left by the single-log layout as shard 0's segment and recovers its
 // commits byte-identically to what the old server held — at any shard
-// count, since the merged replay orders by epoch. A record from before
-// deltas existed (statements only) replays through the applier and is
-// counted as a fallback. A non-empty wal.log next to a non-empty
+// count, since the merged replay orders by epoch. Its records carry no
+// per-shard links and link by density instead; commits logged after the
+// upgrade link behind them. A non-empty wal.log next to a non-empty
 // wal-0.log is refused rather than silently dropping one of them.
 func TestLegacyWALLogAdopted(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
@@ -495,24 +736,21 @@ func TestLegacyWALLogAdopted(t *testing.T) {
 		if err := os.WriteFile(legacy, []byte(legacyWALLog), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cat, wals := openDir(t, dir, n, putApplier)
+		cat, wals := openDir(t, dir, n)
 		if got := saveBytes(t, cat.Snapshot()); string(got) != legacySaved {
 			t.Fatalf("legacy wal.log did not recover byte-identically\n--- got ---\n%s\n--- want ---\n%s", got, legacySaved)
-		}
-		if f := replayFallbacks(cat); f != 0 {
-			t.Fatalf("%d statement-replay fallbacks for a dense legacy log with deltas", f)
 		}
 		if _, err := os.Stat(legacy); !os.IsNotExist(err) {
 			t.Fatalf("wal.log still present after adoption (err %v)", err)
 		}
-		if data, err := os.ReadFile(SegmentPath(dir, 0)); err != nil || string(data) != legacyWALLog {
+		if data, err := os.ReadFile(segmentPath(dir, 0)); err != nil || string(data) != legacyWALLog {
 			t.Fatalf("wal-0.log does not hold the adopted records (err %v)", err)
 		}
 		// New commits append behind the adopted records and both recover.
 		put(t, cat, "U", 9)
 		want := saveBytes(t, cat.Snapshot())
 		closeWALs(wals)
-		cat2, wals2 := openDir(t, dir, n, putApplier)
+		cat2, wals2 := openDir(t, dir, n)
 		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 			t.Fatal("adopted log + new commit does not recover byte-identically")
 		}
@@ -522,30 +760,126 @@ func TestLegacyWALLogAdopted(t *testing.T) {
 		if err := os.WriteFile(legacy, []byte(legacyWALLog), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Open(ckptPath(dir), dir, n, putApplier, 0); err == nil {
+		if _, _, err := Open(ckptPath(dir), dir, n, 0, nil); err == nil {
 			t.Fatal("Open accepted a non-empty wal.log next to a non-empty wal-0.log")
 		}
 	})
+}
 
-	// Statements-only records, the format before deltas: same adoption,
-	// every record re-executed and counted.
-	dir := t.TempDir()
-	var old bytes.Buffer
+// TestOldLogsRefused: what the older formats cannot promise is refused,
+// with the shard and epoch named. A record without per-shard links that
+// does not follow its predecessor densely may sit behind a hole; a
+// statements-only record (the format before deltas) has nothing
+// recovery can apply.
+func TestOldLogsRefused(t *testing.T) {
+	lines := strings.SplitAfter(legacyWALLog, "\n")
+	var stmtsOnly bytes.Buffer
 	for i, stmt := range []string{"put T 1", "put U 2"} {
 		rec := WALRecord{Version: uint64(i + 2), Stmts: []string{stmt}}
-		fmt.Fprintf(&old, `{"v":%d,"stmts":[%q],"crc":%d}`+"\n", rec.Version, stmt, crcOfRecord(rec))
+		fmt.Fprintf(&stmtsOnly, `{"v":%d,"stmts":[%q],"crc":%d}`+"\n", rec.Version, stmt, crcOfRecord(rec))
 	}
-	if err := os.WriteFile(filepath.Join(dir, "wal.log"), old.Bytes(), 0o644); err != nil {
+	for name, tc := range map[string]struct {
+		log   string
+		epoch uint64
+	}{
+		"gap in a link-less log": {lines[0] + lines[2], 4},
+		"statements only":        {stmtsOnly.String(), 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte(tc.log), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if re := openRefused(t, dir, 1); re.Shard != 0 || re.Epoch != tc.epoch {
+				t.Fatalf("refusal names shard %d epoch e%d, want shard 0 epoch e%d: %v", re.Shard, re.Epoch, tc.epoch, re)
+			}
+		})
+	}
+}
+
+// TestOpenRefusesNonPageCheckpoint: recovery reads page files only. A
+// .wsd JSON export (what checkpoints were before the page format) or
+// junk at the checkpoint path is refused with the way out — import it
+// with -load — and left untouched.
+func TestOpenRefusesNonPageCheckpoint(t *testing.T) {
+	for name, content := range map[string][]byte{
+		"v1 JSON": saveBytes(t, FromComplete([]string{"T"}, []*relation.Relation{
+			relation.FromRows(relation.NewSchema("A"), relation.Tuple{value.Int(1)})}).Snapshot()),
+		"junk": bytes.Repeat([]byte{0xAB}, 3*8192),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(ckptPath(dir), content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := Open(ckptPath(dir), dir, 1, 0, nil)
+			if err == nil || !strings.Contains(err.Error(), "-load") {
+				t.Fatalf("Open over a non-page checkpoint: %v, want a refusal pointing at -load", err)
+			}
+			if after, rerr := os.ReadFile(ckptPath(dir)); rerr != nil || !bytes.Equal(after, content) {
+				t.Fatalf("refused Open modified the file (err %v)", rerr)
+			}
+		})
+	}
+}
+
+// TestOpenSeedsFreshDirectory: a directory without state is seeded and
+// the seed is durable before Open returns; a directory with state wins
+// over the seed, which is never built. What a crash during the seed
+// checkpoint leaves behind — side files committed, the main file not,
+// empty segments, a stray temp file — still counts as fresh: the next
+// Open seeds again and nothing of the torn attempt survives.
+func TestOpenSeedsFreshDirectory(t *testing.T) {
+	seedWith := func(v int64) func() (*Catalog, error) {
+		return func() (*Catalog, error) {
+			names := shardNames(4)
+			rels := make([]*relation.Relation, len(names))
+			for i := range rels {
+				rels[i] = relation.FromRows(relation.NewSchema("X"), relation.Tuple{value.Int(v)})
+			}
+			return FromComplete(names, rels), nil
+		}
+	}
+	dir := t.TempDir()
+	cat, wals, err := Open(ckptPath(dir), dir, 4, 0, seedWith(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	cat, wals := openDir(t, dir, 1, putApplier)
-	defer closeWALs(wals)
-	snap := cat.Snapshot()
-	if snap.Version != 3 || snap.DB.IndexOf("T") < 0 || snap.DB.IndexOf("U") < 0 {
-		t.Fatalf("statements-only legacy log recovered to v%d, relations %v", snap.Version, snap.DB.Names)
+	want := dbBytes(t, cat.Snapshot())
+	closeWALs(wals) // crash right after Open: only the seed checkpoint holds the data
+
+	cat2, wals2, err := Open(ckptPath(dir), dir, 4, 0, func() (*Catalog, error) {
+		t.Error("seed built for a directory that already holds state")
+		return New(nil), nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if f := replayFallbacks(cat); f != 2 {
-		t.Fatalf("%d fallbacks for 2 delta-less records, want 2", f)
+	closeWALs(wals2)
+	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("seed did not survive a crash right after Open")
+	}
+
+	// Torn seed checkpoint: the main file is written last.
+	if err := os.Remove(ckptPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ".checkpoint.wsd.tmp-1234"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cat3, wals3, err := Open(ckptPath(dir), dir, 4, 0, seedWith(2))
+	if err != nil {
+		t.Fatalf("Open refused what a crash during the seed checkpoint leaves: %v", err)
+	}
+	want3 := dbBytes(t, cat3.Snapshot())
+	closeWALs(wals3)
+	if bytes.Equal(want3, want) {
+		t.Fatal("test setup: the two seeds do not differ")
+	}
+	cat4, wals4 := openDir(t, dir, 4)
+	defer closeWALs(wals4)
+	if got := dbBytes(t, cat4.Snapshot()); !bytes.Equal(got, want3) {
+		t.Fatalf("reopen after re-seeding over a torn seed checkpoint\n--- got ---\n%s\n--- want ---\n%s", got, want3)
 	}
 }
 
