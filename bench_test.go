@@ -1,10 +1,10 @@
 // Benchmarks regenerating the performance-relevant artifacts of the
-// paper, one benchmark family per experiment of DESIGN.md. Absolute
-// numbers depend on the machine; the shapes the paper implies — the
-// translated relational plans beating naive world-set evaluation, the
-// §5.3 optimized translation beating the general one, the Figure 8/9
-// rewrites beating the originals, and the exponential repair-by-key
-// blowup — must hold everywhere.
+// paper, one benchmark family per experiment (the ids cmd/wsabench
+// lists under -exp). Absolute numbers depend on the machine; the shapes
+// the paper implies — the translated relational plans beating naive
+// world-set evaluation, the §5.3 optimized translation beating the
+// general one, the Figure 8/9 rewrites beating the originals, and the
+// exponential repair-by-key blowup — must hold everywhere.
 package worldsetdb_test
 
 import (

@@ -19,11 +19,14 @@
 // The -engine flag routes statements in the clean World-set Algebra
 // fragment through one of the registered evaluation engines (reference
 // | translated | physical | wsdexec, the default), all running against
-// the session's catalog snapshot; the special name "legacy" forces the
-// explicit world-set evaluator everywhere. Statements outside the
-// fragment (aggregates, correlated subqueries) always use the explicit
-// evaluator over a budget-guarded expansion, with results re-factorized
-// into the catalog.
+// the session's catalog snapshot. Statements outside the fragment
+// (aggregates, subqueries, DELETE/UPDATE with a subquery) always take
+// the second arm: the world-at-a-time evaluator over the bounded input
+// — only the components the statement's relations depend on are
+// enumerated, under the world budget — with results re-factorized into
+// the catalog. The special name "legacy" is the comparison mode: nothing
+// compiles, every statement takes that arm, and every component counts
+// as dependent (the whole world-set is enumerated).
 //
 // Scripts may use the transactional statements BEGIN / COMMIT /
 // ROLLBACK (multi-statement atomicity over one staged snapshot) and
@@ -54,7 +57,7 @@ func main() {
 	load := flag.String("load", "", "open a catalog persisted as a .wsd JSON file")
 	save := flag.String("save", "", "persist the catalog to a .wsd JSON file after the script ran")
 	engine := flag.String("engine", "",
-		fmt.Sprintf("evaluate fragment statements through a registered WSA engine (%s) or 'legacy'; default: wsdexec on the decomposition",
+		fmt.Sprintf("evaluate fragment statements through a registered WSA engine (%s), or 'legacy': every statement world by world over the full expansion, the reference for the bounded arm; default: wsdexec on the decomposition",
 			strings.Join(wsa.EngineNames(), " | ")))
 	showWorlds := flag.Bool("worlds", false, "print the full world-set (or decomposition summary) after every statement")
 	flag.Parse()

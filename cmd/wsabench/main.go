@@ -1,8 +1,9 @@
 // Command wsabench regenerates every experiment of the reproduction: for
 // each table, figure and worked example of the paper it runs the
 // corresponding workload and prints the measured rows (world counts,
-// answers, plan sizes, wall-clock times). EXPERIMENTS.md records a
-// captured run against the paper's expectations.
+// answers, plan sizes, wall-clock times). The committed
+// BENCH_results.json is a captured run; every later run is diffed
+// against it.
 //
 // Usage:
 //
@@ -265,7 +266,7 @@ func gatedRegressions(regressed []string, gates string) []string {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (see DESIGN.md) or 'all'")
+	exp := flag.String("exp", "all", "experiment id or comma-separated list of ids (the usage comment atop main.go names them), or 'all'")
 	flag.Parse()
 
 	experiments := []struct {

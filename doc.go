@@ -25,12 +25,20 @@
 // sessions (internal/isql) run on the catalog: statements in the clean
 // World-set Algebra fragment compile and evaluate through any
 // registered engine — by default wsdexec, natively on the decomposition
-// — while statements outside the fragment fall back to the explicit
-// world-set evaluator over a budget-guarded expansion.
+// — and tuple-local DELETE/UPDATE map over the decomposition's pieces;
+// every other statement (aggregation, expression subqueries, divide-by,
+// DML whose predicate or SET holds a subquery) takes the second arm,
+// the session's world-at-a-time evaluator over the bounded input: only
+// the components contributing to relations the statement mentions are
+// enumerated, under the world budget, and for writes the local result is
+// re-factorized and the untouched components spliced back. The "legacy"
+// engine is that same arm with every component counted dependent — the
+// full-expansion reference the differential sweeps hold the bounded
+// splice to.
 //
 // Re-factorization (wsd.Refactor, the multi-relation generalization of
 // wsd.Decompose) closes the loop: any enumerated world-set — a fallback
-// output, a legacy-path result, a FromWorldSet seed — is factorized
+// output, a bounded-arm result, a FromWorldSet seed — is factorized
 // back into certain tuples plus independent components (verified
 // blocks of pairwise-dependent tuples, spanning relations when the
 // dependency does), so one entangled step never permanently
@@ -69,7 +77,7 @@
 // every commit — auto-commit statement or staged transaction, at any n
 // — becomes durable and reader-visible the same way: it locks the
 // shards its relations (and their component closure) route to — all of
-// them for DDL, CTAS, view changes and legacy DML — validates, takes a
+// them for DDL, CTAS, view changes and bounded DML — validates, takes a
 // global commit epoch, and logs one CRC-framed record per participant
 // segment carrying the epoch, a page delta and the statement texts,
 // fsynced before the version becomes visible. A commit with one
@@ -199,9 +207,13 @@
 //
 // All engines share an allocation-lean hashing core: tuples, column
 // projections and whole relations hash through 64-bit FNV-1a digests
-// (internal/hashkey) with typed-value verification on collision, never
-// through intermediate key strings. Relations store rows in hash
-// buckets and memoize their content digests (internal/relation), the
+// (internal/hashkey) with typed-value verification on collision, not
+// through intermediate key strings — with two exceptions, both in the
+// session's world-at-a-time evaluator and both ROADMAP item 2 work:
+// answer de-duplication (isql's distinctAnswers keys on
+// Relation.ContentKey, a sorted string) and the group keys of
+// evalAggregation. Relations store rows in hash buckets and memoize
+// their content digests (internal/relation), the
 // relational operators join through cached per-column hash indexes
 // (internal/ra), and both the physical and factorized executors fan
 // work out across a GOMAXPROCS-sized worker pool (relation/pool.go)

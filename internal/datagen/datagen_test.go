@@ -31,8 +31,8 @@ func TestPaperFixturesShape(t *testing.T) {
 	}
 }
 
-// TestGeneratorsDeterministic: equal seeds give equal data (benchmarks
-// and EXPERIMENTS.md depend on it).
+// TestGeneratorsDeterministic: equal seeds give equal data (the
+// benchmarks and the committed BENCH_results.json depend on it).
 func TestGeneratorsDeterministic(t *testing.T) {
 	if !Flights(10, 10, 0.5, 42).Equal(Flights(10, 10, 0.5, 42)) {
 		t.Error("Flights not deterministic")

@@ -175,14 +175,16 @@ func CheckStore(q wsa.Expr, db *wsd.DecompDB) error {
 // CheckSQLScript is the statement-level differential check: one I-SQL
 // script runs through five sessions over the same seed database — the
 // native factorized path (with execution accounting when stats is
-// non-nil), the three wsa engines by override, and the legacy explicit
-// world-set evaluator — and every statement must agree on answers and
+// non-nil), the three wsa engines by override, and the "legacy" engine
+// — and every statement, DML included, must agree on answers and
 // affected counts, with every session's state expanding to the same
 // world-set after each statement. The native session additionally must
 // never hit the engine's enumeration fallback: fragment statements
 // evaluate natively (merging components at worst), and statements
-// outside the fragment take the bounded evaluator, whose parity with
-// the legacy session's full expansion this check pins.
+// outside the fragment take the bounded arm — only the dependent
+// components enumerated, the rest spliced back — whose parity with the
+// legacy session (the same arm with every component dependent, i.e. the
+// full expansion) this check pins.
 func CheckSQLScript(names []string, rels []*relation.Relation, stmts []string, stats *isql.ExecStats) error {
 	engines := []string{"", "reference", "translated", "physical", "legacy"}
 	for _, sql := range stmts {
@@ -261,8 +263,9 @@ func CheckSQLScript(names []string, rels []*relation.Relation, stmts []string, s
 //     (through store.Save, version included) to never having run the
 //     transaction, and
 //  2. BEGIN → script → COMMIT produces a catalog content-identical to
-//     running the same statements non-transactionally (versions differ
-//     by construction — one commit versus N — and are normalized away),
+//     running the same statements non-transactionally (versions and
+//     component IDs differ by construction — one commit versus N — and
+//     are normalized away),
 //     with every select along the way returning identical answers.
 func CheckTxn(names []string, rels []*relation.Relation, stmts []string) error {
 	// Law 1: rollback identity.
@@ -409,8 +412,16 @@ func rawCatalogBytes(snap *store.Snapshot) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// normCatalogBytes persists a snapshot with the version normalized, so
-// states reached by different commit counts compare on content.
+// normCatalogBytes persists a snapshot with the version and the
+// component IDs normalized, so states reached by different commit
+// counts compare on content: both are allocated per admitted commit, and
+// a statement that builds new components (a bounded DML re-factorizing
+// its region) draws fresh IDs once per statement on auto-commit but once
+// per transaction inside one.
 func normCatalogBytes(snap *store.Snapshot) ([]byte, error) {
-	return rawCatalogBytes(&store.Snapshot{DB: snap.DB, Views: snap.Views})
+	db := &wsd.DecompDB{Names: snap.DB.Names, Schemas: snap.DB.Schemas, Certain: snap.DB.Certain}
+	for _, c := range snap.DB.Components {
+		db.Components = append(db.Components, wsd.DBComponent{Alternatives: c.Alternatives})
+	}
+	return rawCatalogBytes(&store.Snapshot{DB: db, Views: snap.Views})
 }

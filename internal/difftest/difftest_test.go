@@ -227,12 +227,15 @@ func seedRS(rng *rand.Rand) ([]string, []*relation.Relation, []relation.Schema) 
 
 // TestRandomizedSQLAgreement is the statement-level differential sweep:
 // 500+ generated I-SQL statements — fragment selects, joins,
-// group-worlds-by, aggregates (count/sum/min/max, group by) and
-// (correlated) subqueries — through the native factorized path, the
-// three wsa engines and the legacy evaluator, all required to agree.
-// The native session's accounting must additionally show zero
-// enumeration fallbacks: fragment statements merge at worst, and the
-// out-of-fragment shapes run bounded, never expanding the catalog.
+// group-worlds-by, aggregates (count/sum/min/max, group by),
+// (correlated) subqueries, and interleaved DELETE/UPDATE with
+// tuple-local and subquery predicates — through the native factorized
+// path, the three wsa engines and the legacy engine (the bounded arm
+// over the whole world-set), all required to agree on answers, affected
+// counts and the state after every statement. The native session's
+// accounting must additionally show zero enumeration fallbacks:
+// fragment statements merge at worst, and the out-of-fragment shapes —
+// DML included — run bounded, never expanding the catalog.
 func TestRandomizedSQLAgreement(t *testing.T) {
 	scripts, perScript := 56, 8
 	if testing.Short() {
@@ -240,7 +243,7 @@ func TestRandomizedSQLAgreement(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20070616))
 	stats := isql.NewExecStats()
-	total := 0
+	total, subqueries, subqueryDML := 0, 0, 0
 	for i := 0; i < scripts; i++ {
 		names, rels, schemas := seedRS(rng)
 		gen := randquery.NewStmtGen(rng, names, schemas)
@@ -250,8 +253,19 @@ func TestRandomizedSQLAgreement(t *testing.T) {
 		}
 		for j := 0; j < perScript; j++ {
 			script = append(script, gen.Select())
+			if j%3 == 0 {
+				script = append(script, gen.Mutate())
+			}
 		}
 		total += len(script)
+		for _, sql := range script {
+			if strings.Contains(sql, "(select") {
+				subqueries++
+				if !strings.HasPrefix(sql, "select") {
+					subqueryDML++
+				}
+			}
+		}
 		if err := CheckSQLScript(names, rels, script, stats); err != nil {
 			t.Fatalf("script %d: %v\nscript:\n%s", i, err, strings.Join(script, "\n"))
 		}
@@ -263,8 +277,13 @@ func TestRandomizedSQLAgreement(t *testing.T) {
 	if snap.Fallbacks != 0 {
 		t.Fatalf("native path hit %d enumeration fallbacks (ops %v)", snap.Fallbacks, snap.FallbackOps)
 	}
-	if snap.LegacyOps["aggregation"] == 0 || snap.LegacyOps["expression subquery"] == 0 {
-		t.Fatalf("sweep did not exercise the out-of-fragment shapes: %+v", snap)
+	if snap.LegacyOps["aggregation"] == 0 || subqueryDML == 0 {
+		t.Fatalf("sweep did not exercise the out-of-fragment shapes (%d subquery DML): %+v", subqueryDML, snap)
+	}
+	// Every statement holding a subquery — DELETE and UPDATE included —
+	// ran bounded and was accounted exactly once.
+	if got := snap.LegacyOps["expression subquery"]; got != uint64(subqueries) {
+		t.Fatalf("%d subquery statements (%d of them DML) but %d accounted as bounded: %+v", subqueries, subqueryDML, got, snap)
 	}
 	if snap.Merged == 0 {
 		t.Fatalf("sweep did not exercise component merging: %+v", snap)
@@ -328,6 +347,29 @@ func TestRandomizedTxnLaws(t *testing.T) {
 		if err := CheckTxn(names, rels, stmts); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
+	}
+}
+
+// TestTxnLawsBoundedDML holds the transaction laws over a script whose
+// DELETE and UPDATE carry subqueries — the bounded arm stages its
+// re-factorized, spliced catalog on the transaction like any other
+// write: ROLLBACK is byte-invisible, COMMIT equals auto-commit, and a
+// conflicted COMMIT retried after an interloper equals the serial
+// schedule.
+func TestTxnLawsBoundedDML(t *testing.T) {
+	names, rels := seedR(rand.New(rand.NewSource(14)))
+	stmts := []string{
+		"create table C as select * from R repair by key A;",
+		"delete from R where A in (select A from C where B < 20);",
+		"select possible A from R;",
+		"update C set B = B + 1 where exists (select * from R Y where Y.A = A);",
+		"select count(*) as N from C;",
+	}
+	if err := CheckTxn(names, rels, stmts); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckTxnRetry(names, rels, stmts, "insert into R values (97, 970);"); err != nil {
+		t.Fatal(err)
 	}
 }
 

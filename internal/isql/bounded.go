@@ -3,29 +3,35 @@ package isql
 import (
 	"math/big"
 
-	"worldsetdb/internal/relation"
+	"worldsetdb/internal/store"
 	"worldsetdb/internal/worldset"
 	"worldsetdb/internal/wsd"
 )
 
-// Bounded fallback evaluation. Statements outside the clean World-set
-// Algebra fragment (aggregation, expression subqueries, divide-by, the
-// query form of group-worlds-by) run through the explicit world-set
-// evaluator — but a statement only reads the relations its tree
-// mentions, and the decomposition's components are independent, so the
-// evaluator only has to enumerate the components that contribute to
-// those relations. This file builds that bounded input: one world per
-// combination of the dependent components' alternatives, each carrying
-// the certain tuples plus the dependent contributions. The enumeration
-// cost is the product of just the dependent components' alternative
-// counts — the same locality bound wsdexec's component merging gives
-// the native operators — so an aggregate over one 3-alternative
-// component costs 3 worlds on a 2^40-world catalog, not 2^40.
+// The bounded arm: the one way a statement reaches the session's own
+// world-at-a-time evaluator. Statements outside the clean World-set
+// Algebra fragment — selects and create-table-as with aggregation,
+// expression subqueries, divide-by or the query form of
+// group-worlds-by, and DELETE/UPDATE whose predicate or SET holds a
+// subquery — are evaluated world by world, but a statement only reads
+// the relations its tree mentions, and the decomposition's components
+// are independent, so only the components that contribute to those
+// relations are enumerated: one world per combination of the dependent
+// components' alternatives, each carrying the certain tuples plus the
+// dependent contributions. The enumeration cost is the product of just
+// the dependent components' alternative counts — the same locality
+// bound wsdexec's component merging gives the native operators — so an
+// aggregate over, or a subquery delete from, one 3-alternative
+// component costs 3 worlds on a 2^40-world catalog, not 2^40. The
+// "legacy" comparison engine is this same arm with every component
+// counted dependent (see Session.native).
 
-// stmtRelations records into the set every base relation the select can
-// read, following views, derived tables, expression subqueries, the
-// divide-by item and the group-worlds-by query.
-func (s *Session) stmtRelations(sel *SelectStmt, into map[string]bool) {
+// stmtRelations records into the set every base relation the statement
+// can read or write: a select's (or create-table-as query's) from
+// items, following views, derived tables, expression subqueries, the
+// divide-by item and the group-worlds-by query; a DELETE's or UPDATE's
+// target table plus whatever its where and set expressions read.
+func (s *Session) stmtRelations(st Statement, into map[string]bool) {
 	var walkSel func(*SelectStmt)
 	var walkExpr func(Expr)
 	// Views reference only earlier views (creation validates the body
@@ -88,16 +94,31 @@ func (s *Session) stmtRelations(sel *SelectStmt, into map[string]bool) {
 			walkSel(sel.GroupWorlds.Query)
 		}
 	}
-	walkSel(sel)
+	switch n := st.(type) {
+	case *SelectStmt:
+		walkSel(n)
+	case *CreateTableAsStmt:
+		walkSel(n.Query)
+	case *DeleteStmt:
+		into[n.Table] = true
+		walkExpr(n.Where)
+	case *UpdateStmt:
+		into[n.Table] = true
+		walkExpr(n.Where)
+		for _, sc := range n.Sets {
+			walkExpr(sc.Expr)
+		}
+	}
 }
 
 // dependentComponents returns, in ascending order, the components
 // contributing at least one tuple to any of the given relation indices
-// — the components whose choices the statement's answer can depend on.
-func dependentComponents(db *wsd.DecompDB, refIdx map[int]bool) []int {
+// — the components whose choices the statement's answer can depend on
+// — or, with all set, every component.
+func dependentComponents(db *wsd.DecompDB, refIdx map[int]bool, all bool) []int {
 	var deps []int
 	for ci, c := range db.Components {
-		dep := false
+		dep := all
 		for _, a := range c.Alternatives {
 			for ri, r := range a.Rels {
 				if refIdx[ri] && r != nil && r.Len() > 0 {
@@ -116,84 +137,106 @@ func dependentComponents(db *wsd.DecompDB, refIdx map[int]bool) []int {
 	return deps
 }
 
-// boundedInput builds the world-set the fallback evaluator runs the
-// statement on: one world per combination of the dependent components'
+// boundedInput builds the world-set the evaluator runs the statement
+// on: one world per combination of the dependent components'
 // alternatives, every relation holding its certain tuples plus the
 // dependent contributions. Relations no dependent component touches are
 // exactly their full per-world content; the others the statement never
 // reads. The enumeration refuses to exceed the session budget with the
-// same *wsd.BudgetError shape Expand reports — but measured against the
-// dependent combination count, not the catalog's world count.
-func (s *Session) boundedInput(db *wsd.DecompDB, sel *SelectStmt) (*worldset.WorldSet, []int, error) {
+// *wsd.BudgetError Expand reports — measured against the dependent
+// combination count, not the catalog's world count.
+func (s *Session) boundedInput(db *wsd.DecompDB, st Statement) (*worldset.WorldSet, []int, error) {
 	refs := map[string]bool{}
-	s.stmtRelations(sel, refs)
+	s.stmtRelations(st, refs)
 	refIdx := map[int]bool{}
 	for name := range refs {
 		if i := db.IndexOf(name); i >= 0 {
 			refIdx[i] = true
 		}
 	}
-	deps := dependentComponents(db, refIdx)
-	if len(deps) == len(db.Components) {
-		ws, err := db.Expand(s.maxWorlds())
-		return ws, deps, err
-	}
+	// The comparison engine enumerates the whole world-set by design.
+	deps := dependentComponents(db, refIdx, !s.native())
 	// A component with no alternatives (dependent or not) empties the
 	// represented world-set; the bounded enumeration must agree.
 	if db.Worlds().Sign() == 0 {
 		return worldset.New(db.Names, db.Schemas), deps, nil
 	}
-	budget := s.maxWorlds()
-	cost := big.NewInt(1)
-	var m big.Int
+	local := &wsd.DecompDB{Names: db.Names, Schemas: db.Schemas, Certain: db.Certain}
 	for _, ci := range deps {
-		cost.Mul(cost, m.SetInt64(int64(len(db.Components[ci].Alternatives))))
+		local.Components = append(local.Components, db.Components[ci])
 	}
-	if !cost.IsInt64() || cost.Int64() > int64(budget) {
-		return nil, nil, &wsd.BudgetError{Worlds: cost, Budget: budget}
+	ws, err := local.Expand(s.maxWorlds())
+	return ws, deps, err
+}
+
+// execBounded runs one statement through the bounded arm, for all four
+// statement kinds that can land here. It accounts the statement under
+// op (the fragment feature — or comparison engine — that routed it
+// here) and times all of its work in one exec.bounded span, builds the
+// bounded input of base and hands it to eval, which returns the
+// evaluated world-set and, for DML, the number of tuples it modified
+// summed over those worlds. A read (tx nil) answers with the distinct
+// last relations. A write re-factorizes the local result, splices the
+// components it did not enumerate back, normalizes and stages the
+// catalog on tx — one entangled step never enumerates, or
+// de-factorizes, more than the components the statement reads — and
+// weights the modified count by the worlds each local world stands for.
+func (s *Session) execBounded(tx *store.Tx, base *wsd.DecompDB, st Statement, op string,
+	eval func(*worldset.WorldSet) (*worldset.WorldSet, int, error)) (*Result, error) {
+	s.Stats.recordLegacy(op)
+	sp := s.span.Child("exec.bounded").Set("fragment-op", op)
+	defer sp.End()
+	ws, deps, err := s.boundedInput(base, st)
+	if err != nil {
+		return nil, err
 	}
-	ws := worldset.New(db.Names, db.Schemas)
-	choice := make([]int, len(deps))
-	for {
-		w := make(worldset.World, len(db.Certain))
-		for i, r := range db.Certain {
-			w[i] = r.Clone()
-		}
-		for k, ci := range deps {
-			for ri, r := range db.Components[ci].Alternatives[choice[k]].Rels {
-				r.Each(func(t relation.Tuple) { w[ri].Insert(t) })
-			}
-		}
-		ws.Add(w)
-		i := 0
-		for ; i < len(deps); i++ {
-			choice[i]++
-			if choice[i] < len(db.Components[deps[i]].Alternatives) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i == len(deps) {
-			break
-		}
+	sp.SetInt("components", int64(len(deps)))
+	out, modified, err := eval(ws)
+	if err != nil {
+		return nil, err
 	}
-	return ws, deps, nil
+	if tx == nil {
+		return &Result{Answers: distinctAnswers(out), Decomp: base}, nil
+	}
+	db, err := wsd.Refactor(out)
+	if err != nil {
+		return nil, err
+	}
+	db, each := spliceIndependent(db, base, deps)
+	db = db.Normalize()
+	tx.SetDB(db)
+	return &Result{Decomp: db, Affected: satInt(each.Mul(each, big.NewInt(int64(modified))))}, nil
 }
 
 // spliceIndependent re-attaches the components the bounded evaluation
-// did not enumerate to the re-factorized local result. Sound because
-// the statement read none of their contributions: every full world is a
-// local world plus the independent contributions, and the components
-// stay independent of the local result's.
-func spliceIndependent(local, base *wsd.DecompDB, deps []int) *wsd.DecompDB {
+// did not enumerate to the re-factorized local result, and returns with
+// it the number of full worlds each local world stands for (the product
+// of their alternative counts). Sound because the statement read none
+// of their contributions: every full world is a local world plus the
+// independent contributions, and the components stay independent of the
+// local result's.
+func spliceIndependent(local, base *wsd.DecompDB, deps []int) (*wsd.DecompDB, *big.Int) {
 	depSet := map[int]bool{}
 	for _, ci := range deps {
 		depSet[ci] = true
 	}
+	each := big.NewInt(1)
+	var m big.Int
 	for ci, c := range base.Components {
 		if !depSet[ci] {
 			local.Components = append(local.Components, c)
+			each.Mul(each, m.SetInt64(int64(len(c.Alternatives))))
 		}
 	}
-	return local
+	return local, each
+}
+
+// renameLastRelation names the answer relation of an evaluated select —
+// the table a create-table-as stores it as.
+func renameLastRelation(ws *worldset.WorldSet, name string) *worldset.WorldSet {
+	names := append([]string{}, ws.Names()...)
+	names[len(names)-1] = name
+	out := worldset.New(names, ws.Schemas())
+	ws.Each(func(w worldset.World) { out.Add(w) })
+	return out
 }

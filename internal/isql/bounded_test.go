@@ -47,10 +47,11 @@ func TestBoundedAggregateWorldCountIndependent(t *testing.T) {
 	if len(res.Answers) != 1 || !res.Answers[0].Contains(relation.Tuple{intVal(1)}) {
 		t.Fatalf("count(*) over Pick = %v, want the single answer {1}", res.Answers)
 	}
-	// The bounded worlds are not full worlds — the result must not
-	// pretend to expose the session state.
-	if res.WorldSet != nil {
-		t.Fatal("partial-dependency fallback must leave Result.WorldSet nil")
+	// The bounded arm compiles no plan, and its worlds are not full
+	// worlds — the result carries the factored catalog state, never an
+	// explicit world-set.
+	if res.Plan != nil || res.Decomp == nil {
+		t.Fatalf("bounded select: plan %v, decomp %v; want no plan and the factored state", res.Plan, res.Decomp)
 	}
 
 	// sum(V) distinguishes the three worlds: three distinct answers.
@@ -95,8 +96,8 @@ func TestBoundedCTASSplicesIndependentComponents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bounded create-table-as: %v", err)
 	}
-	if res.WorldSet != nil {
-		t.Fatal("partial-dependency CTAS must leave Result.WorldSet nil")
+	if res.Plan != nil || res.Decomp == nil {
+		t.Fatalf("bounded CTAS: plan %v, decomp %v; want no plan and the factored state", res.Plan, res.Decomp)
 	}
 	if got, want := s.Worlds().String(), "3298534883328"; got != want {
 		t.Fatalf("worlds after bounded CTAS = %s, want %s (unchanged)", got, want)

@@ -19,7 +19,8 @@ import (
 // fsync: a census-repair CTAS over 2^40 worlds (native, with the full
 // per-operator tree), a join whose entanglement resolves by one
 // bounded component merge, an aggregate outside the WSA fragment
-// (bounded legacy fallback), and a plain insert (commit + WAL only).
+// (the bounded arm), a plain insert (commit + WAL only), and a DELETE
+// whose predicate holds a subquery (the bounded arm under the commit).
 // Durations are normalized to t=X; everything else — span names,
 // nesting, component counts, merge costs, batch sizes — must stay
 // byte-identical.
@@ -50,6 +51,7 @@ create table Pick2 as select * from Tiny choice of V;
 		`explain analyze select certain X.V from Pick1 X, Pick2 Y where X.V = Y.V;`,
 		`explain analyze select sum(V) as S from Pick1;`,
 		`explain analyze insert into Tiny values (9);`,
+		`explain analyze delete from Tiny where V in (select V from Pick1);`,
 	} {
 		res, err := s.ExecString(sql)
 		if err != nil {

@@ -23,14 +23,19 @@ import (
 // of §5–7 — so a census-repair pipeline over 2^40 worlds executes each
 // statement in time polynomial in the decomposition size.
 //
-// Statements in the clean World-set Algebra fragment compile and run
-// through a registered engine directly on the catalog snapshot
-// (wsdexec, the factorized engine, by default). Statements outside the
-// fragment (aggregation, expression subqueries, divide-by, query-form
-// group-worlds-by) fall back to the session's own explicit world-set
-// evaluator over a budget-guarded expansion, and any state they produce
-// is re-factorized with wsd.Refactor before it is committed — one
-// entangled step never permanently de-factorizes the catalog.
+// A statement takes one of two arms. Statements in the clean World-set
+// Algebra fragment compile and run through a registered engine directly
+// on the catalog snapshot (wsdexec, the factorized engine, by default);
+// tuple-local DELETE and UPDATE map over the decomposition's pieces the
+// same way. Everything else — aggregation, expression subqueries,
+// divide-by, query-form group-worlds-by, and DML whose predicate or SET
+// holds a subquery — runs through execBounded: the session's own
+// world-at-a-time evaluator over the bounded input, which enumerates
+// only the components contributing to relations the statement
+// mentions. State it produces is re-factorized with wsd.Refactor and
+// the untouched components spliced back before it is committed — one
+// entangled step never de-factorizes (or costs) more than the region it
+// reads.
 //
 // A Session is a single-goroutine view of a catalog; any number of
 // sessions may share one Catalog concurrently (see cmd/isqld). Selects
@@ -56,11 +61,11 @@ type Session struct {
 	views        map[string]*SelectStmt
 	viewsVersion uint64
 
-	// MaxWorlds bounds explicit world materialization: the expansion
-	// budget for fallback evaluation, repair-by-key in the legacy
-	// evaluator, and distinct-answer enumeration. 0 means the package
-	// default of 1<<20. Violations surface as *wsd.BudgetError — the
-	// same error shape wsd's Expand and the store report.
+	// MaxWorlds bounds explicit world materialization: the enumeration
+	// budget of the bounded input and of engine fallbacks, repair-by-key
+	// in the world-at-a-time evaluator, and distinct-answer listing. 0
+	// means the package default of 1<<20. Violations surface as
+	// *wsd.BudgetError — the shape wsd's Expand and the store report.
 	MaxWorlds int
 
 	// RetryConflicts bounds automatic conflict retry: a COMMIT that loses
@@ -71,7 +76,7 @@ type Session struct {
 	RetryConflicts int
 
 	// Stats, when set, receives execution accounting (native/merged/
-	// fallback/legacy counters per operator). A server shares one
+	// fallback/bounded counters per operator). A server shares one
 	// instance across its sessions; nil disables recording.
 	Stats *ExecStats
 
@@ -79,9 +84,11 @@ type Session struct {
 	// "" or "wsdexec" evaluate natively on the decomposition; any other
 	// name in the wsa registry ("reference", "translated", "physical")
 	// evaluates on the budget-guarded expansion with the output
-	// re-factorized; the special name "legacy" bypasses compilation and
-	// runs every statement through the explicit world-set evaluator —
-	// the pre-store execution path, kept for comparison.
+	// re-factorized; the special name "legacy" is the differential
+	// reference for the bounded arm: nothing compiles, and every
+	// statement (tuple-local DML included) runs through execBounded
+	// with every component counted dependent — the full enumeration the
+	// bounded splice must agree with.
 	Engine string
 
 	// span is the root of the current statement's trace. nil — the
@@ -95,9 +102,15 @@ type Session struct {
 // stage and operator spans as children. Pass nil to disable.
 func (s *Session) SetTrace(sp *obs.Span) { s.span = sp }
 
-// legacyEngine routes every statement through the explicit world-set
-// evaluator.
+// legacyEngine is the comparison engine's name (see Session.Engine).
 const legacyEngine = "legacy"
+
+// native reports whether the session takes the native arm where a
+// statement allows it — false only for the comparison engine, whose
+// every statement runs bounded over the whole world-set. Together with
+// the one line in boundedInput that widens the dependent set, this is
+// all that distinguishes "legacy".
+func (s *Session) native() bool { return s.Engine != legacyEngine }
 
 // NewSession returns a session over the empty complete database: one
 // world with no relations.
@@ -182,14 +195,6 @@ func (s *Session) maxWorlds() int {
 	return s.MaxWorlds
 }
 
-// engineName maps the session Engine field to a store engine name.
-func (s *Session) engineName() string {
-	if s.Engine == legacyEngine {
-		return ""
-	}
-	return s.Engine
-}
-
 // snapshotForRead loads the current snapshot of the session's execution
 // target (the staging snapshot inside an open transaction) and
 // synchronizes the view parse cache to exactly that version, so a
@@ -231,20 +236,18 @@ type Result struct {
 	// Answers holds, for a select, the distinct answer relations across
 	// worlds in deterministic order (a 1↦1 query yields exactly one).
 	Answers []*relation.Relation
-	// WorldSet is the explicit world-set after the statement (extended
-	// with the answer relation for a select, named $ans), populated only
-	// on the legacy evaluation paths, which materialized it anyway. The
-	// native decomposition paths leave it nil — Decomp always holds the
-	// factored result; expand it (or call Session.WorldSet) on demand.
-	WorldSet *worldset.WorldSet
-	// Decomp is the factored form of the same state or query result.
+	// Decomp is the factored catalog state after the statement; for a
+	// select on the native arm, that state extended with the answer
+	// relation (named $ans), and on the bounded arm the state the select
+	// read (its answers are in Answers only). Never an explicit
+	// world-set: expand it (or call Session.WorldSet) on demand.
 	Decomp *wsd.DecompDB
 	// Affected counts modified tuples per world summed over worlds for
 	// DML statements, saturating at the integer limit (the catalog can
 	// represent more worlds than fit an int).
 	Affected int
 	// Plan records how a compiled statement was evaluated (nil when the
-	// statement ran through the legacy explicit world-set evaluator).
+	// statement did not compile: DML, DDL and the bounded arm).
 	Plan *wsdexec.Plan
 	// Message is a human-readable status for statements whose effect is
 	// not catalog state (e.g. "prepared q1").
@@ -337,10 +340,10 @@ func (s *Session) updateRouted(refs []string, fn func(*store.Tx) error) error {
 
 // execSelect evaluates a select: natively on the snapshot decomposition
 // when the statement compiles to the clean WSA fragment, through the
-// legacy evaluator over the budget-guarded expansion when compilation
-// reports a fragmentError. Genuine compile errors (unknown relations
-// or columns) surface directly — falling back would bury a typo under
-// a BudgetError on a large catalog.
+// bounded arm (execBounded) when compilation reports a fragmentError.
+// Genuine compile errors (unknown relations or columns) surface
+// directly — falling back would bury a typo under a BudgetError on a
+// large catalog.
 func (s *Session) execSelect(sel *SelectStmt) (*Result, error) {
 	return s.execSelectWith(sel, nil, nil)
 }
@@ -374,12 +377,12 @@ func (s *Session) execSelectWith(sel *SelectStmt, pre *Prepared, args []value.Va
 		s.stmtRelations(sel, refs)
 		s.txn.MarkReads(refs)
 	}
-	var fragErr error
-	if s.Engine != legacyEngine {
+	op := legacyEngine // the comparison engine is its own reason to run bounded
+	if s.native() {
 		var q wsa.Expr
 		var err error
 		opts := &wsdexec.Options{ExpandBudget: s.maxWorlds()}
-		onDecomp := s.engineName() == "" || s.engineName() == "wsdexec"
+		onDecomp := s.Engine == "" || s.Engine == "wsdexec"
 		csp := s.span.Child("compile")
 		if pre != nil {
 			// Cached plans are prelowered at compile time; skip the
@@ -411,7 +414,7 @@ func (s *Session) execSelectWith(sel *SelectStmt, pre *Prepared, args []value.Va
 		if err == nil {
 			xsp := s.span.Child("exec")
 			opts.Trace = xsp
-			out, plan, err := store.QueryOpts(snap, s.engineName(), q, opts)
+			out, plan, err := store.QueryOpts(snap, s.Engine, q, opts)
 			if plan != nil {
 				xsp.SetInt("merges", int64(len(plan.Merges)))
 				if plan.FallbackEngine == "" {
@@ -434,9 +437,9 @@ func (s *Session) execSelectWith(sel *SelectStmt, pre *Prepared, args []value.Va
 			}
 			return &Result{Answers: answers, Decomp: out, Plan: plan}, nil
 		}
-		fragErr = err
+		op = fragmentOp(err)
 	}
-	// Legacy / fallback evaluation needs a fully bound statement tree.
+	// The world-at-a-time evaluator needs a fully bound statement tree.
 	lsel := sel
 	if len(args) > 0 {
 		bound, err := bindSelect(sel, args)
@@ -445,41 +448,10 @@ func (s *Session) execSelectWith(sel *SelectStmt, pre *Prepared, args []value.Va
 		}
 		lsel = bound
 	}
-	if s.Engine == legacyEngine {
-		// The comparison engine enumerates the whole world-set by design.
-		ws, err := snap.DB.Expand(s.maxWorlds())
-		if err != nil {
-			return nil, err
-		}
+	return s.execBounded(nil, snap.DB, lsel, op, func(ws *worldset.WorldSet) (*worldset.WorldSet, int, error) {
 		out, err := s.evalSelect(lsel, ws, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Answers: distinctAnswers(out), WorldSet: out}, nil
-	}
-	// Outside the WSA fragment: evaluate on the bounded input — only the
-	// components contributing to relations the statement reads are
-	// enumerated, so an aggregate over a small uncertain region answers
-	// in time independent of the catalog's world count.
-	s.Stats.recordLegacy(fragmentOp(fragErr))
-	bsp := s.span.Child("exec.bounded").Set("fragment-op", fragmentOp(fragErr))
-	ws, deps, err := s.boundedInput(snap.DB, lsel)
-	if err != nil {
-		bsp.End()
-		return nil, err
-	}
-	bsp.SetInt("components", int64(len(deps)))
-	out, err := s.evalSelect(lsel, ws, nil)
-	bsp.End()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Answers: distinctAnswers(out)}
-	if len(deps) == len(snap.DB.Components) {
-		// The bounded input was the full expansion; expose it as before.
-		res.WorldSet = out
-	}
-	return res, nil
+		return out, 0, err
+	})
 }
 
 func (s *Session) execCreateTableAs(n *CreateTableAsStmt) (*Result, error) {
@@ -495,8 +467,8 @@ func (s *Session) execCreateTableAs(n *CreateTableAsStmt) (*Result, error) {
 		if tx.Snap().HasRelation(n.Name) {
 			return fmt.Errorf("isql: relation %q already exists", n.Name)
 		}
-		var fragErr error
-		if s.Engine != legacyEngine {
+		op := legacyEngine
+		if s.native() {
 			csp := s.span.Child("compile")
 			q, err := s.compileOn(tx.Snap().DB.Names, tx.Snap().DB.Schemas, n.Query)
 			csp.End()
@@ -505,7 +477,7 @@ func (s *Session) execCreateTableAs(n *CreateTableAsStmt) (*Result, error) {
 			}
 			if err == nil {
 				xsp := s.span.Child("exec")
-				out, plan, err := store.QueryOpts(tx.Snap(), s.engineName(), q,
+				out, plan, err := store.QueryOpts(tx.Snap(), s.Engine, q,
 					&wsdexec.Options{ExpandBudget: s.maxWorlds(), Trace: xsp})
 				xsp.End()
 				if err != nil {
@@ -517,52 +489,17 @@ func (s *Session) execCreateTableAs(n *CreateTableAsStmt) (*Result, error) {
 				res = &Result{Decomp: db, Plan: plan}
 				return nil
 			}
-			fragErr = err
+			op = fragmentOp(err)
 		}
-		base := tx.Snap().DB
-		if s.Engine == legacyEngine {
-			ws, err := base.Expand(s.maxWorlds())
-			if err != nil {
-				return err
-			}
+		var err error
+		res, err = s.execBounded(tx, tx.Snap().DB, n, op, func(ws *worldset.WorldSet) (*worldset.WorldSet, int, error) {
 			out, err := s.evalSelect(n.Query, ws, nil)
 			if err != nil {
-				return err
+				return nil, 0, err
 			}
-			out = renameLastRelation(out, n.Name)
-			db, err := wsd.Refactor(out)
-			if err != nil {
-				return err
-			}
-			tx.SetDB(db)
-			res = &Result{WorldSet: out, Decomp: db}
-			return nil
-		}
-		// Outside the WSA fragment: evaluate on the bounded input, then
-		// re-factorize the local result and splice the untouched
-		// components back — one entangled step never enumerates (or
-		// de-factorizes) more than the components the query reads.
-		s.Stats.recordLegacy(fragmentOp(fragErr))
-		ws, deps, err := s.boundedInput(base, n.Query)
-		if err != nil {
-			return err
-		}
-		out, err := s.evalSelect(n.Query, ws, nil)
-		if err != nil {
-			return err
-		}
-		out = renameLastRelation(out, n.Name)
-		db, err := wsd.Refactor(out)
-		if err != nil {
-			return err
-		}
-		db = spliceIndependent(db, base, deps).Normalize()
-		tx.SetDB(db)
-		res = &Result{Decomp: db}
-		if len(deps) == len(base.Components) {
-			res.WorldSet = out
-		}
-		return nil
+			return renameLastRelation(out, n.Name), 0, nil
+		})
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -697,12 +634,7 @@ func (s *Session) execInsert(n *InsertStmt) (*Result, error) {
 }
 
 func (s *Session) execDelete(n *DeleteStmt) (*Result, error) {
-	if s.Engine == legacyEngine || exprHasSubquery(n.Where) {
-		return s.legacyDML(n.String(), func(ws *worldset.WorldSet) (*worldset.WorldSet, int, error) {
-			return s.legacyDelete(ws, n)
-		})
-	}
-	return s.mutateNative(n.String(), n.Table, nil,
+	return s.execMutation(n, n.Table, []Expr{n.Where}, nil,
 		func(ctx *evalCtx, t relation.Tuple) (relation.Tuple, bool, error) {
 			if n.Where != nil {
 				ctx.tuple = t
@@ -716,17 +648,12 @@ func (s *Session) execDelete(n *DeleteStmt) (*Result, error) {
 }
 
 func (s *Session) execUpdate(n *UpdateStmt) (*Result, error) {
-	hasSub := exprHasSubquery(n.Where)
+	exprs := []Expr{n.Where}
 	for _, sc := range n.Sets {
-		hasSub = hasSub || exprHasSubquery(sc.Expr)
-	}
-	if s.Engine == legacyEngine || hasSub {
-		return s.legacyDML(n.String(), func(ws *worldset.WorldSet) (*worldset.WorldSet, int, error) {
-			return s.legacyUpdate(ws, n)
-		})
+		exprs = append(exprs, sc.Expr)
 	}
 	var setIdx []int
-	return s.mutateNative(n.String(), n.Table,
+	return s.execMutation(n, n.Table, exprs,
 		func(schema relation.Schema) error {
 			setIdx = make([]int, len(n.Sets))
 			for i, sc := range n.Sets {
@@ -758,20 +685,48 @@ func (s *Session) execUpdate(n *UpdateStmt) (*Result, error) {
 		})
 }
 
-// mutateNative is the shared scaffolding of the native (tuple-local)
-// DML paths: locate the table, map perTuple over every decomposition
-// piece of the relation (certain and alternative contributions —
-// tuple-local predicates distribute over the pieces), weight the
-// touched pre-tuples by their world presence for the affected count,
-// normalize, and commit. perTuple returns the replacement tuple (nil
-// to drop it) and whether the statement touched the tuple; it sees the
-// pre-state tuple via ctx.tuple only after setting it itself or via
-// the passed t.
-func (s *Session) mutateNative(stmt, table string, prepare func(relation.Schema) error,
-	perTuple func(*evalCtx, relation.Tuple) (relation.Tuple, bool, error)) (*Result, error) {
+// tupleRule is a DELETE's or UPDATE's meaning on one tuple of its
+// table, with ctx.schema the table's: it returns the replacement tuple
+// (nil to drop it) and whether the statement touched the tuple.
+type tupleRule func(ctx *evalCtx, t relation.Tuple) (relation.Tuple, bool, error)
+
+// execMutation is the shared entry of DELETE and UPDATE. It locates the
+// table, resolves the names (and rejects unbound placeholders) in exprs
+// — the statement's where and set expressions — against the table's
+// schema before touching data, so a typo fails the same on an empty
+// table as on a full one, and applies rule through one of the two arms.
+// Tuple-local expressions distribute over the decomposition's pieces:
+// the native arm maps rule over the certain and alternative
+// contributions of the relation and weights the touched pre-tuples by
+// their world presence, no enumeration. A subquery needs a world to
+// resolve in: the bounded arm maps rule over the table in each world of
+// the bounded input, with ctx.world set.
+func (s *Session) execMutation(st Statement, table string, exprs []Expr,
+	prepare func(relation.Schema) error, rule tupleRule) (*Result, error) {
+	op := "" // the native arm
+	if !s.native() {
+		op = legacyEngine
+	}
+	for _, e := range exprs {
+		if p := maxParamExpr(e); p > 0 {
+			return nil, fmt.Errorf("isql: unbound parameter $%d (bind it with execute)", p)
+		}
+		if exprHasSubquery(e) {
+			op = "expression subquery"
+		}
+	}
+	// A native mutation commits through its table's shards alone; what a
+	// bounded one re-factorizes is only known once it ran.
+	var route []string
+	if op == "" {
+		route = []string{table}
+	}
 	var res *Result
-	err := s.updateRouted([]string{table}, func(tx *store.Tx) error {
-		tx.Log(stmt)
+	err := s.updateRouted(route, func(tx *store.Tx) error {
+		tx.Log(st.String())
+		if err := s.refreshViewsFrom(tx.Snap()); err != nil {
+			return err
+		}
 		db := tx.DB()
 		idx := db.IndexOf(table)
 		if idx < 0 {
@@ -783,31 +738,37 @@ func (s *Session) mutateNative(stmt, table string, prepare func(relation.Schema)
 				return err
 			}
 		}
+		info := &selectInfo{correlated: map[*SelectStmt]bool{}}
+		for _, e := range exprs {
+			if e == nil {
+				continue
+			}
+			if err := s.checkExpr(e, info, []relation.Schema{schema}, db.Names, db.Schemas); err != nil {
+				return err
+			}
+		}
+		if op != "" {
+			var err error
+			res, err = s.execBounded(tx, db, st, op, func(ws *worldset.WorldSet) (*worldset.WorldSet, int, error) {
+				out, modified := worldset.New(ws.Names(), ws.Schemas()), 0
+				var evalErr error
+				ws.Each(func(w worldset.World) {
+					if evalErr != nil {
+						return
+					}
+					ctx := &evalCtx{session: s, world: w, names: ws.Names(), schemas: ws.Schemas(), schema: schema}
+					nw := append(worldset.World{}, w...)
+					nw[idx], evalErr = mapTuples(ctx, w[idx], rule, func(relation.Tuple) { modified++ })
+					out.Add(nw)
+				})
+				return out, modified, evalErr
+			})
+			return err
+		}
 		ctx := &evalCtx{session: s, schema: schema}
 		touched := map[string]relation.Tuple{}
 		next, err := db.MapRelation(idx, func(r *relation.Relation) (*relation.Relation, error) {
-			nr := relation.New(schema)
-			var evalErr error
-			r.Each(func(t relation.Tuple) {
-				if evalErr != nil {
-					return
-				}
-				nt, hit, err := perTuple(ctx, t)
-				if err != nil {
-					evalErr = err
-					return
-				}
-				if hit {
-					touched[t.Key()] = t
-				}
-				if nt != nil {
-					nr.Insert(nt)
-				}
-			})
-			if evalErr != nil {
-				return nil, evalErr
-			}
-			return nr, nil
+			return mapTuples(ctx, r, rule, func(t relation.Tuple) { touched[t.Key()] = t })
 		})
 		if err != nil {
 			return err
@@ -828,150 +789,30 @@ func (s *Session) mutateNative(stmt, table string, prepare func(relation.Schema)
 	return res, nil
 }
 
-// legacyDML expands the catalog, applies a per-world mutation with the
-// explicit world-set evaluator, and re-factorizes the result into the
-// next catalog version.
-func (s *Session) legacyDML(stmt string, apply func(*worldset.WorldSet) (*worldset.WorldSet, int, error)) (*Result, error) {
-	var res *Result
-	err := s.updateRouted(nil, func(tx *store.Tx) error {
-		tx.Log(stmt)
-		if err := s.refreshViewsFrom(tx.Snap()); err != nil {
-			return err
-		}
-		ws, err := tx.Snap().DB.Expand(s.maxWorlds())
-		if err != nil {
-			return err
-		}
-		out, affected, err := apply(ws)
-		if err != nil {
-			return err
-		}
-		db, err := wsd.Refactor(out)
-		if err != nil {
-			return err
-		}
-		tx.SetDB(db)
-		res = &Result{WorldSet: out, Decomp: db, Affected: affected}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// legacyDelete is the per-world delete of the explicit world-set
-// evaluator (predicates may hold subqueries).
-func (s *Session) legacyDelete(ws *worldset.WorldSet, n *DeleteStmt) (*worldset.WorldSet, int, error) {
-	idx := ws.IndexOf(n.Table)
-	if idx < 0 {
-		return nil, 0, fmt.Errorf("isql: unknown relation %q", n.Table)
-	}
-	schema := ws.Schemas()[idx]
-	affected := 0
-	out := worldset.New(ws.Names(), ws.Schemas())
+// mapTuples applies rule to every tuple of r — one piece of the table
+// on the native arm, the table's instance in one world on the bounded
+// arm — and returns the rewritten relation, reporting each touched
+// pre-state tuple to hit.
+func mapTuples(ctx *evalCtx, r *relation.Relation, rule tupleRule, hit func(relation.Tuple)) (*relation.Relation, error) {
+	nr := relation.New(ctx.schema)
 	var evalErr error
-	ws.Each(func(w worldset.World) {
+	r.Each(func(t relation.Tuple) {
 		if evalErr != nil {
 			return
 		}
-		nw := append(worldset.World{}, w...)
-		nr := relation.New(schema)
-		ctx := &evalCtx{session: s, world: w, names: ws.Names(), schemas: ws.Schemas(), schema: schema}
-		nw[idx].Each(func(t relation.Tuple) {
-			if evalErr != nil {
-				return
-			}
-			keep := true
-			if n.Where != nil {
-				ctx.tuple = t
-				match, err := ctx.evalBool(n.Where)
-				if err != nil {
-					evalErr = err
-					return
-				}
-				keep = !match
-			} else {
-				keep = false
-			}
-			if keep {
-				nr.Insert(t)
-			} else {
-				affected++
-			}
-		})
-		nw[idx] = nr
-		out.Add(nw)
-	})
-	if evalErr != nil {
-		return nil, 0, evalErr
-	}
-	return out, affected, nil
-}
-
-// legacyUpdate is the per-world update of the explicit world-set
-// evaluator.
-func (s *Session) legacyUpdate(ws *worldset.WorldSet, n *UpdateStmt) (*worldset.WorldSet, int, error) {
-	idx := ws.IndexOf(n.Table)
-	if idx < 0 {
-		return nil, 0, fmt.Errorf("isql: unknown relation %q", n.Table)
-	}
-	schema := ws.Schemas()[idx]
-	setIdx := make([]int, len(n.Sets))
-	for i, sc := range n.Sets {
-		j := schema.Index(sc.Col.Full())
-		if j < 0 {
-			return nil, 0, fmt.Errorf("isql: unknown column %q in update", sc.Col.Full())
-		}
-		setIdx[i] = j
-	}
-	affected := 0
-	out := worldset.New(ws.Names(), ws.Schemas())
-	var evalErr error
-	ws.Each(func(w worldset.World) {
-		if evalErr != nil {
+		nt, touched, err := rule(ctx, t)
+		if err != nil {
+			evalErr = err
 			return
 		}
-		nw := append(worldset.World{}, w...)
-		nr := relation.New(schema)
-		ctx := &evalCtx{session: s, world: w, names: ws.Names(), schemas: ws.Schemas(), schema: schema}
-		nw[idx].Each(func(t relation.Tuple) {
-			if evalErr != nil {
-				return
-			}
-			ctx.tuple = t
-			match := true
-			if n.Where != nil {
-				m, err := ctx.evalBool(n.Where)
-				if err != nil {
-					evalErr = err
-					return
-				}
-				match = m
-			}
-			if !match {
-				nr.Insert(t)
-				return
-			}
-			nt := t.Clone()
-			for i, sc := range n.Sets {
-				v, err := ctx.evalExpr(sc.Expr)
-				if err != nil {
-					evalErr = err
-					return
-				}
-				nt[setIdx[i]] = v
-			}
+		if touched {
+			hit(t)
+		}
+		if nt != nil {
 			nr.Insert(nt)
-			affected++
-		})
-		nw[idx] = nr
-		out.Add(nw)
+		}
 	})
-	if evalErr != nil {
-		return nil, 0, evalErr
-	}
-	return out, affected, nil
+	return nr, evalErr
 }
 
 // DistinctAnswers extracts the deduplicated answer relations (the last
@@ -998,14 +839,6 @@ func distinctAnswers(ws *worldset.WorldSet) []*relation.Relation {
 	for i, key := range keys {
 		out[i] = seen[key]
 	}
-	return out
-}
-
-func renameLastRelation(ws *worldset.WorldSet, name string) *worldset.WorldSet {
-	names := append([]string{}, ws.Names()...)
-	names[len(names)-1] = name
-	out := worldset.New(names, ws.Schemas())
-	ws.Each(func(w worldset.World) { out.Add(w) })
 	return out
 }
 

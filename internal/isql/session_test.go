@@ -204,3 +204,38 @@ func TestCTASThenQueryAcrossWorlds(t *testing.T) {
 		t.Fatalf("certain SSNs = %v, want {111, 222}", got)
 	}
 }
+
+// TestDMLNamesResolveBeforeData: a DELETE or UPDATE naming an unknown
+// column (or holding an unbound placeholder) fails the same on an empty
+// table as on a full one, on both arms — resolution happens in the
+// shared DML entry, before any tuple is evaluated — and the errors keep
+// the text evaluation used to report.
+func TestDMLNamesResolveBeforeData(t *testing.T) {
+	for _, engine := range []string{"", "legacy"} {
+		for _, rows := range []string{"", "insert into T values (1);"} {
+			s := NewSession()
+			s.Engine = engine
+			mustExec(t, s, "create table T (A);")
+			if rows != "" {
+				mustExec(t, s, rows)
+			}
+			for sql, want := range map[string]string{
+				"delete from T where Nope = 1;":                                 `unknown column "Nope"`,
+				"update T set A = Nope + 1;":                                    `unknown column "Nope"`,
+				"update T set Nope = 1;":                                        `unknown column "Nope" in update`,
+				"delete from T where A in (select Nope from T);":                `unknown column "Nope"`,
+				"update T set A = 2 where exists (select * from Gone);":         `unknown relation "Gone"`,
+				"delete from Gone where A = 1;":                                 `unknown relation "Gone"`,
+				"delete from T where A = $1;":                                   "unbound parameter $1",
+				"update T set A = $2 where A in (select A from T);":             "unbound parameter $2",
+				"delete from T where exists (select * from T X where X.A = B);": `unknown column "B"`,
+			} {
+				if _, err := s.ExecString(sql); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("engine %q, rows %q: %s: got %v, want an error holding %s", engine, rows, sql, err, want)
+				}
+			}
+			// What does resolve keeps working, correlated subquery included.
+			mustExec(t, s, "delete from T where exists (select * from T X where X.A = A) and A = 7;")
+		}
+	}
+}

@@ -8,13 +8,15 @@ import (
 
 // ExecStats aggregates, across any number of sessions sharing it (a
 // server attaches one instance to every connection's session), how
-// compiled statements were executed: fully native on the decomposition,
-// native after bounded component merging, through the factorized
-// engine's enumeration fallback, or through the session's bounded
-// legacy evaluator for statements outside the WSA fragment. The per-op
-// maps attribute merges and fallbacks to the operator (or fragment
-// feature) that caused them — the observability handle for the
-// "fallbacks should be rare" invariant.
+// statements were executed. The native arm: fully native on the
+// decomposition, native after bounded component merging, or through
+// the factorized engine's enumeration fallback. The bounded arm
+// (execBounded, the world-at-a-time evaluator over the dependent
+// components): every select, create-table-as, DELETE and UPDATE outside
+// the WSA fragment, counted under the historical name "legacy". The
+// per-op maps attribute merges, fallbacks and bounded evaluations to
+// the operator (or fragment feature) that caused them — the
+// observability handle for the "fallbacks should be rare" invariant.
 type ExecStats struct {
 	mu          sync.Mutex
 	native      uint64
@@ -61,9 +63,11 @@ func (st *ExecStats) recordPlan(p *wsdexec.Plan) {
 	st.fallbackOps[op]++
 }
 
-// recordLegacy accounts one statement evaluated by the bounded legacy
-// evaluator because it lies outside the WSA fragment, keyed by the
-// fragment feature that put it there.
+// recordLegacy accounts one statement evaluated by the bounded arm,
+// keyed by what put it there: the fragment feature it uses
+// ("aggregation", "expression subquery", ...; DML included), or
+// "legacy" on a comparison-engine session. execBounded is its only
+// caller.
 func (st *ExecStats) recordLegacy(op string) {
 	if st == nil {
 		return
@@ -89,14 +93,15 @@ type ExecStatsSnapshot struct {
 	// Fallbacks counts statements the factorized engine evaluated by
 	// enumeration because a merge exceeded the budget (or was disabled).
 	Fallbacks uint64 `json:"fallbacks"`
-	// Legacy counts statements outside the WSA fragment, evaluated by
-	// the session's bounded world-set evaluator.
+	// Legacy counts statements — selects, create-table-as, DELETE,
+	// UPDATE — outside the WSA fragment, evaluated by the bounded arm.
 	Legacy uint64 `json:"legacy"`
 	// MergeOps attributes merges to the entangling operator.
 	MergeOps map[string]uint64 `json:"merge_ops,omitempty"`
 	// FallbackOps attributes engine fallbacks to the operator.
 	FallbackOps map[string]uint64 `json:"fallback_ops,omitempty"`
-	// LegacyOps attributes legacy evaluations to the fragment feature.
+	// LegacyOps attributes bounded-arm evaluations to the fragment
+	// feature that caused them.
 	LegacyOps map[string]uint64 `json:"legacy_ops,omitempty"`
 }
 

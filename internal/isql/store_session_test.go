@@ -369,6 +369,98 @@ func TestGenuineCompileErrorsSurfaceDirectly(t *testing.T) {
 	}
 }
 
+// pickCatalog builds the 2^40-world census repair plus two fully
+// certain one-row tables, Pick(V) and Other(V): statements over them
+// touch zero components.
+func pickCatalog(t *testing.T) *Session {
+	t.Helper()
+	s := FromDB([]string{"Census"}, []*relation.Relation{pipelineCensus()})
+	s.Stats = NewExecStats()
+	mustExec(t, s, censusPipeline[0])
+	for _, sql := range []string{
+		"create table Pick (V);", "insert into Pick values (1);",
+		"create table Other (V);", "insert into Other values (1);",
+	} {
+		mustExec(t, s, sql)
+	}
+	return s
+}
+
+// TestBoundedDMLWorldCountIndependent: a DELETE or UPDATE whose
+// predicate holds a subquery runs through the bounded arm, so on a
+// 2^40-world catalog it enumerates only the components its relations
+// depend on (none here) instead of refusing with the catalog's world
+// count — the whole-catalog expansion this test pins the removal of.
+// The catalog keeps its world count and linear size, and the
+// world-weighted affected count equals the tuple-local statement's.
+func TestBoundedDMLWorldCountIndependent(t *testing.T) {
+	const worlds = "1099511627776" // 2^40
+	for _, c := range []struct{ bounded, local, probe string }{
+		{"delete from Pick where V in (select V from Other);", "delete from Pick where V = 1;", "select count(*) as N from Pick where V = 1;"},
+		{"update Pick set V = 7 where exists (select V from Other);", "update Pick set V = 7 where V = 1;", "select count(*) as N from Pick where V = 1;"},
+	} {
+		s, ref := pickCatalog(t), pickCatalog(t)
+		if got := singleAnswer(t, s, "select sum(V) as S from Pick;"); !got.Contains(relation.Tuple{intVal(1)}) {
+			t.Fatalf("sum(V) over Pick = %v, want 1", got)
+		}
+		res, want := mustExec(t, s, c.bounded), mustExec(t, ref, c.local)
+		if res.Affected != want.Affected || res.Affected != 1<<40 {
+			t.Fatalf("%s affected %d, tuple-local %s affected %d, want 2^40", c.bounded, res.Affected, c.local, want.Affected)
+		}
+		if res.Plan != nil || res.Decomp == nil {
+			t.Fatalf("%s: plan %v, decomp %v; want the bounded arm's factored state", c.bounded, res.Plan, res.Decomp)
+		}
+		if got := s.Worlds().String(); got != worlds {
+			t.Fatalf("%s left %s worlds, want %s", c.bounded, got, worlds)
+		}
+		if size := s.Catalog().Snapshot().DB.Size(); size > 4*pipelineCensus().Len() {
+			t.Fatalf("%s left catalog size %d, not linear in the input", c.bounded, size)
+		}
+		if got := singleAnswer(t, s, c.probe); !got.Contains(relation.Tuple{intVal(0)}) {
+			t.Fatalf("after %s: %s = %v, want 0", c.bounded, c.probe, got)
+		}
+		// The repair region was spliced back untouched and stays native.
+		if r := mustExec(t, s, "select certain Name from Clean;"); r.Plan == nil || !r.Plan.Native {
+			t.Fatalf("repair region not native after %s (plan %v)", c.bounded, r.Plan)
+		}
+		// Accounted like every other bounded statement, and visible in
+		// the trace with its component count.
+		if snap := s.Stats.Snapshot(); snap.LegacyOps["expression subquery"] != 1 {
+			t.Fatalf("%s not accounted as a bounded subquery statement: %+v", c.bounded, snap)
+		}
+		msg := mustExec(t, s, "explain analyze "+c.bounded).Message
+		if !strings.Contains(msg, "exec.bounded") || !strings.Contains(msg, "fragment-op=expression subquery components=0") {
+			t.Fatalf("explain analyze %s lacks the bounded span:\n%s", c.bounded, msg)
+		}
+	}
+}
+
+// TestBoundedDMLBudgetIsDependentRegion: when the region a subquery
+// DML depends on is itself too large, the refusal reports that
+// region's combination count — 2^40 for the repair — not the catalog's
+// 3 * 2^40.
+func TestBoundedDMLBudgetIsDependentRegion(t *testing.T) {
+	s := boundedCatalog(t)
+	_, err := s.ExecString("delete from Clean where SSN in (select SSN from Clean);")
+	var be *wsd.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("subquery delete over Clean: want *wsd.BudgetError, got %v", err)
+	}
+	if got, want := be.Worlds.String(), "1099511627776"; got != want {
+		t.Fatalf("budget error cost = %s, want the dependent-component cost %s", got, want)
+	}
+	// Pick's 3-alternative component fits, whatever the catalog holds.
+	res := mustExec(t, s, "update Pick set V = V + 10 where V in (select V from Tiny where V < 3);")
+	if got, want := s.Worlds().String(), "3298534883328"; got != want { // still 3 * 2^40
+		t.Fatalf("worlds after bounded update = %s, want %s", got, want)
+	}
+	// Two of the three Pick worlds change their tuple, each standing for
+	// 2^40 full worlds.
+	if want := 2 << 40; res.Affected != want {
+		t.Fatalf("affected = %d, want %d", res.Affected, want)
+	}
+}
+
 // TestCatalogPersistenceThroughSession: -load/-save level round trip at
 // the session layer (the cmd/isql flags build on this).
 func TestCatalogPersistenceThroughSession(t *testing.T) {

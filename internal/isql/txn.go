@@ -26,7 +26,7 @@ type execTarget interface {
 	// UpdateRouted stages and commits fn, carrying the statement's
 	// relation references: the commit takes only the locks of the shards
 	// those relations (and their component closure) route to. nil refs
-	// means the statement has no routing information (DDL, CTAS, legacy
+	// means the statement has no routing information (DDL, CTAS, bounded
 	// DML) and commits against every shard.
 	UpdateRouted(refs []string, fn func(*store.Tx) error) error
 }

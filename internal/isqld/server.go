@@ -430,8 +430,9 @@ type Stats struct {
 	Sessions  int      `json:"sessions"`
 	// Exec breaks executions down by evaluation path: native on the
 	// decomposition (merged counts those that merged components),
-	// engine-level enumeration fallbacks, and legacy evaluations of
-	// statements outside the WSA fragment — attributed per operator, the
+	// engine-level enumeration fallbacks, and "legacy": bounded-arm
+	// evaluations of statements outside the WSA fragment, subquery
+	// DELETE/UPDATE included — attributed per operator, the
 	// serving-path view of the "fallbacks should be rare" invariant.
 	Exec isql.ExecStatsSnapshot `json:"exec"`
 	// Shards holds per-shard commit statistics (published epoch,

@@ -205,10 +205,12 @@ func TestStatsEndpoint(t *testing.T) {
 		"create table Clean as select * from Census repair by key SSN; create view V as select Name from Clean;"); code != http.StatusOK {
 		t.Fatalf("setup: %d %s", code, out)
 	}
-	// One native select and one aggregate (legacy path) populate the
+	// One native select, one aggregate and one DELETE whose predicate
+	// holds a subquery (both through the bounded arm) populate the
 	// per-path execution accounting.
 	if code, out := post(t, ts.URL+"/exec",
-		"select certain Name from Clean; select count(*) as N from Clean;"); code != http.StatusOK {
+		"select certain Name from Clean; select count(*) as N from Clean; "+
+			"delete from Census where SSN in (select SSN from Census where SSN < 0);"); code != http.StatusOK {
 		t.Fatalf("exec accounting setup: %d %s", code, out)
 	}
 	resp, err := http.Get(ts.URL + "/stats")
@@ -229,13 +231,14 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Version < 2 {
 		t.Fatalf("version %d, want ≥ 2 after two commits", st.Version)
 	}
-	// The CTAS and the plain select ran natively; the aggregate went
-	// through the bounded legacy evaluator, attributed to its feature.
+	// The CTAS and the plain select ran natively; the aggregate and the
+	// subquery DELETE went through the bounded arm, each attributed to
+	// the fragment feature that put it there.
 	if st.Exec.Native < 2 {
 		t.Fatalf("exec accounting native = %d, want ≥ 2\n%+v", st.Exec.Native, st.Exec)
 	}
-	if st.Exec.Legacy != 1 || st.Exec.LegacyOps["aggregation"] != 1 {
-		t.Fatalf("exec accounting legacy = %d (ops %v), want 1 aggregation", st.Exec.Legacy, st.Exec.LegacyOps)
+	if st.Exec.Legacy != 2 || st.Exec.LegacyOps["aggregation"] != 1 || st.Exec.LegacyOps["expression subquery"] != 1 {
+		t.Fatalf("exec accounting legacy = %d (ops %v), want 1 aggregation + 1 expression subquery", st.Exec.Legacy, st.Exec.LegacyOps)
 	}
 	hr, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -11,6 +11,9 @@ import (
 type sqlTable struct {
 	name string
 	cols []string
+	// key is the column a created table's choice-of or repair-by-key
+	// split on ("" for a base table).
+	key string
 }
 
 // StmtGen generates random I-SQL statements over a growing set of
@@ -19,15 +22,19 @@ type sqlTable struct {
 // cover the clean WSA fragment (projections, selections, aliased
 // joins, group-worlds-by, certain/possible) and the shapes outside it
 // — aggregation (count/sum/min/max, group by) and subqueries (in,
-// correlated exists) — the statement-level complement of the
-// algebra-level QueryGen, behind the bounded-fallback differential
-// sweeps.
+// correlated exists) — and Mutate adds DELETE and UPDATE on both arms:
+// tuple-local predicates (native on the decomposition's pieces) and
+// subquery predicates (the bounded arm). It is the statement-level
+// complement of the algebra-level QueryGen, behind the bounded-arm
+// differential sweeps.
 //
 // Uncertainty enters only through CreateUncertain, which applies
 // choice-of or repair-by-key to certain scans; the generated selects
 // never put either construct over an uncertain answer, so on the
 // factorized engine every fragment statement must evaluate natively
-// (merging components at worst, never enumerating).
+// (merging components at worst, never enumerating). A Mutate with a
+// subquery over an uncertain table can make a base table uncertain, so
+// scripts call CreateUncertain before the first Mutate.
 type StmtGen struct {
 	rng  *rand.Rand
 	base []sqlTable // certain seed tables
@@ -65,7 +72,7 @@ func (g *StmtGen) CreateUncertain() string {
 	if g.rng.Intn(3) == 0 {
 		where = fmt.Sprintf(" where %s >= %d", t.cols[g.rng.Intn(len(t.cols))], g.rng.Intn(g.Domain/2))
 	}
-	g.all = append(g.all, sqlTable{name: name, cols: t.cols})
+	g.all = append(g.all, sqlTable{name: name, cols: t.cols, key: key})
 	return fmt.Sprintf("create table %s as select * from %s%s %s;", name, t.name, where, op)
 }
 
@@ -122,4 +129,50 @@ func (g *StmtGen) Select() string {
 		return fmt.Sprintf("select X.%s from %s X where %sexists (select * from %s Y where Y.%s = X.%s);",
 			col(t), t.name, neg, u.name, col(u), col(t))
 	}
+}
+
+// Mutate emits one random DELETE or UPDATE over the known tables, base
+// and created. The predicate is tuple-local (a comparison with a
+// constant), an (not) in subquery, or a (not) exists subquery
+// correlated with the target tuple where the tables' columns allow it;
+// an UPDATE sets one column to an arithmetic expression over the
+// tuple's own columns. An UPDATE never sets the column a created table
+// was split on: tuples of different repair groups must stay distinct,
+// so the decomposition's world count stays exact and the
+// world-weighted affected counts of the enumerating and the factorized
+// sessions keep comparing equal.
+func (g *StmtGen) Mutate() string {
+	col := func(t sqlTable) string { return t.cols[g.rng.Intn(len(t.cols))] }
+	t := g.all[g.rng.Intn(len(g.all))]
+	u := g.all[g.rng.Intn(len(g.all))]
+	neg := ""
+	if g.rng.Intn(3) == 0 {
+		neg = "not "
+	}
+	var where string
+	switch g.rng.Intn(4) {
+	case 0, 1: // tuple-local
+		ops := []string{"=", "!=", "<", ">="}
+		where = fmt.Sprintf("%s %s %d", col(t), ops[g.rng.Intn(len(ops))], g.rng.Intn(g.Domain))
+	case 2: // (not) in subquery, itself filtered
+		uc := col(u)
+		where = fmt.Sprintf("%s %sin (select %s from %s where %s >= %d)", col(t), neg, uc, u.name, uc, g.rng.Intn(g.Domain/2))
+	default: // (not) exists; correlated when the outer column is not also u's
+		where = fmt.Sprintf("%sexists (select * from %s Y where Y.%s = %s)", neg, u.name, col(u), col(t))
+	}
+	var settable []string
+	for _, c := range t.cols {
+		if c != t.key {
+			settable = append(settable, c)
+		}
+	}
+	if len(settable) == 0 || g.rng.Intn(2) == 0 {
+		return fmt.Sprintf("delete from %s where %s;", t.name, where)
+	}
+	sc := settable[g.rng.Intn(len(settable))]
+	expr := fmt.Sprintf("%s + %d", col(t), 1+g.rng.Intn(3))
+	if g.rng.Intn(3) == 0 {
+		expr = fmt.Sprintf("%s * 2 - %s", sc, col(t))
+	}
+	return fmt.Sprintf("update %s set %s = %s where %s;", t.name, sc, expr, where)
 }

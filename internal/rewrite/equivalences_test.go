@@ -166,7 +166,7 @@ func singletonInput(r *relation.Relation) *worldset.WorldSet {
 
 // TestPaperFormCounterexamples records concrete counterexamples to the
 // Figure 7 equations as printed; the library's rule set uses the sound
-// restrictions instead (see rules.go and EXPERIMENTS.md).
+// restrictions instead (see Rule.CompleteOnly in rules.go).
 func TestPaperFormCounterexamples(t *testing.T) {
 	a1 := ra.EqConst("A", value.Int(1))
 

@@ -33,7 +33,7 @@ type Context struct {
 // that descend from different input worlds. The paper's rewriting
 // examples (Figures 8 and 9) all start from complete databases, where
 // these rules are exact; our property tests record counterexamples for
-// the unrestricted forms (see EXPERIMENTS.md).
+// the unrestricted forms (TestPaperFormCounterexamples).
 type Rule struct {
 	// ID is the paper's equation number, e.g. "(11)", or an engineering
 	// rule tag like "(join)".

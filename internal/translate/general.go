@@ -8,11 +8,11 @@
 // of the output representation, so the equivalent relational algebra
 // query can be printed, simplified and evaluated on any ra.DB.
 //
-// One deliberate deviation from the paper is documented in DESIGN.md:
-// the world-pairing relation S of Figure 6 is symmetrized before
-// complementation (the printed version mis-groups worlds whose grouping
-// projection is a strict subset of another's); property tests against
-// the Figure 3 semantics validate the fix.
+// One deliberate deviation from the paper: the world-pairing relation S
+// of Figure 6 is symmetrized before complementation (the printed
+// version mis-groups worlds whose grouping projection is a strict
+// subset of another's); property tests against the Figure 3 semantics
+// validate the fix.
 package translate
 
 import (
