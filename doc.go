@@ -189,7 +189,14 @@
 //     over explicit world-sets; the semantic ground truth every other
 //     engine is differentially tested against, and the only engine for
 //     operators that inherently enumerate (repair-by-key on entangled
-//     inputs).
+//     inputs). Its world-set operators — χ, repair-by-key, pγ/cγ with
+//     poss/cert, and the listing of possible answers — are functions on
+//     a world-set's last relation (wsa.ChoiceLast, RepairLast,
+//     GroupLast, DistinctLast, RenameLast) that the session's
+//     world-at-a-time evaluator calls too: I-SQL's bounded arm keeps
+//     its own code only for what the algebra lacks (expressions,
+//     aggregates, subqueries, division), and a world limit exceeded
+//     anywhere is the one typed wsd.BudgetError.
 //   - "translated" (internal/translate) — the Figure 6 translation to
 //     relational algebra over the inlined representation of §5,
 //     demonstrating Theorem 5.7.
@@ -208,12 +215,18 @@
 // All engines share an allocation-lean hashing core: tuples, column
 // projections and whole relations hash through 64-bit FNV-1a digests
 // (internal/hashkey) with typed-value verification on collision, not
-// through intermediate key strings — with two exceptions, both in the
-// session's world-at-a-time evaluator and both ROADMAP item 2 work:
-// answer de-duplication (isql's distinctAnswers keys on
-// Relation.ContentKey, a sorted string) and the group keys of
-// evalAggregation. Relations store rows in hash buckets and memoize
-// their content digests (internal/relation), the
+// through intermediate key strings. The exceptions are on explicit
+// world-sets, in operators the reference engine and the session's
+// bounded arm share: the listing of a query's distinct answers
+// (wsa.DistinctLast) keys each world's answer relation on
+// Relation.ContentKey, a sorted string that also fixes the output
+// order, and still visits the worlds in WorldSet.Worlds order, which
+// keys every relation of every world (ROADMAP item 1 drops that), and
+// pγ/cγ (wsa.GroupLast) group worlds on the
+// ContentKey of the grouping projection; evalAggregation in the
+// session's world-at-a-time evaluator still builds its group keys as
+// strings (ROADMAP item 1). Relations store rows in hash buckets and
+// memoize their content digests (internal/relation), the
 // relational operators join through cached per-column hash indexes
 // (internal/ra), and both the physical and factorized executors fan
 // work out across a GOMAXPROCS-sized worker pool (relation/pool.go)

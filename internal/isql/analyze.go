@@ -266,73 +266,37 @@ func unwrapColumnNotFound(err error) (*columnNotFoundError, bool) {
 // world count (choice-of or repair-by-key anywhere in its tree,
 // including views).
 func createsWorlds(s *Session, sel *SelectStmt) bool {
-	if len(sel.ChoiceOf) > 0 || len(sel.RepairKey) > 0 {
-		return true
-	}
-	for _, f := range sel.From {
-		if f.Sub != nil && createsWorlds(s, f.Sub) {
-			return true
-		}
-		if f.Sub == nil {
-			if v, ok := s.views[f.Table]; ok && createsWorlds(s, v) {
-				return true
+	found := false
+	var visit func(node any) bool
+	visit = func(node any) bool {
+		switch n := node.(type) {
+		case *SelectStmt:
+			found = found || len(n.ChoiceOf) > 0 || len(n.RepairKey) > 0
+		case FromItem:
+			if v, ok := s.views[n.Table]; ok && n.Sub == nil {
+				walkSelect(v, visit)
 			}
 		}
+		return !found
 	}
-	if sel.Divide != nil {
-		d := sel.Divide.Item
-		if d.Sub != nil && createsWorlds(s, d.Sub) {
-			return true
-		}
-		if d.Sub == nil {
-			if v, ok := s.views[d.Table]; ok && createsWorlds(s, v) {
-				return true
-			}
-		}
-	}
-	var exprHas func(Expr) bool
-	exprHas = func(e Expr) bool {
-		switch n := e.(type) {
-		case *BinExpr:
-			return exprHas(n.L) || exprHas(n.R)
-		case *LogicExpr:
-			return exprHas(n.L) || exprHas(n.R)
-		case *NotExpr:
-			return exprHas(n.E)
-		case *AggExpr:
-			return n.Arg != nil && exprHas(n.Arg)
-		case *InExpr:
-			return createsWorlds(s, n.Sub)
-		case *ExistsExpr:
-			return createsWorlds(s, n.Sub)
-		case *SubqueryExpr:
-			return createsWorlds(s, n.Sub)
-		}
-		return false
-	}
-	if sel.Where != nil && exprHas(sel.Where) {
-		return true
-	}
-	for _, it := range sel.Items {
-		if exprHas(it.Expr) {
-			return true
-		}
-	}
-	return false
+	walkSelect(sel, visit)
+	return found
 }
 
+// containsAgg reports whether the expression holds an aggregate of its
+// own select: a subquery's aggregates are the subquery's.
 func containsAgg(e Expr) bool {
-	switch n := e.(type) {
-	case *AggExpr:
-		return true
-	case *BinExpr:
-		return containsAgg(n.L) || containsAgg(n.R)
-	case *LogicExpr:
-		return containsAgg(n.L) || containsAgg(n.R)
-	case *NotExpr:
-		return containsAgg(n.E)
-	}
-	return false
+	found := false
+	walkExpr(e, func(node any) bool {
+		switch node.(type) {
+		case *AggExpr:
+			found = true
+		case *SelectStmt:
+			return false
+		}
+		return !found
+	})
+	return found
 }
 
 func unqualified(name string) string {

@@ -415,3 +415,172 @@ type DropTableStmt struct{ Name string }
 
 func (*DropTableStmt) stmt()            {}
 func (s *DropTableStmt) String() string { return "drop table " + s.Name }
+
+// One traversal and one rewrite of the statement tree. Code that only
+// finds or replaces nodes — parameter numbering and binding, the
+// relations a statement reads, "holds a subquery / an aggregate / a
+// world-creating clause" — goes through them, so a new node kind is
+// added here (and where it is type-checked, evaluated and rendered) and
+// nowhere else.
+
+// walkStmt calls visit on st and on every select, from item (as a
+// FromItem value) and expression below it, parents first; visit
+// returning false skips the node's children. Statements that carry no
+// expression are visited alone.
+func walkStmt(st Statement, visit func(node any) bool) {
+	if sel, ok := st.(*SelectStmt); ok {
+		walkSelect(sel, visit)
+		return
+	}
+	if !visit(st) {
+		return
+	}
+	switch n := st.(type) {
+	case *CreateTableAsStmt:
+		walkSelect(n.Query, visit)
+	case *CreateViewStmt:
+		walkSelect(n.Query, visit)
+	case *DeleteStmt:
+		walkExpr(n.Where, visit)
+	case *UpdateStmt:
+		for _, sc := range n.Sets {
+			walkExpr(sc.Expr, visit)
+		}
+		walkExpr(n.Where, visit)
+	}
+}
+
+// walkSelect is walkStmt from a select: its items, from items (derived
+// tables entered), divide-by item and condition, where clause and
+// group-worlds-by query.
+func walkSelect(sel *SelectStmt, visit func(node any) bool) {
+	if sel == nil || !visit(sel) {
+		return
+	}
+	walkFrom := func(item FromItem) {
+		if visit(item) {
+			walkSelect(item.Sub, visit)
+		}
+	}
+	for _, it := range sel.Items {
+		walkExpr(it.Expr, visit)
+	}
+	for _, f := range sel.From {
+		walkFrom(f)
+	}
+	if sel.Divide != nil {
+		walkFrom(sel.Divide.Item)
+		walkExpr(sel.Divide.On, visit)
+	}
+	walkExpr(sel.Where, visit)
+	if sel.GroupWorlds != nil {
+		walkSelect(sel.GroupWorlds.Query, visit)
+	}
+}
+
+// walkExpr is walkStmt from an expression (nil is empty), entering
+// subqueries through walkSelect.
+func walkExpr(e Expr, visit func(node any) bool) {
+	if e == nil || !visit(e) {
+		return
+	}
+	switch n := e.(type) {
+	case *BinExpr:
+		walkExpr(n.L, visit)
+		walkExpr(n.R, visit)
+	case *LogicExpr:
+		walkExpr(n.L, visit)
+		walkExpr(n.R, visit)
+	case *NotExpr:
+		walkExpr(n.E, visit)
+	case *AggExpr:
+		walkExpr(n.Arg, visit)
+	case *InExpr:
+		walkExpr(n.Left, visit)
+		walkSelect(n.Sub, visit)
+	case *ExistsExpr:
+		walkSelect(n.Sub, visit)
+	case *SubqueryExpr:
+		walkSelect(n.Sub, visit)
+	}
+}
+
+// mapStmt returns a copy of st with every expression rewritten by
+// mapExpr. The input tree is never mutated — a prepared statement stays
+// in the plan cache, shared by concurrent sessions.
+func mapStmt(st Statement, f func(Expr) Expr) Statement {
+	switch n := st.(type) {
+	case *SelectStmt:
+		return mapSelect(n, f)
+	case *CreateTableAsStmt:
+		return &CreateTableAsStmt{Name: n.Name, Query: mapSelect(n.Query, f)}
+	case *CreateViewStmt:
+		return &CreateViewStmt{Name: n.Name, Query: mapSelect(n.Query, f)}
+	case *DeleteStmt:
+		return &DeleteStmt{Table: n.Table, Where: mapExpr(n.Where, f)}
+	case *UpdateStmt:
+		out := &UpdateStmt{Table: n.Table, Sets: make([]SetClause, len(n.Sets)), Where: mapExpr(n.Where, f)}
+		for i, sc := range n.Sets {
+			out.Sets[i] = SetClause{Col: sc.Col, Expr: mapExpr(sc.Expr, f)}
+		}
+		return out
+	}
+	return st // carries no expression
+}
+
+// mapSelect is mapStmt on a select, in every position walkSelect visits.
+func mapSelect(sel *SelectStmt, f func(Expr) Expr) *SelectStmt {
+	if sel == nil {
+		return nil
+	}
+	mapFrom := func(item FromItem) FromItem {
+		item.Sub = mapSelect(item.Sub, f)
+		return item
+	}
+	out := *sel
+	out.Items = make([]SelectItem, len(sel.Items))
+	for i, it := range sel.Items {
+		out.Items[i] = SelectItem{Expr: mapExpr(it.Expr, f), Alias: it.Alias}
+	}
+	out.From = make([]FromItem, len(sel.From))
+	for i, item := range sel.From {
+		out.From[i] = mapFrom(item)
+	}
+	if d := sel.Divide; d != nil {
+		out.Divide = &DivideClause{Item: mapFrom(d.Item), On: mapExpr(d.On, f)}
+	}
+	out.Where = mapExpr(sel.Where, f)
+	if gw := sel.GroupWorlds; gw != nil {
+		out.GroupWorlds = &GroupWorldsClause{Query: mapSelect(gw.Query, f), Attrs: gw.Attrs}
+	}
+	return &out
+}
+
+// mapExpr rebuilds e top-down: a node f maps to a non-nil expression is
+// replaced by it, any other node is copied with its children (and
+// subqueries, through mapSelect) rebuilt the same way.
+func mapExpr(e Expr, f func(Expr) Expr) Expr {
+	if e == nil {
+		return nil
+	}
+	if r := f(e); r != nil {
+		return r
+	}
+	switch n := e.(type) {
+	case *BinExpr:
+		return &BinExpr{Op: n.Op, L: mapExpr(n.L, f), R: mapExpr(n.R, f)}
+	case *LogicExpr:
+		return &LogicExpr{Op: n.Op, L: mapExpr(n.L, f), R: mapExpr(n.R, f)}
+	case *NotExpr:
+		return &NotExpr{E: mapExpr(n.E, f)}
+	case *AggExpr:
+		return &AggExpr{Fn: n.Fn, Arg: mapExpr(n.Arg, f), Star: n.Star}
+	case *InExpr:
+		return &InExpr{Left: mapExpr(n.Left, f), Sub: mapSelect(n.Sub, f), Neg: n.Neg}
+	case *ExistsExpr:
+		return &ExistsExpr{Sub: mapSelect(n.Sub, f), Neg: n.Neg}
+	case *SubqueryExpr:
+		return &SubqueryExpr{Sub: mapSelect(n.Sub, f)}
+	}
+	return e // columns, literals, parameters
+}

@@ -5,6 +5,7 @@ import (
 
 	"worldsetdb/internal/store"
 	"worldsetdb/internal/worldset"
+	"worldsetdb/internal/wsa"
 	"worldsetdb/internal/wsd"
 )
 
@@ -32,83 +33,31 @@ import (
 // divide-by item and the group-worlds-by query; a DELETE's or UPDATE's
 // target table plus whatever its where and set expressions read.
 func (s *Session) stmtRelations(st Statement, into map[string]bool) {
-	var walkSel func(*SelectStmt)
-	var walkExpr func(Expr)
 	// Views reference only earlier views (creation validates the body
 	// against the catalog of its time), so expansion terminates; the set
 	// just dedups repeated mentions.
 	expandedViews := map[string]bool{}
-	fromItem := func(item FromItem) {
-		if item.Sub != nil {
-			walkSel(item.Sub)
-			return
-		}
-		if v, ok := s.views[item.Table]; ok {
-			if !expandedViews[item.Table] {
-				expandedViews[item.Table] = true
-				walkSel(v)
+	var visit func(node any) bool
+	visit = func(node any) bool {
+		switch n := node.(type) {
+		case *DeleteStmt:
+			into[n.Table] = true
+		case *UpdateStmt:
+			into[n.Table] = true
+		case FromItem:
+			v, isView := s.views[n.Table]
+			switch {
+			case n.Sub != nil: // a derived table: the walk enters it
+			case !isView:
+				into[n.Table] = true
+			case !expandedViews[n.Table]:
+				expandedViews[n.Table] = true
+				walkSelect(v, visit)
 			}
-			return
 		}
-		into[item.Table] = true
+		return true
 	}
-	walkExpr = func(e Expr) {
-		switch n := e.(type) {
-		case *BinExpr:
-			walkExpr(n.L)
-			walkExpr(n.R)
-		case *LogicExpr:
-			walkExpr(n.L)
-			walkExpr(n.R)
-		case *NotExpr:
-			walkExpr(n.E)
-		case *AggExpr:
-			if n.Arg != nil {
-				walkExpr(n.Arg)
-			}
-		case *InExpr:
-			walkExpr(n.Left)
-			walkSel(n.Sub)
-		case *ExistsExpr:
-			walkSel(n.Sub)
-		case *SubqueryExpr:
-			walkSel(n.Sub)
-		}
-	}
-	walkSel = func(sel *SelectStmt) {
-		if sel == nil {
-			return
-		}
-		for _, f := range sel.From {
-			fromItem(f)
-		}
-		if sel.Divide != nil {
-			fromItem(sel.Divide.Item)
-			walkExpr(sel.Divide.On)
-		}
-		walkExpr(sel.Where)
-		for _, it := range sel.Items {
-			walkExpr(it.Expr)
-		}
-		if sel.GroupWorlds != nil && sel.GroupWorlds.Query != nil {
-			walkSel(sel.GroupWorlds.Query)
-		}
-	}
-	switch n := st.(type) {
-	case *SelectStmt:
-		walkSel(n)
-	case *CreateTableAsStmt:
-		walkSel(n.Query)
-	case *DeleteStmt:
-		into[n.Table] = true
-		walkExpr(n.Where)
-	case *UpdateStmt:
-		into[n.Table] = true
-		walkExpr(n.Where)
-		for _, sc := range n.Sets {
-			walkExpr(sc.Expr)
-		}
-	}
+	walkStmt(st, visit)
 }
 
 // dependentComponents returns, in ascending order, the components
@@ -196,7 +145,7 @@ func (s *Session) execBounded(tx *store.Tx, base *wsd.DecompDB, st Statement, op
 		return nil, err
 	}
 	if tx == nil {
-		return &Result{Answers: distinctAnswers(out), Decomp: base}, nil
+		return &Result{Answers: wsa.DistinctLast(out), Decomp: base}, nil
 	}
 	db, err := wsd.Refactor(out)
 	if err != nil {
@@ -229,14 +178,4 @@ func spliceIndependent(local, base *wsd.DecompDB, deps []int) (*wsd.DecompDB, *b
 		}
 	}
 	return local, each
-}
-
-// renameLastRelation names the answer relation of an evaluated select —
-// the table a create-table-as stores it as.
-func renameLastRelation(ws *worldset.WorldSet, name string) *worldset.WorldSet {
-	names := append([]string{}, ws.Names()...)
-	names[len(names)-1] = name
-	out := worldset.New(names, ws.Schemas())
-	ws.Each(func(w worldset.World) { out.Add(w) })
-	return out
 }

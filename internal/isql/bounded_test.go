@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"worldsetdb/internal/relation"
+	"worldsetdb/internal/value"
+	"worldsetdb/internal/worldset"
+	"worldsetdb/internal/wsa"
 	"worldsetdb/internal/wsd"
 )
 
@@ -185,5 +188,58 @@ func TestPreparedFallbackMemo(t *testing.T) {
 	}
 	if res.Plan == nil || !res.Plan.Native {
 		t.Fatalf("after the shape moved the native path must be retried, plan %v", res.Plan)
+	}
+}
+
+// TestWorldLimitIsBudgetError: χ and repair-by-key are the reference
+// engine's operators wherever they run, so exceeding the world limit is
+// the same typed *wsd.BudgetError through wsa.EvalOpts, through the
+// comparison engine, and through the bounded arm of a default session
+// (an aggregate keeps the statement out of the WSA fragment).
+func TestWorldLimitIsBudgetError(t *testing.T) {
+	const limit = 2
+	rel := relation.New(relation.NewSchema("K", "V"))
+	for _, k := range []int64{1, 2, 3} {
+		for _, v := range []string{"a", "b"} {
+			rel.InsertValues(value.Int(k), value.Str(v))
+		}
+	}
+	names, rels := []string{"T"}, []*relation.Relation{rel}
+	for _, tc := range []struct {
+		name, clause string // 3 choices of K, 2^3 repairs by K: both > limit
+		op           wsa.Expr
+	}{
+		{"choice-of", "choice of K", &wsa.Choice{Attrs: []string{"K"}, From: &wsa.Rel{Name: "T"}}},
+		{"repair-by-key", "repair by key K", &wsa.RepairKey{Attrs: []string{"K"}, From: &wsa.Rel{Name: "T"}}},
+	} {
+		routes := map[string]func() error{
+			"wsa.EvalOpts": func() error {
+				_, err := wsa.EvalOpts(tc.op, worldset.FromDB(names, rels), &wsa.Options{MaxWorlds: limit})
+				return err
+			},
+			"legacy engine": func() error {
+				s := FromDB(names, rels)
+				s.Engine, s.MaxWorlds = "legacy", limit
+				_, err := s.ExecString("select * from T " + tc.clause + ";")
+				return err
+			},
+			"bounded arm": func() error {
+				s := FromDB(names, rels)
+				s.MaxWorlds, s.Stats = limit, NewExecStats()
+				_, err := s.ExecString("select count(*) as N from T " + tc.clause + ";")
+				if got := s.Stats.Snapshot().LegacyOps["aggregation"]; got != 1 {
+					t.Errorf("%s: statement did not take the bounded arm (aggregation ops = %d)", tc.name, got)
+				}
+				return err
+			},
+		}
+		for route, run := range routes {
+			var be *wsd.BudgetError
+			if err := run(); !errors.As(err, &be) {
+				t.Errorf("%s through %s: want *wsd.BudgetError, got %v", tc.name, route, err)
+			} else if be.Budget != limit {
+				t.Errorf("%s through %s: budget in error = %d, want %d", tc.name, route, be.Budget, limit)
+			}
+		}
 	}
 }

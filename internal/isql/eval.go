@@ -2,11 +2,10 @@ package isql
 
 import (
 	"fmt"
-	"math/big"
 
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/worldset"
-	"worldsetdb/internal/wsd"
+	"worldsetdb/internal/wsa"
 )
 
 // preAnswerName carries the where-filtered join during select
@@ -87,43 +86,30 @@ func (s *Session) evalSelect(sel *SelectStmt, ws *worldset.WorldSet, outer *eval
 	}
 
 	// Phase 3: per world, the where-filtered join (the pre-answer).
-	pre := worldset.New(
-		append(append([]string{}, cur.Names()...), preAnswerName),
-		append(append([]relation.Schema{}, cur.Schemas()...), info.joined))
-	var evalErr error
-	cur.Each(func(w worldset.World) {
-		if evalErr != nil {
-			return
-		}
-		ctx := &evalCtx{
+	ctxOf := func(w worldset.World) *evalCtx {
+		return &evalCtx{
 			session: s, world: w,
 			names: cur.Names(), schemas: cur.Schemas(),
 			schema: info.joined, lifted: lifted, outer: outer,
 		}
-		rows, err := s.joinWorld(w, fromIdx, info, sel.Where, ctx)
-		if err != nil {
-			evalErr = err
-			return
-		}
-		nw := make(worldset.World, len(w)+1)
-		copy(nw, w)
-		nw[len(w)] = rows
-		pre.Add(nw)
+	}
+	pre, err := extendEach(cur, preAnswerName, info.joined, func(w worldset.World) (*relation.Relation, error) {
+		return s.joinWorld(w, fromIdx, info, sel.Where, ctxOf(w))
 	})
-	if evalErr != nil {
-		return nil, evalErr
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 4: choice-of and repair-by-key split worlds on the
 	// pre-answer (§3, order of evaluation).
 	if len(sel.ChoiceOf) > 0 {
-		pre, err = splitChoice(pre, refNames(sel.ChoiceOf))
+		pre, err = wsa.ChoiceLast(pre, refNames(sel.ChoiceOf), s.maxWorlds())
 		if err != nil {
 			return nil, err
 		}
 	}
 	if len(sel.RepairKey) > 0 {
-		pre, err = splitRepair(pre, refNames(sel.RepairKey), s.maxWorlds())
+		pre, err = wsa.RepairLast(pre, refNames(sel.RepairKey), s.maxWorlds())
 		if err != nil {
 			return nil, err
 		}
@@ -132,44 +118,28 @@ func (s *Session) evalSelect(sel *SelectStmt, ws *worldset.WorldSet, outer *eval
 	// Phase 5: per world, project/aggregate the pre-answer into the
 	// output relation.
 	preIdx := pre.NumRelations() - 1
-	withOut := worldset.New(
-		append(append([]string{}, pre.Names()...), answerName),
-		append(append([]relation.Schema{}, pre.Schemas()...), info.out))
-	pre.Each(func(w worldset.World) {
-		if evalErr != nil {
-			return
-		}
-		ctx := &evalCtx{
-			session: s, world: w[:len(w)-1],
-			names: cur.Names(), schemas: cur.Schemas(),
-			schema: info.joined, lifted: lifted, outer: outer,
-		}
-		var ans *relation.Relation
-		var err error
+	withOut, err := extendEach(pre, answerName, info.out, func(w worldset.World) (*relation.Relation, error) {
+		ctx := ctxOf(w[:preIdx])
 		switch {
 		case sel.Divide != nil:
-			ans, err = s.evalDivision(sel, info, w[preIdx], w[divIdx], ctx)
+			return s.evalDivision(sel, info, w[preIdx], w[divIdx], ctx)
 		case info.aggregated:
-			ans, err = s.evalAggregation(sel, info, w[preIdx], ctx)
-		default:
-			ans, err = s.evalProjection(sel, info, w[preIdx], ctx)
+			return s.evalAggregation(sel, info, w[preIdx], ctx)
 		}
-		if err != nil {
-			evalErr = err
-			return
-		}
-		nw := make(worldset.World, len(w)+1)
-		copy(nw, w)
-		nw[len(w)] = ans
-		withOut.Add(nw)
+		return s.evalProjection(sel, info, w[preIdx], ctx)
 	})
-	if evalErr != nil {
-		return nil, evalErr
+	if err != nil {
+		return nil, err
 	}
 
-	// Phase 6: possible/certain, grouped by the group-worlds-by clause.
+	// Phase 6: possible/certain — pγ/cγ with the worlds grouped by the
+	// group-worlds-by clause (all together without one).
 	if sel.Close != CloseNone {
-		withOut, err = s.applyClose(sel, info, withOut, preIdx)
+		kind := wsa.GroupCert
+		if sel.Close == ClosePossible {
+			kind = wsa.GroupPoss
+		}
+		withOut, err = wsa.GroupLast(withOut, kind, nil, info.out, s.worldGroupKey(sel.GroupWorlds, withOut, preIdx))
 		if err != nil {
 			return nil, err
 		}
@@ -177,36 +147,86 @@ func (s *Session) evalSelect(sel *SelectStmt, ws *worldset.WorldSet, outer *eval
 
 	// Phase 7: drop the intermediate relations, keeping the original
 	// k0 relations and the answer.
-	ansIdx := withOut.NumRelations() - 1
 	out := worldset.New(
 		append(append([]string{}, ws.Names()...), answerName),
 		append(append([]relation.Schema{}, ws.Schemas()...), info.out))
 	withOut.Each(func(w worldset.World) {
-		nw := make(worldset.World, k0+1)
-		copy(nw, w[:k0])
-		nw[k0] = w[ansIdx]
-		out.Add(nw)
+		out.Add(append(append(worldset.World{}, w[:k0]...), w[len(w)-1]))
 	})
 	return out, nil
+}
+
+// extendEach is worldset.Extend for an f that can fail: every world
+// gains the relation f computes in it, under name and schema.
+func extendEach(ws *worldset.WorldSet, name string, schema relation.Schema,
+	f func(worldset.World) (*relation.Relation, error)) (*worldset.WorldSet, error) {
+	out := worldset.New(
+		append(append([]string{}, ws.Names()...), name),
+		append(append([]relation.Schema{}, ws.Schemas()...), schema))
+	var evalErr error
+	ws.Each(func(w worldset.World) {
+		if evalErr != nil {
+			return
+		}
+		r, err := f(w)
+		if err != nil {
+			evalErr = err
+			return
+		}
+		out.Add(append(append(worldset.World{}, w...), r))
+	})
+	if evalErr != nil {
+		return nil, evalErr
+	}
+	return out, nil
+}
+
+// worldGroupKey returns the group-worlds-by key of a world of ws: the
+// content of the grouping query's answer in that world, or of the
+// pre-answer (at preIdx) projected to the grouping attributes.
+func (s *Session) worldGroupKey(gw *GroupWorldsClause, ws *worldset.WorldSet, preIdx int) func(worldset.World) (string, error) {
+	names, schemas := ws.Names(), ws.Schemas()
+	return func(w worldset.World) (string, error) {
+		switch {
+		case gw == nil:
+			return "", nil
+		case gw.Query != nil:
+			single := worldset.New(names, schemas)
+			single.Add(w)
+			res, err := s.evalSelect(gw.Query, single, nil)
+			if err != nil {
+				return "", err
+			}
+			// One input world: its answers are as many as its worlds.
+			answers := wsa.DistinctLast(res)
+			if len(answers) != 1 {
+				return "", fmt.Errorf("isql: group-worlds-by query must not create worlds")
+			}
+			return answers[0].ContentKey(), nil
+		}
+		attrs := refNames(gw.Attrs)
+		idx, err := schemas[preIdx].Indexes(attrs)
+		if err != nil {
+			return "", err
+		}
+		return w[preIdx].Project(idx, relation.NewSchema(attrs...)).ContentKey(), nil
+	}
 }
 
 // evalFromItem extends the world-set with one relation: a base table or
 // view copy, or a derived table. The new relation carries the qualified
 // schema computed by analysis.
 func (s *Session) evalFromItem(item FromItem, cur *worldset.WorldSet, qualified relation.Schema) (*worldset.WorldSet, error) {
-	if item.Sub != nil {
-		sub, err := s.evalSelect(item.Sub, cur, nil)
-		if err != nil {
-			return nil, err
-		}
-		return relabelLast(sub, qualified), nil
+	sub := item.Sub
+	if sub == nil {
+		sub = s.views[item.Table] // nil unless the item names a view
 	}
-	if view, ok := s.views[item.Table]; ok {
-		sub, err := s.evalSelect(view, cur, nil)
+	if sub != nil {
+		res, err := s.evalSelect(sub, cur, nil)
 		if err != nil {
 			return nil, err
 		}
-		return relabelLast(sub, qualified), nil
+		return relabelLast(res, qualified), nil
 	}
 	idx := cur.IndexOf(item.Table)
 	if idx < 0 {
@@ -279,6 +299,19 @@ func (s *Session) joinWorld(w worldset.World, fromIdx []int, info *selectInfo, w
 	return out, nil
 }
 
+// evalRow evaluates the select list in the current context.
+func (c *evalCtx) evalRow(exprs []Expr) (relation.Tuple, error) {
+	row := make(relation.Tuple, len(exprs))
+	for i, e := range exprs {
+		v, err := c.evalExpr(e)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
+	}
+	return row, nil
+}
+
 // evalProjection computes the plain (non-aggregated) select list over
 // the pre-answer rows.
 func (s *Session) evalProjection(sel *SelectStmt, info *selectInfo, pre *relation.Relation, ctx *evalCtx) (*relation.Relation, error) {
@@ -293,14 +326,10 @@ func (s *Session) evalProjection(sel *SelectStmt, info *selectInfo, pre *relatio
 			return
 		}
 		ctx.tuple = t
-		row := make(relation.Tuple, len(info.outExprs))
-		for i, e := range info.outExprs {
-			v, err := ctx.evalExpr(e)
-			if err != nil {
-				evalErr = err
-				return
-			}
-			row[i] = v
+		row, err := ctx.evalRow(info.outExprs)
+		if err != nil {
+			evalErr = err
+			return
 		}
 		out.Insert(row)
 	})
@@ -339,6 +368,7 @@ func (s *Session) evalAggregation(sel *SelectStmt, info *selectInfo, pre *relati
 		order = append(order, "")
 		groups[""] = []relation.Tuple{}
 	}
+	defer func() { ctx.groupRows = nil }()
 	for _, key := range order {
 		rows := groups[key]
 		ctx.groupRows = rows
@@ -347,18 +377,12 @@ func (s *Session) evalAggregation(sel *SelectStmt, info *selectInfo, pre *relati
 		} else {
 			ctx.tuple = make(relation.Tuple, len(info.joined))
 		}
-		row := make(relation.Tuple, len(info.outExprs))
-		for i, e := range info.outExprs {
-			v, err := ctx.evalExpr(e)
-			if err != nil {
-				ctx.groupRows = nil
-				return nil, err
-			}
-			row[i] = v
+		row, err := ctx.evalRow(info.outExprs)
+		if err != nil {
+			return nil, err
 		}
 		out.Insert(row)
 	}
-	ctx.groupRows = nil
 	return out, nil
 }
 
@@ -380,13 +404,9 @@ func (s *Session) evalDivision(sel *SelectStmt, info *selectInfo, pre, div *rela
 	cands := map[string]*cand{}
 	for _, j := range preRows {
 		ctx.tuple = j
-		row := make(relation.Tuple, len(info.outExprs))
-		for i, e := range info.outExprs {
-			v, err := ctx.evalExpr(e)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
+		row, err := ctx.evalRow(info.outExprs)
+		if err != nil {
+			return nil, err
 		}
 		k := row.Key()
 		c, ok := cands[k]
@@ -436,201 +456,4 @@ func refNames(refs []ColumnRef) []string {
 		out[i] = r.Full()
 	}
 	return out
-}
-
-// splitChoice implements choice-of on the last relation: one world per
-// combination of values of the given attributes; empty answers keep
-// their world.
-func splitChoice(ws *worldset.WorldSet, attrs []string) (*worldset.WorldSet, error) {
-	k := ws.NumRelations() - 1
-	idx, err := ws.Schemas()[k].Indexes(attrs)
-	if err != nil {
-		return nil, err
-	}
-	out := worldset.New(ws.Names(), ws.Schemas())
-	ws.Each(func(w worldset.World) {
-		r := w[k]
-		if r.Empty() {
-			out.Add(w)
-			return
-		}
-		parts := map[string]*relation.Relation{}
-		r.Each(func(t relation.Tuple) {
-			var key []byte
-			for _, i := range idx {
-				key = t[i].AppendKey(key)
-				key = append(key, 0x1f)
-			}
-			p, ok := parts[string(key)]
-			if !ok {
-				p = relation.New(r.Schema())
-				parts[string(key)] = p
-			}
-			p.Insert(t)
-		})
-		for _, p := range parts {
-			nw := append(worldset.World{}, w...)
-			nw[k] = p
-			out.Add(nw)
-		}
-	})
-	return out, nil
-}
-
-// splitRepair implements repair-by-key on the last relation: one world
-// per maximal repair under the key constraint.
-func splitRepair(ws *worldset.WorldSet, attrs []string, maxWorlds int) (*worldset.WorldSet, error) {
-	k := ws.NumRelations() - 1
-	idx, err := ws.Schemas()[k].Indexes(attrs)
-	if err != nil {
-		return nil, err
-	}
-	out := worldset.New(ws.Names(), ws.Schemas())
-	var evalErr error
-	ws.Each(func(w worldset.World) {
-		if evalErr != nil {
-			return
-		}
-		r := w[k]
-		groups := map[string][]relation.Tuple{}
-		var order []string
-		for _, t := range r.Tuples() {
-			var key []byte
-			for _, i := range idx {
-				key = t[i].AppendKey(key)
-				key = append(key, 0x1f)
-			}
-			if _, ok := groups[string(key)]; !ok {
-				order = append(order, string(key))
-			}
-			groups[string(key)] = append(groups[string(key)], t)
-		}
-		// Guard with the same typed budget error wsd's Expand and the
-		// store report, so every layer refuses runaway enumeration with
-		// one shape.
-		total := big.NewInt(1)
-		var m big.Int
-		for _, key := range order {
-			total.Mul(total, m.SetInt64(int64(len(groups[key]))))
-		}
-		if !total.IsInt64() || total.Int64() > int64(maxWorlds) {
-			evalErr = &wsd.BudgetError{Worlds: total, Budget: maxWorlds}
-			return
-		}
-		choice := make([]int, len(order))
-		for {
-			rep := relation.New(r.Schema())
-			for gi, key := range order {
-				rep.Insert(groups[key][choice[gi]])
-			}
-			nw := append(worldset.World{}, w...)
-			nw[k] = rep
-			out.Add(nw)
-			if out.Len() > maxWorlds {
-				evalErr = &wsd.BudgetError{Worlds: big.NewInt(int64(out.Len())), Budget: maxWorlds}
-				return
-			}
-			i := 0
-			for ; i < len(order); i++ {
-				choice[i]++
-				if choice[i] < len(groups[order[i]]) {
-					break
-				}
-				choice[i] = 0
-			}
-			if i == len(order) {
-				break
-			}
-		}
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return out, nil
-}
-
-// applyClose implements possible/certain with optional group-worlds-by:
-// worlds are grouped (by the grouping query's per-world answer, by a
-// projection of the pre-answer, or all together), and each world's
-// output is replaced by the union (possible) or intersection (certain)
-// over its group.
-func (s *Session) applyClose(sel *SelectStmt, info *selectInfo, ws *worldset.WorldSet, preIdx int) (*worldset.WorldSet, error) {
-	k := ws.NumRelations() - 1
-
-	groupKey := func(w worldset.World) (string, error) {
-		gw := sel.GroupWorlds
-		if gw == nil {
-			return "", nil
-		}
-		if gw.Query != nil {
-			single := worldset.New(ws.Names(), ws.Schemas())
-			single.Add(w)
-			res, err := s.evalSelect(gw.Query, single, nil)
-			if err != nil {
-				return "", err
-			}
-			worlds := res.Worlds()
-			if len(worlds) != 1 {
-				return "", fmt.Errorf("isql: group-worlds-by query must not create worlds")
-			}
-			return worlds[0][len(worlds[0])-1].ContentKey(), nil
-		}
-		idx, err := w[preIdx].Schema().Indexes(refNames(gw.Attrs))
-		if err != nil {
-			return "", err
-		}
-		return w[preIdx].Project(idx, relation.NewSchema(refNames(gw.Attrs)...)).ContentKey(), nil
-	}
-
-	agg := map[string]*relation.Relation{}
-	var aggErr error
-	ws.Each(func(w worldset.World) {
-		if aggErr != nil {
-			return
-		}
-		key, err := groupKey(w)
-		if err != nil {
-			aggErr = err
-			return
-		}
-		cur, ok := agg[key]
-		if !ok {
-			agg[key] = w[k]
-			return
-		}
-		if sel.Close == ClosePossible {
-			merged := cur.Clone()
-			w[k].Each(func(t relation.Tuple) { merged.Insert(t) })
-			agg[key] = merged
-		} else {
-			next := relation.New(cur.Schema())
-			cur.Each(func(t relation.Tuple) {
-				if w[k].Contains(t) {
-					next.Insert(t)
-				}
-			})
-			agg[key] = next
-		}
-	})
-	if aggErr != nil {
-		return nil, aggErr
-	}
-	out := worldset.New(ws.Names(), ws.Schemas())
-	ws.Each(func(w worldset.World) {
-		if aggErr != nil {
-			return
-		}
-		key, err := groupKey(w)
-		if err != nil {
-			aggErr = err
-			return
-		}
-		nw := append(worldset.World{}, w...)
-		nw[k] = agg[key]
-		out.Add(nw)
-	})
-	if aggErr != nil {
-		return nil, aggErr
-	}
-	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/value"
 	"worldsetdb/internal/worldset"
+	"worldsetdb/internal/wsa"
 )
 
 // resolve finds a column in the context chain, innermost scope first.
@@ -147,12 +148,12 @@ func (c *evalCtx) subRelation(sub *SelectStmt) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	worlds := res.Worlds()
-	if len(worlds) != 1 {
-		return nil, fmt.Errorf("isql: correlated subquery created %d worlds", len(worlds))
+	// One input world: its answers are as many as its worlds.
+	answers := wsa.DistinctLast(res)
+	if len(answers) != 1 {
+		return nil, fmt.Errorf("isql: correlated subquery created %d worlds", len(answers))
 	}
-	w := worlds[0]
-	return w[len(w)-1], nil
+	return answers[0], nil
 }
 
 // matchColumn picks the subquery column an IN test compares against:

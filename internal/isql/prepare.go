@@ -333,7 +333,7 @@ func (s *Session) execPrepare(n *PrepareStmt) (*Result, error) {
 		Name:      n.Name,
 		SQL:       n.Stmt.String(),
 		Stmt:      n.Stmt,
-		NumParams: maxParamStmt(n.Stmt),
+		NumParams: maxParam(n.Stmt),
 	})
 	return &Result{
 		Decomp:  s.target().Snapshot().DB,
@@ -362,11 +362,7 @@ func (s *Session) execExecute(n *ExecuteStmt) (*Result, error) {
 	if p.NumParams == 0 {
 		return s.Exec(p.Stmt)
 	}
-	bound, err := bindStmt(p.Stmt, n.Args)
-	if err != nil {
-		return nil, err
-	}
-	return s.Exec(bound)
+	return s.Exec(bindStmt(p.Stmt, n.Args))
 }
 
 // arityError reports an EXECUTE argument-count mismatch in terms of the
@@ -408,264 +404,47 @@ func firstUnboundParam(params [][]int) error {
 	return nil
 }
 
-// maxParamStmt returns the highest parameter number in the statement.
-func maxParamStmt(st Statement) int {
-	switch n := st.(type) {
-	case *SelectStmt:
-		return maxParamSelect(n)
-	case *InsertStmt:
-		out := 0
-		for _, row := range n.Params {
-			for _, p := range row {
-				out = max(out, p)
+// maxParam returns the highest $N placeholder anywhere in the statement
+// (0 when it holds none).
+func maxParam(st Statement) int {
+	out := 0
+	walkStmt(st, func(node any) bool {
+		switch n := node.(type) {
+		case *ParamExpr:
+			out = max(out, n.N)
+		case *InsertStmt:
+			for _, row := range n.Params {
+				for _, p := range row {
+					out = max(out, p)
+				}
 			}
 		}
-		return out
-	case *DeleteStmt:
-		return maxParamExpr(n.Where)
-	case *UpdateStmt:
-		out := maxParamExpr(n.Where)
-		for _, sc := range n.Sets {
-			out = max(out, maxParamExpr(sc.Expr))
-		}
-		return out
-	case *CreateTableAsStmt:
-		return maxParamSelect(n.Query)
-	case *CreateViewStmt:
-		return maxParamSelect(n.Query)
-	}
-	return 0
-}
-
-func maxParamSelect(sel *SelectStmt) int {
-	out := 0
-	for _, it := range sel.Items {
-		out = max(out, maxParamExpr(it.Expr))
-	}
-	for _, f := range sel.From {
-		if f.Sub != nil {
-			out = max(out, maxParamSelect(f.Sub))
-		}
-	}
-	if sel.Divide != nil {
-		if sel.Divide.Item.Sub != nil {
-			out = max(out, maxParamSelect(sel.Divide.Item.Sub))
-		}
-		out = max(out, maxParamExpr(sel.Divide.On))
-	}
-	out = max(out, maxParamExpr(sel.Where))
-	if sel.GroupWorlds != nil && sel.GroupWorlds.Query != nil {
-		out = max(out, maxParamSelect(sel.GroupWorlds.Query))
-	}
+		return true
+	})
 	return out
 }
 
-func maxParamExpr(e Expr) int {
-	switch n := e.(type) {
-	case nil:
-		return 0
-	case *ParamExpr:
-		return n.N
-	case *BinExpr:
-		return max(maxParamExpr(n.L), maxParamExpr(n.R))
-	case *LogicExpr:
-		return max(maxParamExpr(n.L), maxParamExpr(n.R))
-	case *NotExpr:
-		return maxParamExpr(n.E)
-	case *AggExpr:
-		return maxParamExpr(n.Arg)
-	case *InExpr:
-		return max(maxParamExpr(n.Left), maxParamSelect(n.Sub))
-	case *ExistsExpr:
-		return maxParamSelect(n.Sub)
-	case *SubqueryExpr:
-		return maxParamSelect(n.Sub)
-	}
-	return 0
-}
-
 // bindStmt returns a copy of the statement with every $N placeholder
-// replaced by args[N-1]. The prepared tree itself is never mutated — it
-// stays in the cache, reusable by concurrent sessions.
-func bindStmt(st Statement, args []value.Value) (Statement, error) {
-	switch n := st.(type) {
-	case *SelectStmt:
-		return bindSelect(n, args)
-	case *InsertStmt:
-		if n.Params == nil {
-			return n, nil
-		}
-		out := &InsertStmt{Table: n.Table, Rows: make([][]value.Value, len(n.Rows))}
-		for i, row := range n.Rows {
-			nr := append([]value.Value{}, row...)
-			for j, p := range n.Params[i] {
-				if p == 0 {
-					continue
+// replaced by args[N-1]; the prepared tree itself is never mutated.
+// execExecute has checked len(args) against the declared parameter
+// count — maxParam of this tree — so every slot is in range.
+func bindStmt(st Statement, args []value.Value) Statement {
+	if ins, ok := st.(*InsertStmt); ok && ins.Params != nil {
+		out := &InsertStmt{Table: ins.Table, Rows: make([][]value.Value, len(ins.Rows))}
+		for i, row := range ins.Rows {
+			out.Rows[i] = append([]value.Value{}, row...)
+			for j, p := range ins.Params[i] {
+				if p > 0 {
+					out.Rows[i][j] = args[p-1]
 				}
-				if p > len(args) {
-					return nil, fmt.Errorf("isql: parameter $%d out of range (%d argument(s))", p, len(args))
-				}
-				nr[j] = args[p-1]
 			}
-			out.Rows[i] = nr
 		}
-		return out, nil
-	case *DeleteStmt:
-		w, err := bindExpr(n.Where, args)
-		if err != nil {
-			return nil, err
-		}
-		return &DeleteStmt{Table: n.Table, Where: w}, nil
-	case *UpdateStmt:
-		out := &UpdateStmt{Table: n.Table, Sets: make([]SetClause, len(n.Sets))}
-		for i, sc := range n.Sets {
-			e, err := bindExpr(sc.Expr, args)
-			if err != nil {
-				return nil, err
-			}
-			out.Sets[i] = SetClause{Col: sc.Col, Expr: e}
-		}
-		w, err := bindExpr(n.Where, args)
-		if err != nil {
-			return nil, err
-		}
-		out.Where = w
-		return out, nil
-	case *CreateTableAsStmt:
-		q, err := bindSelect(n.Query, args)
-		if err != nil {
-			return nil, err
-		}
-		return &CreateTableAsStmt{Name: n.Name, Query: q}, nil
-	case *CreateViewStmt:
-		q, err := bindSelect(n.Query, args)
-		if err != nil {
-			return nil, err
-		}
-		return &CreateViewStmt{Name: n.Name, Query: q}, nil
+		return out
 	}
-	return st, nil // no parameters possible
-}
-
-func bindSelect(sel *SelectStmt, args []value.Value) (*SelectStmt, error) {
-	out := *sel
-	out.Items = make([]SelectItem, len(sel.Items))
-	for i, it := range sel.Items {
-		e, err := bindExpr(it.Expr, args)
-		if err != nil {
-			return nil, err
+	return mapStmt(st, func(e Expr) Expr {
+		if p, ok := e.(*ParamExpr); ok {
+			return &LitExpr{Val: args[p.N-1]}
 		}
-		out.Items[i] = SelectItem{Expr: e, Alias: it.Alias}
-	}
-	out.From = make([]FromItem, len(sel.From))
-	for i, f := range sel.From {
-		nf := f
-		if f.Sub != nil {
-			sub, err := bindSelect(f.Sub, args)
-			if err != nil {
-				return nil, err
-			}
-			nf.Sub = sub
-		}
-		out.From[i] = nf
-	}
-	if sel.Divide != nil {
-		d := *sel.Divide
-		if d.Item.Sub != nil {
-			sub, err := bindSelect(d.Item.Sub, args)
-			if err != nil {
-				return nil, err
-			}
-			d.Item.Sub = sub
-		}
-		on, err := bindExpr(d.On, args)
-		if err != nil {
-			return nil, err
-		}
-		d.On = on
-		out.Divide = &d
-	}
-	w, err := bindExpr(sel.Where, args)
-	if err != nil {
-		return nil, err
-	}
-	out.Where = w
-	if sel.GroupWorlds != nil && sel.GroupWorlds.Query != nil {
-		q, err := bindSelect(sel.GroupWorlds.Query, args)
-		if err != nil {
-			return nil, err
-		}
-		out.GroupWorlds = &GroupWorldsClause{Query: q}
-	}
-	return &out, nil
-}
-
-func bindExpr(e Expr, args []value.Value) (Expr, error) {
-	switch n := e.(type) {
-	case nil:
-		return nil, nil
-	case *ParamExpr:
-		if n.N > len(args) {
-			return nil, fmt.Errorf("isql: parameter $%d out of range (%d argument(s))", n.N, len(args))
-		}
-		return &LitExpr{Val: args[n.N-1]}, nil
-	case *BinExpr:
-		l, err := bindExpr(n.L, args)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bindExpr(n.R, args)
-		if err != nil {
-			return nil, err
-		}
-		return &BinExpr{Op: n.Op, L: l, R: r}, nil
-	case *LogicExpr:
-		l, err := bindExpr(n.L, args)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bindExpr(n.R, args)
-		if err != nil {
-			return nil, err
-		}
-		return &LogicExpr{Op: n.Op, L: l, R: r}, nil
-	case *NotExpr:
-		inner, err := bindExpr(n.E, args)
-		if err != nil {
-			return nil, err
-		}
-		return &NotExpr{E: inner}, nil
-	case *AggExpr:
-		if n.Arg == nil {
-			return n, nil
-		}
-		arg, err := bindExpr(n.Arg, args)
-		if err != nil {
-			return nil, err
-		}
-		return &AggExpr{Fn: n.Fn, Arg: arg, Star: n.Star}, nil
-	case *InExpr:
-		l, err := bindExpr(n.Left, args)
-		if err != nil {
-			return nil, err
-		}
-		sub, err := bindSelect(n.Sub, args)
-		if err != nil {
-			return nil, err
-		}
-		return &InExpr{Left: l, Sub: sub, Neg: n.Neg}, nil
-	case *ExistsExpr:
-		sub, err := bindSelect(n.Sub, args)
-		if err != nil {
-			return nil, err
-		}
-		return &ExistsExpr{Sub: sub, Neg: n.Neg}, nil
-	case *SubqueryExpr:
-		sub, err := bindSelect(n.Sub, args)
-		if err != nil {
-			return nil, err
-		}
-		return &SubqueryExpr{Sub: sub}, nil
-	}
-	return e, nil // literals, columns
+		return nil
+	})
 }

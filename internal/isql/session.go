@@ -112,6 +112,20 @@ const legacyEngine = "legacy"
 // all that distinguishes "legacy".
 func (s *Session) native() bool { return s.Engine != legacyEngine }
 
+// onDecomp reports whether fragment statements evaluate natively on the
+// decomposition (the factorized engine) rather than on its expansion.
+func (s *Session) onDecomp() bool { return s.Engine == "" || s.Engine == "wsdexec" }
+
+// engineOp is the op the session's engine itself sends every statement
+// to the bounded arm under: "" (no reason — the statement's own shape
+// decides) unless the session runs the comparison engine.
+func (s *Session) engineOp() (op string) {
+	if !s.native() {
+		op = legacyEngine // the comparison engine is its own reason to run bounded
+	}
+	return op
+}
+
 // NewSession returns a session over the empty complete database: one
 // world with no relations.
 func NewSession() *Session {
@@ -340,10 +354,7 @@ func (s *Session) updateRouted(refs []string, fn func(*store.Tx) error) error {
 
 // execSelect evaluates a select: natively on the snapshot decomposition
 // when the statement compiles to the clean WSA fragment, through the
-// bounded arm (execBounded) when compilation reports a fragmentError.
-// Genuine compile errors (unknown relations or columns) surface
-// directly — falling back would bury a typo under a BudgetError on a
-// large catalog.
+// bounded arm (execBounded) otherwise — see compileArm.
 func (s *Session) execSelect(sel *SelectStmt) (*Result, error) {
 	return s.execSelectWith(sel, nil, nil)
 }
@@ -361,7 +372,7 @@ func (s *Session) execSelectWith(sel *SelectStmt, pre *Prepared, args []value.Va
 		// reject on the statement tree, before either execution path (a
 		// fragment fallback could otherwise short-circuit past the
 		// unbound slot and silently answer).
-		if p := maxParamSelect(sel); p > 0 {
+		if p := maxParam(sel); p > 0 {
 			return nil, fmt.Errorf("isql: unbound parameter $%d (bind it with execute)", p)
 		}
 	}
@@ -377,85 +388,94 @@ func (s *Session) execSelectWith(sel *SelectStmt, pre *Prepared, args []value.Va
 		s.stmtRelations(sel, refs)
 		s.txn.MarkReads(refs)
 	}
-	op := legacyEngine // the comparison engine is its own reason to run bounded
-	if s.native() {
-		var q wsa.Expr
-		var err error
-		opts := &wsdexec.Options{ExpandBudget: s.maxWorlds()}
-		onDecomp := s.Engine == "" || s.Engine == "wsdexec"
-		csp := s.span.Child("compile")
-		if pre != nil {
-			// Cached plans are prelowered at compile time; skip the
-			// per-request rewrite search.
-			before := pre.Compiles()
-			q, err = pre.planFor(s, snap)
-			csp.Set("plan-cache", cacheLabel(pre.Compiles() == before))
-			opts.NoRewrite = true
-			if err == nil {
-				if onDecomp {
-					// A statement that just fell back on this decomposition
-					// shape skips the native attempt; a moved shape clears
-					// the memo and retries natively (see Prepared).
-					opts.AssumeFallback = pre.assumeFallback(snap)
-				}
-				q, err = pre.bindPlan(q, args)
-				if err != nil {
-					csp.End()
-					return nil, err
-				}
-			}
-		} else {
-			q, err = s.compileOn(snap.DB.Names, snap.DB.Schemas, sel)
-		}
-		csp.End()
-		if err != nil && !isFragmentError(err) {
-			return nil, err
-		}
-		if err == nil {
-			xsp := s.span.Child("exec")
-			opts.Trace = xsp
-			out, plan, err := store.QueryOpts(snap, s.Engine, q, opts)
-			if plan != nil {
-				xsp.SetInt("merges", int64(len(plan.Merges)))
-				if plan.FallbackEngine == "" {
-					xsp.Set("path", "native")
-				} else {
-					xsp.Set("path", "fallback:"+plan.FallbackEngine)
-				}
-			}
-			xsp.End()
-			if err != nil {
-				return nil, err
-			}
-			if pre != nil && onDecomp {
-				pre.notePlan(snap, plan)
-			}
-			s.Stats.recordPlan(plan)
-			answers, err := out.Instances(len(out.Names)-1, s.maxWorlds())
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Answers: answers, Decomp: out, Plan: plan}, nil
-		}
-		op = fragmentOp(err)
+	q, opts, op, err := s.compileArm(snap, sel, pre, args)
+	if err != nil {
+		return nil, err
 	}
-	// The world-at-a-time evaluator needs a fully bound statement tree.
-	lsel := sel
-	if len(args) > 0 {
-		bound, err := bindSelect(sel, args)
+	if q != nil {
+		xsp := s.span.Child("exec")
+		opts.Trace = xsp
+		out, plan, err := store.QueryOpts(snap, s.Engine, q, opts)
+		if plan != nil {
+			xsp.SetInt("merges", int64(len(plan.Merges)))
+			if plan.FallbackEngine == "" {
+				xsp.Set("path", "native")
+			} else {
+				xsp.Set("path", "fallback:"+plan.FallbackEngine)
+			}
+		}
+		xsp.End()
 		if err != nil {
 			return nil, err
 		}
-		lsel = bound
+		if pre != nil && s.onDecomp() {
+			pre.notePlan(snap, plan)
+		}
+		s.Stats.recordPlan(plan)
+		answers, err := out.Instances(len(out.Names)-1, s.maxWorlds())
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Answers: answers, Decomp: out, Plan: plan}, nil
 	}
-	return s.execBounded(nil, snap.DB, lsel, op, func(ws *worldset.WorldSet) (*worldset.WorldSet, int, error) {
-		out, err := s.evalSelect(lsel, ws, nil)
+	// The world-at-a-time evaluator needs a fully bound statement tree.
+	if len(args) > 0 {
+		sel = bindStmt(sel, args).(*SelectStmt)
+	}
+	return s.execBounded(nil, snap.DB, sel, op, func(ws *worldset.WorldSet) (*worldset.WorldSet, int, error) {
+		out, err := s.evalSelect(sel, ws, nil)
 		return out, 0, err
 	})
 }
 
+// compileArm is the one decision a select-shaped statement — a select,
+// or the query of a create-table-as — takes between the two arms. For
+// the native arm it returns sel compiled against snap (pre's memoized
+// plan with args bound into it, under EXECUTE) and the options to
+// evaluate the plan with. A nil plan sends the caller to the bounded
+// arm, accounted under the returned op: the fragment feature
+// compilation refused, or the comparison engine. Genuine compile errors
+// (unknown relations or columns) surface directly — falling back would
+// bury a typo under a BudgetError on a large catalog.
+func (s *Session) compileArm(snap *store.Snapshot, sel *SelectStmt, pre *Prepared, args []value.Value) (wsa.Expr, *wsdexec.Options, string, error) {
+	if op := s.engineOp(); op != "" {
+		return nil, nil, op, nil
+	}
+	var q wsa.Expr
+	var err error
+	opts := &wsdexec.Options{ExpandBudget: s.maxWorlds()}
+	csp := s.span.Child("compile")
+	if pre != nil {
+		// Cached plans are prelowered at compile time; skip the
+		// per-request rewrite search.
+		before := pre.Compiles()
+		q, err = pre.planFor(s, snap)
+		csp.Set("plan-cache", cacheLabel(pre.Compiles() == before))
+		opts.NoRewrite = true
+		if err == nil {
+			if s.onDecomp() {
+				// A statement that just fell back on this decomposition
+				// shape skips the native attempt; a moved shape clears
+				// the memo and retries natively (see Prepared).
+				opts.AssumeFallback = pre.assumeFallback(snap)
+			}
+			q, err = pre.bindPlan(q, args)
+		}
+	} else {
+		q, err = s.compileOn(snap.DB.Names, snap.DB.Schemas, sel)
+	}
+	csp.End()
+	if op := fragmentOp(err); op != "" {
+		return nil, nil, op, nil
+	}
+	if err != nil {
+		return nil, nil, "", err
+	}
+	return q, opts, "", nil
+}
+
 func (s *Session) execCreateTableAs(n *CreateTableAsStmt) (*Result, error) {
-	if p := maxParamSelect(n.Query); p > 0 {
+	if p := maxParam(n.Query); p > 0 {
 		return nil, fmt.Errorf("isql: unbound parameter $%d (bind it with execute)", p)
 	}
 	var res *Result
@@ -467,37 +487,30 @@ func (s *Session) execCreateTableAs(n *CreateTableAsStmt) (*Result, error) {
 		if tx.Snap().HasRelation(n.Name) {
 			return fmt.Errorf("isql: relation %q already exists", n.Name)
 		}
-		op := legacyEngine
-		if s.native() {
-			csp := s.span.Child("compile")
-			q, err := s.compileOn(tx.Snap().DB.Names, tx.Snap().DB.Schemas, n.Query)
-			csp.End()
-			if err != nil && !isFragmentError(err) {
+		q, opts, op, err := s.compileArm(tx.Snap(), n.Query, nil, nil)
+		if err != nil {
+			return err
+		}
+		if q != nil {
+			xsp := s.span.Child("exec")
+			opts.Trace = xsp
+			out, plan, err := store.QueryOpts(tx.Snap(), s.Engine, q, opts)
+			xsp.End()
+			if err != nil {
 				return err
 			}
-			if err == nil {
-				xsp := s.span.Child("exec")
-				out, plan, err := store.QueryOpts(tx.Snap(), s.Engine, q,
-					&wsdexec.Options{ExpandBudget: s.maxWorlds(), Trace: xsp})
-				xsp.End()
-				if err != nil {
-					return err
-				}
-				s.Stats.recordPlan(plan)
-				db := out.RenameRelation(len(out.Names)-1, n.Name).Normalize()
-				tx.SetDB(db)
-				res = &Result{Decomp: db, Plan: plan}
-				return nil
-			}
-			op = fragmentOp(err)
+			s.Stats.recordPlan(plan)
+			db := out.RenameRelation(len(out.Names)-1, n.Name).Normalize()
+			tx.SetDB(db)
+			res = &Result{Decomp: db, Plan: plan}
+			return nil
 		}
-		var err error
 		res, err = s.execBounded(tx, tx.Snap().DB, n, op, func(ws *worldset.WorldSet) (*worldset.WorldSet, int, error) {
 			out, err := s.evalSelect(n.Query, ws, nil)
 			if err != nil {
 				return nil, 0, err
 			}
-			return renameLastRelation(out, n.Name), 0, nil
+			return wsa.RenameLast(out, n.Name), 0, nil
 		})
 		return err
 	})
@@ -508,7 +521,7 @@ func (s *Session) execCreateTableAs(n *CreateTableAsStmt) (*Result, error) {
 }
 
 func (s *Session) execCreateView(n *CreateViewStmt) (*Result, error) {
-	if p := maxParamSelect(n.Query); p > 0 {
+	if p := maxParam(n.Query); p > 0 {
 		// A stored view must be self-contained: there is no EXECUTE to
 		// bind its placeholders when a later statement expands it.
 		return nil, fmt.Errorf("isql: view body holds unbound parameter $%d", p)
@@ -703,17 +716,12 @@ type tupleRule func(ctx *evalCtx, t relation.Tuple) (relation.Tuple, bool, error
 // the bounded input, with ctx.world set.
 func (s *Session) execMutation(st Statement, table string, exprs []Expr,
 	prepare func(relation.Schema) error, rule tupleRule) (*Result, error) {
-	op := "" // the native arm
-	if !s.native() {
-		op = legacyEngine
+	op := s.engineOp() // "" is the native arm
+	if p := maxParam(st); p > 0 {
+		return nil, fmt.Errorf("isql: unbound parameter $%d (bind it with execute)", p)
 	}
-	for _, e := range exprs {
-		if p := maxParamExpr(e); p > 0 {
-			return nil, fmt.Errorf("isql: unbound parameter $%d (bind it with execute)", p)
-		}
-		if exprHasSubquery(e) {
-			op = "expression subquery"
-		}
+	if hasSubquery(st) {
+		op = "expression subquery"
 	}
 	// A native mutation commits through its table's shards alone; what a
 	// bounded one re-factorizes is only known once it ran.
@@ -815,33 +823,6 @@ func mapTuples(ctx *evalCtx, r *relation.Relation, rule tupleRule, hit func(rela
 	return nr, evalErr
 }
 
-// DistinctAnswers extracts the deduplicated answer relations (the last
-// relation of every world) of an evaluated select, in deterministic
-// order — the same extraction that fills Result.Answers. Exported so
-// callers evaluating compiled statements through other engines print
-// answers identically to the session evaluator.
-func DistinctAnswers(ws *worldset.WorldSet) []*relation.Relation { return distinctAnswers(ws) }
-
-// distinctAnswers extracts the deduplicated answer relations of an
-// evaluated select, in deterministic order.
-func distinctAnswers(ws *worldset.WorldSet) []*relation.Relation {
-	k := ws.NumRelations() - 1
-	seen := map[string]*relation.Relation{}
-	for _, w := range ws.Worlds() {
-		seen[w[k].ContentKey()] = w[k]
-	}
-	keys := make([]string, 0, len(seen))
-	for key := range seen {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	out := make([]*relation.Relation, len(keys))
-	for i, key := range keys {
-		out[i] = seen[key]
-	}
-	return out
-}
-
 // cacheLabel names a plan-cache outcome for trace attributes.
 func cacheLabel(hit bool) string {
 	if hit {
@@ -867,23 +848,15 @@ func isFragmentError(err error) bool {
 	return errors.As(err, &fe)
 }
 
-// exprHasSubquery reports whether the expression contains a subquery in
-// any position — the statically detectable reason a DML predicate
+// hasSubquery reports whether a DELETE or UPDATE holds a subquery in
+// any position — the statically detectable reason its predicate or SET
 // cannot be evaluated tuple-locally on the decomposition pieces.
-func exprHasSubquery(e Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return false
-	case *BinExpr:
-		return exprHasSubquery(n.L) || exprHasSubquery(n.R)
-	case *LogicExpr:
-		return exprHasSubquery(n.L) || exprHasSubquery(n.R)
-	case *NotExpr:
-		return exprHasSubquery(n.E)
-	case *AggExpr:
-		return n.Arg != nil && exprHasSubquery(n.Arg)
-	case *InExpr, *ExistsExpr, *SubqueryExpr:
-		return true
-	}
-	return false
+func hasSubquery(st Statement) bool {
+	found := false
+	walkStmt(st, func(node any) bool {
+		_, sub := node.(*SelectStmt)
+		found = found || sub
+		return !found
+	})
+	return found
 }

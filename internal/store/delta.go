@@ -418,7 +418,7 @@ func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta, reapp
 	}
 	upserts := map[uint64]wsd.DBComponent{}
 	for _, u := range d.Upserts {
-		alts, err := decodeAlternatives(out, u.Alts, false)
+		alts, err := decodeAlternatives(out, u.Alts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: delta component %d: %w", u.ID, err)
 		}
@@ -542,7 +542,7 @@ func applyFullDelta(d *CommitDelta) (*wsd.DecompDB, map[string]string, error) {
 		out.Certain[ri] = rel
 	}
 	for _, u := range d.Upserts {
-		alts, err := decodeAlternatives(out, u.Alts, false)
+		alts, err := decodeAlternatives(out, u.Alts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: full delta component %d: %w", u.ID, err)
 		}

@@ -3,15 +3,11 @@ package store
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"worldsetdb/internal/bufpool"
@@ -401,7 +397,7 @@ func decodeAltRows(db *wsd.DecompDB, payload []byte) ([]wsd.DBAlternative, error
 	if err := unmarshalUseNumber(payload, &alts); err != nil {
 		return nil, err
 	}
-	return decodeAlternatives(db, alts, false)
+	return decodeAlternatives(db, alts)
 }
 
 func unmarshalUseNumber(data []byte, v any) error {
@@ -722,123 +718,103 @@ func (ps *PageStore) alloc() uint64 {
 // atomic rename — the first checkpoint (the rename replaces whatever a
 // torn earlier attempt left at path).
 func (ps *PageStore) writeFresh(d ckptData) error {
-	dirName := filepath.Dir(ps.path)
-	tmpf, err := os.CreateTemp(dirName, "."+filepath.Base(ps.path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := tmpf.Name()
-	cleanup := func(err error) error {
-		tmpf.Close()
-		os.Remove(tmp)
-		return err
-	}
-
-	// Sequential writer over the temp file: pages 0/1 reserved for the
-	// meta slots, chains appended from page 2.
-	pf := &pageFile{f: tmpf}
-	next := uint64(2)
-	buf := make([]byte, page.Size)
-	writeChain := func(kind page.Kind, payload []byte) (uint64, []uint64, error) {
-		chunks := page.Chunks(payload)
-		ids := make([]uint64, len(chunks))
-		for i := range ids {
-			ids[i] = next
-			next++
-		}
-		for i, chunk := range chunks {
-			nxt := uint64(0)
-			if i+1 < len(chunks) {
-				nxt = ids[i+1]
+	var (
+		certs    map[string]*certState
+		comps    map[uint64]*compState
+		dirPages []uint64
+		next     = uint64(2)
+	)
+	err := writeFileAtomic(ps.path, func(tmpf *os.File) error {
+		// Sequential writer over the temp file: pages 0/1 reserved for the
+		// meta slots, chains appended from page 2.
+		pf := &pageFile{f: tmpf}
+		buf := make([]byte, page.Size)
+		writeChain := func(kind page.Kind, payload []byte) (uint64, []uint64, error) {
+			chunks := page.Chunks(payload)
+			ids := make([]uint64, len(chunks))
+			for i := range ids {
+				ids[i] = next
+				next++
 			}
-			if err := page.Encode(buf, kind, nxt, chunk); err != nil {
-				return 0, nil, err
+			for i, chunk := range chunks {
+				nxt := uint64(0)
+				if i+1 < len(chunks) {
+					nxt = ids[i+1]
+				}
+				if err := page.Encode(buf, kind, nxt, chunk); err != nil {
+					return 0, nil, err
+				}
+				if err := pf.WritePage(ids[i], buf); err != nil {
+					return 0, nil, err
+				}
 			}
-			if err := pf.WritePage(ids[i], buf); err != nil {
-				return 0, nil, err
+			return ids[0], ids, nil
+		}
+
+		// Zero meta slots first so the file always spans at least 2 pages.
+		zero := make([]byte, page.Size)
+		if err := pf.WritePage(0, zero); err != nil {
+			return err
+		}
+		if err := pf.WritePage(1, zero); err != nil {
+			return err
+		}
+
+		certs = make(map[string]*certState, len(d.Certs))
+		var dirCerts []dirCert
+		for _, c := range d.Certs {
+			payload, err := json.Marshal(encodeRelation(c.Rel))
+			if err != nil {
+				return err
 			}
+			head, pages, err := writeChain(page.KindData, payload)
+			if err != nil {
+				return err
+			}
+			schema := []string(c.Rel.Schema())
+			certs[c.Name] = &certState{rel: c.Rel, schema: schema, head: head, pages: pages}
+			dirCerts = append(dirCerts, dirCert{Name: c.Name, Schema: schema, Head: head})
 		}
-		return ids[0], ids, nil
-	}
+		comps = make(map[uint64]*compState, len(d.Comps))
+		var dirComps []dirComp
+		for _, comp := range d.Comps {
+			payload, err := json.Marshal(encodeAlternatives(d.Names, comp))
+			if err != nil {
+				return err
+			}
+			head, pages, err := writeChain(page.KindData, payload)
+			if err != nil {
+				return err
+			}
+			comps[comp.ID] = &compState{comp: comp, head: head, pages: pages}
+			dirComps = append(dirComps, dirComp{ID: comp.ID, Head: head})
+		}
+		dir := pageDir{Names: d.Names, Views: d.Views, Certain: dirCerts, Comps: dirComps, Order: d.Order}
+		for _, s := range d.Schemas {
+			dir.Schemas = append(dir.Schemas, []string(s))
+		}
+		dirPayload, err := json.Marshal(dir)
+		if err != nil {
+			return err
+		}
+		dirHead, pages, err := writeChain(page.KindDir, dirPayload)
+		if err != nil {
+			return err
+		}
+		dirPages = pages
 
-	// Zero meta slots first so the file always spans at least 2 pages.
-	zero := make([]byte, page.Size)
-	if err := pf.WritePage(0, zero); err != nil {
-		return cleanup(err)
-	}
-	if err := pf.WritePage(1, zero); err != nil {
-		return cleanup(err)
-	}
-
-	certs := make(map[string]*certState, len(d.Certs))
-	var dirCerts []dirCert
-	for _, c := range d.Certs {
-		payload, err := json.Marshal(encodeRelation(c.Rel))
+		// Meta into slot 1 (epoch 1); slot 0 stays zeroed and invalid.
+		metaPayload, err := json.Marshal(pageMeta{Magic: pageMagic, Epoch: 1, Version: d.Version,
+			DirHead: dirHead, Pages: next, CompID: d.CompID, Shard: ps.shard, Coord: ps.coord})
 		if err != nil {
-			return cleanup(err)
+			return err
 		}
-		head, pages, err := writeChain(page.KindData, payload)
-		if err != nil {
-			return cleanup(err)
+		if err := page.Encode(buf, page.KindMeta, 0, metaPayload); err != nil {
+			return err
 		}
-		schema := []string(c.Rel.Schema())
-		certs[c.Name] = &certState{rel: c.Rel, schema: schema, head: head, pages: pages}
-		dirCerts = append(dirCerts, dirCert{Name: c.Name, Schema: schema, Head: head})
-	}
-	comps := make(map[uint64]*compState, len(d.Comps))
-	var dirComps []dirComp
-	for _, comp := range d.Comps {
-		payload, err := json.Marshal(encodeAlternatives(d.Names, comp))
-		if err != nil {
-			return cleanup(err)
-		}
-		head, pages, err := writeChain(page.KindData, payload)
-		if err != nil {
-			return cleanup(err)
-		}
-		comps[comp.ID] = &compState{comp: comp, head: head, pages: pages}
-		dirComps = append(dirComps, dirComp{ID: comp.ID, Head: head})
-	}
-	dir := pageDir{Names: d.Names, Views: d.Views, Certain: dirCerts, Comps: dirComps, Order: d.Order}
-	for _, s := range d.Schemas {
-		dir.Schemas = append(dir.Schemas, []string(s))
-	}
-	dirPayload, err := json.Marshal(dir)
+		return pf.WritePage(1, buf)
+	})
 	if err != nil {
-		return cleanup(err)
-	}
-	dirHead, dirPages, err := writeChain(page.KindDir, dirPayload)
-	if err != nil {
-		return cleanup(err)
-	}
-
-	// Meta into slot 1 (epoch 1); slot 0 stays zeroed and invalid.
-	metaPayload, err := json.Marshal(pageMeta{Magic: pageMagic, Epoch: 1, Version: d.Version,
-		DirHead: dirHead, Pages: next, CompID: d.CompID, Shard: ps.shard, Coord: ps.coord})
-	if err != nil {
-		return cleanup(err)
-	}
-	if err := page.Encode(buf, page.KindMeta, 0, metaPayload); err != nil {
-		return cleanup(err)
-	}
-	if err := pf.WritePage(1, buf); err != nil {
-		return cleanup(err)
-	}
-	if err := tmpf.Chmod(0o644); err != nil {
-		return cleanup(err)
-	}
-	if err := tmpf.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmpf.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, ps.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := fsyncDir(dirName); err != nil {
 		return err
 	}
 
@@ -856,23 +832,6 @@ func (ps *PageStore) writeFresh(d ckptData) error {
 	ps.certs, ps.comps, ps.dirPages = certs, comps, dirPages
 	ps.free = nil
 	ps.noteWrite(next)
-	return nil
-}
-
-// fsyncDir makes a rename durable (see SaveFile for the platform
-// excuses).
-func fsyncDir(dir string) error {
-	if runtime.GOOS == "windows" {
-		return nil
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: opening directory for fsync after rename: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("store: fsyncing directory after rename: %w", err)
-	}
 	return nil
 }
 

@@ -167,27 +167,18 @@ func encodeAlternatives(names []string, comp wsd.DBComponent) []jsonAlternative 
 }
 
 // decodeAlternatives rebuilds a component's alternatives against db's
-// schema. With lenient set, contributions to relations db does not know
-// are dropped instead of failing — the page store's mixed-epoch merge
-// uses this (a torn multi-file checkpoint can hold components from an
-// older schema; the WAL replay that follows heals the state).
-func decodeAlternatives(db *wsd.DecompDB, alts []jsonAlternative, lenient bool) ([]wsd.DBAlternative, error) {
+// schema.
+func decodeAlternatives(db *wsd.DecompDB, alts []jsonAlternative) ([]wsd.DBAlternative, error) {
 	out := make([]wsd.DBAlternative, len(alts))
 	for ai, ja := range alts {
 		alt := wsd.DBAlternative{Rels: map[int]*relation.Relation{}}
 		for name, rows := range ja.Rels {
 			ri := db.IndexOf(name)
 			if ri < 0 {
-				if lenient {
-					continue
-				}
 				return nil, fmt.Errorf("store: component references unknown relation %q", name)
 			}
 			rel, err := decodeRelation(db.Schemas[ri], rows)
 			if err != nil {
-				if lenient {
-					continue
-				}
 				return nil, fmt.Errorf("store: component relation %q: %w", name, err)
 			}
 			alt.Rels[ri] = rel
@@ -280,7 +271,7 @@ func Load(r io.Reader) (*Catalog, error) {
 		db.Certain[i] = rel
 	}
 	for ci, jc := range doc.Components {
-		alts, err := decodeAlternatives(db, jc.Alternatives, false)
+		alts, err := decodeAlternatives(db, jc.Alternatives)
 		if err != nil {
 			return nil, fmt.Errorf("store: component %d: %w", ci, err)
 		}
@@ -306,43 +297,51 @@ func Load(r io.Reader) (*Catalog, error) {
 // one rename — a crash mid-save can no longer truncate an existing
 // catalog file to a torn prefix.
 func SaveFile(path string, snap *Snapshot) error {
+	return writeFileAtomic(path, func(f *os.File) error { return Save(f, snap) })
+}
+
+// writeFileAtomic creates or replaces path durably and in one step: fill
+// writes the content into a temp file in the same directory, which is
+// fsynced, closed and renamed over path before the directory itself is
+// fsynced. A failure at any step removes the temp file and leaves
+// whatever was at path untouched.
+func writeFileAtomic(path string, fill func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
+	err = fill(f)
+	if err == nil {
+		// CreateTemp makes 0600 files; keep the historical os.Create
+		// mode so other readers of the file are unaffected by the
+		// atomic rename path.
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := Save(f, snap); err != nil {
-		return cleanup(err)
-	}
-	// CreateTemp makes 0600 files; keep the historical os.Create mode so
-	// other readers of the saved catalog are unaffected by the atomic
-	// rename path.
-	if err := f.Chmod(0o644); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Durability of the rename itself: without the directory fsync a
-	// crash can forget the rename, leaving the previous file — or, for a
-	// first save, nothing — at path. A checkpoint that is not durable
-	// must not report success, so the error propagates; excused are only
-	// platforms that genuinely cannot fsync a directory (Windows rejects
-	// it outright; some filesystems report EINVAL/ENOTSUP).
+	return fsyncDir(dir)
+}
+
+// fsyncDir makes a rename in dir durable: without the directory fsync a
+// crash can forget the rename, leaving the previous file — or, for a
+// first save, nothing — at the path. A checkpoint that is not durable
+// must not report success, so the error propagates; excused are only
+// platforms that genuinely cannot fsync a directory (Windows rejects it
+// outright; some filesystems report EINVAL/ENOTSUP).
+func fsyncDir(dir string) error {
 	if runtime.GOOS == "windows" {
 		return nil
 	}

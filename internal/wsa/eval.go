@@ -2,7 +2,6 @@ package wsa
 
 import (
 	"fmt"
-	"sort"
 
 	"worldsetdb/internal/ra"
 	"worldsetdb/internal/relation"
@@ -55,7 +54,7 @@ func Run(q Expr, a *worldset.WorldSet, name string) (*worldset.WorldSet, error) 
 	if err != nil {
 		return nil, err
 	}
-	return renameLast(out, name), nil
+	return RenameLast(out, name), nil
 }
 
 // MustRun is Run for tests and examples.
@@ -74,29 +73,7 @@ func Answers(q Expr, a *worldset.WorldSet) ([]*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := out.NumRelations() - 1
-	seen := map[string]*relation.Relation{}
-	for _, w := range out.Worlds() {
-		seen[w[k].ContentKey()] = w[k]
-	}
-	keys := make([]string, 0, len(seen))
-	for key := range seen {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	res := make([]*relation.Relation, len(keys))
-	for i, key := range keys {
-		res[i] = seen[key]
-	}
-	return res, nil
-}
-
-func renameLast(ws *worldset.WorldSet, name string) *worldset.WorldSet {
-	names := append([]string{}, ws.Names()...)
-	names[len(names)-1] = name
-	out := worldset.New(names, ws.Schemas())
-	ws.Each(func(w worldset.World) { out.Add(w) })
-	return out
+	return DistinctLast(out), nil
 }
 
 // eval is the recursive Figure-3 evaluator. Every case returns a
@@ -155,26 +132,51 @@ func eval(q Expr, a *worldset.WorldSet, opt *Options) (*worldset.WorldSet, error
 		})
 
 	case *Choice:
-		return evalChoice(n, a, opt, outSchema)
+		sub, err := eval(n.From, a, opt)
+		if err != nil {
+			return nil, err
+		}
+		return ChoiceLast(sub, n.Attrs, opt.maxWorlds())
+
+	case *RepairKey:
+		sub, err := eval(n.From, a, opt)
+		if err != nil {
+			return nil, err
+		}
+		return RepairLast(sub, n.Attrs, opt.maxWorlds())
 
 	case *Group:
-		return evalGroup(n, a, opt, outSchema, false)
+		sub, err := eval(n.From, a, opt)
+		if err != nil {
+			return nil, err
+		}
+		k := sub.NumRelations() - 1
+		inSchema := sub.Schemas()[k]
+		gIdx, err := inSchema.Indexes(n.GroupBy)
+		if err != nil {
+			return nil, err
+		}
+		pIdx, err := inSchema.Indexes(n.ProjOrAll(inSchema))
+		if err != nil {
+			return nil, err
+		}
+		gSchema := relation.NewSchema(n.GroupBy...)
+		return GroupLast(sub, n.Kind, pIdx, outSchema, func(w worldset.World) (string, error) {
+			return w[k].Project(gIdx, gSchema).ContentKey(), nil
+		})
 
 	case *Close:
 		// poss = pγ^*_true, cert = cγ^*_true (Figure 3): a single group
-		// containing every world. Note this differs from grouping on the
-		// empty attribute list, which would separate worlds with empty
-		// answers from worlds with non-empty ones.
-		g := &Group{From: n.From, GroupBy: nil, Proj: nil}
-		if n.Kind == ClosePoss {
-			g.Kind = GroupPoss
-		} else {
-			g.Kind = GroupCert
+		// containing every world.
+		sub, err := eval(n.From, a, opt)
+		if err != nil {
+			return nil, err
 		}
-		return evalGroup(g, a, opt, outSchema, true)
-
-	case *RepairKey:
-		return evalRepair(n, a, opt, outSchema)
+		kind := GroupCert
+		if n.Kind == ClosePoss {
+			kind = GroupPoss
+		}
+		return GroupLast(sub, kind, nil, outSchema, func(worldset.World) (string, error) { return "", nil })
 	}
 	return nil, fmt.Errorf("wsa: unknown operator %T", q)
 }
@@ -199,10 +201,7 @@ func evalUnary(from Expr, a *worldset.WorldSet, opt *Options, outSchema relation
 			mapErr = err
 			return
 		}
-		nw := make(worldset.World, k+1)
-		copy(nw, w[:k])
-		nw[k] = r
-		out.Add(nw)
+		out.Add(withLast(w, r))
 	})
 	if mapErr != nil {
 		return nil, mapErr
@@ -262,210 +261,4 @@ func evalBinary(l, r Expr, a *worldset.WorldSet, opt *Options, outSchema relatio
 		}
 	}
 	return out, nil
-}
-
-// evalChoice implements χ_U: one world per distinct U-value of the
-// answer; worlds with an empty answer survive with the empty relation
-// (the "R_{k+1} = ∅ ⇒ v = 1" case of Figure 3).
-func evalChoice(n *Choice, a *worldset.WorldSet, opt *Options, outSchema relation.Schema) (*worldset.WorldSet, error) {
-	sub, err := eval(n.From, a, opt)
-	if err != nil {
-		return nil, err
-	}
-	k := sub.NumRelations() - 1
-	out := worldset.New(sub.Names(), sub.Schemas())
-	max := opt.maxWorlds()
-	var evalErr error
-	sub.Each(func(w worldset.World) {
-		if evalErr != nil {
-			return
-		}
-		r := w[k]
-		if r.Empty() {
-			out.Add(w)
-			return
-		}
-		idx, err := r.Schema().Indexes(n.Attrs)
-		if err != nil {
-			evalErr = err
-			return
-		}
-		// Partition the answer by the chosen attributes through the
-		// shared hash grouping (no key strings); rows within a group are
-		// distinct because the source relation is a set.
-		parts := relation.NewGroupMap(idx, r.Len())
-		r.Each(func(t relation.Tuple) { parts.Add(t) })
-		for _, grp := range parts.Groups() {
-			p := relation.New(r.Schema())
-			for _, t := range grp.Rows {
-				p.InsertDistinct(t)
-			}
-			nw := make(worldset.World, k+1)
-			copy(nw, w[:k])
-			nw[k] = p
-			out.Add(nw)
-			if out.Len() > max {
-				evalErr = fmt.Errorf("wsa: choice-of exceeds world limit %d", max)
-				return
-			}
-		}
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return out, nil
-}
-
-// evalGroup implements pγ^V_U and cγ^V_U (and, with an empty GroupBy and
-// full Proj, poss and cert): worlds are grouped by the value of
-// π_U(R_{k+1}); within each group the answers are the union or
-// intersection of π_V(R'_{k+1}) over the group's worlds.
-func evalGroup(n *Group, a *worldset.WorldSet, opt *Options, outSchema relation.Schema, oneGroup bool) (*worldset.WorldSet, error) {
-	sub, err := eval(n.From, a, opt)
-	if err != nil {
-		return nil, err
-	}
-	k := sub.NumRelations() - 1
-	inSchema := sub.Schemas()[k]
-	gIdx, err := inSchema.Indexes(n.GroupBy)
-	if err != nil {
-		return nil, err
-	}
-	proj := n.ProjOrAll(inSchema)
-	pIdx, err := inSchema.Indexes(proj)
-	if err != nil {
-		return nil, err
-	}
-
-	groupKey := func(r *relation.Relation) string {
-		if oneGroup {
-			return ""
-		}
-		return r.Project(gIdx, relation.NewSchema(n.GroupBy...)).ContentKey()
-	}
-	// First pass: aggregate per group.
-	agg := make(map[string]*relation.Relation)
-	counted := make(map[string]int)
-	sub.Each(func(w worldset.World) {
-		key := groupKey(w[k])
-		projected := w[k].Project(pIdx, outSchema)
-		counted[key]++
-		cur, ok := agg[key]
-		if !ok {
-			agg[key] = projected
-			return
-		}
-		if n.Kind == GroupPoss {
-			projected.Each(func(t relation.Tuple) { cur.Insert(t) })
-		} else {
-			next := relation.New(outSchema)
-			cur.Each(func(t relation.Tuple) {
-				if projected.Contains(t) {
-					next.Insert(t)
-				}
-			})
-			agg[key] = next
-		}
-	})
-	// Second pass: each world's answer becomes its group's aggregate.
-	out := worldset.New(sub.Names(), replaceLastSchema(sub.Schemas(), outSchema))
-	sub.Each(func(w worldset.World) {
-		nw := make(worldset.World, k+1)
-		copy(nw, w[:k])
-		nw[k] = agg[groupKey(w[k])]
-		out.Add(nw)
-	})
-	return out, nil
-}
-
-// evalRepair implements repair-by-key: in each world, one new world per
-// combination of one tuple chosen for each distinct key value.
-func evalRepair(n *RepairKey, a *worldset.WorldSet, opt *Options, outSchema relation.Schema) (*worldset.WorldSet, error) {
-	sub, err := eval(n.From, a, opt)
-	if err != nil {
-		return nil, err
-	}
-	k := sub.NumRelations() - 1
-	max := opt.maxWorlds()
-	out := worldset.New(sub.Names(), sub.Schemas())
-	var evalErr error
-	sub.Each(func(w worldset.World) {
-		if evalErr != nil {
-			return
-		}
-		r := w[k]
-		idx, err := r.Schema().Indexes(n.Attrs)
-		if err != nil {
-			evalErr = err
-			return
-		}
-		// Group tuples by key value, deterministically ordered so the
-		// enumeration is stable.
-		groups := make(map[string][]relation.Tuple)
-		var order []string
-		for _, t := range r.Tuples() {
-			var key []byte
-			for _, i := range idx {
-				key = t[i].AppendKey(key)
-				key = append(key, 0x1f)
-			}
-			if _, ok := groups[string(key)]; !ok {
-				order = append(order, string(key))
-			}
-			groups[string(key)] = append(groups[string(key)], t)
-		}
-		// Check blowup before enumerating.
-		total := 1
-		for _, key := range order {
-			total *= len(groups[key])
-			if total > max {
-				evalErr = fmt.Errorf("wsa: repair-by-key would create more than %d worlds", max)
-				return
-			}
-		}
-		choice := make([]int, len(order))
-		for {
-			repaired := relation.New(r.Schema())
-			for gi, key := range order {
-				repaired.Insert(groups[key][choice[gi]])
-			}
-			nw := make(worldset.World, k+1)
-			copy(nw, w[:k])
-			nw[k] = repaired
-			out.Add(nw)
-			if out.Len() > max {
-				evalErr = fmt.Errorf("wsa: repair-by-key exceeds world limit %d", max)
-				return
-			}
-			// Advance the mixed-radix counter.
-			i := 0
-			for ; i < len(order); i++ {
-				choice[i]++
-				if choice[i] < len(groups[order[i]]) {
-					break
-				}
-				choice[i] = 0
-			}
-			if i == len(order) {
-				break
-			}
-		}
-		if len(order) == 0 {
-			// Empty relation: single (empty) repair.
-			nw := make(worldset.World, k+1)
-			copy(nw, w[:k])
-			nw[k] = relation.New(r.Schema())
-			out.Add(nw)
-		}
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return out, nil
-}
-
-func replaceLastSchema(schemas []relation.Schema, last relation.Schema) []relation.Schema {
-	out := append([]relation.Schema{}, schemas...)
-	out[len(out)-1] = last
-	return out
 }
