@@ -4,7 +4,7 @@
 // Usage:
 //
 //	isqld [-addr host:port] [-demo name] [-load file.wsd] [-save file.wsd]
-//	      [-engine name] [-wal dir] [-checkpoint-every n] [-shards n]
+//	      [-wal dir] [-checkpoint-every n] [-shards n]
 //	      [-slow-query dur] [-debug-addr host:port]
 //
 // The catalog starts empty, from one of the paper's demo datasets
@@ -101,7 +101,6 @@ func main() {
 	demo := flag.String("demo", "", "preload a demo database: flights | acquisition | census | lineitem")
 	load := flag.String("load", "", "import the seed catalog from a .wsd JSON file (ignored when -wal already holds state)")
 	save := flag.String("save", "", "export the catalog to a .wsd JSON file on graceful shutdown")
-	engine := flag.String("engine", "", "evaluation engine for fragment statements (default: wsdexec)")
 	walDir := flag.String("wal", "", "directory for WAL-backed durability (checkpoint.wsd + one wal-<shard>.log per shard)")
 	ckptEvery := flag.Int("checkpoint-every", 256, "with -wal: checkpoint after this many logged commits (0 = only on shutdown)")
 	txnRetries := flag.Int("txn-retries", 16, "automatic conflict retries per transaction (0 = surface conflicts immediately)")
@@ -132,7 +131,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := []isqld.Option{isqld.WithEngine(*engine), isqld.WithTxnRetries(*txnRetries)}
+	opts := []isqld.Option{isqld.WithTxnRetries(*txnRetries)}
 	if *slowQuery > 0 {
 		opts = append(opts, isqld.WithSlowQuery(*slowQuery, os.Stderr))
 	}
@@ -181,7 +180,11 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// A client that never finishes its headers, or parks a keep-alive
+	// connection, must not hold a goroutine forever. No read or write
+	// timeout: a script may be large and a statement may run long.
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 	go func() {
 		snap := cat.Snapshot()
 		log.Printf("isqld: serving on http://%s — %d relation(s), %s world(s), size %d, version %d, %d shard(s)",

@@ -22,7 +22,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -284,7 +283,7 @@ func main() {
 		{"TXN", "transactional write path: WAL commit latency, prepared-statement throughput, recovery replay (PR 4 tentpole)", expTxn},
 		{"AGG", "bounded component merging + world-count-independent aggregation (PR 6 tentpole)", expAgg},
 		{"SHARD", "component-sharded catalog: parallel commits, per-shard WAL group commit, scatter reads (PR 7 tentpole)", expShard},
-		{"PLAN", "cost-based planning over decomposition statistics: pruned rewrite search, ordered product chains, merge-vs-fallback decisions (PR 9 tentpole)", expPlan},
+		{"PLAN", "cost-based planning over decomposition statistics: pruned rewrite search, ordered product chains (PR 9 tentpole)", expPlan},
 		{"CKPT", "paged checkpoints: full vs incremental write volume, delta recovery, cold start under a small buffer pool (PR 10 tentpole)", expCkpt},
 		{"SQL3", "§2 I-SQL vs division vs double-not-exists (EXP-S2-SQL)", expThreeWays},
 		{"E56", "Examples 5.6/5.8: naive vs general vs optimized evaluation", expTranslations},
@@ -1126,11 +1125,12 @@ func expCkpt() {
 // aggregate CTAS enumerate only the dependent components (latency must
 // stay flat as the world count grows thirty orders of magnitude, and a
 // fragment join of two choice tables must resolve its entanglement by
-// a native merge, never a full expansion); (2) merge versus the
-// enumeration fallback head to head on a decomposition whose only
-// entanglement couples two 4-alternative components among d independent
-// spectators — the merge pays cost 16 whatever d is, the fallback pays
-// 2^(4+d) and above the budget cannot run at all.
+// a native merge, never a full expansion); (2) the merge and the
+// engine's enumeration fallback (merging disabled) on a decomposition
+// whose only entanglement couples two 4-alternative components among d
+// independent spectators — both pay for the 16 combinations of the
+// coupled components whatever d is, so both must answer at 2^42 worlds
+// as they do at 2^12.
 func expAgg() {
 	fmt.Printf("%-10s %-16s %-14s %-14s %-14s\n",
 		"dup SSNs", "worlds", "bounded agg", "agg ctas", "merge join")
@@ -1194,9 +1194,10 @@ func expAgg() {
 	fmt.Printf("bounded aggregate 2^10 vs 2^40: %.2fx (floor 0.2x, i.e. at most 5x slower)\n", independence)
 	acceptRatio("bounded aggregate world-count independence (2^10 vs 2^40)", independence, 0.2)
 
-	// Merge vs enumeration fallback head to head.
-	fmt.Printf("\n%-12s %-10s %-14s %-16s %-10s\n",
-		"spectators", "worlds", "merge path", "expand path", "speedup")
+	// Merge and fallback over the coupled components only: neither may
+	// depend on the spectator count.
+	fmt.Printf("\n%-12s %-10s %-14s %-14s\n", "spectators", "worlds", "merge path", "fallback path")
+	var fbTimes []time.Duration
 	for _, d := range []int{8, 12, 38} {
 		db, q := aggTornDB(4, d)
 		dMerge := bench(fmt.Sprintf("AGG/merge/spect=%d", d), nil, func() {
@@ -1206,35 +1207,21 @@ func expAgg() {
 				must(fmt.Errorf("AGG merge plan not one native cost-16 merge: %v", plan))
 			}
 		})
-		worlds := fmt.Sprintf("2^%d", 4+d)
-		expand := "(refused: BudgetError)"
-		speedup := ""
-		if d <= 12 {
-			dExpand := bench(fmt.Sprintf("AGG/expand/spect=%d", d), nil, func() {
-				_, plan, err := wsdexec.EvalOpts(q, db, &wsdexec.Options{NoMerge: true, ExpandBudget: 1 << 20})
-				must(err)
-				if plan.Native {
-					must(fmt.Errorf("AGG NoMerge run evaluated natively: %v", plan))
-				}
-			})
-			expand = dExpand.String()
-			ratio := float64(dExpand) / float64(dMerge)
-			speedup = fmt.Sprintf("%.0fx", ratio)
-			if d == 12 {
-				// Without bounded merging the entangled product enumerates
-				// 2^16 worlds; the merge pays 16 alternatives. If merging
-				// silently degraded to enumeration this collapses to ~1x.
-				acceptRatio("bounded merge vs enumeration fallback at 2^16 worlds", ratio, 3)
+		dFallback := bench(fmt.Sprintf("AGG/fallback/spect=%d", d), nil, func() {
+			_, plan, err := wsdexec.EvalOpts(q, db, &wsdexec.Options{NoMerge: true, ExpandBudget: 1 << 20})
+			must(err)
+			if plan.Native {
+				must(fmt.Errorf("AGG NoMerge run evaluated natively: %v", plan))
 			}
-		} else {
-			_, _, err := wsdexec.EvalOpts(q, db, &wsdexec.Options{NoMerge: true, ExpandBudget: 1 << 20})
-			var be *wsd.BudgetError
-			if !errors.As(err, &be) {
-				must(fmt.Errorf("AGG NoMerge at 2^42 should refuse with *wsd.BudgetError, got %v", err))
-			}
-		}
-		fmt.Printf("%-12d %-10s %-14s %-16s %-10s\n", d, worlds, dMerge, expand, speedup)
+		})
+		fbTimes = append(fbTimes, dFallback)
+		fmt.Printf("%-12d %-10s %-14s %-14s\n", d, fmt.Sprintf("2^%d", 4+d), dMerge, dFallback)
 	}
+	// The fallback enumerates the same 16 region worlds at both sizes;
+	// only the spliced-back spectator list grew.
+	fbIndependence := float64(fbTimes[0]) / float64(fbTimes[len(fbTimes)-1])
+	fmt.Printf("fallback 2^12 vs 2^42: %.2fx (floor 0.2x, i.e. at most 5x slower)\n", fbIndependence)
+	acceptRatio("engine fallback world-count independence (2^12 vs 2^42)", fbIndependence, 0.2)
 }
 
 // aggTornDB builds a decomposition whose only entanglement couples two
@@ -1507,9 +1494,9 @@ func mustPost(url, body string) {
 	}
 }
 
-// expPlan is the cost-based-planning ablation (PR 9 tentpole): the
-// three planner decisions that read decomposition statistics, each
-// measured against its pre-stats arm.
+// expPlan is the cost-based-planning ablation (PR 9 tentpole): the two
+// planner decisions that read decomposition statistics, each measured
+// against its pre-stats arm.
 //
 //  1. cold compile — the Figure 8 analytical queries through the served
 //     prelower search (PushSelections + bounded best-first rewrite)
@@ -1521,11 +1508,6 @@ func mustPost(url, body string) {
 //     prefix intermediate stays tiny (the written order re-materializes
 //     the full cross product once per trailing single-tuple piece), and
 //     the restoring projection must keep the answer identical.
-//  3. merge decision — an entanglement whose merge cost (36) exceeds
-//     the expansion budget (20) but undercuts the input world count by
-//     orders of magnitude: the cost-based engine merges natively under
-//     the headroom rule where the pure budget test would have forced an
-//     enumeration of every world.
 func expPlan() {
 	// (1) Cold-compile latency: pruned vs exhaustive rewrite search over
 	// the served prelower rule set, seeded with plausible statistics.
@@ -1633,34 +1615,8 @@ func expPlan() {
 	})
 	opRatio := float64(dWritten) / float64(dOrdered)
 	fmt.Printf("%-18s %-14s\n%-18s %-14s\n", "stats-ordered", dOrdered, "written order", dWritten)
-	fmt.Printf("ordered product chain speedup: %.2fx (floor 1.2x)\n\n", opRatio)
+	fmt.Printf("ordered product chain speedup: %.2fx (floor 1.2x)\n", opRatio)
 	acceptRatio("stats-ordered product chain vs written order", opRatio, 1.2)
-
-	// (3) Merge-vs-fallback decision quality: two 6-alternative
-	// components entangled among 8 binary spectators — merge cost 36,
-	// 36·2^8 input worlds. At budget 20 the pure budget test refuses the
-	// merge; the cost comparison (36 ≪ 9216 worlds, within 4x headroom)
-	// merges natively. NoFallback makes the decision an assertion: had
-	// the engine declined the merge, the run would error.
-	mdb, mq := aggTornDB(6, 8)
-	dCost := bench("PLAN/merge-decision/cost-based", nil, func() {
-		_, plan, err := wsdexec.EvalOpts(mq, mdb, &wsdexec.Options{ExpandBudget: 20, NoFallback: true})
-		must(err)
-		if !plan.Native || len(plan.Merges) != 1 || plan.MergeCost != 36 {
-			must(fmt.Errorf("PLAN merge-decision did not merge natively at cost 36: %v", plan))
-		}
-	})
-	dEnum := bench("PLAN/merge-decision/enumerate", nil, func() {
-		_, plan, err := wsdexec.EvalOpts(mq, mdb, &wsdexec.Options{NoMerge: true, ExpandBudget: 1 << 20})
-		must(err)
-		if plan.Native {
-			must(fmt.Errorf("PLAN merge-decision NoMerge run evaluated natively: %v", plan))
-		}
-	})
-	mdRatio := float64(dEnum) / float64(dCost)
-	fmt.Printf("%-18s %-14s\n%-18s %-14s\n", "cost-based merge", dCost, "enumerate", dEnum)
-	fmt.Printf("merge decision vs enumeration at 2^13 worlds: %.0fx (floor 3x)\n", mdRatio)
-	acceptRatio("cost-based merge decision vs world enumeration", mdRatio, 3)
 }
 
 func expThreeWays() {

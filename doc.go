@@ -31,10 +31,11 @@
 // the session's world-at-a-time evaluator over the bounded input: only
 // the components contributing to relations the statement mentions are
 // enumerated, under the world budget, and for writes the local result is
-// re-factorized and the untouched components spliced back. The "legacy"
-// engine is that same arm with every component counted dependent — the
-// full-expansion reference the differential sweeps hold the bounded
-// splice to.
+// re-factorized and the untouched components spliced back (wsd.Region —
+// the one enumeration a statement can reach, shared with wsdexec's
+// fallback and the store's engine override). The "legacy" engine is
+// that same arm with every component counted dependent — the
+// full-expansion reference the differential sweeps hold the splice to.
 //
 // Re-factorization (wsd.Refactor, the multi-relation generalization of
 // wsd.Decompose) closes the loop: any enumerated world-set — a fallback
@@ -209,8 +210,11 @@
 //     is polynomial in the decomposition size and independent of the
 //     world count (census repair with 2^40 worlds answers cert/poss in
 //     about a millisecond). Operators that would couple independent
-//     components fall back — recorded in the returned Plan — to the
-//     physical or reference engine over a budget-guarded enumeration.
+//     components merge just those components within the budget; the two
+//     no merge expresses (choice-of and repair-by-key over an uncertain
+//     answer) fall back — recorded in the returned Plan — to the
+//     reference engine over the bounded region: only the components the
+//     query's relations depend on are enumerated, the rest spliced back.
 //
 // All engines share an allocation-lean hashing core: tuples, column
 // projections and whole relations hash through 64-bit FNV-1a digests
@@ -254,10 +258,8 @@
 // bound (the wsabench PLAN family gates the cold-compile win). At
 // execution time wsdexec orders pure product chains smallest-first by
 // estimated piece cardinality (behind a projection restoring the
-// original column order, so answers are byte-identical) and decides
-// merge-vs-fallback by comparing the merge cost against the input
-// world count the enumeration fallback would pay, not the fixed budget
-// alone. Plan-cache entries record the statistics they were optimized
+// original column order, so answers are byte-identical). Plan-cache
+// entries record the statistics they were optimized
 // under and re-plan when the live snapshot drifts past the staleness
 // threshold — a component-count change or cardinality leaving a 2x
 // band (wsdb_planner_replans_total counts these) — and bare EXPLAIN
@@ -298,7 +300,7 @@
 // internal/difftest runs every query through all four engines on
 // randomized world-sets — through wsdexec natively on randomized
 // decompositions via CheckDecomp, and through the store/session path
-// (snapshot + re-factorized fallbacks) via CheckStore — requiring
+// (snapshot + region-bounded, re-factorized fallbacks) via CheckStore — requiring
 // world-set-identical (byte-identical, for decomposed inputs) answers,
 // including under the race detector with partitioning forced on.
 // golden_test.go pins the paper's running examples (Figure 2 pipeline,

@@ -97,79 +97,74 @@ func checkResults(q wsa.Expr, ws *worldset.WorldSet, results []Result) (Result, 
 // expandable). Because the expanded wsdexec result and the reference
 // result share names, schemas and the deterministic world ordering,
 // they are required to render byte-identically, not merely compare
-// equal.
-func CheckDecomp(q wsa.Expr, db *wsd.DecompDB) error {
+// equal. The factorized engine's plan is returned so sweeps can count
+// what they exercised.
+func CheckDecomp(q wsa.Expr, db *wsd.DecompDB) (*wsdexec.Plan, error) {
 	ws, err := db.Expand(0)
 	if err != nil {
-		return fmt.Errorf("input decomposition not expandable: %w", err)
+		return nil, fmt.Errorf("input decomposition not expandable: %w", err)
 	}
 	ref, err := checkResults(q, ws, Run(q, ws))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	out, plan, err := wsdexec.Eval(q, db)
 	if err != nil {
-		return fmt.Errorf("wsdexec failed for %s on the decomposition where the reference succeeded: %w", q, err)
+		return nil, fmt.Errorf("wsdexec failed for %s on the decomposition where the reference succeeded: %w", q, err)
 	}
 	got, err := out.Expand(0)
 	if err != nil {
-		return fmt.Errorf("wsdexec result of %s not expandable (plan %v): %w", q, plan, err)
+		return nil, fmt.Errorf("wsdexec result of %s not expandable (plan %v): %w", q, plan, err)
 	}
 	if g, w := got.String(), ref.Out.String(); g != w {
-		return fmt.Errorf("wsdexec (plan %v) disagrees with the reference for %s\ninput:\n%s\nreference:\n%s\nwsdexec:\n%s",
+		return nil, fmt.Errorf("wsdexec (plan %v) disagrees with the reference for %s\ninput:\n%s\nreference:\n%s\nwsdexec:\n%s",
 			plan, q, db, w, g)
 	}
-	return nil
+	return plan, nil
 }
 
 // CheckStore is the store-path differential check: the query runs the
 // way an I-SQL session select does — through store.Query against a
 // catalog snapshot holding the decomposition, with entangled fallbacks
-// re-factorized by wsd.Refactor — and the expanded result must render
-// byte-identically to the reference evaluation of the enumeration.
-// Where CheckDecomp pins the factorized engine, CheckStore additionally
-// pins the snapshot plumbing and the re-factorization of fallback
-// outputs (every entangling query exercises Refactor here). The same
-// query then runs once more through a 4-way component-sharded snapshot,
-// where store.Query hands the engine the component-to-shard map and its
-// parallel scans chunk along shard boundaries: sharding may change the
-// scatter scheduling, never the rendered answer.
-func CheckStore(q wsa.Expr, db *wsd.DecompDB) error {
+// enumerating only the region they depend on, re-factorized and spliced
+// (wsd.Region) — and the expanded result must render byte-identically to
+// the reference evaluation of the enumeration. Where CheckDecomp pins
+// the factorized engine, CheckStore additionally pins the snapshot
+// plumbing. The same query then runs once more through a 4-way
+// component-sharded snapshot, where store.Query hands the engine the
+// component-to-shard map and its parallel scans chunk along shard
+// boundaries: sharding may change the scatter scheduling, never the
+// rendered answer. The one-shard plan is returned so sweeps can count
+// what they exercised.
+func CheckStore(q wsa.Expr, db *wsd.DecompDB) (*wsdexec.Plan, error) {
 	ws, err := db.Expand(0)
 	if err != nil {
-		return fmt.Errorf("input decomposition not expandable: %w", err)
+		return nil, fmt.Errorf("input decomposition not expandable: %w", err)
 	}
 	ref, err := wsa.Eval(q, ws)
 	if err != nil {
-		return fmt.Errorf("reference evaluator failed for %s: %w", q, err)
+		return nil, fmt.Errorf("reference evaluator failed for %s: %w", q, err)
 	}
-	snap := store.New(db).Snapshot()
-	out, plan, err := store.Query(snap, "", q, 0)
-	if err != nil {
-		return fmt.Errorf("store path failed for %s where the reference succeeded: %w", q, err)
+	var first *wsdexec.Plan
+	for _, shards := range []int{1, 4} {
+		snap := store.NewSharded(db, shards).Snapshot()
+		out, plan, err := store.Query(snap, "", q, 0)
+		if err != nil {
+			return nil, fmt.Errorf("store path (%d shards) failed for %s where the reference succeeded: %w", shards, q, err)
+		}
+		got, err := out.Expand(0)
+		if err != nil {
+			return nil, fmt.Errorf("store result (%d shards) of %s not expandable (plan %v): %w", shards, q, plan, err)
+		}
+		if g, w := got.String(), ref.String(); g != w {
+			return nil, fmt.Errorf("store path (%d shards, plan %v) disagrees with the reference for %s\ninput:\n%s\nreference:\n%s\nstore:\n%s",
+				shards, plan, q, db, w, g)
+		}
+		if first == nil {
+			first = plan
+		}
 	}
-	got, err := out.Expand(0)
-	if err != nil {
-		return fmt.Errorf("store result of %s not expandable (plan %v): %w", q, plan, err)
-	}
-	if g, w := got.String(), ref.String(); g != w {
-		return fmt.Errorf("store path (plan %v) disagrees with the reference for %s\ninput:\n%s\nreference:\n%s\nstore:\n%s",
-			plan, q, db, w, g)
-	}
-	snap4 := store.NewSharded(db, 4).Snapshot()
-	out4, plan4, err := store.Query(snap4, "", q, 0)
-	if err != nil {
-		return fmt.Errorf("sharded store path failed for %s where the reference succeeded: %w", q, err)
-	}
-	got4, err := out4.Expand(0)
-	if err != nil {
-		return fmt.Errorf("sharded store result of %s not expandable (plan %v): %w", q, plan4, err)
-	}
-	if g, w := got4.String(), ref.String(); g != w {
-		return fmt.Errorf("sharded store path (plan %v) disagrees with the reference for %s\ninput:\n%s\nreference:\n%s\nsharded store:\n%s",
-			plan4, q, db, w, g)
-	}
-	return nil
+	return first, nil
 }
 
 // CheckSQLScript is the statement-level differential check: one I-SQL
@@ -178,13 +173,14 @@ func CheckStore(q wsa.Expr, db *wsd.DecompDB) error {
 // non-nil), the three wsa engines by override, and the "legacy" engine
 // — and every statement, DML included, must agree on answers and
 // affected counts, with every session's state expanding to the same
-// world-set after each statement. The native session additionally must
-// never hit the engine's enumeration fallback: fragment statements
-// evaluate natively (merging components at worst), and statements
-// outside the fragment take the bounded arm — only the dependent
-// components enumerated, the rest spliced back — whose parity with the
-// legacy session (the same arm with every component dependent, i.e. the
-// full expansion) this check pins.
+// world-set after each statement. On the native session fragment
+// statements evaluate natively (merging components at worst; callers
+// that require zero engine fallbacks assert it on stats), choice-of and
+// repair-by-key over an uncertain answer fall back over the region they
+// depend on, and statements outside the fragment take the bounded arm —
+// in both cases only the dependent components enumerated, the rest
+// spliced back — whose parity with the legacy session (every component
+// dependent, i.e. the full expansion) this check pins.
 func CheckSQLScript(names []string, rels []*relation.Relation, stmts []string, stats *isql.ExecStats) error {
 	engines := []string{"", "reference", "translated", "physical", "legacy"}
 	for _, sql := range stmts {
@@ -209,9 +205,6 @@ func CheckSQLScript(names []string, rels []*relation.Relation, stmts []string, s
 			res, err := sess.ExecString(sql)
 			if i == 0 {
 				first, firstErr = res, err
-				if err == nil && res.Plan != nil && !res.Plan.Native {
-					return fmt.Errorf("difftest: %q fell back on the native path: %s", sql, res.Plan)
-				}
 				continue
 			}
 			if (err == nil) != (firstErr == nil) {

@@ -125,16 +125,23 @@ func TestRandomizedDecompAgreement(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20070613))
 	gen := randquery.NewQueryGen(rng, names, schemas)
-	checked := 0
+	checked, spliced := 0, 0
 	for qi := 0; qi < queries; qi++ {
 		q := gen.Query(1 + rng.Intn(3))
 		for wi := 0; wi < inputs; wi++ {
 			db := datagen.RandomDecompDB(rng, names, schemas, 3, 3, 2, 3, 2)
-			if err := CheckDecomp(q, db); err != nil {
+			plan, err := CheckDecomp(q, db)
+			if err != nil {
 				t.Fatalf("query %d input %d: %v", qi, wi, err)
+			}
+			if splicedFallback(plan, q, db) {
+				spliced++
 			}
 			checked++
 		}
+	}
+	if !testing.Short() && spliced == 0 {
+		t.Fatal("no fallback of the sweep left a component outside its region: the splice is not under the byte-identity bar")
 	}
 	if want := queries * inputs; checked != want {
 		t.Fatalf("checked %d query/input pairs, want %d", checked, want)
@@ -156,16 +163,23 @@ func TestRandomizedStoreAgreement(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20070614))
 	gen := randquery.NewQueryGen(rng, names, schemas)
-	checked := 0
+	checked, spliced := 0, 0
 	for qi := 0; qi < queries; qi++ {
 		q := gen.Query(1 + rng.Intn(3))
 		for wi := 0; wi < inputs; wi++ {
 			db := datagen.RandomDecompDB(rng, names, schemas, 3, 3, 2, 3, 2)
-			if err := CheckStore(q, db); err != nil {
+			plan, err := CheckStore(q, db)
+			if err != nil {
 				t.Fatalf("query %d input %d: %v", qi, wi, err)
+			}
+			if splicedFallback(plan, q, db) {
+				spliced++
 			}
 			checked++
 		}
+	}
+	if !testing.Short() && spliced == 0 {
+		t.Fatal("no fallback of the sweep left a component outside its region: the splice is not under the byte-identity bar")
 	}
 	if want := queries * inputs; checked != want {
 		t.Fatalf("checked %d query/input pairs, want %d", checked, want)
@@ -173,6 +187,13 @@ func TestRandomizedStoreAgreement(t *testing.T) {
 	if !testing.Short() && checked < 500 {
 		t.Fatalf("store differential sweep too small: %d < 500", checked)
 	}
+}
+
+// splicedFallback reports whether the plan is an engine fallback whose
+// region — the components q's relations depend on — is a strict subset
+// of db's components, i.e. one that spliced untouched components back.
+func splicedFallback(plan *wsdexec.Plan, q wsa.Expr, db *wsd.DecompDB) bool {
+	return !plan.Native && len(wsd.RegionOf(db, wsa.Relations(q), false).Deps) < len(db.Components)
 }
 
 // TestWSDXParallelMatchesSequential pins the determinism guarantee of
@@ -287,6 +308,38 @@ func TestRandomizedSQLAgreement(t *testing.T) {
 	}
 	if snap.Merged == 0 {
 		t.Fatalf("sweep did not exercise component merging: %+v", snap)
+	}
+}
+
+// TestEntangledSQLAgreement: choice-of over an uncertain answer — a
+// select and a create-table-as — beside spectator components (V's) it
+// never reads. The native session falls back over U's region and
+// splices V's component back, the three wsa engines do the same by
+// override, and the legacy session expands everything; all five must
+// agree on every answer and on the state after every statement.
+func TestEntangledSQLAgreement(t *testing.T) {
+	r := relation.New(schemas[0])
+	for _, ab := range [][2]int64{{1, 10}, {2, 20}, {2, 21}} {
+		r.InsertValues(value.Int(ab[0]), value.Int(ab[1]))
+	}
+	s := relation.New(schemas[1])
+	for _, c := range []int64{1, 2, 3} {
+		s.InsertValues(value.Int(c))
+	}
+	script := []string{
+		"create table U as select * from S choice of C;",
+		"create table V as select * from R choice of A;",
+		"select certain C from U choice of C;",
+		"create table W as select * from U choice of C;",
+		"select possible C from W;",
+		"select possible A, B from V;",
+	}
+	stats := isql.NewExecStats()
+	if err := CheckSQLScript(names, []*relation.Relation{r, s}, script, stats); err != nil {
+		t.Fatal(err)
+	}
+	if snap := stats.Snapshot(); snap.Fallbacks != 2 || snap.FallbackOps["choice-of over an uncertain answer"] != 2 {
+		t.Fatalf("the entangled select and CTAS should both fall back on the native session: %+v", snap)
 	}
 }
 

@@ -2,6 +2,7 @@ package isql
 
 import (
 	"errors"
+	"math/big"
 	"testing"
 
 	"worldsetdb/internal/relation"
@@ -137,10 +138,72 @@ func TestBoundedCTASSplicesIndependentComponents(t *testing.T) {
 	}
 }
 
-// TestPreparedFallbackMemo: a prepared statement that fell back keeps a
-// memo keyed on the decomposition fingerprint — repeat executions skip
-// the doomed native attempt, and a moved decomposition shape clears the
-// memo so the native path is retried (the plan-cache staleness fix).
+// TestEntangledStatementsWorldCountIndependent: choice-of over an
+// uncertain answer is the one native-arm step that enumerates, and it
+// enumerates the region its relations depend on — U's 2 worlds on a
+// 2^41-world catalog — with the repair components spliced back
+// untouched. A choice-of over the repair itself is refused at the
+// repair's own 2^40 combinations, not the catalog's count.
+func TestEntangledStatementsWorldCountIndependent(t *testing.T) {
+	setup := []string{
+		"create table T (A);", "insert into T values (1);", "insert into T values (2);",
+		"create table U as select * from T choice of A;",
+	}
+	s, ref := pickCatalog(t), NewSession()
+	for _, sql := range setup {
+		mustExec(t, s, sql)
+		mustExec(t, ref, sql)
+	}
+	before := s.Stats.Snapshot().Fallbacks
+	stmts := []string{
+		"select certain A from U choice of A;",
+		"select possible A from U choice of A;",
+		"create table W as select * from U choice of A;",
+	}
+	for _, sql := range stmts {
+		res, want := mustExec(t, s, sql), mustExec(t, ref, sql)
+		if res.Plan == nil || res.Plan.FallbackOp == "" {
+			t.Fatalf("%s: want an engine fallback, plan %v", sql, res.Plan)
+		}
+		if len(res.Answers) != len(want.Answers) {
+			t.Fatalf("%s: %d answers, the 2-world session has %d", sql, len(res.Answers), len(want.Answers))
+		}
+		for i, a := range res.Answers {
+			if a.ContentKey() != want.Answers[i].ContentKey() {
+				t.Fatalf("%s: answer %d = %v, the 2-world session has %v", sql, i, a, want.Answers[i])
+			}
+		}
+	}
+	if got := s.Stats.Snapshot().Fallbacks - before; got != uint64(len(stmts)) {
+		t.Fatalf("stats count %d fallbacks, want %d", got, len(stmts))
+	}
+	// 2^40 repairs × the worlds the reference session ends with.
+	want := new(big.Int).Lsh(ref.Worlds(), 40)
+	if got := s.Worlds(); got.Cmp(want) != 0 {
+		t.Fatalf("worlds after the entangled CTAS = %s, want %s", got, want)
+	}
+	if size := s.Catalog().Snapshot().DB.Size(); size > 4*pipelineCensus().Len() {
+		t.Fatalf("catalog size %d after the entangled CTAS is not linear in the input", size)
+	}
+	if r := mustExec(t, s, "select certain Name from Clean;"); r.Plan == nil || !r.Plan.Native {
+		t.Fatalf("repair region not native after the fallbacks (plan %v)", r.Plan)
+	}
+
+	_, err := s.ExecString("select certain Name from Clean choice of Name;")
+	var be *wsd.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("choice-of over Clean: want *wsd.BudgetError, got %v", err)
+	}
+	if got, want := be.Worlds.String(), "1099511627776"; got != want { // 2^40
+		t.Fatalf("budget error cost = %s, want the repair region's %s", got, want)
+	}
+}
+
+// TestPreparedFallbackMemo: what is left of the prepared-statement
+// fallback memo is that there is none — a prepared statement that falls
+// back attempts the native path again on every execution, so once DML
+// moves the decomposition into a shape the native path handles it runs
+// natively.
 func TestPreparedFallbackMemo(t *testing.T) {
 	s := NewSession()
 	mustExec(t, s, "create table T (A);")
@@ -149,45 +212,16 @@ func TestPreparedFallbackMemo(t *testing.T) {
 	mustExec(t, s, "create table U as select * from T choice of A;")
 	mustExec(t, s, "prepare q as select certain A from U choice of A;")
 
-	// First execution attempts the native path: choice-of over the
-	// uncertain U entangles, and the plan names the coupled components.
-	res, err := s.ExecString("execute q;")
-	if err != nil {
-		t.Fatal(err)
+	// choice-of over the uncertain U entangles, and the plan names the
+	// coupled components.
+	res := mustExec(t, s, "execute q;")
+	if res.Plan == nil || res.Plan.Native || len(res.Plan.FallbackComponents) == 0 {
+		t.Fatalf("choice-of over uncertain U should fall back and name its components, plan %v", res.Plan)
 	}
-	if res.Plan == nil || res.Plan.Native {
-		t.Fatalf("choice-of over uncertain U should fall back, plan %v", res.Plan)
-	}
-	if len(res.Plan.FallbackComponents) == 0 {
-		t.Fatalf("first fallback must identify the entangled components, plan %v", res.Plan)
-	}
-	firstOp := res.Plan.FallbackOp
-
-	// Second execution hits the memo: same decomposition shape, so the
-	// native attempt is skipped (no entangled-component analysis ran —
-	// the assumed fallback carries the op only).
-	res, err = s.ExecString("execute q;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Plan == nil || res.Plan.Native || res.Plan.FallbackOp != firstOp {
-		t.Fatalf("memoized execution should assume fallback at %q, plan %v", firstOp, res.Plan)
-	}
-	if len(res.Plan.FallbackComponents) != 0 {
-		t.Fatalf("memoized execution should skip the native attempt, plan %v", res.Plan)
-	}
-
-	// DML that moves the decomposition shape invalidates the memo:
-	// emptying U folds its component away, and the statement runs
-	// natively — a stale cached fallback decision would have kept it on
-	// enumeration forever.
+	// Emptying U folds its component away: the statement runs natively.
 	mustExec(t, s, "delete from U;")
-	res, err = s.ExecString("execute q;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Plan == nil || !res.Plan.Native {
-		t.Fatalf("after the shape moved the native path must be retried, plan %v", res.Plan)
+	if res = mustExec(t, s, "execute q;"); res.Plan == nil || !res.Plan.Native {
+		t.Fatalf("after the shape moved the statement must run natively, plan %v", res.Plan)
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 // fsync: a census-repair CTAS over 2^40 worlds (native, with the full
 // per-operator tree), a join whose entanglement resolves by one
 // bounded component merge, an aggregate outside the WSA fragment
-// (the bounded arm), a plain insert (commit + WAL only), and a DELETE
+// (the bounded arm), a choice-of over an uncertain answer (the engine
+// fallback, enumerating the one component Pick1 depends on), a plain
+// insert (commit + WAL only), and a DELETE
 // whose predicate holds a subquery (the bounded arm under the commit).
 // Durations are normalized to t=X; everything else — span names,
 // nesting, component counts, merge costs, batch sizes — must stay
@@ -50,6 +52,7 @@ create table Pick2 as select * from Tiny choice of V;
 		`explain analyze create table Clean as select * from Census repair by key SSN;`,
 		`explain analyze select certain X.V from Pick1 X, Pick2 Y where X.V = Y.V;`,
 		`explain analyze select sum(V) as S from Pick1;`,
+		`explain analyze select certain V from Pick1 choice of V;`,
 		`explain analyze insert into Tiny values (9);`,
 		`explain analyze delete from Tiny where V in (select V from Pick1);`,
 	} {

@@ -11,7 +11,6 @@ import (
 	"worldsetdb/internal/store"
 	"worldsetdb/internal/value"
 	"worldsetdb/internal/wsa"
-	"worldsetdb/internal/wsdexec"
 )
 
 // PlannerReplans counts plan-cache recompiles triggered by decomposition
@@ -134,16 +133,6 @@ type Prepared struct {
 	// search minimized no longer describe the data and planFor re-plans
 	// (counted by PlannerReplans).
 	planStats rewrite.Stats
-
-	// Fallback memo: when the factorized engine fell back on this plan
-	// (entanglement beyond the merge budget), the op and the
-	// decomposition fingerprint it happened under. While the
-	// decomposition shape is unchanged, execution passes
-	// Options.AssumeFallback and skips the doomed native attempt; once
-	// the shape moves — components merged away, shrunk by DML, or
-	// re-factorized — the memo is stale and the native path is retried.
-	fbOp string
-	fbFP uint64
 }
 
 // Compiles reports how many times the statement's plan was compiled —
@@ -202,8 +191,8 @@ const driftRatio = 2.0
 
 // statsDrifted reports whether the catalog's decomposition statistics
 // moved enough since plan optimization to invalidate the cost model's
-// choices: a relation's component count changed (the merge-vs-fallback
-// and world-growth estimates keyed on it), or its cardinality left the
+// choices: a relation's component count changed (the world-growth
+// estimates keyed on it), or its cardinality left the
 // driftRatio band (the join-order and selectivity estimates did).
 func statsDrifted(old, cur rewrite.Stats) bool {
 	if len(old) != len(cur) {
@@ -221,71 +210,6 @@ func statsDrifted(old, cur rewrite.Stats) bool {
 		}
 	}
 	return false
-}
-
-// assumeFallback returns the memoized fallback op when the snapshot's
-// decomposition fingerprint still matches the one the fallback was
-// observed under ("" otherwise — attempt the native path). A moved
-// fingerprint clears the memo: the plan-cache entry must not keep a
-// statement on the enumeration fallback after the decomposition changed
-// into a shape the native path handles.
-func (p *Prepared) assumeFallback(snap *store.Snapshot) string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.fbOp == "" {
-		return ""
-	}
-	if p.fbFP != decompFingerprint(snap) {
-		p.fbOp = ""
-		return ""
-	}
-	return p.fbOp
-}
-
-// notePlan records how the factorized engine executed the plan: a
-// fallback is memoized under the current decomposition fingerprint, a
-// native execution clears any memo. Errors (e.g. *wsd.BudgetError
-// mid-fallback) are never memoized — the next execution retries from
-// scratch.
-func (p *Prepared) notePlan(snap *store.Snapshot, plan *wsdexec.Plan) {
-	if plan == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if plan.Native {
-		p.fbOp = ""
-		return
-	}
-	if plan.FallbackOp != "" {
-		p.fbOp, p.fbFP = plan.FallbackOp, decompFingerprint(snap)
-	}
-}
-
-// decompFingerprint digests the decomposition's shape — the component
-// arities and which relations each alternative touches — everything
-// that determines whether (and at what cost) a plan's entanglements
-// merge within budget. Content edits that keep the shape leave it
-// unchanged; structural moves (re-factorization, normalization dropping
-// or folding components, DDL) change it.
-func decompFingerprint(snap *store.Snapshot) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "n%d;", len(snap.DB.Names))
-	for _, c := range snap.DB.Components {
-		fmt.Fprintf(h, "c%d(", len(c.Alternatives))
-		for _, a := range c.Alternatives {
-			ris := make([]int, 0, len(a.Rels))
-			for ri, r := range a.Rels {
-				if r != nil && r.Len() > 0 {
-					ris = append(ris, ri)
-				}
-			}
-			sort.Ints(ris)
-			fmt.Fprintf(h, "%v;", ris)
-		}
-		h.Write([]byte{')'})
-	}
-	return h.Sum64()
 }
 
 // schemaFingerprint digests everything select compilation reads from a

@@ -30,12 +30,11 @@ import (
 // same way. Everything else — aggregation, expression subqueries,
 // divide-by, query-form group-worlds-by, and DML whose predicate or SET
 // holds a subquery — runs through execBounded: the session's own
-// world-at-a-time evaluator over the bounded input, which enumerates
-// only the components contributing to relations the statement
-// mentions. State it produces is re-factorized with wsd.Refactor and
-// the untouched components spliced back before it is committed — one
-// entangled step never de-factorizes (or costs) more than the region it
-// reads.
+// world-at-a-time evaluator over the region of the decomposition the
+// statement's relations depend on (wsd.Region). State it produces is
+// re-factorized and the untouched components spliced back before it is
+// committed — one entangled step never de-factorizes (or costs) more
+// than the region it reads.
 //
 // A Session is a single-goroutine view of a catalog; any number of
 // sessions may share one Catalog concurrently (see cmd/isqld). Selects
@@ -83,8 +82,9 @@ type Session struct {
 	// Engine picks the engine for statements in the clean WSA fragment:
 	// "" or "wsdexec" evaluate natively on the decomposition; any other
 	// name in the wsa registry ("reference", "translated", "physical")
-	// evaluates on the budget-guarded expansion with the output
-	// re-factorized; the special name "legacy" is the differential
+	// evaluates on the budget-guarded expansion of the region the query
+	// depends on, with the output re-factorized and the rest spliced
+	// back; the special name "legacy" is the differential
 	// reference for the bounded arm: nothing compiles, and every
 	// statement (tuple-local DML included) runs through execBounded
 	// with every component counted dependent — the full enumeration the
@@ -108,13 +108,9 @@ const legacyEngine = "legacy"
 // native reports whether the session takes the native arm where a
 // statement allows it — false only for the comparison engine, whose
 // every statement runs bounded over the whole world-set. Together with
-// the one line in boundedInput that widens the dependent set, this is
+// the one argument in execBounded that widens the region, this is
 // all that distinguishes "legacy".
 func (s *Session) native() bool { return s.Engine != legacyEngine }
-
-// onDecomp reports whether fragment statements evaluate natively on the
-// decomposition (the factorized engine) rather than on its expansion.
-func (s *Session) onDecomp() bool { return s.Engine == "" || s.Engine == "wsdexec" }
 
 // engineOp is the op the session's engine itself sends every statement
 // to the bounded arm under: "" (no reason — the statement's own shape
@@ -408,9 +404,6 @@ func (s *Session) execSelectWith(sel *SelectStmt, pre *Prepared, args []value.Va
 		if err != nil {
 			return nil, err
 		}
-		if pre != nil && s.onDecomp() {
-			pre.notePlan(snap, plan)
-		}
 		s.Stats.recordPlan(plan)
 		answers, err := out.Instances(len(out.Names)-1, s.maxWorlds())
 		if err != nil {
@@ -453,12 +446,6 @@ func (s *Session) compileArm(snap *store.Snapshot, sel *SelectStmt, pre *Prepare
 		csp.Set("plan-cache", cacheLabel(pre.Compiles() == before))
 		opts.NoRewrite = true
 		if err == nil {
-			if s.onDecomp() {
-				// A statement that just fell back on this decomposition
-				// shape skips the native attempt; a moved shape clears
-				// the memo and retries natively (see Prepared).
-				opts.AssumeFallback = pre.assumeFallback(snap)
-			}
 			q, err = pre.bindPlan(q, args)
 		}
 	} else {

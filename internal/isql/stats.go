@@ -10,7 +10,8 @@ import (
 // server attaches one instance to every connection's session), how
 // statements were executed. The native arm: fully native on the
 // decomposition, native after bounded component merging, or through
-// the factorized engine's enumeration fallback. The bounded arm
+// the factorized engine's enumeration fallback (choice-of and
+// repair-by-key over an uncertain answer). The bounded arm
 // (execBounded, the world-at-a-time evaluator over the dependent
 // components): every select, create-table-as, DELETE and UPDATE outside
 // the WSA fragment, counted under the historical name "legacy". The
@@ -91,7 +92,10 @@ type ExecStatsSnapshot struct {
 	// merging components.
 	Merged uint64 `json:"merged"`
 	// Fallbacks counts statements the factorized engine evaluated by
-	// enumeration because a merge exceeded the budget (or was disabled).
+	// enumerating the region they depend on: choice-of and
+	// repair-by-key over an uncertain answer, the two operators no
+	// component merge expresses (a merge beyond the budget can only be
+	// refused), plus every statement of an engine-override session.
 	Fallbacks uint64 `json:"fallbacks"`
 	// Legacy counts statements — selects, create-table-as, DELETE,
 	// UPDATE — outside the WSA fragment, evaluated by the bounded arm.

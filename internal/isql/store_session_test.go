@@ -84,16 +84,17 @@ func TestCensusPipelineLegacyPathRefused(t *testing.T) {
 		t.Fatalf("legacy path must refuse with *wsd.BudgetError, got %v", err)
 	}
 	// Enumerating engines hit the same budget wall through the store:
-	// build the 2^40 catalog natively, then ask the physical engine.
+	// build the 2^40 catalog natively, then ask the reference engine for
+	// a relation all 40 components contribute to.
 	s2 := FromDB([]string{"Census"}, []*relation.Relation{pipelineCensus()})
 	for _, sql := range censusPipeline[:2] {
 		if _, err := s2.ExecString(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s2.Engine = "physical"
-	if _, err := s2.ExecString(censusPipeline[2]); !errors.As(err, &be) {
-		t.Fatalf("physical engine must refuse with *wsd.BudgetError, got %v", err)
+	s2.Engine = "reference"
+	if _, err := s2.ExecString("select certain Name from Clean;"); !errors.As(err, &be) {
+		t.Fatalf("reference engine must refuse with *wsd.BudgetError, got %v", err)
 	}
 }
 

@@ -74,12 +74,6 @@ import (
 	"worldsetdb/internal/isql"
 	"worldsetdb/internal/obs"
 	"worldsetdb/internal/store"
-
-	// An isqld server can be asked for any registered engine; link all
-	// four so the registry is complete wherever the server runs.
-	_ "worldsetdb/internal/physical"
-	_ "worldsetdb/internal/translate"
-	_ "worldsetdb/internal/wsdexec"
 )
 
 // SessionHeader names the sticky-session token header.
@@ -87,8 +81,7 @@ const SessionHeader = "X-ISQL-Session"
 
 // Server serves I-SQL sessions over one shared catalog.
 type Server struct {
-	cat    *store.Catalog
-	engine string
+	cat *store.Catalog
 	// maxBody bounds script size (default 1 MiB).
 	maxBody int64
 	// prep is the server-wide prepared-statement cache, shared by every
@@ -130,10 +123,6 @@ type stickySession struct {
 
 // Option configures a Server.
 type Option func(*Server)
-
-// WithEngine picks the evaluation engine for fragment statements
-// (default: wsdexec natively on the decomposition).
-func WithEngine(name string) Option { return func(s *Server) { s.engine = name } }
 
 // WithSessionTTL sets the sticky-session idle eviction age (default 5
 // minutes). An evicted session's open transaction is rolled back.
@@ -217,7 +206,6 @@ func (s *Server) Handler() http.Handler {
 // cache); per-request isolation is what lets requests run concurrently.
 func (s *Server) session() *isql.Session {
 	sess := isql.FromCatalog(s.cat)
-	sess.Engine = s.engine
 	sess.SetPlanCache(s.prep)
 	sess.RetryConflicts = s.txnRetries
 	sess.Stats = s.exec

@@ -7,20 +7,3 @@ func init() {
 	// engines; see the engine registry in package wsa.
 	wsa.RegisterEngine("physical", EvalWorldSet)
 }
-
-// CanEval reports whether this engine supports every operator of q.
-// Repair-by-key requires world enumeration (Proposition 4.2), which the
-// inlined representation cannot express without blowup, so queries
-// containing it must go to the reference evaluator. The factorized
-// engine in internal/wsdexec keys its fallback choice on this: when an
-// operator entangles decomposition components it enumerates the input
-// and hands the query to the fastest engine that can run it.
-func CanEval(q wsa.Expr) bool {
-	ok := true
-	wsa.Walk(q, func(n wsa.Expr) {
-		if _, isRepair := n.(*wsa.RepairKey); isRepair {
-			ok = false
-		}
-	})
-	return ok
-}

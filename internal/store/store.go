@@ -265,12 +265,13 @@ func (c *Catalog) Update(fn func(*Tx) error) error { return c.UpdateRouted(nil, 
 // snapshot and returns the snapshot's decomposition extended with the
 // answer relation (named wsa.AnswerName), plus the plan describing how
 // it ran. An empty engine name (or "wsdexec") runs the factorized
-// engine natively on the decomposition — entangling operators fall back
-// internally over the budget-guarded expansion and the enumerated
-// output is re-factorized. Any other name from the wsa engine registry
-// evaluates on the expanded world-set (budget-guarded, 0 = default) and
-// the result is re-factorized with wsd.Refactor, so the catalog stays
-// decomposed whichever engine answered.
+// engine natively on the decomposition. Any other name from the wsa
+// engine registry evaluates on the explicit worlds of the region the
+// query's relations depend on (wsd.Region, budget-guarded, 0 = default)
+// — the enumeration the factorized engine's own fallback takes — and
+// the result is re-factorized with the components outside the region
+// spliced back, so the catalog stays decomposed whichever engine
+// answered.
 func Query(snap *Snapshot, engine string, q wsa.Expr, budget int) (*wsd.DecompDB, *wsdexec.Plan, error) {
 	return QueryOpts(snap, engine, q, &wsdexec.Options{ExpandBudget: budget})
 }
@@ -303,7 +304,8 @@ func QueryOpts(snap *Snapshot, engine string, q wsa.Expr, opt *wsdexec.Options) 
 	if opt != nil {
 		budget = opt.ExpandBudget
 	}
-	ws, err := snap.DB.Expand(budget)
+	region := wsd.RegionOf(snap.DB, wsa.Relations(q), false)
+	ws, err := region.Enumerate(budget)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: engine %q needs explicit worlds: %w", engine, err)
 	}
@@ -311,7 +313,7 @@ func QueryOpts(snap *Snapshot, engine string, q wsa.Expr, opt *wsdexec.Options) 
 	if err != nil {
 		return nil, nil, err
 	}
-	db, err := wsd.Refactor(out)
+	db, _, err := region.Refactor(out)
 	if err != nil {
 		return nil, nil, err
 	}

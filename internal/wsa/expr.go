@@ -489,6 +489,17 @@ func Walk(q Expr, f func(Expr)) {
 	}
 }
 
+// Relations returns the set of base relation names q mentions.
+func Relations(q Expr) map[string]bool {
+	out := map[string]bool{}
+	Walk(q, func(n Expr) {
+		if r, ok := n.(*Rel); ok {
+			out[r.Name] = true
+		}
+	})
+	return out
+}
+
 // Size returns the number of AST nodes in q.
 func Size(q Expr) int {
 	n := 0

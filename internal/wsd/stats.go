@@ -8,7 +8,7 @@ import "math"
 // by-product of Normalize — one O(size) pass over structure Normalize
 // already walked — and are cached on the DecompDB so snapshots carry
 // them for free: the rewrite search's cardinality estimator, wsdexec's
-// join ordering and merge-vs-fallback decision, the plan cache's drift
+// join ordering, the plan cache's drift
 // check, and the /metrics per-relation gauges all read the same Stats
 // value without recomputing anything per use.
 

@@ -58,13 +58,15 @@ func TestMergeVsExpandRandomizedParity(t *testing.T) {
 	}
 }
 
-// tornDB builds a two-relation decomposition whose only entanglement
-// couples a 3-alternative component (relation R) with a 4-alternative
-// component (relation S): merge cost exactly 12.
-func tornDB(t *testing.T) (*wsd.DecompDB, wsa.Expr) {
+// tornDB builds a decomposition whose only entanglement couples a
+// 3-alternative component (relation R) with a 4-alternative component
+// (relation S) — merge cost exactly 12 — beside spect binary spectator
+// components on a relation T the query never mentions: 12·2^spect
+// worlds.
+func tornDB(t *testing.T, spect int) (*wsd.DecompDB, wsa.Expr) {
 	t.Helper()
-	names := []string{"R", "S"}
-	schemas := []relation.Schema{relation.NewSchema("A"), relation.NewSchema("B")}
+	names := []string{"R", "S", "T"}
+	schemas := []relation.Schema{relation.NewSchema("A"), relation.NewSchema("B"), relation.NewSchema("C")}
 	db := wsd.NewDecompDB(names, schemas)
 	comp := func(ri, n int) wsd.DBComponent {
 		c := wsd.DBComponent{}
@@ -76,6 +78,9 @@ func tornDB(t *testing.T) (*wsd.DecompDB, wsa.Expr) {
 		return c
 	}
 	db.Components = append(db.Components, comp(0, 3), comp(1, 4))
+	for i := 0; i < spect; i++ {
+		db.Components = append(db.Components, comp(2, 2))
+	}
 	return db, wsa.NewProduct(&wsa.Rel{Name: "R"}, &wsa.Rel{Name: "S"})
 }
 
@@ -86,7 +91,7 @@ func tornDB(t *testing.T) (*wsd.DecompDB, wsa.Expr) {
 // without the rewrite must merge the coupled components (cost 12) to
 // stay native, and cannot run natively with merging disabled.
 func TestPrelowerPushdownAvoidsMerge(t *testing.T) {
-	db, prod := tornDB(t)
+	db, prod := tornDB(t, 0)
 	q := &wsa.Select{Pred: ra.EqConst("A", value.Int(99)), From: prod}
 	ws, err := db.Expand(0)
 	if err != nil {
@@ -131,12 +136,15 @@ func TestPrelowerPushdownAvoidsMerge(t *testing.T) {
 	}
 }
 
-// TestMergeTornBudget sweeps the budget across the merge cost: exactly
-// at cost the evaluation stays native via a merge; one below, the merge
-// is refused and the fallback's Expand raises the typed *wsd.BudgetError
-// carrying the entangled-component diagnostics.
+// TestMergeTornBudget sweeps the one budget across the merge cost, on a
+// decomposition whose world count (48) is well above it: exactly at
+// cost the evaluation stays native via a merge; one below, the merge is
+// refused — no headroom — and so is the fallback, because the region it
+// enumerates holds the coupled components: the typed *wsd.BudgetError
+// reports the region's 12 combinations, not the 48 worlds, and carries
+// the entangled-component diagnostics.
 func TestMergeTornBudget(t *testing.T) {
-	db, q := tornDB(t)
+	db, q := tornDB(t, 2)
 	ws, err := db.Expand(0)
 	if err != nil {
 		t.Fatal(err)
@@ -162,25 +170,67 @@ func TestMergeTornBudget(t *testing.T) {
 		t.Fatalf("budget 12: merged result disagrees with reference\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
-	// One below: the merge is refused, and since the world count is at
-	// least the merge cost, the fallback's Expand refuses too — the
-	// error must carry the typed budget refusal plus the component ids.
+	// One below: merge and fallback are refused by the same number.
 	_, _, err = EvalOpts(q, db, &Options{ExpandBudget: 11})
-	if err == nil {
-		t.Fatal("budget 11: expected a budget refusal")
-	}
 	var be *wsd.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("budget 11: error does not wrap *wsd.BudgetError: %v", err)
+	}
+	if be.Worlds.Int64() != 12 || be.Budget != 11 {
+		t.Fatalf("budget 11: refusal reports %s worlds against budget %d, want the region's 12 against 11", be.Worlds, be.Budget)
 	}
 	for _, frag := range []string{"entangles decomposition components [0 1]", "relations [R S]", "merge cost 12"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Fatalf("budget 11: error %q lacks %q", err.Error(), frag)
 		}
 	}
+	if strings.Contains(err.Error(), "wsdexec: wsdexec:") {
+		t.Fatalf("budget 11: doubled prefix in %q", err.Error())
+	}
 
 	// NoFallback one below cost: the entangle error surfaces directly.
 	if _, _, err := EvalOpts(q, db, &Options{ExpandBudget: 11, NoFallback: true}); err == nil {
 		t.Fatal("budget 11 + NoFallback: expected an entanglement error")
+	}
+}
+
+// TestFallbackEnumeratesDependentRegion: with merging disabled the
+// product falls back, and the fallback enumerates the 12 combinations
+// of the two components R and S depend on however many spectators sit
+// beside them — at 3 spectators the result equals the reference over the
+// full expansion, at 38 (12·2^38 worlds) it still answers, and the
+// spectators come back as the components they were.
+func TestFallbackEnumeratesDependentRegion(t *testing.T) {
+	for _, spect := range []int{3, 38} {
+		db, q := tornDB(t, spect)
+		out, plan, err := EvalOpts(q, db, &Options{NoMerge: true, ExpandBudget: 12})
+		if err != nil {
+			t.Fatalf("%d spectators: %v", spect, err)
+		}
+		if plan.Native || plan.FallbackOp == "" || plan.FallbackEngine != "reference" {
+			t.Fatalf("%d spectators: expected a reference-engine fallback, got %v", spect, plan)
+		}
+		if out.Worlds().Cmp(db.Worlds()) != 0 || len(out.Components) > len(db.Components) {
+			t.Fatalf("%d spectators: output has %s worlds in %d components, input %s in %d",
+				spect, out.Worlds(), len(out.Components), db.Worlds(), len(db.Components))
+		}
+		if spect > 3 {
+			continue
+		}
+		ws, err := db.Expand(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := wsa.Eval(q, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := out.Expand(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.EqualWorlds(want) {
+			t.Fatalf("%d spectators: fallback disagrees with reference\ngot:\n%s\nwant:\n%s", spect, got, want)
+		}
 	}
 }

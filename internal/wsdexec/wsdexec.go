@@ -51,17 +51,19 @@
 //     relations already holding parts on them are promoted onto the
 //     root at their next use. Each merge is recorded in Plan.Merges.
 //
-//  2. Fall back to enumeration: when the merge cost itself exceeds the
-//     budget — or the operator cannot merge at all (choice-of and
-//     repair-by-key over uncertain answers refine worlds individually,
-//     which no finite merge expresses) — the engine enumerates the
-//     input through the guarded wsd Expand (refusing via
-//     *wsd.BudgetError beyond the budget) and delegates the query to
-//     the physical engine (or the reference evaluator when the query
-//     contains repair-by-key, which physical cannot run). The
-//     enumerated output is re-factorized with wsd.Refactor before it is
+//  2. Fall back to enumeration: when the operator cannot merge at all
+//     — choice-of and repair-by-key over uncertain answers refine
+//     worlds individually, which no finite merge expresses — the engine
+//     enumerates the region of the input the query's relations depend
+//     on (wsd.Region, refusing via *wsd.BudgetError when the region's
+//     combination count exceeds the budget) and runs the query through
+//     the reference evaluator. The enumerated output is re-factorized
+//     and the components outside the region spliced back before it is
 //     returned, so downstream statements keep working on a
-//     decomposition.
+//     decomposition and the untouched components stay factored. A merge
+//     whose cost exceeds the budget takes the same step, but can only be
+//     refused there: the region holds the coupled components, so its
+//     combination count is at least the merge cost.
 //
 // Every evaluation returns a Plan recording whether it stayed native,
 // the merges it performed, and, on fallback, the operator plus the
@@ -76,7 +78,6 @@ import (
 	"sort"
 
 	"worldsetdb/internal/obs"
-	"worldsetdb/internal/physical"
 	"worldsetdb/internal/ra"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/rewrite"
@@ -91,8 +92,8 @@ func init() {
 
 // Options tune the factorized engine.
 type Options struct {
-	// ExpandBudget caps world enumeration during fallback (and when
-	// expanding world-set-level results); 0 means
+	// ExpandBudget caps the alternatives a component merge may build and
+	// the worlds the fallback may enumerate; 0 means
 	// wsd.DefaultExpandBudget.
 	ExpandBudget int
 	// NoRewrite disables the pre-lowering rewrite pass
@@ -110,14 +111,6 @@ type Options struct {
 	// enumerate-on-entangle behavior; differential tests use it to
 	// compare the merged and expanded evaluations of one query.
 	NoMerge bool
-	// AssumeFallback, when non-empty, skips the native attempt and goes
-	// straight to the enumeration fallback as if the named operator had
-	// entangled. Plan caches use it to skip a native attempt that
-	// deterministically failed before; it must only be set while the
-	// decomposition fingerprint is unchanged since the recorded
-	// fallback — the same query on the same decomposition shape
-	// entangles (or not) identically.
-	AssumeFallback string
 	// Shards, when non-nil, maps each component index of the input
 	// decomposition to its home shard in a sharded catalog
 	// (store.Snapshot.CompShards). Per-piece parallel scans order their
@@ -157,8 +150,8 @@ type Plan struct {
 	// FallbackOp names the operator that entangled components and
 	// forced enumeration ("" when Native).
 	FallbackOp string
-	// FallbackEngine is the engine the query was delegated to
-	// ("physical" or "reference"; "" when Native).
+	// FallbackEngine is the engine that evaluated the enumerated region
+	// ("reference", or the store's engine override; "" when Native).
 	FallbackEngine string
 	// FallbackComponents and FallbackRelations identify, on fallback,
 	// the coupled component ids and the relation names they range over
@@ -277,7 +270,7 @@ func EvalOpts(q wsa.Expr, db *wsd.DecompDB, opt *Options) (*wsd.DecompDB, *Plan,
 		}
 	}
 	e := &engine{db: db, env: env, st: st, budget: opt.budget(),
-		inWorlds: plan.InputWorlds, slaved: map[int]slaveRef{}, trace: trace}
+		slaved: map[int]slaveRef{}, trace: trace}
 	if opt != nil {
 		e.shards = opt.Shards
 		e.noMerge = opt.NoMerge
@@ -285,13 +278,7 @@ func EvalOpts(q wsa.Expr, db *wsd.DecompDB, opt *Options) (*wsd.DecompDB, *Plan,
 	for _, c := range db.Components {
 		e.arity = append(e.arity, len(c.Alternatives))
 	}
-	var ans *frel
-	var err error
-	if opt != nil && opt.AssumeFallback != "" {
-		err = &entangleError{op: opt.AssumeFallback}
-	} else {
-		ans, err = e.eval(run)
-	}
+	ans, err := e.eval(run)
 	if err == nil {
 		plan.Native = true
 		plan.Merges = e.merges
@@ -321,32 +308,20 @@ func EvalOpts(q wsa.Expr, db *wsd.DecompDB, opt *Options) (*wsd.DecompDB, *Plan,
 	if opt != nil && opt.NoFallback {
 		return nil, nil, fmt.Errorf("wsdexec: fallback disabled: %w", err)
 	}
-	// Fallback: enumerate within budget and delegate to the fastest
-	// engine that can run the query.
-	plan.FallbackOp = ent.op
-	fb := trace.Child("fallback").Set("op", ent.op)
-	if len(ent.comps) > 0 {
-		fb.Set("components", fmt.Sprintf("%v", ent.comps))
-	}
+	// Fallback: enumerate the region the query's relations depend on and
+	// run the query through the reference evaluator. The rewritten form
+	// is equivalent and often cheaper, so the fallback evaluates it, not q.
+	plan.FallbackOp, plan.FallbackEngine = ent.op, "reference"
+	region := wsd.RegionOf(db, wsa.Relations(run), false)
+	fb := trace.Child("fallback").Set("op", ent.op).SetInt("components", int64(len(region.Deps)))
 	defer fb.End()
 	xp := fb.Child("expand")
-	ws, xerr := db.Expand(opt.budget())
+	ws, xerr := region.Enumerate(opt.budget())
 	xp.End()
 	if xerr != nil {
-		return nil, nil, fmt.Errorf("wsdexec: %v; the input is not enumerable: %w", ent, xerr)
+		return nil, nil, fmt.Errorf("%v; the region it depends on is not enumerable: %w", ent, xerr)
 	}
-	// The rewritten form is equivalent and often cheaper (Prelower may
-	// have eliminated the very repair-by-key that would force the
-	// reference engine), so the fallback evaluates it, not q.
-	var out *worldset.WorldSet
-	if physical.CanEval(run) {
-		plan.FallbackEngine = "physical"
-		out, err = physical.EvalWorldSet(run, ws)
-	} else {
-		plan.FallbackEngine = "reference"
-		out, err = wsa.Eval(run, ws)
-	}
-	fb.Set("engine", plan.FallbackEngine)
+	out, err := wsa.Eval(run, ws)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -354,7 +329,7 @@ func EvalOpts(q wsa.Expr, db *wsd.DecompDB, opt *Options) (*wsd.DecompDB, *Plan,
 	// permanently de-factorize a pipeline: downstream statements keep
 	// paying decomposition-size costs, not world-count costs.
 	rf := fb.Child("refactor")
-	re, err := wsd.Refactor(out)
+	re, _, err := region.Refactor(out)
 	rf.End()
 	if err != nil {
 		return nil, nil, err
@@ -394,17 +369,16 @@ type slaveRef struct {
 // choice-of, repair-by-key and bounded merging, identified by index
 // into arity), plus the slaved-component registry of performed merges.
 type engine struct {
-	db       *wsd.DecompDB
-	env      *wsa.Env
-	st       rewrite.Stats // planner statistics of db (cardinality attrs on trace spans)
-	arity    []int
-	budget   int
-	inWorlds *big.Int // input world count: the fallback's enumeration cost estimate
-	noMerge  bool     // strictly disable merging (differential ablation arm)
-	shards   []int    // component index -> home shard (Options.Shards); nil at one shard
-	slaved   map[int]slaveRef
-	merges   []MergeStep
-	trace    *obs.Span // current operator span; nil = tracing off
+	db      *wsd.DecompDB
+	env     *wsa.Env
+	st      rewrite.Stats // planner statistics of db (cardinality attrs on trace spans)
+	arity   []int
+	budget  int
+	noMerge bool  // strictly disable merging (differential ablation arm)
+	shards  []int // component index -> home shard (Options.Shards); nil at one shard
+	slaved  map[int]slaveRef
+	merges  []MergeStep
+	trace   *obs.Span // current operator span; nil = tracing off
 }
 
 // addComponent registers a fresh component with n alternatives and
@@ -483,35 +457,12 @@ func (e *engine) compRelNames(comps []int) []string {
 // combinations in the wsd.MergeComponents mixed-radix layout, recording
 // the members as slaved to the new root. It fails with a detailed
 // entangleError when the combined alternative count exceeds the
-// expansion budget — the caller propagates it and the top level falls
-// back to enumeration.
-// mergeHeadroom stretches the expansion budget for the cost-based
-// merge-vs-fallback decision: a merge up to mergeHeadroom× the budget
-// is still taken when it is strictly cheaper than what the fallback
-// would do — enumerating the whole input world-set. The budget alone
-// caps what the fallback's Expand may materialize; the merge only
-// materializes the coupled components' combinations.
-const mergeHeadroom = 4
-
-// mergeOK decides merge versus fallback: within budget always merge
-// (the pre-stats rule); beyond it, merge anyway when the cost stays
-// within the headroom and undercuts the input world count — the
-// fallback's enumeration cost — because collapsing just the dependent
-// region is then strictly less work than expanding everything (and the
-// fallback may not even be feasible). NoMerge refuses outright.
-func (e *engine) mergeOK(cost *big.Int) bool {
-	if e.noMerge || !cost.IsInt64() {
-		return false
-	}
-	if cost.Int64() <= int64(e.budget) {
-		return true
-	}
-	return cost.Int64() <= int64(e.budget)*mergeHeadroom && cost.Cmp(e.inWorlds) < 0
-}
-
+// expansion budget (or merging is disabled) — the caller propagates it
+// and the top level falls back to enumerating the dependent region.
 func (e *engine) merge(op string, comps []int) (int, error) {
 	cost := e.mergeCostBig(comps)
-	if !e.mergeOK(cost) {
+	// One number budgets merges and enumeration alike.
+	if e.noMerge || !cost.IsInt64() || cost.Int64() > int64(e.budget) {
 		return 0, &entangleError{
 			op:     op,
 			comps:  append([]int{}, comps...),
@@ -1466,8 +1417,7 @@ func (e *engine) evalGroup(n *wsa.Group, outSchema relation.Schema) (*frel, erro
 // fresh independent component with one single-tuple alternative per
 // candidate; singleton groups stay certain. The construction is linear
 // in the answer and represents ∏ |group| worlds. Uncertain answers
-// would need per-world key groups — entangled (the fallback runs the
-// reference evaluator, since the physical engine cannot repair).
+// would need per-world key groups — entangled.
 func (e *engine) evalRepair(n *wsa.RepairKey, outSchema relation.Schema) (*frel, error) {
 	sub, err := e.eval(n.From)
 	if err != nil {
