@@ -550,6 +550,8 @@ func expWSD() {
 // must enumerate. At the largest world count the physical engine can
 // still enumerate, the same certain-answer question is timed over the
 // pre-encoded inlined repair so the speedup is measured head to head.
+// In between, the selects of the serving read path: a point lookup and
+// an equality select against reading the whole table.
 func expWSDX() {
 	certQ := wsa.NewCert(&wsa.RepairKey{Attrs: []string{"SSN"}, From: &wsa.Rel{Name: "Census"}})
 	possQ := wsa.NewPoss(&wsa.RepairKey{Attrs: []string{"SSN"}, From: &wsa.Rel{Name: "Census"}})
@@ -574,6 +576,36 @@ func expWSDX() {
 		})
 		fmt.Printf("%-10d %-10d 2^%-12d %-14s %-14s %-10d\n",
 			dups, census.Len(), dups, dCert, dPoss, certLen)
+	}
+
+	// A read costs what it selects: over the stored repair view (2^40
+	// worlds), one statement each of a point lookup by key, an
+	// equality select on two columns and poss of the whole table, all
+	// prelowered once like a prepared plan. The selects probe the cached
+	// index of the certain part; the floor holds the point lookup at
+	// least 3x under reading the table.
+	{
+		db := datagen.CensusRepairDecomp(1000**scale, 40, 3)
+		env := wsa.NewEnv(db.Names, db.Schemas)
+		clean := &wsa.Rel{Name: "Clean"}
+		stmt := func(op string, q wsa.Expr) time.Duration {
+			q = rewrite.Prelower(q, env)
+			return bench("WSDX/"+op+"/dups=40", nil, func() {
+				_, plan, err := wsdexec.EvalOpts(q, db, &wsdexec.Options{NoRewrite: true, NoFallback: true})
+				must(err)
+				if !plan.Native {
+					must(fmt.Errorf("WSDX %s plan not native: %v", op, plan))
+				}
+			})
+		}
+		dPoint := stmt("point-select", wsa.NewPoss(&wsa.Select{
+			Pred: ra.EqConst("SSN", value.Int(100517)), From: clean}))
+		dEq := stmt("eq-select", wsa.NewPoss(&wsa.Project{Columns: []string{"Name"}, From: &wsa.Select{
+			Pred: ra.And{L: ra.EqConst("POB", value.Str("NYC")), R: ra.EqConst("POW", value.Str("LA"))}, From: clean}}))
+		dTable := stmt("poss-table", wsa.NewPoss(clean))
+		fmt.Printf("\n%-14s %-14s %-14s %-10s\n", "point select", "eq select", "poss(table)", "table/point")
+		fmt.Printf("%-14s %-14s %-14s %.1fx\n", dPoint, dEq, dTable, float64(dTable)/float64(dPoint))
+		acceptRatio("WSDX point select vs poss of the same table", float64(dTable)/float64(dPoint), 3)
 	}
 
 	// Head-to-head against the physical engine at enumerable scale: the

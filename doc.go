@@ -209,12 +209,21 @@
 //     decomposition (wsd.DecompDB), never expanding to worlds, so cost
 //     is polynomial in the decomposition size and independent of the
 //     world count (census repair with 2^40 worlds answers cert/poss in
-//     about a millisecond). Operators that would couple independent
-//     components merge just those components within the budget; the two
-//     no merge expresses (choice-of and repair-by-key over an uncertain
-//     answer) fall back — recorded in the returned Plan — to the
-//     reference engine over the bounded region: only the components the
-//     query's relations depend on are enumerated, the rest spliced back.
+//     about a millisecond). A read costs what it selects: base
+//     relations are read in place from the snapshot, renames share the
+//     pieces' storage, and a selection with `column = constant`
+//     conjuncts (bound $n parameters included) probes the hash index
+//     cached on each stored piece of 64 tuples or more
+//     (relation.IndexOn, relation.IndexProbeMin) and scans the rest —
+//     the index is a cache of the immutable snapshot relation, built by
+//     the first probe, kept by every commit that leaves the relation
+//     alone, never built at load or recovery. Operators that would
+//     couple independent components merge just those components within
+//     the budget; the two no merge expresses (choice-of and
+//     repair-by-key over an uncertain answer) fall back — recorded in
+//     the returned Plan — to the reference engine over the bounded
+//     region: only the components the query's relations depend on are
+//     enumerated, the rest spliced back.
 //
 // All engines share an allocation-lean hashing core: tuples, column
 // projections and whole relations hash through 64-bit FNV-1a digests
@@ -248,10 +257,12 @@
 // rewrite search (internal/rewrite) runs on a cardinality-propagating
 // cost estimator seeded by those statistics: per-class selectivity
 // defaults (0.1 equality, 0.9 inequality, 0.33 range, 0.5 otherwise),
-// join/product output estimates from input cardinalities, and world
-// growth for choice-of/repair-by-key from component arities, with the
-// world multiplier damped logarithmically — factorized evaluation's
-// work follows decomposition pieces, not worlds. The equivalence
+// join/product output estimates from input cardinalities, a selection
+// the engine will answer by index probe charged its matches instead of
+// its input, and world growth for choice-of/repair-by-key from
+// component arities, with the world multiplier damped logarithmically
+// — factorized evaluation's work follows decomposition pieces, not
+// worlds. The equivalence
 // search prunes branch-and-bound style: candidates costing more than a
 // slack factor above the best complete plan are dropped, and the
 // search stops outright once the cheapest frontier entry is past the
@@ -274,17 +285,20 @@
 // method) and lock-free atomic counters and fixed-bucket latency
 // histograms. One traced statement yields a span tree covering parse,
 // compile (with plan-cache hit/miss), the rewrite search, every
-// wsdexec operator (with component counts, merge events and their
-// costs, fallback expansion), commit staging, the group-commit queue
-// wait, the WAL fsync (with batch size) and the cross-shard 2PC
-// stages.
+// wsdexec operator (with contributing-component counts, a selection's
+// access path — access=index|scan with probed and scanned tuple counts
+// — merge events and their costs, fallback expansion), commit staging,
+// the group-commit queue wait, the WAL fsync (with batch size) and the
+// cross-shard 2PC stages.
 //
 // Three surfaces expose it. EXPLAIN ANALYZE <stmt> in I-SQL executes
 // the statement for real and renders the span tree (bare EXPLAIN
 // prints the compiled and prelowered algebra without executing).
 // isqld serves GET /metrics in Prometheus text exposition — request
-// and execution-path counters, per-shard commit-queue and WAL-fsync
-// latency histograms, and per-relation decomposition-statistics
+// and execution-path counters, selections by access path
+// (wsdb_select_index_probes_total, wsdb_select_scans_total), per-shard
+// commit-queue and WAL-fsync latency histograms, and per-relation
+// decomposition-statistics
 // gauges (certain vs alternative cardinality, components touched) —
 // validated by obs.LintProm, which cmd/promlint wires into CI against
 // the live endpoint; GET /healthz reports the shard count and last

@@ -103,8 +103,8 @@ func (s *Session) explainCompile(st Statement) (*Result, error) {
 	fmt.Fprintf(&b, "compiled: %s", q)
 	env := wsa.NewEnv(snap.DB.Names, snap.DB.Schemas)
 	stats := rewrite.StatsOf(snap.DB)
-	r := rewrite.PrelowerStats(q, env, stats, nil)
-	if !wsa.Equal(r, q) {
+	r, rewritten := rewrite.PrelowerStats(q, env, stats, nil)
+	if rewritten {
 		fmt.Fprintf(&b, "\nprelowered: %s", r)
 	}
 	// Per-operator estimated cost and cardinality under the catalog's

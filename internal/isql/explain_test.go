@@ -17,7 +17,9 @@ import (
 // trees of the statement lifecycle end to end, against a WAL-backed
 // catalog so the commit spans carry the group-commit queue wait and
 // fsync: a census-repair CTAS over 2^40 worlds (native, with the full
-// per-operator tree), a join whose entanglement resolves by one
+// per-operator tree), a point select over that view (the certain part
+// probed through its cached index, the one-tuple alternatives scanned),
+// a join whose entanglement resolves by one
 // bounded component merge, an aggregate outside the WSA fragment
 // (the bounded arm), a choice-of over an uncertain answer (the engine
 // fallback, enumerating the one component Pick1 depends on), a plain
@@ -50,6 +52,7 @@ create table Pick2 as select * from Tiny choice of V;
 	var b strings.Builder
 	for _, sql := range []string{
 		`explain analyze create table Clean as select * from Census repair by key SSN;`,
+		`explain analyze select possible Name, POB, POW from Clean where SSN = 100005;`,
 		`explain analyze select certain X.V from Pick1 X, Pick2 Y where X.V = Y.V;`,
 		`explain analyze select sum(V) as S from Pick1;`,
 		`explain analyze select certain V from Pick1 choice of V;`,

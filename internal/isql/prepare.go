@@ -2,7 +2,6 @@ package isql
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -160,7 +159,7 @@ func (p *Prepared) planFor(s *Session, snap *store.Snapshot) (wsa.Expr, error) {
 	if !ok {
 		return nil, fmt.Errorf("isql: prepared statement %q is not a select", p.Name)
 	}
-	fp := schemaFingerprint(snap)
+	fp := snap.SchemaFingerprint()
 	st := rewrite.StatsOf(snap.DB)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -176,7 +175,7 @@ func (p *Prepared) planFor(s *Session, snap *store.Snapshot) (wsa.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	q = rewrite.PrelowerStats(q, wsa.NewEnv(snap.DB.Names, snap.DB.Schemas), st, nil)
+	q, _ = rewrite.PrelowerStats(q, wsa.NewEnv(snap.DB.Names, snap.DB.Schemas), st, nil)
 	p.compiled, p.fp, p.plan, p.planStats = true, fp, q, st
 	p.compiles++
 	return q, nil
@@ -210,30 +209,6 @@ func statsDrifted(old, cur rewrite.Stats) bool {
 		}
 	}
 	return false
-}
-
-// schemaFingerprint digests everything select compilation reads from a
-// snapshot: relation names, their attribute lists, and the view
-// definitions. Data edits leave it unchanged — prepared plans survive
-// DML — while DDL and view changes move it.
-func schemaFingerprint(snap *store.Snapshot) uint64 {
-	h := fnv.New64a()
-	for i, name := range snap.DB.Names {
-		fmt.Fprintf(h, "%q(", name)
-		for _, a := range snap.DB.Schemas[i] {
-			fmt.Fprintf(h, "%q,", a)
-		}
-		h.Write([]byte{')'})
-	}
-	views := make([]string, 0, len(snap.Views))
-	for name, sql := range snap.Views {
-		views = append(views, name+"\x00"+sql)
-	}
-	sort.Strings(views)
-	for _, v := range views {
-		fmt.Fprintf(h, "%q;", v)
-	}
-	return h.Sum64()
 }
 
 // planCache returns the session's cache, creating a private one on

@@ -14,6 +14,7 @@ import (
 	"worldsetdb/internal/obs"
 	"worldsetdb/internal/rewrite"
 	"worldsetdb/internal/wsd"
+	"worldsetdb/internal/wsdexec"
 )
 
 // WithSlowQuery enables the slow-query log: every statement executes
@@ -261,6 +262,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"", rewrite.SearchPruned.Value())
 	p.Counter("wsdb_planner_replans_total", "Plan-cache recompiles triggered by decomposition-statistics drift.",
 		"", isql.PlannerReplans.Value())
+
+	// Access paths of the factorized engine's selections: how many were
+	// answered from a relation's cached hash index, how many by scanning.
+	p.Counter("wsdb_select_index_probes_total", "Selections that probed a cached relation index on at least one piece.",
+		"", wsdexec.SelectIndexProbes.Value())
+	p.Counter("wsdb_select_scans_total", "Selections that scanned every piece.",
+		"", wsdexec.SelectScans.Value())
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(p.Bytes())

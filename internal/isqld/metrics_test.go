@@ -112,6 +112,8 @@ insert into Audit values ('b', 2);
 		"wsdb_checkpoint_age_seconds",
 		"wsdb_shard_disk_bytes",
 		"wsdb_wal_tail_records",
+		"wsdb_select_index_probes_total",
+		"wsdb_select_scans_total",
 	} {
 		if !obs.HasSeries(data, series) {
 			t.Errorf("missing required series %s", series)

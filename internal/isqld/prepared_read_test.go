@@ -1,0 +1,73 @@
+package isqld
+
+import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"worldsetdb/internal/datagen"
+	"worldsetdb/internal/store"
+)
+
+// benchPrepares are the three prepared fragment selects of the bench/
+// read path (bench/workload.go), over the same catalog.
+const benchPrepares = `prepare poss_by_pob_pow as select possible Name from Clean where POB = $1 and POW = $2;
+prepare cert_by_pow_pob as select certain Name from Clean where POW = $1 and POB = $2;
+prepare by_ssn as select possible Name, POB, POW from Clean where SSN = $1;`
+
+// preparedReadHandler serves CensusRepairDecomp(1000, 40, 1) — 2^40
+// worlds — with the bench statements prepared, and returns a function
+// posting one /execute straight at the handler (no network, so the
+// allocation count is the server's own).
+func preparedReadHandler(t testing.TB) func(call string) string {
+	t.Helper()
+	srv := New(store.New(datagen.CensusRepairDecomp(1000, 40, 1)))
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	do := func(path, body string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %q: status %d\n%s", path, body, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	do("/prepare", benchPrepares)
+	return func(call string) string { return do("/execute", call) }
+}
+
+var preparedReadCalls = []struct{ name, call string }{
+	{"poss", "poss_by_pob_pow('NYC', 'LA')"},
+	{"cert", "cert_by_pow_pob('LA', 'NYC')"},
+	{"by-ssn", fmt.Sprintf("by_ssn(%d)", 100000+517)},
+}
+
+// TestPreparedReadAllocCeiling pins the allocation count of one prepared
+// /execute over the 2^40-world census: a read that copies the table
+// before selecting from it costs 2.4–2.8k allocations, one that reads
+// the catalog pieces in place stays under 900.
+func TestPreparedReadAllocCeiling(t *testing.T) {
+	execute := preparedReadHandler(t)
+	for _, c := range preparedReadCalls {
+		if out := execute(c.call); !strings.Contains(out, "answer") {
+			t.Fatalf("%s: no answer:\n%s", c.name, out)
+		}
+		if got := testing.AllocsPerRun(50, func() { execute(c.call) }); got > 900 {
+			t.Errorf("%s: %.0f allocations per /execute, ceiling 900", c.name, got)
+		}
+	}
+}
+
+func BenchmarkPreparedRead(b *testing.B) {
+	execute := preparedReadHandler(b)
+	for _, c := range preparedReadCalls {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				execute(c.call)
+			}
+		})
+	}
+}

@@ -59,8 +59,11 @@ type Lit struct {
 // Schema implements Expr.
 func (l *Lit) Schema(Catalog) (relation.Schema, error) { return l.Rel.Schema(), nil }
 
-// Eval implements Expr.
-func (l *Lit) Eval(DB) (*relation.Relation, error) { return l.Rel.Clone(), nil }
+// Eval implements Expr. Like Base.Eval it returns the relation itself,
+// not a copy — relations are immutable once shared and every operator
+// allocates its own result — so an index cached on the literal by one
+// join (relation.IndexOn) serves the next.
+func (l *Lit) Eval(DB) (*relation.Relation, error) { return l.Rel, nil }
 
 func (l *Lit) String() string {
 	if l.Label != "" {

@@ -2,7 +2,7 @@ package relation
 
 import (
 	"strconv"
-	"strings"
+	"sync"
 )
 
 // This file implements the shared hash-index machinery used by the
@@ -54,28 +54,56 @@ func (ix *Index) Lookup(probe Tuple, probeCols []int) []Tuple {
 	return bucket
 }
 
-// IndexOn returns a hash index of r on the columns at cols, building it
-// on first use and caching it on the relation. The cache makes repeated
-// joins against the same base table (translated Figure 6 plans probe the
-// world table dozens of times) cost one build. The cached index is
-// dropped if the relation is mutated; safe for concurrent readers.
-func (r *Relation) IndexOn(cols []int) *Index {
-	var sig strings.Builder
-	for _, c := range cols {
-		sig.WriteString(strconv.Itoa(c))
-		sig.WriteByte(',')
+// IndexProbeMin is the smallest relation worth reading through a cached
+// IndexOn index instead of scanning: below it a scan costs less than the
+// cache lookup plus the probe, and the index would only hold memory.
+// The factorized engine's selection picks its access path per piece by
+// this constant, and the planner's estimator prices selections by it.
+const IndexProbeMin = 64
+
+// indexCache holds the IndexOn indexes of one row storage, keyed by the
+// column list. A relation and its WithSchema siblings share one.
+type indexCache struct {
+	mu     sync.Mutex
+	byCols map[string]*Index
+}
+
+// indexCache returns r's index cache, attaching an empty one on first
+// use.
+func (r *Relation) indexCache() *indexCache {
+	if c := r.ix.Load(); c != nil {
+		return c
 	}
-	key := sig.String()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ix, ok := r.indexes[key]; ok {
+	r.ix.CompareAndSwap(nil, &indexCache{})
+	return r.ix.Load()
+}
+
+// IndexOn returns a hash index of r on the columns at cols, building it
+// on first use and caching it on the relation — and on every relation
+// sharing r's rows through WithSchema. The cache makes repeated joins
+// and selections against the same base table cost one build: relations
+// of a published catalog snapshot are immutable, so their indexes live
+// as long as the snapshot's relations do, carried by every copy-on-write
+// commit that leaves the relation alone. The cached index is dropped if
+// the relation is mutated; safe for concurrent readers (concurrent first
+// probes build once).
+func (r *Relation) IndexOn(cols []int) *Index {
+	var sig []byte
+	for _, c := range cols {
+		sig = strconv.AppendInt(sig, int64(c), 10)
+		sig = append(sig, ',')
+	}
+	c := r.indexCache()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ix, ok := c.byCols[string(sig)]; ok {
 		return ix
 	}
 	ix := BuildIndex(r, cols)
-	if r.indexes == nil {
-		r.indexes = make(map[string]*Index)
+	if c.byCols == nil {
+		c.byCols = map[string]*Index{}
 	}
-	r.indexes[key] = ix
+	c.byCols[string(sig)] = ix
 	return ix
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"worldsetdb/internal/hashkey"
 	"worldsetdb/internal/value"
@@ -149,7 +150,11 @@ type Relation struct {
 	ckValid bool
 	chash   uint64
 	chValid bool
-	indexes map[string]*Index
+	// ix caches the IndexOn indexes. An index depends on the rows and on
+	// column positions only, never on attribute names, so the WithSchema
+	// siblings of a relation share one cache: an index built through any
+	// rename of a catalog relation is found through every other.
+	ix atomic.Pointer[indexCache]
 }
 
 // New returns an empty relation over the given schema.
@@ -178,12 +183,14 @@ func (r *Relation) Empty() bool { return r.n == 0 }
 
 // invalidate drops memoized caches after a mutation.
 func (r *Relation) invalidate() {
-	if r.ckValid || r.chValid || r.indexes != nil {
+	if r.ckValid || r.chValid {
 		r.mu.Lock()
 		r.ck, r.ckValid = "", false
 		r.chash, r.chValid = 0, false
-		r.indexes = nil
 		r.mu.Unlock()
+	}
+	if r.ix.Load() != nil {
+		r.ix.Store(nil) // detach, not clear: the cache may be shared with siblings
 	}
 }
 
@@ -301,12 +308,15 @@ func (r *Relation) Clone() *Relation {
 
 // WithSchema returns a relation with the same rows but attribute names
 // replaced by the given schema (same arity). Used for renaming. The
-// result shares row storage with r; neither may be mutated afterwards.
+// result shares row storage and the IndexOn cache with r; neither may
+// be mutated afterwards.
 func (r *Relation) WithSchema(s Schema) *Relation {
 	if len(s) != len(r.schema) {
 		panic("relation: WithSchema arity mismatch")
 	}
-	return &Relation{schema: s, rows: r.rows, n: r.n}
+	out := &Relation{schema: s, rows: r.rows, n: r.n}
+	out.ix.Store(r.indexCache())
+	return out
 }
 
 // Equal reports set equality of tuples and order-sensitive schema

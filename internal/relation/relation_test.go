@@ -3,6 +3,7 @@ package relation
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -176,6 +177,44 @@ func TestWithSchemaSharesRows(t *testing.T) {
 	v := r.WithSchema(NewSchema("B"))
 	if v.Len() != 1 || !v.Schema().Equal(Schema{"B"}) {
 		t.Error("WithSchema should keep rows and swap names")
+	}
+}
+
+// TestWithSchemaSharesIndexCache: a relation and its renames share one
+// IndexOn cache — concurrent first probes through different renames
+// build one index — and a mutation detaches the mutated relation from
+// it instead of clearing it under its siblings.
+func TestWithSchemaSharesIndexCache(t *testing.T) {
+	r := New(NewSchema("A", "B"))
+	for i := int64(0); i < 100; i++ {
+		r.Insert(tup(i, i%7))
+	}
+	var wg sync.WaitGroup
+	got := make([]*Index, 8)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = r.WithSchema(NewSchema("X", "Y")).IndexOn([]int{1})
+		}(g)
+	}
+	wg.Wait()
+	want := r.IndexOn([]int{1})
+	for g, ix := range got {
+		if ix != want {
+			t.Fatalf("goroutine %d built its own index", g)
+		}
+	}
+	if n := len(want.Lookup(tup(3), nil)); n != 14 {
+		t.Fatalf("lookup by constant key: %d rows, want 14", n)
+	}
+	c := r.Clone()
+	c.Insert(tup(1000, 3))
+	if n := len(c.IndexOn([]int{1}).Lookup(tup(3), nil)); n != 15 {
+		t.Fatalf("index of the mutated copy: %d rows, want 15", n)
+	}
+	if r.IndexOn([]int{1}) != want {
+		t.Fatal("mutating a copy dropped the original's index")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"worldsetdb/internal/ra"
+	"worldsetdb/internal/relation"
 	"worldsetdb/internal/wsa"
 	"worldsetdb/internal/wsd"
 )
@@ -96,6 +97,44 @@ func selectivity(p ra.Pred) float64 {
 	return selDefault
 }
 
+// probedTable mirrors the factorized engine's access-path choice
+// (wsdexec's selection): a σ with a `column = constant` conjunct — a
+// parameter slot counts, it is a constant by the time the plan runs —
+// directly over a base relation, renames aside, probes the cached hash
+// index of every stored piece of at least relation.IndexProbeMin
+// tuples. The statistics know one piece's size, the certain part; it
+// returns that relation's statistics when the certain part qualifies.
+func probedTable(n *wsa.Select, st Stats) (TableStat, bool) {
+	from := n.From
+	for {
+		r, ok := from.(*wsa.Rename)
+		if !ok {
+			break
+		}
+		from = r.From
+	}
+	rel, ok := from.(*wsa.Rel)
+	if !ok {
+		return TableStat{}, false
+	}
+	t, ok := st[rel.Name]
+	if !ok || t.Certain < relation.IndexProbeMin || !hasEqConst(n.Pred) {
+		return TableStat{}, false
+	}
+	return t, true
+}
+
+// hasEqConst reports a `column = constant` comparison among the
+// predicate's top-level conjuncts.
+func hasEqConst(p ra.Pred) bool {
+	for _, c := range conjuncts(p, nil) {
+		if n, ok := c.(ra.Cmp); ok && n.Op == ra.OpEq && n.Left.IsCol != n.Right.IsCol {
+			return true
+		}
+	}
+	return false
+}
+
 func clamp(x float64) float64 {
 	if x > costCeil {
 		return costCeil
@@ -144,10 +183,17 @@ func estimateOn(q wsa.Expr, st Stats) estimate {
 		return estimate{card: card, worlds: 1, cost: card}
 	case *wsa.Select:
 		in := estimateOn(n.From, st)
+		sel := selectivity(n.Pred)
+		// A scan visits every input tuple; an index probe visits the
+		// matches of the certain part and scans only the alternatives.
+		visited := in.card
+		if t, ok := probedTable(n, st); ok {
+			visited -= t.Certain * (1 - sel)
+		}
 		return estimate{
-			card:   clamp(in.card * selectivity(n.Pred)),
+			card:   clamp(in.card * sel),
 			worlds: in.worlds,
-			cost:   clamp(in.cost + in.card*wfac(in.worlds)),
+			cost:   clamp(in.cost + visited*wfac(in.worlds)),
 		}
 	case *wsa.Project:
 		in := estimateOn(n.From, st)

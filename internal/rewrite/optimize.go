@@ -213,16 +213,22 @@ func Optimize(q wsa.Expr, env *wsa.Env, completeInput bool) (wsa.Expr, []Step) {
 // and every selection evaluated before a ×/⋈/∩/− shrinks the operand
 // a merge would have to cover.
 func Prelower(q wsa.Expr, env *wsa.Env) wsa.Expr {
-	return PrelowerStats(q, env, nil, nil)
+	out, _ := PrelowerStats(q, env, nil, nil)
+	return out
 }
 
 // PrelowerStats is Prelower with the search's cost model seeded by
 // decomposition statistics (the compile-time half of cost-based
 // planning) and the search effort reported into search (may be nil).
-func PrelowerStats(q wsa.Expr, env *wsa.Env, st Stats, search *SearchStats) wsa.Expr {
-	out, _ := OptimizeOpts(PushSelections(q, env), env, false,
+// It also reports whether the plan it returns differs from q: the
+// pushdown moved something or the search took at least one step (no
+// equivalence lifts a selection back above the operator it was pushed
+// below, so the two cannot cancel).
+func PrelowerStats(q wsa.Expr, env *wsa.Env, st Stats, search *SearchStats) (wsa.Expr, bool) {
+	pushed, changed := pushSelections(q, env)
+	out, steps := OptimizeOpts(pushed, env, false,
 		&Options{MaxExpansions: 200, MaxSize: 60, Stats: st, Search: search})
-	return out
+	return out, changed || len(steps) > 0
 }
 
 // PushSelections deterministically pushes selection conjuncts below the
@@ -238,7 +244,16 @@ func PrelowerStats(q wsa.Expr, env *wsa.Env, st Stats, search *SearchStats) wsa.
 // normalization, not a cost decision — the rewrite never increases
 // per-tuple predicate work, so it always applies.
 func PushSelections(q wsa.Expr, env *wsa.Env) wsa.Expr {
+	out, _ := pushSelections(q, env)
+	return out
+}
+
+// pushSelections is PushSelections, also reporting whether any
+// operator moved (the walk rebuilds every node, so pointer identity
+// cannot tell).
+func pushSelections(q wsa.Expr, env *wsa.Env) (wsa.Expr, bool) {
 	ctx := &Context{Env: env}
+	changed := false
 	var walk func(q wsa.Expr) wsa.Expr
 	walk = func(q wsa.Expr) wsa.Expr {
 		if cs := children(q); len(cs) > 0 {
@@ -249,7 +264,11 @@ func PushSelections(q wsa.Expr, env *wsa.Env) wsa.Expr {
 			q = withChildren(q, nc)
 		}
 		if p, ok := q.(*wsa.Project); ok {
-			return pushProject(ctx, p)
+			out := pushProject(ctx, p)
+			if out != wsa.Expr(p) {
+				changed = true
+			}
+			return out
 		}
 		s, ok := q.(*wsa.Select)
 		if !ok {
@@ -259,6 +278,7 @@ func PushSelections(q wsa.Expr, env *wsa.Env) wsa.Expr {
 		case *wsa.Select:
 			// σ_a(σ_b(q)) = σ_{a∧b}(q): fuse so conjuncts trapped
 			// behind an inner selection still reach the split below.
+			changed = true
 			return walk(&wsa.Select{Pred: ra.And{L: s.Pred, R: n.Pred}, From: n.From})
 		case *wsa.BinOp:
 			switch n.Kind {
@@ -267,12 +287,15 @@ func PushSelections(q wsa.Expr, env *wsa.Env) wsa.Expr {
 				if l == nil && r == nil {
 					return q
 				}
+				changed = true
 				out := wsa.NewProduct(wrapSelect(n.L, l), wrapSelect(n.R, r))
 				return walk(wrapSelect(out, rest))
 			case wsa.OpIntersect:
+				changed = true
 				return wsa.NewIntersect(walk(&wsa.Select{Pred: s.Pred, From: n.L}),
 					walk(&wsa.Select{Pred: s.Pred, From: n.R}))
 			case wsa.OpDiff:
+				changed = true
 				return wsa.NewDiff(walk(&wsa.Select{Pred: s.Pred, From: n.L}), n.R)
 			}
 		case *wsa.Join:
@@ -280,12 +303,13 @@ func PushSelections(q wsa.Expr, env *wsa.Env) wsa.Expr {
 			if l == nil && r == nil {
 				return q
 			}
+			changed = true
 			return &wsa.Join{L: wrapSelect(n.L, l), R: wrapSelect(n.R, r),
 				Pred: andAll(append(conjuncts(n.Pred, nil), rest...))}
 		}
 		return q
 	}
-	return walk(q)
+	return walk(q), changed
 }
 
 // pushProject distributes a projection over a product when the column

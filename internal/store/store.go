@@ -55,6 +55,8 @@ package store
 
 import (
 	"fmt"
+	"hash/fnv"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -90,6 +92,39 @@ type Snapshot struct {
 	// where the writer left off — WAL page-delta records address
 	// components by ID, so replay must reproduce the same assignments.
 	compID uint64
+
+	// fp memoizes SchemaFingerprint.
+	fpOnce sync.Once
+	fp     uint64
+}
+
+// SchemaFingerprint digests everything select compilation reads from a
+// snapshot: relation names, their attribute lists, and the view
+// definitions. Data edits leave it unchanged — prepared plans survive
+// DML — while DDL and view changes move it. The snapshot is immutable,
+// so the digest is computed on first use and a plan-cache hit costs the
+// same however many relations the catalog holds.
+func (s *Snapshot) SchemaFingerprint() uint64 {
+	s.fpOnce.Do(func() {
+		h := fnv.New64a()
+		for i, name := range s.DB.Names {
+			fmt.Fprintf(h, "%q(", name)
+			for _, a := range s.DB.Schemas[i] {
+				fmt.Fprintf(h, "%q,", a)
+			}
+			h.Write([]byte{')'})
+		}
+		views := make([]string, 0, len(s.Views))
+		for name, sql := range s.Views {
+			views = append(views, name+"\x00"+sql)
+		}
+		sort.Strings(views)
+		for _, v := range views {
+			fmt.Fprintf(h, "%q;", v)
+		}
+		s.fp = h.Sum64()
+	})
+	return s.fp
 }
 
 // Stats returns the decomposition statistics of the snapshot's backing

@@ -27,6 +27,11 @@ type frel struct {
 	// entry may be nil (that alternative contributes nothing). When a
 	// component id is present the slice has exactly arity(c) entries.
 	parts map[int][]*relation.Relation
+	// stored marks pieces that are catalog relations (or renames sharing
+	// their storage): immutable for the life of the snapshot, so an index
+	// cached on one (relation.IndexOn) serves every later statement.
+	// Pieces an operator computed live for one evaluation only.
+	stored bool
 }
 
 func newFrel(schema relation.Schema) *frel {

@@ -79,44 +79,87 @@ func reorderChain(leaves []wsa.Expr, st rewrite.Stats, env *wsa.Env) (wsa.Expr, 
 // reorderProducts walks the plan and reorders every maximal product
 // chain of three or more pieces by estimated cardinality, recursing
 // into the pieces themselves first (selections already pushed below the
-// chain by Prelower are part of the leaf estimates).
-func reorderProducts(q wsa.Expr, st rewrite.Stats, env *wsa.Env) wsa.Expr {
+// chain by Prelower are part of the leaf estimates). It reports whether
+// any chain moved; a subtree in which none did is returned as is, so a
+// plan without product chains costs one walk and no allocation.
+func reorderProducts(q wsa.Expr, st rewrite.Stats, env *wsa.Env) (wsa.Expr, bool) {
 	switch n := q.(type) {
 	case *wsa.Select:
-		return &wsa.Select{Pred: n.Pred, From: reorderProducts(n.From, st, env)}
+		if from, ok := reorderProducts(n.From, st, env); ok {
+			return &wsa.Select{Pred: n.Pred, From: from}, true
+		}
 	case *wsa.Project:
-		return &wsa.Project{Columns: n.Columns, From: reorderProducts(n.From, st, env)}
+		if from, ok := reorderProducts(n.From, st, env); ok {
+			return &wsa.Project{Columns: n.Columns, From: from}, true
+		}
 	case *wsa.Rename:
-		return &wsa.Rename{Pairs: n.Pairs, From: reorderProducts(n.From, st, env)}
+		if from, ok := reorderProducts(n.From, st, env); ok {
+			return &wsa.Rename{Pairs: n.Pairs, From: from}, true
+		}
 	case *wsa.Choice:
-		return &wsa.Choice{Attrs: n.Attrs, From: reorderProducts(n.From, st, env)}
+		if from, ok := reorderProducts(n.From, st, env); ok {
+			return &wsa.Choice{Attrs: n.Attrs, From: from}, true
+		}
 	case *wsa.Group:
-		return &wsa.Group{Kind: n.Kind, GroupBy: n.GroupBy, Proj: n.Proj,
-			From: reorderProducts(n.From, st, env)}
+		if from, ok := reorderProducts(n.From, st, env); ok {
+			return &wsa.Group{Kind: n.Kind, GroupBy: n.GroupBy, Proj: n.Proj, From: from}, true
+		}
 	case *wsa.Close:
-		return &wsa.Close{Kind: n.Kind, From: reorderProducts(n.From, st, env)}
+		if from, ok := reorderProducts(n.From, st, env); ok {
+			return &wsa.Close{Kind: n.Kind, From: from}, true
+		}
 	case *wsa.RepairKey:
-		return &wsa.RepairKey{Attrs: n.Attrs, From: reorderProducts(n.From, st, env)}
+		if from, ok := reorderProducts(n.From, st, env); ok {
+			return &wsa.RepairKey{Attrs: n.Attrs, From: from}, true
+		}
 	case *wsa.Join:
-		return &wsa.Join{L: reorderProducts(n.L, st, env),
-			R: reorderProducts(n.R, st, env), Pred: n.Pred}
+		l, lok := reorderProducts(n.L, st, env)
+		r, rok := reorderProducts(n.R, st, env)
+		if lok || rok {
+			return &wsa.Join{L: l, R: r, Pred: n.Pred}, true
+		}
 	case *wsa.BinOp:
 		if n.Kind != wsa.OpProduct {
-			return &wsa.BinOp{Kind: n.Kind, L: reorderProducts(n.L, st, env),
-				R: reorderProducts(n.R, st, env)}
+			l, lok := reorderProducts(n.L, st, env)
+			r, rok := reorderProducts(n.R, st, env)
+			if lok || rok {
+				return &wsa.BinOp{Kind: n.Kind, L: l, R: r}, true
+			}
+			return q, false
 		}
 		leaves := productChain(n)
+		changed := false
 		for i, l := range leaves {
-			leaves[i] = reorderProducts(l, st, env)
+			var ok bool
+			leaves[i], ok = reorderProducts(l, st, env)
+			changed = changed || ok
 		}
 		if out, ok := reorderChain(leaves, st, env); ok {
-			return out
+			return out, true
+		}
+		if !changed && leftDeep(n) {
+			return q, false
 		}
 		chain := leaves[0]
 		for _, l := range leaves[1:] {
 			chain = &wsa.BinOp{Kind: wsa.OpProduct, L: chain, R: l}
 		}
-		return chain
+		return chain, true
 	}
-	return q
+	return q, false
+}
+
+// leftDeep reports whether the product chain rooted at n already has
+// the shape the rebuild produces: no right operand is itself a product.
+func leftDeep(n *wsa.BinOp) bool {
+	for {
+		if r, ok := n.R.(*wsa.BinOp); ok && r.Kind == wsa.OpProduct {
+			return false
+		}
+		l, ok := n.L.(*wsa.BinOp)
+		if !ok || l.Kind != wsa.OpProduct {
+			return true
+		}
+		n = l
+	}
 }

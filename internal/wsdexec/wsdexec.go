@@ -12,12 +12,24 @@
 // # Evaluation
 //
 // Every subquery evaluates to a factored relation (see frel): certain
-// tuples plus per-component, per-alternative extras. Selections,
-// projections and renames map over the pieces (component-parallel on
-// the worker pool of relation/pool.go, with a slot-deterministic
-// merge); unions merge pieces; products hash-join certain and
-// alternative partitions through the cached indexes of
-// relation.IndexOn; intersections and differences combine per-tuple
+// tuples plus per-component, per-alternative extras. A base relation's
+// pieces are the catalog's own relations, read in place — nothing is
+// copied to be looked at. A rename changes the schema of each piece and
+// shares its row storage and its index cache (relation.WithSchema); a
+// projection maps over the pieces with column positions resolved once;
+// a selection probes or scans piece by piece (evalSelect): the
+// predicate's `column = constant` conjuncts are looked up in the cached
+// hash index (relation.IndexOn) of every stored piece — a catalog
+// relation, possibly renamed — of at least relation.IndexProbeMin (64)
+// tuples, smaller and computed pieces are scanned, and the compiled
+// predicate filters whatever either path visits. None of the three
+// materializes an empty part, so an operator's output is proportional
+// to what it kept. (Pieces map component-parallel on the worker pool of
+// relation/pool.go, with a slot-deterministic merge.) Unions merge
+// pieces; products hash-join certain and alternative partitions, and
+// because operands reach the join uncopied, the index it builds on a
+// stored piece is cached on the snapshot's relation and reused by the
+// next statement; intersections and differences combine per-tuple
 // presence conditions; poss and cert are component-local scans;
 // choice-of and repair-by-key on certain inputs split fresh components;
 // group-worlds-by aggregates per alternative when the answer depends on
@@ -74,13 +86,16 @@ package wsdexec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"sort"
+	"sync/atomic"
 
 	"worldsetdb/internal/obs"
 	"worldsetdb/internal/ra"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/rewrite"
+	"worldsetdb/internal/value"
 	"worldsetdb/internal/worldset"
 	"worldsetdb/internal/wsa"
 	"worldsetdb/internal/wsd"
@@ -257,17 +272,13 @@ func EvalOpts(q wsa.Expr, db *wsd.DecompDB, opt *Options) (*wsd.DecompDB, *Plan,
 	run := q
 	if opt == nil || !opt.NoRewrite {
 		rw := trace.Child("rewrite.prelower")
-		if r := rewrite.PrelowerStats(q, env, st, &plan.Search); !wsa.Equal(r, q) {
-			run, plan.Rewritten = r, true
-		}
+		run, plan.Rewritten = rewrite.PrelowerStats(q, env, st, &plan.Search)
 		rw.Set("rewritten", fmt.Sprintf("%v", plan.Rewritten)).
 			SetInt("expanded", int64(plan.Search.Expanded)).
 			SetInt("pruned", int64(plan.Search.Pruned)).End()
 	}
 	if opt == nil || !opt.NoReorder {
-		if r := reorderProducts(run, st, env); !wsa.Equal(r, run) {
-			run, plan.Reordered = r, true
-		}
+		run, plan.Reordered = reorderProducts(run, st, env)
 	}
 	e := &engine{db: db, env: env, st: st, budget: opt.budget(),
 		slaved: map[int]slaveRef{}, trace: trace}
@@ -538,7 +549,10 @@ func (e *engine) promote(f *frel) {
 }
 
 // buildOutput assembles the extended decomposition ⟨R1, …, Rk, $ans⟩
-// from the input and the answer's factored form. Components slaved to a
+// from the input and the answer's factored form, sharing the input's
+// relations and the alternatives of every component the answer does not
+// extend (the output must be edited copy-on-write, like any
+// decomposition a snapshot published). Components slaved to a
 // merge root are omitted: the root's alternatives re-emit their
 // relation contributions at the member alternative each combined choice
 // selects, so the output represents exactly the input world-set (merged
@@ -565,6 +579,14 @@ func (e *engine) buildOutput(ans *frel) *wsd.DecompDB {
 	}
 	for ci, m := range e.arity {
 		if _, slaved := e.slaved[ci]; slaved {
+			continue
+		}
+		if ci < len(e.db.Components) && len(members[ci]) == 0 && ans.parts[ci] == nil {
+			// The answer has no part in this component and no merge
+			// touched it: the output shares its alternatives with the
+			// input (every component, for a closed poss/cert query).
+			out.Components = append(out.Components,
+				wsd.DBComponent{Alternatives: e.db.Components[ci].Alternatives})
 			continue
 		}
 		comp := wsd.DBComponent{Alternatives: make([]wsd.DBAlternative, m)}
@@ -645,7 +667,7 @@ func opName(q wsa.Expr) string {
 
 // eval wraps the recursive evaluator with per-operator tracing: when a
 // trace is attached, each operator gets a child span annotated with the
-// components its factored result ranges over; merges performed inside
+// components contributing to its factored result; merges performed inside
 // the operator land as events on its span. The nil-trace path is one
 // pointer test on top of evalNode.
 func (e *engine) eval(q wsa.Expr) (*frel, error) {
@@ -658,11 +680,7 @@ func (e *engine) eval(q wsa.Expr) (*frel, error) {
 	out, err := e.evalNode(q)
 	e.trace = parent
 	if err == nil && out != nil {
-		comps := 0
-		for range out.parts {
-			comps++
-		}
-		sp.SetInt("components", int64(comps))
+		sp.SetInt("components", int64(len(out.uncertainComps())))
 		// Estimated versus actual cardinality, for EXPLAIN ANALYZE's
 		// plan-quality readout: est_rows is the planner's per-world
 		// estimate, rows the stored tuples across the factored pieces.
@@ -687,7 +705,7 @@ func (e *engine) evalNode(q wsa.Expr) (*frel, error) {
 		if i < 0 {
 			return nil, fmt.Errorf("wsdexec: unknown relation %q", n.Name)
 		}
-		out := &frel{schema: outSchema, cert: e.db.Certain[i], parts: map[int][]*relation.Relation{}}
+		out := &frel{schema: outSchema, cert: e.db.Certain[i], parts: map[int][]*relation.Relation{}, stored: true}
 		for ci, c := range e.db.Components {
 			for a, alt := range c.Alternatives {
 				if r := alt.Rel(i); r != nil && r.Len() > 0 {
@@ -698,37 +716,36 @@ func (e *engine) evalNode(q wsa.Expr) (*frel, error) {
 		return out, nil
 
 	case *wsa.Select:
-		// Every piece of a factored relation shares one schema, so the
-		// predicate compiles once (attribute resolution is string-heavy)
-		// and the compiled filter maps over the pieces.
-		return e.mapUnaryPrep(n.From, outSchema, func(s relation.Schema) (func(*relation.Relation) (*relation.Relation, error), error) {
-			pred, err := n.Pred.Compile(s)
+		return e.evalSelect(n, outSchema)
+
+	case *wsa.Project:
+		// Column positions resolve once; every piece projects by them.
+		return e.mapPieces(n.From, outSchema, func(sub *frel) (func(*relation.Relation) *relation.Relation, error) {
+			idx, err := sub.schema.Indexes(n.Columns)
 			if err != nil {
 				return nil, err
 			}
-			return func(r *relation.Relation) (*relation.Relation, error) {
-				if !r.Schema().Equal(s) { // defensive: piece with a divergent schema
-					return (&ra.Select{Pred: n.Pred, From: &ra.Lit{Rel: r}}).Eval(nil)
-				}
-				out := relation.New(r.Schema())
-				r.Each(func(t relation.Tuple) {
-					if pred(t) {
-						out.Insert(t)
-					}
-				})
-				return out, nil
-			}, nil
-		})
-
-	case *wsa.Project:
-		return e.mapUnary(n.From, outSchema, func(r *relation.Relation) (*relation.Relation, error) {
-			return ra.ProjectNames(&ra.Lit{Rel: r}, n.Columns...).Eval(nil)
+			return func(r *relation.Relation) *relation.Relation { return r.Project(idx, outSchema) }, nil
 		})
 
 	case *wsa.Rename:
-		return e.mapUnary(n.From, outSchema, func(r *relation.Relation) (*relation.Relation, error) {
-			return (&ra.Rename{Pairs: n.Pairs, From: &ra.Lit{Rel: r}}).Eval(nil)
-		})
+		// A rename is a schema change: every piece keeps its row storage
+		// and its index cache (relation.WithSchema), so a selection above
+		// still finds the indexes of the catalog relation underneath.
+		sub, err := e.eval(n.From)
+		if err != nil {
+			return nil, err
+		}
+		out := &frel{schema: outSchema, cert: sub.cert.WithSchema(outSchema),
+			parts: make(map[int][]*relation.Relation, len(sub.parts)), stored: sub.stored}
+		for c, alts := range sub.parts {
+			for a, p := range alts {
+				if p != nil && p.Len() > 0 {
+					out.setPart(c, len(alts), a, p.WithSchema(outSchema))
+				}
+			}
+		}
+		return out, nil
 
 	case *wsa.BinOp:
 		switch n.Kind {
@@ -759,31 +776,157 @@ func (e *engine) evalNode(q wsa.Expr) (*frel, error) {
 	return nil, fmt.Errorf("wsdexec: unknown operator %T", q)
 }
 
-// mapUnary evaluates the subquery and maps fn over every piece of its
-// factored form — selections, projections and renames distribute over
-// the union defining the represented instances. Pieces map in parallel
-// on the shared worker pool; results land in per-slot output cells, so
-// the merge is deterministic regardless of scheduling.
-func (e *engine) mapUnary(from wsa.Expr, outSchema relation.Schema,
-	fn func(*relation.Relation) (*relation.Relation, error)) (*frel, error) {
-	return e.mapUnaryPrep(from, outSchema,
-		func(relation.Schema) (func(*relation.Relation) (*relation.Relation, error), error) {
-			return fn, nil
-		})
+// SelectIndexProbes and SelectScans count the selections the engine
+// evaluated by access path: a selection counts as an index probe when
+// at least one piece was answered from a cached relation.IndexOn index,
+// as a scan otherwise — exported at isqld /metrics as
+// wsdb_select_index_probes_total and wsdb_select_scans_total.
+var SelectIndexProbes, SelectScans obs.Counter
+
+// evalSelect is σ: one operator with two access paths, chosen per piece.
+// The predicate's `column = constant` conjuncts (bound $n slots are
+// constants by now) form a probe key; a stored piece — a catalog
+// relation, possibly renamed — of at least relation.IndexProbeMin tuples
+// is read through its cached hash index on those columns, every other
+// piece is scanned. Either way the whole compiled predicate decides
+// membership, so the probe only narrows what it is applied to. The index
+// is a cache on the snapshot's immutable relation: built by the first
+// probe, shared by every later one, carried by commits that leave the
+// relation alone, gone with the last snapshot holding it.
+func (e *engine) evalSelect(n *wsa.Select, outSchema relation.Schema) (*frel, error) {
+	var indexed atomic.Bool
+	var probed, scanned atomic.Int64
+	out, err := e.mapPieces(n.From, outSchema, func(sub *frel) (func(*relation.Relation) *relation.Relation, error) {
+		pred, err := n.Pred.Compile(sub.schema)
+		if err != nil {
+			return nil, err
+		}
+		var cols []int
+		var key relation.Tuple
+		if sub.stored {
+			cols, key = probeKey(n.Pred, sub.schema)
+		}
+		return func(r *relation.Relation) *relation.Relation {
+			var out *relation.Relation
+			keep := func(t relation.Tuple) {
+				if pred(t) {
+					if out == nil {
+						out = relation.New(outSchema)
+					}
+					out.InsertDistinct(t) // r is a set already
+				}
+			}
+			if cols != nil && r.Len() >= relation.IndexProbeMin {
+				matches := r.IndexOn(cols).Lookup(key, nil)
+				indexed.Store(true)
+				probed.Add(int64(len(matches)))
+				for _, t := range matches {
+					keep(t)
+				}
+			} else {
+				scanned.Add(int64(r.Len()))
+				r.Each(keep)
+			}
+			return out
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	access := "scan"
+	if indexed.Load() {
+		access = "index"
+		SelectIndexProbes.Inc()
+	} else {
+		SelectScans.Inc()
+	}
+	e.trace.Set("access", access).SetInt("probed", probed.Load()).SetInt("scanned", scanned.Load())
+	return out, nil
 }
 
-// mapUnaryPrep is mapUnary with a preparation hook: prep sees the input
-// schema once — shared by every piece of the factored relation — and
-// returns the per-piece function, letting operators hoist
-// schema-dependent compilation (predicate resolution, column indexes)
-// out of the piece loop.
-func (e *engine) mapUnaryPrep(from wsa.Expr, outSchema relation.Schema,
-	prep func(relation.Schema) (func(*relation.Relation) (*relation.Relation, error), error)) (*frel, error) {
+// probeKey splits the `column = constant` conjuncts off a predicate's
+// top-level conjunction and returns them as an index probe: the column
+// positions, ascending (so every selection on the same columns shares
+// one cached index, whatever order it names them in), and the constants
+// in that order. A column compared twice keeps its first constant — the
+// full predicate still runs on the matches, so `A = 1 and A = 2` probes
+// for 1 and keeps nothing. nil columns mean nothing to probe with.
+func probeKey(p ra.Pred, s relation.Schema) ([]int, relation.Tuple) {
+	type eq struct {
+		col int
+		val value.Value
+	}
+	var eqs []eq
+	var walk func(ra.Pred)
+	walk = func(p ra.Pred) {
+		switch q := p.(type) {
+		case ra.And:
+			walk(q.L)
+			walk(q.R)
+		case ra.Cmp:
+			col, c := q.Left, q.Right
+			if !col.IsCol {
+				col, c = c, col
+			}
+			if q.Op != ra.OpEq || !col.IsCol || c.IsCol || c.ParamN > 0 || !hashExact(c.Const) {
+				return
+			}
+			i := s.Index(col.Col)
+			for _, e := range eqs {
+				if e.col == i {
+					return
+				}
+			}
+			if i >= 0 {
+				eqs = append(eqs, eq{i, c.Const})
+			}
+		}
+	}
+	walk(p)
+	if len(eqs) == 0 {
+		return nil, nil
+	}
+	sort.Slice(eqs, func(i, j int) bool { return eqs[i].col < eqs[j].col })
+	cols, key := make([]int, len(eqs)), make(relation.Tuple, len(eqs))
+	for i, e := range eqs {
+		cols[i], key[i] = e.col, e.val
+	}
+	return cols, key
+}
+
+// hashExact reports whether hashing finds exactly the values that
+// compare equal to v, which is what lets a hash probe stand in for the
+// scan's `column = v`. It fails for the numerics on which value.Hash and
+// value.Compare part ways: zero (−0.0 equals 0 but digests differently),
+// magnitudes from 2^53 up (an Int and the Float it rounds to compare
+// equal, digest differently) and NaN (which compares equal to every
+// number). Such a constant is scanned for.
+func hashExact(v value.Value) bool {
+	if !v.IsNumeric() {
+		return true
+	}
+	f := math.Abs(v.AsFloat())
+	return f > 0 && f < 1<<53
+}
+
+// mapPieces evaluates the subquery and maps a per-piece function over
+// every non-empty piece of its factored form — selections and
+// projections distribute over the union defining the represented
+// instances. prep sees the input once and returns the per-piece
+// function, so schema-dependent compilation (predicate resolution,
+// column indexes) happens once per operator, not per piece. Pieces are
+// read in place — the function must not mutate its input — and a nil
+// result means the piece contributes nothing: no empty part is
+// materialized. Pieces map in parallel on the shared worker pool;
+// results land in per-slot output cells, so the merge is deterministic
+// regardless of scheduling.
+func (e *engine) mapPieces(from wsa.Expr, outSchema relation.Schema,
+	prep func(sub *frel) (func(*relation.Relation) *relation.Relation, error)) (*frel, error) {
 	sub, err := e.eval(from)
 	if err != nil {
 		return nil, err
 	}
-	fn, err := prep(sub.schema)
+	fn, err := prep(sub)
 	if err != nil {
 		return nil, err
 	}
@@ -816,20 +959,19 @@ func (e *engine) mapUnaryPrep(from wsa.Expr, outSchema relation.Schema,
 		})
 	}
 	results := make([]*relation.Relation, len(slots))
-	errs := make([]error, len(slots))
 	relation.ParallelChunks(len(slots), relation.NumParts(sub.size()), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			results[i], errs[i] = fn(slots[i].in)
+			results[i] = fn(slots[i].in)
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	out := &frel{schema: outSchema, cert: results[0], parts: map[int][]*relation.Relation{}}
+	if out.cert == nil {
+		out.cert = relation.New(outSchema)
+	}
 	for i := 1; i < len(slots); i++ {
-		out.setPart(slots[i].c, e.arity[slots[i].c], slots[i].a, results[i])
+		if results[i] != nil && results[i].Len() > 0 {
+			out.setPart(slots[i].c, e.arity[slots[i].c], slots[i].a, results[i])
+		}
 	}
 	return out, nil
 }
@@ -874,8 +1016,13 @@ func (e *engine) evalUnion(lq, rq wsa.Expr, outSchema relation.Schema) (*frel, e
 // sides' uncertainty lives in the same component (the alternatives'
 // contributions pair up choice-for-choice). Parts in distinct
 // components would couple two independent choices — entangled. All
-// pairings go through the ra join machinery, so equality predicates use
-// the cached hash indexes of relation.IndexOn.
+// pairings go through the ra join machinery, which hash-joins equality
+// predicates on an index of the right operand (relation.IndexOn). The
+// operands are handed over as they are — ra.Lit evaluates to its
+// relation, not a copy — so when the right piece is a stored one the
+// index is built once on the snapshot's relation and found there by
+// every later join or selection; on a computed piece it lives and dies
+// with the piece.
 func (e *engine) evalProduct(lq, rq wsa.Expr, pred ra.Pred, outSchema relation.Schema) (*frel, error) {
 	lf, err := e.eval(lq)
 	if err != nil {
