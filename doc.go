@@ -58,8 +58,15 @@
 // every other session, until COMMIT publishes the whole batch as one
 // catalog version (ROLLBACK discards it; concurrent readers never
 // observe an intermediate statement). Concurrency control is
-// optimistic, first-committer-wins — a conflicting commit surfaces as
-// store.ConflictError and publishes nothing. With
+// optimistic, first-committer-wins at relation granularity: COMMIT
+// checks every relation the transaction read or may write (closed over
+// the components contributing to it) against that relation's newest
+// state — its certain part by pointer, its components by stable ID and
+// shape — and a DDL or view change since BEGIN conflicts with
+// everything. Commits on other relations are not conflicts, whatever
+// shard they live on: the transaction is overlaid onto them. A
+// conflicting commit surfaces as store.ConflictError, naming the
+// relation or component that moved, and publishes nothing. With
 // Session.RetryConflicts set (isqld's -txn-retries), a losing commit
 // retries automatically: the transaction's logged write statements
 // re-execute as a fresh transaction on the new latest version, up to
@@ -78,10 +85,15 @@
 // every commit — auto-commit statement or staged transaction, at any n
 // — becomes durable and reader-visible the same way: it locks the
 // shards its relations (and their component closure) route to — all of
-// them for DDL, CTAS, view changes and bounded DML — validates, takes a
-// global commit epoch, and logs one CRC-framed record per participant
-// segment carrying the epoch, a page delta and the statement texts,
-// fsynced before the version becomes visible. A commit with one
+// them for DDL, CTAS, view changes and bounded DML — validates (a
+// staged transaction, per relation as above), takes a global commit
+// epoch, and logs one CRC-framed record per participant segment
+// carrying the epoch, a page delta of just the relations and components
+// it touched and the statement texts, fsynced before the version
+// becomes visible. An INSERT is staged with its exact edit
+// (store.Tx.InsertCertain: only the components contributing to the
+// relation are re-normalized, everything else is shared), so its delta
+// is the inserted rows, not a diff of the growing table. A commit with one
 // participant is one ordinary record through that shard's queue:
 // the committer enqueues and releases the shard lock; a leader
 // coalesces every queued record into one write and one fsync, publishes

@@ -341,12 +341,27 @@ func CheckTxn(names []string, rels []*relation.Relation, stmts []string) error {
 // single-writer session executing the competing statement first and the
 // transaction's statements after it — i.e. the retried commit equals the
 // serial schedule it logically becomes. The retried run is swept over
-// shard counts {1, 4}: on the component-sharded catalog the interloper
-// and the transaction touch the same relations, hence the same shards,
-// so shard-level validation must still detect the conflict, and the
-// retried commit must converge on the same serial schedule whatever the
-// shard layout (the persisted form carries none).
+// shard counts {1, 4}: the interloper and the transaction touch the same
+// relations, so relation-level validation must detect the conflict at
+// every shard count, and the retried commit must converge on the same
+// serial schedule whatever the shard layout (the persisted form carries
+// none).
 func CheckTxnRetry(names []string, rels []*relation.Relation, stmts []string, interloper string) error {
+	return checkInterleaved(names, rels, stmts, interloper, false)
+}
+
+// CheckTxnDisjoint is CheckTxnRetry for an interloper that writes only
+// relations the transaction neither reads nor writes (nor reaches
+// through a component): with conflict retry disabled, at shard counts
+// {1, 4}, the transaction must commit on its first attempt — rebased
+// onto the interloper's commit — with no conflict counted on any
+// shard, and the catalog must equal the same serial schedule byte for
+// byte.
+func CheckTxnDisjoint(names []string, rels []*relation.Relation, stmts []string, interloper string) error {
+	return checkInterleaved(names, rels, stmts, interloper, true)
+}
+
+func checkInterleaved(names []string, rels []*relation.Relation, stmts []string, interloper string, disjoint bool) error {
 	// Serial reference: interloper first, then the transaction.
 	seq := isql.FromDB(names, rels)
 	if _, err := seq.ExecString(interloper); err != nil {
@@ -366,7 +381,9 @@ func CheckTxnRetry(names []string, rels []*relation.Relation, stmts []string, in
 		cat := store.FromComplete(names, rels)
 		cat.Reshard(shards)
 		retried := isql.FromCatalog(cat)
-		retried.RetryConflicts = 3
+		if !disjoint {
+			retried.RetryConflicts = 3
+		}
 		if err := retried.Begin(); err != nil {
 			return err
 		}
@@ -376,13 +393,24 @@ func CheckTxnRetry(names []string, rels []*relation.Relation, stmts []string, in
 			}
 		}
 		// A competing writer on the same catalog commits between Begin
-		// and Commit, forcing the first-committer-wins loss.
+		// and Commit: a first-committer-wins loss when it touches the
+		// transaction's relations, a rebase when it is disjoint.
 		comp := isql.FromCatalog(retried.Catalog())
 		if _, err := comp.ExecString(interloper); err != nil {
 			return fmt.Errorf("difftest: interloper %q (%d shards): %w", interloper, shards, err)
 		}
 		if err := retried.Commit(); err != nil {
+			if disjoint {
+				return fmt.Errorf("difftest: transaction %q conflicted with the disjoint %q (%d shards): %w", stmts, interloper, shards, err)
+			}
 			return fmt.Errorf("difftest: conflicted commit did not retry to success for script %q (%d shards): %w", stmts, shards, err)
+		}
+		if disjoint {
+			for _, st := range cat.ShardStats() {
+				if st.Conflicts != 0 {
+					return fmt.Errorf("difftest: disjoint interleaving of %q and %q counted %d conflicts on shard %d of %d", stmts, interloper, st.Conflicts, st.Shard, shards)
+				}
+			}
 		}
 		got, err := normCatalogBytes(retried.Catalog().Snapshot())
 		if err != nil {

@@ -2,16 +2,20 @@ package difftest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"worldsetdb/internal/datagen"
 	"worldsetdb/internal/isql"
 	"worldsetdb/internal/randquery"
 	"worldsetdb/internal/relation"
+	"worldsetdb/internal/store"
 	"worldsetdb/internal/value"
 	"worldsetdb/internal/worldset"
 	"worldsetdb/internal/wsa"
@@ -27,10 +31,52 @@ var (
 // TestMain forces the partitioned parallel code paths in the physical
 // executor and the inline decoder regardless of input size and core
 // count, so the differential runs — especially under -race — exercise
-// the worker fan-out and the deterministic merges.
+// the worker fan-out and the deterministic merges. It also installs the
+// edit-delta audit: every routed commit any sweep makes that logs a
+// relation from its recorded insert edit is checked against the patch
+// diffing the two relation versions computes (see expectEditAudits).
 func TestMain(m *testing.M) {
 	relation.ForceParts = 3
+	store.EditDeltaAudit = edits.record
 	os.Exit(m.Run())
+}
+
+// editAudit counts the edit-carried patches store.EditDeltaAudit saw
+// and keeps the first that differed from the diff.
+type editAudit struct {
+	mu       sync.Mutex
+	n        int
+	mismatch error
+}
+
+var edits editAudit
+
+func (a *editAudit) record(rel string, mismatch error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.n++
+	if mismatch != nil && a.mismatch == nil {
+		a.mismatch = fmt.Errorf("relation %s: %w", rel, mismatch)
+	}
+}
+
+// expectEditAudits returns a check to defer in a sweep: it fails t if
+// any edit-carried patch logged since differed from the diffed one, or
+// if the sweep logged none — then it never exercised the edit path.
+func expectEditAudits(t *testing.T) func() {
+	edits.mu.Lock()
+	before := edits.n
+	edits.mu.Unlock()
+	return func() {
+		edits.mu.Lock()
+		defer edits.mu.Unlock()
+		if edits.mismatch != nil {
+			t.Fatalf("edit-carried WAL patch differs from the diffed one: %v", edits.mismatch)
+		}
+		if edits.n == before && !t.Failed() {
+			t.Fatal("no routed commit of the sweep logged a patch from its edit")
+		}
+	}
 }
 
 // TestPaperQueriesAgree pins the three evaluators to one another on the
@@ -249,8 +295,8 @@ func seedRS(rng *rand.Rand) ([]string, []*relation.Relation, []relation.Schema) 
 // TestRandomizedSQLAgreement is the statement-level differential sweep:
 // 500+ generated I-SQL statements — fragment selects, joins,
 // group-worlds-by, aggregates (count/sum/min/max, group by),
-// (correlated) subqueries, and interleaved DELETE/UPDATE with
-// tuple-local and subquery predicates — through the native factorized
+// (correlated) subqueries, and interleaved INSERTs and DELETE/UPDATE
+// with tuple-local and subquery predicates — through the native factorized
 // path, the three wsa engines and the legacy engine (the bounded arm
 // over the whole world-set), all required to agree on answers, affected
 // counts and the state after every statement. The native session's
@@ -258,6 +304,7 @@ func seedRS(rng *rand.Rand) ([]string, []*relation.Relation, []relation.Schema) 
 // fragment statements merge at worst, and the out-of-fragment shapes —
 // DML included — run bounded, never expanding the catalog.
 func TestRandomizedSQLAgreement(t *testing.T) {
+	defer expectEditAudits(t)()
 	scripts, perScript := 56, 8
 	if testing.Short() {
 		scripts = 8
@@ -274,8 +321,11 @@ func TestRandomizedSQLAgreement(t *testing.T) {
 		}
 		for j := 0; j < perScript; j++ {
 			script = append(script, gen.Select())
-			if j%3 == 0 {
+			switch j % 3 {
+			case 0:
 				script = append(script, gen.Mutate())
+			case 1:
+				script = append(script, gen.Insert())
 			}
 		}
 		total += len(script)
@@ -389,6 +439,7 @@ func seedR(rng *rand.Rand) ([]string, []*relation.Relation) {
 // rollback must be byte-invisible and commit must match auto-commit,
 // with identical answers along the way.
 func TestRandomizedTxnLaws(t *testing.T) {
+	defer expectEditAudits(t)()
 	iters := 60
 	if testing.Short() {
 		iters = 12
@@ -431,6 +482,7 @@ func TestTxnLawsBoundedDML(t *testing.T) {
 // catalog and requires the final state byte-identical to a reference
 // session that ran only the committed chunks, auto-commit.
 func TestRandomizedInterleavedTxn(t *testing.T) {
+	defer expectEditAudits(t)()
 	iters := 15
 	if testing.Short() {
 		iters = 4
@@ -484,13 +536,23 @@ func TestRandomizedInterleavedTxn(t *testing.T) {
 // TestRandomizedTxnRetrySweep sweeps CheckTxnRetry over randomized
 // scripts: a transaction losing first-committer-wins to an interloper
 // and automatically re-run must equal the serial schedule (interloper
-// first, then the transaction) byte for byte.
+// first, then the transaction) byte for byte. Every script without a
+// create-table-as — one whose statements all route — also runs
+// CheckTxnDisjoint against an interloper on a table D it never touches:
+// at one shard and at four, it must commit first time, rebased, with no
+// conflict counted, and equal the same serial schedule.
 func TestRandomizedTxnRetrySweep(t *testing.T) {
+	defer expectEditAudits(t)()
 	iters := 40
 	if testing.Short() {
 		iters = 8
 	}
+	d := relation.New(relation.NewSchema("E"))
+	for v := int64(0); v < 6; v++ {
+		d.InsertValues(value.Int(v))
+	}
 	rng := rand.New(rand.NewSource(5202672))
+	disjoint := 0
 	for i := 0; i < iters; i++ {
 		names, rels := seedR(rng)
 		stmts := randTxnStmts(rng, i)
@@ -500,6 +562,214 @@ func TestRandomizedTxnRetrySweep(t *testing.T) {
 		}
 		if err := CheckTxnRetry(names, rels, stmts, interloper); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
+		}
+		if strings.Contains(strings.Join(stmts, " "), "create table") {
+			continue
+		}
+		other := fmt.Sprintf("insert into D values (%d);", 10+i)
+		if i%2 == 1 {
+			other = fmt.Sprintf("delete from D where E < %d;", i%6)
+		}
+		if err := CheckTxnDisjoint(append(names, "D"), append(rels, d), stmts, other); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		disjoint++
+	}
+	if disjoint == 0 {
+		t.Fatal("no script of the sweep ran against a disjoint interloper")
+	}
+}
+
+// conflictOn runs the interleaving "txn stmts, then other's stmts
+// auto-committed, then COMMIT" at one shard and at four over the
+// decomposition seed, with conflict retry off, and returns the catalog
+// and the commit's error.
+func conflictOn(t *testing.T, seed func() *wsd.DecompDB, shards int, txn, other []string) (*store.Catalog, error) {
+	t.Helper()
+	cat := store.NewSharded(seed(), shards)
+	a, b := isql.FromCatalog(cat), isql.FromCatalog(cat)
+	for _, sql := range append([]string{"begin;"}, txn...) {
+		if _, err := a.ExecString(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, sql := range other {
+		if _, err := b.ExecString(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	_, err := a.ExecString("commit;")
+	return cat, err
+}
+
+// TestTrueConflictsRefused: relation-level validation lets disjoint
+// writers through, and still refuses every interleaving that is not
+// serializable — at one shard and at four, with the ConflictError
+// naming what moved and the conflict counted on its home shard.
+func TestTrueConflictsRefused(t *testing.T) {
+	rs := func() *wsd.DecompDB {
+		r := relation.FromRows(relation.NewSchema("A"), relation.Tuple{value.Int(1)})
+		s := relation.FromRows(relation.NewSchema("C"), relation.Tuple{value.Int(2)})
+		return wsd.FromComplete([]string{"R", "S"}, []*relation.Relation{r, s})
+	}
+	// coupled adds a component whose alternatives contribute to both R
+	// and S: writing either relation can rewrite it.
+	coupled := func() *wsd.DecompDB {
+		db := rs()
+		alt := func(a, c int64) wsd.DBAlternative {
+			return wsd.DBAlternative{Rels: map[int]*relation.Relation{
+				0: relation.FromRows(db.Schemas[0], relation.Tuple{value.Int(a)}),
+				1: relation.FromRows(db.Schemas[1], relation.Tuple{value.Int(c)}),
+			}}
+		}
+		db.Components = []wsd.DBComponent{{Alternatives: []wsd.DBAlternative{alt(10, 20), alt(11, 21)}}}
+		return db
+	}
+	cases := []struct {
+		name      string
+		seed      func() *wsd.DecompDB
+		txn       []string
+		other     []string
+		relation  string // "": the schema moved
+		component bool   // the moved thing is a component of relation
+	}{
+		{"write/write one relation", rs,
+			[]string{"insert into R values (5);"}, []string{"insert into R values (6);"}, "R", false},
+		{"read then overwritten", rs,
+			[]string{"select C from S;", "insert into R values (5);"}, []string{"delete from S;"}, "S", false},
+		{"component coupling R and S", coupled,
+			[]string{"insert into R values (5);"}, []string{"insert into S values (7);"}, "S", false},
+		{"coupling component rewritten", coupled,
+			[]string{"delete from R where A = 10;"}, []string{"delete from S where C = 21;"}, "R", true},
+		{"create table since begin", rs,
+			[]string{"insert into R values (5);"}, []string{"create table X (B);"}, "", false},
+		{"drop table since begin", rs,
+			[]string{"insert into R values (5);"}, []string{"drop table S;"}, "", false},
+	}
+	for _, shards := range []int{1, 4} {
+		for _, tc := range cases {
+			cat, err := conflictOn(t, tc.seed, shards, tc.txn, tc.other)
+			var ce *store.ConflictError
+			if !errors.As(err, &ce) {
+				t.Fatalf("%s (%d shards): want *store.ConflictError, got %v", tc.name, shards, err)
+			}
+			if ce.Relation != tc.relation || (ce.Component != 0) != tc.component {
+				t.Fatalf("%s (%d shards): conflict names relation %q component %d, want relation %q (component: %v)",
+					tc.name, shards, ce.Relation, ce.Component, tc.relation, tc.component)
+			}
+			home := 0
+			if tc.relation != "" {
+				home = cat.ShardOf(tc.relation)
+			}
+			if got := cat.ShardStats()[home].Conflicts; got != 1 {
+				t.Fatalf("%s (%d shards): shard %d counted %d conflicts, want 1", tc.name, shards, home, got)
+			}
+		}
+
+		// Disjoint writers on one catalog commit, whatever the shard count.
+		if cat, err := conflictOn(t, rs, shards, []string{"select A from R;", "insert into R values (5);"},
+			[]string{"insert into S values (7);"}); err != nil {
+			t.Fatalf("disjoint writers (%d shards): %v", shards, err)
+		} else if got := cat.Snapshot().DB.Certain[1].Len(); got != 2 {
+			t.Fatalf("disjoint writers (%d shards): S has %d rows, want 2", shards, got)
+		}
+
+		// Write skew: T1 reads R and writes S, T2 reads S and writes R,
+		// both begun on the same version. Exactly one may commit.
+		cat := store.NewSharded(rs(), shards)
+		t1, t2 := isql.FromCatalog(cat), isql.FromCatalog(cat)
+		for _, step := range []struct {
+			s   *isql.Session
+			sql string
+		}{
+			{t1, "begin;"}, {t2, "begin;"},
+			{t1, "select A from R;"}, {t2, "select C from S;"},
+			{t1, "insert into S values (8);"}, {t2, "insert into R values (9);"},
+		} {
+			if _, err := step.s.ExecString(step.sql); err != nil {
+				t.Fatalf("write skew (%d shards) %s: %v", shards, step.sql, err)
+			}
+		}
+		_, err1 := t1.ExecString("commit;")
+		_, err2 := t2.ExecString("commit;")
+		var ce *store.ConflictError
+		if err1 != nil || !errors.As(err2, &ce) || ce.Relation != "S" {
+			t.Fatalf("write skew (%d shards): first commit %v, second %v — want exactly the second refused on S", shards, err1, err2)
+		}
+	}
+}
+
+// TestInsertCollapseFoldsAcrossRelations: an INSERT into R that makes
+// a component coupling R and S collapse to one alternative folds the
+// component's S tuples into S's certain part. The commit logs both
+// relations from the recorded edit (audited against the diff), the
+// state equals inserting into every world of the enumeration, and the
+// log recovers it byte for byte — at one shard and at four, where R and
+// S may live on different shards.
+func TestInsertCollapseFoldsAcrossRelations(t *testing.T) {
+	defer expectEditAudits(t)()
+	schemas := []relation.Schema{relation.NewSchema("A"), relation.NewSchema("C")}
+	seed := func() *wsd.DecompDB {
+		db := wsd.NewDecompDB([]string{"R", "S"}, schemas)
+		alt := func(a int64) wsd.DBAlternative {
+			return wsd.DBAlternative{Rels: map[int]*relation.Relation{
+				0: relation.FromRows(schemas[0], relation.Tuple{value.Int(a)}),
+				1: relation.FromRows(schemas[1], relation.Tuple{value.Int(5)}),
+			}}
+		}
+		db.Components = []wsd.DBComponent{{Alternatives: []wsd.DBAlternative{alt(1), alt(2)}}}
+		return db
+	}
+	before, err := seed().Expand(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := worldset.New(before.Names(), before.Schemas())
+	before.Each(func(w worldset.World) {
+		nw := append(worldset.World{}, w...)
+		nw[0] = w[0].Clone()
+		nw[0].InsertValues(value.Int(1))
+		nw[0].InsertValues(value.Int(2))
+		want.Add(nw)
+	})
+	for _, shards := range []int{1, 4} {
+		dir := t.TempDir()
+		cat, wals, err := store.Open(filepath.Join(dir, "checkpoint.wsd"), dir, shards, 0,
+			func() (*store.Catalog, error) { return store.New(seed()), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := isql.FromCatalog(cat)
+		if _, err := s.ExecString("insert into R values (1), (2);"); err != nil {
+			t.Fatal(err)
+		}
+		snap := cat.Snapshot()
+		if len(snap.DB.Components) != 0 || !snap.DB.Certain[1].Contains(relation.Tuple{value.Int(5)}) {
+			t.Fatalf("%d shards: the component did not collapse into S:\n%s", shards, snap.DB)
+		}
+		if got := s.WorldSet(); got == nil || got.String() != want.String() {
+			t.Fatalf("%d shards: state differs from inserting in every world\ngot:\n%v\nwant:\n%s", shards, got, want)
+		}
+		var saved bytes.Buffer
+		if err := store.Save(&saved, snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range wals {
+			w.Close()
+		}
+		rec, rwals, err := store.Open(filepath.Join(dir, "checkpoint.wsd"), dir, shards, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := store.Save(&got, rec.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range rwals {
+			w.Close()
+		}
+		if !bytes.Equal(got.Bytes(), saved.Bytes()) {
+			t.Fatalf("%d shards: recovery differs from the committed state\ngot:\n%s\nwant:\n%s", shards, got.Bytes(), saved.Bytes())
 		}
 	}
 }

@@ -609,21 +609,18 @@ func (s *Session) execInsert(n *InsertStmt) (*Result, error) {
 		// Inserting makes a tuple certain. The world-weighted affected
 		// count is the number of worlds the tuple was absent from,
 		// computed on the decomposition without enumeration.
+		rows := make([]relation.Tuple, len(n.Rows))
+		for i, row := range n.Rows {
+			rows[i] = relation.Tuple(row).Clone()
+		}
 		worlds := db.Worlds()
 		affected := new(big.Int)
 		var delta big.Int
-		nr := db.Certain[idx].Clone()
-		for _, row := range n.Rows {
-			t := relation.Tuple(row).Clone()
-			if !nr.Insert(t) {
-				continue
-			}
+		for _, t := range tx.InsertCertain(idx, rows) {
 			delta.Sub(worlds, db.PresenceCount(idx, t))
 			affected.Add(affected, &delta)
 		}
-		next := db.WithCertain(idx, nr).Normalize()
-		tx.SetDB(next)
-		res = s.stateResult(next)
+		res = s.stateResult(tx.DB())
 		res.Affected = satInt(affected)
 		return nil
 	})

@@ -399,9 +399,10 @@ func TestPrepareRoundTripString(t *testing.T) {
 
 // TestCrashRecoveryByteIdentical is the WAL acceptance test: run a
 // workload over a WAL-backed catalog — auto-commits, a committed
-// multi-statement transaction, and an uncommitted one in flight — kill
-// the process (drop the WAL without checkpointing), reopen, and require
-// the recovered catalog byte-identical (version included) to the last
+// multi-statement transaction, a transaction rebased over a commit on
+// another relation, and an uncommitted one in flight — kill the process
+// (drop the WAL without checkpointing), reopen, and require the
+// recovered catalog byte-identical (version included) to the last
 // committed snapshot and to statement re-execution of the log.
 func TestCrashRecoveryByteIdentical(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
@@ -410,13 +411,22 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		s := FromCatalog(cat)
 		mustScript(t, s,
 			"create table Census (SSN, Name, POB);",
+			"create table Log (A);",
 			"insert into Census values (1, 'Smith', 'NYC'), (1, 'Smith', 'LA'), (2, 'Brown', 'SF');",
 			"begin;",
 			"create table Clean as select * from Census repair by key SSN;",
 			"create view NYC as select Name from Clean where POB = 'NYC';",
 			"commit;",
 			"update Census set POB = 'CHI' where SSN = 2;",
+			"begin;",
+			"insert into Log values (1), (2);",
 		)
+		// Another session commits on Census between the transaction's
+		// Begin and Commit: the transaction commits anyway, rebased.
+		mustScript(t, FromCatalog(cat), "insert into Census values (3, 'Green', 'LA');")
+		mustScript(t, s, "commit;")
+		// A no-op insert (the row is already there) logs an empty delta.
+		mustScript(t, s, "insert into Log values (2);")
 		want := rawSnapBytes(t, cat.Snapshot())
 
 		// An in-flight transaction at crash time: staged, never committed.

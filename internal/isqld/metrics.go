@@ -173,7 +173,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.Counter("wsdb_shard_commits_total", "Commits published per shard.", shardLabel(st.Shard), st.Commits)
 	}
 	for _, st := range stats {
-		p.Counter("wsdb_shard_conflicts_total", "Staged commits refused validation per shard.", shardLabel(st.Shard), st.Conflicts)
+		p.Counter("wsdb_shard_conflicts_total", "Staged commits refused validation, per home shard of the relation that moved.", shardLabel(st.Shard), st.Conflicts)
 	}
 	for _, st := range stats {
 		p.Gauge("wsdb_shard_pending", "Commits queued for group commit per shard.", shardLabel(st.Shard), float64(st.Pending))

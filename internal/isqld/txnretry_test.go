@@ -102,9 +102,13 @@ func TestConcurrentTxnWritersRetry(t *testing.T) {
 	}
 }
 
-// TestConcurrentTxnWritersNoRetrySurfacesConflict: without retries at
-// least one of the racing transactions must lose (sanity check that the
-// retry test is actually exercising conflicts).
+// TestConcurrentTxnWritersNoRetrySurfacesConflict: without retries a
+// transaction that loses first-committer-wins surfaces as a 422 whose
+// body names the relation that moved. Racing stateless writers conflict
+// only when their scripts happen to overlap — with cheap inserts on a
+// few cores they mostly do not — so a sticky session then interleaves
+// one deterministically: BEGIN and INSERT, a stateless INSERT on the
+// same table, COMMIT.
 func TestConcurrentTxnWritersNoRetrySurfacesConflict(t *testing.T) {
 	cat := store.New(nil)
 	srv := New(cat) // retries disabled
@@ -114,32 +118,36 @@ func TestConcurrentTxnWritersNoRetrySurfacesConflict(t *testing.T) {
 	if code, out := post(t, ts.URL+"/exec", "create table T (A);"); code != http.StatusOK {
 		t.Fatalf("setup: %d %s", code, out)
 	}
+	lost := func(code int, out string) bool {
+		if code == http.StatusOK || !strings.Contains(out, "conflict") {
+			return false
+		}
+		if !strings.Contains(out, `relation "T" changed`) {
+			t.Errorf("conflict body does not name relation T:\n%s", out)
+		}
+		return true
+	}
 	const writers = 8
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	conflicts := 0
-	// A barrier start maximizes overlap so at least one conflict is all
-	// but certain with 8 writers × 3 transactions.
-	for round := 0; round < 3 && conflicts == 0; round++ {
-		start := make(chan struct{})
-		for g := 0; g < writers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				<-start
-				code, out := post(t, ts.URL+"/exec",
-					fmt.Sprintf("begin; insert into T values (%d); commit;", g))
-				if code != http.StatusOK && strings.Contains(out, "conflict") {
-					mu.Lock()
-					conflicts++
-					mu.Unlock()
-				}
-			}(g)
-		}
-		close(start)
-		wg.Wait()
+	start := make(chan struct{})
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			lost(post(t, ts.URL+"/exec", fmt.Sprintf("begin; insert into T values (%d); commit;", g)))
+		}(g)
 	}
-	if conflicts == 0 {
-		t.Skip("no conflict materialized in 3 rounds (single-core scheduling); nothing to assert")
+	close(start)
+	wg.Wait()
+
+	if code, out := postSession(t, ts.URL+"/exec", "loser", "begin; insert into T values (100);"); code != http.StatusOK {
+		t.Fatalf("begin: %d %s", code, out)
+	}
+	if code, out := post(t, ts.URL+"/exec", "insert into T values (101);"); code != http.StatusOK {
+		t.Fatalf("interloper: %d %s", code, out)
+	}
+	if code, out := postSession(t, ts.URL+"/exec", "loser", "commit;"); !lost(code, out) {
+		t.Fatalf("commit after a same-table interloper: want a 422 conflict, got %d\n%s", code, out)
 	}
 }

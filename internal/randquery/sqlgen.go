@@ -3,6 +3,7 @@ package randquery
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"worldsetdb/internal/relation"
 )
@@ -129,6 +130,23 @@ func (g *StmtGen) Select() string {
 		return fmt.Sprintf("select X.%s from %s X where %sexists (select * from %s Y where Y.%s = X.%s);",
 			col(t), t.name, neg, u.name, col(u), col(t))
 	}
+}
+
+// Insert emits an INSERT of one or two rows of domain constants into a
+// known table, base or created. Into a created table it can make an
+// alternative's tuple certain, so the insert strips, de-duplicates or
+// collapses that table's components.
+func (g *StmtGen) Insert() string {
+	t := g.all[g.rng.Intn(len(g.all))]
+	rows := make([]string, 1+g.rng.Intn(2))
+	for i := range rows {
+		vals := make([]string, len(t.cols))
+		for c := range vals {
+			vals[c] = fmt.Sprint(g.rng.Intn(g.Domain))
+		}
+		rows[i] = "(" + strings.Join(vals, ", ") + ")"
+	}
+	return fmt.Sprintf("insert into %s values %s;", t.name, strings.Join(rows, ", "))
 }
 
 // Mutate emits one random DELETE or UPDATE over the known tables, base

@@ -20,8 +20,10 @@ import (
 // The delta is computed on the commit path by pointer/shape diffing
 // (see wsd.SameComponentShape): copy-on-write edits share
 // *relation.Relation values for untouched data, so the diff never
-// compares tuples. A false positive (rebuilt relation with equal
-// content) only makes the record larger, never wrong.
+// compares untouched relations. A false positive (rebuilt relation with
+// equal content) only makes the record larger, never wrong. A touched
+// relation is patched from the commit's recorded insert edit when it
+// has one (certEdits), by diffRelation otherwise.
 
 // CommitDelta is the durable description of one commit's effect.
 type CommitDelta struct {
@@ -279,22 +281,30 @@ func diffSnapshots(base, next *Snapshot) *CommitDelta {
 }
 
 // diffShard computes the routed delta for a sharded commit: certain
-// relations homed at a participant shard whose pointer changed, plus
+// relations of the commit's closure (rels) whose pointer changed, plus
 // write-set components (by stable ID) that changed shape or dropped.
 // Routed commits never create components, change schema or views, so
-// the delta mirrors applyShardDiff exactly — replaying it with
-// applyDelta's in-place substitution rule reproduces the merge.
-func diffShard(base, next *wsd.DecompDB, nshards int, ps []int, wset map[uint64]bool) *CommitDelta {
-	inP := map[int]bool{}
-	for _, p := range ps {
-		inP[p] = true
-	}
+// the delta mirrors overlay exactly — replaying it with applyDelta's
+// in-place substitution rule reproduces the publication. A relation
+// with an exact edit in ins (an insert staged through
+// Tx.InsertCertain) is patched from the edit without diffing; the rest
+// go through diffRelation.
+func diffShard(base, next *wsd.DecompDB, rels map[int]bool, wset map[uint64]bool, ins certEdits) *CommitDelta {
 	d := &CommitDelta{}
-	for i := range base.Certain {
-		if !inP[shardOfName(base.Names[i], nshards)] || next.Certain[i] == base.Certain[i] {
+	for i := range rels {
+		if next.Certain[i] == base.Certain[i] {
 			continue
 		}
-		if p := diffRelation(base.Certain[i], next.Certain[i]); p != nil {
+		var p *relPatch
+		if added, ok := ins[i]; ok {
+			p = editPatch(base.Certain[i], next.Certain[i], added)
+			if audit := EditDeltaAudit; audit != nil {
+				audit(base.Names[i], samePatch(p, diffRelation(base.Certain[i], next.Certain[i])))
+			}
+		} else {
+			p = diffRelation(base.Certain[i], next.Certain[i])
+		}
+		if p != nil {
 			if d.Patch == nil {
 				d.Patch = map[string]*relPatch{}
 			}
@@ -327,6 +337,76 @@ func diffShard(base, next *wsd.DecompDB, nshards int, ps []int, wset map[uint64]
 		}
 	}
 	return d
+}
+
+// certEdits are exact edits to certain parts relative to a base
+// decomposition of the same schema: per relation index, the tuples the
+// staged state added, with nothing removed. A relation whose certain
+// part differs from the base's and has no entry changed some other way
+// (a DELETE, an UPDATE, a re-normalization) that only diffing recovers.
+type certEdits map[int][]relation.Tuple
+
+// extend carries e, the edits base → prev, over one more step prev →
+// next whose own exact edits are step: a relation the step changed
+// keeps an exact edit only if it had one before (or was still base's)
+// and the step's is exact too. A schema change ends the tracking.
+func (e certEdits) extend(base, prev, next *wsd.DecompDB, step certEdits) certEdits {
+	if !sameSchema(base, next) {
+		return nil
+	}
+	for ri := range next.Certain {
+		if next.Certain[ri] == prev.Certain[ri] {
+			continue
+		}
+		added, exact := step[ri]
+		if _, had := e[ri]; exact && (had || prev.Certain[ri] == base.Certain[ri]) {
+			if e == nil {
+				e = certEdits{}
+			}
+			e[ri] = append(e[ri], added...)
+		} else {
+			delete(e, ri)
+		}
+	}
+	return e
+}
+
+// editPatch is diffRelation's answer for a relation whose edit is known
+// — next is base plus the added tuples — under the same budget rule,
+// at the cost of the edit instead of a probe per row.
+func editPatch(base, next *relation.Relation, added []relation.Tuple) *relPatch {
+	if base == nil || next == nil {
+		return nil
+	}
+	budget := max(next.Len(), base.Len()) / 4
+	if budget == 0 || len(added) > budget {
+		return nil
+	}
+	return &relPatch{Ins: encodeTuples(append([]relation.Tuple{}, added...))}
+}
+
+// EditDeltaAudit, when non-nil, is called once for every certain
+// relation a routed commit logs from its recorded edit instead of by
+// diffing, with nil when the edit-carried patch equals the one
+// diffRelation computes from the same two relation versions and an
+// error describing the difference otherwise. Test suites install it to
+// hold the edit path to the diff; left nil, no commit pays the diff.
+// It is called concurrently from committing goroutines.
+var EditDeltaAudit func(relation string, mismatch error)
+
+func samePatch(got, want *relPatch) error {
+	g, err := json.Marshal(got)
+	if err != nil {
+		return err
+	}
+	w, err := json.Marshal(want)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(g, w) {
+		return fmt.Errorf("edit-carried patch %s, diff %s", g, w)
+	}
+	return nil
 }
 
 func deriveOrder(base *wsd.DecompDB, d *CommitDelta) []uint64 {

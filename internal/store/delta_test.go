@@ -3,12 +3,37 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"sync"
 	"testing"
 
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/value"
 	"worldsetdb/internal/wsd"
 )
+
+// TestMain installs the edit-delta audit for the whole package: every
+// routed commit a test makes that logs a relation from its recorded
+// insert edit is checked against the patch diffRelation computes, and
+// the run fails on the first difference.
+func TestMain(m *testing.M) {
+	var mu sync.Mutex
+	var bad error
+	EditDeltaAudit = func(rel string, mismatch error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if mismatch != nil && bad == nil {
+			bad = fmt.Errorf("relation %s: %w", rel, mismatch)
+		}
+	}
+	code := m.Run()
+	if bad != nil {
+		fmt.Fprintf(os.Stderr, "FAIL: edit-carried WAL patch differs from the diffed one: %v\n", bad)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 // deltaDB builds a two-relation decomposition for delta tests.
 func deltaDB() *wsd.DecompDB {
@@ -156,9 +181,8 @@ func TestDeltaViewsChange(t *testing.T) {
 }
 
 // TestDeltaShardDiffMirrorsPublish: diffShard's record replays to the
-// same state applyShardDiff publishes, for a single-shard commit that
-// modifies its homed certain relation and replaces one write-set
-// component.
+// same state the overlay publishes, for a routed commit that modifies
+// its certain relation and replaces one write-set component.
 func TestDeltaShardDiffMirrorsPublish(t *testing.T) {
 	const nshards = 4
 	names := shardNames(nshards)
@@ -174,14 +198,13 @@ func TestDeltaShardDiffMirrorsPublish(t *testing.T) {
 		compOf(db, 2, names[2], 20, 21),
 	}
 
-	si := shardOfName(names[1], nshards)
 	nr := relation.New(db.Schemas[1])
 	nr.Insert(relation.Tuple{value.Int(7)})
 	next := db.WithCertain(1, nr)
 	next.Components[0] = compOf(next, 1, names[1], 10) // shrink component 1
-	wset := map[uint64]bool{1: true}
+	rels, wset := closure(db, []string{names[1]})
 
-	d := diffShard(db, next, nshards, []int{si}, wset)
+	d := diffShard(db, next, rels, wset, nil)
 	raw, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -194,12 +217,11 @@ func TestDeltaShardDiffMirrorsPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewSharded(nil, nshards)
-	published := c.applyShardDiff(db, next, []int{si}, wset)
+	published := overlay(db, next, rels, wset)
 	a := saveBytes(t, &Snapshot{Version: 1, DB: replayed, Views: map[string]string{}})
 	b := saveBytes(t, &Snapshot{Version: 1, DB: published, Views: map[string]string{}})
 	if !bytes.Equal(a, b) {
-		t.Fatal("shard delta replay differs from applyShardDiff publication")
+		t.Fatal("shard delta replay differs from the overlay publication")
 	}
 }
 
@@ -261,6 +283,67 @@ func TestDeltaPatchSmallEdit(t *testing.T) {
 	d3 := diffSnapshots(next2Snap, &Snapshot{Version: 4, DB: next3, Views: map[string]string{}})
 	if len(d3.Patch) != 0 || len(d3.Certain) != 1 {
 		t.Fatalf("bulk rewrite produced patch=%v certain=%d, want whole-relation capture", d3.Patch, len(d3.Certain))
+	}
+}
+
+// TestDeltaPatchFromEdit: a routed commit whose relation carries an
+// exact insert edit logs the patch diffing would have computed, without
+// diffing — one tuple into a large relation is a one-tuple patch, a bulk
+// load into a small one is a capture — and an edit survives a later
+// SetDB only for the relations it leaves alone: the others fall back to
+// the diff.
+func TestDeltaPatchFromEdit(t *testing.T) {
+	db := deltaDB()
+	big := relation.New(db.Schemas[0])
+	for i := int64(0); i < 100; i++ {
+		big.Insert(relation.Tuple{value.Int(i)})
+	}
+	db.Certain[0] = big
+	base := &Snapshot{Version: 1, DB: db, Views: map[string]string{}}
+	rels, wset := closure(db, []string{"A", "B"})
+	encoded := func(d *CommitDelta) string {
+		raw, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	for _, tc := range []struct {
+		name string
+		ri   int
+		ts   []int64
+	}{{"one row", 0, []int64{999}}, {"bulk", 1, []int64{5, 6, 7, 8, 9}}} {
+		tx := &Tx{base: base}
+		var ts []relation.Tuple
+		for _, v := range tc.ts {
+			ts = append(ts, relation.Tuple{value.Int(v)})
+		}
+		if got := tx.InsertCertain(tc.ri, ts); len(got) != len(ts) {
+			t.Fatalf("%s: relation gained %d tuples, want %d", tc.name, len(got), len(ts))
+		}
+		if len(tx.ins[tc.ri]) != len(ts) {
+			t.Fatalf("%s: edit records %v", tc.name, tx.ins)
+		}
+		fromEdit := diffShard(db, tx.DB(), rels, wset, tx.ins)
+		if patched := len(fromEdit.Patch) == 1; patched != (tc.name == "one row") || len(fromEdit.Patch)+len(fromEdit.Certain) != 1 {
+			t.Fatalf("%s: delta patches %v and captures %d relations", tc.name, fromEdit.Patch, len(fromEdit.Certain))
+		}
+		if g, w := encoded(fromEdit), encoded(diffShard(db, tx.DB(), rels, wset, nil)); g != w {
+			t.Fatalf("%s: edit-carried delta %s, diffed %s", tc.name, g, w)
+		}
+		got := applyThroughDisk(t, base, fromEdit)
+		if !bytes.Equal(saveBytes(t, got), saveBytes(t, &Snapshot{Version: 2, DB: tx.DB(), Views: base.Views})) {
+			t.Fatalf("%s: edit-carried delta replays to a different state", tc.name)
+		}
+	}
+
+	tx := &Tx{base: base}
+	tx.InsertCertain(0, []relation.Tuple{{value.Int(999)}})
+	tx.InsertCertain(1, []relation.Tuple{{value.Int(5)}})
+	shrunk := relation.New(db.Schemas[1])
+	tx.SetDB(tx.DB().WithCertain(1, shrunk))
+	if _, ok := tx.ins[1]; ok || len(tx.ins[0]) != 1 {
+		t.Fatalf("after rewriting B the edits are %v, want A's alone", tx.ins)
 	}
 }
 

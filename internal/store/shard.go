@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -40,14 +39,18 @@ import (
 //
 // Readers stay wait-free: one atomic merged Snapshot spans all shards.
 // Commits are assigned a global epoch (monotone per shard, since it is
-// taken under the shard locks) and publish by diffing onto the evolving
-// merged snapshot — replace the certain relations homed at the
-// participant shards, replace or drop the touched components by their
+// taken under the shard locks) and publish by overlaying onto the
+// evolving merged snapshot — replace the certain relations of the
+// commit's closure, replace or drop the touched components by their
 // stable IDs (routed commits never create components: the native DML
 // paths only rewrite or fold existing ones, and every creating
 // statement is all-shard and replaces the merged snapshot wholesale).
 // Snapshot.Version is the highest published epoch; shardVers carries
-// the per-shard read timestamps staged transactions validate against.
+// the per-shard versions the WAL's prev links record and recovery
+// checks. Conflicts are not decided by shard versions: a staged
+// transaction validates each relation it read or may write against
+// that relation's home-shard head (Staged.Commit), so two commits on
+// different relations never conflict, on one shard or many.
 //
 // # Durability: one record, or stage + marker
 //
@@ -110,10 +113,12 @@ type batchLogger interface {
 type commitReq struct {
 	db *wsd.DecompDB
 	// views non-nil marks a whole-catalog commit: db and views replace
-	// the merged snapshot. nil is a routed commit: the participants'
-	// certain relations and the wset components overlay the snapshot.
+	// the merged snapshot. nil is a routed commit: the wrels certain
+	// relations and the wset components overlay the snapshot.
 	views map[string]string
+	wrels map[int]bool    // relation indices a routed commit may replace
 	wset  map[uint64]bool // component IDs a routed commit may replace
+	ins   certEdits       // exact certain edits against the commit's base
 	stmts []string
 	trace *obs.Span // committer's trace; the flush leader attaches spans
 
@@ -188,73 +193,72 @@ func (c *Catalog) Shards() int { return len(c.shards) }
 // ShardOf returns the home shard of a relation name.
 func (c *Catalog) ShardOf(name string) int { return shardOfName(name, len(c.shards)) }
 
+// shardOfName hashes with 32-bit FNV-1a, inline: routing hashes every
+// name a commit touches, and hash/fnv allocates per call.
 func shardOfName(name string, nshards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return int(h.Sum32() % uint32(nshards))
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h ^= uint32(name[i])
+		h *= 16777619
+	}
+	return int(h % uint32(nshards))
 }
 
 // refShards returns, sorted, the shards a statement referencing refs
-// can read or write: the homes of the refs plus the homes of every
-// relation co-touched by a component touching a ref.
+// can read or write: the homes of the refs and of their closure.
 func (c *Catalog) refShards(db *wsd.DecompDB, refs []string) []int {
-	set := map[int]bool{}
-	refIdx := map[int]bool{}
+	in := make([]bool, len(c.shards))
 	for _, name := range refs {
-		set[shardOfName(name, len(c.shards))] = true
-		if i := db.IndexOf(name); i >= 0 {
-			refIdx[i] = true
+		in[c.ShardOf(name)] = true
+	}
+	if len(db.Components) > 0 { // else the closure is the refs
+		rels, _ := closure(db, refs)
+		for ri := range rels {
+			in[c.ShardOf(db.Names[ri])] = true
 		}
 	}
+	var out []int
+	for p, hit := range in {
+		if hit {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// closure returns what a routed commit referencing refs may replace:
+// the indices of the refs and of every relation co-touched by a
+// component contributing a tuple to one of them (a fold or a rewrite of
+// such a component writes there too), and those components' stable IDs
+// (nil when there are none). Unknown names are skipped.
+func closure(db *wsd.DecompDB, refs []string) (map[int]bool, map[uint64]bool) {
+	rels := relIndex(db, refs)
+	var comps map[uint64]bool
+	var touched, extra []int
 	for _, comp := range db.Components {
-		touchesRef := false
-		var touched []int
+		touched = touched[:0]
+		hit := false
 		for _, a := range comp.Alternatives {
 			for ri, r := range a.Rels {
 				if r == nil || r.Len() == 0 {
 					continue
 				}
 				touched = append(touched, ri)
-				if refIdx[ri] {
-					touchesRef = true
-				}
+				hit = hit || rels[ri]
 			}
 		}
-		if touchesRef {
-			for _, ri := range touched {
-				set[shardOfName(db.Names[ri], len(c.shards))] = true
+		if hit {
+			if comps == nil {
+				comps = map[uint64]bool{}
 			}
+			comps[comp.ID] = true
+			extra = append(extra, touched...)
 		}
 	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
+	for _, ri := range extra {
+		rels[ri] = true
 	}
-	sort.Ints(out)
-	return out
-}
-
-// compIDsTouching returns the IDs of the components contributing at
-// least one tuple to any of the given relation indices — the components
-// a commit referencing those relations is allowed to replace.
-func compIDsTouching(db *wsd.DecompDB, refIdx map[int]bool) map[uint64]bool {
-	out := map[uint64]bool{}
-	for _, comp := range db.Components {
-		for _, a := range comp.Alternatives {
-			hit := false
-			for ri, r := range a.Rels {
-				if refIdx[ri] && r != nil && r.Len() > 0 {
-					out[comp.ID] = true
-					hit = true
-					break
-				}
-			}
-			if hit {
-				break
-			}
-		}
-	}
-	return out
+	return rels, comps
 }
 
 func (c *Catalog) lockShards(ps []int) {
@@ -372,14 +376,16 @@ func (c *Catalog) UpdateRouted(refs []string, fn func(*Tx) error) error {
 	switch {
 	case len(refs) == 0:
 		req.views = tx.Views()
-	case tx.views != nil:
-		// Routed statements never change views; a caller that does has
-		// mis-routed (views are global) — escalate rather than tear.
+	case tx.views != nil || !sameSchema(base.DB, tx.DB()):
+		// Routed statements never change views or the schema; a caller
+		// that does has mis-routed (both are global) — escalate rather
+		// than tear.
 		locked = false
 		c.unlockShards(ps)
 		return c.UpdateRouted(nil, fn)
 	default:
-		req.wset = compIDsTouching(base.DB, relIndex(base.DB, refs))
+		req.wrels, req.wset = closure(base.DB, refs)
+		req.ins = tx.ins
 	}
 	locked = false
 	return c.commit(ps, ps, base, req)
@@ -398,7 +404,15 @@ func (c *Catalog) commitBase(ps []int) *Snapshot {
 		}
 		return c.cur.Load()
 	}
-	sh := c.shards[ps[0]]
+	return c.head(ps[0])
+}
+
+// head returns the newest assigned state of shard p: its chain head
+// while a group commit is in flight, else the published snapshot. With
+// p's lock held it cannot move; its portion for p is what the next
+// commit on p builds on and what staged transactions validate against.
+func (c *Catalog) head(p int) *Snapshot {
+	sh := c.shards[p]
 	sh.hmu.Lock()
 	defer sh.hmu.Unlock()
 	if sh.head != nil {
@@ -426,15 +440,22 @@ func (c *Catalog) commit(held, ps []int, base *Snapshot, req *commitReq) error {
 		// New components get their IDs before the diff, so the logged delta
 		// carries them.
 		c.assignIDs(req.db)
+	} else {
+		// A routed commit replaces only the relations and components of
+		// its closure: its state is its base with those laid over, so the
+		// chain head later commits build on is exactly what publication
+		// and replay make of it — a staged transaction's chain is rebased
+		// here too.
+		req.db = overlay(base.DB, req.db, req.wrels, req.wset)
 	}
 	req.ps = ps
 	req.epoch = c.epoch.Add(1)
-	if durable {
+	if durable || EditDeltaAudit != nil { // an installed audit sees in-memory commits too
 		sp := req.trace.Child("wal.delta")
 		if req.views != nil {
 			req.delta = diffSnapshots(base, &Snapshot{DB: req.db, Views: req.views})
 		} else {
-			req.delta = diffShard(base.DB, req.db, len(c.shards), ps, req.wset)
+			req.delta = diffShard(base.DB, req.db, req.wrels, req.wset, req.ins)
 		}
 		sp.End()
 	}
@@ -586,15 +607,15 @@ func (c *Catalog) abortShard(si int, failed []*commitReq, err error) {
 
 // publish merges one durable commit into the reader-visible snapshot
 // and advances its participant shards past the epoch. A routed commit
-// overlays the current snapshot (other shards may have published since
-// it was staged); a whole-catalog commit holds every shard and replaces
-// it.
+// overlays the current snapshot (other relations may have published
+// since it was staged); a whole-catalog commit holds every shard and
+// replaces it.
 func (c *Catalog) publish(req *commitReq) {
 	c.pub.Lock()
 	cur := c.cur.Load()
 	db, views := req.db, req.views
 	if views == nil {
-		db, views = c.applyShardDiff(cur.DB, req.db, req.ps, req.wset), cur.Views
+		db, views = overlay(cur.DB, req.db, req.wrels, req.wset), cur.Views
 	}
 	vers := append([]uint64{}, cur.shardVers...)
 	for _, p := range req.ps {
@@ -616,29 +637,23 @@ func (c *Catalog) publish(req *commitReq) {
 	}
 }
 
-// applyShardDiff overlays a commit's staged decomposition onto the
-// current merged one: certain relations homed at a participant shard
-// and components in wset (by stable ID) come from next; everything else
-// keeps the current snapshot's pointers. Routed commits never create
-// components, so the overlay only replaces or drops — the merged
-// component order is the current order with touched entries substituted
-// in place, which keeps publication order-independent across shards.
-func (c *Catalog) applyShardDiff(base, next *wsd.DecompDB, ps []int, wset map[uint64]bool) *wsd.DecompDB {
-	inP := map[int]bool{}
-	for _, p := range ps {
-		inP[p] = true
-	}
+// overlay lays a routed commit's staged decomposition onto another state
+// with the same schema: the certain relations in rels and the components
+// in wset (by stable ID) come from next; everything else keeps base's
+// pointers. Publication overlays onto the current merged snapshot, and
+// a staged transaction that passed validation is rebased onto its
+// shards' head the same way. Routed commits never create components, so
+// the overlay only replaces or drops — the component order is base's
+// with touched entries substituted in place, which keeps publication
+// order-independent across relations and shards.
+func overlay(base, next *wsd.DecompDB, rels map[int]bool, wset map[uint64]bool) *wsd.DecompDB {
 	out := &wsd.DecompDB{
 		Names:   base.Names,
 		Schemas: base.Schemas,
-		Certain: make([]*relation.Relation, len(base.Certain)),
+		Certain: append([]*relation.Relation{}, base.Certain...),
 	}
-	for i := range base.Certain {
-		if inP[shardOfName(base.Names[i], len(c.shards))] {
-			out.Certain[i] = next.Certain[i]
-		} else {
-			out.Certain[i] = base.Certain[i]
-		}
+	for ri := range rels {
+		out.Certain[ri] = next.Certain[ri]
 	}
 	repl := map[uint64]wsd.DBComponent{}
 	for _, comp := range next.Components {
@@ -788,7 +803,7 @@ type ShardStat struct {
 	Shard     int    `json:"shard"`
 	Version   uint64 `json:"version"`   // newest published epoch
 	Commits   uint64 `json:"commits"`   // commits published
-	Conflicts uint64 `json:"conflicts"` // staged commits refused validation
+	Conflicts uint64 `json:"conflicts"` // staged commits refused on a relation homed here
 	Pending   int    `json:"pending"`   // queued for group commit
 	Syncs     uint64 `json:"syncs"`     // WAL fsyncs on this segment
 }

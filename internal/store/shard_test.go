@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"sort"
 	"strconv"
@@ -32,18 +33,15 @@ func shardNames(nshards int) []string {
 	return names
 }
 
-// insInto stages "insert v into table" on tx: certain-tuple insert, the
-// shape of the session's native DML, logged as "ins <table> <v>".
+// insInto stages "insert v into table" on tx through Tx.InsertCertain,
+// the session's INSERT path, logged as "ins <table> <v>".
 func insInto(tx *Tx, table string, v int) error {
 	tx.Log(fmt.Sprintf("ins %s %d", table, v))
-	db := tx.DB()
-	i := db.IndexOf(table)
+	i := tx.DB().IndexOf(table)
 	if i < 0 {
 		return fmt.Errorf("no relation %q", table)
 	}
-	nr := db.Certain[i].Clone()
-	nr.Insert(relation.Tuple{value.Int(int64(v))})
-	tx.SetDB(db.WithCertain(i, nr).Normalize())
+	tx.InsertCertain(i, []relation.Tuple{{value.Int(int64(v))}})
 	return nil
 }
 
@@ -98,9 +96,24 @@ func newShardedFixture(t *testing.T, nshards int) (*Catalog, []string) {
 	return c, names
 }
 
+// TestShardOfNameIsFNV1a: the inline hash routes every name exactly as
+// hash/fnv's FNV-1a does — directories written by earlier builds keep
+// their relations on the same shards.
+func TestShardOfNameIsFNV1a(t *testing.T) {
+	for _, name := range []string{"", "R", "Census", "Log0", "Audit3_17", "T0_0", "ü名"} {
+		h := fnv.New32a()
+		h.Write([]byte(name))
+		for _, n := range []int{1, 2, 4, 7, 8} {
+			if got, want := shardOfName(name, n), int(h.Sum32()%uint32(n)); got != want {
+				t.Fatalf("shardOfName(%q, %d) = %d, FNV-1a says %d", name, n, got, want)
+			}
+		}
+	}
+}
+
 // TestRoutedCommitAdvancesOneShard: a single-table commit bumps only
-// its home shard's version; the other shards' read timestamps are
-// untouched, which is what lets disjoint committers skip each other.
+// its home shard's version; the other shards' versions — what their
+// next commits log as prev links — are untouched.
 func TestRoutedCommitAdvancesOneShard(t *testing.T) {
 	c, names := newShardedFixture(t, 4)
 	before := c.ShardStats()
@@ -171,11 +184,31 @@ func TestShardedDisjointWritersParallel(t *testing.T) {
 	}
 }
 
-// TestStagedDisjointShardsNoConflict: a staged transaction writing
-// shard A commits after an interloper committed on shard B — under
-// shard-level validation the disjoint interloper is not a conflict.
-// The same interleaving on one shard still conflicts.
+// TestStagedDisjointShardsNoConflict: a staged transaction writing one
+// relation commits after an interloper committed on another — on a
+// different shard, and on the same one (the one-shard catalog) — since
+// validation is per relation. An interloper on the transaction's own
+// relation still conflicts, named in the error and counted on the
+// relation's home shard.
 func TestStagedDisjointShardsNoConflict(t *testing.T) {
+	one, oneNames := newShardedFixture(t, 1)
+	if err := one.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, "Other") }); err != nil {
+		t.Fatal(err)
+	}
+	txn1 := one.Begin()
+	if err := txn1.UpdateRouted([]string{oneNames[0]}, func(tx *Tx) error { return insInto(tx, oneNames[0], 1) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := one.UpdateRouted([]string{"Other"}, func(tx *Tx) error { return insInto(tx, "Other", 2) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn1.Commit(); err != nil {
+		t.Fatalf("one shard: a commit on another relation caused a conflict: %v", err)
+	}
+	if st := one.ShardStats()[0]; st.Conflicts != 0 {
+		t.Fatalf("one shard: %d conflicts counted for disjoint relations", st.Conflicts)
+	}
+
 	c, names := newShardedFixture(t, 4)
 	txn := c.Begin()
 	if err := txn.UpdateRouted([]string{names[0]}, func(tx *Tx) error { return insInto(tx, names[0], 1) }); err != nil {
@@ -203,17 +236,17 @@ func TestStagedDisjointShardsNoConflict(t *testing.T) {
 	}
 	err := txn2.Commit()
 	var ce *ConflictError
-	if !errors.As(err, &ce) {
-		t.Fatalf("same-shard interloper: want *ConflictError, got %v", err)
+	if !errors.As(err, &ce) || ce.Relation != names[0] || !strings.Contains(err.Error(), names[0]) {
+		t.Fatalf("same-relation interloper: want *ConflictError naming %s, got %v", names[0], err)
 	}
-	found := false
-	for _, st := range c.ShardStats() {
-		if st.Conflicts > 0 {
-			found = true
+	for i, st := range c.ShardStats() {
+		want := uint64(0)
+		if i == c.ShardOf(names[0]) {
+			want = 1
 		}
-	}
-	if !found {
-		t.Fatal("conflict not attributed to any shard")
+		if st.Conflicts != want {
+			t.Fatalf("shard %d counted %d conflicts, want %d", i, st.Conflicts, want)
+		}
 	}
 }
 
@@ -237,6 +270,161 @@ func TestStagedReadShardValidated(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("stale read shard: want *ConflictError, got %v", err)
 	}
+}
+
+// TestStagedDisjointWritersConcurrent: staged transactions on disjoint
+// relations, racing on a durable catalog at one shard and at four,
+// never conflict: every one commits first time, rebased over whatever
+// landed since its Begin and chained behind in-flight group commits,
+// and recovery replays the result byte for byte.
+func TestStagedDisjointWritersConcurrent(t *testing.T) {
+	forShardCounts(t, func(t *testing.T, nshards int) {
+		const writers, txns = 4, 15
+		dir := t.TempDir()
+		cat, wals := openDir(t, dir, nshards)
+		for w := 0; w < writers; w++ {
+			name := fmt.Sprintf("W%d", w)
+			if err := cat.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, name) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(name string) {
+				defer wg.Done()
+				for k := 0; k < txns; k++ {
+					txn := cat.Begin()
+					for _, v := range []int{2 * k, 2*k + 1} {
+						if err := txn.UpdateRouted([]string{name}, func(tx *Tx) error { return insInto(tx, name, v) }); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if err := txn.Commit(); err != nil {
+						t.Errorf("%s transaction %d: %v", name, k, err)
+						return
+					}
+				}
+			}(fmt.Sprintf("W%d", w))
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		snap := cat.Snapshot()
+		for w := 0; w < writers; w++ {
+			if got := snap.DB.Certain[snap.DB.IndexOf(fmt.Sprintf("W%d", w))].Len(); got != 2*txns {
+				t.Fatalf("W%d holds %d rows, want %d", w, got, 2*txns)
+			}
+		}
+		for _, st := range cat.ShardStats() {
+			if st.Conflicts != 0 {
+				t.Fatalf("shard %d counted %d conflicts between disjoint writers", st.Shard, st.Conflicts)
+			}
+		}
+		want := dbBytes(t, snap)
+		closeWALs(wals)
+		rec, rwals := openDir(t, dir, nshards)
+		defer closeWALs(rwals)
+		if got := dbBytes(t, rec.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatalf("recovery differs from the published state\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		}
+	})
+}
+
+// TestRoutedCommitReplacesOnlyItsClosure: a routed commit whose staged
+// state also changed a relation outside its closure (a whole-catalog
+// re-normalization can) publishes, logs and chains on only its own
+// relations — the next commit on the shard builds on what was
+// published, and recovery replays both byte for byte.
+func TestRoutedCommitReplacesOnlyItsClosure(t *testing.T) {
+	forShardCounts(t, func(t *testing.T, nshards int) {
+		dir := t.TempDir()
+		cat, wals := openDir(t, dir, nshards)
+		for _, n := range []string{"R", "U"} {
+			if err := cat.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, n) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		u := cat.Snapshot().DB.Certain[1]
+		if err := cat.UpdateRouted([]string{"R"}, func(tx *Tx) error {
+			if err := insInto(tx, "R", 1); err != nil {
+				return err
+			}
+			stray := relation.FromRows(relation.NewSchema("X"), relation.Tuple{value.Int(99)})
+			tx.SetDB(tx.DB().WithCertain(1, stray))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sIns(t, cat, "R", 2)
+		snap := cat.Snapshot()
+		if snap.DB.Certain[1] != u || snap.DB.Certain[0].Len() != 2 {
+			t.Fatalf("published R=%v U=%v: want both inserts in R and U untouched", snap.DB.Certain[0], snap.DB.Certain[1])
+		}
+		want := dbBytes(t, snap)
+		closeWALs(wals)
+		rec, rwals := openDir(t, dir, nshards)
+		defer closeWALs(rwals)
+		if got := dbBytes(t, rec.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatalf("recovery differs from the published state\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		}
+	})
+}
+
+// TestStagedComponentMoveConflicts: a commit that rewrites only a
+// component — here its contribution to the transaction's relation,
+// leaving every certain part alone — is a conflict, found by the
+// component's shape and reported with its ID. Committing anyway would
+// overlay the transaction's stale copy of the component onto the
+// winner's, losing its update.
+func TestStagedComponentMoveConflicts(t *testing.T) {
+	forShardCounts(t, func(t *testing.T, nshards int) {
+		names := shardNames(nshards)
+		rels := make([]*relation.Relation, len(names))
+		for i := range rels {
+			rels[i] = relation.New(relation.NewSchema("X"))
+		}
+		db := wsd.FromComplete(names, rels)
+		r, s := 0, len(names)-1 // on two shards when there are several
+		alt := func(a, b int) wsd.DBAlternative {
+			return wsd.DBAlternative{Rels: map[int]*relation.Relation{
+				r: relation.FromRows(relation.NewSchema("X"), relation.Tuple{value.Int(int64(a))}),
+				s: relation.FromRows(relation.NewSchema("X"), relation.Tuple{value.Int(int64(b))}),
+			}}
+		}
+		if r == s {
+			db = db.WithRelation("S", relation.NewSchema("X"), nil)
+			s = 1
+		}
+		db.Components = []wsd.DBComponent{{Alternatives: []wsd.DBAlternative{alt(1, 10), alt(2, 20)}}}
+		c := NewSharded(db, nshards)
+		id := c.Snapshot().DB.Components[0].ID
+
+		txn := c.Begin()
+		if err := txn.UpdateRouted([]string{names[r]}, func(tx *Tx) error { return insInto(tx, names[r], 7) }); err != nil {
+			t.Fatal(err)
+		}
+		sName := c.Snapshot().DB.Names[s]
+		if err := c.UpdateRouted([]string{sName}, func(tx *Tx) error {
+			tx.Log("rewrite component")
+			db := tx.DB()
+			tx.SetDB(&wsd.DecompDB{Names: db.Names, Schemas: db.Schemas, Certain: db.Certain,
+				Components: []wsd.DBComponent{{ID: id, Alternatives: []wsd.DBAlternative{alt(1, 10), alt(3, 20)}}}})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		err := txn.Commit()
+		var ce *ConflictError
+		if !errors.As(err, &ce) || ce.Component != id || (ce.Relation != names[r] && ce.Relation != sName) {
+			t.Fatalf("want a conflict on component %d of %s or %s, got %v", id, names[r], sName, err)
+		}
+		if !c.Snapshot().DB.Components[0].Alternatives[1].Rels[r].Contains(relation.Tuple{value.Int(3)}) {
+			t.Fatal("the winner's component rewrite was lost")
+		}
+	})
 }
 
 // TestCrossShardComponentRoutes: a component spanning relations homed on
@@ -443,8 +631,9 @@ func copyDir(t *testing.T, src, dst string) {
 
 // TestCrashSweepEveryCutPoint is the crash-recovery acceptance sweep,
 // at one shard and at four: run a workload mixing single-shard commits,
-// an all-shard DDL, a staged transaction over two tables (cross-shard at
-// four shards) and one more commit per participant over per-shard
+// an all-shard DDL, a staged transaction rebased over a commit on
+// another relation, a staged transaction over two tables (cross-shard
+// at four shards) and one more commit per participant over per-shard
 // segments, then for every segment and every torn-tail cut point (each
 // line boundary and mid-line) recover the truncated directory. The
 // outcome must be the one an independent reference computes from the
@@ -460,7 +649,7 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 		dir := t.TempDir()
 		cat, wals := openDir(t, dir, nshards)
 		names := shardNames(nshards)
-		for _, n := range names {
+		for _, n := range append(names, "Z") {
 			if err := cat.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, n) }); err != nil {
 				t.Fatal(err)
 			}
@@ -469,6 +658,17 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 			for _, n := range names {
 				sIns(t, cat, n, k)
 			}
+		}
+		// A staged transaction rebased over a commit on another relation
+		// that landed between its Begin and Commit — on the same shard
+		// when there is one: it commits, logged against the newer head.
+		rebased := cat.Begin()
+		if err := rebased.UpdateRouted([]string{names[0]}, func(tx *Tx) error { return insInto(tx, names[0], 555) }); err != nil {
+			t.Fatal(err)
+		}
+		sIns(t, cat, "Z", 556)
+		if err := rebased.Commit(); err != nil {
+			t.Fatalf("transaction on %s conflicted with a commit on Z: %v", names[0], err)
 		}
 		// Staged transaction over two tables — two shards when there are
 		// four: truncating the coordinator's marker simulates a crash mid

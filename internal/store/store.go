@@ -43,6 +43,17 @@
 // always get one wait-free merged Snapshot. See shard.go for the
 // routing, epoch and publish rules.
 //
+// A commit validates, publishes and logs only what it touched. A staged
+// transaction (Staged) is validated per relation — each relation it
+// read or may write against that relation's home-shard head, by
+// pointer identity of the certain part and stable ID and shape of the
+// contributing components — so writers on different relations never
+// conflict, on one shard or many; a transaction that passes is overlaid
+// onto the head. A routed commit publishes and logs just the relations
+// of its component closure, and an INSERT staged through
+// Tx.InsertCertain carries its exact edit, so its WAL patch costs the
+// rows inserted, not a diff of the relation.
+//
 // # One way to be durable
 //
 // Open is the only constructor of a durable catalog: it seeds a fresh
@@ -83,9 +94,10 @@ type Snapshot struct {
 	Views map[string]string
 
 	// shardVers records per shard the epoch of the newest commit included
-	// in this snapshot — the read timestamps staged transactions validate
-	// against at commit. Its length is the owning catalog's shard count;
-	// nil on the private staging snapshots of a Staged transaction.
+	// in this snapshot — what a commit staged on it logs as its prev link
+	// for recovery to check. Its length is the owning catalog's shard
+	// count; nil on the private staging snapshots of a Staged
+	// transaction.
 	shardVers []uint64
 	// compID is the catalog's component ID counter at publication.
 	// Checkpoints persist it so recovery resumes ID assignment exactly
@@ -229,6 +241,7 @@ type Tx struct {
 	views map[string]string // staged view map; nil = unchanged
 	stmts []string          // statement records for the commit log
 	trace *obs.Span         // commit trace root; nil = tracing off
+	ins   certEdits         // exact certain edits of db against base.DB
 }
 
 // Log records the statement text that produced the staged edits, so a
@@ -267,8 +280,29 @@ func (tx *Tx) Views() map[string]string {
 	return tx.base.Views
 }
 
-// SetDB stages a new decomposition for commit.
-func (tx *Tx) SetDB(db *wsd.DecompDB) { tx.db = db }
+// SetDB stages a new decomposition for commit. Edits recorded by
+// InsertCertain survive for the relations db leaves as they were; a
+// commit finds any other change by diffing.
+func (tx *Tx) SetDB(db *wsd.DecompDB) {
+	tx.ins = tx.ins.extend(tx.base.DB, tx.DB(), db, nil)
+	tx.db = db
+}
+
+// InsertCertain stages the insertion of ts into the certain part of
+// relation i (an index into DB()) through wsd.DecompDB.InsertCertain:
+// only the components contributing to a relation that grew are
+// re-normalized, everything else is shared with the staged state, and
+// the exact edit — ts plus whatever a collapsing component folds into
+// any relation — is recorded, so the commit logs it as a patch without
+// diffing the relations. It returns the tuples relation i gained (those
+// already certain are skipped). ts must not be mutated afterwards.
+func (tx *Tx) InsertCertain(i int, ts []relation.Tuple) []relation.Tuple {
+	prev := tx.DB()
+	next, added := prev.InsertCertain(i, ts)
+	tx.ins = tx.ins.extend(tx.base.DB, prev, next, added)
+	tx.db = next
+	return added[i]
+}
 
 // SetView stages a view definition.
 func (tx *Tx) SetView(name, sql string) {

@@ -198,6 +198,84 @@ func (db *DecompDB) Normalize() *DecompDB {
 	return out
 }
 
+// InsertCertain returns db with the tuples ts made certain in relation
+// i, re-normalized where that can matter, plus the certain tuples the
+// edit added per relation index: the members of ts relation i did not
+// hold yet, and whatever a component collapsing to one alternative
+// folded into any relation. Only components contributing to a relation
+// whose certain part grew take the Normalize passes (in component
+// order, against the evolving certain parts, exactly as Normalize runs
+// them); every other component, every alternative map and every
+// untouched relation is shared with db by pointer. On a normalized db
+// the result is structurally WithCertain(i, Certain[i] ∪ ts).Normalize()
+// — at the cost of the edit, not of the catalog. The caller must not
+// mutate ts afterwards.
+func (db *DecompDB) InsertCertain(i int, ts []relation.Tuple) (*DecompDB, map[int][]relation.Tuple) {
+	out := &DecompDB{Names: db.Names, Schemas: db.Schemas,
+		Certain: append([]*relation.Relation{}, db.Certain...)}
+	added := map[int][]relation.Tuple{}
+	owned := make([]bool, len(out.Certain))
+	insert := func(ri int, t relation.Tuple) {
+		if out.Certain[ri].Contains(t) {
+			return
+		}
+		if !owned[ri] {
+			out.Certain[ri] = out.Certain[ri].Clone()
+			owned[ri] = true
+		}
+		out.Certain[ri].Insert(t)
+		added[ri] = append(added[ri], t)
+	}
+	for _, t := range ts {
+		insert(i, t)
+	}
+	if len(added) == 0 {
+		return db, nil
+	}
+	out.Components = make([]DBComponent, 0, len(db.Components))
+	for _, c := range db.Components {
+		if len(c.Alternatives) == 0 || !c.contributesTo(added) {
+			out.Components = append(out.Components, c)
+			continue
+		}
+		comp := DBComponent{ID: c.ID}
+		seen := map[string]bool{}
+		for _, a := range c.Alternatives {
+			stripped := stripCertain(a, out.Certain)
+			key := altContentKey(stripped)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			comp.Alternatives = append(comp.Alternatives, stripped)
+		}
+		if len(comp.Alternatives) == 1 {
+			for ri, r := range comp.Alternatives[0].Rels {
+				r.Each(func(t relation.Tuple) { insert(ri, t) })
+			}
+			continue
+		}
+		if SameComponentShape(comp, c) {
+			comp = c // nothing stripped or collapsed: keep the original maps
+		}
+		out.Components = append(out.Components, comp)
+	}
+	return out, added
+}
+
+// contributesTo reports whether any alternative of c contributes a
+// tuple to one of the relations keyed in rels.
+func (c DBComponent) contributesTo(rels map[int][]relation.Tuple) bool {
+	for _, a := range c.Alternatives {
+		for ri, r := range a.Rels {
+			if _, ok := rels[ri]; ok && r != nil && r.Len() > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // stripCertain returns the alternative without tuples that are already
 // certain, sharing untouched relations.
 func stripCertain(a DBAlternative, certain []*relation.Relation) DBAlternative {

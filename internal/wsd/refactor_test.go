@@ -382,3 +382,108 @@ func TestDropRelationNormalizeCollapsesWorlds(t *testing.T) {
 		t.Fatalf("surviving tuple must fold into certain\n%s", dropped)
 	}
 }
+
+// structureKey renders a decomposition exactly: names, schemas, certain
+// contents, and per component its ID and each alternative's contents.
+func structureKey(db *DecompDB) string {
+	var b []byte
+	for i, name := range db.Names {
+		b = append(b, name...)
+		b = append(b, db.Schemas[i].String()...)
+		b = append(b, db.Certain[i].ContentKey()...)
+		b = append(b, 0x1e)
+	}
+	for _, c := range db.Components {
+		b = append(b, byte(c.ID), 0x1d)
+		for _, a := range c.Alternatives {
+			b = append(b, altContentKey(a)...)
+			b = append(b, 0x1d)
+		}
+	}
+	return string(b)
+}
+
+// TestInsertCertainMatchesNormalize: on randomized decompositions at
+// Normalize's fixpoint, InsertCertain builds exactly what WithCertain +
+// Normalize builds — including components that collapse and fold
+// tuples into other relations — reports the exact certain-part edit,
+// and shares every component it did not re-normalize.
+func TestInsertCertainMatchesNormalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261015))
+	names := []string{"R", "S"}
+	schemas := []relation.Schema{relation.NewSchema("A", "B"), relation.NewSchema("C")}
+	// Iteration 0 is a fixed collapse: both alternatives hold S(5) and
+	// differ only in the R tuples the insert makes certain, so the
+	// component folds S(5) into S's certain part.
+	collapse := NewDecompDB(names, schemas)
+	collapse.Components = []DBComponent{{Alternatives: []DBAlternative{
+		{Rels: map[int]*relation.Relation{0: relation.FromRows(schemas[0], intTuple(1, 1)), 1: relation.FromRows(schemas[1], intTuple(5))}},
+		{Rels: map[int]*relation.Relation{0: relation.FromRows(schemas[0], intTuple(2, 2)), 1: relation.FromRows(schemas[1], intTuple(5))}},
+	}}}
+	folds := 0
+	for iter := 0; iter < 400; iter++ {
+		db, i, ts := collapse, 0, []relation.Tuple{intTuple(1, 1), intTuple(2, 2)}
+		if iter > 0 {
+			// One Normalize pass is not a fixpoint (a later fold can make
+			// an earlier component's tuple certain); run it to one.
+			db = randomDecompDB(rng, names, schemas).Normalize()
+			for next := db.Normalize(); structureKey(next) != structureKey(db); next = db.Normalize() {
+				db = next
+			}
+			i, ts = rng.Intn(len(names)), nil
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				ts = append(ts, intTuple(int64(rng.Intn(3)), int64(rng.Intn(3)))[:len(schemas[i])])
+			}
+		}
+		for ci := range db.Components {
+			db.Components[ci].ID = uint64(ci + 1)
+		}
+		union := db.Certain[i].Clone()
+		for _, tup := range ts {
+			union.Insert(tup)
+		}
+		want := db.WithCertain(i, union).Normalize()
+		got, added := db.InsertCertain(i, ts)
+		if g, w := structureKey(got), structureKey(want); g != w {
+			t.Fatalf("iteration %d: InsertCertain differs from WithCertain+Normalize\ninput:\n%s\ngot:\n%s\nwant:\n%s", iter, db, got, want)
+		}
+		for ri := range db.Certain {
+			var diff []relation.Tuple
+			got.Certain[ri].Each(func(tup relation.Tuple) {
+				if !db.Certain[ri].Contains(tup) {
+					diff = append(diff, tup)
+				}
+			})
+			if len(diff) != len(added[ri]) {
+				t.Fatalf("iteration %d: relation %d gained %d tuples, edit records %d", iter, ri, len(diff), len(added[ri]))
+			}
+			for _, tup := range added[ri] {
+				if !got.Certain[ri].Contains(tup) || db.Certain[ri].Contains(tup) {
+					t.Fatalf("iteration %d: recorded edit %v of relation %d is not an addition", iter, tup, ri)
+				}
+			}
+			if ri != i && len(added[ri]) > 0 {
+				folds++
+			}
+		}
+		if len(added) == 0 && got != db {
+			t.Fatalf("iteration %d: a no-op insert rebuilt the decomposition", iter)
+		}
+		shared := map[uint64]bool{}
+		for _, c := range db.Components {
+			if len(c.Alternatives) > 0 {
+				shared[c.ID] = true
+			}
+		}
+		for _, c := range got.Components {
+			if orig := db.Components[c.ID-1]; shared[c.ID] && !orig.contributesTo(added) {
+				if &orig.Alternatives[0] != &c.Alternatives[0] {
+					t.Fatalf("iteration %d: untouched component %d was copied", iter, c.ID)
+				}
+			}
+		}
+	}
+	if folds == 0 {
+		t.Fatal("no insert collapsed a component into another relation: the fold path went untested")
+	}
+}
