@@ -12,9 +12,7 @@ import (
 	"testing"
 
 	"worldsetdb/internal/datagen"
-	"worldsetdb/internal/inline"
 	"worldsetdb/internal/isql"
-	"worldsetdb/internal/physical"
 	"worldsetdb/internal/ra"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/rewrite"
@@ -271,14 +269,14 @@ func BenchmarkRewriteOptimizer(b *testing.B) {
 	}
 }
 
-// BenchmarkPhysicalOperators is the EXP-PHYS ablation: the same
+// BenchmarkFactorizedOperators is the EXP-PHYS ablation: the same
 // group-worlds-by query evaluated by the naive Figure 3 evaluator, the
 // generated Figure 6 relational plan over the inlined representation,
-// and the dedicated physical operators of the paper's conclusion. The
-// largest size (~10k base tuples, 400 worlds) exercises the parallel
-// world-partitioned execution paths; the quadratic Figure 6 plan is
-// skipped there.
-func BenchmarkPhysicalOperators(b *testing.B) {
+// and the factorized engine — the dedicated physical operators of the
+// paper's conclusion — natively on the decomposition. The largest size
+// (~10k base tuples, 400 worlds) exercises wsdexec's parallel fan-out;
+// the quadratic Figure 6 plan is skipped there.
+func BenchmarkFactorizedOperators(b *testing.B) {
 	q := wsa.NewPossGroup([]string{"Arr"}, []string{"Dep", "Arr"},
 		&wsa.Choice{Attrs: []string{"Dep"}, From: &wsa.Rel{Name: "Flights"}})
 	for _, size := range []struct{ nDep, nArr int }{
@@ -302,10 +300,15 @@ func BenchmarkPhysicalOperators(b *testing.B) {
 				}
 			})
 		}
-		b.Run(fmt.Sprintf("physical/deps=%d", size.nDep), func(b *testing.B) {
+		db := wsd.FromComplete([]string{"Flights"}, []*relation.Relation{flights})
+		b.Run(fmt.Sprintf("wsdexec/deps=%d", size.nDep), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := physical.EvalWorldSet(q, ws); err != nil {
+				_, plan, err := wsdexec.Eval(q, db)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if !plan.Native {
+					b.Fatalf("plan not native: %v", plan)
 				}
 			}
 		})
@@ -345,10 +348,8 @@ func BenchmarkWSDRepair(b *testing.B) {
 // BenchmarkWSDX is the PR 2 tentpole ablation: certain answers over the
 // census-repair view, evaluated by the factorized engine directly on
 // the decomposition (cost linear in the input, independent of the world
-// count — the dups=40 case covers 2^40 worlds) versus the physical
-// engine over the pre-encoded inlined repair at the largest world count
-// it can still enumerate. The encode happens outside the timer, so the
-// physical engine is charged only for its certain-answer pass.
+// count — the dups=40 case covers 2^40 worlds), plus a small census at
+// dups=12 whose 4096 worlds the enumerating engines can still expand.
 func BenchmarkWSDX(b *testing.B) {
 	certQ := wsa.NewCert(&wsa.RepairKey{Attrs: []string{"SSN"}, From: &wsa.Rel{Name: "Census"}})
 	for _, dups := range []int{12, 40} {
@@ -366,22 +367,7 @@ func BenchmarkWSDX(b *testing.B) {
 			}
 		})
 	}
-	census := datagen.Census(50, 12, 3)
-	ws := worldset.FromDB([]string{"Census"}, []*relation.Relation{census})
-	clean, err := wsa.Run(&wsa.RepairKey{Attrs: []string{"SSN"}, From: &wsa.Rel{Name: "Census"}}, ws, "Clean")
-	if err != nil {
-		b.Fatal(err)
-	}
-	repr := inline.Encode(clean)
-	certClean := wsa.NewCert(&wsa.Rel{Name: "Clean"})
-	b.Run("physical/dups=12", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := physical.Eval(certClean, repr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	smallDB := wsd.FromComplete([]string{"Census"}, []*relation.Relation{census})
+	smallDB := wsd.FromComplete([]string{"Census"}, []*relation.Relation{datagen.Census(50, 12, 3)})
 	b.Run("wsdexecSmall/dups=12", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := wsdexec.EvalOpts(certQ, smallDB, &wsdexec.Options{NoFallback: true}); err != nil {

@@ -18,8 +18,9 @@
 //
 // The -engine flag routes statements in the clean World-set Algebra
 // fragment through one of the registered evaluation engines (reference
-// | translated | physical | wsdexec, the default), all running against
-// the session's catalog snapshot. Statements outside the fragment
+// | translated | wsdexec, the default), all running against the
+// session's catalog snapshot; an unknown name is refused before the
+// script is read. Statements outside the fragment
 // (aggregates, subqueries, DELETE/UPDATE with a subquery) always take
 // the second arm: the world-at-a-time evaluator over the bounded input
 // — only the components the statement's relations depend on are
@@ -39,15 +40,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"worldsetdb/internal/datagen"
 	"worldsetdb/internal/isql"
 	"worldsetdb/internal/wsa"
 
-	// Register the translated, physical and factorized engines with the
-	// wsa engine registry (the reference engine registers itself).
-	_ "worldsetdb/internal/physical"
+	// Register the translated and factorized engines with the wsa
+	// engine registry (the reference engine registers itself).
 	_ "worldsetdb/internal/translate"
 	_ "worldsetdb/internal/wsdexec"
 )
@@ -61,6 +62,10 @@ func main() {
 			strings.Join(wsa.EngineNames(), " | ")))
 	showWorlds := flag.Bool("worlds", false, "print the full world-set (or decomposition summary) after every statement")
 	flag.Parse()
+	if err := checkEngine(*engine); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	session, err := newSession(*demo, *load)
 	if err != nil {
@@ -86,7 +91,7 @@ func main() {
 		}
 		input = string(data)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: isql [-demo name] [-load file.wsd] [-save file.wsd] [-worlds] [script.isql]")
+		fmt.Fprintln(os.Stderr, "usage: isql [-demo name] [-engine name] [-load file.wsd] [-save file.wsd] [-worlds] [script.isql]")
 		os.Exit(2)
 	}
 
@@ -134,6 +139,16 @@ func main() {
 		}
 		fmt.Printf("catalog saved to %s\n", *save)
 	}
+}
+
+// checkEngine accepts the empty default, a registered engine name and
+// "legacy"; anything else is an error listing what is accepted.
+func checkEngine(name string) error {
+	names := append(wsa.EngineNames(), "legacy")
+	if name == "" || slices.Contains(names, name) {
+		return nil
+	}
+	return fmt.Errorf("isql: unknown -engine %q (want %s)", name, strings.Join(names, " | "))
 }
 
 func newSession(demo, load string) (*isql.Session, error) {

@@ -213,9 +213,6 @@
 //   - "translated" (internal/translate) — the Figure 6 translation to
 //     relational algebra over the inlined representation of §5,
 //     demonstrating Theorem 5.7.
-//   - "physical" (internal/physical) — dedicated world-partitioned
-//     parallel operators over the inlined representation, the fastest
-//     engine that still materializes worlds.
 //   - "wsdexec" (internal/wsdexec) — the factorized engine: it
 //     evaluates queries directly over a multi-relation world-set
 //     decomposition (wsd.DecompDB), never expanding to worlds, so cost
@@ -253,10 +250,10 @@
 // strings (ROADMAP item 1). Relations store rows in hash buckets and
 // memoize their content digests (internal/relation), the
 // relational operators join through cached per-column hash indexes
-// (internal/ra), and both the physical and factorized executors fan
+// (internal/ra), and the factorized engine and the inline decoder fan
 // work out across a GOMAXPROCS-sized worker pool (relation/pool.go)
-// with deterministic merges — by world partition in internal/physical,
-// by decomposition component in internal/wsdexec.
+// with deterministic merges — by decomposition component and piece in
+// internal/wsdexec, by id group in internal/inline.
 //
 // # Cost-based planning
 //

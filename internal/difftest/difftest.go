@@ -2,19 +2,18 @@
 // the same World-set Algebra query through every evaluation engine the
 // system has — the Figure 3 reference semantics over explicit
 // world-sets (wsa.Eval), the Figure 6 translation to relational algebra
-// over the inlined representation (translate.EvalWorldSet), the
-// dedicated physical operators (physical.EvalWorldSet), and the
+// over the inlined representation (translate.EvalWorldSet) and the
 // factorized decomposition engine (wsdexec) — and asserts that the
 // resulting world-sets coincide.
 //
-// The harness is how engine refactors stay honest: the parallel
-// world-partitioned executor, the hash-join fast paths, the bucketed
-// decoder and now the factorized WSD-native engine all ship with "all
-// evaluators agree on hundreds of randomized queries" as the acceptance
+// The harness is how engine refactors stay honest: the hash-join fast
+// paths, the bucketed parallel decoder and the factorized WSD-native
+// engine all ship with "all evaluators agree on hundreds of randomized
+// queries" as the acceptance
 // bar, including under the race detector with partitioning forced on
 // (see difftest_test.go). Decomposed inputs get their own entry point,
 // CheckDecomp, which runs wsdexec natively on the decomposition and the
-// other three on its (expandable) enumeration, requiring byte-identical
+// other two on its (expandable) enumeration, requiring byte-identical
 // rendered world-sets; CheckStore runs the same queries the way an
 // I-SQL session select does — through the store.Query snapshot path
 // with re-factorized fallbacks — against the reference engine.
@@ -26,7 +25,6 @@ import (
 	"strings"
 
 	"worldsetdb/internal/isql"
-	"worldsetdb/internal/physical"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/store"
 	"worldsetdb/internal/translate"
@@ -43,22 +41,20 @@ type Result struct {
 	Err  error
 }
 
-// Run evaluates q on ws with all four evaluators and returns their
-// results in a fixed order: reference, translated, physical, wsdexec.
+// Run evaluates q on ws with all three evaluators and returns their
+// results in a fixed order: reference, translated, wsdexec.
 func Run(q wsa.Expr, ws *worldset.WorldSet) []Result {
 	ref, refErr := wsa.Eval(q, ws)
 	tr, trErr := translate.EvalWorldSet(q, ws)
-	ph, phErr := physical.EvalWorldSet(q, ws)
 	wx, wxErr := wsdexec.EvalWorldSet(q, ws)
 	return []Result{
 		{Name: "reference", Out: ref, Err: refErr},
 		{Name: "translated", Out: tr, Err: trErr},
-		{Name: "physical", Out: ph, Err: phErr},
 		{Name: "wsdexec", Out: wx, Err: wxErr},
 	}
 }
 
-// Check runs q through all four evaluators and returns an error
+// Check runs q through all three evaluators and returns an error
 // describing the first disagreement: an evaluator failing where the
 // reference succeeds (or vice versa), or a world-set differing from the
 // reference output. Relation names may differ across evaluators (the
@@ -91,8 +87,8 @@ func checkResults(q wsa.Expr, ws *worldset.WorldSet, results []Result) (Result, 
 }
 
 // CheckDecomp is the decomposition-level differential check: the
-// factorized engine evaluates q directly on db while the reference,
-// translated and physical engines run on db's enumeration (which must
+// factorized engine evaluates q directly on db while the reference and
+// translated engines run on db's enumeration (which must
 // fit the default expansion budget — callers keep generated inputs
 // expandable). Because the expanded wsdexec result and the reference
 // result share names, schemas and the deterministic world ordering,
@@ -168,9 +164,10 @@ func CheckStore(q wsa.Expr, db *wsd.DecompDB) (*wsdexec.Plan, error) {
 }
 
 // CheckSQLScript is the statement-level differential check: one I-SQL
-// script runs through five sessions over the same seed database — the
+// script runs through four sessions over the same seed database — the
 // native factorized path (with execution accounting when stats is
-// non-nil), the three wsa engines by override, and the "legacy" engine
+// non-nil), the reference and translated engines by override, and the
+// "legacy" engine
 // — and every statement, DML included, must agree on answers and
 // affected counts, with every session's state expanding to the same
 // world-set after each statement. On the native session fragment
@@ -182,12 +179,12 @@ func CheckStore(q wsa.Expr, db *wsd.DecompDB) (*wsdexec.Plan, error) {
 // spliced back — whose parity with the legacy session (every component
 // dependent, i.e. the full expansion) this check pins.
 func CheckSQLScript(names []string, rels []*relation.Relation, stmts []string, stats *isql.ExecStats) error {
-	engines := []string{"", "reference", "translated", "physical", "legacy"}
+	engines := []string{"", "reference", "translated", "legacy"}
 	for _, sql := range stmts {
 		if strings.Contains(sql, "repair by key") {
 			// Repair-by-key has no relational algebra equivalent
-			// (Proposition 4.2), so the translated and physical engines
-			// cannot run such a script — they sit it out.
+			// (Proposition 4.2), so the translated engine cannot run
+			// such a script — it sits it out.
 			engines = []string{"", "reference", "legacy"}
 			break
 		}

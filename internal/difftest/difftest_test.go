@@ -28,8 +28,8 @@ var (
 	schemas = []relation.Schema{relation.NewSchema("A", "B"), relation.NewSchema("C")}
 )
 
-// TestMain forces the partitioned parallel code paths in the physical
-// executor and the inline decoder regardless of input size and core
+// TestMain forces the partitioned parallel code paths in the factorized
+// engine and the inline decoder regardless of input size and core
 // count, so the differential runs — especially under -race — exercise
 // the worker fan-out and the deterministic merges. It also installs the
 // edit-delta audit: every routed commit any sweep makes that logs a
@@ -129,18 +129,19 @@ func TestRandomizedAgreement(t *testing.T) {
 }
 
 // TestParallelMatchesSequential pins the determinism guarantee of the
-// parallel executor: with partitioning forced on (TestMain) and off, the
-// physical evaluator must produce byte-identical rendered output for the
-// same query, not merely equal world-sets.
+// parallel inline decoder: with partitioning forced on (TestMain) and
+// off, the translated evaluator — whose answer inline.Decode builds —
+// must produce byte-identical rendered output for the same query, not
+// merely equal world-sets.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	gen := randquery.NewQueryGen(rng, names, schemas)
 	for qi := 0; qi < 40; qi++ {
 		q := gen.Query(1 + rng.Intn(3))
 		ws := datagen.RandomWorldSet(rng, names, schemas, 3, 4, 3)
-		par := mustPhysical(t, q, ws)
+		par := mustTranslated(t, q, ws)
 		relation.ForceParts = 1 // sequential
-		seq := mustPhysical(t, q, ws)
+		seq := mustTranslated(t, q, ws)
 		relation.ForceParts = 3
 		if par != seq {
 			t.Fatalf("parallel output differs from sequential for %s\nparallel:\n%s\nsequential:\n%s", q, par, seq)
@@ -148,14 +149,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func mustPhysical(t *testing.T, q wsa.Expr, ws *worldset.WorldSet) string {
+func mustTranslated(t *testing.T, q wsa.Expr, ws *worldset.WorldSet) string {
 	t.Helper()
-	results := Run(q, ws)
-	ph := results[2]
-	if ph.Err != nil {
-		t.Fatalf("physical eval failed for %s: %v", q, ph.Err)
+	tr := Run(q, ws)[1]
+	if tr.Err != nil {
+		t.Fatalf("translated eval failed for %s: %v", q, tr.Err)
 	}
-	return ph.Out.String()
+	return tr.Out.String()
 }
 
 // TestRandomizedDecompAgreement is the decomposition-level differential

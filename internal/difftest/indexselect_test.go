@@ -144,7 +144,7 @@ func probeQuery(rng *rand.Rand, base wsa.Expr) wsa.Expr {
 // TestIndexedSelectAgreement is the differential sweep of the selection
 // access paths: random selects with equality-on-constant conjuncts over
 // pieces on both sides of relation.IndexProbeMin must render
-// byte-identically to the reference (CheckDecomp, all four engines) and
+// byte-identically to the reference (CheckDecomp, all three engines) and
 // to the scan path — the same query over R ∪ R, whose pieces are
 // computed, not stored, so nothing is probed. Every input is first
 // evaluated from several goroutines at once: the first probes of one

@@ -7,14 +7,16 @@
 // intermediate buffers.
 //
 // A 64-bit digest is not injective, so every consumer that needs exact
-// set semantics (package relation's tuple storage, the hash joins in
-// package ra, the world-partitioned operators in package physical) keys
+// set semantics (package relation's tuple storage and indexes, the hash
+// joins in package ra, world de-duplication in package worldset) keys
 // buckets by the digest and verifies candidates with typed value
 // comparison. Hashing is an accelerator here, never a proof of equality.
 //
-// The digest of a value sequence is required to agree with the equality
-// induced by value.Compare: two tuples with Compare-equal values fold to
-// the same digest (value.Value.Hash feeds the same tagged encoding as
+// The digest of a value sequence agrees with the equality induced by
+// value.Compare except on the numerics value.Value.Hash documents (−0.0,
+// integers beyond 2^53 against floats, NaN): two tuples with
+// Compare-equal values otherwise fold to the same digest
+// (value.Value.Hash feeds the same tagged encoding as
 // value.Value.AppendKey). Tests in package value and package relation
 // pin this invariant.
 package hashkey

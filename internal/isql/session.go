@@ -81,7 +81,7 @@ type Session struct {
 
 	// Engine picks the engine for statements in the clean WSA fragment:
 	// "" or "wsdexec" evaluate natively on the decomposition; any other
-	// name in the wsa registry ("reference", "translated", "physical")
+	// name in the wsa registry ("reference", "translated")
 	// evaluates on the budget-guarded expansion of the region the query
 	// depends on, with the output re-factorized and the rest spliced
 	// back; the special name "legacy" is the differential

@@ -1,6 +1,6 @@
 // Package randquery generates random well-typed World-set Algebra
 // queries over a fixed relational schema, for fuzzing the translations,
-// the rewrite optimizer and the physical executor against the Figure 3
+// the rewrite optimizer and the factorized engine against the Figure 3
 // reference semantics.
 package randquery
 

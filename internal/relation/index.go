@@ -6,8 +6,9 @@ import (
 )
 
 // This file implements the shared hash-index machinery used by the
-// hash-join fast paths in package ra and the world-partitioned operators
-// in package physical. All structures key buckets by the FNV-1a digest
+// hash-join fast paths in package ra, the grouping in packages wsdexec,
+// inline and wsa, and the index-backed selections of package wsdexec.
+// All structures key buckets by the FNV-1a digest
 // of a column projection (package hashkey, via Tuple.HashOn) and verify
 // candidates with typed value comparison, so results are exact even
 // under digest collisions and no key strings are ever allocated.

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// Worker-pool primitives shared by the world-partitioned operators in
-// package physical and the parallel decoder in package inline. The pool
+// Worker-pool primitives shared by the factorized engine in package
+// wsdexec and the parallel decoder in package inline. The pool
 // is sized by GOMAXPROCS and bounded: callers pick a partition count
 // with NumParts and fan out with ParallelDo/ParallelChunks, which block
 // until every worker finishes, so parallelism never escapes an

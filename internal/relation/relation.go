@@ -214,11 +214,11 @@ func (r *Relation) Insert(t Tuple) bool {
 }
 
 // InsertDistinct adds a tuple the caller guarantees is not already
-// present, skipping the membership scan. The parallel operator merges in
-// package physical use it: their partitioning schemes hash equal tuples
-// to the same partition and deduplicate within partitions, so
-// cross-partition duplicates cannot occur. Anywhere that guarantee does
-// not hold, use Insert.
+// present, skipping the membership scan. Packages wsdexec, inline and
+// wsa use it where the rows come from a set already: a selection's
+// survivors, the rows of one hash group, or one group's rows with the
+// shared id columns dropped. Anywhere that guarantee does not hold, use
+// Insert.
 func (r *Relation) InsertDistinct(t Tuple) {
 	if len(t) != len(r.schema) {
 		panic(fmt.Sprintf("relation: inserting arity-%d tuple into schema %v", len(t), r.schema))

@@ -13,7 +13,6 @@ import (
 	"worldsetdb/internal/wsa"
 	"worldsetdb/internal/wsd"
 
-	_ "worldsetdb/internal/physical"  // register the physical engine
 	_ "worldsetdb/internal/translate" // register the translated engine
 )
 
@@ -126,7 +125,7 @@ func TestQueryRegistryEngineRefactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{"reference", "physical", "translated"} {
+	for _, engine := range []string{"reference", "translated"} {
 		out, plan, err := Query(snap, engine, q, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -159,7 +158,7 @@ func TestQueryBudgetErrorShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(wsd.FromWSD(d)) // 2^40 worlds in the catalog itself
-	_, _, err = Query(c.Snapshot(), "physical", &wsa.Rel{Name: "Census"}, 0)
+	_, _, err = Query(c.Snapshot(), "reference", &wsa.Rel{Name: "Census"}, 0)
 	var be *wsd.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("want *wsd.BudgetError, got %v", err)

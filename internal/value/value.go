@@ -290,10 +290,15 @@ func (v Value) Key() string { return string(v.AppendKey(nil)) }
 
 // Hash folds v into a running FNV-1a digest without allocating. The
 // bytes folded are exactly the bytes AppendKey would produce, so two
-// values hash identically iff they encode identically, which holds iff
-// Compare reports 0 (in particular Int(2) and Float(2.0) share a
-// digest). Hash digests are not injective: callers must confirm
-// candidate matches with Compare or Equal.
+// values hash identically iff they encode identically, and values that
+// encode identically compare equal (Int(2) and Float(2.0) share a
+// digest). The converse does not hold everywhere: Compare reports 0
+// for −0.0 against 0, for an Int beyond 2^53 against the Float it
+// rounds to, and for NaN against every number, and each of those pairs
+// digests differently. Index probes fence these constants off
+// (wsdexec.hashExact scans for them instead); ROADMAP item 6 makes the
+// two agree. Hash digests are not injective either: callers must
+// confirm candidate matches with Compare or Equal.
 func (v Value) Hash(h uint64) uint64 {
 	switch v.kind {
 	case KindNull:

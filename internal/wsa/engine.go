@@ -8,17 +8,17 @@ import (
 	"worldsetdb/internal/worldset"
 )
 
-// Engine dispatch. The system has four evaluation engines for the same
+// Engine dispatch. The system has three evaluation engines for the same
 // World-set Algebra semantics — the Figure 3 reference evaluator (this
 // package), the Figure 6 translation to relational algebra over the
-// inlined representation (internal/translate), the dedicated physical
-// operators (internal/physical), and the factorized decomposition
-// engine (internal/wsdexec). Each registers itself here under a stable
+// inlined representation (internal/translate), and the factorized
+// decomposition engine (internal/wsdexec), which is the paper's
+// "dedicated physical operators". Each registers itself here under a stable
 // name, so callers (cmd/isql, internal/difftest, benchmarks) can pick
 // an engine without importing, or even knowing about, all of them.
 //
 // An engine is registered only once its package is linked in; importing
-// internal/difftest (or the cmd tools) links all four.
+// internal/difftest (or the cmd tools) links all three.
 
 // EngineFunc evaluates q on a world-set and returns the world-set
 // extended with the answer relation, exactly like Eval.

@@ -100,7 +100,7 @@ func (f *frel) uncertainComps() []int {
 }
 
 // size returns the stored tuple count across all pieces, used to gate
-// the parallel fan-out like the physical operators do.
+// the parallel fan-out (relation.NumParts).
 func (f *frel) size() int {
 	n := f.cert.Len()
 	for _, alts := range f.parts {

@@ -6,8 +6,8 @@
 // the paper's conclusion proposes for I-SQL ("implement I-SQL on top of
 // an existing representation system for finite world-sets, like ...
 // world-set decompositions"): the §2 census-repair view with 2^40
-// repairs answers cert/poss in milliseconds here, where the reference,
-// translated and physical engines all pay Ω(#worlds).
+// repairs answers cert/poss in milliseconds here, where the reference
+// and translated engines both pay Ω(#worlds).
 //
 // # Evaluation
 //
