@@ -218,15 +218,27 @@
 //     decomposition (wsd.DecompDB), never expanding to worlds, so cost
 //     is polynomial in the decomposition size and independent of the
 //     world count (census repair with 2^40 worlds answers cert/poss in
-//     about a millisecond). A read costs what it selects: base
-//     relations are read in place from the snapshot, renames share the
-//     pieces' storage, and a selection with `column = constant`
-//     conjuncts (bound $n parameters included) probes the hash index
-//     cached on each stored piece of 64 tuples or more
-//     (relation.IndexOn, relation.IndexProbeMin) and scans the rest —
-//     the index is a cache of the immutable snapshot relation, built by
-//     the first probe, kept by every commit that leaves the relation
-//     alone, never built at load or recovery. Operators that would
+//     about a millisecond). A read costs what it selects, and a
+//     prepared read is bind → probe → render: nothing it does per
+//     request depends on the snapshot alone. What does is built once
+//     per snapshot by the first reader and kept on the immutable
+//     decomposition (wsd.DecompDB.Pieces, .Derived) — the list of
+//     pieces each relation has, and the stored view a plan reads a
+//     table through (the relation under its rename chain, its pieces
+//     read in place, renames sharing their storage, small pieces' rows
+//     as slices; shared read-only by every statement, copied only when
+//     a merge must re-key it), and the planner statistics and world
+//     count. A selection with `column = constant` conjuncts (bound $n
+//     parameters included) probes the hash index cached on each stored
+//     piece of 64 tuples or more (relation.IndexOn,
+//     relation.IndexProbeMin), sizes its output by the match count and
+//     skips the residual test when the probe is the whole predicate,
+//     and scans the rest — the index is a cache of the immutable
+//     snapshot relation, built by the first probe, kept by every commit
+//     that leaves the relation alone, never built at load or recovery.
+//     Projection and poss/cert hand on what they do not change; isqld
+//     renders the answer once, into a pooled buffer sent with one Write.
+//     Operators that would
 //     couple independent components merge just those components within
 //     the budget; the two no merge expresses (choice-of and
 //     repair-by-key over an uncertain answer) fall back — recorded in
@@ -311,9 +323,11 @@
 // gauges (certain vs alternative cardinality, components touched) —
 // validated by obs.LintProm, which cmd/promlint wires into CI against
 // the live endpoint; GET /healthz reports the shard count and last
-// durable epoch per shard. And the isqld -slow-query flag logs the
+// durable epoch per shard; a handler panic is answered with HTTP 500
+// and counted in wsdb_handler_panics_total, which the CI smoke jobs
+// require to stay 0. And the isqld -slow-query flag logs the
 // span tree of any statement over the threshold as one JSON line on
-// stderr, while -debug-addr serves net/http/pprof on a separate
+// stderr (Span.AppendJSON, no reflection), while -debug-addr serves net/http/pprof on a separate
 // (private) listener. cmd/wsabench records per-family p50/p95/p99
 // latency quantiles into BENCH_results.json through the same
 // histograms.

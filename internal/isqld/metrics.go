@@ -2,12 +2,10 @@ package isqld
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"worldsetdb/internal/isql"
@@ -53,24 +51,12 @@ func (s *Server) observeRequest(endpoint string, start time.Time) {
 // runScript executes a script like RunScript, additionally tracing
 // each statement when the slow-query log is enabled and emitting span
 // trees for statements over the threshold.
-func (s *Server) runScript(sess *isql.Session, script string) (string, error) {
-	if s.slowQuery <= 0 {
-		return RunScript(sess, script)
+func (s *Server) runScript(b []byte, sess *isql.Session, script string) ([]byte, error) {
+	exec := sess.Exec
+	if s.slowQuery > 0 {
+		exec = func(st isql.Statement) (*isql.Result, error) { return s.execTraced(sess, st) }
 	}
-	stmts, err := isql.ParseScript(script)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for _, st := range stmts {
-		fmt.Fprintf(&b, "isql> %s\n", st)
-		res, err := s.execTraced(sess, st)
-		if err != nil {
-			return b.String(), err
-		}
-		renderResult(&b, sess, res)
-	}
-	return b.String(), nil
+	return appendScript(b, sess, script, exec)
 }
 
 // execTraced runs one statement with a trace attached and logs the
@@ -83,11 +69,12 @@ func (s *Server) execTraced(sess *isql.Session, st isql.Statement) (*isql.Result
 	sess.SetTrace(nil)
 	tr.End()
 	if tr.Duration() >= s.slowQuery {
-		if data, jerr := json.Marshal(tr); jerr == nil {
-			s.slowMu.Lock()
-			s.slowW.Write(append(data, '\n'))
-			s.slowMu.Unlock()
-		}
+		buf := getBuf()
+		*buf = append(tr.AppendJSON(*buf), '\n')
+		s.slowMu.Lock()
+		s.slowW.Write(*buf)
+		s.slowMu.Unlock()
+		putBuf(buf)
 	}
 	tr.Release()
 	return res, err
@@ -269,6 +256,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"", wsdexec.SelectIndexProbes.Value())
 	p.Counter("wsdb_select_scans_total", "Selections that scanned every piece.",
 		"", wsdexec.SelectScans.Value())
+
+	// Handler panics the server survived (see guard); the CI smoke jobs
+	// require it to stay 0.
+	p.Counter("wsdb_handler_panics_total", "Handler panics answered with HTTP 500.", "", s.panics.Value())
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(p.Bytes())

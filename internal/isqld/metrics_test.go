@@ -114,6 +114,7 @@ insert into Audit values ('b', 2);
 		"wsdb_wal_tail_records",
 		"wsdb_select_index_probes_total",
 		"wsdb_select_scans_total",
+		"wsdb_handler_panics_total",
 	} {
 		if !obs.HasSeries(data, series) {
 			t.Errorf("missing required series %s", series)

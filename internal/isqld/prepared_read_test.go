@@ -38,24 +38,33 @@ func preparedReadHandler(t testing.TB) func(call string) string {
 	return func(call string) string { return do("/execute", call) }
 }
 
-var preparedReadCalls = []struct{ name, call string }{
-	{"poss", "poss_by_pob_pow('NYC', 'LA')"},
-	{"cert", "cert_by_pow_pob('LA', 'NYC')"},
-	{"by-ssn", fmt.Sprintf("by_ssn(%d)", 100000+517)},
+// preparedReadCalls are one call of each statement, with its ceiling on
+// allocations per /execute (TestPreparedReadAllocCeiling).
+var preparedReadCalls = []struct {
+	name, call string
+	ceiling    float64
+}{
+	{"poss", "poss_by_pob_pow('NYC', 'LA')", 285},
+	{"cert", "cert_by_pow_pob('LA', 'NYC')", 280},
+	{"by-ssn", fmt.Sprintf("by_ssn(%d)", 100000+517), 115},
 }
 
-// TestPreparedReadAllocCeiling pins the allocation count of one prepared
-// /execute over the 2^40-world census: a read that copies the table
-// before selecting from it costs 2.4–2.8k allocations, one that reads
-// the catalog pieces in place stays under 900.
+// TestPreparedReadAllocCeiling pins the allocations of one prepared
+// /execute over the 2^40-world census, per statement, about 10 % above
+// what they cost when a read binds, probes and renders and nothing
+// else: 257 (poss, 45 answer rows), 252 (cert, 40) and 103 (by-ssn, 1).
+// Building the stored relation's view per request instead of once per
+// snapshot — 81 renamed pieces, their part map and piece list — adds
+// 343 to each; copying the table before selecting from it costs
+// 2.4–2.8k in all.
 func TestPreparedReadAllocCeiling(t *testing.T) {
 	execute := preparedReadHandler(t)
 	for _, c := range preparedReadCalls {
 		if out := execute(c.call); !strings.Contains(out, "answer") {
 			t.Fatalf("%s: no answer:\n%s", c.name, out)
 		}
-		if got := testing.AllocsPerRun(50, func() { execute(c.call) }); got > 900 {
-			t.Errorf("%s: %.0f allocations per /execute, ceiling 900", c.name, got)
+		if got := testing.AllocsPerRun(50, func() { execute(c.call) }); got > c.ceiling {
+			t.Errorf("%s: %.0f allocations per /execute, ceiling %.0f", c.name, got, c.ceiling)
 		}
 	}
 }

@@ -64,9 +64,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,6 +112,8 @@ type Server struct {
 	slowQuery time.Duration
 	slowW     io.Writer
 	slowMu    sync.Mutex
+	// panics counts handler panics answered with a 500 (guard).
+	panics obs.Counter
 }
 
 // stickySession is one token's persistent session. Its mutex serializes
@@ -198,7 +201,31 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	return mux
+	return s.guard(mux)
+}
+
+// guard wraps h so that a panic in any handler is answered with HTTP
+// 500 and an "error: internal" line, logged with its stack and counted
+// in wsdb_handler_panics_total, instead of net/http dropping the
+// connection. Every handler builds its whole response before the first
+// Write (see reply), so a panic finds nothing sent yet and the 500 can
+// still be the status.
+func (s *Server) guard(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v) // net/http's own signal to drop the connection
+			}
+			s.panics.Inc()
+			log.Printf("isqld: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+			http.Error(w, "error: internal", http.StatusInternalServerError)
+		}()
+		h.ServeHTTP(w, r)
+	})
 }
 
 // session returns a fresh throwaway session bound to the shared catalog
@@ -285,8 +312,11 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	s.execs.Add(1)
 	sess, release := s.acquire(r)
 	defer release()
-	out, err := s.runScript(sess, script)
-	s.reply(w, out, err)
+	buf := getBuf()
+	defer putBuf(buf)
+	var err error
+	*buf, err = s.runScript(*buf, sess, script)
+	s.reply(w, *buf, err)
 }
 
 // handlePrepare registers `prepare <name> as <statement>` statements in
@@ -299,25 +329,25 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	}
 	stmts, err := isql.ParseScript(script)
 	if err != nil {
-		s.reply(w, "", err)
+		s.reply(w, nil, err)
 		return
 	}
 	sess, release := s.acquire(r)
 	defer release()
-	var b strings.Builder
+	var b []byte
 	for _, st := range stmts {
 		if _, isPrep := st.(*isql.PrepareStmt); !isPrep {
-			s.reply(w, b.String(), fmt.Errorf("/prepare accepts only prepare statements, got %q", st))
+			s.reply(w, b, fmt.Errorf("/prepare accepts only prepare statements, got %q", st))
 			return
 		}
 		res, err := sess.Exec(st)
 		if err != nil {
-			s.reply(w, b.String(), err)
+			s.reply(w, b, err)
 			return
 		}
-		fmt.Fprintf(&b, "%s\n", res.Message)
+		b = append(append(b, res.Message...), '\n')
 	}
-	s.reply(w, b.String(), nil)
+	s.reply(w, b, nil)
 }
 
 // handleExecute runs a prepared statement: the body is the bare call
@@ -331,7 +361,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	call, err := isql.ParseExecuteCall(body)
 	if err != nil {
-		s.reply(w, "", err)
+		s.reply(w, nil, err)
 		return
 	}
 	s.execs.Add(1)
@@ -344,49 +374,77 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		res, err = sess.Exec(call)
 	}
 	if err != nil {
-		s.reply(w, "", err)
+		s.reply(w, nil, err)
 		return
 	}
-	var b strings.Builder
-	renderResult(&b, sess, res)
-	s.reply(w, b.String(), nil)
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendResult(*buf, sess, res)
+	s.reply(w, *buf, nil)
 }
 
-// reply writes the line-protocol response: the rendered output so far,
-// plus an error line and status 422 when a statement failed.
-func (s *Server) reply(w http.ResponseWriter, out string, err error) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err != nil {
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		io.WriteString(w, out)
-		fmt.Fprintf(w, "error: %v\n", err)
-		return
+// bufs recycles the buffers responses are rendered into.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBuf keeps one huge answer from pinning its buffer in the pool.
+const maxPooledBuf = 64 << 10
+
+func getBuf() *[]byte { return bufs.Get().(*[]byte) }
+
+func putBuf(b *[]byte) {
+	if cap(*b) <= maxPooledBuf {
+		*b = (*b)[:0]
+		bufs.Put(b)
 	}
-	io.WriteString(w, out)
+}
+
+// textPlain is the protocol's Content-Type, assigned to the header map
+// directly: Header.Set would allocate the same one-element slice per
+// response, and net/http only reads it.
+var textPlain = []string{"text/plain; charset=utf-8"}
+
+// reply sends the line-protocol response with a single Write: the
+// rendered output so far, plus an error line and status 422 when a
+// statement failed. Handlers render everything first, so the status is
+// known before anything reaches the client.
+func (s *Server) reply(w http.ResponseWriter, out []byte, err error) {
+	w.Header()["Content-Type"] = textPlain
+	if err != nil {
+		out = fmt.Appendf(out, "error: %v\n", err)
+		w.WriteHeader(http.StatusUnprocessableEntity)
+	}
+	w.Write(out)
 }
 
 // RunScript executes an I-SQL script against the session and renders
 // the per-statement output of the line protocol. On a statement error
 // it returns the output up to that point plus the error.
 func RunScript(sess *isql.Session, script string) (string, error) {
-	stmts, err := isql.ParseScript(script)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for _, st := range stmts {
-		fmt.Fprintf(&b, "isql> %s\n", st)
-		res, err := sess.Exec(st)
-		if err != nil {
-			return b.String(), err
-		}
-		renderResult(&b, sess, res)
-	}
-	return b.String(), nil
+	out, err := appendScript(nil, sess, script, sess.Exec)
+	return string(out), err
 }
 
-// renderResult writes one statement's protocol output.
-func renderResult(b *strings.Builder, sess *isql.Session, res *isql.Result) {
+// appendScript is RunScript appending to b, executing each statement
+// through exec.
+func appendScript(b []byte, sess *isql.Session, script string,
+	exec func(isql.Statement) (*isql.Result, error)) ([]byte, error) {
+	stmts, err := isql.ParseScript(script)
+	if err != nil {
+		return b, err
+	}
+	for _, st := range stmts {
+		b = fmt.Appendf(b, "isql> %s\n", st)
+		res, err := exec(st)
+		if err != nil {
+			return b, err
+		}
+		b = appendResult(b, sess, res)
+	}
+	return b, nil
+}
+
+// appendResult appends one statement's protocol output to b.
+func appendResult(b []byte, sess *isql.Session, res *isql.Result) []byte {
 	switch {
 	case len(res.Answers) > 0:
 		for i, a := range res.Answers {
@@ -394,16 +452,16 @@ func renderResult(b *strings.Builder, sess *isql.Session, res *isql.Result) {
 			if len(res.Answers) > 1 {
 				caption = fmt.Sprintf("answer variant %d of %d", i+1, len(res.Answers))
 			}
-			b.WriteString(a.Render(caption))
-			b.WriteByte('\n')
+			b = append(a.AppendRender(b, caption), '\n')
 		}
 	case res.Message != "":
-		fmt.Fprintf(b, "%s\n\n", res.Message)
+		b = append(append(b, res.Message...), "\n\n"...)
 	case res.Affected > 0:
-		fmt.Fprintf(b, "%d tuple(s) affected across %s world(s)\n\n", res.Affected, sess.Worlds())
+		b = fmt.Appendf(b, "%d tuple(s) affected across %s world(s)\n\n", res.Affected, sess.Worlds())
 	default:
-		fmt.Fprintf(b, "ok; %s world(s)\n\n", sess.Worlds())
+		b = fmt.Appendf(b, "ok; %s world(s)\n\n", sess.Worlds())
 	}
+	return b
 }
 
 // Stats is the /stats document.

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -539,4 +540,46 @@ func analyticalQuery() string {
 	}
 	b.WriteString(";")
 	return b.String()
+}
+
+// TestHandlerPanicAnswers500 pins the handler-level recover: a handler
+// that panics answers HTTP 500 with an "error: internal" line instead
+// of dropping the connection, the panic is counted in
+// wsdb_handler_panics_total, and the server keeps serving.
+func TestHandlerPanicAnswers500(t *testing.T) {
+	srv := New(store.New(nil))
+	t.Cleanup(srv.Close)
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	mux.HandleFunc("POST /boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	ts := httptest.NewServer(srv.guard(mux))
+	t.Cleanup(ts.Close)
+	log.SetOutput(io.Discard) // the recovered panic's stack
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	for i := 1; i <= 2; i++ {
+		resp, err := http.Post(ts.URL+"/boom", "text/plain", nil)
+		if err != nil {
+			t.Fatalf("panicking handler dropped the request: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || string(body) != "error: internal\n" {
+			t.Fatalf("panic answered %d %q, want 500 %q", resp.StatusCode, body, "error: internal\n")
+		}
+		resp, err = http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if want := fmt.Sprintf("wsdb_handler_panics_total %d\n", i); !strings.Contains(string(body), want) {
+			t.Fatalf("/metrics after %d panic(s) lacks %q", i, want)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/exec", "text/plain", strings.NewReader("create table T (A);"))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("server stopped serving after a panic: %v %v", resp, err)
+	}
+	resp.Body.Close()
 }

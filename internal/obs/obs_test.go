@@ -71,6 +71,54 @@ func TestSpanTreeRender(t *testing.T) {
 	root.Release()
 }
 
+// jsonSpan is the reflection-encoded shape AppendJSON must reproduce
+// byte for byte: what the slow-query log wrote through encoding/json.
+type jsonSpan struct {
+	Name     string            `json:"name"`
+	DurNs    int64             `json:"dur_ns"`
+	Attrs    map[string]string `json:"attrs,omitempty"`
+	Children []jsonSpan        `json:"children,omitempty"`
+}
+
+func toJSONSpan(s *Span) jsonSpan {
+	js := jsonSpan{Name: s.Name, DurNs: s.Dur.Nanoseconds()}
+	for _, a := range s.attrs {
+		if js.Attrs == nil {
+			js.Attrs = map[string]string{}
+		}
+		js.Attrs[a.Key] = a.Val
+	}
+	for _, c := range s.children {
+		js.Children = append(js.Children, toJSONSpan(c))
+	}
+	return js
+}
+
+func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
+	root := NewTrace("stmt")
+	root.Set("sql", `select "x" from T where A < 1 & B > 2; -- \ tab\t nl\n`)
+	root.Set("ctl", "\x00\x01\b\f\r\x1f\x7f")
+	root.Set("uni", "caf\u00e9 \u2028\u2029 \xff\xfe ok")
+	root.Set("dup", "first").SetInt("n", 7).Set("dup", "last")
+	c := root.Child("op:rel:Clean")
+	c.SetInt("rows", 1040)
+	c.Child("leaf").End()
+	c.End()
+	root.Event("merge")
+	root.End()
+	want, err := json.Marshal(toJSONSpan(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := root.AppendJSON(nil); string(got) != string(want) {
+		t.Fatalf("AppendJSON:\n%s\nencoding/json:\n%s", got, want)
+	}
+	if got, err := json.Marshal(root); err != nil || string(got) != string(want) {
+		t.Fatalf("json.Marshal(span) = %s, %v; want %s", got, err, want)
+	}
+	root.Release()
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	if h.Quantile(0.5) != 0 {

@@ -12,14 +12,15 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Attr is one key=value annotation on a span.
@@ -199,37 +200,108 @@ func NormalizeDurations(rendered string) string {
 	return durRe.ReplaceAllString(rendered, "${1}t=X")
 }
 
-// jsonSpan is the slow-query-log serialization of a span tree.
-type jsonSpan struct {
-	Name     string            `json:"name"`
-	DurNs    int64             `json:"dur_ns"`
-	Attrs    map[string]string `json:"attrs,omitempty"`
-	Children []jsonSpan        `json:"children,omitempty"`
-}
-
-func (s *Span) toJSON() jsonSpan {
-	s.mu.Lock()
-	js := jsonSpan{Name: s.Name, DurNs: s.Dur.Nanoseconds()}
-	if len(s.attrs) > 0 {
-		js.Attrs = make(map[string]string, len(s.attrs))
-		for _, a := range s.attrs {
-			js.Attrs[a.Key] = a.Val
-		}
-	}
-	children := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-	for _, c := range children {
-		js.Children = append(js.Children, c.toJSON())
-	}
-	return js
-}
-
-// MarshalJSON serializes the span tree (slow-query log lines).
+// MarshalJSON serializes the span tree (slow-query log lines); see
+// AppendJSON.
 func (s *Span) MarshalJSON() ([]byte, error) {
 	if s == nil {
 		return []byte("null"), nil
 	}
-	return json.Marshal(s.toJSON())
+	return s.AppendJSON(nil), nil
+}
+
+// AppendJSON appends the span tree's slow-query-log serialization to b:
+// {"name":…,"dur_ns":…,"attrs":{…},"children":[…]}, with attributes
+// ordered by key (a repeated key keeps its last value), empty attrs and
+// children left out, and strings escaped as encoding/json escapes them.
+// It is written by hand because the log serializes every traced
+// statement: through encoding/json's reflection it cost as much as the
+// statement it described.
+func (s *Span) AppendJSON(b []byte) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b = append(b, `{"name":`...)
+	b = appendJSONString(b, s.Name)
+	b = append(b, `,"dur_ns":`...)
+	b = strconv.AppendInt(b, s.Dur.Nanoseconds(), 10)
+	if len(s.attrs) > 0 {
+		var buf [16]Attr
+		attrs := append(buf[:0], s.attrs...)
+		slices.SortStableFunc(attrs, func(x, y Attr) int { return strings.Compare(x.Key, y.Key) })
+		b = append(b, `,"attrs":{`...)
+		for i, a := range attrs {
+			if i+1 < len(attrs) && attrs[i+1].Key == a.Key {
+				continue // a later Set of the key wins
+			}
+			if b[len(b)-1] != '{' {
+				b = append(b, ',')
+			}
+			b = append(appendJSONString(b, a.Key), ':')
+			b = appendJSONString(b, a.Val)
+		}
+		b = append(b, '}')
+	}
+	if len(s.children) > 0 {
+		b = append(b, `,"children":[`...)
+		for i, c := range s.children {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = c.AppendJSON(b)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// appendJSONString appends str as a JSON string, escaped byte for byte
+// as encoding/json.Marshal escapes it: quote, backslash and control
+// characters, the HTML-significant <, > and &, U+2028 and U+2029, and
+// invalid UTF-8 as U+FFFD.
+func appendJSONString(b []byte, str string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(str); {
+		if c := str[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, str[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(str[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, str[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, str[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, str[start:]...), '"')
 }
 
 // SortedAttrs returns the span's annotations sorted by key (tests).

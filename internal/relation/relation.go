@@ -2,10 +2,12 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"worldsetdb/internal/hashkey"
 	"worldsetdb/internal/value"
@@ -106,17 +108,18 @@ func (t Tuple) Project(idx []int) Tuple {
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
 // Less orders tuples lexicographically.
-func (t Tuple) Less(u Tuple) bool {
-	n := len(t)
-	if len(u) < n {
-		n = len(u)
-	}
+func (t Tuple) Less(u Tuple) bool { return t.Compare(u) < 0 }
+
+// Compare orders tuples lexicographically: negative when t sorts before
+// u, positive after, zero when they compare equal.
+func (t Tuple) Compare(u Tuple) int {
+	n := min(len(t), len(u))
 	for i := 0; i < n; i++ {
 		if c := t[i].Compare(u[i]); c != 0 {
-			return c < 0
+			return c
 		}
 	}
-	return len(t) < len(u)
+	return len(t) - len(u)
 }
 
 func (t Tuple) String() string {
@@ -160,6 +163,12 @@ type Relation struct {
 // New returns an empty relation over the given schema.
 func New(schema Schema) *Relation {
 	return &Relation{schema: schema, rows: make(map[uint64][]Tuple)}
+}
+
+// NewSized returns an empty relation with room for n tuples, for a
+// caller that knows how many it will insert: filling it never rehashes.
+func NewSized(schema Schema, n int) *Relation {
+	return &Relation{schema: schema, rows: make(map[uint64][]Tuple, n)}
 }
 
 // FromRows builds a relation over schema containing the given tuples.
@@ -293,7 +302,7 @@ func (r *Relation) Tuples() []Tuple {
 	for _, bucket := range r.rows {
 		out = append(out, bucket...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, Tuple.Compare)
 	return out
 }
 
@@ -433,55 +442,63 @@ func (r *Relation) Project(idx []int, names Schema) *Relation {
 func (r *Relation) String() string { return r.Render("") }
 
 // Render renders the relation with an optional caption.
-func (r *Relation) Render(caption string) string {
-	cols := len(r.schema)
-	widths := make([]int, cols)
-	for i, n := range r.schema {
-		widths[i] = len([]rune(n))
+func (r *Relation) Render(caption string) string { return string(r.AppendRender(nil, caption)) }
+
+// AppendRender appends Render's bytes to b. Cells are formatted twice —
+// once to size the columns, once to write them — rather than held as
+// strings, so rendering an answer allocates only its sorted row list.
+func (r *Relation) AppendRender(b []byte, caption string) []byte {
+	var wbuf [8]int
+	widths := wbuf[:0]
+	for _, n := range r.schema {
+		widths = append(widths, utf8.RuneCountInString(n))
 	}
 	tuples := r.Tuples()
-	cells := make([][]string, len(tuples))
-	for ti, t := range tuples {
-		row := make([]string, cols)
+	var cbuf [64]byte
+	for _, t := range tuples {
 		for i, v := range t {
-			row[i] = v.String()
-			if w := len([]rune(row[i])); w > widths[i] {
-				widths[i] = w
-			}
+			widths[i] = max(widths[i], utf8.RuneCount(v.AppendString(cbuf[:0])))
 		}
-		cells[ti] = row
 	}
-	var b strings.Builder
 	if caption != "" {
-		b.WriteString(caption)
-		b.WriteByte('\n')
+		b = append(append(b, caption...), '\n')
 	}
-	writeRow := func(row []string) {
-		for i, c := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			for p := len([]rune(c)); p < widths[i]; p++ {
-				b.WriteByte(' ')
-			}
+	pad := func(b []byte, cell, width int) []byte {
+		for ; cell < width; cell++ {
+			b = append(b, ' ')
 		}
-		b.WriteByte('\n')
+		return b
 	}
-	writeRow(r.schema)
+	for i, n := range r.schema {
+		if i > 0 {
+			b = append(b, "  "...)
+		}
+		b = pad(append(b, n...), utf8.RuneCountInString(n), widths[i])
+	}
+	b = append(b, '\n')
 	total := 0
 	for _, w := range widths {
 		total += w + 2
 	}
-	if total > 2 {
-		b.WriteString(strings.Repeat("-", total-2))
-		b.WriteByte('\n')
+	for i := 2; i < total; i++ {
+		b = append(b, '-')
 	}
-	for _, row := range cells {
-		writeRow(row)
+	if total > 2 {
+		b = append(b, '\n')
+	}
+	for _, t := range tuples {
+		for i, v := range t {
+			if i > 0 {
+				b = append(b, "  "...)
+			}
+			start := len(b)
+			b = v.AppendString(b)
+			b = pad(b, utf8.RuneCount(b[start:]), widths[i])
+		}
+		b = append(b, '\n')
 	}
 	if len(tuples) == 0 {
-		b.WriteString("(empty)\n")
+		b = append(b, "(empty)\n"...)
 	}
-	return b.String()
+	return b
 }

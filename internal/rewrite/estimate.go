@@ -42,8 +42,14 @@ type Stats map[string]TableStat
 
 // StatsOf extracts planner statistics from a decomposition — the
 // adapter between the wsd.Stats snapshots carry and the name-keyed
-// view the estimator propagates.
+// view the estimator propagates. The map depends on the decomposition
+// alone, so it is built once and kept with it (wsd.DecompDB.Derived):
+// callers share it and must not modify it.
 func StatsOf(db *wsd.DecompDB) Stats {
+	return db.Derived([]byte("rewrite.stats"), func() any { return statsOf(db) }).(Stats)
+}
+
+func statsOf(db *wsd.DecompDB) Stats {
 	s := db.Stats()
 	out := make(Stats, len(db.Names))
 	for i, name := range db.Names {

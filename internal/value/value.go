@@ -143,6 +143,15 @@ func (v Value) Equal(w Value) bool { return v.Compare(w) == 0 }
 // values of different kinds order by kind, except that ints and floats
 // compare numerically with each other. Null sorts first, Pad last.
 func (v Value) Compare(w Value) int {
+	if v.kind == w.kind {
+		// The common case, first: two strings or two integers.
+		switch v.kind {
+		case KindString:
+			return strings.Compare(v.s, w.s)
+		case KindInt:
+			return cmpInt(v.i, w.i)
+		}
+	}
 	vk, wk := v.orderClass(), w.orderClass()
 	if vk != wk {
 		if vk < wk {
@@ -160,18 +169,13 @@ func (v Value) Compare(w Value) int {
 		return 0
 	case KindBool:
 		return cmpInt(v.i, w.i)
-	case KindInt:
-		if w.kind == KindInt {
-			return cmpInt(v.i, w.i)
-		}
+	case KindInt: // against a float
 		return cmpFloat(float64(v.i), w.f)
 	case KindFloat:
 		if w.kind == KindInt {
 			return cmpFloat(v.f, float64(w.i))
 		}
 		return cmpFloat(v.f, w.f)
-	case KindString:
-		return strings.Compare(v.s, w.s)
 	}
 	return 0
 }
@@ -237,6 +241,18 @@ func (v Value) String() string {
 		return "⊥c"
 	}
 	return "?"
+}
+
+// AppendString appends String's rendering of v to dst, without
+// allocating a string for it.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.kind {
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	}
+	return append(dst, v.String()...)
 }
 
 // AppendKey appends a compact, injective binary encoding of v to dst.

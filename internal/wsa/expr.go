@@ -112,18 +112,7 @@ type Select struct {
 }
 
 // Schema implements Expr.
-func (s *Select) Schema(env *Env) (relation.Schema, error) {
-	in, err := s.From.Schema(env)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range s.Pred.Columns(nil) {
-		if in.Index(c) < 0 {
-			return nil, fmt.Errorf("wsa: selection attribute %q not in %v", c, in)
-		}
-	}
-	return in, nil
-}
+func (s *Select) Schema(env *Env) (relation.Schema, error) { return schemaOver(s, s.From, env) }
 
 // Out implements Expr.
 func (s *Select) Out(in Mult) Mult { return s.From.Out(in) }
@@ -137,21 +126,7 @@ type Project struct {
 }
 
 // Schema implements Expr.
-func (p *Project) Schema(env *Env) (relation.Schema, error) {
-	in, err := p.From.Schema(env)
-	if err != nil {
-		return nil, err
-	}
-	out := make(relation.Schema, len(p.Columns))
-	for i, c := range p.Columns {
-		j := in.Index(c)
-		if j < 0 {
-			return nil, fmt.Errorf("wsa: projection attribute %q not in %v", c, in)
-		}
-		out[i] = in[j]
-	}
-	return relation.NewSchema(out...), nil
-}
+func (p *Project) Schema(env *Env) (relation.Schema, error) { return schemaOver(p, p.From, env) }
 
 // Out implements Expr.
 func (p *Project) Out(in Mult) Mult { return p.From.Out(in) }
@@ -167,21 +142,7 @@ type Rename struct {
 }
 
 // Schema implements Expr.
-func (r *Rename) Schema(env *Env) (relation.Schema, error) {
-	in, err := r.From.Schema(env)
-	if err != nil {
-		return nil, err
-	}
-	out := in.Clone()
-	for _, p := range r.Pairs {
-		i := in.Index(p.From)
-		if i < 0 {
-			return nil, fmt.Errorf("wsa: rename source %q not in %v", p.From, in)
-		}
-		out[i] = p.To
-	}
-	return relation.NewSchema(out...), nil
-}
+func (r *Rename) Schema(env *Env) (relation.Schema, error) { return schemaOver(r, r.From, env) }
 
 // Out implements Expr.
 func (r *Rename) Out(in Mult) Mult { return r.From.Out(in) }
@@ -301,16 +262,7 @@ type Choice struct {
 }
 
 // Schema implements Expr.
-func (c *Choice) Schema(env *Env) (relation.Schema, error) {
-	in, err := c.From.Schema(env)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := in.Indexes(c.Attrs); err != nil {
-		return nil, fmt.Errorf("wsa: choice-of: %w", err)
-	}
-	return in, nil
-}
+func (c *Choice) Schema(env *Env) (relation.Schema, error) { return schemaOver(c, c.From, env) }
 
 // Out implements Expr.
 func (c *Choice) Out(Mult) Mult { return Many }
@@ -366,20 +318,7 @@ func (g *Group) ProjOrAll(in relation.Schema) []string {
 }
 
 // Schema implements Expr.
-func (g *Group) Schema(env *Env) (relation.Schema, error) {
-	in, err := g.From.Schema(env)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := in.Indexes(g.GroupBy); err != nil {
-		return nil, fmt.Errorf("wsa: group-worlds-by: %w", err)
-	}
-	proj := g.ProjOrAll(in)
-	if _, err := in.Indexes(proj); err != nil {
-		return nil, fmt.Errorf("wsa: group-worlds-by projection: %w", err)
-	}
-	return relation.NewSchema(proj...), nil
-}
+func (g *Group) Schema(env *Env) (relation.Schema, error) { return schemaOver(g, g.From, env) }
 
 // Out implements Expr.
 func (g *Group) Out(in Mult) Mult { return g.From.Out(in) }
@@ -423,7 +362,7 @@ func NewPoss(from Expr) *Close { return &Close{Kind: ClosePoss, From: from} }
 func NewCert(from Expr) *Close { return &Close{Kind: CloseCert, From: from} }
 
 // Schema implements Expr.
-func (c *Close) Schema(env *Env) (relation.Schema, error) { return c.From.Schema(env) }
+func (c *Close) Schema(env *Env) (relation.Schema, error) { return schemaOver(c, c.From, env) }
 
 // Out implements Expr.
 func (c *Close) Out(Mult) Mult { return One }
@@ -440,22 +379,81 @@ type RepairKey struct {
 }
 
 // Schema implements Expr.
-func (r *RepairKey) Schema(env *Env) (relation.Schema, error) {
-	in, err := r.From.Schema(env)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := in.Indexes(r.Attrs); err != nil {
-		return nil, fmt.Errorf("wsa: repair-by-key: %w", err)
-	}
-	return in, nil
-}
+func (r *RepairKey) Schema(env *Env) (relation.Schema, error) { return schemaOver(r, r.From, env) }
 
 // Out implements Expr.
 func (r *RepairKey) Out(Mult) Mult { return Many }
 
 func (r *RepairKey) String() string {
 	return fmt.Sprintf("repair[%s](%s)", strings.Join(r.Attrs, ","), r.From)
+}
+
+// schemaOver is the Schema of a unary operator q over operand from.
+func schemaOver(q, from Expr, env *Env) (relation.Schema, error) {
+	in, err := from.Schema(env)
+	if err != nil {
+		return nil, err
+	}
+	return SchemaOver(q, in)
+}
+
+// SchemaOver returns the answer schema of the unary operator q given its
+// operand's schema, checking what q.Schema checks at q itself: Schema
+// without re-deriving the operand's. An evaluator that already holds
+// the operand's answer uses it, so deriving every node's schema costs
+// one step per node rather than one walk of its subtree.
+func SchemaOver(q Expr, in relation.Schema) (relation.Schema, error) {
+	switch n := q.(type) {
+	case *Select:
+		for _, c := range n.Pred.Columns(nil) {
+			if in.Index(c) < 0 {
+				return nil, fmt.Errorf("wsa: selection attribute %q not in %v", c, in)
+			}
+		}
+		return in, nil
+	case *Project:
+		out := make(relation.Schema, len(n.Columns))
+		for i, c := range n.Columns {
+			j := in.Index(c)
+			if j < 0 {
+				return nil, fmt.Errorf("wsa: projection attribute %q not in %v", c, in)
+			}
+			out[i] = in[j]
+		}
+		return relation.NewSchema(out...), nil
+	case *Rename:
+		out := in.Clone()
+		for _, p := range n.Pairs {
+			i := in.Index(p.From)
+			if i < 0 {
+				return nil, fmt.Errorf("wsa: rename source %q not in %v", p.From, in)
+			}
+			out[i] = p.To
+		}
+		return relation.NewSchema(out...), nil
+	case *Choice:
+		if _, err := in.Indexes(n.Attrs); err != nil {
+			return nil, fmt.Errorf("wsa: choice-of: %w", err)
+		}
+		return in, nil
+	case *Group:
+		if _, err := in.Indexes(n.GroupBy); err != nil {
+			return nil, fmt.Errorf("wsa: group-worlds-by: %w", err)
+		}
+		proj := n.ProjOrAll(in)
+		if _, err := in.Indexes(proj); err != nil {
+			return nil, fmt.Errorf("wsa: group-worlds-by projection: %w", err)
+		}
+		return relation.NewSchema(proj...), nil
+	case *Close:
+		return in, nil
+	case *RepairKey:
+		if _, err := in.Indexes(n.Attrs); err != nil {
+			return nil, fmt.Errorf("wsa: repair-by-key: %w", err)
+		}
+		return in, nil
+	}
+	return nil, fmt.Errorf("wsa: %T is not a unary operator", q)
 }
 
 // Equal reports structural equality of two queries via their canonical

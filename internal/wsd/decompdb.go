@@ -66,6 +66,10 @@ type DecompDB struct {
 	// a cached value can never describe stale structure. Unexported, so
 	// JSON persistence skips it and loads recompute lazily.
 	stats atomic.Pointer[Stats]
+	// pieces and derived are reader-built caches (see derived.go), empty
+	// on every fresh DecompDB like stats.
+	pieces  atomic.Pointer[[][]Piece]
+	derived derivedMemo
 }
 
 // NewDecompDB returns a decomposition with empty certain relations and

@@ -319,12 +319,12 @@ func (db *DecompDB) Instances(i, budget int) ([]*relation.Relation, error) {
 	if budget == 0 {
 		budget = DefaultExpandBudget
 	}
-	if db.Worlds().Sign() == 0 {
-		return nil, nil
-	}
 	var deps []int
-	combos := big.NewInt(1)
+	combos := 1 // of deps' alternatives, while within budget
 	for ci, c := range db.Components {
+		if len(c.Alternatives) == 0 {
+			return nil, nil // no worlds at all
+		}
 		contributes := false
 		for _, a := range c.Alternatives {
 			if r := a.Rels[i]; r != nil && r.Len() > 0 {
@@ -334,11 +334,15 @@ func (db *DecompDB) Instances(i, budget int) ([]*relation.Relation, error) {
 		}
 		if contributes {
 			deps = append(deps, ci)
-			combos.Mul(combos, big.NewInt(int64(len(c.Alternatives))))
+			combos = satMul(combos, len(c.Alternatives), budget)
 		}
 	}
-	if !combos.IsInt64() || combos.Int64() > int64(budget) {
-		return nil, &BudgetError{Worlds: combos, Budget: budget}
+	if combos > budget {
+		exact := big.NewInt(1)
+		for _, ci := range deps {
+			exact.Mul(exact, big.NewInt(int64(len(db.Components[ci].Alternatives))))
+		}
+		return nil, &BudgetError{Worlds: exact, Budget: budget}
 	}
 	if len(deps) == 0 {
 		return []*relation.Relation{db.Certain[i]}, nil
@@ -379,6 +383,15 @@ func (db *DecompDB) Instances(i, budget int) ([]*relation.Relation, error) {
 		out[j] = kv.r
 	}
 	return out, nil
+}
+
+// satMul returns a·b for positive a and b, or limit+1 once the product
+// exceeds limit.
+func satMul(a, b, limit int) int {
+	if a > limit/b || a*b > limit {
+		return limit + 1
+	}
+	return a * b
 }
 
 // PresenceCount returns the number of represented worlds (counted as

@@ -14,7 +14,9 @@
 // Every subquery evaluates to a factored relation (see frel): certain
 // tuples plus per-component, per-alternative extras. A base relation's
 // pieces are the catalog's own relations, read in place — nothing is
-// copied to be looked at. A rename changes the schema of each piece and
+// copied to be looked at — and a base relation under its renames is a
+// stored view (storedView), built once per snapshot and shared by every
+// evaluation on it. A rename changes the schema of each piece and
 // shares its row storage and its index cache (relation.WithSchema); a
 // projection maps over the pieces with column positions resolved once;
 // a selection probes or scans piece by piece (evalSelect): the
@@ -88,7 +90,9 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
 
 	"worldsetdb/internal/obs"
@@ -173,7 +177,9 @@ type Plan struct {
 	// ("derived" for components created during evaluation).
 	FallbackComponents []int
 	FallbackRelations  []string
-	// InputWorlds is the exact world count of the input decomposition.
+	// InputWorlds is the exact world count of the input decomposition,
+	// computed once per decomposition and shared: read it, do not modify
+	// it.
 	InputWorlds *big.Int
 	// NewComponents counts components created by choice-of,
 	// repair-by-key and merging during native evaluation, net of the
@@ -260,7 +266,8 @@ func EvalOpts(q wsa.Expr, db *wsd.DecompDB, opt *Options) (*wsd.DecompDB, *Plan,
 		// only its bound copies (wsa.BindParams) evaluate.
 		return nil, nil, fmt.Errorf("wsdexec: plan holds unbound parameter $%d (bind it before evaluation)", n)
 	}
-	plan := &Plan{InputWorlds: db.Worlds(), MergeCost: 1}
+	plan := &Plan{MergeCost: 1,
+		InputWorlds: db.Derived([]byte("wsdexec.worlds"), func() any { return db.Worlds() }).(*big.Int)}
 	var trace *obs.Span
 	if opt != nil {
 		trace = opt.Trace
@@ -280,14 +287,14 @@ func EvalOpts(q wsa.Expr, db *wsd.DecompDB, opt *Options) (*wsd.DecompDB, *Plan,
 	if opt == nil || !opt.NoReorder {
 		run, plan.Reordered = reorderProducts(run, st, env)
 	}
-	e := &engine{db: db, env: env, st: st, budget: opt.budget(),
-		slaved: map[int]slaveRef{}, trace: trace}
+	e := &engine{db: db, env: env, st: st, budget: opt.budget(), trace: trace,
+		arity: make([]int, len(db.Components), len(db.Components)+4)}
 	if opt != nil {
 		e.shards = opt.Shards
 		e.noMerge = opt.NoMerge
 	}
-	for _, c := range db.Components {
-		e.arity = append(e.arity, len(c.Alternatives))
+	for ci, c := range db.Components {
+		e.arity[ci] = len(c.Alternatives)
 	}
 	ans, err := e.eval(run)
 	if err == nil {
@@ -385,9 +392,9 @@ type engine struct {
 	st      rewrite.Stats // planner statistics of db (cardinality attrs on trace spans)
 	arity   []int
 	budget  int
-	noMerge bool  // strictly disable merging (differential ablation arm)
-	shards  []int // component index -> home shard (Options.Shards); nil at one shard
-	slaved  map[int]slaveRef
+	noMerge bool             // strictly disable merging (differential ablation arm)
+	shards  []int            // component index -> home shard (Options.Shards); nil at one shard
+	slaved  map[int]slaveRef // nil until the first merge
 	merges  []MergeStep
 	trace   *obs.Span // current operator span; nil = tracing off
 }
@@ -488,6 +495,9 @@ func (e *engine) merge(op string, comps []int) (int, error) {
 		arities[k] = e.arity[c]
 	}
 	root := e.addComponent(n)
+	if e.slaved == nil {
+		e.slaved = map[int]slaveRef{}
+	}
 	members := map[int]bool{}
 	for k, c := range comps {
 		am := make([]int, n)
@@ -516,24 +526,28 @@ func (e *engine) merge(op string, comps []int) (int, error) {
 	return root, nil
 }
 
-// promote rewrites f in place so that no part is keyed on a slaved
-// component: parts of merged members are folded onto the corresponding
-// alternatives of their root. Component-interpreting operators call it
-// on every operand before inspecting uncertainComps or per-alternative
-// coverage — a merge performed while evaluating a sibling subtree may
-// have slaved components an already-evaluated frel still references,
-// and treating two slaved siblings as independent would misjudge
-// certainty. Structural operators (σ, π, ρ, ∪) need not promote: they
-// distribute over parts regardless of which component keys them.
-func (e *engine) promote(f *frel) {
+// promote returns f with no part keyed on a slaved component: parts of
+// merged members are folded onto the corresponding alternatives of their
+// root. Component-interpreting operators call it on every operand before
+// inspecting uncertainComps or per-alternative coverage — a merge
+// performed while evaluating a sibling subtree may have slaved
+// components an already-evaluated frel still references, and treating
+// two slaved siblings as independent would misjudge certainty.
+// Structural operators (σ, π, ρ, ∪) need not promote: they distribute
+// over parts regardless of which component keys them. promote is the
+// only place an operand is edited: a computed frel is rewritten in
+// place, a stored view — shared by every evaluation on the snapshot —
+// is copied first (frel.unshared).
+func (e *engine) promote(f *frel) *frel {
 	if len(e.slaved) == 0 {
-		return
+		return f
 	}
 	for _, c := range f.compIDs() {
 		ref, ok := e.slaved[c]
 		if !ok {
 			continue
 		}
+		f = f.unshared()
 		parts := f.parts[c]
 		delete(f.parts, c)
 		n := e.arity[ref.root]
@@ -546,6 +560,7 @@ func (e *engine) promote(f *frel) {
 			p.Each(func(t relation.Tuple) { slot.Insert(t) })
 		}
 	}
+	return f
 }
 
 // buildOutput assembles the extended decomposition ⟨R1, …, Rk, $ans⟩
@@ -559,12 +574,13 @@ func (e *engine) promote(f *frel) {
 // combinations may coincide in content, making Worlds an upper bound —
 // the Normalize caveat; Expand still deduplicates).
 func (e *engine) buildOutput(ans *frel) *wsd.DecompDB {
-	e.promote(ans)
+	ans = e.promote(ans)
 	k := len(e.db.Names)
 	out := &wsd.DecompDB{
-		Names:   append(append([]string{}, e.db.Names...), wsa.AnswerName),
-		Schemas: append(append([]relation.Schema{}, e.db.Schemas...), ans.schema),
-		Certain: append(append([]*relation.Relation{}, e.db.Certain...), ans.cert),
+		Names:      append(append(make([]string, 0, k+1), e.db.Names...), wsa.AnswerName),
+		Schemas:    append(append(make([]relation.Schema, 0, k+1), e.db.Schemas...), ans.schema),
+		Certain:    append(append(make([]*relation.Relation, 0, k+1), e.db.Certain...), ans.cert),
+		Components: make([]wsd.DBComponent, 0, len(e.arity)),
 	}
 	// Input components absorbed by each merge root, for re-emitting
 	// their relation contributions under the root's combined choices.
@@ -680,11 +696,11 @@ func (e *engine) eval(q wsa.Expr) (*frel, error) {
 	out, err := e.evalNode(q)
 	e.trace = parent
 	if err == nil && out != nil {
-		sp.SetInt("components", int64(len(out.uncertainComps())))
+		sp.SetInt("components", int64(out.uncertainCount()))
 		// Estimated versus actual cardinality, for EXPLAIN ANALYZE's
 		// plan-quality readout: est_rows is the planner's per-world
 		// estimate, rows the stored tuples across the factored pieces.
-		sp.Set("est_rows", fmt.Sprintf("%.0f", rewrite.EstimateCard(q, e.st)))
+		sp.Set("est_rows", strconv.FormatFloat(rewrite.EstimateCard(q, e.st), 'f', 0, 64))
 		sp.SetInt("rows", int64(out.size()))
 	}
 	sp.End()
@@ -694,6 +710,13 @@ func (e *engine) eval(q wsa.Expr) (*frel, error) {
 // evalNode is the recursive factored evaluator; every case returns the
 // answer as an frel over the engine's component universe.
 func (e *engine) evalNode(q wsa.Expr) (*frel, error) {
+	if from := operand(q); from != nil {
+		sub, err := e.eval(from)
+		if err != nil {
+			return nil, err
+		}
+		return e.evalUnary(q, sub)
+	}
 	outSchema, err := q.Schema(e.env)
 	if err != nil {
 		return nil, err
@@ -705,47 +728,7 @@ func (e *engine) evalNode(q wsa.Expr) (*frel, error) {
 		if i < 0 {
 			return nil, fmt.Errorf("wsdexec: unknown relation %q", n.Name)
 		}
-		out := &frel{schema: outSchema, cert: e.db.Certain[i], parts: map[int][]*relation.Relation{}, stored: true}
-		for ci, c := range e.db.Components {
-			for a, alt := range c.Alternatives {
-				if r := alt.Rel(i); r != nil && r.Len() > 0 {
-					out.setPart(ci, e.arity[ci], a, r)
-				}
-			}
-		}
-		return out, nil
-
-	case *wsa.Select:
-		return e.evalSelect(n, outSchema)
-
-	case *wsa.Project:
-		// Column positions resolve once; every piece projects by them.
-		return e.mapPieces(n.From, outSchema, func(sub *frel) (func(*relation.Relation) *relation.Relation, error) {
-			idx, err := sub.schema.Indexes(n.Columns)
-			if err != nil {
-				return nil, err
-			}
-			return func(r *relation.Relation) *relation.Relation { return r.Project(idx, outSchema) }, nil
-		})
-
-	case *wsa.Rename:
-		// A rename is a schema change: every piece keeps its row storage
-		// and its index cache (relation.WithSchema), so a selection above
-		// still finds the indexes of the catalog relation underneath.
-		sub, err := e.eval(n.From)
-		if err != nil {
-			return nil, err
-		}
-		out := &frel{schema: outSchema, cert: sub.cert.WithSchema(outSchema),
-			parts: make(map[int][]*relation.Relation, len(sub.parts)), stored: sub.stored}
-		for c, alts := range sub.parts {
-			for a, p := range alts {
-				if p != nil && p.Len() > 0 {
-					out.setPart(c, len(alts), a, p.WithSchema(outSchema))
-				}
-			}
-		}
-		return out, nil
+		return e.storedView(i, outSchema), nil
 
 	case *wsa.BinOp:
 		switch n.Kind {
@@ -760,18 +743,92 @@ func (e *engine) evalNode(q wsa.Expr) (*frel, error) {
 
 	case *wsa.Join:
 		return e.evalProduct(n.L, n.R, n.Pred, outSchema)
+	}
+	return nil, fmt.Errorf("wsdexec: unknown operator %T", q)
+}
+
+// operand returns the operand of a unary operator, nil for a leaf or a
+// binary operator.
+func operand(q wsa.Expr) wsa.Expr {
+	switch n := q.(type) {
+	case *wsa.Select:
+		return n.From
+	case *wsa.Project:
+		return n.From
+	case *wsa.Rename:
+		return n.From
+	case *wsa.Choice:
+		return n.From
+	case *wsa.Close:
+		return n.From
+	case *wsa.Group:
+		return n.From
+	case *wsa.RepairKey:
+		return n.From
+	}
+	return nil
+}
+
+// evalUnary evaluates the unary operator q over its evaluated operand.
+// Its schema follows from the operand's in one step (wsa.SchemaOver)
+// instead of a walk of the subtree per node; σ keeps its operand's
+// schema, and the attribute check SchemaOver would repeat for it ran
+// when EvalOpts type-checked the plan.
+func (e *engine) evalUnary(q wsa.Expr, sub *frel) (*frel, error) {
+	outSchema := sub.schema
+	if _, isSelect := q.(*wsa.Select); !isSelect {
+		var err error
+		if outSchema, err = wsa.SchemaOver(q, sub.schema); err != nil {
+			return nil, err
+		}
+	}
+	switch n := q.(type) {
+	case *wsa.Select:
+		return e.evalSelect(n, sub)
+
+	case *wsa.Project:
+		// Column positions resolve once; every piece projects by them.
+		idx, err := sub.schema.Indexes(n.Columns)
+		if err != nil {
+			return nil, err
+		}
+		out := e.mapPieces(sub, outSchema, func(p piece) *relation.Relation {
+			return project(p, idx, outSchema)
+		})
+		out.ownCert = !identity(idx, len(sub.schema))
+		return out, nil
+
+	case *wsa.Rename:
+		// A rename is a schema change: every piece keeps its row storage
+		// and its index cache (relation.WithSchema), so a selection above
+		// still finds the indexes of the catalog relation underneath. A
+		// renamed stored relation is itself a stored view, built once per
+		// snapshot.
+		if sub.stored {
+			return e.storedView(sub.rel, outSchema), nil
+		}
+		out := &frel{schema: outSchema, cert: sub.cert.WithSchema(outSchema),
+			parts: make(map[int][]*relation.Relation, len(sub.parts)), ownCert: sub.ownCert}
+		for c, alts := range sub.parts {
+			for a, p := range alts {
+				if p != nil && p.Len() > 0 {
+					out.setPart(c, len(alts), a, p.WithSchema(outSchema))
+				}
+			}
+		}
+		return out, nil
 
 	case *wsa.Choice:
-		return e.evalChoice(n, outSchema)
+		return e.evalChoice(n, sub, outSchema)
 
 	case *wsa.Close:
-		return e.evalClose(n, outSchema)
+		return e.evalClose(n, sub, outSchema)
 
 	case *wsa.Group:
-		return e.evalGroup(n, outSchema)
+		return e.evalGroup(n, sub, outSchema)
 
 	case *wsa.RepairKey:
-		return e.evalRepair(n, outSchema)
+		return e.evalRepair(n, sub, outSchema)
 	}
 	return nil, fmt.Errorf("wsdexec: unknown operator %T", q)
 }
@@ -793,46 +850,63 @@ var SelectIndexProbes, SelectScans obs.Counter
 // is a cache on the snapshot's immutable relation: built by the first
 // probe, shared by every later one, carried by commits that leave the
 // relation alone, gone with the last snapshot holding it.
-func (e *engine) evalSelect(n *wsa.Select, outSchema relation.Schema) (*frel, error) {
-	var indexed atomic.Bool
-	var probed, scanned atomic.Int64
-	out, err := e.mapPieces(n.From, outSchema, func(sub *frel) (func(*relation.Relation) *relation.Relation, error) {
-		pred, err := n.Pred.Compile(sub.schema)
-		if err != nil {
-			return nil, err
-		}
-		var cols []int
-		var key relation.Tuple
-		if sub.stored {
-			cols, key = probeKey(n.Pred, sub.schema)
-		}
-		return func(r *relation.Relation) *relation.Relation {
-			var out *relation.Relation
-			keep := func(t relation.Tuple) {
-				if pred(t) {
-					if out == nil {
-						out = relation.New(outSchema)
-					}
-					out.InsertDistinct(t) // r is a set already
-				}
-			}
-			if cols != nil && r.Len() >= relation.IndexProbeMin {
-				matches := r.IndexOn(cols).Lookup(key, nil)
-				indexed.Store(true)
-				probed.Add(int64(len(matches)))
-				for _, t := range matches {
-					keep(t)
-				}
-			} else {
-				scanned.Add(int64(r.Len()))
-				r.Each(keep)
-			}
-			return out
-		}, nil
-	})
+func (e *engine) evalSelect(n *wsa.Select, sub *frel) (*frel, error) {
+	pred, err := n.Pred.Compile(sub.schema)
 	if err != nil {
 		return nil, err
 	}
+	var cols []int
+	var key relation.Tuple
+	var exact bool
+	if sub.stored {
+		cols, key, exact = probeKey(n.Pred, sub.schema)
+	}
+	var indexed atomic.Bool
+	var probed, scanned atomic.Int64
+	out := e.mapPieces(sub, sub.schema, func(p piece) *relation.Relation {
+		if cols != nil && p.r.Len() >= relation.IndexProbeMin {
+			matches := p.r.IndexOn(cols).Lookup(key, nil)
+			indexed.Store(true)
+			probed.Add(int64(len(matches)))
+			return keepAll(matches, sub.schema, pred, exact)
+		}
+		scanned.Add(int64(p.r.Len()))
+		if p.rows == nil {
+			// A scan grows its output as it keeps.
+			var out *relation.Relation
+			p.r.Each(func(t relation.Tuple) {
+				if pred(t) {
+					if out == nil {
+						out = relation.New(sub.schema)
+					}
+					out.InsertDistinct(t) // the piece is a set already
+				}
+			})
+			return out
+		}
+		// A small stored piece whose every tuple passes is handed on as
+		// it is; otherwise the n that passed before the first that did
+		// not are kept, and the rest tested.
+		n := 0
+		for n < len(p.rows) && pred(p.rows[n]) {
+			n++
+		}
+		if n == len(p.rows) {
+			return p.r
+		}
+		var out *relation.Relation
+		for i, t := range p.rows {
+			if i < n || i > n && pred(t) {
+				if out == nil {
+					out = relation.NewSized(sub.schema, len(p.rows)-1)
+				}
+				out.InsertDistinct(t)
+			}
+		}
+		return out
+	})
+	// The certain part is the operand's own when the scan kept it whole.
+	out.ownCert = out.cert != sub.cert
 	access := "scan"
 	if indexed.Load() {
 		access = "index"
@@ -844,19 +918,40 @@ func (e *engine) evalSelect(n *wsa.Select, outSchema relation.Schema) (*frel, er
 	return out, nil
 }
 
+// keepAll is σ over a probe's matches: the output is sized by their
+// count, so keeping them never rehashes, and when the probe key is the
+// whole predicate (exact) the matches are kept without re-testing it.
+func keepAll(matches []relation.Tuple, s relation.Schema, pred func(relation.Tuple) bool, exact bool) *relation.Relation {
+	var out *relation.Relation
+	for _, t := range matches {
+		if exact || pred(t) {
+			if out == nil {
+				out = relation.NewSized(s, len(matches))
+			}
+			out.InsertDistinct(t) // the piece is a set already
+		}
+	}
+	return out
+}
+
 // probeKey splits the `column = constant` conjuncts off a predicate's
 // top-level conjunction and returns them as an index probe: the column
 // positions, ascending (so every selection on the same columns shares
 // one cached index, whatever order it names them in), and the constants
 // in that order. A column compared twice keeps its first constant — the
 // full predicate still runs on the matches, so `A = 1 and A = 2` probes
-// for 1 and keeps nothing. nil columns mean nothing to probe with.
-func probeKey(p ra.Pred, s relation.Schema) ([]int, relation.Tuple) {
+// for 1 and keeps nothing. nil columns mean nothing to probe with. exact
+// reports that the probe is the whole predicate — every conjunct went
+// into the key — so a match needs no further test: the index compares
+// its key columns exactly (Index.Lookup), and hashExact admitted only
+// constants whose hash equality is comparison equality.
+func probeKey(p ra.Pred, s relation.Schema) (cols []int, key relation.Tuple, exact bool) {
 	type eq struct {
 		col int
 		val value.Value
 	}
 	var eqs []eq
+	exact = true
 	var walk func(ra.Pred)
 	walk = func(p ra.Pred) {
 		switch q := p.(type) {
@@ -868,30 +963,29 @@ func probeKey(p ra.Pred, s relation.Schema) ([]int, relation.Tuple) {
 			if !col.IsCol {
 				col, c = c, col
 			}
-			if q.Op != ra.OpEq || !col.IsCol || c.IsCol || c.ParamN > 0 || !hashExact(c.Const) {
+			i := -1
+			if q.Op == ra.OpEq && col.IsCol && !c.IsCol && c.ParamN == 0 && hashExact(c.Const) {
+				i = s.Index(col.Col)
+			}
+			if i < 0 || slices.ContainsFunc(eqs, func(e eq) bool { return e.col == i }) {
+				exact = false
 				return
 			}
-			i := s.Index(col.Col)
-			for _, e := range eqs {
-				if e.col == i {
-					return
-				}
-			}
-			if i >= 0 {
-				eqs = append(eqs, eq{i, c.Const})
-			}
+			eqs = append(eqs, eq{i, c.Const})
+		default:
+			exact = false
 		}
 	}
 	walk(p)
 	if len(eqs) == 0 {
-		return nil, nil
+		return nil, nil, false
 	}
-	sort.Slice(eqs, func(i, j int) bool { return eqs[i].col < eqs[j].col })
-	cols, key := make([]int, len(eqs)), make(relation.Tuple, len(eqs))
+	slices.SortFunc(eqs, func(a, b eq) int { return a.col - b.col })
+	cols, key = make([]int, len(eqs)), make(relation.Tuple, len(eqs))
 	for i, e := range eqs {
 		cols[i], key[i] = e.col, e.val
 	}
-	return cols, key
+	return cols, key, exact
 }
 
 // hashExact reports whether hashing finds exactly the values that
@@ -909,43 +1003,24 @@ func hashExact(v value.Value) bool {
 	return f > 0 && f < 1<<53
 }
 
-// mapPieces evaluates the subquery and maps a per-piece function over
-// every non-empty piece of its factored form — selections and
-// projections distribute over the union defining the represented
-// instances. prep sees the input once and returns the per-piece
-// function, so schema-dependent compilation (predicate resolution,
-// column indexes) happens once per operator, not per piece. Pieces are
-// read in place — the function must not mutate its input — and a nil
-// result means the piece contributes nothing: no empty part is
-// materialized. Pieces map in parallel on the shared worker pool;
-// results land in per-slot output cells, so the merge is deterministic
-// regardless of scheduling.
-func (e *engine) mapPieces(from wsa.Expr, outSchema relation.Schema,
-	prep func(sub *frel) (func(*relation.Relation) *relation.Relation, error)) (*frel, error) {
-	sub, err := e.eval(from)
-	if err != nil {
-		return nil, err
-	}
-	fn, err := prep(sub)
-	if err != nil {
-		return nil, err
-	}
-	type slot struct {
-		c, a int
-		in   *relation.Relation
-	}
-	slots := []slot{{-1, -1, sub.cert}}
-	for _, c := range sub.compIDs() {
-		for a, p := range sub.parts[c] {
-			if p != nil && p.Len() > 0 {
-				slots = append(slots, slot{c, a, p})
-			}
-		}
-	}
-	if sh := e.shards; sh != nil && len(slots) > 2 {
+// mapPieces maps a per-piece function over every non-empty piece of
+// the operand's factored form — selections and projections distribute
+// over the union defining the represented instances. The caller
+// resolves what depends on the operand's schema (predicate, column
+// positions) once, not per piece. Pieces are read in place — fn must not
+// mutate its input — and a nil result means the piece contributes
+// nothing: no empty part is materialized. Pieces map in parallel on the
+// shared worker pool; results land in per-slot output cells, so the
+// merge is deterministic regardless of scheduling.
+func (e *engine) mapPieces(sub *frel, outSchema relation.Schema, fn func(piece) *relation.Relation) *frel {
+	slots := sub.pieces()
+	parts := relation.NumParts(sub.size())
+	if sh := e.shards; sh != nil && parts > 1 && len(slots) > 2 {
 		// Scatter: group the per-piece work units by the owning shard so
 		// parallel chunks align with catalog shards. Stable, and results
 		// gather into per-slot cells, so the answer is order-independent.
+		// A stored view's list is shared: sort a copy.
+		slots = append([]piece(nil), slots...)
 		sort.SliceStable(slots[1:], func(i, j int) bool {
 			a, b := slots[1+i].c, slots[1+j].c
 			sa, sb := 0, 0
@@ -959,9 +1034,9 @@ func (e *engine) mapPieces(from wsa.Expr, outSchema relation.Schema,
 		})
 	}
 	results := make([]*relation.Relation, len(slots))
-	relation.ParallelChunks(len(slots), relation.NumParts(sub.size()), func(_, lo, hi int) {
+	relation.ParallelChunks(len(slots), parts, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			results[i] = fn(slots[i].in)
+			results[i] = fn(slots[i])
 		}
 	})
 	out := &frel{schema: outSchema, cert: results[0], parts: map[int][]*relation.Relation{}}
@@ -973,7 +1048,53 @@ func (e *engine) mapPieces(from wsa.Expr, outSchema relation.Schema,
 			out.setPart(slots[i].c, e.arity[slots[i].c], slots[i].a, results[i])
 		}
 	}
-	return out, nil
+	return out
+}
+
+// projectBlock bounds, in tuples, both the set a projection pre-sizes
+// and each backing array its projected tuples are cut from: a small
+// piece costs one of each, and a large one projecting onto a few
+// distinct values does not reserve room for every input row.
+const projectBlock = 256
+
+// project is π on one piece by pre-resolved positions. An identity
+// projection hands the piece on under the output schema
+// (relation.WithSchema). Any other cuts its projected tuples from shared
+// backing arrays instead of allocating each, and a duplicate gives its
+// room back.
+func project(p piece, idx []int, s relation.Schema) *relation.Relation {
+	r := p.r
+	if identity(idx, len(r.Schema())) {
+		return r.WithSchema(s)
+	}
+	out := relation.NewSized(s, min(r.Len(), projectBlock))
+	var buf []value.Value
+	p.each(func(t relation.Tuple) {
+		if cap(buf)-len(buf) < len(idx) {
+			buf = make([]value.Value, 0, min(r.Len(), projectBlock)*len(idx))
+		}
+		lo := len(buf)
+		for _, i := range idx {
+			buf = append(buf, t[i])
+		}
+		if !out.Insert(relation.Tuple(buf[lo:len(buf):len(buf)])) {
+			buf = buf[:lo]
+		}
+	})
+	return out
+}
+
+// identity reports whether idx lists all n columns in order.
+func identity(idx []int, n int) bool {
+	if len(idx) != n {
+		return false
+	}
+	for i, j := range idx {
+		if i != j {
+			return false
+		}
+	}
+	return true
 }
 
 // evalUnion merges the factored forms piecewise: the union of two
@@ -1032,8 +1153,8 @@ func (e *engine) evalProduct(lq, rq wsa.Expr, pred ra.Pred, outSchema relation.S
 	if err != nil {
 		return nil, err
 	}
-	e.promote(lf)
-	e.promote(rf)
+	lf = e.promote(lf)
+	rf = e.promote(rf)
 	lu, ru := lf.uncertainComps(), rf.uncertainComps()
 	if len(lu) > 0 && len(ru) > 0 && !(len(lu) == 1 && len(ru) == 1 && lu[0] == ru[0]) {
 		// Entangled: merge exactly the coupled components, promote both
@@ -1043,8 +1164,8 @@ func (e *engine) evalProduct(lq, rq wsa.Expr, pred ra.Pred, outSchema relation.S
 			e.liveComps(append(append([]int{}, lu...), ru...))); err != nil {
 			return nil, err
 		}
-		e.promote(lf)
-		e.promote(rf)
+		lf = e.promote(lf)
+		rf = e.promote(rf)
 		lu, ru = lf.uncertainComps(), rf.uncertainComps()
 	}
 	combine := func(a, b *relation.Relation) (*relation.Relation, error) {
@@ -1148,8 +1269,8 @@ func (e *engine) evalSetOp(kind wsa.BinOpKind, lq, rq wsa.Expr, outSchema relati
 	// combination; every round with entangled tuples merges at least
 	// two live components, so the loop terminates.
 	for {
-		e.promote(lf)
-		e.promote(rf)
+		lf = e.promote(lf)
+		rf = e.promote(rf)
 		out, needs := e.combineSetOp(kind, lf, rf, outSchema)
 		if len(needs) == 0 {
 			return out, nil
@@ -1383,12 +1504,8 @@ func (e *engine) mergeCoupled(op string, needs [][]int) error {
 // groups. An uncertain answer would need the new component's refinement
 // to stay correlated with existing choices, which the independent
 // product cannot express — entangled.
-func (e *engine) evalChoice(n *wsa.Choice, outSchema relation.Schema) (*frel, error) {
-	sub, err := e.eval(n.From)
-	if err != nil {
-		return nil, err
-	}
-	e.promote(sub)
+func (e *engine) evalChoice(n *wsa.Choice, sub *frel, outSchema relation.Schema) (*frel, error) {
+	sub = e.promote(sub)
 	if uc := sub.uncertainComps(); len(uc) > 0 {
 		live := e.liveComps(uc)
 		return nil, &entangleError{op: "choice-of over an uncertain answer",
@@ -1424,57 +1541,75 @@ func (e *engine) evalChoice(n *wsa.Choice, outSchema relation.Schema) (*frel, er
 // component contributes it under every alternative. Components scan in
 // parallel into per-component cells; the merge walks them in component
 // order.
-func (e *engine) evalClose(n *wsa.Close, outSchema relation.Schema) (*frel, error) {
-	sub, err := e.eval(n.From)
-	if err != nil {
-		return nil, err
-	}
+func (e *engine) evalClose(n *wsa.Close, sub *frel, outSchema relation.Schema) (*frel, error) {
 	// Certainty is judged per component: parts still keyed on merged
 	// members must be promoted first, or two correlated members could
 	// jointly cover every root alternative without either covering its
 	// own, under-approximating cert.
-	e.promote(sub)
+	sub = e.promote(sub)
 	comps := sub.compIDs()
-	partial := make([]*relation.Relation, len(comps))
-	relation.ParallelChunks(len(comps), relation.NumParts(sub.size()), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := comps[i]
-			acc := relation.New(outSchema)
-			if n.Kind == wsa.ClosePoss {
-				for _, p := range sub.parts[c] {
-					if p != nil {
-						p.Each(func(t relation.Tuple) { acc.Insert(t) })
-					}
-				}
-			} else {
-				// Tuples contributed by every alternative of c.
-				alts := sub.parts[c]
-				covered := e.arity[c] > 0
-				for _, p := range alts {
-					if p == nil || p.Len() == 0 {
-						covered = false
-						break
-					}
-				}
-				if covered {
-					alts[0].Each(func(t relation.Tuple) {
-						for _, p := range alts[1:] {
-							if !p.Contains(t) {
-								return
-							}
-						}
-						acc.Insert(t)
-					})
+	// What each component adds to the certain part: for poss its parts,
+	// for cert the tuples every one of its alternatives contributes.
+	adds := func(c int, add func(relation.Tuple)) {
+		alts := sub.parts[c]
+		if n.Kind == wsa.ClosePoss {
+			for _, p := range alts {
+				if p != nil {
+					p.Each(add)
 				}
 			}
-			partial[i] = acc
+			return
 		}
-	})
-	out := newFrel(outSchema)
-	sub.cert.Each(func(t relation.Tuple) { out.cert.Insert(t) })
-	for _, acc := range partial {
-		acc.Each(func(t relation.Tuple) { out.cert.Insert(t) })
+		if e.arity[c] == 0 {
+			return
+		}
+		for _, p := range alts {
+			if p == nil || p.Len() == 0 {
+				return
+			}
+		}
+		alts[0].Each(func(t relation.Tuple) {
+			for _, p := range alts[1:] {
+				if !p.Contains(t) {
+					return
+				}
+			}
+			add(t)
+		})
 	}
+	// The certain part is handed on, not copied: extended in place when
+	// the operand owns it, copied — into a set sized for everything the
+	// components could add — only when a component adds a tuple to a
+	// certain part someone else holds.
+	out := &frel{schema: outSchema, cert: sub.cert, parts: map[int][]*relation.Relation{}}
+	add := func(t relation.Tuple) {
+		if out.cert == sub.cert && !sub.ownCert {
+			if sub.cert.Contains(t) {
+				return
+			}
+			out.cert = relation.NewSized(outSchema, sub.size())
+			sub.cert.Each(out.cert.InsertDistinct)
+		}
+		out.cert.Insert(t)
+	}
+	if parts := relation.NumParts(sub.size()); parts > 1 {
+		partial := make([]*relation.Relation, len(comps))
+		relation.ParallelChunks(len(comps), parts, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				acc := relation.New(outSchema)
+				adds(comps[i], func(t relation.Tuple) { acc.Insert(t) })
+				partial[i] = acc
+			}
+		})
+		for _, acc := range partial {
+			acc.Each(add)
+		}
+	} else {
+		for _, c := range comps {
+			adds(c, add)
+		}
+	}
+	out.ownCert = out.cert != sub.cert || sub.ownCert
 	return out, nil
 }
 
@@ -1485,11 +1620,7 @@ func (e *engine) evalClose(n *wsa.Close, outSchema relation.Schema) (*frel, erro
 // the signature per alternative, aggregate per signature class, and
 // emit the class aggregate as the alternative's part. Answers depending
 // on several components entangle.
-func (e *engine) evalGroup(n *wsa.Group, outSchema relation.Schema) (*frel, error) {
-	sub, err := e.eval(n.From)
-	if err != nil {
-		return nil, err
-	}
+func (e *engine) evalGroup(n *wsa.Group, sub *frel, outSchema relation.Schema) (*frel, error) {
 	gIdx, err := sub.schema.Indexes(n.GroupBy)
 	if err != nil {
 		return nil, err
@@ -1499,7 +1630,7 @@ func (e *engine) evalGroup(n *wsa.Group, outSchema relation.Schema) (*frel, erro
 	if err != nil {
 		return nil, err
 	}
-	e.promote(sub)
+	sub = e.promote(sub)
 	uc := sub.uncertainComps()
 	if len(uc) == 0 {
 		out := newFrel(outSchema)
@@ -1514,7 +1645,7 @@ func (e *engine) evalGroup(n *wsa.Group, outSchema relation.Schema) (*frel, erro
 			e.liveComps(uc)); err != nil {
 			return nil, err
 		}
-		e.promote(sub)
+		sub = e.promote(sub)
 		uc = sub.uncertainComps()
 	}
 	c := uc[0]
@@ -1565,12 +1696,8 @@ func (e *engine) evalGroup(n *wsa.Group, outSchema relation.Schema) (*frel, erro
 // candidate; singleton groups stay certain. The construction is linear
 // in the answer and represents ∏ |group| worlds. Uncertain answers
 // would need per-world key groups — entangled.
-func (e *engine) evalRepair(n *wsa.RepairKey, outSchema relation.Schema) (*frel, error) {
-	sub, err := e.eval(n.From)
-	if err != nil {
-		return nil, err
-	}
-	e.promote(sub)
+func (e *engine) evalRepair(n *wsa.RepairKey, sub *frel, outSchema relation.Schema) (*frel, error) {
+	sub = e.promote(sub)
 	if uc := sub.uncertainComps(); len(uc) > 0 {
 		live := e.liveComps(uc)
 		return nil, &entangleError{op: "repair-by-key over an uncertain answer",
