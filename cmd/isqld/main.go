@@ -32,35 +32,31 @@
 // # Durability
 //
 // With -wal, the catalog is durable: every committed transaction is
-// appended (commit epoch, page delta and statement texts, CRC-framed,
-// fsynced) to the WAL segment of each shard it wrote —
-// dir/wal-<shard>.log — before it becomes visible, and
-// dir/checkpoint.wsd (plus dir/checkpoint.wsd.s<i> for shards beyond
-// the first) holds the last checkpoint as incremental page files — each
-// checkpoint rewrites only the pages of components touched since the
-// previous one, through a fixed-size buffer pool (-pool-pages frames
-// per shard), and a checkpoint with nothing new writes zero bytes. A
-// dir/wal.log written by a release that predates per-shard segments is
-// adopted as shard 0's segment on startup. On startup the server
+// appended as exactly one record (commit epoch, participant shards,
+// page delta and statement texts, CRC-framed, fsynced) to the WAL
+// segment of its lowest participant shard — dir/wal-<shard>.log —
+// before it becomes visible, and dir/checkpoint.wsd (plus
+// dir/checkpoint.wsd.s<i> for shards beyond the first) holds the last
+// checkpoint as incremental page files — each checkpoint rewrites only
+// the pages of components touched since the previous one, through a
+// fixed-size buffer pool (-pool-pages frames per shard), and a
+// checkpoint with nothing new writes zero bytes. On startup the server
 // recovers the checkpoint plus the log tail, merged across segments by
 // commit epoch, by applying each record's page delta to the base — no
 // statement is ever re-executed — so a crash loses nothing committed.
 // State the server cannot reproduce exactly (a record whose predecessor
 // on its shard is missing, a record without a delta) makes it refuse to
 // start and name the shard and epoch, rather than serve a different
-// world-set. Page files are the only checkpoint format: a .wsd JSON
-// file is imported with -load into a fresh directory, never opened in
-// place. -checkpoint-every bounds replay work by checkpointing after
-// that many logged commits (0 = checkpoint only on graceful shutdown).
-// When the directory already holds state, it wins over -demo/-load; a
-// fresh directory is seeded from them and checkpointed immediately so
-// the seed itself is durable.
-//
-// Upgrading: a directory written by a release whose WAL records carry
-// no per-shard links opens as long as its log tail is dense (always
-// true after a clean shutdown, which leaves the tail empty); one whose
-// records carry no page deltas at all must be shut down cleanly by the
-// release that wrote it first.
+// world-set. So does a log an older release wrote — a dir/wal.log, or
+// segments in an older record format: recover it with that release and
+// shut it down cleanly first, which leaves the log empty. Page files
+// are the only checkpoint format: a .wsd JSON file is imported with
+// -load into a fresh directory, never opened in place.
+// -checkpoint-every bounds replay work by checkpointing after that many
+// logged commits (0 = checkpoint only on graceful shutdown). When the
+// directory already holds state, it wins over -demo/-load; a fresh
+// directory is seeded from them and checkpointed immediately so the
+// seed itself is durable.
 //
 // # Sharding
 //
@@ -69,12 +65,13 @@
 // writer lock, group-commit queue and WAL segment, and commits touching
 // disjoint shards execute and fsync fully in parallel. A commit on one
 // shard is one record through that shard's queue; a commit spanning
-// shards uses a two-phase stage+marker protocol, and recovery discards
-// staged epochs whose marker is missing. The shard count is a runtime
+// shards is one record on the lowest one's segment, written while it
+// holds every participant's lock. The shard count is a runtime
 // property: restarting with a different -shards is allowed after a
-// clean shutdown (the checkpoint carries no shard layout), but segments
-// written at one count must be recovered at the same count before
-// changing it.
+// clean shutdown (the checkpoint carries no shard layout), but a log
+// must be recovered at the shard count that wrote it — a restart at a
+// lower count over a non-empty segment beyond it refuses to start,
+// naming that segment and the count.
 package main
 
 import (

@@ -87,10 +87,12 @@
 // shards its relations (and their component closure) route to — all of
 // them for DDL, CTAS, view changes and bounded DML — validates (a
 // staged transaction, per relation as above), takes a global commit
-// epoch, and logs one CRC-framed record per participant segment
-// carrying the epoch, a page delta of just the relations and components
-// it touched and the statement texts, fsynced before the version
-// becomes visible. An INSERT is staged with its exact edit
+// epoch, and logs exactly one CRC-framed record carrying the epoch, its
+// participant shards with the version it was staged on at each, a page
+// delta of just the relations and components it touched and the
+// statement texts, fsynced before the version becomes visible — one
+// record and one fsync per commit at every shard count. An INSERT is
+// staged with its exact edit
 // (store.Tx.InsertCertain: only the components contributing to the
 // relation are re-normalized, everything else is shared), so its delta
 // is the inserted rows, not a diff of the growing table. A commit with one
@@ -99,18 +101,18 @@
 // coalesces every queued record into one write and one fsync, publishes
 // the epochs in order, and hands leadership of later arrivals to a
 // fresh flusher so no committer waits on work that is not its own. A
-// commit spanning shards stages its record on every participant
-// segment in parallel and becomes durable when a marker reaches the
-// coordinator (lowest participant) segment. Readers only ever observe
-// durable versions (the merged read pointer advances after the fsync;
-// writers chain on their shard's newest assigned epoch), and ordering
-// guarantees survive a crash anywhere — mid-batch, or between stage and
-// marker — because recovery merges the segments by epoch, replays
-// exactly the intact records, and discards — on every shard — any
-// cross-shard epoch whose marker is missing: an un-acked commit may be
-// recovered (its record hit disk before the crash) but an acked commit
-// is never lost, none is torn across shards, and no record replays out
-// of order.
+// commit spanning shards (every DDL, CTAS and view change at n > 1)
+// drains the participants' queues under their locks and appends its one
+// record to the coordinator (lowest participant) segment, so no later
+// commit on a participant can chain on it before it is durable. Readers
+// only ever observe durable versions (the merged read pointer advances
+// after the fsync; writers chain on their shard's newest assigned
+// epoch), and ordering guarantees survive a crash anywhere — mid-batch,
+// or mid-way through a cross-shard record — because recovery merges the
+// segments by epoch and replays exactly the intact records, cutting a
+// torn one: an un-acked commit may be recovered (its record hit disk
+// before the crash) but an acked commit is never lost, none is torn
+// across shards, and no record replays out of order.
 // store.Open is the one way a durable catalog comes into being: it
 // seeds a directory that holds no state (and checkpoints the seed), or
 // recovers the last checkpoint plus the log tail, reproducing the
@@ -156,11 +158,15 @@
 // byte for byte). Each record also names, per participant shard, the
 // shard version it was staged on; recovery applies it only where that
 // is the version it has reached, so a hole elsewhere in the epoch chain
-// (a rolled-back cross-shard commit, an epoch burned by a failed fsync)
-// is harmless and a hole on the record's own shard is caught. A record
-// that does not link, has no delta, or does not apply makes Open fail
-// with a typed *store.RecoveryError naming shard and epoch — never a
-// silently different world-set. wsabench's CKPT family gates the
+// (an epoch burned by a failed fsync, a record torn off another
+// segment) is harmless and a hole on the record's own shard is caught.
+// A record that does not link, has no delta, or does not apply makes
+// Open fail with a typed *store.RecoveryError naming shard and epoch —
+// never a silently different world-set. So does a log Open cannot read
+// whole: every record carries its format number inside the CRC, and a
+// record of another format (any older build's), a non-empty wal.log or
+// a non-empty segment past the shard count is refused, the directory
+// left as found. wsabench's CKPT family gates the
 // incremental-write floor and the delta-replay time.
 // Catalog.DurabilityStats feeds the /metrics durability gauges:
 // checkpoint age, on-disk bytes, WAL tail depth, checkpoint and
@@ -309,8 +315,8 @@
 // wsdexec operator (with contributing-component counts, a selection's
 // access path — access=index|scan with probed and scanned tuple counts
 // — merge events and their costs, fallback expansion), commit staging,
-// the group-commit queue wait, the WAL fsync (with batch size) and the
-// cross-shard 2PC stages.
+// the group-commit queue wait and the WAL fsync (with batch size, and
+// the participant count of a cross-shard commit).
 //
 // Three surfaces expose it. EXPLAIN ANALYZE <stmt> in I-SQL executes
 // the statement for real and renders the span tree (bare EXPLAIN

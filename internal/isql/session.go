@@ -329,8 +329,8 @@ func (s *Session) Exec(st Statement) (*Result, error) {
 }
 
 // updateRouted wraps the execution target's UpdateRouted with a commit
-// span: when the session carries a trace, the store's WAL append, group
-// commit queue wait, fsync and 2PC stages attach under it via
+// span: when the session carries a trace, the store's WAL delta, group
+// commit queue wait and fsync attach under it via
 // Tx.SetTrace. The statement's own spans inside the closure (a CTAS
 // compiles and evaluates there, under the writer) nest below it too —
 // the span stands for the whole staged write, not just the publish.

@@ -22,8 +22,8 @@ func tableOn(t *testing.T, cat *store.Catalog, shard int) string {
 }
 
 // crossShardTables picks two table names homing on shards 1 and 2 of
-// cat, so a transaction writing both must take the cross-shard
-// two-phase commit path with shard 1 as its coordinator.
+// cat, so a transaction writing both is a cross-shard commit with
+// shard 1 as its coordinator.
 func crossShardTables(t *testing.T, cat *store.Catalog) (string, string) {
 	t.Helper()
 	return tableOn(t, cat, 1), tableOn(t, cat, 2)
@@ -77,12 +77,12 @@ func TestShardedCrashRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
-// tornMarkerDir runs a workload whose last commit is a cross-shard
+// tornCrossShardDir runs a workload whose last commit is a cross-shard
 // transaction over ta (shard 1, the coordinator) and tb (shard 2), then
-// crashes with the coordinator's commit marker torn off: the stage
-// records reached both participant segments, the decision did not. It
-// returns the directory and the catalog version before the transaction.
-func tornMarkerDir(t *testing.T, nshards int) (dir, ta, tb string, before uint64) {
+// crashes mid-way through appending its one record to the coordinator
+// segment. It returns the directory and the catalog version before the
+// transaction.
+func tornCrossShardDir(t *testing.T, nshards int) (dir, ta, tb string, before uint64) {
 	t.Helper()
 	dir = t.TempDir()
 	cat, wals := openStoreDir(t, dir, nshards)
@@ -108,29 +108,28 @@ func tornMarkerDir(t *testing.T, nshards int) (dir, ta, tb string, before uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	trim := bytes.LastIndexByte(bytes.TrimSuffix(data, []byte("\n")), '\n')
-	if trim < 0 {
+	start := bytes.LastIndexByte(bytes.TrimSuffix(data, []byte("\n")), '\n') + 1
+	if start >= len(data) {
 		t.Fatalf("coordinator segment %s has no line to tear", coordinator)
 	}
-	if err := os.WriteFile(coordinator, data[:trim+1], 0o644); err != nil {
+	if err := os.WriteFile(coordinator, data[:(start+len(data))/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir, ta, tb, before
 }
 
-// TestShardedCrashTornMarkerRollsBack pins cross-shard atomicity under
-// the worst crash point: the stage records of a cross-shard transaction
-// reached every participant segment, but the crash tore off the
-// coordinator's commit marker. Recovery must discard the transaction on
-// ALL participants — neither shard may show a torn half. A commit on
-// the non-coordinator participant after the restart lands behind the
-// stale stage records; it was staged on the state without the
-// transaction, so the next recovery links it past them and replays it
-// by delta: the state before the transaction plus that commit, equal to
-// statement re-execution of the surviving log.
-func TestShardedCrashTornMarkerRollsBack(t *testing.T) {
+// TestShardedCrashTornRecordRollsBack pins cross-shard atomicity under
+// a crash mid-commit: the transaction's one record, on the coordinator
+// segment, is torn. Recovery cuts it like any torn tail, so the
+// transaction is gone from ALL participants — neither shard may show a
+// torn half. A commit on the other participant after the restart was
+// staged on the state without the transaction, so the next recovery
+// links it and replays it by delta: the state before the transaction
+// plus that commit, equal to statement re-execution of the surviving
+// log.
+func TestShardedCrashTornRecordRollsBack(t *testing.T) {
 	const nshards = 4
-	dir, ta, tb, before := tornMarkerDir(t, nshards)
+	dir, ta, tb, before := tornCrossShardDir(t, nshards)
 
 	cat2, wals2 := openStoreDir(t, dir, nshards)
 	if got := cat2.Snapshot().Version; got != before {
@@ -143,10 +142,9 @@ func TestShardedCrashTornMarkerRollsBack(t *testing.T) {
 	cat3, wals3 := openStoreDir(t, dir, nshards)
 	defer closeWALs(wals3)
 	if got := rawSnapBytes(t, cat3.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatalf("unmarked cross-shard commit not rolled back on every shard\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Fatalf("torn cross-shard commit not rolled back on every shard\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	// The oracle numbers its commits densely, so compare without versions.
-	if got, oracle := snapBytes(t, cat3.Snapshot()), snapBytes(t, statementOracle(t, dir, nshards).Snapshot()); !bytes.Equal(got, oracle) {
+	if got, oracle := rawSnapBytes(t, cat3.Snapshot()), rawSnapBytes(t, statementOracle(t, dir, nshards).Snapshot()); !bytes.Equal(got, oracle) {
 		t.Fatalf("delta recovery differs from statement re-execution of the surviving log\n--- got ---\n%s\n--- oracle ---\n%s", got, oracle)
 	}
 	s3 := FromCatalog(cat3)
@@ -164,13 +162,12 @@ func TestShardedCrashTornMarkerRollsBack(t *testing.T) {
 
 // TestShardedEpochNotReusedAfterRollback is the isql-level twin of the
 // store's TestEpochNotReusedAfterRollback: after recovery rolled back
-// the highest epoch in the log, an acknowledged insert into a table on
-// a shard scanned before the stale stage records must survive the next
-// recovery — it may not be numbered like the discarded epoch and merged
-// into it.
+// the torn highest epoch in the log, an acknowledged insert into a
+// table on a shard outside the transaction must survive the next
+// recovery.
 func TestShardedEpochNotReusedAfterRollback(t *testing.T) {
 	const nshards = 4
-	dir, _, _, _ := tornMarkerDir(t, nshards)
+	dir, _, _, _ := tornCrossShardDir(t, nshards)
 
 	cat2, wals2 := openStoreDir(t, dir, nshards)
 	t0 := tableOn(t, cat2, 0)

@@ -93,45 +93,38 @@ func ReplayRecord(cat *store.Catalog, rec store.WALRecord) error {
 }
 
 // statementOracle reads the statement texts logged in dir's segments —
-// its own reading of the record lines, not the store's — drops staged
-// cross-shard epochs without a marker, and re-executes the rest in
-// epoch order on a fresh catalog: the state delta recovery of a
-// directory that was never checkpointed past its empty seed must equal,
-// version included.
+// its own reading of the record lines, not the store's; every commit is
+// one line — and re-executes them in epoch order on a fresh catalog:
+// the state delta recovery of a directory that was never checkpointed
+// past its empty seed must equal, version included. A torn last line is
+// skipped, as recovery cuts it.
 func statementOracle(t *testing.T, dir string, nshards int) *store.Catalog {
 	t.Helper()
 	type logged struct {
-		Epoch  uint64   `json:"v"`
-		Stmts  []string `json:"stmts"`
-		Parts  []int    `json:"parts"`
-		Marker bool     `json:"m"`
+		Epoch uint64   `json:"v"`
+		Stmts []string `json:"stmts"`
 	}
-	txns, marked := map[uint64]logged{}, map[uint64]bool{}
+	txns := map[uint64]logged{}
 	for si := 0; si < nshards; si++ {
 		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("wal-%d.log", si)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		for _, line := range lines[:len(lines)-1] { // the last piece has no newline
 			var rec logged
-			if len(line) == 0 {
-				continue
-			}
 			if err := json.Unmarshal(line, &rec); err != nil {
 				t.Fatalf("segment %d: %v", si, err)
 			}
-			if rec.Marker {
-				marked[rec.Epoch] = true
-			} else {
-				txns[rec.Epoch] = rec
+			if _, dup := txns[rec.Epoch]; dup {
+				t.Fatalf("segment %d: a second record of e%d", si, rec.Epoch)
 			}
+			txns[rec.Epoch] = rec
 		}
 	}
 	var order []uint64
-	for e, rec := range txns {
-		if len(rec.Parts) <= 1 || marked[e] {
-			order = append(order, e)
-		}
+	for e := range txns {
+		order = append(order, e)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	ref := store.NewSharded(nil, nshards)

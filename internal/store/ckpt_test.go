@@ -248,9 +248,9 @@ func TestDurabilityStats(t *testing.T) {
 		if len(st) != n {
 			t.Fatalf("%d-shard catalog reports %d durability rows", n, len(st))
 		}
-		// Assert on the last shard's row: it holds one record per commit
-		// (markers, when a commit has several participants, go to shard 0).
-		row := func() DurabilityStat { return cat.DurabilityStats()[n-1] }
+		// Assert on shard 0's row: it holds the one record of every
+		// all-shard commit, as their coordinator.
+		row := func() DurabilityStat { return cat.DurabilityStats()[0] }
 		// Open seeded the fresh directory: the seed checkpoint is the base.
 		if r := row(); r.CheckpointAgeSeconds < 0 || r.DiskBytes == 0 || r.BaseVersion != cat.Snapshot().Version {
 			t.Fatalf("freshly seeded catalog reports age %f, %d disk bytes, base v%d; want the seed checkpoint at v%d",

@@ -99,15 +99,24 @@ func frameLine(tb testing.TB, rec WALRecord) []byte {
 }
 
 func FuzzScanWAL(f *testing.F) {
-	f.Add([]byte(legacyWALLog))
-	// A log in the current format: stage records with links, a marker.
+	// A log in the current format: one-participant and cross-shard
+	// records, with links.
 	var log bytes.Buffer
 	for i, raw := range fuzzSeedDeltas(f) {
-		log.Write(frameLine(f, WALRecord{Version: uint64(i + 6), Stmts: []string{"s"},
-			Parts: []int{0, 2}, Prev: []uint64{uint64(i + 5), 1}, deltaRaw: raw}))
+		rec := WALRecord{Version: uint64(i + 6), Stmts: []string{"s"}, Prev: []uint64{uint64(i + 5)}, deltaRaw: raw}
+		if i%2 == 1 {
+			rec.Parts, rec.Prev = []int{0, 2}, []uint64{uint64(i + 5), 1}
+		}
+		log.Write(frameLine(f, rec))
 	}
-	log.Write(frameLine(f, WALRecord{Version: 6, Parts: []int{0, 2}, Marker: true}))
 	f.Add(log.Bytes())
+	// A log in the format before it is refused, never cut as a torn tail.
+	old := []byte(twoPhaseSegments[1])
+	var re *RecoveryError
+	if _, _, err := scanWAL(bytes.NewReader(old), 1); !errors.As(err, &re) || re.Shard != 1 || re.Epoch != 2 {
+		f.Fatalf("old-format seed scanned with %v, want a *RecoveryError at shard 1, e2", err)
+	}
+	f.Add(old)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid, err := scanWAL(bytes.NewReader(data), 0)
 		if err == nil {

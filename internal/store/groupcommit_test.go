@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"worldsetdb/internal/obs"
 	"worldsetdb/internal/relation"
 )
 
@@ -125,7 +126,7 @@ func TestGroupCommitBatches(t *testing.T) {
 	want := uint64(2)
 	for _, b := range batches {
 		for _, rec := range b {
-			if rec.Version != want || rec.Marker || len(rec.Parts) != 0 {
+			if rec.Version != want || len(rec.Parts) != 0 {
 				t.Fatalf("record %+v, want a plain single-participant record at epoch %d", rec, want)
 			}
 			want++
@@ -260,27 +261,41 @@ func (d delayedLogger) AppendBatch(recs []WALRecord) error {
 	return d.w.AppendBatch(recs)
 }
 
+// commitCost returns a check that one commit — one new epoch — costs
+// exactly one fsync and one WAL record, summed over every segment.
+func commitCost(t *testing.T, cat *Catalog, wals []*WAL) func(what string, commit func() error) {
+	sums := func() (syncs uint64, recs int) {
+		for i, st := range cat.ShardStats() {
+			syncs += st.Syncs
+			recs += wals[i].TailRecords()
+		}
+		return syncs, recs
+	}
+	return func(what string, commit func() error) {
+		t.Helper()
+		syncs, recs := sums()
+		ver := cat.Snapshot().Version
+		if err := commit(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		syncs2, recs2 := sums()
+		if syncs2 != syncs+1 || recs2 != recs+1 || cat.Snapshot().Version != ver+1 {
+			t.Fatalf("%s cost %d fsync(s) and %d record(s) for %d commit(s), want 1/1/1", what,
+				syncs2-syncs, recs2-recs, cat.Snapshot().Version-ver)
+		}
+	}
+}
+
 // TestOneShardCommitCostsOneFsync: on a one-shard WAL-backed catalog
 // every kind of commit — DDL, routed auto-commit, un-routed and routed
-// staged transactions — is one ordinary record and one fsync through
-// the group-commit queue (no stage + marker pair), and concurrent
-// auto-commit writers still coalesce.
+// staged transactions — is one record and one fsync through the
+// group-commit queue, and concurrent auto-commit writers still
+// coalesce.
 func TestOneShardCommitCostsOneFsync(t *testing.T) {
 	dir := t.TempDir()
 	cat, wals := openDir(t, dir, 1)
 	defer closeWALs(wals)
-	cost := func(what string, commit func() error) {
-		t.Helper()
-		before, tail := cat.ShardStats()[0], wals[0].TailRecords()
-		if err := commit(); err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		after := cat.ShardStats()[0]
-		if after.Syncs != before.Syncs+1 || wals[0].TailRecords() != tail+1 || after.Commits != before.Commits+1 {
-			t.Fatalf("%s cost %d fsync(s) and %d record(s) for %d commit(s), want 1/1/1", what,
-				after.Syncs-before.Syncs, wals[0].TailRecords()-tail, after.Commits-before.Commits)
-		}
-	}
+	cost := commitCost(t, cat, wals)
 	cost("DDL", func() error { return cat.Update(func(tx *Tx) error { return mkTable(tx, "A") }) })
 	cost("routed auto-commit", func() error {
 		return cat.UpdateRouted([]string{"A"}, func(tx *Tx) error { return insInto(tx, "A", 1) })
@@ -336,6 +351,70 @@ func TestOneShardCommitCostsOneFsync(t *testing.T) {
 	defer closeWALs(wals2)
 	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatal("one-shard commits do not recover byte-identically")
+	}
+}
+
+// TestShardedCommitCostsOneFsync: at four shards a commit with several
+// participants — an all-shard DDL, an un-routed transaction, a staged
+// transaction over tables on two shards — is still one record and one
+// fsync, on the coordinator segment; a traced one shows it as a single
+// wal.fsync child. All of it recovers.
+func TestShardedCommitCostsOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	cat, wals := openDir(t, dir, 4)
+	cost := commitCost(t, cat, wals)
+	names := shardNames(4)
+	trace := obs.NewTrace("commit")
+	cost("all-shard DDL", func() error {
+		return cat.Update(func(tx *Tx) error {
+			tx.SetTrace(trace)
+			for _, n := range names {
+				if err := mkTable(tx, n); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	var fsyncs []string
+	for _, sp := range trace.Children() {
+		if sp.Name == "wal.fsync" {
+			fsyncs = append(fsyncs, fmt.Sprint(sp.SortedAttrs()))
+		}
+	}
+	if want := fmt.Sprint([]obs.Attr{{Key: "batch", Val: "1"}, {Key: "participants", Val: "4"}}); len(fsyncs) != 1 || fsyncs[0] != want {
+		t.Fatalf("traced all-shard commit has wal.fsync children %v, want one with %s", fsyncs, want)
+	}
+	cost("un-routed transaction", func() error {
+		txn := cat.Begin()
+		if err := txn.Update(func(tx *Tx) error { return mkTable(tx, "B") }); err != nil {
+			return err
+		}
+		if err := txn.Update(func(tx *Tx) error { return insInto(tx, "B", 2) }); err != nil {
+			return err
+		}
+		return txn.Commit()
+	})
+	cost("two-participant transaction", func() error {
+		txn := cat.Begin()
+		for _, tbl := range names[1:3] {
+			if err := txn.UpdateRouted([]string{tbl}, func(tx *Tx) error { return insInto(tx, tbl, 3) }); err != nil {
+				return err
+			}
+		}
+		return txn.Commit()
+	})
+	if wals[0].TailRecords() != 2 || wals[1].TailRecords() != 1 {
+		t.Fatalf("segments 0 and 1 hold %d and %d records, want 2 and 1 (each on its coordinator)",
+			wals[0].TailRecords(), wals[1].TailRecords())
+	}
+
+	want := dbBytes(t, cat.Snapshot())
+	closeWALs(wals)
+	cat2, wals2 := openDir(t, dir, 4)
+	defer closeWALs(wals2)
+	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("cross-shard commits do not recover byte-identically")
 	}
 }
 

@@ -52,21 +52,21 @@ import (
 // that relation's home-shard head (Staged.Commit), so two commits on
 // different relations never conflict, on one shard or many.
 //
-// # Durability: one record, or stage + marker
+// # Durability: one record per commit
 //
-// A commit with a single participant shard is one ordinary record
-// through that shard's group-commit queue: the committer gets its epoch
-// and chains the shard head under the shard lock, enqueues, and
-// releases the lock before the fsync; one committer — the leader —
-// drains the queue with a single write and a single fsync and publishes
-// the epochs in order. A commit spanning shards drains the participant
-// queues while holding their locks, stages one record per participant
-// segment (each carrying the full participant list), fsyncs them in
-// parallel, then appends a commit marker to the coordinator segment
-// (the lowest participant). Recovery (Open) merges all segments by
-// epoch and discards cross-shard epochs whose marker is absent — a
-// crash between staging and the marker rolls the transaction back on
-// every shard, never on just some.
+// Every commit is exactly one WAL record and one fsync. A commit with a
+// single participant shard goes through that shard's group-commit
+// queue: the committer gets its epoch and chains the shard head under
+// the shard lock, enqueues, and releases the lock before the fsync; one
+// committer — the leader — drains the queue with a single write and a
+// single fsync and publishes the epochs in order. A commit spanning
+// shards drains the participant queues while holding their locks and
+// appends its record — delta, participant list and the version it was
+// staged on at each — to the coordinator segment (the lowest
+// participant), then publishes. The locks keep every later commit on a
+// participant from chaining on the record before it is durable, so a
+// crash tears at most the record itself, which recovery cuts like any
+// torn tail: the transaction is on every shard or on none.
 type shardState struct {
 	mu sync.Mutex // writer lock for commits touching this shard
 
@@ -395,7 +395,7 @@ func (c *Catalog) UpdateRouted(refs []string, fn func(*Tx) error) error {
 // builds on. A single participant chains on its shard's assigned head,
 // so committers queue behind an in-flight group commit instead of
 // waiting it out under the lock. Several participants drain their
-// queues first — the two-phase publish does not chain — after which the
+// queues first — a cross-shard commit does not chain — after which the
 // published snapshot is current for every one of them.
 func (c *Catalog) commitBase(ps []int) *Snapshot {
 	if len(ps) > 1 {
@@ -424,10 +424,9 @@ func (c *Catalog) head(p int) *Snapshot {
 // commit makes a staged state durable on the participant shards ps and
 // reader-visible. base is commitBase(ps); held ⊇ ps are the shard locks
 // the caller holds, released here on every path. One participant: the
-// commit is one ordinary record through that shard's group-commit queue
-// (recovery ignores markers for single-participant epochs, so none is
-// written), and the lock is released before the fsync. Several: stage
-// on every participant, then the marker, under the locks.
+// commit's record goes through that shard's group-commit queue, and the
+// lock is released before the fsync. Several: the record is appended
+// to the coordinator segment under the locks.
 func (c *Catalog) commit(held, ps []int, base *Snapshot, req *commitReq) error {
 	durable := c.shards[ps[0]].log != nil
 	if durable && len(req.stmts) == 0 {
@@ -465,8 +464,13 @@ func (c *Catalog) commit(held, ps []int, base *Snapshot, req *commitReq) error {
 			for _, p := range ps {
 				req.prev = append(req.prev, base.shardVers[p])
 			}
-			if err := c.stageAndMark(req); err != nil {
-				return err
+			start := time.Now()
+			err := c.shards[ps[0]].log.AppendBatch([]WALRecord{
+				{Version: req.epoch, Stmts: req.stmts, Parts: ps, Prev: req.prev, Delta: req.delta}})
+			req.trace.ChildSpan("wal.fsync", start, time.Since(start)).
+				SetInt("batch", 1).SetInt("participants", int64(len(ps)))
+			if err != nil {
+				return fmt.Errorf("store: logging cross-shard commit e%d on shard %d: %w", req.epoch, ps[0], err)
 			}
 		}
 		c.publish(req)
@@ -553,7 +557,7 @@ func (c *Catalog) flushShardBatch(si int, batch []*commitReq) {
 	if len(ok) > 0 {
 		recs := make([]WALRecord, len(ok))
 		for i, r := range ok {
-			recs[i] = WALRecord{Version: r.epoch, Stmts: r.stmts, Shard: si, Prev: r.prev, Delta: r.delta}
+			recs[i] = WALRecord{Version: r.epoch, Stmts: r.stmts, Prev: r.prev, Delta: r.delta}
 		}
 		flushStart := time.Now()
 		err := sh.log.AppendBatch(recs)
@@ -684,44 +688,6 @@ func (sh *shardState) drain() {
 		sh.qcond.Wait()
 	}
 	sh.qmu.Unlock()
-}
-
-// stageAndMark is the two-phase durability protocol for a cross-shard
-// commit: stage one record per participant segment (fsynced in
-// parallel, each carrying the full participant list), then append the
-// commit marker to the coordinator segment — the lowest participant.
-// Recovery discards staged cross-shard epochs without their marker, so
-// a failure (or crash) anywhere before the marker aborts the commit on
-// every shard; after the marker it is durable on every shard.
-func (c *Catalog) stageAndMark(req *commitReq) error {
-	ps := req.ps
-	stage := req.trace.Child("txn.2pc.stage").SetInt("participants", int64(len(ps)))
-	var wg sync.WaitGroup
-	errs := make([]error, len(ps))
-	for i, p := range ps {
-		wg.Add(1)
-		go func(i, p int) {
-			defer wg.Done()
-			errs[i] = c.shards[p].log.AppendBatch([]WALRecord{
-				{Version: req.epoch, Stmts: req.stmts, Shard: p, Parts: ps, Prev: req.prev, Delta: req.delta}})
-		}(i, p)
-	}
-	wg.Wait()
-	stage.End()
-	for _, err := range errs {
-		if err != nil {
-			// Staged records without a marker are discarded by recovery;
-			// nothing needs undoing on the shards that did fsync.
-			return fmt.Errorf("store: staging cross-shard commit e%d: %w", req.epoch, err)
-		}
-	}
-	mark := req.trace.Child("txn.2pc.marker").SetInt("coordinator", int64(ps[0]))
-	defer mark.End()
-	if err := c.shards[ps[0]].log.AppendBatch([]WALRecord{
-		{Version: req.epoch, Shard: ps[0], Parts: ps, Marker: true}}); err != nil {
-		return fmt.Errorf("store: writing commit marker for e%d: %w", req.epoch, err)
-	}
-	return nil
 }
 
 // WaitPublished blocks until the catalog's durable, reader-visible

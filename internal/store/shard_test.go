@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -639,11 +640,11 @@ func copyDir(t *testing.T, src, dst string) {
 // outcome must be the one an independent reference computes from the
 // surviving records: either the state byte-identical to statement
 // re-execution of the surviving epochs — every cut a crash can produce,
-// including the one that severs the cross-shard commit marker and must
-// roll the transaction back on every shard — or, for a cut no crash can
+// including the one that tears the cross-shard transaction's record and
+// must roll it back on every shard — or, for a cut no crash can
 // produce, which leaves a committed epoch behind a hole on one of its
-// shards, a *RecoveryError naming that shard and epoch. Either way the
-// segments of a refused directory are left alone.
+// shards, a *RecoveryError naming that shard and epoch, with the
+// directory left as found.
 func TestCrashSweepEveryCutPoint(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, nshards int) {
 		dir := t.TempDir()
@@ -671,8 +672,8 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 			t.Fatalf("transaction on %s conflicted with a commit on Z: %v", names[0], err)
 		}
 		// Staged transaction over two tables — two shards when there are
-		// four: truncating the coordinator's marker simulates a crash mid
-		// two-phase publish.
+		// four: cutting its one record, on the coordinator's segment,
+		// simulates a crash mid-commit.
 		ta, tb := names[0], names[nshards/2]
 		txn := cat.Begin()
 		if err := txn.UpdateRouted([]string{ta}, func(tx *Tx) error { return insInto(tx, ta, 777) }); err != nil {
@@ -719,9 +720,10 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 				}
 				want, lastEpoch, orphan := sweepReference(t, cdir, nshards)
 				if orphan != nil {
+					before := dirFiles(t, cdir)
 					re := openRefused(t, cdir, nshards)
-					if re.Shard != orphan.Shard || re.Epoch != orphan.Epoch {
-						t.Fatalf("shard %d cut %d: refused at shard %d e%d, want shard %d e%d: %v",
+					if re.Shard != orphan.Shard || re.Epoch != orphan.Epoch || !reflect.DeepEqual(dirFiles(t, cdir), before) {
+						t.Fatalf("shard %d cut %d: refused at shard %d e%d, want shard %d e%d with the directory left as found: %v",
 							si, cut, re.Shard, re.Epoch, orphan.Shard, orphan.Epoch, re)
 					}
 					refused++
@@ -749,6 +751,7 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 				os.RemoveAll(cdir)
 			}
 		}
+		t.Logf("%d cuts recovered, %d refused", recovered, refused)
 		if recovered == 0 || (refused > 0) != (nshards > 1) {
 			t.Fatalf("%d cuts recovered, %d refused: the sweep must recover cuts at every shard count and meet orphaned epochs exactly when there are several segments", recovered, refused)
 		}
@@ -756,55 +759,43 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 }
 
 // sweepReference independently computes what recovery must do with a
-// (possibly truncated) segment directory: scan each segment, merge
-// records by epoch, drop cross-shard epochs without a marker, then walk
-// the survivors in epoch order keeping the last epoch applied per shard.
-// An epoch whose staged-on version on some participant is not that
-// shard's last applied epoch is an orphan — recovery must refuse, naming
-// it (returned as a RecoveryError value, Reason unset). Otherwise every
-// survivor is re-executed by statement on a fresh catalog, and the
-// resulting state and last epoch are what recovery must reach by delta.
-// A deliberate reimplementation of the recovery contract, not a call
-// into it.
+// (possibly truncated) segment directory: scan each segment, take one
+// record per epoch with its participants from the record (the segment's
+// shard when it lists none), then walk them in epoch order keeping the
+// last epoch applied per shard. An epoch whose staged-on version on some
+// participant is not that shard's last applied epoch is an orphan —
+// recovery must refuse, naming it (returned as a RecoveryError value,
+// Reason unset). Otherwise every record is re-executed by statement on a
+// fresh catalog, and the resulting state and last epoch are what
+// recovery must reach by delta. A deliberate reimplementation of the
+// recovery contract, not a call into it.
 func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64, *RecoveryError) {
 	t.Helper()
 	type er struct {
-		stmts  []string
-		parts  []int
-		prev   []uint64
-		marked bool
+		stmts []string
+		parts []int
+		prev  []uint64
 	}
 	epochs := map[uint64]*er{}
 	for si := 0; si < nshards; si++ {
-		w, recs, err := openWAL(dir, si)
+		w, recs, _, err := openWAL(dir, si)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.Close()
 		for _, rec := range recs {
-			e := epochs[rec.Version]
-			if e == nil {
-				e = &er{}
-				epochs[rec.Version] = e
+			if epochs[rec.Version] != nil {
+				t.Fatalf("two records of e%d", rec.Version)
 			}
-			if rec.Marker {
-				e.marked = true
-			} else {
-				e.stmts, e.prev = rec.Stmts, rec.Prev
-				if e.parts = rec.Parts; len(e.parts) == 0 {
-					e.parts = []int{si}
-				}
+			e := &er{stmts: rec.Stmts, parts: rec.Parts, prev: rec.Prev}
+			if len(e.parts) == 0 {
+				e.parts = []int{si}
 			}
+			epochs[rec.Version] = e
 		}
 	}
 	var order []uint64
-	for v, e := range epochs {
-		if len(e.parts) > 1 && !e.marked {
-			continue
-		}
-		if len(e.stmts) == 0 {
-			continue
-		}
+	for v := range epochs {
 		order = append(order, v)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })

@@ -35,10 +35,11 @@
 // The catalog is always partitioned into n ≥ 1 component shards (New
 // is NewSharded(db, 1)), each with its own version chain, writer lock,
 // group-commit queue and WAL segment, and there is exactly one way a
-// staged version becomes durable and reader-visible: a commit with one
-// participant shard is one record through that shard's group-commit
-// queue; a commit spanning shards stages a record on every participant
-// and becomes durable with a marker on the coordinator segment.
+// staged version becomes durable and reader-visible: one WAL record and
+// one fsync per commit — through the shard's group-commit queue when
+// the commit has one participant shard, on the coordinator (lowest
+// participant) segment under every participant's lock when it has
+// several.
 // Commits touching disjoint shards run fully in parallel, and readers
 // always get one wait-free merged Snapshot. See shard.go for the
 // routing, epoch and publish rules.
@@ -250,8 +251,8 @@ type Tx struct {
 func (tx *Tx) Log(stmt string) { tx.stmts = append(tx.stmts, stmt) }
 
 // SetTrace attaches a span the commit machinery annotates with its
-// durability stages (group-commit queue wait, WAL fsync, cross-shard
-// staging and marker). nil leaves the commit untraced.
+// durability stages (group-commit queue wait, WAL fsync). nil leaves
+// the commit untraced.
 func (tx *Tx) SetTrace(sp *obs.Span) { tx.trace = sp }
 
 // Trace returns the attached commit span (nil when untraced).

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -18,32 +19,41 @@ import (
 
 // Write-ahead log: durability for the catalog without whole-snapshot
 // saves. The log is one segment per shard (wal-<shard>.log under the
-// WAL directory). Every committed transaction appends one record to the
-// segment of each shard it wrote — the commit epoch, a page delta
-// (delta.go) describing the commit's effect on durable state, and the
-// I-SQL statement texts that produced it — and fsyncs before the
-// version becomes visible (see commit in shard.go). Recovery (Open)
-// loads the last checkpoint — one page file per shard — merges the
-// segments by epoch and replays the tail by patching each record's
+// WAL directory). Every committed transaction appends exactly one
+// record — the commit epoch, its participant shards with the version it
+// was staged on at each, a page delta (delta.go) describing the commit's
+// effect on durable state, and the I-SQL statement texts that produced
+// it — to the segment of its lowest participant shard, and fsyncs it
+// before the version becomes visible (see commit in shard.go). Recovery
+// (Open) loads the last checkpoint — one page file per shard — merges
+// the segments by epoch and replays the tail by patching each record's
 // delta straight into the decomposition. A record replays only if it
 // links: on every participant shard it was staged on exactly the
 // version recovery has reached there (prev). Anything else — a broken
-// link, a committed record without a delta, a delta that does not apply
-// — is a *RecoveryError, never a silently different world-set. The
-// statement texts are provenance (slow-query logs, and the oracle the
-// crash tests compare delta replay against); recovery never runs them.
+// link, a record without a delta, a delta that does not apply, a record
+// in another build's format — is a *RecoveryError, never a silently
+// different world-set. The statement texts are provenance (slow-query
+// logs, and the oracle the crash tests compare delta replay against);
+// recovery never runs them.
 //
 // # On-disk format
 //
 // One JSON object per line:
-// {"v":<epoch>,"stmts":[...],"shard":<i>,"parts":[...],"m":<marker>,
-// "prev":[...],"delta":{...},"crc":<sum>} with empty fields omitted,
-// where crc is the IEEE CRC-32 of the record content (crcOfRecord). A
-// torn tail (crash mid-append) fails the CRC or the JSON decode; Open
-// truncates the file back to the last intact record. Checkpointing
+// {"f":2,"v":<epoch>,"stmts":[...],"parts":[...],"prev":[...],
+// "delta":{...},"crc":<sum>}, where f is the log format (walFormat),
+// parts is omitted when the commit has one participant — the shard whose
+// segment holds it — and crc is the IEEE CRC-32 of the record content
+// (crcOfRecord). A torn tail (crash mid-append) fails the CRC or the
+// JSON decode; Open truncates the file back to the last intact record.
+// A whole line in any other format is refused, never cut. Checkpointing
 // commits the page files and then truncates the segments; records are
 // filtered by epoch on replay, so a crash between those two steps only
 // leaves already-checkpointed records that replay skips.
+
+// walFormat is the log format this build writes and reads. Logs of
+// other formats are refused: recover them with the build that wrote
+// them and shut it down cleanly, which leaves the segments empty.
+const walFormat = 2
 
 // WALRecord is one committed transaction in the log.
 type WALRecord struct {
@@ -51,25 +61,17 @@ type WALRecord struct {
 	Version uint64
 	// Stmts are the statement texts that produced it, in execution order.
 	Stmts []string
-	// Shard is the shard whose segment holds the record.
-	Shard int
-	// Parts, when the commit spans shards, lists every participant
-	// shard. A cross-shard record is staged once per participant
-	// segment and is only valid if its epoch's commit marker exists.
+	// Parts lists the participant shards, sorted, when the commit spans
+	// several; the record sits on the lowest one's segment. Empty: the
+	// commit's one participant is the shard whose segment holds it.
 	Parts []int
-	// Marker marks the commit record of a cross-shard epoch: appended
-	// to the coordinator segment after every participant's stage record
-	// is durable. A staged cross-shard epoch without its marker is
-	// discarded by recovery — the commit rolls back on all shards.
-	Marker bool
 	// Prev is, per participant shard (aligned with Parts, or the one
-	// entry for Shard when Parts is empty), the shard version the commit
-	// was staged on. Recovery applies the record only where every entry
-	// matches the version it has reached on that shard. Absent on records
-	// written before it existed, which link by epoch density instead.
+	// entry when Parts is empty), the shard version the commit was
+	// staged on. Recovery applies the record only where every entry
+	// matches the version it has reached on that shard.
 	Prev []uint64
 	// Delta is the commit's effect on durable state (delta.go) — what
-	// recovery applies. Absent only on markers.
+	// recovery applies.
 	Delta *CommitDelta
 
 	// deltaRaw is Delta's verbatim JSON as stored on disk — the CRC
@@ -78,61 +80,45 @@ type WALRecord struct {
 	deltaRaw []byte
 }
 
-// walLine is the on-disk framing of a record. The shard fields are
-// omitted when empty, so shard 0's single-participant records keep the
-// historical single-log format byte-for-byte (and such logs replay).
+// walLine is the on-disk framing of a record.
 type walLine struct {
+	Format  int             `json:"f"`
 	Version uint64          `json:"v"`
 	Stmts   []string        `json:"stmts"`
-	Shard   int             `json:"shard,omitempty"`
 	Parts   []int           `json:"parts,omitempty"`
-	Marker  bool            `json:"m,omitempty"`
 	Prev    []uint64        `json:"prev,omitempty"`
 	Delta   json.RawMessage `json:"delta,omitempty"`
 	CRC     uint32          `json:"crc"`
 }
 
-// crcOf sums the record content: version plus length-prefixed statement
-// texts (the prefix keeps ["ab","c"] distinct from ["a","bc"]), plus —
-// only when present, so historical records keep their sums — the
-// cross-shard participant list, the marker flag, the staged-on shard
+// crcOfRecord sums the record content: the format number, the version,
+// the length-prefixed statement texts (the prefix keeps ["ab","c"]
+// distinct from ["a","bc"]), the participant list, the staged-on shard
 // versions and the delta bytes.
 func crcOfRecord(rec WALRecord) uint32 {
 	h := crc32.NewIEEE()
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], rec.Version)
-	h.Write(buf[:])
-	for _, s := range rec.Stmts {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
+	}
+	put(walFormat)
+	put(rec.Version)
+	put(uint64(len(rec.Stmts)))
+	for _, s := range rec.Stmts {
+		put(uint64(len(s)))
 		io.WriteString(h, s)
 	}
-	if len(rec.Parts) > 0 || rec.Marker {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(rec.Parts)))
-		h.Write(buf[:])
-		for _, p := range rec.Parts {
-			binary.LittleEndian.PutUint64(buf[:], uint64(p))
-			h.Write(buf[:])
-		}
-		if rec.Marker {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
+	put(uint64(len(rec.Parts)))
+	for _, p := range rec.Parts {
+		put(uint64(p))
 	}
-	if len(rec.Prev) > 0 {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(rec.Prev)))
-		h.Write(buf[:])
-		for _, v := range rec.Prev {
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
-		}
+	put(uint64(len(rec.Prev)))
+	for _, v := range rec.Prev {
+		put(v)
 	}
-	if len(rec.deltaRaw) > 0 {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(rec.deltaRaw)))
-		h.Write(buf[:])
-		h.Write(rec.deltaRaw)
-	}
+	put(uint64(len(rec.deltaRaw)))
+	h.Write(rec.deltaRaw)
 	return h.Sum32()
 }
 
@@ -163,9 +149,10 @@ type WAL struct {
 
 // RecoveryError reports durable state Open cannot recover without
 // guessing: a record that does not link to the version recovery reached
-// on one of its shards, a committed record without a page delta, a
-// delta that does not apply, or a CRC-intact record that does not
-// decode. The directory is left as found.
+// on one of its shards, a record without a page delta, a delta that
+// does not apply, a CRC-intact record that does not decode, a record in
+// another log format, or a log Open would not read. The directory is
+// left as found.
 type RecoveryError struct {
 	Shard  int    // shard (segment) the offending record belongs to
 	Epoch  uint64 // its commit epoch
@@ -182,45 +169,48 @@ func segmentName(si int) string { return fmt.Sprintf("wal-%d.log", si) }
 func segmentPath(walDir string, si int) string { return filepath.Join(walDir, segmentName(si)) }
 
 // openWAL opens (creating if absent) shard si's segment under walDir
-// and returns the intact records it holds. A torn tail — a final record
-// interrupted by a crash — is detected by CRC/framing and truncated
-// away so appending resumes from the last durable record.
-func openWAL(walDir string, si int) (*WAL, []WALRecord, error) {
+// and returns the intact records it holds and their byte length. A torn
+// tail behind them — a final record interrupted by a crash — stays in
+// place: Open cuts it (cutTail) only once recovery has succeeded, so a
+// refused directory is left as found.
+func openWAL(walDir string, si int) (*WAL, []WALRecord, int64, error) {
 	path := segmentPath(walDir, si)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: opening WAL: %w", err)
+		return nil, nil, 0, fmt.Errorf("store: opening WAL: %w", err)
 	}
 	records, valid, err := scanWAL(f, si)
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	info, err := f.Stat()
+	return &WAL{f: f, path: path, tail: len(records)}, records, valid, nil
+}
+
+// cutTail truncates the segment to its intact prefix of valid bytes, so
+// appending resumes after the last durable record.
+func (w *WAL) cutTail(valid int64) error {
+	info, err := w.f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, nil, err
+		return err
 	}
 	if info.Size() > valid {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("store: truncating torn WAL tail: %w", err)
+		if err := w.f.Truncate(valid); err != nil {
+			return fmt.Errorf("store: truncating torn WAL tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return &WAL{f: f, path: path, tail: len(records)}, records, nil
+	_, err = w.f.Seek(valid, io.SeekStart)
+	return err
 }
 
 // scanWAL reads shard si's records from r, stopping (without error) at
 // the first torn or corrupt line, and returns the records plus the byte
 // length of the intact prefix. Lines are read without a length cap: a
-// large committed record must never be mistaken for a torn tail. A line
-// whose CRC holds was written whole, so a delta in it that does not
-// decode is format skew or a bug, not a tear: that is a *RecoveryError,
-// and nothing behind it is touched.
+// large committed record must never be mistaken for a torn tail. A
+// whole line that decodes is not a tear, so one in another log format
+// is a *RecoveryError — checked before the CRC, whose layout is the
+// format's — and so is a CRC-intact delta that does not decode (format
+// skew or a bug). Nothing behind a refusal is touched.
 func scanWAL(r io.Reader, si int) ([]WALRecord, int64, error) {
 	var records []WALRecord
 	var valid int64
@@ -238,8 +228,11 @@ func scanWAL(r io.Reader, si int) ([]WALRecord, int64, error) {
 		if err := json.Unmarshal(line[:len(line)-1], &rec); err != nil {
 			break // torn or corrupt tail
 		}
-		decoded := WALRecord{Version: rec.Version, Stmts: rec.Stmts, Shard: rec.Shard,
-			Parts: rec.Parts, Marker: rec.Marker, Prev: rec.Prev, deltaRaw: rec.Delta}
+		if rec.Format != walFormat {
+			return nil, 0, &RecoveryError{Shard: si, Epoch: rec.Version,
+				Reason: fmt.Sprintf("%s holds a record in log format %d, not %d: recover with the build that wrote it, shut that down cleanly, then reopen", segmentName(si), rec.Format, walFormat)}
+		}
+		decoded := WALRecord{Version: rec.Version, Stmts: rec.Stmts, Parts: rec.Parts, Prev: rec.Prev, deltaRaw: rec.Delta}
 		if rec.CRC != crcOfRecord(decoded) {
 			break
 		}
@@ -267,9 +260,8 @@ func frameRecord(rec WALRecord) ([]byte, error) {
 		}
 		rec.deltaRaw = raw
 	}
-	line, err := json.Marshal(walLine{Version: rec.Version, Stmts: rec.Stmts,
-		Shard: rec.Shard, Parts: rec.Parts, Marker: rec.Marker, Prev: rec.Prev,
-		Delta: json.RawMessage(rec.deltaRaw), CRC: crcOfRecord(rec)})
+	line, err := json.Marshal(walLine{Format: walFormat, Version: rec.Version, Stmts: rec.Stmts,
+		Parts: rec.Parts, Prev: rec.Prev, Delta: json.RawMessage(rec.deltaRaw), CRC: crcOfRecord(rec)})
 	if err != nil {
 		return nil, err
 	}
@@ -297,14 +289,13 @@ func (w *WAL) AppendBatch(recs []WALRecord) error {
 	}
 	var buf []byte
 	for _, rec := range recs {
-		switch {
-		case rec.Marker: // carries a decision, not a change
-		case len(rec.Stmts) == 0:
+		if len(rec.Stmts) == 0 {
 			// The statement texts are the record's provenance; a commit
 			// without them was staged by a writer that skipped Tx.Log —
 			// surface the bug at commit time.
 			return fmt.Errorf("store: refusing to log commit v%d with no statement records (writer did not call Tx.Log)", rec.Version)
-		case rec.Delta == nil && len(rec.deltaRaw) == 0:
+		}
+		if rec.Delta == nil && len(rec.deltaRaw) == 0 {
 			// Recovery replays deltas and nothing else: logging a commit
 			// without one would make Open refuse the directory.
 			return fmt.Errorf("store: refusing to log commit v%d with no page delta", rec.Version)
@@ -524,32 +515,40 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// adoptLegacyLog upgrades a WAL directory written by the pre-sharding
-// single-log layout: its wal.log becomes shard 0's segment (the record
-// format is the same — shard 0, no participant list — and the merged
-// replay orders by epoch whatever the shard count). A non-empty wal.log
-// next to a non-empty wal-0.log is ambiguous and refused: starting
-// without either would silently drop committed transactions.
-func adoptLegacyLog(walDir string) error {
-	legacy := filepath.Join(walDir, "wal.log")
-	li, err := os.Stat(legacy)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
+// refuseUnreadLogs refuses a directory holding commits Open would never
+// read, which would otherwise vanish silently: a non-empty wal.log, the
+// single log of builds before per-shard segments, or a non-empty
+// segment past the shard count, logged at a higher count (Open creates
+// every segment of its count, so the files present tell which). The
+// refusal names the epoch of the log's first line.
+func refuseUnreadLogs(walDir string, nshards int) error {
+	paths := []string{filepath.Join(walDir, "wal.log")}
+	for si := nshards; ; si++ {
+		if _, err := os.Stat(segmentPath(walDir, si)); err != nil {
+			break
 		}
-		return err
+		paths = append(paths, segmentPath(walDir, si))
 	}
-	seg := segmentPath(walDir, 0)
-	if si, err := os.Stat(seg); err == nil && si.Size() > 0 {
-		if li.Size() > 0 {
-			return fmt.Errorf("store: %s holds both a non-empty wal.log and a non-empty %s; refusing to pick one", walDir, filepath.Base(seg))
+	for i, path := range paths {
+		data, err := os.ReadFile(path)
+		if os.IsNotExist(err) || err == nil && len(data) == 0 {
+			continue
 		}
-		return os.Remove(legacy)
+		if err != nil {
+			return fmt.Errorf("store: reading %s: %w", path, err)
+		}
+		var first walLine
+		line, _, _ := bytes.Cut(data, []byte("\n"))
+		_ = json.Unmarshal(line, &first) // best effort: the epoch only locates the refused log
+		re := &RecoveryError{Epoch: first.Version,
+			Reason: "wal.log is the log of a build before per-shard segments: recover with that build, shut it down cleanly, then reopen"}
+		if i > 0 {
+			re.Shard = nshards + i - 1
+			re.Reason = fmt.Sprintf("%s holds commits logged at %d shards: recover at that shard count", segmentName(re.Shard), nshards+len(paths)-1)
+		}
+		return re
 	}
-	if err := os.Rename(legacy, seg); err != nil {
-		return fmt.Errorf("store: adopting legacy wal.log as shard 0 segment: %w", err)
-	}
-	return fsyncDir(walDir)
+	return nil
 }
 
 // holdsState reports whether the directory already holds a durable
@@ -581,15 +580,15 @@ func holdsState(wsdPath, walDir string) (bool, error) {
 // A directory that holds no state is seeded: seed() (nil = the empty
 // catalog) becomes the first version and is checkpointed before Open
 // returns, so the seed itself is durable. A directory that holds state
-// — a checkpoint or a non-empty segment; a wal.log left by the
-// pre-sharding single-log layout is adopted as shard 0's segment — is
-// recovered and seed is never called: load the last checkpoint, scan
-// every segment (torn tails truncated per segment) and replay the tail
-// by patching page deltas (see replay). The catalog after Open is
-// byte-identical (through Save) to the last committed state before the
-// crash: committed transactions survive, uncommitted ones vanish. A
-// record that does not link, carries no delta, or whose delta does not
-// apply makes Open fail with a *RecoveryError and leaves the directory
+// — a checkpoint or a non-empty segment — is recovered and seed is never
+// called: load the last checkpoint, scan every segment and replay the
+// tail by patching page deltas (see replay), then truncate each
+// segment's torn tail. The catalog after Open is byte-identical (through
+// Save) to the last committed state before the crash: committed
+// transactions survive, uncommitted ones vanish. A record that does not
+// link, carries no delta, or whose delta does not apply, a record in
+// another log format, a non-empty wal.log, or a non-empty segment past
+// nshards makes Open fail with a *RecoveryError and leaves the directory
 // as found.
 //
 // The checkpoint base is one page file per shard (wsdPath plus
@@ -605,7 +604,7 @@ func Open(wsdPath, walDir string, nshards, poolPages int, seed func() (*Catalog,
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	if err := adoptLegacyLog(walDir); err != nil {
+	if err := refuseUnreadLogs(walDir, max(nshards, 1)); err != nil {
 		return nil, nil, err
 	}
 	recovering, err := holdsState(wsdPath, walDir)
@@ -648,8 +647,9 @@ func Open(wsdPath, walDir string, nshards, poolPages int, seed func() (*Catalog,
 		return nil, nil, err
 	}
 	segs := make([][]WALRecord, len(wals))
+	valid := make([]int64, len(wals))
 	for si := range wals {
-		if wals[si], segs[si], err = openWAL(walDir, si); err != nil {
+		if wals[si], segs[si], valid[si], err = openWAL(walDir, si); err != nil {
 			return fail(err)
 		}
 	}
@@ -657,6 +657,9 @@ func Open(wsdPath, walDir string, nshards, poolPages int, seed func() (*Catalog,
 		return fail(err)
 	}
 	for i, sh := range cat.shards {
+		if err := wals[i].cutTail(valid[i]); err != nil {
+			return fail(err)
+		}
 		sh.log, sh.wal = wals[i], wals[i]
 	}
 	if !recovering {
@@ -669,129 +672,81 @@ func Open(wsdPath, walDir string, nshards, poolPages int, seed func() (*Catalog,
 	return cat, wals, nil
 }
 
-// loggedCommit is one commit as the segments describe it: the stage
-// records of its participants merged, plus whether its marker was seen.
-type loggedCommit struct {
-	epoch  uint64
-	home   int      // lowest shard whose segment holds a stage record
-	parts  []int    // participant shards
-	prev   []uint64 // per participant, the shard version it was staged on; nil on legacy records
-	delta  *CommitDelta
-	staged bool
-	marked bool
-}
-
 // replay applies the surviving log tail in segs (one record slice per
 // shard segment) to the freshly loaded base and republishes the result
 // with every shard at the version replay reached on it, so the next
 // commit's prev links on the next recovery whether or not a checkpoint
 // comes first.
 //
-// Records are grouped into commits by epoch and participant list — a
-// stale stage record of a rolled-back epoch can never merge with a live
-// commit that was later numbered the same — and a staged cross-shard
-// commit without its marker is discarded: the two-phase publish never
-// finished, the transaction rolls back on every shard. The survivors
-// newer than the checkpoint apply in epoch order, a valid serialization
-// of the pre-crash execution (single-shard commits read only their
-// shard, and epochs are assigned under the shard locks). A commit links
-// if, on every participant shard p, the version it was staged on is the
-// version replay has reached on p (a predecessor at or below the
-// checkpoint is in the base). Routed deltas are shard-scoped, so only
-// the per-shard chain matters: an epoch missing elsewhere (burned by a
-// failed fsync, rolled back, or torn off another segment) does not
-// break it. Records written before prev existed link by density of the
-// global epoch chain instead. Deltas at or below newest — the newest
-// file of a torn mixed-epoch checkpoint — may already be in the base
-// and re-apply leniently.
+// Every commit is one record, so replay sorts the records newer than
+// the checkpoint by epoch — a valid serialization of the pre-crash
+// execution (single-shard commits read only their shard, and epochs are
+// assigned under the shard locks) — and applies each in turn. A record
+// links if, on every participant shard p, the version it was staged on
+// is the version replay has reached on p (a predecessor at or below the
+// checkpoint is in the base); one that does not is refused. Routed
+// deltas are shard-scoped, so only the per-shard chain matters: an
+// epoch missing elsewhere (burned by a failed write, or torn off another
+// segment) does not break it. Every record is applied or refused, so
+// the epoch counter resumes at the last one applied. Deltas at or below
+// newest — the newest file of a torn mixed-epoch checkpoint — may
+// already be in the base and re-apply leniently.
 func (c *Catalog) replay(segs [][]WALRecord, newest uint64) error {
-	type key struct {
-		epoch uint64
-		parts string
-	}
-	commits := map[key]*loggedCommit{}
 	base := c.cur.Load()
-	top := base.Version // the epoch counter resumes above every epoch seen, discarded or not
+	var order []WALRecord
 	for si, records := range segs {
 		for _, rec := range records {
-			top = max(top, rec.Version)
-			parts := rec.Parts
-			if len(parts) == 0 {
-				parts = []int{si}
+			if rec.Version <= base.Version {
+				continue // already in the checkpoint (crash between save and truncate)
 			}
-			k := key{rec.Version, fmt.Sprint(parts)}
-			lc := commits[k]
-			if lc == nil {
-				lc = &loggedCommit{epoch: rec.Version, home: si, parts: parts}
-				commits[k] = lc
+			if len(rec.Parts) == 0 {
+				rec.Parts = []int{si}
 			}
-			if rec.Marker {
-				lc.marked = true
-				continue
-			}
-			// Every stage record of a commit carries the same delta and
-			// links; between a stale and a live one, the later is live.
-			lc.staged = true
-			lc.delta, lc.prev = rec.Delta, rec.Prev
+			order = append(order, rec)
 		}
 	}
-	var order []*loggedCommit
-	for _, lc := range commits {
-		if lc.epoch <= base.Version {
-			continue // already in the checkpoint (crash between save and truncate)
-		}
-		if len(lc.parts) > 1 && !lc.marked {
-			continue // unmarked cross-shard prefix: rolls back everywhere
-		}
-		if !lc.staged {
-			return &RecoveryError{Shard: lc.home, Epoch: lc.epoch, Reason: "commit marker without a surviving stage record"}
-		}
-		order = append(order, lc)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].epoch < order[j].epoch })
+	sort.Slice(order, func(i, j int) bool { return order[i].Version < order[j].Version })
 
 	ver := make([]uint64, len(c.shards))
 	for p := range ver {
 		ver[p] = base.Version
 	}
 	db, views, last := base.DB, base.Views, base.Version
-	for _, lc := range order {
+	for _, rec := range order {
+		home := rec.Parts[0] // the segment holding the record
 		refuse := func(shard int, format string, a ...any) error {
-			return &RecoveryError{Shard: shard, Epoch: lc.epoch, Reason: fmt.Sprintf(format, a...)}
+			return &RecoveryError{Shard: shard, Epoch: rec.Version, Reason: fmt.Sprintf(format, a...)}
 		}
-		if lc.epoch == last {
-			return refuse(lc.home, "two committed records claim the epoch")
+		if rec.Version == last {
+			return refuse(home, "two committed records claim the epoch")
 		}
-		if lc.prev != nil && len(lc.prev) != len(lc.parts) {
-			return refuse(lc.home, "record lists %d staged-on versions for %d participant shard(s)", len(lc.prev), len(lc.parts))
+		if len(rec.Prev) != len(rec.Parts) {
+			return refuse(home, "record lists %d staged-on versions for %d participant shard(s)", len(rec.Prev), len(rec.Parts))
 		}
-		for i, p := range lc.parts {
+		for i, p := range rec.Parts {
 			switch {
 			case p < 0 || p >= len(ver):
-				return refuse(lc.home, "participant shard %d does not exist at %d shard(s); recover at the shard count that wrote the log", p, len(ver))
-			case lc.prev == nil && lc.epoch != last+1:
-				return refuse(p, "record from a build that predates per-shard links does not follow e%d densely; recover with the build that wrote it, shut that down cleanly, then reopen", last)
-			case lc.prev != nil && max(lc.prev[i], base.Version) != ver[p]:
-				return refuse(p, "staged on shard version e%d, but recovery reached e%d there: a predecessor is missing from %s", lc.prev[i], ver[p], segmentName(p))
+				return refuse(home, "participant shard %d does not exist at %d shard(s); recover at the shard count that wrote the log", p, len(ver))
+			case max(rec.Prev[i], base.Version) != ver[p]:
+				return refuse(p, "staged on shard version e%d, but recovery reached e%d there: a predecessor is missing from %s", rec.Prev[i], ver[p], segmentName(p))
 			}
 		}
-		if lc.delta == nil {
-			return refuse(lc.home, "committed record carries no page delta (written by a build that replayed statements); recover with that build, shut it down cleanly, then reopen")
+		if rec.Delta == nil {
+			return refuse(home, "record carries no page delta")
 		}
 		var err error
-		if db, views, err = applyDelta(db, views, lc.delta, lc.epoch <= newest); err != nil {
-			return refuse(lc.home, "page delta does not apply: %v", err)
+		if db, views, err = applyDelta(db, views, rec.Delta, rec.Version <= newest); err != nil {
+			return refuse(home, "page delta does not apply: %v", err)
 		}
-		for _, u := range lc.delta.Upserts {
+		for _, u := range rec.Delta.Upserts {
 			c.raiseCompID(u.ID)
 		}
-		for _, p := range lc.parts {
-			ver[p] = lc.epoch
+		for _, p := range rec.Parts {
+			ver[p] = rec.Version
 		}
-		last = lc.epoch
+		last = rec.Version
 	}
 	c.reset(&Snapshot{Version: last, DB: db, Views: views}, ver)
-	c.epoch.Store(top)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -254,9 +255,8 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 // TestWALCorruptRecordStopsReplay: a flipped byte fails the CRC; the
 // segment's replay stops at the last good record rather than applying
-// garbage. (At 4 shards the commit is staged on every segment; losing
-// shard 0's copy also loses its marker, so the epoch rolls back
-// everywhere.)
+// garbage. (At 4 shards each all-shard commit is one record on shard
+// 0's segment, the coordinator's.)
 func TestWALCorruptRecordStopsReplay(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
@@ -295,11 +295,10 @@ func TestWALCheckpointTruncates(t *testing.T) {
 		cat, wals := openDir(t, dir, n)
 		addRel(t, cat, "T0")
 		addRel(t, cat, "T1")
-		// The last segment holds exactly the two commit records (markers,
-		// when there are several participants, go to shard 0).
-		last := wals[n-1]
-		if last.Appended() != 2 {
-			t.Fatalf("appended = %d, want 2", last.Appended())
+		// Shard 0's segment holds exactly the two commit records: it is
+		// the coordinator of every all-shard commit.
+		if wals[0].Appended() != 2 {
+			t.Fatalf("appended = %d, want 2", wals[0].Appended())
 		}
 		if err := cat.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -331,7 +330,11 @@ func TestWALStaleRecordsSkipped(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
 		cat, wals := openDir(t, dir, n)
-		addRel(t, cat, "T0")
+		names := shardNames(n)
+		mkAll(t, cat, names)
+		for _, name := range names {
+			sIns(t, cat, name, 1) // a record on every segment
+		}
 		// Checkpoint, then put the pre-checkpoint segments back: exactly
 		// what a crash after the page files committed but before the
 		// truncates leaves.
@@ -401,21 +404,16 @@ func TestWALConcurrentWriters(t *testing.T) {
 	})
 }
 
-// failNextLogger is a real WAL segment whose next append — after skip
-// more that succeed — fails once fail is set.
+// failNextLogger is a real WAL segment whose next append fails once
+// fail is set.
 type failNextLogger struct {
 	w    *WAL
-	skip int // set before fail; appends on one shard are sequential
 	fail atomic.Bool
 }
 
 func (f *failNextLogger) AppendBatch(recs []WALRecord) error {
-	if f.fail.Load() {
-		if f.skip == 0 {
-			f.fail.Store(false)
-			return errors.New("injected fsync failure")
-		}
-		f.skip--
+	if f.fail.CompareAndSwap(true, false) {
+		return errors.New("injected fsync failure")
 	}
 	return f.w.AppendBatch(recs)
 }
@@ -460,19 +458,18 @@ func TestBurnedEpochReplaysByDelta(t *testing.T) {
 	})
 }
 
-// TestRolledBackCrossShardEpochLinks: a cross-shard commit whose marker
-// append fails rolls back, leaving its stage records in the segments.
-// Later commits on the participants were staged on the state without
-// it: they link past the stale stage records and replay by delta, and
-// the rolled-back transaction stays invisible on every shard.
+// TestRolledBackCrossShardEpochLinks: a cross-shard commit whose one
+// append fails rolls back, burning its epoch. Later commits on the
+// participants were staged on the state without it: they link past the
+// hole and replay by delta, and the rolled-back transaction stays
+// invisible on every shard.
 func TestRolledBackCrossShardEpochLinks(t *testing.T) {
 	dir := t.TempDir()
 	cat, wals := openDir(t, dir, 4)
 	names := shardNames(4)
 	mkAll(t, cat, names)
-	// The coordinator (shard 1) logs the stage record, then fails the
-	// marker.
-	flaky := &failNextLogger{w: wals[1], skip: 1}
+	// The coordinator (shard 1) fails the transaction's record.
+	flaky := &failNextLogger{w: wals[1]}
 	cat.shards[1].log = flaky
 	flaky.fail.Store(true)
 	txn := cat.Begin()
@@ -483,7 +480,7 @@ func TestRolledBackCrossShardEpochLinks(t *testing.T) {
 		}
 	}
 	if err := txn.Commit(); err == nil {
-		t.Fatal("cross-shard commit with a failed marker reported success")
+		t.Fatal("cross-shard commit with a failed append reported success")
 	}
 	sIns(t, cat, names[1], 5)
 	sIns(t, cat, names[2], 6)
@@ -501,12 +498,11 @@ func TestRolledBackCrossShardEpochLinks(t *testing.T) {
 	}
 }
 
-// TestEpochNotReusedAfterRollback: recovery rolls back an unmarked
-// cross-shard epoch that was the highest in the log. Its stage records
-// stay in their segments until the next checkpoint, so the epoch
-// counter must resume above it: a commit renumbered to the same epoch
-// would merge with the stale stage records on the following recovery
-// and be discarded with them — an acknowledged commit lost.
+// TestEpochNotReusedAfterRollback: a crash tears the record of a
+// cross-shard commit, the highest epoch in the log, so recovery rolls
+// the transaction back on both participants. The commit acknowledged
+// after that recovery must survive the next one, whatever epoch it was
+// numbered with.
 func TestEpochNotReusedAfterRollback(t *testing.T) {
 	dir := t.TempDir()
 	cat, wals := openDir(t, dir, 4)
@@ -524,15 +520,14 @@ func TestEpochNotReusedAfterRollback(t *testing.T) {
 	}
 	rolledBack := cat.Snapshot().Version
 	closeWALs(wals)
-	tearLastLine(t, segmentPath(dir, 1)) // the marker
+	tearLastLine(t, segmentPath(dir, 1)) // the transaction's record, on its coordinator
 
 	cat2, wals2 := openDir(t, dir, 4)
 	if got := cat2.Snapshot().Version; got != rolledBack-1 {
 		t.Fatalf("recovered version %d, want %d (the transaction rolled back)", got, rolledBack-1)
 	}
-	sIns(t, cat2, names[0], 1) // acknowledged
-	if got := cat2.Snapshot().Version; got <= rolledBack {
-		t.Fatalf("commit after the rollback was numbered e%d, reusing the discarded e%d", got, rolledBack)
+	for _, tbl := range names[1:3] {
+		sIns(t, cat2, tbl, 1) // acknowledged, on each former participant
 	}
 	want := dbBytes(t, cat2.Snapshot())
 	closeWALs(wals2)
@@ -544,18 +539,19 @@ func TestEpochNotReusedAfterRollback(t *testing.T) {
 	}
 }
 
-// tearLastLine truncates the last record off a segment file.
+// tearLastLine cuts a segment file in the middle of its last record,
+// as a crash mid-append leaves it.
 func tearLastLine(t *testing.T, seg string) {
 	t.Helper()
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trim := bytes.LastIndexByte(bytes.TrimSuffix(data, []byte("\n")), '\n')
-	if trim < 0 {
+	start := bytes.LastIndexByte(bytes.TrimSuffix(data, []byte("\n")), '\n') + 1
+	if start >= len(data) {
 		t.Fatalf("segment %s has no line to tear", seg)
 	}
-	if err := os.WriteFile(seg, data[:trim+1], 0o644); err != nil {
+	if err := os.WriteFile(seg, data[:(start+len(data))/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -681,119 +677,129 @@ func TestUndecodableDeltaRefused(t *testing.T) {
 
 // legacyWALLog is a wal.log exactly as the pre-sharding single-log
 // server wrote it (three "put" commits, v2..v4, captured from that
-// build): no shard, no participant list, deltas as that writer diffed
-// them. legacySaved is what that server's catalog serialized to through
-// Save after the third commit.
+// build): no format number, no shard, no participant list, no links.
 const legacyWALLog = `{"v":2,"stmts":["put T 1"],"delta":{"full":true,"names":["T"],"schemas":[["X"]],"certain":{"T":[[1]]},"vch":true},"crc":3786518645}
 {"v":3,"stmts":["put U 2"],"delta":{"full":true,"names":["T","U"],"schemas":[["X"],["X"]],"certain":{"T":[[1]],"U":[[2]]},"vch":true},"crc":2681434120}
 {"v":4,"stmts":["put T 3"],"delta":{"certain":{"T":[[1],[3]]}},"crc":2545961443}
 `
 
-const legacySaved = `{
- "format": "worldsetdb-catalog/v1",
- "version": 4,
- "names": [
-  "T",
-  "U"
- ],
- "schemas": [
-  [
-   "X"
-  ],
-  [
-   "X"
-  ]
- ],
- "certain": [
-  [
-   [
-    1
-   ],
-   [
-    3
-   ]
-  ],
-  [
-   [
-    2
-   ]
-  ]
- ]
-}
-`
-
-// TestLegacyWALLogAdopted is the upgrade path: Open adopts a wal.log
-// left by the single-log layout as shard 0's segment and recovers its
-// commits byte-identically to what the old server held — at any shard
-// count, since the merged replay orders by epoch. Its records carry no
-// per-shard links and link by density instead; commits logged after the
-// upgrade link behind them. A non-empty wal.log next to a non-empty
-// wal-0.log is refused rather than silently dropping one of them.
-func TestLegacyWALLogAdopted(t *testing.T) {
-	forShardCounts(t, func(t *testing.T, n int) {
-		dir := t.TempDir()
-		legacy := filepath.Join(dir, "wal.log")
-		if err := os.WriteFile(legacy, []byte(legacyWALLog), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cat, wals := openDir(t, dir, n)
-		if got := saveBytes(t, cat.Snapshot()); string(got) != legacySaved {
-			t.Fatalf("legacy wal.log did not recover byte-identically\n--- got ---\n%s\n--- want ---\n%s", got, legacySaved)
-		}
-		if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-			t.Fatalf("wal.log still present after adoption (err %v)", err)
-		}
-		if data, err := os.ReadFile(segmentPath(dir, 0)); err != nil || string(data) != legacyWALLog {
-			t.Fatalf("wal-0.log does not hold the adopted records (err %v)", err)
-		}
-		// New commits append behind the adopted records and both recover.
-		put(t, cat, "U", 9)
-		want := saveBytes(t, cat.Snapshot())
-		closeWALs(wals)
-		cat2, wals2 := openDir(t, dir, n)
-		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-			t.Fatal("adopted log + new commit does not recover byte-identically")
-		}
-		closeWALs(wals2)
-
-		// A second wal.log next to the now non-empty wal-0.log is ambiguous.
-		if err := os.WriteFile(legacy, []byte(legacyWALLog), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := Open(ckptPath(dir), dir, n, 0, nil); err == nil {
-			t.Fatal("Open accepted a non-empty wal.log next to a non-empty wal-0.log")
-		}
-	})
+// twoPhaseSegments are the segments of a 4-shard directory as the
+// build before one-record commits wrote them (captured from that
+// build): an all-shard DDL staged on every segment with its marker on
+// shard 0, a routed insert on shard 1, and a transaction over shards 1
+// and 2 staged on both with its marker on shard 1.
+var twoPhaseSegments = [4]string{
+	`{"v":2,"stmts":["mk T1_0","mk T2_2"],"parts":[0,1,2,3],"prev":[1,1,1,1],"delta":{"full":true,"names":["T1_0","T2_2"],"schemas":[["X"],["X"]],"vch":true},"crc":1753586064}
+{"v":2,"stmts":null,"parts":[0,1,2,3],"m":true,"crc":3201636878}
+`,
+	`{"v":2,"stmts":["mk T1_0","mk T2_2"],"shard":1,"parts":[0,1,2,3],"prev":[1,1,1,1],"delta":{"full":true,"names":["T1_0","T2_2"],"schemas":[["X"],["X"]],"vch":true},"crc":1753586064}
+{"v":3,"stmts":["ins T1_0 1"],"shard":1,"prev":[2],"delta":{"certain":{"T1_0":[[1]]}},"crc":3044009267}
+{"v":4,"stmts":["ins T1_0 7","ins T2_2 8"],"shard":1,"parts":[1,2],"prev":[3,2],"delta":{"certain":{"T1_0":[[1],[7]],"T2_2":[[8]]}},"crc":2020799323}
+{"v":4,"stmts":null,"shard":1,"parts":[1,2],"m":true,"crc":4018637903}
+`,
+	`{"v":2,"stmts":["mk T1_0","mk T2_2"],"shard":2,"parts":[0,1,2,3],"prev":[1,1,1,1],"delta":{"full":true,"names":["T1_0","T2_2"],"schemas":[["X"],["X"]],"vch":true},"crc":1753586064}
+{"v":4,"stmts":["ins T1_0 7","ins T2_2 8"],"shard":2,"parts":[1,2],"prev":[3,2],"delta":{"certain":{"T1_0":[[1],[7]],"T2_2":[[8]]}},"crc":2020799323}
+`,
+	`{"v":2,"stmts":["mk T1_0","mk T2_2"],"shard":3,"parts":[0,1,2,3],"prev":[1,1,1,1],"delta":{"full":true,"names":["T1_0","T2_2"],"schemas":[["X"],["X"]],"vch":true},"crc":1753586064}
+`,
 }
 
-// TestOldLogsRefused: what the older formats cannot promise is refused,
-// with the shard and epoch named. A record without per-shard links that
-// does not follow its predecessor densely may sit behind a hole; a
-// statements-only record (the format before deltas) has nothing
-// recovery can apply.
+// dirFiles reads every file of dir, by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// refusedAsFound opens dir at nshards expecting a *RecoveryError at
+// shard and epoch, with every file of dir left byte for byte as it was.
+func refusedAsFound(t *testing.T, dir string, nshards, shard int, epoch uint64) {
+	t.Helper()
+	before := dirFiles(t, dir)
+	if re := openRefused(t, dir, nshards); re.Shard != shard || re.Epoch != epoch {
+		t.Fatalf("refusal names shard %d epoch e%d, want shard %d epoch e%d: %v", re.Shard, re.Epoch, shard, epoch, re)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused Open changed the directory\n--- before ---\n%v\n--- after ---\n%v", before, after)
+	}
+}
+
+// TestOldLogsRefused: a log an older build wrote is refused with the
+// shard and epoch named, never replayed and never cut as a torn tail:
+// the single wal.log of the builds before per-shard segments, records
+// without per-shard links (here with a hole), records without deltas,
+// and a directory of stage and marker records. Recovering it is the
+// writing build's job; a clean shutdown there leaves empty segments,
+// which open.
 func TestOldLogsRefused(t *testing.T) {
 	lines := strings.SplitAfter(legacyWALLog, "\n")
-	var stmtsOnly bytes.Buffer
-	for i, stmt := range []string{"put T 1", "put U 2"} {
-		rec := WALRecord{Version: uint64(i + 2), Stmts: []string{stmt}}
-		fmt.Fprintf(&stmtsOnly, `{"v":%d,"stmts":[%q],"crc":%d}`+"\n", rec.Version, stmt, crcOfRecord(rec))
-	}
+	// Statements-only records, the format before deltas, as it summed them.
+	stmtsOnly := `{"v":2,"stmts":["put T 1"],"crc":2956984107}
+{"v":3,"stmts":["put U 2"],"crc":3011980914}
+`
 	for name, tc := range map[string]struct {
-		log   string
-		epoch uint64
+		files   map[string]string
+		nshards int
 	}{
-		"gap in a link-less log": {lines[0] + lines[2], 4},
-		"statements only":        {stmtsOnly.String(), 2},
+		"wal.log":                  {map[string]string{"wal.log": legacyWALLog}, 1},
+		"gap in a link-less log":   {map[string]string{"wal-0.log": lines[0] + lines[2]}, 1},
+		"statements only":          {map[string]string{"wal-0.log": stmtsOnly}, 1},
+		"stage and marker records": {map[string]string{"wal-0.log": twoPhaseSegments[0], "wal-1.log": twoPhaseSegments[1], "wal-2.log": twoPhaseSegments[2], "wal-3.log": twoPhaseSegments[3]}, 4},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte(tc.log), 0o644); err != nil {
-				t.Fatal(err)
+			for file, data := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, file), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if re := openRefused(t, dir, 1); re.Shard != 0 || re.Epoch != tc.epoch {
-				t.Fatalf("refusal names shard %d epoch e%d, want shard 0 epoch e%d: %v", re.Shard, re.Epoch, tc.epoch, re)
-			}
+			refusedAsFound(t, dir, tc.nshards, 0, 2)
 		})
+	}
+}
+
+// TestLowerShardCountRefused: segments are recovered at the shard count
+// that wrote them. A crashed 4-shard directory reopened at 2 shards
+// would never read wal-2.log and wal-3.log, so Open refuses, naming the
+// first non-empty one, and leaves every file as found; at 4 shards the
+// commit logged there is back. The empty segments a checkpoint leaves
+// behind still open at the lower count.
+func TestLowerShardCountRefused(t *testing.T) {
+	dir := t.TempDir()
+	names := shardNames(4)
+	cat, wals := openDir(t, dir, 4)
+	mkAll(t, cat, names)
+	if err := cat.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sIns(t, cat, names[3], 42)
+	want := dbBytes(t, cat.Snapshot())
+	closeWALs(wals) // crash
+	refusedAsFound(t, dir, 2, 3, cat.Snapshot().Version)
+
+	cat2, wals2 := openDir(t, dir, 4)
+	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("the commit on shard 3 did not recover at 4 shards")
+	}
+	if err := cat2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	closeWALs(wals2)
+	cat3, wals3 := openDir(t, dir, 2)
+	defer closeWALs(wals3)
+	if got := dbBytes(t, cat3.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("a checkpointed 4-shard directory reopened at 2 shards differs")
 	}
 }
 
