@@ -35,23 +35,25 @@
 // appended as exactly one record (commit epoch, participant shards,
 // page delta and statement texts, CRC-framed, fsynced) to the WAL
 // segment of its lowest participant shard — dir/wal-<shard>.log —
-// before it becomes visible, and dir/checkpoint.wsd (plus
-// dir/checkpoint.wsd.s<i> for shards beyond the first) holds the last
-// checkpoint as incremental page files — each checkpoint rewrites only
-// the pages of components touched since the previous one, through a
-// fixed-size buffer pool (-pool-pages frames per shard), and a
-// checkpoint with nothing new writes zero bytes. On startup the server
-// recovers the checkpoint plus the log tail, merged across segments by
-// commit epoch, by applying each record's page delta to the base — no
-// statement is ever re-executed — so a crash loses nothing committed.
+// before it becomes visible, and dir/checkpoint.wsd — one page file at
+// every shard count — holds the last checkpoint incrementally: each
+// checkpoint rewrites only the pages of objects touched since the
+// previous one, through a fixed-size buffer pool (-pool-pages frames),
+// commits with one meta-slot flip, and writes zero bytes when nothing is
+// new. On startup the server recovers the checkpoint plus the log tail,
+// merged across segments by commit epoch, by applying each record's
+// page delta to the base — no statement is ever re-executed — so a
+// crash loses nothing committed.
 // State the server cannot reproduce exactly (a record whose predecessor
 // on its shard is missing, a record without a delta) makes it refuse to
 // start and name the shard and epoch, rather than serve a different
 // world-set. So does a log an older release wrote — a dir/wal.log, or
 // segments in an older record format: recover it with that release and
-// shut it down cleanly first, which leaves the log empty. Page files
-// are the only checkpoint format: a .wsd JSON file is imported with
-// -load into a fresh directory, never opened in place.
+// shut it down cleanly first, which leaves the log empty. A checkpoint
+// in an older page format (one file per shard) is refused too: -save it
+// with that release, then -load the export into a fresh directory.
+// Page files are the only checkpoint format: a .wsd JSON file is
+// imported with -load into a fresh directory, never opened in place.
 // -checkpoint-every bounds replay work by checkpointing after that many
 // logged commits (0 = checkpoint only on graceful shutdown). When the
 // directory already holds state, it wins over -demo/-load; a fresh
@@ -102,7 +104,7 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 256, "with -wal: checkpoint after this many logged commits (0 = only on shutdown)")
 	txnRetries := flag.Int("txn-retries", 16, "automatic conflict retries per transaction (0 = surface conflicts immediately)")
 	shards := flag.Int("shards", 1, "component shards: commits on disjoint shards run in parallel, each with its own WAL segment")
-	poolPages := flag.Int("pool-pages", store.DefaultPoolPages, "with -wal: buffer-pool capacity in pages per shard for the paged checkpoint base")
+	poolPages := flag.Int("pool-pages", store.DefaultPoolPages, "with -wal: buffer-pool capacity in pages for the checkpoint base")
 	slowQuery := flag.Duration("slow-query", 0, "log the span tree of statements slower than this as JSON lines on stderr (0 = off)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on a second listener (keep it private)")
 	flag.Parse()

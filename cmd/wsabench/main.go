@@ -1080,15 +1080,15 @@ func expCkpt() {
 		fcat, fwals, err := store.Open(filepath.Join(fdir, "checkpoint.wsd"), fdir, 1, pool,
 			func() (*store.Catalog, error) { return store.New(cat.Snapshot().DB), nil })
 		must(err)
-		fullBytes = fcat.Pagers()[0].Stats().BytesWritten
-		must(fcat.Pagers()[0].Close())
+		fullBytes = fcat.Pager().Stats().BytesWritten
+		must(fcat.Pager().Close())
 		must(fwals[0].Close())
 	})
 
 	// Incremental: establish the base on the main path, then each
 	// iteration dirties one relation and checkpoints only its pages.
 	must(cat.Checkpoint())
-	ps := cat.Pagers()[0]
+	ps := cat.Pager()
 	incrBase := ps.Stats()
 	v := 0
 	dIncr := bench("CKPT/checkpoint-incremental", nil, func() {
@@ -1127,9 +1127,7 @@ func expCkpt() {
 			if got := c2.Snapshot().Version; got != wantVersion {
 				must(fmt.Errorf("cold start recovered v%d, want v%d", got, wantVersion))
 			}
-			for _, p := range c2.Pagers() {
-				must(p.Close())
-			}
+			must(c2.Pager().Close())
 			must(w2.Close())
 		})
 	}
@@ -1189,9 +1187,7 @@ func expCkpt() {
 		if got := c3.Snapshot().Version; got != c2.Snapshot().Version {
 			must(fmt.Errorf("recovery ended at v%d, want v%d", got, c2.Snapshot().Version))
 		}
-		for _, p := range c3.Pagers() {
-			must(p.Close())
-		}
+		must(c3.Pager().Close())
 		must(w3.Close())
 	})
 	fmt.Printf("recovery of %d analytic commits by delta: %s\n", records, dRec)

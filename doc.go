@@ -123,26 +123,26 @@
 //
 // # Paged storage
 //
-// The checkpoint base is a page file (internal/page, internal/bufpool,
-// store.PageStore): fixed 8 KiB CRC-framed pages holding one durable
-// object each — a certain relation, a component, the view map —
-// chained when an object outgrows a page, reached through a buffer
-// pool with LRU eviction (-pool-pages caps resident pages per shard,
-// so a catalog larger than memory still checkpoints and recovers).
-// Checkpoints are incremental and copy-on-write: only objects whose
-// content changed since the base version write pages, new page chains
-// are committed by flipping one of two meta slots (epoch-stamped,
-// CRC-guarded — a torn checkpoint leaves the previous slot intact and
-// recovery falls back to it), and the pages freed by the flip are
+// The checkpoint base is one page file at every shard count
+// (checkpoint.wsd; internal/page, internal/bufpool, store.PageStore):
+// fixed 8 KiB CRC-framed pages holding one durable object each — a
+// certain relation, a component, the directory with schema and views —
+// chained when an object outgrows a page, reached through a buffer pool
+// with LRU eviction (-pool-pages caps resident pages, so a catalog
+// larger than memory still checkpoints and recovers). Checkpoints are
+// incremental and copy-on-write: only objects whose content changed
+// since the base version write pages, new page chains are committed by
+// flipping one of two meta slots (epoch-stamped, CRC-guarded — a torn
+// checkpoint leaves the previous slot intact and recovery falls back to
+// it, so the base is always at exactly one version — no mixed-epoch
+// merge — and replay from it is strict), and the pages
+// freed by the flip — or taken by a checkpoint that failed — are
 // recycled into a free list so repeated checkpoints do not grow the
-// file. A checkpoint at an unchanged version is skipped entirely
-// (zero bytes written). Page files are the only base recovery reads:
-// the .wsd JSON document is import/export (-load / -save), and one
-// found at the checkpoint path is refused, not migrated. There is one
-// page file per shard (checkpoint.wsd,
-// checkpoint.wsd.s1, ...) with the coordinator file committed last, so
-// a crash between shard files recovers a consistent mixed-epoch merge
-// healed by WAL replay.
+// file. A checkpoint at an unchanged version is skipped entirely (zero
+// bytes written). Page files are the only base recovery reads: the .wsd
+// JSON document is import/export (-load / -save), and one found at the
+// checkpoint path is refused, not migrated; so is a page file of the
+// older one-file-per-shard format, with the -save / -load way out.
 //
 // WAL records carry page deltas (store.CommitDelta): the
 // commit's durable effect — touched certain relations, upserted and
@@ -169,8 +169,8 @@
 // left as found. wsabench's CKPT family gates the
 // incremental-write floor and the delta-replay time.
 // Catalog.DurabilityStats feeds the /metrics durability gauges:
-// checkpoint age, on-disk bytes, WAL tail depth, checkpoint and
-// buffer-pool counters per shard.
+// checkpoint age, on-disk bytes, checkpoint and buffer-pool counters
+// once for the one file, WAL tail depth per shard.
 //
 // PREPARE parses a statement once — optionally with $1..$N
 // placeholders — into a PlanCache shared across sessions; EXECUTE binds

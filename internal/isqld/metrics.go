@@ -197,47 +197,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			relLabel(name), float64(st.Rel(i).Components))
 	}
 
-	// Durability posture per shard: how stale the recovery base is, how
-	// big it is on disk, and how much WAL tail a crash right now would
-	// replay.
+	// Durability posture: how stale the recovery base is and how big it
+	// is on disk (one checkpoint file, so one series each), and per shard
+	// how much WAL tail a crash right now would replay.
 	ds := s.cat.DurabilityStats()
-	for _, d := range ds {
-		p.Gauge("wsdb_checkpoint_age_seconds", "Seconds since the shard's last checkpoint completed or was skipped as a no-op (-1 before the first).",
-			shardLabel(d.Shard), d.CheckpointAgeSeconds)
-	}
-	for _, d := range ds {
-		p.Gauge("wsdb_shard_disk_bytes", "On-disk size of the shard's checkpoint base file.",
-			shardLabel(d.Shard), float64(d.DiskBytes))
-	}
-	for _, d := range ds {
+	p.Gauge("wsdb_checkpoint_age_seconds", "Seconds since the last checkpoint completed or was skipped as a no-op (-1 before the first).",
+		"", ds.CheckpointAgeSeconds)
+	p.Gauge("wsdb_checkpoint_disk_bytes", "On-disk size of the checkpoint base file.", "", float64(ds.DiskBytes))
+	for si, n := range ds.WALTailRecords {
 		p.Gauge("wsdb_wal_tail_records", "Records in the shard's WAL segment — the crash-replay backlog.",
-			shardLabel(d.Shard), float64(d.WALTailRecords))
+			shardLabel(si), float64(n))
 	}
 	// Paged-checkpoint I/O and buffer-pool counters, present once the
 	// catalog runs on the page-file base.
-	if pagers := s.cat.Pagers(); len(pagers) > 0 {
-		for _, d := range ds {
-			p.Counter("wsdb_checkpoints_total", "Page checkpoints written per shard.", shardLabel(d.Shard), d.Checkpoints)
-		}
-		for _, d := range ds {
-			p.Counter("wsdb_checkpoint_noop_skips_total", "Checkpoints skipped because nothing changed since the previous one.", shardLabel(d.Shard), d.NoopSkips)
-		}
-		for _, d := range ds {
-			p.Counter("wsdb_checkpoint_pages_written_total", "Pages written by checkpoints per shard.", shardLabel(d.Shard), d.PagesWritten)
-		}
-		for _, d := range ds {
-			p.Counter("wsdb_bufpool_hits_total", "Buffer-pool page reads served from resident frames.", shardLabel(d.Shard), d.Pool.Hits)
-		}
-		for _, d := range ds {
-			p.Counter("wsdb_bufpool_misses_total", "Buffer-pool page reads that went to disk.", shardLabel(d.Shard), d.Pool.Misses)
-		}
-		for _, d := range ds {
-			p.Counter("wsdb_bufpool_evictions_total", "Buffer-pool frames recycled by the clock hand.", shardLabel(d.Shard), d.Pool.Evictions)
-		}
-		for i, ps := range pagers {
-			p.HistogramRaw("wsdb_checkpoint_bytes", "Bytes written per checkpoint (incremental checkpoints observe only dirty pages).",
-				shardLabel(i), ps.BytesHist().Snapshot())
-		}
+	if pager := s.cat.Pager(); pager != nil {
+		p.Counter("wsdb_checkpoints_total", "Page checkpoints written.", "", ds.Checkpoints)
+		p.Counter("wsdb_checkpoint_noop_skips_total", "Checkpoints skipped because nothing changed since the previous one.", "", ds.NoopSkips)
+		p.Counter("wsdb_checkpoint_pages_written_total", "Pages written by checkpoints.", "", ds.PagesWritten)
+		p.Counter("wsdb_bufpool_hits_total", "Buffer-pool page reads served from resident frames.", "", ds.Pool.Hits)
+		p.Counter("wsdb_bufpool_misses_total", "Buffer-pool page reads that went to disk.", "", ds.Pool.Misses)
+		p.Counter("wsdb_bufpool_evictions_total", "Buffer-pool frames recycled by the clock hand.", "", ds.Pool.Evictions)
+		p.HistogramRaw("wsdb_checkpoint_bytes", "Bytes written per checkpoint (incremental checkpoints observe only dirty pages).",
+			"", pager.BytesHist().Snapshot())
 	}
 
 	// Cost-based planning counters: rewrite-search effort across every

@@ -110,7 +110,7 @@ insert into Audit values ('b', 2);
 		"wsdb_relation_components",
 		"wsdb_sessions",
 		"wsdb_checkpoint_age_seconds",
-		"wsdb_shard_disk_bytes",
+		"wsdb_checkpoint_disk_bytes",
 		"wsdb_wal_tail_records",
 		"wsdb_select_index_probes_total",
 		"wsdb_select_scans_total",
@@ -120,11 +120,11 @@ insert into Audit values ('b', 2);
 			t.Errorf("missing required series %s", series)
 		}
 	}
-	// Every shard exposes its commit counter and a fsync histogram (count
-	// line per shard).
+	// Every shard exposes its commit counter, a fsync histogram (count
+	// line per shard) and its WAL tail.
 	for si := 0; si < nshards; si++ {
 		shard := fmt.Sprintf(`{shard="%d"}`, si)
-		for _, series := range []string{"wsdb_wal_fsync_seconds_count", "wsdb_shard_commits_total"} {
+		for _, series := range []string{"wsdb_wal_fsync_seconds_count", "wsdb_shard_commits_total", "wsdb_wal_tail_records"} {
 			if !strings.Contains(string(data), series+shard) {
 				t.Errorf("missing per-shard series %s%s", series, shard)
 			}
@@ -137,10 +137,11 @@ insert into Audit values ('b', 2);
 }
 
 // TestMetricsDurabilityGauges asserts the durability series on a
-// paged, 4-shard catalog: after a checkpoint, every shard reports a
-// non-negative checkpoint age, a non-zero base file on disk, an empty
-// WAL tail, and the checkpoint-bytes histogram — and the exposition
-// stays promlint-clean.
+// paged, 4-shard catalog: after a checkpoint, the one checkpoint file
+// reports a non-negative age, a non-zero size on disk and the
+// checkpoint-bytes histogram, each once and without a shard label, and
+// every shard an empty WAL tail — and the exposition stays
+// promlint-clean.
 func TestMetricsDurabilityGauges(t *testing.T) {
 	ts, cat := shardedWALServer(t)
 	if code, out := post(t, ts.URL+"/exec", `
@@ -169,7 +170,7 @@ insert into Audit values ('b', 2);
 	}
 	for _, series := range []string{
 		"wsdb_checkpoint_age_seconds",
-		"wsdb_shard_disk_bytes",
+		"wsdb_checkpoint_disk_bytes",
 		"wsdb_wal_tail_records",
 		"wsdb_checkpoints_total",
 		"wsdb_checkpoint_noop_skips_total",
@@ -183,33 +184,40 @@ insert into Audit values ('b', 2);
 			t.Errorf("missing required series %s", series)
 		}
 	}
-	text := string(data)
-	for _, shard := range []string{`shard="0"`, `shard="1"`, `shard="2"`, `shard="3"`} {
-		if !strings.Contains(text, "wsdb_checkpoint_age_seconds{"+shard+"}") {
-			t.Errorf("missing checkpoint age for %s", shard)
+	// Checkpoint series describe one file: one unlabelled sample each.
+	// WAL tails stay per shard.
+	samples := map[string]int{}
+	tails := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
 		}
-		if !strings.Contains(text, "wsdb_checkpoint_bytes_count{"+shard+"}") {
-			t.Errorf("missing checkpoint-bytes histogram for %s", shard)
+		if strings.HasPrefix(name, "wsdb_checkpoint") || strings.HasPrefix(name, "wsdb_bufpool") {
+			if strings.Contains(name, "shard=") {
+				t.Errorf("checkpoint series carries a shard label: %s", line)
+			}
+			samples[name]++
 		}
-	}
-	// After the checkpoint: zero WAL tail everywhere, age non-negative,
-	// bases on disk. Parse the gauge samples directly.
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "wsdb_wal_tail_records{") {
-			if !strings.HasSuffix(line, " 0") {
+		switch {
+		case strings.HasPrefix(name, "wsdb_wal_tail_records{"):
+			tails++
+			if value != "0" {
 				t.Errorf("non-empty WAL tail after checkpoint: %s", line)
 			}
+		case name == "wsdb_checkpoint_age_seconds" && strings.HasPrefix(value, "-"):
+			t.Errorf("checkpoint age unset after checkpoint: %s", line)
+		case name == "wsdb_checkpoint_disk_bytes" && value == "0":
+			t.Errorf("empty base file after checkpoint: %s", line)
 		}
-		if strings.HasPrefix(line, "wsdb_checkpoint_age_seconds{") {
-			if strings.Contains(line, " -1") {
-				t.Errorf("checkpoint age unset after checkpoint: %s", line)
-			}
+	}
+	for _, name := range []string{"wsdb_checkpoint_age_seconds", "wsdb_checkpoint_disk_bytes", "wsdb_checkpoints_total", "wsdb_checkpoint_bytes_count", "wsdb_bufpool_hits_total"} {
+		if samples[name] != 1 {
+			t.Errorf("%s has %d samples, want 1", name, samples[name])
 		}
-		if strings.HasPrefix(line, "wsdb_shard_disk_bytes{") {
-			if strings.HasSuffix(line, " 0") {
-				t.Errorf("empty base file after checkpoint: %s", line)
-			}
-		}
+	}
+	if tails != 4 {
+		t.Errorf("%d wsdb_wal_tail_records samples, want one per shard (4)", tails)
 	}
 }
 

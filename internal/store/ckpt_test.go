@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -56,18 +57,16 @@ func put(t *testing.T, cat *Catalog, name string, v int64) {
 	}
 }
 
-// ckptTotals sums the checkpoint I/O counters over the catalog's page
-// files.
-func ckptTotals(cat *Catalog) CkptStats {
-	var sum CkptStats
-	for _, ps := range cat.Pagers() {
-		st := ps.Stats()
-		sum.PagesWritten += st.PagesWritten
-		sum.BytesWritten += st.BytesWritten
-		sum.Checkpoints += st.Checkpoints
-		sum.NoopSkips += st.NoopSkips
+// checkpoint runs cat.Checkpoint and asserts that dir holds one
+// checkpoint file: no per-shard side file at any shard count.
+func checkpoint(t *testing.T, cat *Catalog, dir string) {
+	t.Helper()
+	if err := cat.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	return sum
+	if side, _ := filepath.Glob(ckptPath(dir) + ".s*"); len(side) > 0 {
+		t.Fatalf("checkpoint left side files %v", side)
+	}
 }
 
 // TestCheckpointNoopZeroWrites: a second Catalog.Checkpoint with no
@@ -80,24 +79,20 @@ func TestCheckpointNoopZeroWrites(t *testing.T) {
 		defer closeWALs(wals)
 		put(t, cat, "T", 1)
 		put(t, cat, "T", 2)
-		if err := cat.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		before := ckptTotals(cat)
+		checkpoint(t, cat, dir)
+		before := cat.Pager().Stats()
 		fi1, err := os.Stat(ckptPath(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cat.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		after := ckptTotals(cat)
+		checkpoint(t, cat, dir)
+		after := cat.Pager().Stats()
 		if after.PagesWritten != before.PagesWritten || after.BytesWritten != before.BytesWritten {
 			t.Fatalf("no-op checkpoint wrote %d pages / %d bytes",
 				after.PagesWritten-before.PagesWritten, after.BytesWritten-before.BytesWritten)
 		}
-		if after.NoopSkips != before.NoopSkips+uint64(n) {
-			t.Fatalf("noop skips %d, want %d", after.NoopSkips, before.NoopSkips+uint64(n))
+		if after.NoopSkips != before.NoopSkips+1 {
+			t.Fatalf("noop skips %d, want %d", after.NoopSkips, before.NoopSkips+1)
 		}
 		fi2, err := os.Stat(ckptPath(dir))
 		if err != nil {
@@ -107,10 +102,9 @@ func TestCheckpointNoopZeroWrites(t *testing.T) {
 			t.Fatal("no-op checkpoint modified the base file")
 		}
 		// The skip still refreshes durability bookkeeping.
-		for si, w := range wals {
-			if v, _ := w.LastCheckpoint(); v != cat.Snapshot().Version {
-				t.Fatalf("no-op checkpoint recorded WAL checkpoint version %d on segment %d, want %d", v, si, cat.Snapshot().Version)
-			}
+		if v := cat.Pager().Version(); v != cat.Snapshot().Version || !after.LastCkptAt.After(before.LastCkptAt) {
+			t.Fatalf("no-op checkpoint left base v%d (want v%d), last checkpoint at %v (was %v)",
+				v, cat.Snapshot().Version, after.LastCkptAt, before.LastCkptAt)
 		}
 	})
 }
@@ -122,23 +116,19 @@ func TestCheckpointIncrementalBytes(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
 		cat, wals := openDir(t, dir, n)
-		// Wide enough that the fixed directory + meta rewrite every shard
-		// file pays per checkpoint stays a small share at four shards too.
+		// Wide enough that the fixed directory + meta rewrite every
+		// checkpoint pays stays a small share.
 		for i := 0; i < 80; i++ {
 			for k := 0; k < 8; k++ {
 				put(t, cat, fmt.Sprintf("T%02d", i), int64(i*100+k))
 			}
 		}
-		if err := cat.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		full := ckptTotals(cat).BytesWritten
+		checkpoint(t, cat, dir)
+		full := cat.Pager().Stats().BytesWritten
 
 		put(t, cat, "T00", 424242)
-		if err := cat.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		incr := ckptTotals(cat).BytesWritten - full
+		checkpoint(t, cat, dir)
+		incr := cat.Pager().Stats().BytesWritten - full
 		if incr*8 >= full {
 			t.Fatalf("incremental checkpoint wrote %d bytes vs %d for the full one — not O(dirty)", incr, full)
 		}
@@ -175,7 +165,7 @@ func TestRecoveryReplaysDeltas(t *testing.T) {
 	})
 }
 
-// TestColdStartPoolSmallerThanCatalog: a catalog whose page files span
+// TestColdStartPoolSmallerThanCatalog: a catalog whose page file spans
 // far more pages than the buffer pool still recovers byte-identically
 // and keeps serving reads and commits — chains page in and out on
 // demand.
@@ -199,14 +189,12 @@ func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 		closeWALs(wals)
 
 		const pool = 2
-		for si := 0; si < n; si++ {
-			fi, err := os.Stat(shardCkptPath(ckptPath(dir), si))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if npages := fi.Size() / 8192; npages <= pool*3 {
-				t.Fatalf("shard %d's page file spans only %d pages — not meaningfully larger than the %d-page pool", si, npages, pool)
-			}
+		fi, err := os.Stat(ckptPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if npages := fi.Size() / 8192; npages <= pool*3 {
+			t.Fatalf("the page file spans only %d pages — not meaningfully larger than the %d-page pool", npages, pool)
 		}
 		cat2, wals2, err := Open(ckptPath(dir), dir, n, pool, nil)
 		if err != nil {
@@ -216,10 +204,8 @@ func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 		if got := saveBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
 			t.Fatal("cold start with a small pool differs from the committed state")
 		}
-		for si, ps := range cat2.Pagers() {
-			if st := ps.PoolStats(); st.Evictions == 0 {
-				t.Fatalf("shard %d: pool smaller than its page file recorded no evictions (stats %+v)", si, st)
-			}
+		if st := cat2.Pager().PoolStats(); st.Evictions == 0 {
+			t.Fatalf("pool smaller than the page file recorded no evictions (stats %+v)", st)
 		}
 		// And it keeps working as a live catalog.
 		put(t, cat2, "T23", 777777)
@@ -235,8 +221,8 @@ func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 	})
 }
 
-// TestDurabilityStats: the per-shard durability rows report checkpoint
-// age, disk bytes, and WAL tail consistent with the catalog's actual
+// TestDurabilityStats: the durability stat reports checkpoint age, disk
+// bytes and the per-shard WAL tails consistent with the catalog's actual
 // state.
 func TestDurabilityStats(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
@@ -244,50 +230,37 @@ func TestDurabilityStats(t *testing.T) {
 		cat, wals := openDir(t, dir, n)
 		defer closeWALs(wals)
 
-		st := cat.DurabilityStats()
-		if len(st) != n {
-			t.Fatalf("%d-shard catalog reports %d durability rows", n, len(st))
+		// Shard 0's tail holds the one record of every all-shard commit,
+		// as their coordinator; every put is one.
+		tail := func(st DurabilityStat) int {
+			if len(st.WALTailRecords) != n {
+				t.Fatalf("%d-shard catalog reports %d WAL tails", n, len(st.WALTailRecords))
+			}
+			sum := 0
+			for _, r := range st.WALTailRecords {
+				sum += r
+			}
+			return sum
 		}
-		// Assert on shard 0's row: it holds the one record of every
-		// all-shard commit, as their coordinator.
-		row := func() DurabilityStat { return cat.DurabilityStats()[0] }
 		// Open seeded the fresh directory: the seed checkpoint is the base.
-		if r := row(); r.CheckpointAgeSeconds < 0 || r.DiskBytes == 0 || r.BaseVersion != cat.Snapshot().Version {
-			t.Fatalf("freshly seeded catalog reports age %f, %d disk bytes, base v%d; want the seed checkpoint at v%d",
-				r.CheckpointAgeSeconds, r.DiskBytes, r.BaseVersion, cat.Snapshot().Version)
-		}
-		if row().WALTailRecords != 0 {
-			t.Fatalf("fresh WAL tail %d, want 0", row().WALTailRecords)
+		if st := cat.DurabilityStats(); st.CheckpointAgeSeconds < 0 || st.DiskBytes == 0 || st.BaseVersion != cat.Snapshot().Version || tail(st) != 0 {
+			t.Fatalf("freshly seeded catalog reports %+v; want the seed checkpoint at v%d and no WAL tail", st, cat.Snapshot().Version)
 		}
 
 		put(t, cat, "T", 1)
 		put(t, cat, "T", 2)
-		if row().WALTailRecords != 2 {
-			t.Fatalf("WAL tail %d after 2 commits, want 2", row().WALTailRecords)
+		if st := cat.DurabilityStats(); tail(st) != 2 || st.WALTailRecords[0] != 2 {
+			t.Fatalf("WAL tails %v after 2 commits, want 2 on shard 0", st.WALTailRecords)
 		}
-		if row().BaseVersion == cat.Snapshot().Version {
+		if cat.DurabilityStats().BaseVersion == cat.Snapshot().Version {
 			t.Fatal("base version moved without a checkpoint")
 		}
 
-		if err := cat.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range cat.DurabilityStats() {
-			if r.WALTailRecords != 0 {
-				t.Fatalf("shard %d: WAL tail %d after checkpoint, want 0", r.Shard, r.WALTailRecords)
-			}
-			if r.CheckpointAgeSeconds < 0 {
-				t.Fatalf("shard %d: checkpoint age still negative after a checkpoint", r.Shard)
-			}
-			if r.DiskBytes == 0 {
-				t.Fatalf("shard %d: disk bytes 0 after a checkpoint", r.Shard)
-			}
-			if r.BaseVersion != cat.Snapshot().Version {
-				t.Fatalf("shard %d: base version %d, want %d", r.Shard, r.BaseVersion, cat.Snapshot().Version)
-			}
-			if r.Checkpoints == 0 {
-				t.Fatalf("shard %d: checkpoint counter not incremented", r.Shard)
-			}
+		checkpoint(t, cat, dir)
+		st := cat.DurabilityStats()
+		if tail(st) != 0 || st.CheckpointAgeSeconds < 0 || st.DiskBytes == 0 ||
+			st.BaseVersion != cat.Snapshot().Version || st.Checkpoints == 0 {
+			t.Fatalf("after a checkpoint the catalog reports %+v; want no WAL tail and the base at v%d", st, cat.Snapshot().Version)
 		}
 	})
 }

@@ -455,15 +455,7 @@ func (d *CommitDelta) isEmpty() bool {
 // engine's own copy-on-write edits. The result is NOT re-normalized —
 // the writer's state already was, and skipping it keeps replayed
 // snapshots byte-identical to the originals.
-//
-// reapply marks a delta the state may already contain (the tail of a
-// torn mixed-epoch checkpoint, replayed over objects a newer file
-// supplied): tuple patches then tolerate an already-present insert or
-// an already-absent delete, and an explicit order tolerates components
-// it does not list, instead of failing. Relations are sets and every
-// later edit is re-applied too, so each tuple still ends where its last
-// edit put it.
-func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta, reapply bool) (*wsd.DecompDB, map[string]string, error) {
+func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta) (*wsd.DecompDB, map[string]string, error) {
 	if d.Full {
 		return applyFullDelta(d)
 	}
@@ -485,7 +477,7 @@ func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta, reapp
 		if ri < 0 {
 			return nil, nil, fmt.Errorf("store: delta patches unknown relation %q", name)
 		}
-		rel, err := applyPatch(out.Certain[ri], out.Schemas[ri], p, reapply)
+		rel, err := applyPatch(out.Certain[ri], out.Schemas[ri], p)
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: delta patch for %q: %w", name, err)
 		}
@@ -529,27 +521,17 @@ func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta, reapp
 		for _, c := range out.Components {
 			byID[c.ID] = c
 		}
-		if len(d.Order) != len(out.Components) && !reapply {
+		if len(d.Order) != len(out.Components) {
 			return nil, nil, fmt.Errorf("store: delta order lists %d components, state has %d", len(d.Order), len(out.Components))
 		}
 		reordered := make([]wsd.DBComponent, 0, len(out.Components))
 		for _, id := range d.Order {
 			c, ok := byID[id]
-			if !ok && !reapply {
+			if !ok {
 				return nil, nil, fmt.Errorf("store: delta order references unknown component %d", id)
 			}
-			if ok {
-				reordered = append(reordered, c)
-				delete(byID, id)
-			}
-		}
-		// Only on reapply can anything be left: components a newer
-		// checkpoint file supplied ahead of the epoch that creates them
-		// keep their place behind the listed ones.
-		for _, c := range out.Components {
-			if _, left := byID[c.ID]; left {
-				reordered = append(reordered, c)
-			}
+			reordered = append(reordered, c)
+			delete(byID, id)
 		}
 		out.Components = reordered
 	}
@@ -561,11 +543,11 @@ func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta, reapp
 }
 
 // applyPatch replays a tuple-level edit against the replay state's
-// copy of the relation. Unless reapply is set, a deletion of a missing
-// tuple or an insertion of a present one means the patch was diffed
-// against a different base than the one being replayed — that is an
-// error (recovery refuses), never a silent divergence.
-func applyPatch(base *relation.Relation, schema relation.Schema, p *relPatch, reapply bool) (*relation.Relation, error) {
+// copy of the relation. A deletion of a missing tuple or an insertion
+// of a present one means the patch was diffed against a different base
+// than the one being replayed — that is an error (recovery refuses),
+// never a silent divergence.
+func applyPatch(base *relation.Relation, schema relation.Schema, p *relPatch) (*relation.Relation, error) {
 	var rel *relation.Relation
 	if base == nil {
 		rel = relation.New(schema)
@@ -577,7 +559,7 @@ func applyPatch(base *relation.Relation, schema relation.Schema, p *relPatch, re
 		if err != nil {
 			return nil, err
 		}
-		if !rel.Delete(t) && !reapply {
+		if !rel.Delete(t) {
 			return nil, fmt.Errorf("deleted tuple %v not in replay state", t)
 		}
 	}
@@ -586,7 +568,7 @@ func applyPatch(base *relation.Relation, schema relation.Schema, p *relPatch, re
 		if err != nil {
 			return nil, err
 		}
-		if !rel.Insert(t) && !reapply {
+		if !rel.Insert(t) {
 			return nil, fmt.Errorf("inserted tuple %v already in replay state", t)
 		}
 	}

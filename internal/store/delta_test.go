@@ -72,7 +72,7 @@ func applyThroughDisk(t *testing.T, base *Snapshot, d *CommitDelta) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, views, err := applyDelta(base.DB, base.Views, dd, false)
+	db, views, err := applyDelta(base.DB, base.Views, dd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestDeltaShardDiffMirrorsPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, _, err := applyDelta(db, map[string]string{}, dd, false)
+	replayed, _, err := applyDelta(db, map[string]string{}, dd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,8 +349,7 @@ func TestDeltaPatchFromEdit(t *testing.T) {
 
 // TestDeltaPatchMismatchErrors: a patch applied against a base it was
 // not diffed from errors out (recovery then refuses) instead of
-// silently diverging — except on reapply, where the base may already
-// hold the edit and the patch must be idempotent.
+// silently diverging.
 func TestDeltaPatchMismatchErrors(t *testing.T) {
 	db := deltaDB()
 	schema := db.Schemas[0]
@@ -358,41 +357,11 @@ func TestDeltaPatchMismatchErrors(t *testing.T) {
 	for i := int64(0); i < 20; i++ {
 		big.Insert(relation.Tuple{value.Int(i)})
 	}
-	mismatched := &relPatch{Del: []jsonTuple{{json.Number("99")}}, Ins: []jsonTuple{{json.Number("5")}}}
-	if _, err := applyPatch(big, schema, &relPatch{Del: mismatched.Del}, false); err == nil {
+	if _, err := applyPatch(big, schema, &relPatch{Del: []jsonTuple{{json.Number("99")}}}); err == nil {
 		t.Fatal("deleting a missing tuple did not error")
 	}
-	if _, err := applyPatch(big, schema, &relPatch{Ins: mismatched.Ins}, false); err == nil {
+	if _, err := applyPatch(big, schema, &relPatch{Ins: []jsonTuple{{json.Number("5")}}}); err == nil {
 		t.Fatal("inserting a present tuple did not error")
-	}
-	got, err := applyPatch(big, schema, mismatched, true)
-	if err != nil || !got.Equal(big) {
-		t.Fatalf("re-applying an edit the base already holds: err %v, changed %v", err, err == nil && !got.Equal(big))
-	}
-}
-
-// TestDeltaReapplyOrderTolerant: on reapply an explicit order may name
-// fewer components than the state holds (a newer checkpoint file
-// supplied one ahead of the epoch that creates it) or one it lacks; the
-// listed ones take the listed order and the rest follow. Strict
-// application refuses both.
-func TestDeltaReapplyOrderTolerant(t *testing.T) {
-	db := deltaDB()
-	db.Components = []wsd.DBComponent{compOf(db, 1, "A", 10), compOf(db, 2, "B", 20), compOf(db, 7, "A", 70)}
-	d := &CommitDelta{Order: []uint64{2, 9, 1}}
-	if _, _, err := applyDelta(db, nil, d, false); err == nil {
-		t.Fatal("strict apply accepted an order that does not match the state")
-	}
-	out, _, err := applyDelta(db, nil, d, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []uint64
-	for _, c := range out.Components {
-		ids = append(ids, c.ID)
-	}
-	if !sameIDSeq(ids, []uint64{2, 1, 7}) {
-		t.Fatalf("reapplied order %v, want [2 1 7]", ids)
 	}
 }
 

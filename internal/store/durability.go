@@ -7,29 +7,29 @@ import (
 	"worldsetdb/internal/bufpool"
 )
 
-// Durability observability: one stat row per shard covering the three
-// questions an operator asks of a WAL-plus-checkpoint store — how stale
-// is the recovery base (checkpoint age), how big is it on disk, and how
-// much WAL tail would a crash right now replay. The rows also carry the
-// page store's checkpoint I/O counters and buffer-pool counters so
-// /metrics can export everything from one call.
+// Durability observability: the three questions an operator asks of a
+// WAL-plus-checkpoint store — how stale is the recovery base (checkpoint
+// age), how big is it on disk, and how much WAL tail would a crash right
+// now replay. The base is one file, so its figures are catalog-wide;
+// only the WAL tail is per shard. The stat also carries the page store's
+// checkpoint I/O counters and buffer-pool counters so /metrics can
+// export everything from one call.
 
-// DurabilityStat is one shard's durability posture.
+// DurabilityStat is the catalog's durability posture.
 type DurabilityStat struct {
-	Shard int `json:"shard"`
-	// BaseVersion is the catalog version of the shard's last durable
-	// page checkpoint (0 when the shard has never page-checkpointed).
+	// BaseVersion is the catalog version of the last durable page
+	// checkpoint (0 when the catalog has never page-checkpointed).
 	BaseVersion uint64 `json:"base_version"`
-	// CheckpointAgeSeconds is the time since the shard's last
-	// checkpoint completed (or was skipped as a no-op); negative when no
-	// checkpoint has happened since open.
+	// CheckpointAgeSeconds is the time since the last checkpoint
+	// completed (or was skipped as a no-op, or was loaded by recovery);
+	// negative when there has been none.
 	CheckpointAgeSeconds float64 `json:"checkpoint_age_seconds"`
-	// DiskBytes is the on-disk size of the shard's checkpoint file (0
-	// when the file does not exist yet).
+	// DiskBytes is the on-disk size of the checkpoint file (0 when the
+	// file does not exist yet).
 	DiskBytes int64 `json:"disk_bytes"`
-	// WALTailRecords is the number of records in the shard's WAL
+	// WALTailRecords holds, per shard, the number of records in its WAL
 	// segment — the replay work a crash right now would cost.
-	WALTailRecords int `json:"wal_tail_records"`
+	WALTailRecords []int `json:"wal_tail_records"`
 
 	// Checkpoint I/O counters (zero without paging).
 	PagesWritten uint64 `json:"pages_written"`
@@ -37,44 +37,37 @@ type DurabilityStat struct {
 	Checkpoints  uint64 `json:"checkpoints"`
 	NoopSkips    uint64 `json:"noop_skips"`
 
-	// Buffer-pool counters (zero without paging or before the first
-	// page-file open/write).
+	// Buffer-pool counters (zero without paging).
 	Pool bufpool.Stats `json:"pool"`
 }
 
-// DurabilityStats reports the per-shard durability posture. Safe to
+// DurabilityStats reports the catalog's durability posture. Safe to
 // call concurrently with commits and checkpoints.
-func (c *Catalog) DurabilityStats() []DurabilityStat {
-	out := make([]DurabilityStat, len(c.shards))
-	now := time.Now()
-	for i, sh := range c.shards {
-		st := DurabilityStat{Shard: i, CheckpointAgeSeconds: -1}
-		st.WALTailRecords = sh.wal.TailRecords()
-		_, last := sh.wal.LastCheckpoint()
-		if i < len(c.pagers) {
-			ps := c.pagers[i]
-			st.BaseVersion = ps.Version()
-			cs := ps.Stats()
-			st.PagesWritten = cs.PagesWritten
-			st.BytesWritten = cs.BytesWritten
-			st.Checkpoints = cs.Checkpoints
-			st.NoopSkips = cs.NoopSkips
-			st.Pool = ps.PoolStats()
-			if cs.LastCkptAt.After(last) {
-				last = cs.LastCkptAt
-			}
-			if fi, err := os.Stat(ps.Path()); err == nil {
-				st.DiskBytes = fi.Size()
-			}
-		}
-		if !last.IsZero() {
-			st.CheckpointAgeSeconds = now.Sub(last).Seconds()
-		}
-		out[i] = st
+func (c *Catalog) DurabilityStats() DurabilityStat {
+	st := DurabilityStat{CheckpointAgeSeconds: -1}
+	for _, sh := range c.shards {
+		st.WALTailRecords = append(st.WALTailRecords, sh.wal.TailRecords())
 	}
-	return out
+	ps := c.pager
+	if ps == nil {
+		return st
+	}
+	cs := ps.Stats()
+	st.BaseVersion = ps.Version()
+	st.PagesWritten = cs.PagesWritten
+	st.BytesWritten = cs.BytesWritten
+	st.Checkpoints = cs.Checkpoints
+	st.NoopSkips = cs.NoopSkips
+	st.Pool = ps.PoolStats()
+	if !cs.LastCkptAt.IsZero() {
+		st.CheckpointAgeSeconds = time.Since(cs.LastCkptAt).Seconds()
+	}
+	if fi, err := os.Stat(ps.Path()); err == nil {
+		st.DiskBytes = fi.Size()
+	}
+	return st
 }
 
-// Pagers exposes the catalog's page stores (empty when the catalog is
-// not durable). Read-only observability access for /metrics.
-func (c *Catalog) Pagers() []*PageStore { return c.pagers }
+// Pager exposes the catalog's page store (nil when the catalog is not
+// durable). Read-only observability access for /metrics.
+func (c *Catalog) Pager() *PageStore { return c.pager }

@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"worldsetdb/internal/relation"
@@ -37,7 +41,9 @@ func fuzzBase() *Snapshot {
 }
 
 // fuzzSeedDeltas diffs fuzzBase against one successor per delta shape:
-// patch + upsert + drop + create, schema change (Full), reorder, views.
+// patch + upsert + drop + create, schema change (Full), reorder, views,
+// a deleting patch, a whole-relation capture, a drop alone, and a
+// created component ordered before a survivor.
 func fuzzSeedDeltas(tb testing.TB) [][]byte {
 	base := fuzzBase()
 	db := base.DB
@@ -57,6 +63,23 @@ func fuzzSeedDeltas(tb testing.TB) [][]byte {
 
 	nexts = append(nexts, &Snapshot{DB: db, Views: map[string]string{}})
 
+	shrunk := db.Certain[0].Clone()
+	shrunk.Delete(relation.Tuple{value.Int(0)})
+	nexts = append(nexts, &Snapshot{DB: db.WithCertain(0, shrunk), Views: base.Views})
+
+	grown := db.Certain[1].Clone()
+	grown.Insert(relation.Tuple{value.Int(5)})
+	grown.Insert(relation.Tuple{value.Int(6)})
+	nexts = append(nexts, &Snapshot{DB: db.WithCertain(1, grown), Views: base.Views})
+
+	dropped := db.WithCertain(0, db.Certain[0])
+	dropped.Components = []wsd.DBComponent{dropped.Components[0], dropped.Components[2]}
+	nexts = append(nexts, &Snapshot{DB: dropped, Views: base.Views})
+
+	created := db.WithCertain(0, db.Certain[0])
+	created.Components = []wsd.DBComponent{created.Components[0], compOf(created, 5, "B", 50), created.Components[1], created.Components[2]}
+	nexts = append(nexts, &Snapshot{DB: created, Views: base.Views})
+
 	var out [][]byte
 	for _, next := range nexts {
 		raw, err := json.Marshal(diffSnapshots(base, next))
@@ -70,16 +93,15 @@ func fuzzSeedDeltas(tb testing.TB) [][]byte {
 
 func FuzzApplyDelta(f *testing.F) {
 	for _, raw := range fuzzSeedDeltas(f) {
-		f.Add(raw, false)
-		f.Add(raw, true)
+		f.Add(raw)
 	}
 	base := fuzzBase()
-	f.Fuzz(func(t *testing.T, raw []byte, reapply bool) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
 		d, err := decodeDelta(raw)
 		if err != nil {
 			return
 		}
-		db, views, err := applyDelta(base.DB, base.Views, d, reapply)
+		db, views, err := applyDelta(base.DB, base.Views, d)
 		if err != nil {
 			return
 		}
@@ -87,6 +109,31 @@ func FuzzApplyDelta(f *testing.F) {
 			t.Fatalf("accepted delta yields a catalog that does not save: %v", err)
 		}
 	})
+}
+
+// TestApplyDeltaCorpusRefused: committed FuzzApplyDelta entries that
+// do not match fuzzBase are refused, not applied leniently — an order
+// naming a component the state lacks, and a patch of the wrong arity.
+func TestApplyDeltaCorpusRefused(t *testing.T) {
+	base := fuzzBase()
+	for _, name := range []string{"order-reapply-unknown-id", "patch-arity-mismatch"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzApplyDelta", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		raw, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		d, err := decodeDelta([]byte(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, _, err := applyDelta(base.DB, base.Views, d); err == nil {
+			t.Errorf("%s: applied, want a refusal", name)
+		}
+	}
 }
 
 // frameLine is frameRecord for records that must encode.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -44,43 +45,64 @@ func relName(i int) string {
 // holds.
 func reloadSnap(t *testing.T, path string, poolPages int) *Snapshot {
 	t.Helper()
-	ps, loaded, err := openPageStore(path, 0, poolPages)
+	ps, snap, err := openPageStore(path, poolPages)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	if loaded == nil {
+	if snap == nil {
 		t.Fatalf("%s is not a page file", path)
-	}
-	snap, _, err := mergeLoaded([]*loadedShard{loaded})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return snap
 }
 
 // TestPageStoreFreshWriteReload: the first checkpoint creates a page
-// file that reloads byte-identically (through Save).
+// file that reloads byte-identically (through Save), component ID
+// counter included. A first checkpoint that fails before its meta slot
+// leaves nothing in the directory, and the retry writes the same file
+// as a store that never failed.
 func TestPageStoreFreshWriteReload(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cat.wsd")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cat.wsd")
 	snap := pageSnap(8, 3, 5)
-	ps, loaded, err := openPageStore(path, 0, 64)
+	ps, loaded, err := openPageStore(path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded != nil {
 		t.Fatal("missing file reported as loadable")
 	}
-	if err := ps.WriteCheckpoint(ckptSlices(snap, 1, 99)[0]); err != nil {
+	ps.failBeforeMeta = func() error { return errors.New("injected crash before meta commit") }
+	if err := ps.WriteCheckpoint(snap, 99); err == nil {
+		t.Fatal("first checkpoint with injected crash reported success")
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("failed first checkpoint left %v (err %v)", ents, err)
+	}
+	ps.failBeforeMeta = nil
+	if err := ps.WriteCheckpoint(snap, 99); err != nil {
 		t.Fatal(err)
 	}
 	ps.Close()
 	got := reloadSnap(t, path, 64)
-	if got.Version != 3 {
-		t.Fatalf("reloaded version %d, want 3", got.Version)
+	if got.Version != 3 || got.compID != 99 {
+		t.Fatalf("reloaded version %d, component ID counter %d; want 3 and 99", got.Version, got.compID)
 	}
-	if !bytes.Equal(saveBytes(t, got), saveBytes(t, snap)) {
+	want := &Snapshot{Version: 3, DB: snap.DB, Views: snap.Views, compID: 99}
+	if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
 		t.Fatal("page-file reload differs from the checkpointed snapshot")
+	}
+
+	twin := filepath.Join(dir, "twin.wsd")
+	tps := newPageStore(twin, 64)
+	if err := tps.WriteCheckpoint(snap, 99); err != nil {
+		t.Fatal(err)
+	}
+	tps.Close()
+	a, errA := os.ReadFile(path)
+	b, errB := os.ReadFile(twin)
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("retried first checkpoint differs from one that never failed (%d vs %d bytes)", len(a), len(b))
 	}
 }
 
@@ -90,12 +112,12 @@ func TestPageStoreFreshWriteReload(t *testing.T) {
 func TestPageStoreIncrementalWritesOnlyDirty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cat.wsd")
 	snap := pageSnap(24, 1, 40)
-	ps, _, err := openPageStore(path, 0, 256)
+	ps, _, err := openPageStore(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	if err := ps.WriteCheckpoint(ckptSlices(snap, 1, 50)[0]); err != nil {
+	if err := ps.WriteCheckpoint(snap, 24); err != nil {
 		t.Fatal(err)
 	}
 	full := ps.Stats().PagesWritten
@@ -104,7 +126,7 @@ func TestPageStoreIncrementalWritesOnlyDirty(t *testing.T) {
 	nr.Insert(relation.Tuple{value.Int(424242)})
 	db2 := snap.DB.WithCertain(0, nr)
 	snap2 := &Snapshot{Version: 2, DB: db2, Views: snap.Views}
-	if err := ps.WriteCheckpoint(ckptSlices(snap2, 1, 50)[0]); err != nil {
+	if err := ps.WriteCheckpoint(snap2, 24); err != nil {
 		t.Fatal(err)
 	}
 	incr := ps.Stats().PagesWritten - full
@@ -122,12 +144,12 @@ func TestPageStoreIncrementalWritesOnlyDirty(t *testing.T) {
 func TestPageStoreNoopSkipZeroWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cat.wsd")
 	snap := pageSnap(4, 7, 3)
-	ps, _, err := openPageStore(path, 0, 64)
+	ps, _, err := openPageStore(path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	if err := ps.WriteCheckpoint(ckptSlices(snap, 1, 9)[0]); err != nil {
+	if err := ps.WriteCheckpoint(snap, 4); err != nil {
 		t.Fatal(err)
 	}
 	before := ps.Stats()
@@ -135,7 +157,7 @@ func TestPageStoreNoopSkipZeroWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.WriteCheckpoint(ckptSlices(snap, 1, 9)[0]); err != nil {
+	if err := ps.WriteCheckpoint(snap, 4); err != nil {
 		t.Fatal(err)
 	}
 	after := ps.Stats()
@@ -162,12 +184,12 @@ func TestPageStoreNoopSkipZeroWrites(t *testing.T) {
 func TestPageStoreRecyclesFreedPages(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cat.wsd")
 	snap := pageSnap(6, 1, 30)
-	ps, _, err := openPageStore(path, 0, 128)
+	ps, _, err := openPageStore(path, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	if err := ps.WriteCheckpoint(ckptSlices(snap, 1, 7)[0]); err != nil {
+	if err := ps.WriteCheckpoint(snap, 6); err != nil {
 		t.Fatal(err)
 	}
 	var sizeAt5 int64
@@ -179,7 +201,7 @@ func TestPageStoreRecyclesFreedPages(t *testing.T) {
 		}
 		db = db.WithCertain(0, nr)
 		s := &Snapshot{Version: v, DB: db, Views: snap.Views}
-		if err := ps.WriteCheckpoint(ckptSlices(s, 1, 7)[0]); err != nil {
+		if err := ps.WriteCheckpoint(s, 6); err != nil {
 			t.Fatal(err)
 		}
 		fi, err := os.Stat(path)
@@ -206,17 +228,17 @@ func TestPageStoreRecyclesFreedPages(t *testing.T) {
 func TestPageStoreMetaSlotFallback(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cat.wsd")
 	snap1 := pageSnap(4, 1, 3)
-	ps, _, err := openPageStore(path, 0, 64)
+	ps, _, err := openPageStore(path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.WriteCheckpoint(ckptSlices(snap1, 1, 5)[0]); err != nil {
+	if err := ps.WriteCheckpoint(snap1, 4); err != nil {
 		t.Fatal(err)
 	}
 	nr := relation.New(snap1.DB.Schemas[1])
 	nr.Insert(relation.Tuple{value.Int(31337)})
 	snap2 := &Snapshot{Version: 2, DB: snap1.DB.WithCertain(1, nr), Views: snap1.Views}
-	if err := ps.WriteCheckpoint(ckptSlices(snap2, 1, 5)[0]); err != nil {
+	if err := ps.WriteCheckpoint(snap2, 4); err != nil {
 		t.Fatal(err)
 	}
 	ps.Close()
@@ -237,48 +259,5 @@ func TestPageStoreMetaSlotFallback(t *testing.T) {
 	}
 	if !bytes.Equal(saveBytes(t, got), saveBytes(t, snap1)) {
 		t.Fatal("meta-slot fallback state differs from the older checkpoint")
-	}
-}
-
-// TestPageStoreShardedSlicesMerge: a 4-way sliced checkpoint written to
-// four files merges back byte-identically, including global component
-// order.
-func TestPageStoreShardedSlicesMerge(t *testing.T) {
-	const nshards = 4
-	dir := t.TempDir()
-	main := filepath.Join(dir, "cat.wsd")
-	snap := pageSnap(12, 9, 6)
-	slices := ckptSlices(snap, nshards, 12)
-	var files []*loadedShard
-	for i := 0; i < nshards; i++ {
-		ps, _, err := openPageStore(shardCkptPath(main, i), i, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ps.WriteCheckpoint(slices[i]); err != nil {
-			t.Fatal(err)
-		}
-		ps.Close()
-	}
-	for i := 0; i < nshards; i++ {
-		ps, sl, err := openPageStore(shardCkptPath(main, i), i, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sl == nil {
-			t.Fatalf("shard %d file is not a page file", i)
-		}
-		files = append(files, sl)
-		ps.Close()
-	}
-	got, compID, err := mergeLoaded(files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compID != 12 {
-		t.Fatalf("merged comp-ID counter %d, want 12", compID)
-	}
-	if !bytes.Equal(saveBytes(t, got), saveBytes(t, snap)) {
-		t.Fatal("sharded merge differs from the sliced snapshot")
 	}
 }

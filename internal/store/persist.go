@@ -23,7 +23,7 @@ import (
 // definitions. The format stores the factored form directly — a
 // 2^40-world catalog persists in space linear in its decomposition
 // size. Import/export only (cmd/isql and isqld -load/-save, seeds):
-// durable catalogs checkpoint to page files (pagestore.go) and Open
+// durable catalogs checkpoint to a page file (pagestore.go) and Open
 // reads nothing else; the tuple and alternative encodings below are
 // shared with the page and WAL-delta payloads.
 

@@ -58,8 +58,8 @@
 // # One way to be durable
 //
 // Open is the only constructor of a durable catalog: it seeds a fresh
-// directory or recovers one that holds state, from page-file
-// checkpoints plus per-shard WAL segments, by patching logged page
+// directory or recovers one that holds state, from one page-file
+// checkpoint plus per-shard WAL segments, by patching logged page
 // deltas — and refuses, with a *RecoveryError, state it cannot
 // reproduce exactly. Checkpoint bounds the replay work. The .wsd JSON
 // document of persist.go is import/export only. See wal.go.
@@ -172,10 +172,10 @@ type Catalog struct {
 	pub    sync.Mutex    // serializes merged-snapshot publication
 	compID atomic.Uint64 // component ID counter
 
-	// pagers, on a durable catalog (Open attaches them), hold one paged
-	// checkpoint file per shard; Checkpoint writes incrementally through
-	// them.
-	pagers []*PageStore
+	// pager, on a durable catalog (Open attaches it), is the paged
+	// checkpoint file — one at every shard count; Checkpoint writes
+	// incrementally through it.
+	pager *PageStore
 }
 
 // New returns a one-shard catalog whose first version holds the given

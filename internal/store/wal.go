@@ -24,9 +24,11 @@ import (
 // was staged on at each, a page delta (delta.go) describing the commit's
 // effect on durable state, and the I-SQL statement texts that produced
 // it — to the segment of its lowest participant shard, and fsyncs it
-// before the version becomes visible (see commit in shard.go). Recovery
-// (Open) loads the last checkpoint — one page file per shard — merges
-// the segments by epoch and replays the tail by patching each record's
+// before the version becomes visible (see commit in shard.go). Segments
+// stay per shard so group commit and fsync run in parallel on disjoint
+// shards; the checkpoint they are replayed over is one page file at
+// every shard count. Recovery (Open) loads that checkpoint, merges the
+// segments by epoch and replays the tail by patching each record's
 // delta straight into the decomposition. A record replays only if it
 // links: on every participant shard it was staged on exactly the
 // version recovery has reached there (prev). Anything else — a broken
@@ -46,7 +48,7 @@ import (
 // (crcOfRecord). A torn tail (crash mid-append) fails the CRC or the
 // JSON decode; Open truncates the file back to the last intact record.
 // A whole line in any other format is refused, never cut. Checkpointing
-// commits the page files and then truncates the segments; records are
+// commits the page file and then truncates the segments; records are
 // filtered by epoch on replay, so a crash between those two steps only
 // leaves already-checkpointed records that replay skips.
 
@@ -134,12 +136,6 @@ type WAL struct {
 	appended int    // records appended since open or last checkpoint
 	tail     int    // records currently in the log (survivors at open + appends)
 	syncs    uint64 // fsyncs issued for record appends (not checkpoints)
-
-	// Checkpoint bookkeeping for the durability gauges: the catalog
-	// version the last checkpoint persisted and when it completed. Both
-	// are zero until the first checkpoint after open.
-	lastCkptVer uint64
-	lastCkptAt  time.Time
 
 	// fsync measures the latency of each record-append fsync — the
 	// durability cost the group-commit leader amortizes. Zero-value
@@ -368,26 +364,6 @@ func (w *WAL) TailRecords() int {
 	return w.tail
 }
 
-// LastCheckpoint reports the catalog version and completion time of the
-// last checkpoint taken through this log (zero values before the
-// first). Feeds the wsdb_checkpoint_age_seconds gauge.
-func (w *WAL) LastCheckpoint() (uint64, time.Time) {
-	if w == nil {
-		return 0, time.Time{}
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastCkptVer, w.lastCkptAt
-}
-
-// noteCheckpoint records that a checkpoint at version v completed.
-func (w *WAL) noteCheckpoint(v uint64) {
-	w.mu.Lock()
-	w.lastCkptVer = v
-	w.lastCkptAt = time.Now()
-	w.mu.Unlock()
-}
-
 // reset truncates the log to empty after a checkpoint save.
 func (w *WAL) reset() error {
 	w.mu.Lock()
@@ -421,15 +397,14 @@ func (w *WAL) reset() error {
 // between the snapshot read and the truncates — in-flight group commits
 // finish first. Readers are unaffected; writers wait for the checkpoint.
 //
-// The base is the page files Open attached, one per shard (the main
-// file plus <wsdPath>.s<i> side files), each written incrementally —
-// only pages of components touched since the previous checkpoint are
+// The base is the one page file Open attached, written incrementally —
+// only pages of objects touched since the previous checkpoint are
 // rewritten, and a checkpoint at an already-persisted version writes
-// nothing at all. Side files commit before the main file, so a crash
-// mid-checkpoint leaves either the old base or a mixed set of per-shard
-// epochs that recovery merges and heals from the WALs.
+// nothing at all. It commits with one meta-slot flip, so a crash
+// mid-checkpoint leaves the previous base, whole, and the segments
+// still holding everything since.
 func (c *Catalog) Checkpoint() error {
-	if len(c.pagers) == 0 {
+	if c.pager == nil {
 		return fmt.Errorf("store: Checkpoint on a catalog that was not opened with Open")
 	}
 	all := c.allShards()
@@ -438,67 +413,13 @@ func (c *Catalog) Checkpoint() error {
 	for _, sh := range c.shards {
 		sh.drain()
 	}
-	snap := c.cur.Load()
-	if err := c.checkpointPaged(snap); err != nil {
-		return err
+	if err := c.pager.WriteCheckpoint(c.cur.Load(), c.compID.Load()); err != nil {
+		return fmt.Errorf("store: writing the page checkpoint: %w", err)
 	}
 	for _, sh := range c.shards {
 		if err := sh.wal.reset(); err != nil {
 			return err
 		}
-		sh.wal.noteCheckpoint(snap.Version)
-	}
-	return nil
-}
-
-// checkpointPaged writes the snapshot across the per-shard page
-// files: side shards first (in parallel — they are independent files),
-// the coordinating main file last. Every file records the full global
-// version, so recovery can tell exactly which files a torn checkpoint
-// advanced. Called with all shard locks held and queues drained.
-func (c *Catalog) checkpointPaged(snap *Snapshot) error {
-	allNoop := true
-	for _, ps := range c.pagers {
-		if ps.Version() != snap.Version {
-			allNoop = false
-			break
-		}
-	}
-	if allNoop {
-		// Nothing committed since the last checkpoint on any shard: the
-		// on-disk base already is this state. Zero writes.
-		for _, ps := range c.pagers {
-			ps.NoteNoop()
-		}
-		return nil
-	}
-	slices := ckptSlices(snap, len(c.shards), c.compID.Load())
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.shards))
-	for i := 1; i < len(c.shards); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.pagers[i].WriteCheckpoint(slices[i])
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < len(c.shards); i++ {
-		if errs[i] != nil {
-			return fmt.Errorf("store: writing shard %d page checkpoint: %w", i, errs[i])
-		}
-	}
-	if err := c.pagers[0].WriteCheckpoint(slices[0]); err != nil {
-		return fmt.Errorf("store: writing shard 0 page checkpoint: %w", err)
-	}
-	// A previous run at a higher shard count can leave side files beyond
-	// ours; they are stale the moment this full-set checkpoint commits.
-	for i := len(c.shards); ; i++ {
-		p := shardCkptPath(c.pagers[0].Path(), i)
-		if _, err := os.Stat(p); err != nil {
-			break
-		}
-		os.Remove(p)
 	}
 	return nil
 }
@@ -587,19 +508,16 @@ func holdsState(wsdPath, walDir string) (bool, error) {
 // Save) to the last committed state before the crash: committed
 // transactions survive, uncommitted ones vanish. A record that does not
 // link, carries no delta, or whose delta does not apply, a record in
-// another log format, a non-empty wal.log, or a non-empty segment past
-// nshards makes Open fail with a *RecoveryError and leaves the directory
-// as found.
+// another log format, a non-empty wal.log, a non-empty segment past
+// nshards, or a checkpoint in an older page-file format makes Open fail
+// with a *RecoveryError and leaves the directory as found.
 //
-// The checkpoint base is one page file per shard (wsdPath plus
-// wsdPath.s<i> side files) read through a buffer pool of poolPages
-// frames per shard (<= 0 selects DefaultPoolPages; catalogs larger than
-// the pool still recover). A torn multi-file checkpoint leaves the
-// files at mixed epochs, so recovery merges them — each object from the
-// newest file holding it — and re-applies every WAL epoch newer than
-// the oldest file, which is idempotent. Anything else at wsdPath (a
-// .wsd JSON export, say) is refused: import it into a fresh directory
-// through the seed.
+// The checkpoint base is one page file at every shard count, read
+// through a buffer pool of poolPages frames (<= 0 selects
+// DefaultPoolPages; catalogs larger than the pool still recover). A
+// checkpoint commits whole or not at all, so replay starts from exactly
+// its version. Anything else at wsdPath (a .wsd JSON export, say) is
+// refused: import it into a fresh directory through the seed.
 func Open(wsdPath, walDir string, nshards, poolPages int, seed func() (*Catalog, error)) (*Catalog, []*WAL, error) {
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		return nil, nil, err
@@ -611,29 +529,25 @@ func Open(wsdPath, walDir string, nshards, poolPages int, seed func() (*Catalog,
 	if err != nil {
 		return nil, nil, err
 	}
+	pager, base, err := openPageStore(wsdPath, poolPages)
+	if err != nil {
+		return nil, nil, err
+	}
 	var cat *Catalog
-	var newest uint64 // newest checkpoint file version; above it deltas apply strictly
-	if recovering {
-		if cat, newest, err = loadBase(wsdPath, nshards, poolPages); err != nil {
+	switch {
+	case base != nil:
+		cat = newCatalog(base, base.compID)
+	case !recovering && seed != nil:
+		if cat, err = seed(); err != nil {
 			return nil, nil, err
 		}
-	}
-	if cat == nil {
-		// Nothing checkpointed: a fresh directory starts from the seed, one
-		// that holds only log segments from the empty catalog. The first
-		// checkpoint creates (or atomically replaces) the page files.
+	default:
+		// Nothing checkpointed and no seed, or a directory holding only log
+		// segments from the empty catalog.
 		cat = New(nil)
-		if !recovering && seed != nil {
-			if cat, err = seed(); err != nil {
-				return nil, nil, err
-			}
-		}
-		cat.shard(nshards)
-		cat.pagers = make([]*PageStore, len(cat.shards))
-		for i := range cat.pagers {
-			cat.pagers[i] = newPageStore(shardCkptPath(wsdPath, i), i, poolPages)
-		}
 	}
+	cat.shard(nshards)
+	cat.pager = pager
 	wals := make([]*WAL, len(cat.shards))
 	fail := func(err error) (*Catalog, []*WAL, error) {
 		for _, w := range wals {
@@ -641,9 +555,7 @@ func Open(wsdPath, walDir string, nshards, poolPages int, seed func() (*Catalog,
 				w.Close()
 			}
 		}
-		for _, ps := range cat.pagers {
-			ps.Close()
-		}
+		pager.Close()
 		return nil, nil, err
 	}
 	segs := make([][]WALRecord, len(wals))
@@ -653,7 +565,7 @@ func Open(wsdPath, walDir string, nshards, poolPages int, seed func() (*Catalog,
 			return fail(err)
 		}
 	}
-	if err := cat.replay(segs, newest); err != nil {
+	if err := cat.replay(segs); err != nil {
 		return fail(err)
 	}
 	for i, sh := range cat.shards {
@@ -681,17 +593,15 @@ func Open(wsdPath, walDir string, nshards, poolPages int, seed func() (*Catalog,
 // Every commit is one record, so replay sorts the records newer than
 // the checkpoint by epoch — a valid serialization of the pre-crash
 // execution (single-shard commits read only their shard, and epochs are
-// assigned under the shard locks) — and applies each in turn. A record
-// links if, on every participant shard p, the version it was staged on
-// is the version replay has reached on p (a predecessor at or below the
-// checkpoint is in the base); one that does not is refused. Routed
-// deltas are shard-scoped, so only the per-shard chain matters: an
-// epoch missing elsewhere (burned by a failed write, or torn off another
-// segment) does not break it. Every record is applied or refused, so
-// the epoch counter resumes at the last one applied. Deltas at or below
-// newest — the newest file of a torn mixed-epoch checkpoint — may
-// already be in the base and re-apply leniently.
-func (c *Catalog) replay(segs [][]WALRecord, newest uint64) error {
+// assigned under the shard locks) — and applies each in turn, strictly.
+// A record links if, on every participant shard p, the version it was
+// staged on is the version replay has reached on p (a predecessor at or
+// below the checkpoint is in the base); one that does not is refused.
+// Routed deltas are shard-scoped, so only the per-shard chain matters:
+// an epoch missing elsewhere (burned by a failed write, or torn off
+// another segment) does not break it. Every record is applied or
+// refused, so the epoch counter resumes at the last one applied.
+func (c *Catalog) replay(segs [][]WALRecord) error {
 	base := c.cur.Load()
 	var order []WALRecord
 	for si, records := range segs {
@@ -735,7 +645,7 @@ func (c *Catalog) replay(segs [][]WALRecord, newest uint64) error {
 			return refuse(home, "record carries no page delta")
 		}
 		var err error
-		if db, views, err = applyDelta(db, views, rec.Delta, rec.Version <= newest); err != nil {
+		if db, views, err = applyDelta(db, views, rec.Delta); err != nil {
 			return refuse(home, "page delta does not apply: %v", err)
 		}
 		for _, u := range rec.Delta.Upserts {
@@ -748,58 +658,4 @@ func (c *Catalog) replay(segs [][]WALRecord, newest uint64) error {
 	}
 	c.reset(&Snapshot{Version: last, DB: db, Views: views}, ver)
 	return nil
-}
-
-// loadBase loads the checkpoint base into an nshards-way catalog with
-// one PageStore per shard attached, and returns the newest version any
-// of its files holds (the catalog's own version is the oldest); a nil
-// catalog when there is no main file — a directory holding only log
-// segments. Side files are probed past nshards too: a catalog
-// checkpointed at a higher shard count keeps its objects in files the
-// current count does not write, and the merge must still see them.
-func loadBase(wsdPath string, nshards, poolPages int) (*Catalog, uint64, error) {
-	nshards = max(nshards, 1)
-	var opened []*PageStore
-	fail := func(err error) (*Catalog, uint64, error) {
-		for _, ps := range opened {
-			ps.Close()
-		}
-		return nil, 0, err
-	}
-	var files []*loadedShard
-	for i := 0; ; i++ {
-		ps, ls, err := openPageStore(shardCkptPath(wsdPath, i), i, poolPages)
-		if err != nil {
-			return fail(fmt.Errorf("store: loading shard %d checkpoint: %w", i, err))
-		}
-		if ls == nil {
-			if i == 0 {
-				return nil, 0, nil
-			}
-			if i >= nshards {
-				break
-			}
-		}
-		opened = append(opened, ps)
-		if ls != nil {
-			files = append(files, ls)
-		}
-	}
-	snap, compID, err := mergeLoaded(files)
-	if err != nil {
-		return fail(fmt.Errorf("store: merging shard checkpoints: %w", err))
-	}
-	newest := snap.Version
-	for _, f := range files {
-		newest = max(newest, f.Version)
-	}
-	// Files past nshards are stale the moment the next checkpoint
-	// commits (it deletes them); their objects joined the merge above.
-	for _, ps := range opened[nshards:] {
-		ps.Close()
-	}
-	cat := newCatalog(snap, compID)
-	cat.shard(nshards)
-	cat.pagers = opened[:nshards]
-	return cat, newest, nil
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"worldsetdb/internal/page"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/value"
 )
@@ -336,7 +337,7 @@ func TestWALStaleRecordsSkipped(t *testing.T) {
 			sIns(t, cat, name, 1) // a record on every segment
 		}
 		// Checkpoint, then put the pre-checkpoint segments back: exactly
-		// what a crash after the page files committed but before the
+		// what a crash after the page file committed but before the
 		// truncates leaves.
 		logs := make([][]byte, n)
 		for si := range logs {
@@ -723,16 +724,19 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 }
 
 // refusedAsFound opens dir at nshards expecting a *RecoveryError at
-// shard and epoch, with every file of dir left byte for byte as it was.
-func refusedAsFound(t *testing.T, dir string, nshards, shard int, epoch uint64) {
+// shard and epoch, with every file of dir left byte for byte as it was,
+// and returns the refusal.
+func refusedAsFound(t *testing.T, dir string, nshards, shard int, epoch uint64) *RecoveryError {
 	t.Helper()
 	before := dirFiles(t, dir)
-	if re := openRefused(t, dir, nshards); re.Shard != shard || re.Epoch != epoch {
+	re := openRefused(t, dir, nshards)
+	if re.Shard != shard || re.Epoch != epoch {
 		t.Fatalf("refusal names shard %d epoch e%d, want shard %d epoch e%d: %v", re.Shard, re.Epoch, shard, epoch, re)
 	}
 	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatalf("refused Open changed the directory\n--- before ---\n%v\n--- after ---\n%v", before, after)
 	}
+	return re
 }
 
 // TestOldLogsRefused: a log an older build wrote is refused with the
@@ -773,8 +777,9 @@ func TestOldLogsRefused(t *testing.T) {
 // that wrote them. A crashed 4-shard directory reopened at 2 shards
 // would never read wal-2.log and wal-3.log, so Open refuses, naming the
 // first non-empty one, and leaves every file as found; at 4 shards the
-// commit logged there is back. The empty segments a checkpoint leaves
-// behind still open at the lower count.
+// commit logged there is back. The checkpoint carries no shard layout:
+// once checkpointed, the directory reopens byte-identical at a lower
+// and at a higher count.
 func TestLowerShardCountRefused(t *testing.T) {
 	dir := t.TempDir()
 	names := shardNames(4)
@@ -796,10 +801,60 @@ func TestLowerShardCountRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	closeWALs(wals2)
-	cat3, wals3 := openDir(t, dir, 2)
-	defer closeWALs(wals3)
-	if got := dbBytes(t, cat3.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("a checkpointed 4-shard directory reopened at 2 shards differs")
+	for _, n := range []int{1, 8} {
+		cat3, wals3 := openDir(t, dir, n)
+		got := dbBytes(t, cat3.Snapshot())
+		closeWALs(wals3)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("a checkpointed 4-shard directory reopened at %d shards differs", n)
+		}
+	}
+}
+
+// v2PageFile is a checkpoint file as builds before one-file checkpoints
+// wrote it — a meta slot of format worldsetdb-pages/v2 naming the file's
+// shard, and a directory chain — at catalog version 7.
+func v2PageFile(t *testing.T, shard int) []byte {
+	t.Helper()
+	file := make([]byte, 3*page.Size)
+	meta := fmt.Sprintf(`{"magic":"worldsetdb-pages/v2","epoch":1,"version":7,"dir":2,"pages":3,"comp_id":0,"shard":%d,"coord":%t}`, shard, shard == 0)
+	if err := page.Encode(file[page.Size:2*page.Size], page.KindMeta, 0, []byte(meta)); err != nil {
+		t.Fatal(err)
+	}
+	if err := page.Encode(file[2*page.Size:], page.KindDir, 0, []byte(`{"names":[],"schemas":[],"views":{}}`)); err != nil {
+		t.Fatal(err)
+	}
+	return file
+}
+
+// TestOlderPageFormatRefused: a checkpoint of the format before one-file
+// checkpoints may keep objects in side files (checkpoint.wsd.s<i>) this
+// build never reads, so Open refuses it — at one shard and at four with
+// side files — naming the format and the way out, and leaves every file
+// as found.
+func TestOlderPageFormatRefused(t *testing.T) {
+	for _, nshards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", nshards), func(t *testing.T) {
+			dir := t.TempDir()
+			files := map[string][]byte{"checkpoint.wsd": v2PageFile(t, 0)}
+			for si := 0; si < nshards; si++ {
+				files[segmentName(si)] = nil // what a clean shutdown leaves
+				if si > 0 {
+					files[fmt.Sprintf("checkpoint.wsd.s%d", si)] = v2PageFile(t, si)
+				}
+			}
+			for name, data := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			re := refusedAsFound(t, dir, nshards, 0, 7)
+			for _, want := range []string{"worldsetdb-pages/v2", "-save", "-load"} {
+				if !strings.Contains(re.Reason, want) {
+					t.Errorf("refusal %q does not name %q", re.Reason, want)
+				}
+			}
+		})
 	}
 }
 
@@ -832,9 +887,9 @@ func TestOpenRefusesNonPageCheckpoint(t *testing.T) {
 // TestOpenSeedsFreshDirectory: a directory without state is seeded and
 // the seed is durable before Open returns; a directory with state wins
 // over the seed, which is never built. What a crash during the seed
-// checkpoint leaves behind — side files committed, the main file not,
-// empty segments, a stray temp file — still counts as fresh: the next
-// Open seeds again and nothing of the torn attempt survives.
+// checkpoint leaves behind — empty segments, a stray temp file, no
+// checkpoint file — still counts as fresh: the next Open seeds again
+// and nothing of the torn attempt survives.
 func TestOpenSeedsFreshDirectory(t *testing.T) {
 	seedWith := func(v int64) func() (*Catalog, error) {
 		return func() (*Catalog, error) {
@@ -866,7 +921,7 @@ func TestOpenSeedsFreshDirectory(t *testing.T) {
 		t.Fatal("seed did not survive a crash right after Open")
 	}
 
-	// Torn seed checkpoint: the main file is written last.
+	// Torn seed checkpoint: killed before the rename.
 	if err := os.Remove(ckptPath(dir)); err != nil {
 		t.Fatal(err)
 	}

@@ -312,7 +312,7 @@ func (v Value) Key() string { return string(v.AppendKey(nil)) }
 // for −0.0 against 0, for an Int beyond 2^53 against the Float it
 // rounds to, and for NaN against every number, and each of those pairs
 // digests differently. Index probes fence these constants off
-// (wsdexec.hashExact scans for them instead); ROADMAP item 6 makes the
+// (wsdexec.hashExact scans for them instead); ROADMAP item 7 makes the
 // two agree. Hash digests are not injective either: callers must
 // confirm candidate matches with Compare or Equal.
 func (v Value) Hash(h uint64) uint64 {

@@ -206,7 +206,7 @@ func GroupLast(ws *worldset.WorldSet, kind GroupKind, proj []int, outSchema rela
 // Worlds(), which keys every relation of every world although the
 // result's order comes from the answers' own keys: ws.Each would do and
 // is 3–4× faster on aggregate statements, a gain that is ROADMAP item
-// 1's to claim and measure, so it is not taken here.
+// 2(b)'s to claim and measure, so it is not taken here.
 func DistinctLast(ws *worldset.WorldSet) []*relation.Relation {
 	k := ws.NumRelations() - 1
 	seen := map[string]*relation.Relation{}
