@@ -91,7 +91,10 @@
 // participant shards with the version it was staged on at each, a page
 // delta of just the relations and components it touched and the
 // statement texts, fsynced before the version becomes visible — one
-// record and one fsync per commit at every shard count. An INSERT is
+// record and one fsync per commit at every shard count. A schema change
+// is no exception: CREATE, CTAS and DROP log the relations they created
+// or dropped plus what they touched, never the rest of the catalog
+// (log format 3; logs of older formats are refused). An INSERT is
 // staged with its exact edit
 // (store.Tx.InsertCertain: only the components contributing to the
 // relation are re-normalized, everything else is shared), so its delta
@@ -145,13 +148,19 @@
 // older one-file-per-shard format, with the -save / -load way out.
 //
 // WAL records carry page deltas (store.CommitDelta): the
-// commit's durable effect — touched certain relations, upserted and
-// dropped components by stable ID, view and schema changes — computed
-// on the commit path by pointer/shape diffing of the copy-on-write
-// snapshots. Small edits log tuple-level patches (a single-row insert
-// carries one tuple, not the relation), keeping records O(edit) on
-// insert-heavy workloads. Recovery replays deltas by patching the
-// decomposition directly — time proportional to the touched data,
+// commit's durable effect — created and dropped relations (name and
+// attributes), touched certain relations, upserted and dropped
+// components by stable ID, view changes — computed on the commit path
+// by pointer/shape diffing of the copy-on-write snapshots, relations
+// paired by name and components by ID. A CREATE logs one relation's
+// name and attributes, a CTAS that plus the new table's rows and
+// components, a DROP the dropped name: components whose relations only
+// moved index are carried on replay, not re-logged, so a schema change
+// costs what it touched, not the catalog. Small edits log tuple-level
+// patches (a single-row insert carries one tuple, not the relation),
+// keeping records O(edit) on insert-heavy workloads. Recovery replays
+// deltas by patching the decomposition directly — time proportional to
+// the touched data,
 // skipping parse, compile, the rewrite search and query evaluation —
 // and by nothing else: the statement texts in a record are provenance
 // (and the oracle the crash tests re-execute to check delta replay

@@ -92,17 +92,35 @@ func ReplayRecord(cat *store.Catalog, rec store.WALRecord) error {
 	return sess.Commit()
 }
 
-// statementOracle reads the statement texts logged in dir's segments —
-// its own reading of the record lines, not the store's; every commit is
-// one line — and re-executes them in epoch order on a fresh catalog:
-// the state delta recovery of a directory that was never checkpointed
-// past its empty seed must equal, version included. A torn last line is
-// skipped, as recovery cuts it.
+// statementOracle re-executes the statements logged in dir's segments on
+// a fresh catalog: the state delta recovery of a directory that was
+// never checkpointed past its empty seed must equal, version included.
 func statementOracle(t *testing.T, dir string, nshards int) *store.Catalog {
+	t.Helper()
+	ref, _, orphan := checkpointOracle(t, nil, dir, nshards)
+	if orphan != nil {
+		t.Fatalf("oracle: e%d does not link on shard %d", orphan.Epoch, orphan.Shard)
+	}
+	return ref
+}
+
+// checkpointOracle reads the records logged in dir's segments — its own
+// reading of the record lines, not the store's; every commit is one line
+// — and re-executes their statements in epoch order on the catalog ckpt
+// holds (the Save of the checkpointed snapshot; nil for the empty seed),
+// skipping epochs the checkpoint already holds. It returns that catalog
+// and the last epoch applied: the state delta recovery must reach. A
+// torn last line is skipped, as recovery cuts it. A record staged, on
+// one of its shards, on a version other than the last one applied there
+// (or the checkpoint's, if later) is an orphan recovery must refuse: it
+// is returned instead, shard and epoch set.
+func checkpointOracle(t *testing.T, ckpt []byte, dir string, nshards int) (*store.Catalog, uint64, *store.RecoveryError) {
 	t.Helper()
 	type logged struct {
 		Epoch uint64   `json:"v"`
 		Stmts []string `json:"stmts"`
+		Parts []int    `json:"parts"`
+		Prev  []uint64 `json:"prev"`
 	}
 	txns := map[uint64]logged{}
 	for si := 0; si < nshards; si++ {
@@ -119,6 +137,9 @@ func statementOracle(t *testing.T, dir string, nshards int) *store.Catalog {
 			if _, dup := txns[rec.Epoch]; dup {
 				t.Fatalf("segment %d: a second record of e%d", si, rec.Epoch)
 			}
+			if len(rec.Parts) == 0 {
+				rec.Parts = []int{si}
+			}
 			txns[rec.Epoch] = rec
 		}
 	}
@@ -128,12 +149,37 @@ func statementOracle(t *testing.T, dir string, nshards int) *store.Catalog {
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	ref := store.NewSharded(nil, nshards)
+	if ckpt != nil {
+		var err error
+		if ref, err = store.Load(bytes.NewReader(ckpt)); err != nil {
+			t.Fatal(err)
+		}
+		ref.Reshard(nshards)
+	}
+	base := ref.Snapshot().Version
+	last, at := base, make([]uint64, nshards) // last epoch applied, overall and per shard
+	for p := range at {
+		at[p] = base
+	}
 	for _, e := range order {
-		if err := ReplayRecord(ref, store.WALRecord{Stmts: txns[e].Stmts}); err != nil {
+		rec := txns[e]
+		if e <= base {
+			continue
+		}
+		for i, p := range rec.Parts {
+			if max(rec.Prev[i], base) != at[p] {
+				return nil, 0, &store.RecoveryError{Shard: p, Epoch: e}
+			}
+		}
+		if err := ReplayRecord(ref, store.WALRecord{Stmts: rec.Stmts}); err != nil {
 			t.Fatalf("oracle replay of e%d: %v", e, err)
 		}
+		for _, p := range rec.Parts {
+			at[p] = e
+		}
+		last = e
 	}
-	return ref
+	return ref, last, nil
 }
 
 func mustScript(t *testing.T, s *Session, stmts ...string) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"worldsetdb/internal/relation"
@@ -11,35 +13,34 @@ import (
 )
 
 // WAL page-delta records. A CommitDelta captures a commit's effect on
-// durable state — which certain relations changed, which components (by
-// stable ID) were upserted or dropped, view and schema changes — so
-// store.Open replays a record by patching the decomposition directly,
-// in time proportional to the touched data, never by running a query.
-// The statement texts stay in the record as provenance.
+// durable state — relations created and dropped, which certain relations
+// changed, which components (by stable ID) were upserted or dropped, view
+// changes — so store.Open replays a record by patching the decomposition
+// directly, in time proportional to the touched data, never by running a
+// query. The statement texts stay in the record as provenance.
 //
 // The delta is computed on the commit path by pointer/shape diffing
-// (see wsd.SameComponentShape): copy-on-write edits share
-// *relation.Relation values for untouched data, so the diff never
-// compares untouched relations. A false positive (rebuilt relation with
+// (see wsd.SameComponentShape), relations paired by name: copy-on-write
+// edits share *relation.Relation values for untouched data, so the diff
+// never compares untouched relations, and a schema change logs what it
+// touched, not the catalog. A false positive (rebuilt relation with
 // equal content) only makes the record larger, never wrong. A touched
-// relation is patched from the commit's recorded insert edit when it
-// has one (certEdits), by diffRelation otherwise.
+// relation is patched from the commit's recorded insert edit when it has
+// one (certEdits), by diffRelation otherwise.
 
 // CommitDelta is the durable description of one commit's effect.
 type CommitDelta struct {
-	// Full marks a whole-snapshot delta: Names/Schemas/Certain/Upserts
-	// describe the complete post-commit state, not a patch. Used for
-	// schema changes (renames and drops make index-based patching
-	// ambiguous) and as the safety fallback when components lack IDs.
-	Full bool `json:"full,omitempty"`
-
-	// Names and Schemas are set only on Full deltas.
-	Names   []string   `json:"names,omitempty"`
-	Schemas [][]string `json:"schemas,omitempty"`
+	// NewRels and DropRels describe a change to the relation list. The
+	// post-commit list is the base's relations minus DropRels, in base
+	// order, followed by NewRels, in order. A relation dropped and
+	// created again under its name is in both; one neither names
+	// survives, keeping its certain part and its index in every
+	// untouched component. Both are empty when the list is unchanged.
+	NewRels  []deltaRel `json:"new_rels,omitempty"`
+	DropRels []string   `json:"drop_rels,omitempty"`
 
 	// Certain maps relation name → complete post-commit tuple set for
-	// each certain relation the commit touched (every relation, on Full
-	// deltas — empty ones omitted).
+	// each certain relation the commit touched.
 	Certain map[string][]jsonTuple `json:"certain,omitempty"`
 
 	// Patch maps relation name → tuple-level edit for touched certain
@@ -49,7 +50,7 @@ type CommitDelta struct {
 	// per commit and O(n) decode per replayed record, and past a few
 	// dozen rows that costs more than re-executing the statement.
 	// Relations are tuple sets (serialization sorts), so an edit list
-	// replays to byte-identical state. Never set on Full deltas.
+	// replays to byte-identical state.
 	Patch map[string]*relPatch `json:"patch,omitempty"`
 
 	// Upserts carries every created or modified component, keyed by
@@ -68,6 +69,12 @@ type CommitDelta struct {
 	// cannot express).
 	ViewsChanged bool              `json:"vch,omitempty"`
 	Views        map[string]string `json:"views,omitempty"`
+}
+
+// deltaRel is a relation a commit created: its name and attributes.
+type deltaRel struct {
+	Name  string   `json:"name"`
+	Attrs []string `json:"attrs"`
 }
 
 type deltaComp struct {
@@ -144,10 +151,12 @@ func encodeTuples(ts []relation.Tuple) []jsonTuple {
 
 // decodeDelta parses a delta's raw JSON with UseNumber so tuple cells
 // decode as json.Number (decodeValue's integer/float discrimination
-// depends on it).
+// depends on it). A key this build does not know is an error: skipping
+// it would replay a different change than the one logged.
 func decodeDelta(raw []byte) (*CommitDelta, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
+	dec.DisallowUnknownFields()
 	var d CommitDelta
 	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("store: decoding commit delta: %w", err)
@@ -156,128 +165,164 @@ func decodeDelta(raw []byte) (*CommitDelta, error) {
 }
 
 func sameSchema(a, b *wsd.DecompDB) bool {
-	if len(a.Names) != len(b.Names) {
-		return false
+	return slices.Equal(a.Names, b.Names) && slices.EqualFunc(a.Schemas, b.Schemas, relation.Schema.Equal)
+}
+
+// diffRels logs the change of the relation list base → next and returns
+// where each base relation went: to[i] is its index in next, -1 when the
+// commit dropped it. Relations pair by name; a base relation survives
+// when next holds its name with the same attributes, in base order and
+// ahead of every relation the commit created — the only lists CREATE,
+// CTAS and DROP produce. Any other list still logs exactly: what breaks
+// the rule is logged as dropped and created again, with its content.
+func (d *CommitDelta) diffRels(base, next *wsd.DecompDB) []int {
+	to := make([]int, len(base.Names))
+	if sameSchema(base, next) {
+		for i := range to {
+			to[i] = i
+		}
+		return to
 	}
-	for i := range a.Names {
-		if a.Names[i] != b.Names[i] {
-			return false
+	byName := make(map[string]int, len(base.Names))
+	for i, name := range base.Names {
+		byName[name] = i
+		to[i] = -1
+	}
+	last := -1
+	for ni, name := range next.Names {
+		if bi, ok := byName[name]; ok && bi > last && len(d.NewRels) == 0 && base.Schemas[bi].Equal(next.Schemas[ni]) {
+			to[bi], last = ni, bi
+			continue
 		}
-		as, bs := a.Schemas[i], b.Schemas[i]
-		if len(as) != len(bs) {
-			return false
+		d.NewRels = append(d.NewRels, deltaRel{Name: name, Attrs: next.Schemas[ni]})
+	}
+	for i, ni := range to {
+		if ni < 0 {
+			d.DropRels = append(d.DropRels, base.Names[i])
 		}
-		for j := range as {
-			if as[j] != bs[j] {
-				return false
+	}
+	return to
+}
+
+// carry re-keys a component's contributions from base relation indexes
+// to post-commit ones (to, as diffRels returns it; nil when no index
+// moved). It reports false when the component contributes a tuple to a
+// dropped relation: such a component cannot be carried, only upserted.
+func carry(c wsd.DBComponent, to []int) (wsd.DBComponent, bool) {
+	if to == nil {
+		return c, true
+	}
+	out := wsd.DBComponent{ID: c.ID, Alternatives: make([]wsd.DBAlternative, len(c.Alternatives))}
+	for ai, a := range c.Alternatives {
+		rels := make(map[int]*relation.Relation, len(a.Rels))
+		for ri, r := range a.Rels {
+			switch {
+			case to[ri] >= 0:
+				rels[to[ri]] = r
+			case r != nil && r.Len() > 0:
+				return wsd.DBComponent{}, false
+			}
+		}
+		out.Alternatives[ai] = wsd.DBAlternative{Rels: rels}
+	}
+	return out, true
+}
+
+// moved returns to, or nil when every relation kept its index.
+func moved(to []int) []int {
+	for i, ni := range to {
+		if ni != i {
+			return to
+		}
+	}
+	return nil
+}
+
+// logCertain records a touched certain relation: as the tuple-level
+// patch p when there is one, else as its whole post-commit contents.
+func (d *CommitDelta) logCertain(name string, next *relation.Relation, p *relPatch) {
+	if p != nil {
+		if d.Patch == nil {
+			d.Patch = map[string]*relPatch{}
+		}
+		d.Patch[name] = p
+		return
+	}
+	if d.Certain == nil {
+		d.Certain = map[string][]jsonTuple{}
+	}
+	d.Certain[name] = encodeRelation(next)
+}
+
+// diffSnapshots computes the delta carrying base → next. Every component
+// of both must carry its stable ID — commit assigns them before diffing
+// and reset on every base — so a component without one is an error.
+func diffSnapshots(base, next *Snapshot) (*CommitDelta, error) {
+	for _, db := range []*wsd.DecompDB{base.DB, next.DB} {
+		for i, c := range db.Components {
+			if c.ID == 0 {
+				return nil, fmt.Errorf("store: component %d has no stable ID", i)
 			}
 		}
 	}
-	return true
-}
-
-func sameViews(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
+	d := &CommitDelta{}
+	to := d.diffRels(base.DB, next.DB)
+	from := make([]*relation.Relation, len(next.DB.Names))
+	for bi, ni := range to {
+		if ni >= 0 {
+			from[ni] = base.DB.Certain[bi]
 		}
-	}
-	return true
-}
-
-// fullDelta encodes next as a whole-snapshot delta.
-func fullDelta(next *Snapshot) *CommitDelta {
-	d := &CommitDelta{Full: true, Names: append([]string{}, next.DB.Names...), ViewsChanged: true, Views: next.Views}
-	for _, s := range next.DB.Schemas {
-		d.Schemas = append(d.Schemas, []string(s))
 	}
 	for i, r := range next.DB.Certain {
-		if r == nil || r.Len() == 0 {
-			continue
-		}
-		if d.Certain == nil {
-			d.Certain = map[string][]jsonTuple{}
-		}
-		d.Certain[next.DB.Names[i]] = encodeRelation(r)
-	}
-	for _, c := range next.DB.Components {
-		d.Upserts = append(d.Upserts, deltaComp{ID: c.ID, Alts: encodeAlternatives(next.DB.Names, c)})
-	}
-	return d
-}
-
-// diffSnapshots computes the delta carrying base → next. Component IDs
-// must already be assigned on next (commit assigns before
-// diffing); a component without one forces a Full delta.
-func diffSnapshots(base, next *Snapshot) *CommitDelta {
-	if !sameSchema(base.DB, next.DB) {
-		return fullDelta(next)
-	}
-	for i := range next.DB.Components {
-		if next.DB.Components[i].ID == 0 {
-			return fullDelta(next)
+		if r != from[i] && (from[i] != nil || r.Len() > 0) { // touched, or created non-empty
+			d.logCertain(next.DB.Names[i], r, diffRelation(from[i], r))
 		}
 	}
-	baseByID := map[uint64]int{}
-	for i := range base.DB.Components {
-		id := base.DB.Components[i].ID
-		if id == 0 {
-			return fullDelta(next)
-		}
-		baseByID[id] = i
-	}
-
-	d := &CommitDelta{}
-	for i := range next.DB.Certain {
-		if next.DB.Certain[i] == base.DB.Certain[i] {
-			continue
-		}
-		if p := diffRelation(base.DB.Certain[i], next.DB.Certain[i]); p != nil {
-			if d.Patch == nil {
-				d.Patch = map[string]*relPatch{}
-			}
-			d.Patch[next.DB.Names[i]] = p
-			continue
-		}
-		if d.Certain == nil {
-			d.Certain = map[string][]jsonTuple{}
-		}
-		d.Certain[next.DB.Names[i]] = encodeRelation(next.DB.Certain[i])
-	}
-
-	nextIDs := map[uint64]bool{}
-	for _, c := range next.DB.Components {
-		nextIDs[c.ID] = true
-		if bi, ok := baseByID[c.ID]; ok && wsd.SameComponentShape(base.DB.Components[bi], c) {
-			continue
-		}
-		d.Upserts = append(d.Upserts, deltaComp{ID: c.ID, Alts: encodeAlternatives(next.DB.Names, c)})
-	}
-	for _, c := range base.DB.Components {
-		if !nextIDs[c.ID] {
-			d.Drops = append(d.Drops, c.ID)
-		}
-	}
+	d.diffComps(base.DB, next.DB, moved(to), nil)
 
 	// Derived order: base order minus drops, new IDs appended in upsert
 	// order. Record an explicit order only when next deviates.
-	derived := deriveOrder(base.DB, d)
 	actual := make([]uint64, len(next.DB.Components))
 	for i := range next.DB.Components {
 		actual[i] = next.DB.Components[i].ID
 	}
-	if !sameIDSeq(derived, actual) {
+	if !slices.Equal(deriveOrder(base.DB, d), actual) {
 		d.Order = actual
 	}
-
-	if !sameViews(base.Views, next.Views) {
+	if !maps.Equal(base.Views, next.Views) {
 		d.ViewsChanged = true
 		d.Views = next.Views
 	}
-	return d
+	return d, nil
+}
+
+// diffComps logs by stable ID the components of next that changed shape
+// or are new, and those of base that are gone, among the IDs the filter
+// in accepts (nil: all). to re-keys base's contributions first (see
+// carry), so a component whose relations only moved index is unchanged.
+func (d *CommitDelta) diffComps(base, next *wsd.DecompDB, to []int, in func(uint64) bool) {
+	baseByID := make(map[uint64]int, len(base.Components))
+	for i, c := range base.Components {
+		baseByID[c.ID] = i
+	}
+	nextIDs := map[uint64]bool{}
+	for _, c := range next.Components {
+		if in != nil && !in(c.ID) {
+			continue
+		}
+		nextIDs[c.ID] = true
+		if bi, ok := baseByID[c.ID]; ok {
+			if bc, ok := carry(base.Components[bi], to); ok && wsd.SameComponentShape(bc, c) {
+				continue
+			}
+		}
+		d.Upserts = append(d.Upserts, deltaComp{ID: c.ID, Alts: encodeAlternatives(next.Names, c)})
+	}
+	for _, c := range base.Components {
+		if (in == nil || in(c.ID)) && !nextIDs[c.ID] {
+			d.Drops = append(d.Drops, c.ID)
+		}
+	}
 }
 
 // diffShard computes the routed delta for a sharded commit: certain
@@ -304,38 +349,9 @@ func diffShard(base, next *wsd.DecompDB, rels map[int]bool, wset map[uint64]bool
 		} else {
 			p = diffRelation(base.Certain[i], next.Certain[i])
 		}
-		if p != nil {
-			if d.Patch == nil {
-				d.Patch = map[string]*relPatch{}
-			}
-			d.Patch[base.Names[i]] = p
-			continue
-		}
-		if d.Certain == nil {
-			d.Certain = map[string][]jsonTuple{}
-		}
-		d.Certain[base.Names[i]] = encodeRelation(next.Certain[i])
+		d.logCertain(base.Names[i], next.Certain[i], p)
 	}
-	baseByID := map[uint64]int{}
-	for i := range base.Components {
-		baseByID[base.Components[i].ID] = i
-	}
-	nextIDs := map[uint64]bool{}
-	for _, c := range next.Components {
-		if !wset[c.ID] {
-			continue
-		}
-		nextIDs[c.ID] = true
-		if bi, ok := baseByID[c.ID]; ok && wsd.SameComponentShape(base.Components[bi], c) {
-			continue
-		}
-		d.Upserts = append(d.Upserts, deltaComp{ID: c.ID, Alts: encodeAlternatives(base.Names, c)})
-	}
-	for _, c := range base.Components {
-		if wset[c.ID] && !nextIDs[c.ID] {
-			d.Drops = append(d.Drops, c.ID)
-		}
-	}
+	d.diffComps(base, next, nil, func(id uint64) bool { return wset[id] })
 	return d
 }
 
@@ -430,37 +446,69 @@ func deriveOrder(base *wsd.DecompDB, d *CommitDelta) []uint64 {
 	return out
 }
 
-func sameIDSeq(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // isEmpty reports whether the delta carries no change at all (a commit
 // whose statements had no durable effect).
 func (d *CommitDelta) isEmpty() bool {
-	return !d.Full && len(d.Certain) == 0 && len(d.Patch) == 0 &&
+	return len(d.NewRels) == 0 && len(d.DropRels) == 0 && len(d.Certain) == 0 && len(d.Patch) == 0 &&
 		len(d.Upserts) == 0 && len(d.Drops) == 0 && len(d.Order) == 0 && !d.ViewsChanged
+}
+
+// applyRels rebuilds the relation list d describes over db's: the
+// survivors keep their certain parts by pointer, created relations start
+// empty. It returns the new decomposition (no components yet) and where
+// each of db's relations went, as diffRels does (nil when none moved).
+// The bytes come from disk, so a name listed twice, an attribute listed
+// twice or a drop of a relation db lacks is an error, never a panic.
+func applyRels(db *wsd.DecompDB, d *CommitDelta) (*wsd.DecompDB, []int, error) {
+	if len(d.NewRels) == 0 && len(d.DropRels) == 0 {
+		return &wsd.DecompDB{Names: db.Names, Schemas: db.Schemas,
+			Certain: append([]*relation.Relation{}, db.Certain...)}, nil, nil
+	}
+	dropped := make(map[string]bool, len(d.DropRels))
+	for _, name := range d.DropRels {
+		if dropped[name] || db.IndexOf(name) < 0 {
+			return nil, nil, fmt.Errorf("store: delta drops unknown relation %q", name)
+		}
+		dropped[name] = true
+	}
+	out := &wsd.DecompDB{}
+	to := make([]int, len(db.Names))
+	for i, name := range db.Names {
+		to[i] = -1
+		if !dropped[name] {
+			to[i] = len(out.Names)
+			out.Names = append(out.Names, name)
+			out.Schemas = append(out.Schemas, db.Schemas[i])
+			out.Certain = append(out.Certain, db.Certain[i])
+		}
+	}
+	for _, r := range d.NewRels {
+		schema := relation.Schema(r.Attrs)
+		if dup := schema.FirstDuplicate(); dup != "" {
+			return nil, nil, fmt.Errorf("store: delta relation %q has attribute %q twice", r.Name, dup)
+		}
+		out.Names = append(out.Names, r.Name)
+		out.Schemas = append(out.Schemas, schema)
+		out.Certain = append(out.Certain, relation.New(schema))
+	}
+	if dup := relation.Schema(out.Names).FirstDuplicate(); dup != "" {
+		return nil, nil, fmt.Errorf("store: delta lists relation %q twice", dup)
+	}
+	return out, moved(to), nil
 }
 
 // applyDelta patches (db, views) with d and returns the post-commit
 // decomposition and view map. The inputs are never mutated; untouched
 // relations and components are shared by pointer, exactly like the
-// engine's own copy-on-write edits. The result is NOT re-normalized —
-// the writer's state already was, and skipping it keeps replayed
-// snapshots byte-identical to the originals.
+// engine's own copy-on-write edits — a component is re-keyed by name when
+// a dropped relation moved the indexes it contributes to. The result is
+// NOT re-normalized — the writer's state already was, and skipping it
+// keeps replayed snapshots byte-identical to the originals.
 func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta) (*wsd.DecompDB, map[string]string, error) {
-	if d.Full {
-		return applyFullDelta(d)
+	out, to, err := applyRels(db, d)
+	if err != nil {
+		return nil, nil, err
 	}
-	out := wsd.NewDecompDB(db.Names, db.Schemas)
-	copy(out.Certain, db.Certain)
 	for name, rows := range d.Certain {
 		ri := out.IndexOf(name)
 		if ri < 0 {
@@ -508,7 +556,11 @@ func applyDelta(db *wsd.DecompDB, views map[string]string, d *CommitDelta) (*wsd
 			out.Components = append(out.Components, nc)
 			continue
 		}
-		out.Components = append(out.Components, c)
+		nc, ok := carry(c, to)
+		if !ok {
+			return nil, nil, fmt.Errorf("store: delta drops a relation component %d contributes to, without upserting it", c.ID)
+		}
+		out.Components = append(out.Components, nc)
 	}
 	for _, u := range d.Upserts {
 		if !inBase[u.ID] {
@@ -573,44 +625,6 @@ func applyPatch(base *relation.Relation, schema relation.Schema, p *relPatch) (*
 		}
 	}
 	return rel, nil
-}
-
-func applyFullDelta(d *CommitDelta) (*wsd.DecompDB, map[string]string, error) {
-	if len(d.Names) != len(d.Schemas) {
-		return nil, nil, fmt.Errorf("store: full delta has %d names, %d schemas", len(d.Names), len(d.Schemas))
-	}
-	// The bytes come from disk: a repeated name is an error here, not the
-	// panic relation.NewSchema reserves for programmer-built schemas.
-	if dup := relation.Schema(d.Names).FirstDuplicate(); dup != "" {
-		return nil, nil, fmt.Errorf("store: full delta names relation %q twice", dup)
-	}
-	schemas := make([]relation.Schema, len(d.Schemas))
-	for i, s := range d.Schemas {
-		if dup := relation.Schema(s).FirstDuplicate(); dup != "" {
-			return nil, nil, fmt.Errorf("store: full delta relation %q has attribute %q twice", d.Names[i], dup)
-		}
-		schemas[i] = relation.Schema(s)
-	}
-	out := wsd.NewDecompDB(d.Names, schemas)
-	for name, rows := range d.Certain {
-		ri := out.IndexOf(name)
-		if ri < 0 {
-			return nil, nil, fmt.Errorf("store: full delta touches unknown relation %q", name)
-		}
-		rel, err := decodeRelation(out.Schemas[ri], rows)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: full delta relation %q: %w", name, err)
-		}
-		out.Certain[ri] = rel
-	}
-	for _, u := range d.Upserts {
-		alts, err := decodeAlternatives(out, u.Alts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: full delta component %d: %w", u.ID, err)
-		}
-		out.Components = append(out.Components, wsd.DBComponent{ID: u.ID, Alternatives: alts})
-	}
-	return out, copyViews(d.Views), nil
 }
 
 func copyViews(v map[string]string) map[string]string {

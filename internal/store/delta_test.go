@@ -79,6 +79,16 @@ func applyThroughDisk(t *testing.T, base *Snapshot, d *CommitDelta) *Snapshot {
 	return &Snapshot{Version: base.Version + 1, DB: db, Views: views}
 }
 
+// mustDiff is diffSnapshots for snapshots whose components carry IDs.
+func mustDiff(t testing.TB, base, next *Snapshot) *CommitDelta {
+	t.Helper()
+	d, err := diffSnapshots(base, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestDeltaRoundTrip: an incremental diff (changed certain relation,
 // modified component, dropped component, new component) replays to the
 // byte-identical snapshot.
@@ -103,9 +113,9 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 	nextSnap := &Snapshot{Version: 6, DB: next, Views: map[string]string{}}
 
-	d := diffSnapshots(base, nextSnap)
-	if d.Full {
-		t.Fatal("incremental change produced a Full delta")
+	d := mustDiff(t, base, nextSnap)
+	if len(d.NewRels)+len(d.DropRels) != 0 {
+		t.Fatalf("data change logged a relation-list change: %+v", d)
 	}
 	if len(d.Certain) != 1 {
 		t.Fatalf("delta carries %d certain relations, want 1 (only A changed)", len(d.Certain))
@@ -119,22 +129,38 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaFullOnSchemaChange: adding a relation forces a Full delta,
-// and the Full delta replays byte-identically.
-func TestDeltaFullOnSchemaChange(t *testing.T) {
+// TestDeltaSchemaChangeLogsTouched: relations pair by name, so a drop
+// that shifts a component-bearing relation's index logs the drop alone —
+// the shifted component is carried, not re-logged — and a create logs
+// the new relation with its content and component; both replay
+// byte-identically.
+func TestDeltaSchemaChangeLogsTouched(t *testing.T) {
 	db := deltaDB()
-	db.Components = []wsd.DBComponent{compOf(db, 1, "A", 10, 11)}
+	db.Components = []wsd.DBComponent{compOf(db, 1, "A", 10, 11), compOf(db, 2, "B", 20, 21)}
 	base := &Snapshot{Version: 1, DB: db, Views: map[string]string{}}
-	next := db.WithRelation("C", relation.NewSchema("Y", "Z"), nil)
-	nextSnap := &Snapshot{Version: 2, DB: next, Views: map[string]string{}}
 
-	d := diffSnapshots(base, nextSnap)
-	if !d.Full {
-		t.Fatal("schema change did not force a Full delta")
+	dropped := &Snapshot{Version: 2, DB: db.DropRelation(0).Normalize(), Views: base.Views}
+	d := mustDiff(t, base, dropped)
+	if len(d.DropRels) != 1 || d.DropRels[0] != "A" || len(d.NewRels)+len(d.Upserts)+len(d.Certain)+len(d.Patch) != 0 ||
+		len(d.Drops) != 1 || d.Drops[0] != 1 {
+		t.Fatalf("drop of A logged %+v, want drop_rels [A] and drops [1] alone", d)
 	}
-	got := applyThroughDisk(t, base, d)
-	if !bytes.Equal(saveBytes(t, got), saveBytes(t, nextSnap)) {
-		t.Fatal("full delta replay differs from the committed snapshot")
+	if got := applyThroughDisk(t, base, d); !bytes.Equal(saveBytes(t, got), saveBytes(t, dropped)) {
+		t.Fatal("drop replay differs from the committed snapshot")
+	}
+
+	c := relation.New(relation.NewSchema("Y"))
+	c.Insert(relation.Tuple{value.Int(7)})
+	withC := db.WithRelation("C", c.Schema(), c)
+	withC.Components = append(withC.Components, compOf(withC, 3, "C", 30, 31))
+	created := &Snapshot{Version: 2, DB: withC, Views: base.Views}
+	d = mustDiff(t, base, created)
+	if len(d.NewRels) != 1 || d.NewRels[0].Name != "C" || len(d.DropRels) != 0 || len(d.Certain) != 1 ||
+		len(d.Upserts) != 1 || d.Upserts[0].ID != 3 {
+		t.Fatalf("create of C logged %+v, want C, its rows and its component alone", d)
+	}
+	if got := applyThroughDisk(t, base, d); !bytes.Equal(saveBytes(t, got), saveBytes(t, created)) {
+		t.Fatal("create replay differs from the committed snapshot")
 	}
 }
 
@@ -151,7 +177,7 @@ func TestDeltaOrderOverride(t *testing.T) {
 	next.Components[0], next.Components[1] = next.Components[1], next.Components[0]
 	nextSnap := &Snapshot{Version: 2, DB: next, Views: map[string]string{}}
 
-	d := diffSnapshots(base, nextSnap)
+	d := mustDiff(t, base, nextSnap)
 	if len(d.Order) != 2 || d.Order[0] != 2 || d.Order[1] != 1 {
 		t.Fatalf("reorder recorded order %v, want [2 1]", d.Order)
 	}
@@ -167,7 +193,7 @@ func TestDeltaViewsChange(t *testing.T) {
 	db := deltaDB()
 	base := &Snapshot{Version: 1, DB: db, Views: map[string]string{"V": "select 1"}}
 	nextSnap := &Snapshot{Version: 2, DB: db, Views: map[string]string{}}
-	d := diffSnapshots(base, nextSnap)
+	d := mustDiff(t, base, nextSnap)
 	if !d.ViewsChanged {
 		t.Fatal("view drop not recorded")
 	}
@@ -244,7 +270,7 @@ func TestDeltaPatchSmallEdit(t *testing.T) {
 	next := db.WithCertain(0, nr)
 	nextSnap := &Snapshot{Version: 2, DB: next, Views: map[string]string{}}
 
-	d := diffSnapshots(base, nextSnap)
+	d := mustDiff(t, base, nextSnap)
 	if len(d.Certain) != 0 {
 		t.Fatalf("small edit captured %d whole relations, want a patch", len(d.Certain))
 	}
@@ -263,7 +289,7 @@ func TestDeltaPatchSmallEdit(t *testing.T) {
 	nr2.Insert(relation.Tuple{value.Int(-7)})
 	next2 := next.WithCertain(0, nr2)
 	next2Snap := &Snapshot{Version: 3, DB: next2, Views: map[string]string{}}
-	d2 := diffSnapshots(nextSnap, next2Snap)
+	d2 := mustDiff(t, nextSnap, next2Snap)
 	p2 := d2.Patch["A"]
 	if p2 == nil || len(p2.Ins) != 1 || len(p2.Del) != 1 {
 		t.Fatalf("patch = %+v, want one insert and one delete", p2)
@@ -280,7 +306,7 @@ func TestDeltaPatchSmallEdit(t *testing.T) {
 		bulk.Insert(relation.Tuple{value.Int(i)})
 	}
 	next3 := next2.WithCertain(0, bulk)
-	d3 := diffSnapshots(next2Snap, &Snapshot{Version: 4, DB: next3, Views: map[string]string{}})
+	d3 := mustDiff(t, next2Snap, &Snapshot{Version: 4, DB: next3, Views: map[string]string{}})
 	if len(d3.Patch) != 0 || len(d3.Certain) != 1 {
 		t.Fatalf("bulk rewrite produced patch=%v certain=%d, want whole-relation capture", d3.Patch, len(d3.Certain))
 	}
@@ -371,7 +397,7 @@ func TestDeltaEmptyOnNoChange(t *testing.T) {
 	db := deltaDB()
 	db.Components = []wsd.DBComponent{compOf(db, 1, "A", 10)}
 	snap := &Snapshot{Version: 1, DB: db, Views: map[string]string{}}
-	if d := diffSnapshots(snap, snap); !d.isEmpty() {
+	if d := mustDiff(t, snap, snap); !d.isEmpty() {
 		t.Fatalf("self-diff is not empty: %+v", d)
 	}
 }

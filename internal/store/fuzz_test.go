@@ -41,9 +41,10 @@ func fuzzBase() *Snapshot {
 }
 
 // fuzzSeedDeltas diffs fuzzBase against one successor per delta shape:
-// patch + upsert + drop + create, schema change (Full), reorder, views,
-// a deleting patch, a whole-relation capture, a drop alone, and a
-// created component ordered before a survivor.
+// patch + upsert + drop + create, reorder, views, a deleting patch, a
+// whole-relation capture, a drop alone, a created component ordered
+// before a survivor, a created relation with content and a component,
+// and a dropped relation that shifts a component-bearing one's index.
 func fuzzSeedDeltas(tb testing.TB) [][]byte {
 	base := fuzzBase()
 	db := base.DB
@@ -54,8 +55,6 @@ func fuzzSeedDeltas(tb testing.TB) [][]byte {
 	inc := db.WithCertain(0, edited)
 	inc.Components = []wsd.DBComponent{inc.Components[0], compOf(inc, 2, "B", 20, 21, 22), compOf(inc, 4, "A", 40)}
 	nexts = append(nexts, &Snapshot{DB: inc, Views: base.Views})
-
-	nexts = append(nexts, &Snapshot{DB: db.WithRelation("C", relation.NewSchema("Y", "Z"), nil), Views: base.Views})
 
 	swapped := db.WithCertain(0, db.Certain[0])
 	swapped.Components[0], swapped.Components[1] = swapped.Components[1], swapped.Components[0]
@@ -80,9 +79,17 @@ func fuzzSeedDeltas(tb testing.TB) [][]byte {
 	created.Components = []wsd.DBComponent{created.Components[0], compOf(created, 5, "B", 50), created.Components[1], created.Components[2]}
 	nexts = append(nexts, &Snapshot{DB: created, Views: base.Views})
 
+	c := relation.New(relation.NewSchema("Y"))
+	c.Insert(relation.Tuple{value.Int(1)})
+	withC := db.WithRelation("C", c.Schema(), c)
+	withC.Components = append(withC.Components, compOf(withC, 6, "C", 60, 61))
+	nexts = append(nexts, &Snapshot{DB: withC, Views: base.Views})
+
+	nexts = append(nexts, &Snapshot{DB: db.DropRelation(0).Normalize(), Views: base.Views})
+
 	var out [][]byte
 	for _, next := range nexts {
-		raw, err := json.Marshal(diffSnapshots(base, next))
+		raw, err := json.Marshal(mustDiff(tb, base, next))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -113,10 +120,17 @@ func FuzzApplyDelta(f *testing.F) {
 
 // TestApplyDeltaCorpusRefused: committed FuzzApplyDelta entries that
 // do not match fuzzBase are refused, not applied leniently — an order
-// naming a component the state lacks, and a patch of the wrong arity.
+// naming a component the state lacks, a patch of the wrong arity, and
+// every malformed relation-list change: a created relation named like a
+// survivor, rows of the wrong arity for one, an attribute listed twice,
+// an upsert naming an unlisted relation, a drop of a relation an
+// untouched component still contributes to, and a drop of a relation
+// the state lacks.
 func TestApplyDeltaCorpusRefused(t *testing.T) {
 	base := fuzzBase()
-	for _, name := range []string{"order-reapply-unknown-id", "patch-arity-mismatch"} {
+	for _, name := range []string{"order-reapply-unknown-id", "patch-arity-mismatch",
+		"new-rels-duplicate-names", "new-rels-arity-mismatch", "new-rels-duplicate-attribute",
+		"upsert-unlisted-relation", "carried-component-on-dropped-relation", "drop-rels-unknown"} {
 		data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzApplyDelta", name))
 		if err != nil {
 			t.Fatal(err)

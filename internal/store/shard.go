@@ -447,17 +447,22 @@ func (c *Catalog) commit(held, ps []int, base *Snapshot, req *commitReq) error {
 		// here too.
 		req.db = overlay(base.DB, req.db, req.wrels, req.wset)
 	}
-	req.ps = ps
-	req.epoch = c.epoch.Add(1)
 	if durable || EditDeltaAudit != nil { // an installed audit sees in-memory commits too
 		sp := req.trace.Child("wal.delta")
+		var err error
 		if req.views != nil {
-			req.delta = diffSnapshots(base, &Snapshot{DB: req.db, Views: req.views})
+			req.delta, err = diffSnapshots(base, &Snapshot{DB: req.db, Views: req.views})
 		} else {
 			req.delta = diffShard(base.DB, req.db, req.wrels, req.wset, req.ins)
 		}
 		sp.End()
+		if err != nil {
+			c.unlockShards(held)
+			return err
+		}
 	}
+	req.ps = ps
+	req.epoch = c.epoch.Add(1)
 	if len(ps) > 1 {
 		defer c.unlockShards(held)
 		if durable {

@@ -53,9 +53,43 @@ func mkTable(tx *Tx, name string) error {
 	return nil
 }
 
-// shardApplier re-executes the "mk <name>" / "ins <table> <v>" records
-// the sharded tests log — the statement-level oracle sweepReference
-// compares delta recovery against.
+// ctasTable stages a CTAS that creates components: a new table name
+// holding one component that chooses one of vals, logged as
+// "ctas <name> <vals...>".
+func ctasTable(tx *Tx, name string, vals ...int64) error {
+	stmt := "ctas " + name
+	for _, v := range vals {
+		stmt += " " + strconv.FormatInt(v, 10)
+	}
+	tx.Log(stmt)
+	db := tx.DB().WithRelation(name, relation.NewSchema("X"), nil)
+	db.Components = append(db.Components, compOf(db, 0, name, vals...))
+	tx.SetDB(db)
+	return nil
+}
+
+// dropTable stages "drop table name", logged as "drop <name>".
+func dropTable(tx *Tx, name string) error {
+	tx.Log("drop " + name)
+	i := tx.DB().IndexOf(name)
+	if i < 0 {
+		return fmt.Errorf("no relation %q", name)
+	}
+	tx.SetDB(tx.DB().DropRelation(i).Normalize())
+	return nil
+}
+
+// mkView stages "create view name as select X from table", logged as
+// "view <name> <table>".
+func mkView(tx *Tx, name, table string) error {
+	tx.Log("view " + name + " " + table)
+	tx.SetView(name, "select X from "+table)
+	return nil
+}
+
+// shardApplier re-executes the "mk", "ctas", "drop", "view" and "ins"
+// records the sharded tests log — the statement-level oracle
+// sweepReference compares delta recovery against.
 func shardApplier(cat *Catalog, rec WALRecord) error {
 	txn := cat.Begin()
 	for _, stmt := range rec.Stmts {
@@ -64,6 +98,17 @@ func shardApplier(cat *Catalog, rec WALRecord) error {
 		switch f[0] {
 		case "mk":
 			err = txn.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, f[1]) })
+		case "ctas":
+			var vals []int64
+			for _, a := range f[2:] {
+				v, _ := strconv.ParseInt(a, 10, 64)
+				vals = append(vals, v)
+			}
+			err = txn.UpdateRouted(nil, func(tx *Tx) error { return ctasTable(tx, f[1], vals...) })
+		case "drop":
+			err = txn.UpdateRouted(nil, func(tx *Tx) error { return dropTable(tx, f[1]) })
+		case "view":
+			err = txn.UpdateRouted(nil, func(tx *Tx) error { return mkView(tx, f[1], f[2]) })
 		case "ins":
 			v, _ := strconv.Atoi(f[2])
 			err = txn.UpdateRouted([]string{f[1]}, func(tx *Tx) error { return insInto(tx, f[1], v) })
@@ -631,13 +676,16 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // TestCrashSweepEveryCutPoint is the crash-recovery acceptance sweep,
-// at one shard and at four: run a workload mixing single-shard commits,
-// an all-shard DDL, a staged transaction rebased over a commit on
-// another relation, a staged transaction over two tables (cross-shard
-// at four shards) and one more commit per participant over per-shard
-// segments, then for every segment and every torn-tail cut point (each
-// line boundary and mid-line) recover the truncated directory. The
-// outcome must be the one an independent reference computes from the
+// at one shard and at four: after a checkpoint holding a component,
+// run a workload mixing single-shard commits, a staged transaction
+// rebased over a commit on another relation, a staged transaction over
+// two tables (cross-shard at four shards), one more commit per
+// participant, and all-shard schema changes — a CTAS creating a
+// component, a create table, a drop that shifts component-bearing
+// relations' indexes, a view — over per-shard segments, then for every
+// segment and every torn-tail cut point (each line boundary and
+// mid-line) recover the truncated directory. The outcome must be the one
+// an independent reference computes from the checkpoint and the
 // surviving records: either the state byte-identical to statement
 // re-execution of the surviving epochs — every cut a crash can produce,
 // including the one that tears the cross-shard transaction's record and
@@ -650,11 +698,30 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 		dir := t.TempDir()
 		cat, wals := openDir(t, dir, nshards)
 		names := shardNames(nshards)
-		for _, n := range append(names, "Z") {
-			if err := cat.UpdateRouted(nil, func(tx *Tx) error { return mkTable(tx, n) }); err != nil {
+		ddl := func(fn func(tx *Tx) error) {
+			t.Helper()
+			if err := cat.UpdateRouted(nil, fn); err != nil {
 				t.Fatal(err)
 			}
 		}
+		for _, n := range append(names, "Z", "Gone") {
+			ddl(func(tx *Tx) error { return mkTable(tx, n) })
+		}
+		// A component-bearing table listed after Gone, in the checkpoint.
+		ddl(func(tx *Tx) error { return ctasTable(tx, "P0", 1, 2) })
+		if err := cat.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := saveBytes(t, cat.Snapshot())
+		// Schema changes, each logged as what it touched: a CTAS creating a
+		// component, a create table, a drop of Gone that shifts the indexes
+		// of P0 and P1 and so of their components, a view, and an insert
+		// into P0 at its shifted index.
+		ddl(func(tx *Tx) error { return ctasTable(tx, "P1", 3, 4, 5) })
+		ddl(func(tx *Tx) error { return mkTable(tx, "W") })
+		ddl(func(tx *Tx) error { return dropTable(tx, "Gone") })
+		ddl(func(tx *Tx) error { return mkView(tx, "V", "P1") })
+		sIns(t, cat, "P0", 7)
 		for k := 0; k < 3; k++ {
 			for _, n := range names {
 				sIns(t, cat, n, k)
@@ -718,7 +785,7 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 				if err := os.WriteFile(segmentPath(cdir, si), data[:cut], 0o644); err != nil {
 					t.Fatal(err)
 				}
-				want, lastEpoch, orphan := sweepReference(t, cdir, nshards)
+				want, lastEpoch, orphan := sweepReference(t, ckpt, cdir, nshards)
 				if orphan != nil {
 					before := dirFiles(t, cdir)
 					re := openRefused(t, cdir, nshards)
@@ -759,17 +826,19 @@ func TestCrashSweepEveryCutPoint(t *testing.T) {
 }
 
 // sweepReference independently computes what recovery must do with a
-// (possibly truncated) segment directory: scan each segment, take one
+// (possibly truncated) segment directory whose checkpoint is ckpt (the
+// Save of the checkpointed snapshot): scan each segment, take one
 // record per epoch with its participants from the record (the segment's
 // shard when it lists none), then walk them in epoch order keeping the
-// last epoch applied per shard. An epoch whose staged-on version on some
-// participant is not that shard's last applied epoch is an orphan —
-// recovery must refuse, naming it (returned as a RecoveryError value,
-// Reason unset). Otherwise every record is re-executed by statement on a
-// fresh catalog, and the resulting state and last epoch are what
-// recovery must reach by delta. A deliberate reimplementation of the
-// recovery contract, not a call into it.
-func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64, *RecoveryError) {
+// last epoch applied per shard, starting at the checkpoint's. An epoch
+// whose staged-on version on some participant (or the checkpoint's, if
+// later) is not that shard's last applied epoch is an orphan — recovery
+// must refuse, naming it (returned as a RecoveryError value, Reason
+// unset). Otherwise every record is re-executed by statement on a
+// catalog loaded from ckpt, and the resulting state and last epoch are
+// what recovery must reach by delta. A deliberate reimplementation of
+// the recovery contract, not a call into it.
+func sweepReference(t *testing.T, ckpt []byte, dir string, nshards int) ([]byte, uint64, *RecoveryError) {
 	t.Helper()
 	type er struct {
 		stmts []string
@@ -799,16 +868,24 @@ func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64, *Rec
 		order = append(order, v)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	ref := NewSharded(nil, nshards)
-	last := ref.Snapshot().Version
+	ref, err := Load(bytes.NewReader(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Reshard(nshards)
+	base := ref.Snapshot().Version
+	last := base
 	at := make([]uint64, nshards) // last epoch applied per shard
 	for p := range at {
-		at[p] = last
+		at[p] = base
 	}
 	for _, v := range order {
 		e := epochs[v]
+		if v <= base {
+			continue // in the checkpoint already
+		}
 		for i, p := range e.parts {
-			if e.prev[i] != at[p] {
+			if max(e.prev[i], base) != at[p] {
 				return nil, 0, &RecoveryError{Shard: p, Epoch: v}
 			}
 		}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"worldsetdb/internal/wsd"
@@ -256,7 +257,7 @@ func (c *Catalog) refuse(held []int, ce *ConflictError) error {
 // schemaMoved reports a DDL or view change between base and head: every
 // transaction conflicts with one.
 func schemaMoved(base, head *Snapshot) *ConflictError {
-	if sameSchema(base.DB, head.DB) && sameViews(base.Views, head.Views) {
+	if sameSchema(base.DB, head.DB) && maps.Equal(base.Views, head.Views) {
 		return nil
 	}
 	return &ConflictError{Base: base.Version, Current: head.Version}

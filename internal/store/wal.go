@@ -21,15 +21,16 @@ import (
 // saves. The log is one segment per shard (wal-<shard>.log under the
 // WAL directory). Every committed transaction appends exactly one
 // record — the commit epoch, its participant shards with the version it
-// was staged on at each, a page delta (delta.go) describing the commit's
-// effect on durable state, and the I-SQL statement texts that produced
-// it — to the segment of its lowest participant shard, and fsyncs it
-// before the version becomes visible (see commit in shard.go). Segments
-// stay per shard so group commit and fsync run in parallel on disjoint
-// shards; the checkpoint they are replayed over is one page file at
-// every shard count. Recovery (Open) loads that checkpoint, merges the
-// segments by epoch and replays the tail by patching each record's
-// delta straight into the decomposition. A record replays only if it
+// was staged on at each, a page delta (delta.go) of what it touched
+// (for a schema change too: never the rest of the catalog), and the
+// I-SQL statement texts that produced it — to the segment of its lowest
+// participant shard, and fsyncs it before the version becomes visible
+// (see commit in shard.go). Segments stay per shard so group commit and
+// fsync run in parallel on disjoint shards; the checkpoint they are
+// replayed over is one page file at every shard count. Recovery (Open)
+// loads that checkpoint, merges the segments by epoch and replays the
+// tail by patching each record's delta straight into the
+// decomposition. A record replays only if it
 // links: on every participant shard it was staged on exactly the
 // version recovery has reached there (prev). Anything else — a broken
 // link, a record without a delta, a delta that does not apply, a record
@@ -41,7 +42,7 @@ import (
 // # On-disk format
 //
 // One JSON object per line:
-// {"f":2,"v":<epoch>,"stmts":[...],"parts":[...],"prev":[...],
+// {"f":3,"v":<epoch>,"stmts":[...],"parts":[...],"prev":[...],
 // "delta":{...},"crc":<sum>}, where f is the log format (walFormat),
 // parts is omitted when the commit has one participant — the shard whose
 // segment holds it — and crc is the IEEE CRC-32 of the record content
@@ -54,8 +55,9 @@ import (
 
 // walFormat is the log format this build writes and reads. Logs of
 // other formats are refused: recover them with the build that wrote
-// them and shut it down cleanly, which leaves the segments empty.
-const walFormat = 2
+// them and shut it down cleanly, which leaves the segments empty. Format
+// 2 logged a schema change as the whole catalog ("full"); 3 as a patch.
+const walFormat = 3
 
 // WALRecord is one committed transaction in the log.
 type WALRecord struct {

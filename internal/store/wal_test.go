@@ -705,6 +705,14 @@ var twoPhaseSegments = [4]string{
 `,
 }
 
+// format2Segment is a wal-0.log as the build before format 3 wrote it
+// (captured from that build): a create table logged as a "full" delta of
+// the whole catalog, then a routed insert. Under format 3's reader the
+// full record would decode as a wrong patch, so the format is refused.
+const format2Segment = `{"f":2,"v":2,"stmts":["mk T"],"prev":[1],"delta":{"full":true,"names":["T"],"schemas":[["X"]],"vch":true},"crc":3288191478}
+{"f":2,"v":3,"stmts":["ins T 1"],"prev":[2],"delta":{"certain":{"T":[[1]]}},"crc":3040713853}
+`
+
 // dirFiles reads every file of dir, by name.
 func dirFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()
@@ -743,7 +751,8 @@ func refusedAsFound(t *testing.T, dir string, nshards, shard int, epoch uint64) 
 // shard and epoch named, never replayed and never cut as a torn tail:
 // the single wal.log of the builds before per-shard segments, records
 // without per-shard links (here with a hole), records without deltas,
-// and a directory of stage and marker records. Recovering it is the
+// a directory of stage and marker records, and a CRC-valid format-2
+// segment whose schema change is a whole-catalog delta. Recovering it is the
 // writing build's job; a clean shutdown there leaves empty segments,
 // which open.
 func TestOldLogsRefused(t *testing.T) {
@@ -760,6 +769,7 @@ func TestOldLogsRefused(t *testing.T) {
 		"gap in a link-less log":   {map[string]string{"wal-0.log": lines[0] + lines[2]}, 1},
 		"statements only":          {map[string]string{"wal-0.log": stmtsOnly}, 1},
 		"stage and marker records": {map[string]string{"wal-0.log": twoPhaseSegments[0], "wal-1.log": twoPhaseSegments[1], "wal-2.log": twoPhaseSegments[2], "wal-3.log": twoPhaseSegments[3]}, 4},
+		"format 2 full delta":      {map[string]string{"wal-0.log": format2Segment}, 1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
