@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"testing"
 
+	"worldsetdb/internal/datagen"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/value"
 	"worldsetdb/internal/worldset"
@@ -18,7 +19,17 @@ import (
 // 3 worlds, not 2^40.
 func boundedCatalog(t *testing.T) *Session {
 	t.Helper()
-	s := FromDB([]string{"Census"}, []*relation.Relation{pipelineCensus()})
+	s := boundedCatalogOver(t, pipelineCensus())
+	if got, want := s.Worlds().String(), "3298534883328"; got != want { // 3 * 2^40
+		t.Fatalf("catalog worlds = %s, want %s", got, want)
+	}
+	return s
+}
+
+// boundedCatalogOver is boundedCatalog over the given census, repaired.
+func boundedCatalogOver(t *testing.T, census *relation.Relation) *Session {
+	t.Helper()
+	s := FromDB([]string{"Census"}, []*relation.Relation{census})
 	s.Stats = NewExecStats()
 	for _, sql := range censusPipeline[:2] {
 		mustExec(t, s, sql)
@@ -28,9 +39,6 @@ func boundedCatalog(t *testing.T) *Session {
 		mustExec(t, s, "insert into Tiny values ("+v+");")
 	}
 	mustExec(t, s, "create table Pick as select * from Tiny choice of V;")
-	if got, want := s.Worlds().String(), "3298534883328"; got != want { // 3 * 2^40
-		t.Fatalf("catalog worlds = %s, want %s", got, want)
-	}
 	return s
 }
 
@@ -39,7 +47,8 @@ func boundedCatalog(t *testing.T) *Session {
 // catalog by enumerating only the dependent component — the bugfix this
 // test pins. The same aggregate over the 40-component repair region
 // still refuses, with the budget error reporting the dependent cost
-// (2^40), not the catalog's total world count (3 * 2^40).
+// (2^40), not the catalog's total world count (3 * 2^40). And the
+// bounded sum allocates no more here than beside 2^10 repair worlds.
 func TestBoundedAggregateWorldCountIndependent(t *testing.T) {
 	s := boundedCatalog(t)
 
@@ -87,6 +96,15 @@ func TestBoundedAggregateWorldCountIndependent(t *testing.T) {
 	}
 	if snap.Legacy != 3 || snap.LegacyOps["aggregation"] != 3 {
 		t.Fatalf("stats legacy = %d (ops %v), want 3 aggregation", snap.Legacy, snap.LegacyOps)
+	}
+
+	sum := func(s *Session) float64 {
+		return testing.AllocsPerRun(20, func() { mustExec(t, s, "select sum(V) as S from Pick;") })
+	}
+	small, large := sum(boundedCatalogOver(t, datagen.Census(120, 10, 7))), sum(s)
+	t.Logf("bounded sum allocations: %.0f beside 2^10 repair worlds, %.0f beside 2^40", small, large)
+	if large > 1.1*small {
+		t.Errorf("bounded sum allocates %.0f beside 2^40 repair worlds, %.0f beside 2^10: it grows with the catalog", large, small)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"worldsetdb/internal/datagen"
 	"worldsetdb/internal/relation"
+	"worldsetdb/internal/rewrite"
 	"worldsetdb/internal/store"
 	"worldsetdb/internal/value"
 )
@@ -14,7 +15,10 @@ import (
 // TestExecuteParamBindsCachedPlan: a parameterized EXECUTE binds into
 // the memoized compiled plan — the plan compiles once and every
 // execution (whatever the arguments) reuses it, staying on the
-// compiled-engine path.
+// compiled-engine path, with no rewrite search. The same select with the
+// argument written in re-runs analysis, compilation and the search on
+// every call, and a bound call allocates at most two thirds of what it
+// does.
 func TestExecuteParamBindsCachedPlan(t *testing.T) {
 	s := FromDB([]string{"Census"}, []*relation.Relation{datagen.PaperCensus()})
 	mustScript(t, s,
@@ -45,6 +49,37 @@ func TestExecuteParamBindsCachedPlan(t *testing.T) {
 	}
 	if got := p.Compiles(); got != 1 {
 		t.Fatalf("plan compiled %d times across 3 parameterized executions, want 1", got)
+	}
+	parse := func(sql string) Statement {
+		st, err := Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	bound, written := parse("execute q('NYC');"), parse("select certain Name from Clean where POB = 'NYC';")
+	run := func(st Statement) func() {
+		return func() {
+			if _, err := s.Exec(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		st     Statement
+		search bool
+	}{{"written-in", written, true}, {"bound", bound, false}} {
+		before := rewrite.SearchExpanded.Value()
+		run(c.st)()
+		if expanded := rewrite.SearchExpanded.Value() - before; (expanded > 0) != c.search {
+			t.Errorf("%s call expanded %d rewrite candidates; want a search: %v", c.name, expanded, c.search)
+		}
+	}
+	recompiled, rebound := testing.AllocsPerRun(20, run(written)), testing.AllocsPerRun(20, run(bound))
+	t.Logf("allocations per call: written-in %.0f, bound %.0f", recompiled, rebound)
+	if 3*rebound > 2*recompiled {
+		t.Errorf("bound EXECUTE allocates %.0f per call, over two thirds of the written-in select's %.0f", rebound, recompiled)
 	}
 	// DML must not recompile either (fingerprint pins the schema, not the
 	// data); DDL must recompile exactly once.

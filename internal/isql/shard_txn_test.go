@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"worldsetdb/internal/store"
@@ -179,5 +180,52 @@ func TestShardedEpochNotReusedAfterRollback(t *testing.T) {
 	defer closeWALs(wals3)
 	if got := rawSnapBytes(t, cat3.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatalf("acknowledged commit lost behind a rolled-back epoch\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestScatterReadCostsNoMore: selects over eight choice tables spread
+// round-robin over 4 shards, plus a cross-shard join, answer as on one
+// shard and allocate at most 1/0.7 of what they do there.
+func TestScatterReadCostsNoMore(t *testing.T) {
+	var allocs []float64
+	var answers []string
+	for _, nshards := range []int{1, 4} {
+		cat := store.NewSharded(nil, nshards)
+		s := FromCatalog(cat)
+		var reads []string
+		for ti, i := 0, 0; ti < 8; i++ {
+			tbl := fmt.Sprintf("B%d", i)
+			if cat.ShardOf(tbl) != ti%nshards {
+				continue
+			}
+			mustExec(t, s, fmt.Sprintf("create table %s (A);", tbl))
+			for v := 0; v < 6; v++ {
+				mustExec(t, s, fmt.Sprintf("insert into %s values (%d);", tbl, v+10*ti))
+			}
+			mustExec(t, s, fmt.Sprintf("create table P%d as select * from %s choice of A;", ti, tbl))
+			reads = append(reads, fmt.Sprintf("select possible A from P%d;", ti))
+			ti++
+		}
+		reads = append(reads, "select certain X.A from P0 X, P1 Y where X.A = Y.A;")
+		var b strings.Builder
+		for _, sql := range reads {
+			for _, a := range mustExec(t, s, sql).Answers {
+				b.WriteString(a.ContentKey())
+			}
+		}
+		answers = append(answers, b.String())
+		a := testing.AllocsPerRun(10, func() {
+			for _, sql := range reads {
+				mustExec(t, s, sql)
+			}
+		})
+		t.Logf("shards=%d: %.0f allocations per pass", nshards, a)
+		allocs = append(allocs, a)
+	}
+	if answers[0] != answers[1] {
+		t.Error("scattered reads answer differently at 4 shards than at 1")
+	}
+	if 0.7*allocs[1] > allocs[0] {
+		t.Errorf("scattered reads allocate %.0f at 4 shards, %.0f at 1: over 1/0.7 as much", allocs[1], allocs[0])
 	}
 }

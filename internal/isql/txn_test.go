@@ -14,6 +14,7 @@ import (
 
 	"worldsetdb/internal/datagen"
 	"worldsetdb/internal/relation"
+	"worldsetdb/internal/rewrite"
 	"worldsetdb/internal/store"
 	"worldsetdb/internal/value"
 )
@@ -517,6 +518,66 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 			t.Fatal("checkpoint + tail recovery differs from last committed state")
 		}
 	})
+}
+
+// TestRecoveryPatchesNotReexecutes: recovery replays a logged analytic
+// CTAS — the §2 what-if analysis: choice-of worlds, a not-in subquery,
+// grouped aggregation — by patching its delta into the catalog, never
+// by evaluating it again: replaying the log of a drop and a re-create
+// runs no rewrite search and allocates under a quarter of what
+// executing them does.
+func TestRecoveryPatchesNotReexecutes(t *testing.T) {
+	const rounds = 4
+	const whatIf = `create table YearQuantity as
+		select A.Year, sum(A.Price) as Revenue
+		from (select * from Lineitem choice of Year) as A
+		where Quantity not in (select * from Lineitem choice of Quantity)
+		group by A.Year;`
+	dir := t.TempDir()
+	closeAll := func(cat *store.Catalog, wals []*store.WAL) {
+		closeWALs(wals)
+		cat.Pager().Close()
+	}
+	cat, wals := openStoreDir(t, dir, 1)
+	s := FromCatalog(cat)
+	var ins strings.Builder
+	ins.WriteString("insert into Lineitem values")
+	sep := " "
+	datagen.Lineitem(20, 3, 4, 42).Each(func(tp relation.Tuple) {
+		fmt.Fprintf(&ins, "%s('%s', %d, %d, %d)", sep, tp[0].AsString(), tp[1].AsInt(), tp[2].AsInt(), tp[3].AsInt())
+		sep = ", "
+	})
+	mustScript(t, s, "create table Lineitem (Product, Quantity, Price, Year);", ins.String()+";", whatIf)
+	if err := cat.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	closeAll(cat, wals)
+	base := testing.AllocsPerRun(3, func() { closeAll(openStoreDir(t, dir, 1)) }) // an empty tail
+
+	cat, wals = openStoreDir(t, dir, 1)
+	s = FromCatalog(cat)
+	exec := testing.AllocsPerRun(rounds, func() { mustScript(t, s, "drop table YearQuantity;", whatIf) })
+	want := cat.Snapshot().Version
+	closeAll(cat, wals) // the tail holds 1+rounds drop/create pairs
+
+	before := rewrite.SearchExpanded.Value()
+	var got uint64
+	replay := testing.AllocsPerRun(3, func() {
+		c, w := openStoreDir(t, dir, 1)
+		got = c.Snapshot().Version
+		closeAll(c, w)
+	})
+	if got != want {
+		t.Fatalf("recovery reached v%d, want v%d", got, want)
+	}
+	if expanded := rewrite.SearchExpanded.Value() - before; expanded != 0 {
+		t.Errorf("recovery expanded %d rewrite candidates: it evaluated a logged statement", expanded)
+	}
+	perPair := (replay - base) / (rounds + 1)
+	t.Logf("allocations: executing a drop + what-if CTAS %.0f, replaying its records %.0f", exec, perPair)
+	if 4*perPair > exec {
+		t.Errorf("replaying a drop + what-if CTAS allocates %.0f, over a quarter of executing it (%.0f)", perPair, exec)
+	}
 }
 
 // TestWALLiteralRoundTrip pins the literal-rendering invariant the

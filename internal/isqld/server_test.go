@@ -497,7 +497,7 @@ func TestPrepareExecuteEndpoints(t *testing.T) {
 
 // BenchmarkPreparedVsExec compares parse-per-request /exec with cached
 // /execute for the same analytical query — the prepared path must stay
-// well ahead (wsabench TXN pins the ratio).
+// well ahead (TestPreparedExecuteSkipsCompile pins it as a count).
 func BenchmarkPreparedVsExec(b *testing.B) {
 	cat := store.FromComplete([]string{"Census"}, []*relation.Relation{datagen.PaperCensus()})
 	ts := serveCat(b, cat)

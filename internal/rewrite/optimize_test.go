@@ -154,6 +154,38 @@ func TestFigure9Rewrite(t *testing.T) {
 	}
 }
 
+// TestPrunedSearchExpandsLess: over the Figure 8 and 9 queries, the
+// served search (selections pushed, then best-first rewriting on
+// decomposition statistics) with its branch-and-bound bound expands at
+// most 1/1.3 of the candidates the exhaustive search does, and picks
+// plans no costlier.
+func TestPrunedSearchExpandsLess(t *testing.T) {
+	env := tripEnv()
+	st := Stats{
+		"HFlights": {Certain: 500, Alternative: 140, Components: 40},
+		"Hotels":   {Certain: 20},
+	}
+	search := func(noPrune bool) (expanded int, cost float64) {
+		for _, q := range []wsa.Expr{figure8Q1(), figure9Q2()} {
+			var ss SearchStats
+			best, _ := OptimizeOpts(PushSelections(q, env), env, false,
+				&Options{MaxExpansions: 200, MaxSize: 60, Stats: st, NoPrune: noPrune, Search: &ss})
+			expanded += ss.Expanded
+			cost += CostOn(best, st)
+		}
+		return expanded, cost
+	}
+	pruned, prunedCost := search(false)
+	exhaustive, exhaustiveCost := search(true)
+	t.Logf("expanded: pruned %d, exhaustive %d", pruned, exhaustive)
+	if prunedCost > exhaustiveCost {
+		t.Errorf("pruning changed the chosen plans: cost %.1f pruned vs %.1f exhaustive", prunedCost, exhaustiveCost)
+	}
+	if 1.3*float64(pruned) > float64(exhaustive) {
+		t.Errorf("pruned search expanded %d candidates, exhaustive %d: under 1.3x fewer", pruned, exhaustive)
+	}
+}
+
 // TestOptimizePreservesSemantics fuzzes the whole optimizer: for a zoo
 // of queries, the optimized plan must agree with the original on random
 // inputs (multi-world inputs with the CompleteOnly rules disabled,

@@ -1,9 +1,10 @@
-// Package uldb implements the minimal fragment of ULDBs (databases with
-// uncertainty and lineage, the Trio data model) needed to reproduce
-// Remark 4.6 of the paper: x-relations whose x-tuples have alternatives,
-// optional '?' (maybe) markers, and lineage pointing to alternatives of
-// other x-tuples; plus the TriQL horizontal-selection query that
-// witnesses TriQL's lack of genericity.
+// Package uldb reproduces Remark 4.6 of the paper as a test: it holds
+// only test files. This one models the minimal fragment of ULDBs
+// (databases with uncertainty and lineage, the Trio data model) the
+// remark needs — x-relations whose x-tuples have alternatives, optional
+// '?' (maybe) markers, and lineage pointing to alternatives of other
+// x-tuples — plus the TriQL horizontal-selection query that witnesses
+// TriQL's lack of genericity.
 package uldb
 
 import (

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"worldsetdb/internal/datagen"
+	"worldsetdb/internal/obs"
 	"worldsetdb/internal/ra"
 	"worldsetdb/internal/randquery"
 	"worldsetdb/internal/relation"
@@ -199,17 +200,32 @@ func TestMergeTornBudget(t *testing.T) {
 // of the two components R and S depend on however many spectators sit
 // beside them — at 3 spectators the result equals the reference over the
 // full expansion, at 38 (12·2^38 worlds) it still answers, and the
-// spectators come back as the components they were.
+// spectators come back as the components they were. Neither the
+// fallback nor the native merge allocates more at 38 spectators than
+// at 3.
 func TestFallbackEnumeratesDependentRegion(t *testing.T) {
+	var merge, fallback []float64
 	for _, spect := range []int{3, 38} {
 		db, q := tornDB(t, spect)
-		out, plan, err := EvalOpts(q, db, &Options{NoMerge: true, ExpandBudget: 12})
+		fbOpts := &Options{NoMerge: true, ExpandBudget: 12}
+		tr := obs.NewTrace("test")
+		traced := *fbOpts
+		traced.Trace = tr
+		out, plan, err := EvalOpts(q, db, &traced)
 		if err != nil {
 			t.Fatalf("%d spectators: %v", spect, err)
 		}
 		if plan.Native || plan.FallbackOp == "" || plan.FallbackEngine != "reference" {
 			t.Fatalf("%d spectators: expected a reference-engine fallback, got %v", spect, plan)
 		}
+		if fb := spansNamed(tr, "fallback"); len(fb) != 1 || spanInt(t, fb[0], "components") != 2 {
+			t.Fatalf("%d spectators: want one fallback over the 2 coupled components, got %d spans", spect, len(fb))
+		}
+		mergeOpts := &Options{NoFallback: true}
+		m := testing.AllocsPerRun(20, func() { EvalOpts(q, db, mergeOpts) })
+		f := testing.AllocsPerRun(20, func() { EvalOpts(q, db, fbOpts) })
+		t.Logf("%d spectators: merge %.0f, fallback %.0f allocations", spect, m, f)
+		merge, fallback = append(merge, m), append(fallback, f)
 		if out.Worlds().Cmp(db.Worlds()) != 0 || len(out.Components) > len(db.Components) {
 			t.Fatalf("%d spectators: output has %s worlds in %d components, input %s in %d",
 				spect, out.Worlds(), len(out.Components), db.Worlds(), len(db.Components))
@@ -232,5 +248,9 @@ func TestFallbackEnumeratesDependentRegion(t *testing.T) {
 		if !got.EqualWorlds(want) {
 			t.Fatalf("%d spectators: fallback disagrees with reference\ngot:\n%s\nwant:\n%s", spect, got, want)
 		}
+	}
+	if merge[1] > 1.1*merge[0] || fallback[1] > 1.1*fallback[0] {
+		t.Errorf("allocations at 3 vs 38 spectators: merge %.0f vs %.0f, fallback %.0f vs %.0f; they grow with the spectators",
+			merge[0], merge[1], fallback[0], fallback[1])
 	}
 }

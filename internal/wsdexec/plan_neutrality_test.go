@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"worldsetdb/internal/datagen"
+	"worldsetdb/internal/obs"
 	"worldsetdb/internal/randquery"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/value"
@@ -85,7 +86,9 @@ func TestPlanChoiceNeutralitySweep(t *testing.T) {
 // product chain written largest-first, over a decomposition mixing
 // certain and alternative pieces, must be reordered by the stats
 // planner and still expand to exactly the world-set the written order
-// produces.
+// produces. The written order materializes |Big × Mid| again for every
+// trailing relation; the ordered chain builds the small prefix first and
+// its products materialize at most 1/1.2 of the rows.
 func TestReorderNeutralityChain(t *testing.T) {
 	names := []string{"Big", "Mid", "U", "One"}
 	schemas := []relation.Schema{
@@ -112,19 +115,32 @@ func TestReorderNeutralityChain(t *testing.T) {
 	for _, n := range names[1:] {
 		chain = wsa.NewProduct(chain, &wsa.Rel{Name: n})
 	}
-	ordered, orderedPlan, err := EvalOpts(chain, db, nil)
+	// productRows sums the rows the chain's products materialized.
+	productRows := func(tr *obs.Span) (rows int64) {
+		for _, sp := range spansNamed(tr, "op:product") {
+			rows += spanInt(t, sp, "rows")
+		}
+		return rows
+	}
+	orderedTrace, writtenTrace := obs.NewTrace("test"), obs.NewTrace("test")
+	ordered, orderedPlan, err := EvalOpts(chain, db, &Options{Trace: orderedTrace})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !orderedPlan.Reordered {
 		t.Fatalf("stats planner did not reorder the chain: %v", orderedPlan)
 	}
-	written, writtenPlan, err := EvalOpts(chain, db, &Options{NoReorder: true})
+	written, writtenPlan, err := EvalOpts(chain, db, &Options{NoReorder: true, Trace: writtenTrace})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if writtenPlan.Reordered {
 		t.Fatalf("NoReorder arm reports a reorder: %v", writtenPlan)
+	}
+	orderedRows, writtenRows := productRows(orderedTrace), productRows(writtenTrace)
+	t.Logf("rows materialized by products: ordered %d, written %d", orderedRows, writtenRows)
+	if 1.2*float64(orderedRows) > float64(writtenRows) {
+		t.Errorf("ordered chain materialized %d rows, written order %d: under 1.2x fewer", orderedRows, writtenRows)
 	}
 	wsO, err := ordered.Expand(1 << 20)
 	if err != nil {

@@ -2,15 +2,58 @@ package wsdexec
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
+	"worldsetdb/internal/datagen"
 	"worldsetdb/internal/obs"
 	"worldsetdb/internal/ra"
 	"worldsetdb/internal/relation"
+	"worldsetdb/internal/rewrite"
 	"worldsetdb/internal/value"
 	"worldsetdb/internal/wsa"
 	"worldsetdb/internal/wsd"
 )
+
+// spansNamed returns every span named name in the tree under root.
+func spansNamed(root *obs.Span, name string) []*obs.Span {
+	var out []*obs.Span
+	var walk func(*obs.Span)
+	walk = func(sp *obs.Span) {
+		if sp.Name == name {
+			out = append(out, sp)
+		}
+		for _, c := range sp.Children() {
+			walk(c)
+		}
+	}
+	walk(root)
+	return out
+}
+
+// spanAttr returns the span's annotation key ("" when absent).
+func spanAttr(sp *obs.Span, key string) string {
+	for _, a := range sp.SortedAttrs() {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return ""
+}
+
+// spanInt is spanAttr parsed as an integer (0 when absent).
+func spanInt(t *testing.T, sp *obs.Span, key string) int64 {
+	t.Helper()
+	v := spanAttr(sp, key)
+	if v == "" {
+		return 0
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		t.Fatalf("span %s: %s=%q is not an integer", sp.Name, key, v)
+	}
+	return n
+}
 
 // selectAccess evaluates q (a certain answer) traced and returns the
 // answer plus the access attribute of its (single) op:select span.
@@ -21,20 +64,9 @@ func selectAccess(t *testing.T, q wsa.Expr, db *wsd.DecompDB) (answer *relation.
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	var walk func(*obs.Span)
-	walk = func(s *obs.Span) {
-		if s.Name == "op:select" {
-			for _, a := range s.SortedAttrs() {
-				if a.Key == "access" {
-					access = a.Val
-				}
-			}
-		}
-		for _, c := range s.Children() {
-			walk(c)
-		}
+	for _, sp := range spansNamed(tr, "op:select") {
+		access = spanAttr(sp, "access")
 	}
-	walk(tr)
 	return out.Certain[len(out.Certain)-1], access
 }
 
@@ -127,5 +159,35 @@ func TestRenameSharesIndexCache(t *testing.T) {
 	}
 	if a, b := r.WithSchema(relation.NewSchema("P", "Q")).IndexOn([]int{1}), r.IndexOn([]int{1}); a != b {
 		t.Fatal("a relation and its rename must share one cached index per column list")
+	}
+}
+
+// TestPointSelectTouchesWhatItSelects: a point select over the stored
+// census repair (2^40 worlds) probes the certain part's cached index and
+// scans only the small alternative pieces. The tuples it touches do not
+// grow with the table, and are under a third of the table's.
+func TestPointSelectTouchesWhatItSelects(t *testing.T) {
+	var touched []int64
+	for _, rows := range []int{1000, 4000} {
+		db := datagen.CensusRepairDecomp(rows, 40, 3)
+		q := rewrite.Prelower(wsa.NewPoss(&wsa.Select{
+			Pred: ra.EqConst("SSN", value.Int(100517)), From: &wsa.Rel{Name: "Clean"}}), wsa.NewEnv(db.Names, db.Schemas))
+		tr := obs.NewTrace("test")
+		if _, plan, err := EvalOpts(q, db, &Options{NoRewrite: true, NoFallback: true, Trace: tr}); err != nil || !plan.Native {
+			t.Fatalf("rows=%d: point select not native: %v %v", rows, plan, err)
+		}
+		sel := spansNamed(tr, "op:select")
+		if len(sel) != 1 || spanAttr(sel[0], "access") != "index" {
+			t.Fatalf("rows=%d: want one indexed select, got %d select spans", rows, len(sel))
+		}
+		n := spanInt(t, sel[0], "probed") + spanInt(t, sel[0], "scanned")
+		t.Logf("rows=%d: point select touched %d tuples of %d", rows, n, db.Size())
+		if 3*n > int64(db.Size()) {
+			t.Errorf("rows=%d: point select touched %d tuples, over a third of the table's %d", rows, n, db.Size())
+		}
+		touched = append(touched, n)
+	}
+	if touched[0] != touched[1] {
+		t.Errorf("point select touched %d tuples at 1000 rows and %d at 4000: it grows with the table", touched[0], touched[1])
 	}
 }
