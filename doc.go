@@ -40,10 +40,12 @@
 // DML whose predicate or SET holds a subquery) takes the second arm,
 // the session's world-at-a-time evaluator over the bounded input: only
 // the components contributing to relations the statement mentions are
-// enumerated, under the world budget, and for writes the local result is
-// re-factorized and the untouched components spliced back (wsd.Region —
-// the one enumeration a statement can reach, shared with wsdexec's
-// fallback and the store's engine override). The "legacy" engine is
+// enumerated, under the world budget, over only the relation closure —
+// the mentioned relations plus whatever those components contribute to
+// — and for writes the local result is re-factorized and the untouched
+// relations and components spliced back by pointer (wsd.Region — the
+// one enumeration a statement can reach, shared with wsdexec's fallback
+// and the store's engine override). The "legacy" engine is
 // that same arm with every component counted dependent — the
 // full-expansion reference the differential sweeps hold the splice to.
 //
@@ -275,17 +277,15 @@
 // All engines share an allocation-lean hashing core: tuples, column
 // projections and whole relations hash through 64-bit FNV-1a digests
 // (internal/hashkey) with typed-value verification on collision, not
-// through intermediate key strings. The exceptions are on explicit
-// world-sets, in operators the reference engine and the session's
-// bounded arm share: the listing of a query's distinct answers
-// (wsa.DistinctLast) keys each world's answer relation on
-// Relation.ContentKey, a sorted string that also fixes the output
-// order, and still visits the worlds in WorldSet.Worlds order, which
-// keys every relation of every world (ROADMAP item 1 drops that), and
-// pγ/cγ (wsa.GroupLast) group worlds on the
-// ContentKey of the grouping projection; evalAggregation in the
-// session's world-at-a-time evaluator still builds its group keys as
-// strings (ROADMAP item 1). Relations store rows in hash buckets and
+// through intermediate key strings. The listing of a query's distinct
+// answers (wsa.DistinctLast) visits each world once and de-duplicates
+// the answer relations by their memoized content digest, keying only
+// the distinct answers on Relation.ContentKey, the sorted string that
+// fixes the output order; evalAggregation in the session's
+// world-at-a-time evaluator groups through relation.GroupMap. The
+// exception left on explicit world-sets is pγ/cγ (wsa.GroupLast), which
+// groups worlds on the ContentKey of the grouping projection (ROADMAP
+// item 7(b)). Relations store rows in hash buckets and
 // memoize their content digests (internal/relation), the
 // relational operators join through cached per-column hash indexes
 // (internal/ra), and the factorized engine and the inline decoder fan

@@ -296,8 +296,10 @@ func seedRS(rng *rand.Rand) ([]string, []*relation.Relation, []relation.Schema) 
 // 500+ generated I-SQL statements — fragment selects, joins,
 // group-worlds-by, aggregates (count/sum/min/max, group by),
 // (correlated) subqueries, and interleaved INSERTs and DELETE/UPDATE
-// with tuple-local and subquery predicates — through the native factorized
-// path, the three wsa engines and the legacy engine (the bounded arm
+// with tuple-local and subquery predicates, over a catalog where a
+// created table's components also contribute to a projection of it, so
+// a bounded statement naming one of the two enumerates both — through
+// the native factorized path, the three wsa engines and the legacy engine (the bounded arm
 // over the whole world-set), all required to agree on answers, affected
 // counts and the state after every statement. The native session's
 // accounting must additionally show zero enumeration fallbacks:
@@ -319,6 +321,7 @@ func TestRandomizedSQLAgreement(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			script = append(script, gen.CreateUncertain())
 		}
+		script = append(script, gen.CreateDerived())
 		for j := 0; j < perScript; j++ {
 			script = append(script, gen.Select())
 			switch j % 3 {

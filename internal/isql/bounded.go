@@ -18,9 +18,12 @@ import (
 // the relations its tree mentions, so only the region of the
 // decomposition those relations depend on is enumerated (wsd.Region,
 // the enumeration wsdexec's fallback and the store's engine override
-// share): an aggregate over, or a subquery delete from, one
-// 3-alternative component costs 3 worlds on a 2^40-world catalog, not
-// 2^40. The "legacy" comparison engine is this same arm with every
+// share), and each of its worlds holds only the region's relation
+// closure — the mentioned relations plus whatever the region's
+// components contribute to — never a copy of the rest of the catalog:
+// an aggregate over, or a subquery delete from, one 3-alternative
+// component costs 3 small worlds on a 2^40-world catalog of any width,
+// not 2^40. The "legacy" comparison engine is this same arm with every
 // component in the region (see Session.native).
 
 // stmtRelations records into the set every base relation the statement
@@ -62,13 +65,16 @@ func (s *Session) stmtRelations(st Statement, into map[string]bool) {
 // here) and times all of its work in one exec.bounded span, enumerates
 // the region of base the statement's relations depend on and hands it to
 // eval, which returns the evaluated world-set and, for DML, the number
-// of tuples it modified summed over those worlds. A read (tx nil)
-// answers with the distinct last relations. A write re-factorizes the
-// local result with the components outside the region spliced back,
-// normalizes and stages the catalog on tx — one entangled step never
-// enumerates, or de-factorizes, more than the components the statement
-// reads — and weights the modified count by the worlds each local world
-// stands for.
+// of tuples it modified summed over those worlds. The worlds hold the
+// region's relation closure, not the catalog, so eval finds relations
+// by name, never by catalog index. A read (tx nil) answers with the
+// distinct last relations. A write re-factorizes the local result with
+// the relations outside the closure and the components outside the
+// region spliced back, normalizes and stages the catalog on tx — one
+// entangled step never enumerates, or de-factorizes, more than the
+// components the statement reads — and weights the modified count by
+// the worlds each local world stands for. The closure keeps the local
+// worlds as distinct as the full ones, so that count is exact.
 func (s *Session) execBounded(tx *store.Tx, base *wsd.DecompDB, st Statement, op string,
 	eval func(*worldset.WorldSet) (*worldset.WorldSet, int, error)) (*Result, error) {
 	s.Stats.recordLegacy(op)
@@ -90,11 +96,12 @@ func (s *Session) execBounded(tx *store.Tx, base *wsd.DecompDB, st Statement, op
 	if tx == nil {
 		return &Result{Answers: wsa.DistinctLast(out), Decomp: base}, nil
 	}
-	db, each, err := region.Refactor(out)
+	db, err := region.Refactor(out)
 	if err != nil {
 		return nil, err
 	}
 	db = db.Normalize()
 	tx.SetDB(db)
+	each := region.OutsideWorlds()
 	return &Result{Decomp: db, Affected: satInt(each.Mul(each, big.NewInt(int64(modified))))}, nil
 }

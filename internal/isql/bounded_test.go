@@ -2,6 +2,7 @@ package isql
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -19,17 +20,24 @@ import (
 // 3 worlds, not 2^40.
 func boundedCatalog(t *testing.T) *Session {
 	t.Helper()
-	s := boundedCatalogOver(t, pipelineCensus())
+	s := boundedCatalogOver(t, pipelineCensus(), 0)
 	if got, want := s.Worlds().String(), "3298534883328"; got != want { // 3 * 2^40
 		t.Fatalf("catalog worlds = %s, want %s", got, want)
 	}
 	return s
 }
 
-// boundedCatalogOver is boundedCatalog over the given census, repaired.
-func boundedCatalogOver(t *testing.T, census *relation.Relation) *Session {
+// boundedCatalogOver is boundedCatalog over the given census, repaired,
+// beside wide unrelated certain relations of 1000 rows that no statement
+// names.
+func boundedCatalogOver(t *testing.T, census *relation.Relation, wide int) *Session {
 	t.Helper()
-	s := FromDB([]string{"Census"}, []*relation.Relation{census})
+	names, rels := []string{"Census"}, []*relation.Relation{census}
+	for i := 0; i < wide; i++ {
+		names = append(names, fmt.Sprintf("Other%d", i))
+		rels = append(rels, datagen.Census(1000, 0, int64(i)+8))
+	}
+	s := FromDB(names, rels)
 	s.Stats = NewExecStats()
 	for _, sql := range censusPipeline[:2] {
 		mustExec(t, s, sql)
@@ -48,7 +56,9 @@ func boundedCatalogOver(t *testing.T, census *relation.Relation) *Session {
 // test pins. The same aggregate over the 40-component repair region
 // still refuses, with the budget error reporting the dependent cost
 // (2^40), not the catalog's total world count (3 * 2^40). And the
-// bounded sum allocates no more here than beside 2^10 repair worlds.
+// bounded sum allocates no more here than beside 2^10 repair worlds, nor
+// than beside 16 unrelated certain relations of 1000 rows each: the
+// region's worlds hold the relations it reads, not the catalog's.
 func TestBoundedAggregateWorldCountIndependent(t *testing.T) {
 	s := boundedCatalog(t)
 
@@ -101,10 +111,15 @@ func TestBoundedAggregateWorldCountIndependent(t *testing.T) {
 	sum := func(s *Session) float64 {
 		return testing.AllocsPerRun(20, func() { mustExec(t, s, "select sum(V) as S from Pick;") })
 	}
-	small, large := sum(boundedCatalogOver(t, datagen.Census(120, 10, 7))), sum(s)
-	t.Logf("bounded sum allocations: %.0f beside 2^10 repair worlds, %.0f beside 2^40", small, large)
+	small, large := sum(boundedCatalogOver(t, datagen.Census(120, 10, 7), 0)), sum(s)
+	wide := sum(boundedCatalogOver(t, pipelineCensus(), 16))
+	t.Logf("bounded sum allocations: %.0f beside 2^10 repair worlds, %.0f beside 2^40, %.0f beside 2^40 and 16 unrelated relations",
+		small, large, wide)
 	if large > 1.1*small {
 		t.Errorf("bounded sum allocates %.0f beside 2^40 repair worlds, %.0f beside 2^10: it grows with the catalog", large, small)
+	}
+	if wide > 1.1*large {
+		t.Errorf("bounded sum allocates %.0f beside 16 unrelated 1000-row relations, %.0f without them: it copies what it never reads", wide, large)
 	}
 }
 
@@ -153,6 +168,57 @@ func TestBoundedCTASSplicesIndependentComponents(t *testing.T) {
 	}
 	if len(res.Answers) != 1 || !res.Answers[0].Contains(relation.Tuple{intVal(0)}) {
 		t.Fatalf("Pick/PickTotal disagree in some world: %v", res.Answers)
+	}
+
+	// The relation closure. CleanPOB is Clean projected to SSN and POB,
+	// so each repair component contributes to both; two of the four
+	// duplicated persons have one POB in both alternatives, which then
+	// differ in Clean alone. A statement naming CleanPOB and not Clean
+	// still enumerates Clean beside it: without it those components'
+	// worlds would collapse, a write would drop their Clean
+	// alternatives, and an affected count would be taken over too few
+	// worlds. Each statement — a subquery DELETE, an aggregate CTAS, an
+	// engine fallback — must match the legacy session (every component
+	// enumerated, every relation in every world) in answers, affected
+	// count and the world-set after it, and leave Clean as it was.
+	census := datagen.Census(24, 4, 7)
+	native, legacy := boundedCatalogOver(t, census, 0), boundedCatalogOver(t, census, 0)
+	legacy.Engine = legacyEngine
+	names := func() string {
+		return fmt.Sprint(mustExec(t, native, "select possible Name from Clean;").Answers,
+			mustExec(t, native, "select certain Name from Clean;").Answers)
+	}
+	clean := names()
+	for _, sql := range []string{
+		"create table CleanPOB as select SSN, POB from Clean;",
+		"delete from CleanPOB where SSN in (select SSN from Census where POW = 'LA');",
+		"create table POBCount as select POB, count(*) as N from CleanPOB group by POB;",
+		"create table PickPOB as select * from CleanPOB choice of POB;",
+		"select possible SSN from PickPOB;",
+	} {
+		got, want := mustExec(t, native, sql), mustExec(t, legacy, sql)
+		if got.Affected != want.Affected {
+			t.Fatalf("%s: affected %d, the legacy session %d", sql, got.Affected, want.Affected)
+		}
+		if len(got.Answers) != len(want.Answers) {
+			t.Fatalf("%s: %d answers, the legacy session %d", sql, len(got.Answers), len(want.Answers))
+		}
+		for i := range got.Answers {
+			if got.Answers[i].ContentKey() != want.Answers[i].ContentKey() {
+				t.Fatalf("%s: answer %d = %v, the legacy session %v", sql, i, got.Answers[i], want.Answers[i])
+			}
+		}
+		gw, ww := native.WorldSet(), legacy.WorldSet()
+		if gw == nil || ww == nil || gw.String() != ww.String() {
+			t.Fatalf("%s: state differs from the legacy session's\nnative:\n%v\nlegacy:\n%v", sql, gw, ww)
+		}
+		if got := names(); got != clean {
+			t.Fatalf("%s: Clean's names moved\nbefore: %s\nafter:  %s", sql, clean, got)
+		}
+	}
+	ops := native.Stats.Snapshot()
+	if ops.LegacyOps["expression subquery"] != 1 || ops.LegacyOps["aggregation"] != 1 || ops.Fallbacks != 1 {
+		t.Fatalf("the DELETE and the aggregate must run bounded and the choice-of fall back: %+v", ops)
 	}
 }
 

@@ -347,30 +347,25 @@ func (s *Session) evalAggregation(sel *SelectStmt, info *selectInfo, pre *relati
 	if err != nil {
 		return nil, err
 	}
-	groups := map[string][]relation.Tuple{}
-	var order []string
+	// Groups in first-appearance order, each group's rows in pre.Tuples()
+	// order, so float sums and averages add up in one fixed order. gIdx
+	// is empty, not nil (GroupMap's whole-tuple projection), without a
+	// group-by: every row falls into the one group of the empty key.
+	groups := relation.NewGroupMap(gIdx, 0)
 	for _, t := range pre.Tuples() {
-		var key []byte
-		for _, i := range gIdx {
-			key = t[i].AppendKey(key)
-			key = append(key, 0x1f)
-		}
-		if _, ok := groups[string(key)]; !ok {
-			order = append(order, string(key))
-		}
-		groups[string(key)] = append(groups[string(key)], t)
+		groups.Add(t)
 	}
 	out := relation.New(info.out)
 	// A global aggregate over an empty input produces one row (e.g.
 	// count(*) = 0) only when there is no group-by, matching SQL. The
 	// group must be non-nil: nil marks "no aggregation context".
-	if len(order) == 0 && len(sel.GroupBy) == 0 {
-		order = append(order, "")
-		groups[""] = []relation.Tuple{}
+	all := groups.Groups()
+	if len(all) == 0 && len(sel.GroupBy) == 0 {
+		all = []*relation.Group{{Rows: []relation.Tuple{}}}
 	}
 	defer func() { ctx.groupRows = nil }()
-	for _, key := range order {
-		rows := groups[key]
+	for _, g := range all {
+		rows := g.Rows
 		ctx.groupRows = rows
 		if len(rows) > 0 {
 			ctx.tuple = rows[0]

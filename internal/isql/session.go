@@ -742,7 +742,9 @@ func (s *Session) execMutation(st Statement, table string, exprs []Expr,
 		if op != "" {
 			var err error
 			res, err = s.execBounded(tx, db, st, op, func(ws *worldset.WorldSet) (*worldset.WorldSet, int, error) {
-				out, modified := worldset.New(ws.Names(), ws.Schemas()), 0
+				// The region's worlds hold its relation closure, not the
+				// catalog: the table sits at its own index there.
+				out, modified, li := worldset.New(ws.Names(), ws.Schemas()), 0, ws.IndexOf(table)
 				var evalErr error
 				ws.Each(func(w worldset.World) {
 					if evalErr != nil {
@@ -750,7 +752,7 @@ func (s *Session) execMutation(st Statement, table string, exprs []Expr,
 					}
 					ctx := &evalCtx{session: s, world: w, names: ws.Names(), schemas: ws.Schemas(), schema: schema}
 					nw := append(worldset.World{}, w...)
-					nw[idx], evalErr = mapTuples(ctx, w[idx], rule, func(relation.Tuple) { modified++ })
+					nw[li], evalErr = mapTuples(ctx, w[li], rule, func(relation.Tuple) { modified++ })
 					out.Add(nw)
 				})
 				return out, modified, evalErr

@@ -30,7 +30,8 @@ type sqlTable struct {
 // differential sweeps.
 //
 // Uncertainty enters only through CreateUncertain, which applies
-// choice-of or repair-by-key to certain scans; the generated selects
+// choice-of or repair-by-key to certain scans (CreateDerived projects
+// such a table, sharing its components); the generated selects
 // never put either construct over an uncertain answer, so on the
 // factorized engine every fragment statement must evaluate natively
 // (merging components at worst, never enumerating). A Mutate with a
@@ -75,6 +76,24 @@ func (g *StmtGen) CreateUncertain() string {
 	}
 	g.all = append(g.all, sqlTable{name: name, cols: t.cols, key: key})
 	return fmt.Sprintf("create table %s as select * from %s%s %s;", name, t.name, where, op)
+}
+
+// CreateDerived emits a create-table-as projecting the table the last
+// CreateUncertain created to one of its columns (call it right after
+// one), which evaluates natively: the
+// components of the source then contribute to both tables, and
+// alternatives that differ only in the dropped columns differ only in
+// the source. A statement naming just one of the two must still
+// enumerate both, or it collapses worlds. The projected column is the
+// new table's key, so Mutate never updates it: the table is a set of
+// one-column tuples, and an UPDATE could merge two of them.
+func (g *StmtGen) CreateDerived() string {
+	src := g.all[len(g.all)-1]
+	col := src.cols[g.rng.Intn(len(src.cols))]
+	g.fresh++
+	name := fmt.Sprintf("D%d", g.fresh)
+	g.all = append(g.all, sqlTable{name: name, cols: []string{col}, key: col})
+	return fmt.Sprintf("create table %s as select %s from %s;", name, col, src.name)
 }
 
 // Select emits one random select statement over the known tables.

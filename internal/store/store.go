@@ -383,7 +383,7 @@ func QueryOpts(snap *Snapshot, engine string, q wsa.Expr, opt *wsdexec.Options) 
 	if err != nil {
 		return nil, nil, err
 	}
-	db, _, err := region.Refactor(out)
+	db, err := region.Refactor(out)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -202,26 +202,27 @@ func GroupLast(ws *worldset.WorldSet, kind GroupKind, proj []int, outSchema rela
 }
 
 // DistinctLast lists the distinct last relations of ws — the possible
-// answers of an evaluated query — ordered by content key. It walks
-// Worlds(), which keys every relation of every world although the
-// result's order comes from the answers' own keys: ws.Each would do and
-// is 3–4× faster on aggregate statements, a gain that is ROADMAP item
-// 2(b)'s to claim and measure, so it is not taken here.
+// answers of an evaluated query — ordered by content key. The worlds are
+// visited once each and their answers de-duplicated by the memoised
+// content digest, verified with Equal; only the distinct answers are
+// keyed, for the order.
 func DistinctLast(ws *worldset.WorldSet) []*relation.Relation {
 	k := ws.NumRelations() - 1
-	seen := map[string]*relation.Relation{}
-	for _, w := range ws.Worlds() {
-		seen[w[k].ContentKey()] = w[k]
-	}
-	keys := make([]string, 0, len(seen))
-	for key := range seen {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	res := make([]*relation.Relation, len(keys))
-	for i, key := range keys {
-		res[i] = seen[key]
-	}
+	var res []*relation.Relation
+	byHash := map[uint64][]*relation.Relation{}
+	ws.Each(func(w worldset.World) {
+		r, h := w[k], w[k].ContentHash()
+		for _, seen := range byHash[h] {
+			if seen.Equal(r) {
+				return
+			}
+		}
+		byHash[h] = append(byHash[h], r)
+		res = append(res, r)
+	})
+	// ContentKey is memoised on each relation, so the sort keys each
+	// answer once.
+	sort.Slice(res, func(i, j int) bool { return res[i].ContentKey() < res[j].ContentKey() })
 	return res
 }
 

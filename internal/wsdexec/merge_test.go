@@ -2,6 +2,7 @@ package wsdexec
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -202,11 +203,18 @@ func TestMergeTornBudget(t *testing.T) {
 // full expansion, at 38 (12·2^38 worlds) it still answers, and the
 // spectators come back as the components they were. Neither the
 // fallback nor the native merge allocates more at 38 spectators than
-// at 3.
+// at 3, nor more beside 16 unrelated certain relations of 1000 rows
+// each than without them: the fallback's worlds hold R and S, not the
+// catalog.
 func TestFallbackEnumeratesDependentRegion(t *testing.T) {
 	var merge, fallback []float64
-	for _, spect := range []int{3, 38} {
+	for _, arm := range []struct{ spect, wide int }{{3, 0}, {38, 0}, {38, 16}} {
+		spect := arm.spect
 		db, q := tornDB(t, spect)
+		for i := 0; i < arm.wide; i++ {
+			r := datagen.Census(1000, 0, int64(i)+1)
+			db = db.WithRelation(fmt.Sprintf("Other%d", i), r.Schema(), r)
+		}
 		fbOpts := &Options{NoMerge: true, ExpandBudget: 12}
 		tr := obs.NewTrace("test")
 		traced := *fbOpts
@@ -224,7 +232,7 @@ func TestFallbackEnumeratesDependentRegion(t *testing.T) {
 		mergeOpts := &Options{NoFallback: true}
 		m := testing.AllocsPerRun(20, func() { EvalOpts(q, db, mergeOpts) })
 		f := testing.AllocsPerRun(20, func() { EvalOpts(q, db, fbOpts) })
-		t.Logf("%d spectators: merge %.0f, fallback %.0f allocations", spect, m, f)
+		t.Logf("%d spectators, %d unrelated relations: merge %.0f, fallback %.0f allocations", spect, arm.wide, m, f)
 		merge, fallback = append(merge, m), append(fallback, f)
 		if out.Worlds().Cmp(db.Worlds()) != 0 || len(out.Components) > len(db.Components) {
 			t.Fatalf("%d spectators: output has %s worlds in %d components, input %s in %d",
@@ -252,5 +260,9 @@ func TestFallbackEnumeratesDependentRegion(t *testing.T) {
 	if merge[1] > 1.1*merge[0] || fallback[1] > 1.1*fallback[0] {
 		t.Errorf("allocations at 3 vs 38 spectators: merge %.0f vs %.0f, fallback %.0f vs %.0f; they grow with the spectators",
 			merge[0], merge[1], fallback[0], fallback[1])
+	}
+	if merge[2] > 1.1*merge[1] || fallback[2] > 1.1*fallback[1] {
+		t.Errorf("allocations without vs beside 16 unrelated relations: merge %.0f vs %.0f, fallback %.0f vs %.0f; they grow with the catalog",
+			merge[1], merge[2], fallback[1], fallback[2])
 	}
 }

@@ -347,7 +347,7 @@ func EvalOpts(q wsa.Expr, db *wsd.DecompDB, opt *Options) (*wsd.DecompDB, *Plan,
 	// permanently de-factorize a pipeline: downstream statements keep
 	// paying decomposition-size costs, not world-count costs.
 	rf := fb.Child("refactor")
-	re, _, err := region.Refactor(out)
+	re, err := region.Refactor(out)
 	rf.End()
 	if err != nil {
 		return nil, nil, err
