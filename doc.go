@@ -274,19 +274,18 @@
 //     region: only the components the query's relations depend on are
 //     enumerated, the rest spliced back.
 //
-// All engines share an allocation-lean hashing core: tuples, column
-// projections and whole relations hash through 64-bit FNV-1a digests
-// (internal/hashkey) with typed-value verification on collision, not
-// through intermediate key strings. The listing of a query's distinct
-// answers (wsa.DistinctLast) visits each world once and de-duplicates
-// the answer relations by their memoized content digest, keying only
-// the distinct answers on Relation.ContentKey, the sorted string that
-// fixes the output order; evalAggregation in the session's
-// world-at-a-time evaluator groups through relation.GroupMap. The
-// exception left on explicit world-sets is pγ/cγ (wsa.GroupLast), which
-// groups worlds on the ContentKey of the grouping projection (ROADMAP
-// item 7(b)). Relations store rows in hash buckets and
-// memoize their content digests (internal/relation), the
+// All engines share one equality and an allocation-lean hashing core.
+// internal/value decides when two values are the same: Compare == 0 ⇔
+// AppendKey equal ⇔ Hash equal, for every pair of values, because a
+// value is built in its canonical form. Tuples, column projections,
+// whole relations and worlds hash through 64-bit FNV-1a digests
+// (internal/hashkey) with typed-value verification on collision, and
+// every de-duplication and grouping — of answers, alternatives, worlds
+// by a γ key or a shared prefix, rows by a key — goes through digest
+// plus Equal, not through key strings. Relation.ContentKey, the sorted
+// string, is left only to fix the order of listed answers and worlds
+// (relation.SortByContent, World.Key). Relations store rows in hash
+// buckets and memoize their content digests (internal/relation), the
 // relational operators join through cached per-column hash indexes
 // (internal/ra), and the factorized engine and the inline decoder fan
 // work out across a GOMAXPROCS-sized worker pool (relation/pool.go)

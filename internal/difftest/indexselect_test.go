@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"worldsetdb/internal/ra"
+	"worldsetdb/internal/randquery"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/value"
 	"worldsetdb/internal/wsa"
@@ -64,11 +65,14 @@ func probeDB(rng *rand.Rand) *wsd.DecompDB {
 }
 
 // probeConst draws a selection constant: mostly domain integers, also
-// the equal Float, a string, NULL, the pad value, and numerics a hash
-// probe cannot stand in for (zero as a float, a magnitude past 2^53).
+// the equal Float, a string, NULL, the pad value, and numerics whose
+// equality is easy to get wrong (zero as a float, a magnitude past
+// 2^53, randquery.Numerics).
 func probeConst(rng *rand.Rand) value.Value {
 	k := int64(rng.Intn(6))
 	switch rng.Intn(10) {
+	case 6:
+		return value.Parse(randquery.Numerics[rng.Intn(len(randquery.Numerics))])
 	case 0:
 		return value.Float(float64(k))
 	case 1:

@@ -13,12 +13,10 @@
 // comparison. Hashing is an accelerator here, never a proof of equality.
 //
 // The digest of a value sequence agrees with the equality induced by
-// value.Compare except on the numerics value.Value.Hash documents (−0.0,
-// integers beyond 2^53 against floats, NaN): two tuples with
-// Compare-equal values otherwise fold to the same digest
-// (value.Value.Hash feeds the same tagged encoding as
-// value.Value.AppendKey). Tests in package value and package relation
-// pin this invariant.
+// value.Compare: two tuples with Compare-equal values fold to the same
+// digest, because value.Value.Hash feeds the same tagged encoding as
+// value.Value.AppendKey and Compare == 0 exactly when those encodings
+// are equal. value's FuzzValueEquality pins this invariant.
 package hashkey
 
 const (

@@ -79,16 +79,22 @@ func (e *ParamExpr) String() string { return fmt.Sprintf("$%d", e.N) }
 // (statements persist as their String() rendering). Strings double
 // embedded quotes (SQL convention, understood by the lexer); floats
 // render in plain decimal notation because the lexer has no exponent
-// syntax (strconv's -1 precision keeps the round trip exact).
+// syntax (strconv's -1 precision keeps the round trip exact), with a
+// fraction always, so an integral float re-parses as a float.
 func renderLiteral(v value.Value) string {
 	switch v.Kind() {
 	case value.KindString:
 		return "'" + strings.ReplaceAll(v.AsString(), "'", "''") + "'"
 	case value.KindFloat:
 		f := v.AsFloat()
-		if !math.IsNaN(f) && !math.IsInf(f, 0) {
-			return strconv.FormatFloat(f, 'f', -1, 64)
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			break
 		}
+		s := strconv.FormatFloat(f, 'f', -1, 64)
+		if f == math.Trunc(f) {
+			s += ".0"
+		}
+		return s
 	}
 	return v.String()
 }

@@ -182,34 +182,34 @@ func extendEach(ws *worldset.WorldSet, name string, schema relation.Schema,
 }
 
 // worldGroupKey returns the group-worlds-by key of a world of ws: the
-// content of the grouping query's answer in that world, or of the
-// pre-answer (at preIdx) projected to the grouping attributes.
-func (s *Session) worldGroupKey(gw *GroupWorldsClause, ws *worldset.WorldSet, preIdx int) func(worldset.World) (string, error) {
+// grouping query's answer in that world, or the pre-answer (at preIdx)
+// projected to the grouping attributes.
+func (s *Session) worldGroupKey(gw *GroupWorldsClause, ws *worldset.WorldSet, preIdx int) func(worldset.World) (worldset.World, error) {
 	names, schemas := ws.Names(), ws.Schemas()
-	return func(w worldset.World) (string, error) {
+	return func(w worldset.World) (worldset.World, error) {
 		switch {
 		case gw == nil:
-			return "", nil
+			return nil, nil
 		case gw.Query != nil:
 			single := worldset.New(names, schemas)
 			single.Add(w)
 			res, err := s.evalSelect(gw.Query, single, nil)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
 			// One input world: its answers are as many as its worlds.
 			answers := wsa.DistinctLast(res)
 			if len(answers) != 1 {
-				return "", fmt.Errorf("isql: group-worlds-by query must not create worlds")
+				return nil, fmt.Errorf("isql: group-worlds-by query must not create worlds")
 			}
-			return answers[0].ContentKey(), nil
+			return worldset.World{answers[0]}, nil
 		}
 		attrs := refNames(gw.Attrs)
 		idx, err := schemas[preIdx].Indexes(attrs)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		return w[preIdx].Project(idx, relation.NewSchema(attrs...)).ContentKey(), nil
+		return worldset.World{w[preIdx].Project(idx, relation.NewSchema(attrs...))}, nil
 	}
 }
 
@@ -392,34 +392,26 @@ func (s *Session) evalDivision(sel *SelectStmt, info *selectInfo, pre, div *rela
 	preRows := pre.Tuples()
 
 	// Candidate outputs with their witness rows.
-	type cand struct {
-		out  relation.Tuple
-		rows []relation.Tuple
-	}
-	cands := map[string]*cand{}
+	cands := relation.NewGroupMap(nil, len(preRows))
+	witnesses := map[*relation.Group][]relation.Tuple{}
 	for _, j := range preRows {
 		ctx.tuple = j
 		row, err := ctx.evalRow(info.outExprs)
 		if err != nil {
 			return nil, err
 		}
-		k := row.Key()
-		c, ok := cands[k]
-		if !ok {
-			c = &cand{out: row}
-			cands[k] = c
-		}
-		c.rows = append(c.rows, j)
+		c := cands.Add(row)
+		witnesses[c] = append(witnesses[c], j)
 	}
 	dctx := &evalCtx{
 		session: s, world: ctx.world, names: ctx.names, schemas: ctx.schemas,
 		schema: combined, lifted: ctx.lifted, outer: ctx.outer,
 	}
-	for _, c := range cands {
+	for _, c := range cands.Groups() {
 		covered := true
 		for _, d := range divRows {
 			ok := false
-			for _, j := range c.rows {
+			for _, j := range witnesses[c] {
 				t := make(relation.Tuple, 0, len(combined))
 				t = append(append(t, j...), d...)
 				dctx.tuple = t
@@ -438,7 +430,7 @@ func (s *Session) evalDivision(sel *SelectStmt, info *selectInfo, pre, div *rela
 			}
 		}
 		if covered {
-			out.Insert(c.out)
+			out.Insert(c.Key)
 		}
 	}
 	return out, nil

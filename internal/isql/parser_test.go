@@ -163,6 +163,31 @@ func TestOperatorPrecedence(t *testing.T) {
 	}
 }
 
+// TestFloatLiteralRoundTrip: a float literal renders so that it
+// re-parses to a float of the same value — an integral float keeps a
+// fraction — so parse → String() → parse is a fixed point.
+func TestFloatLiteralRoundTrip(t *testing.T) {
+	for _, lit := range []string{"0.0", "1234567.0", "1000000000000000000000.0", "2.5", "0.000001"} {
+		st, err := Parse("insert into T values (" + lit + ");")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st2, err := Parse(st.String())
+		if err != nil {
+			t.Fatalf("re-parsing %q: %v", st.String(), err)
+		}
+		v, v2 := st.(*InsertStmt).Rows[0][0], st2.(*InsertStmt).Rows[0][0]
+		if st2.String() != st.String() || v.Kind() != value.KindFloat || v2.Kind() != value.KindFloat || !v.Equal(v2) {
+			t.Errorf("%s: rendered %q (%s), re-parsed %q (%s)", lit, st.String(), v.Kind(), st2.String(), v2.Kind())
+		}
+	}
+	for _, f := range []float64{0, 1234567, 1e21, -3} {
+		if v := value.Parse(renderLiteral(value.Float(f))); v.Kind() != value.KindFloat || v.AsFloat() != f {
+			t.Errorf("Float(%g) renders %q, re-parsing to %v (%s)", f, renderLiteral(value.Float(f)), v, v.Kind())
+		}
+	}
+}
+
 // TestQuotedStringLiteralRoundTrip: embedded quotes double on render
 // (SQL convention) and the lexer folds them back.
 func TestQuotedStringLiteralRoundTrip(t *testing.T) {

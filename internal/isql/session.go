@@ -760,17 +760,15 @@ func (s *Session) execMutation(st Statement, table string, exprs []Expr,
 			return err
 		}
 		ctx := &evalCtx{session: s, schema: schema}
-		touched := map[string]relation.Tuple{}
+		touched := relation.New(schema)
 		next, err := db.MapRelation(idx, func(r *relation.Relation) (*relation.Relation, error) {
-			return mapTuples(ctx, r, rule, func(t relation.Tuple) { touched[t.Key()] = t })
+			return mapTuples(ctx, r, rule, func(t relation.Tuple) { touched.Insert(t) })
 		})
 		if err != nil {
 			return err
 		}
 		affected := new(big.Int)
-		for _, t := range touched {
-			affected.Add(affected, db.PresenceCount(idx, t))
-		}
+		touched.Each(func(t relation.Tuple) { affected.Add(affected, db.PresenceCount(idx, t)) })
 		next = next.Normalize()
 		tx.SetDB(next)
 		res = s.stateResult(next)

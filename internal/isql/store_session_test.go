@@ -340,6 +340,15 @@ func TestViewTextRoundTrip(t *testing.T) {
 	if got := singleAnswer(t, s, "select X from E;"); got.Len() != 1 {
 		t.Fatalf("in-operand view round trip broke: %v", got)
 	}
+	// An integral float literal stays a float in the stored text, so the
+	// view renders byte for byte what its body does.
+	mustExec(t, s, "create table U (A);")
+	mustExec(t, s, "insert into U values (1234567);")
+	body := singleAnswer(t, s, "select A * 1.0 as B from U;").String()
+	mustExec(t, s, "create view F as select A * 1.0 as B from U;")
+	if got := singleAnswer(t, s, "select B from F;").String(); got != body || !strings.Contains(body, "1.234567e+06") {
+		t.Fatalf("view answers\n%s\nits body answers\n%s", got, body)
+	}
 }
 
 func intVal(i int64) value.Value { return value.Int(i) }

@@ -582,10 +582,11 @@ func TestRecoveryPatchesNotReexecutes(t *testing.T) {
 
 // TestWALLiteralRoundTrip pins the literal-rendering invariant the
 // logged statement texts must keep to stay faithful provenance: floats
-// that would render in scientific notation, strings with embedded
-// quotes, negatives, bools and nulls must all survive commit → log →
-// crash, both ways: recovery's delta replay and re-parsing and
-// re-executing the logged texts reach the pre-crash bytes.
+// that would render in scientific notation or look integral, strings
+// with embedded quotes, negatives, bools and nulls must all survive
+// commit → log → crash, both ways: recovery's delta replay and
+// re-parsing and re-executing the logged texts reach the pre-crash
+// bytes.
 func TestWALLiteralRoundTrip(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
@@ -595,6 +596,7 @@ func TestWALLiteralRoundTrip(t *testing.T) {
 			"create table T (A, B);",
 			"insert into T values (10000000.5, 'it''s quoted');",
 			"insert into T values (-0.00000125, 'plain');",
+			"insert into T values (1234567.0, 'integral float');",
 			"insert into T values (true, null);",
 			"update T set B = 'x''y' where A = -0.00000125;",
 		)

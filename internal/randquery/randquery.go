@@ -7,12 +7,28 @@ package randquery
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"worldsetdb/internal/ra"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/value"
 	"worldsetdb/internal/wsa"
 )
+
+// Numerics are the literals on which numeric equality is easy to get
+// wrong: −0.0 against 0, 2^53 ± 1 as Int and as Float (the Float
+// nearest 2^53 + 1 is 2^53), and a float past every int64.
+var Numerics = []string{"-0.0", "9007199254740991", "9007199254740991.0",
+	"9007199254740993", "9007199254740993.0", "1180591620717411303424.0"}
+
+// literal draws a comparison constant's text: mostly from the integer
+// domain [0, domain), now and then one of Numerics.
+func literal(rng *rand.Rand, domain int) string {
+	if rng.Intn(8) == 0 {
+		return Numerics[rng.Intn(len(Numerics))]
+	}
+	return strconv.Itoa(rng.Intn(domain))
+}
 
 // QueryGen generates random well-typed World-set Algebra queries over a
 // fixed relational schema, for fuzzing the translations and the rewrite
@@ -160,6 +176,6 @@ func (g *QueryGen) pred(s relation.Schema) ra.Pred {
 		b := s[g.rng.Intn(len(s))]
 		return ra.Cmp{Left: ra.Col(a), Op: op, Right: ra.Col(b)}
 	}
-	c := value.Int(int64(g.rng.Intn(g.Domain)))
+	c := value.Parse(literal(g.rng, g.Domain))
 	return ra.Cmp{Left: ra.Col(a), Op: op, Right: ra.Const(c)}
 }

@@ -110,7 +110,7 @@ func (g *StmtGen) Select() string {
 	where := ""
 	if g.rng.Intn(2) == 0 {
 		ops := []string{"=", "!=", "<", ">="}
-		where = fmt.Sprintf(" where %s %s %d", col(t), ops[g.rng.Intn(len(ops))], g.rng.Intn(g.Domain))
+		where = fmt.Sprintf(" where %s %s %s", col(t), ops[g.rng.Intn(len(ops))], literal(g.rng, g.Domain))
 	}
 	switch g.rng.Intn(8) {
 	case 0: // σ/π with a world closure
@@ -190,7 +190,7 @@ func (g *StmtGen) Mutate() string {
 	switch g.rng.Intn(4) {
 	case 0, 1: // tuple-local
 		ops := []string{"=", "!=", "<", ">="}
-		where = fmt.Sprintf("%s %s %d", col(t), ops[g.rng.Intn(len(ops))], g.rng.Intn(g.Domain))
+		where = fmt.Sprintf("%s %s %s", col(t), ops[g.rng.Intn(len(ops))], literal(g.rng, g.Domain))
 	case 2: // (not) in subquery, itself filtered
 		uc := col(u)
 		where = fmt.Sprintf("%s %sin (select %s from %s where %s >= %d)", col(t), neg, uc, u.name, uc, g.rng.Intn(g.Domain/2))

@@ -364,10 +364,9 @@ func (r *Relation) EqualContents(o *Relation) bool {
 }
 
 // ContentKey returns an injective encoding of the relation's contents
-// (schema + sorted tuple keys), suitable for hashing whole relations, and
-// hence worlds, and hence world-sets. The key is memoized: world-set
-// deduplication calls ContentKey once per world per relation instance,
-// and instances are routinely shared across many worlds. The memo is
+// (schema + sorted tuple keys): the sort key that orders listed answers
+// and worlds (SortByContent, worldset.World.Key). Set membership goes
+// through ContentHash plus Equal instead. The key is memoized,
 // invalidated by Insert/Delete and safe under concurrent readers.
 func (r *Relation) ContentKey() string {
 	r.mu.Lock()
@@ -391,6 +390,13 @@ func (r *Relation) ContentKey() string {
 	}
 	r.ck, r.ckValid = b.String(), true
 	return r.ck
+}
+
+// SortByContent orders rs by ContentKey: the deterministic order in
+// which distinct answers and instances are listed. ContentKey is
+// memoised, so the sort keys each relation once.
+func SortByContent(rs []*Relation) {
+	sort.Slice(rs, func(i, j int) bool { return rs[i].ContentKey() < rs[j].ContentKey() })
 }
 
 // ContentHash returns a digest of the relation's contents (schema plus

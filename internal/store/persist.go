@@ -60,9 +60,9 @@ type jsonAlternative struct {
 type jsonTuple []any
 
 // encodeTuple converts a tuple to its JSON cells. Ints and floats
-// encode as numbers (they compare and hash identically when both are
-// exactly representable, so the round trip is semantics-preserving);
-// values JSON cannot carry natively use tagged objects.
+// encode as numbers that decode to their own kind: an integral float
+// carries an exponent, which an int never does. Values JSON cannot
+// carry natively use tagged objects.
 func encodeTuple(t relation.Tuple) jsonTuple {
 	out := make(jsonTuple, len(t))
 	for i, v := range t {
@@ -85,6 +85,9 @@ func encodeValue(v value.Value) any {
 		f := v.AsFloat()
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return map[string]any{"$float": strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		if f == math.Trunc(f) {
+			return json.Number(strconv.FormatFloat(f, 'e', -1, 64))
 		}
 		return f
 	case value.KindString:

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -301,5 +303,57 @@ func TestValueKindsRoundTrip(t *testing.T) {
 	got := loaded.Snapshot().DB.Certain[0]
 	if !got.Equal(r) {
 		t.Fatalf("values differ after round trip:\n%s\nvs\n%s", got, r)
+	}
+}
+
+// TestIntegralFloatKeepsKind: a float with an integral value stays a
+// float through the .wsd file, the checkpoint and a WAL delta: it
+// renders as 1.234567e+06 after each, never as the int 1234567.
+func TestIntegralFloatKeepsKind(t *testing.T) {
+	schema := relation.NewSchema("A")
+	r := relation.FromRows(schema, relation.Tuple{value.Float(1234567)}, relation.Tuple{value.Float(0)},
+		relation.Tuple{value.Float(1e21)}, relation.Tuple{value.Int(7)})
+	want := r.String()
+	if !strings.Contains(want, "1.234567e+06") {
+		t.Fatalf("float renders as\n%s", want)
+	}
+	seed := func() (*Catalog, error) {
+		return New(wsd.FromComplete([]string{"T"}, []*relation.Relation{r})), nil
+	}
+	dir := t.TempDir()
+	c, _ := seed()
+	path := filepath.Join(dir, "t.wsd")
+	if err := SaveFile(path, c.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Snapshot().DB.Certain[0].String(); got != want {
+		t.Fatalf("after SaveFile/LoadFile:\n%s\nwant\n%s", got, want)
+	}
+
+	walDir := filepath.Join(dir, "wal")
+	cat, wals, err := Open(ckptPath(walDir), walDir, 1, 0, seed) // seeds and checkpoints
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Update(func(tx *Tx) error {
+		tx.Log("insert into T values (42000000.0);")
+		tx.InsertCertain(0, []relation.Tuple{{value.Float(42e6)}})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want = cat.Snapshot().DB.Certain[0].String()
+	closeWALs(wals)
+	cat2, wals2, err := Open(ckptPath(walDir), walDir, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWALs(wals2)
+	if got := cat2.Snapshot().DB.Certain[0].String(); got != want || !strings.Contains(got, "4.2e+07") {
+		t.Fatalf("after checkpoint and WAL recovery:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -4,10 +4,13 @@
 // "From Complete to Incomplete Information and Back" (SIGMOD 2007).
 //
 // Values are small immutable structs with a total order across kinds so
-// that relations can be deterministically sorted and hashed.
+// that relations can be deterministically sorted and hashed. A value is
+// its canonical form: Float maps −0.0 to 0 and every NaN to one NaN, so
+// Compare, Hash and AppendKey agree on every pair of values.
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -69,8 +72,17 @@ func Null() Value { return Value{} }
 // Int returns an integer value.
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 
-// Float returns a float value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+// Float returns a float value in canonical form: −0.0 becomes 0 and
+// every NaN the one NaN.
+func Float(f float64) Value {
+	switch {
+	case f == 0:
+		f = 0
+	case f != f:
+		f = math.NaN()
+	}
+	return Value{kind: KindFloat, f: f}
+}
 
 // Str returns a string value.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
@@ -141,7 +153,9 @@ func (v Value) Equal(w Value) bool { return v.Compare(w) == 0 }
 
 // Compare returns -1, 0 or +1 ordering v against w. The order is total:
 // values of different kinds order by kind, except that ints and floats
-// compare numerically with each other. Null sorts first, Pad last.
+// compare numerically with each other — exactly, at every magnitude, so
+// the order is transitive. NaN equals only NaN and sorts after every
+// number. Null sorts first, Pad last.
 func (v Value) Compare(w Value) int {
 	if v.kind == w.kind {
 		// The common case, first: two strings or two integers.
@@ -149,35 +163,24 @@ func (v Value) Compare(w Value) int {
 		case KindString:
 			return strings.Compare(v.s, w.s)
 		case KindInt:
-			return cmpInt(v.i, w.i)
+			return cmp.Compare(v.i, w.i)
 		}
 	}
-	vk, wk := v.orderClass(), w.orderClass()
-	if vk != wk {
-		if vk < wk {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(v.orderClass(), w.orderClass()); c != 0 {
+		return c
 	}
 	switch v.kind {
-	case KindNull, KindPad:
-		if w.kind == v.kind {
-			return 0
-		}
-		// Same order class but different kind cannot happen for
-		// null/pad since each has its own class.
-		return 0
 	case KindBool:
-		return cmpInt(v.i, w.i)
+		return cmp.Compare(v.i, w.i)
 	case KindInt: // against a float
-		return cmpFloat(float64(v.i), w.f)
+		return -cmpFloatInt(w.f, v.i)
 	case KindFloat:
 		if w.kind == KindInt {
-			return cmpFloat(v.f, float64(w.i))
+			return cmpFloatInt(v.f, w.i)
 		}
 		return cmpFloat(v.f, w.f)
 	}
-	return 0
+	return 0 // null and pad are one value each
 }
 
 // orderClass groups kinds that compare with one another: numerics share a
@@ -198,24 +201,43 @@ func (v Value) orderClass() int {
 	return 5
 }
 
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
+// cmpFloat orders floats numerically, with NaN equal to itself and after
+// every number.
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
+	case a == b || a != a && b != b:
+		return 0
+	case a != a:
+		return 1
 	}
-	return 0
+	return -1
+}
+
+// cmpFloatInt compares f with i exactly: through i's truncation when f
+// is within int64's range, so no rounding of i to a float takes part.
+func cmpFloatInt(f float64, i int64) int {
+	switch {
+	case f != f || f >= 0x1p63:
+		return 1
+	case f < -0x1p63:
+		return -1
+	}
+	t := int64(f) // f truncated toward zero, exact within the range
+	if c := cmp.Compare(t, i); c != 0 {
+		return c
+	}
+	return cmpFloat(f, float64(t)) // the sign of f's fraction
+}
+
+// exactFloat returns i as a float when the conversion is exact — the
+// only case in which an Int equals a Float.
+func exactFloat(i int64) (float64, bool) {
+	f := float64(i)
+	return f, f < 0x1p63 && int64(f) == i
 }
 
 // Less reports whether v sorts before w.
@@ -257,7 +279,7 @@ func (v Value) AppendString(dst []byte) []byte {
 
 // AppendKey appends a compact, injective binary encoding of v to dst.
 // Two values have equal encodings iff Compare reports 0; in particular
-// Int(2) and Float(2.0) encode identically.
+// Int(2) and Float(2.0) encode identically, as the float.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
@@ -268,11 +290,9 @@ func (v Value) AppendKey(dst []byte) []byte {
 		}
 		return append(dst, 'b', 0)
 	case KindInt:
-		// Encode ints through the float path only when exactly
-		// representable so Int(2) and Float(2) coincide; otherwise use
-		// a distinct integer tag (floats cannot equal such ints anyway).
-		f := float64(v.i)
-		if int64(f) == v.i {
+		// An int a float equals encodes as that float; any other int
+		// under its own tag.
+		if f, ok := exactFloat(v.i); ok {
 			return appendFloatKey(dst, f)
 		}
 		dst = append(dst, 'i')
@@ -305,16 +325,11 @@ func appendUint64(dst []byte, u uint64) []byte {
 func (v Value) Key() string { return string(v.AppendKey(nil)) }
 
 // Hash folds v into a running FNV-1a digest without allocating. The
-// bytes folded are exactly the bytes AppendKey would produce, so two
-// values hash identically iff they encode identically, and values that
-// encode identically compare equal (Int(2) and Float(2.0) share a
-// digest). The converse does not hold everywhere: Compare reports 0
-// for −0.0 against 0, for an Int beyond 2^53 against the Float it
-// rounds to, and for NaN against every number, and each of those pairs
-// digests differently. Index probes fence these constants off
-// (wsdexec.hashExact scans for them instead); ROADMAP item 7 makes the
-// two agree. Hash digests are not injective either: callers must
-// confirm candidate matches with Compare or Equal.
+// bytes folded are exactly the bytes AppendKey would produce, so
+// Compare reports 0 ⇔ the encodings are equal ⇔ the digests are equal
+// (up to digest collisions): Int(2) and Float(2.0) share a digest.
+// Digests are not injective, so callers confirm candidate matches with
+// Compare or Equal.
 func (v Value) Hash(h uint64) uint64 {
 	switch v.kind {
 	case KindNull:
@@ -325,8 +340,7 @@ func (v Value) Hash(h uint64) uint64 {
 		}
 		return hashkey.Byte(hashkey.Byte(h, 'b'), 0)
 	case KindInt:
-		f := float64(v.i)
-		if int64(f) == v.i {
+		if f, ok := exactFloat(v.i); ok {
 			return hashkey.Uint64(hashkey.Byte(h, 'f'), math.Float64bits(f))
 		}
 		return hashkey.Uint64(hashkey.Byte(h, 'i'), uint64(v.i))

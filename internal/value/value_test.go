@@ -1,9 +1,12 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"worldsetdb/internal/hashkey"
 )
 
 // randomValue draws a value of a random kind from a small domain so
@@ -48,17 +51,71 @@ func TestCompareTotalOrder(t *testing.T) {
 	}
 }
 
-// TestKeyInjective checks the fundamental hashing invariant: two values
-// have equal keys iff Compare reports equality.
-func TestKeyInjective(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, b := randomValue(rng), randomValue(rng)
-		return (a.Key() == b.Key()) == (a.Compare(b) == 0)
+// fuzzValue builds a value from a kind selector and payload bits. Float
+// payloads are raw IEEE bits, so −0.0, NaNs with any payload and the
+// infinities all occur; strings draw from a small domain so equal
+// strings occur too.
+func fuzzValue(kind uint8, bits uint64) Value {
+	switch kind % 6 {
+	case 0:
+		return Null()
+	case 1:
+		return Bool(bits&1 == 1)
+	case 2:
+		return Int(int64(bits))
+	case 3:
+		return Float(math.Float64frombits(bits))
+	case 4:
+		return Str(string(rune('a' + bits%3)))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
+	return Pad()
+}
+
+// FuzzValueEquality checks the one equality every package relies on:
+// Compare reports 0 ⇔ the AppendKey encodings are equal ⇔ the Hash
+// digests are equal, plus antisymmetry and transitivity of Compare, on
+// triples of values of any kinds.
+func FuzzValueEquality(f *testing.F) {
+	type seed struct {
+		kind uint8
+		bits uint64
 	}
+	asInt := func(i int64) seed { return seed{2, uint64(i)} }
+	asFloat := func(x float64) seed { return seed{3, math.Float64bits(x)} }
+	seeds := []seed{
+		asInt(0), asFloat(0), asFloat(math.Copysign(0, -1)),
+		asInt(1 << 53), asFloat(1 << 53),
+		asInt(1<<53 + 1), asFloat(1<<53 + 2), asInt(1<<53 - 1), asFloat(1<<53 - 1),
+		asInt(math.MinInt64), asInt(math.MaxInt64), asFloat(0x1p63), asFloat(-0x1p63),
+		asFloat(math.Inf(1)), asFloat(math.Inf(-1)), asFloat(math.NaN()),
+		{3, 0x7ff8000000000123}, asFloat(2.5), {1, 1}, {4, 0}, {0, 0}, {5, 0},
+	}
+	for i, a := range seeds {
+		for j, b := range seeds {
+			c := seeds[(i+j)%len(seeds)]
+			f.Add(a.kind, a.bits, b.kind, b.bits, c.kind, c.bits)
+		}
+	}
+	f.Fuzz(func(t *testing.T, ka uint8, a uint64, kb uint8, b uint64, kc uint8, c uint64) {
+		x, y, z := fuzzValue(ka, a), fuzzValue(kb, b), fuzzValue(kc, c)
+		for _, p := range [][2]Value{{x, y}, {y, z}, {x, z}} {
+			u, v := p[0], p[1]
+			eq := u.Compare(v) == 0
+			if (u.Key() == v.Key()) != eq || (u.Hash(hashkey.Offset) == v.Hash(hashkey.Offset)) != eq {
+				t.Fatalf("%v (%s) vs %v (%s): Compare %d, keys equal %v, hashes equal %v", u, u.Kind(), v, v.Kind(),
+					u.Compare(v), u.Key() == v.Key(), u.Hash(hashkey.Offset) == v.Hash(hashkey.Offset))
+			}
+			if u.Compare(v) != -v.Compare(u) {
+				t.Fatalf("Compare(%v, %v) = %d but Compare(%v, %v) = %d", u, v, u.Compare(v), v, u, v.Compare(u))
+			}
+		}
+		if x.Compare(x) != 0 {
+			t.Fatalf("%v does not equal itself", x)
+		}
+		if x.Compare(y) <= 0 && y.Compare(z) <= 0 && x.Compare(z) > 0 {
+			t.Fatalf("not transitive: %v ≤ %v ≤ %v but %v > %v", x, y, z, x, z)
+		}
+	})
 }
 
 // TestNumericCrossKindEquality: Int(2) and Float(2.0) must be the same

@@ -63,18 +63,6 @@ func (w World) Equal(u World) bool {
 	return true
 }
 
-// PrefixKey encodes only the first k relations, used by the binary
-// operator semantics of Figure 3 which pairs worlds agreeing on
-// R1, …, Rk.
-func (w World) PrefixKey(k int) string {
-	var b strings.Builder
-	for _, r := range w[:k] {
-		b.WriteString(r.ContentKey())
-		b.WriteByte(0x1d)
-	}
-	return b.String()
-}
-
 // WorldSet is a finite set of worlds over a shared schema: Names[i] is
 // the name of relation i, Schemas[i] its attribute list. All worlds have
 // the same number of relations with the same schemas.

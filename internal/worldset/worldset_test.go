@@ -57,20 +57,21 @@ func TestSchemaMismatchPanics(t *testing.T) {
 }
 
 // TestPrefixKey groups worlds by their first k relations — the pairing
-// condition of Figure 3's binary operators.
+// condition of Figure 3's binary operators — through the prefix w[:k]
+// as a World: equal prefixes hash and compare equal.
 func TestPrefixKey(t *testing.T) {
 	shared := relation.FromRows(schemaA(), tup(1))
 	w1 := World{shared, relation.FromRows(schemaA(), tup(2))}
 	w2 := World{shared.Clone(), relation.FromRows(schemaA(), tup(3))}
 	w3 := World{relation.FromRows(schemaA(), tup(9)), relation.FromRows(schemaA(), tup(2))}
-	if w1.PrefixKey(1) != w2.PrefixKey(1) {
-		t.Error("equal prefixes must have equal keys")
+	if w1[:1].Hash() != w2[:1].Hash() || !w1[:1].Equal(w2[:1]) {
+		t.Error("equal prefixes must hash and compare equal")
 	}
-	if w1.PrefixKey(1) == w3.PrefixKey(1) {
+	if w1[:1].Equal(w3[:1]) {
 		t.Error("different prefixes must differ")
 	}
-	if w1.PrefixKey(2) == w2.PrefixKey(2) {
-		t.Error("full keys must differ")
+	if w1.Equal(w2) {
+		t.Error("full worlds must differ")
 	}
 }
 

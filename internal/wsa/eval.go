@@ -2,6 +2,7 @@ package wsa
 
 import (
 	"fmt"
+	"slices"
 
 	"worldsetdb/internal/ra"
 	"worldsetdb/internal/relation"
@@ -161,8 +162,8 @@ func eval(q Expr, a *worldset.WorldSet, opt *Options) (*worldset.WorldSet, error
 			return nil, err
 		}
 		gSchema := relation.NewSchema(n.GroupBy...)
-		return GroupLast(sub, n.Kind, pIdx, outSchema, func(w worldset.World) (string, error) {
-			return w[k].Project(gIdx, gSchema).ContentKey(), nil
+		return GroupLast(sub, n.Kind, pIdx, outSchema, func(w worldset.World) (worldset.World, error) {
+			return worldset.World{w[k].Project(gIdx, gSchema)}, nil
 		})
 
 	case *Close:
@@ -176,7 +177,7 @@ func eval(q Expr, a *worldset.WorldSet, opt *Options) (*worldset.WorldSet, error
 		if n.Kind == ClosePoss {
 			kind = GroupPoss
 		}
-		return GroupLast(sub, kind, nil, outSchema, func(worldset.World) (string, error) { return "", nil })
+		return GroupLast(sub, kind, nil, outSchema, func(worldset.World) (worldset.World, error) { return nil, nil })
 	}
 	return nil, fmt.Errorf("wsa: unknown operator %T", q)
 }
@@ -222,43 +223,45 @@ func evalBinary(l, r Expr, a *worldset.WorldSet, opt *Options, outSchema relatio
 	if err != nil {
 		return nil, err
 	}
+	// Pair each left world with the right worlds of an equal prefix,
+	// found by the prefix's content digest and verified with Equal.
 	k := a.NumRelations()
 	type bucket struct {
 		prefix worldset.World
 		lasts  []*relation.Relation
 	}
-	group := func(ws *worldset.WorldSet) map[string]*bucket {
-		m := make(map[string]*bucket)
-		ws.Each(func(w worldset.World) {
-			key := w.PrefixKey(k)
-			b, ok := m[key]
-			if !ok {
-				b = &bucket{prefix: w[:k]}
-				m[key] = b
-			}
-			b.lasts = append(b.lasts, w[k])
-		})
-		return m
-	}
-	lm, rm := group(la), group(rb)
+	right := map[uint64][]*bucket{}
+	rb.Each(func(w worldset.World) {
+		h := w[:k].Hash()
+		i := slices.IndexFunc(right[h], func(b *bucket) bool { return b.prefix.Equal(w[:k]) })
+		if i < 0 {
+			i = len(right[h])
+			right[h] = append(right[h], &bucket{prefix: w[:k]})
+		}
+		right[h][i].lasts = append(right[h][i].lasts, w[k])
+	})
 	out := worldset.New(la.Names(), replaceLastSchema(la.Schemas(), outSchema))
-	for key, lb := range lm {
-		rbkt, ok := rm[key]
-		if !ok {
-			continue
+	var pairErr error
+	la.Each(func(w worldset.World) {
+		if pairErr != nil {
+			return
 		}
-		for _, lr := range lb.lasts {
-			for _, rr := range rbkt.lasts {
-				res, err := f(lr, rr)
+		for _, b := range right[w[:k].Hash()] {
+			if !b.prefix.Equal(w[:k]) {
+				continue
+			}
+			for _, rr := range b.lasts {
+				res, err := f(w[k], rr)
 				if err != nil {
-					return nil, err
+					pairErr = err
+					return
 				}
-				nw := make(worldset.World, k+1)
-				copy(nw, lb.prefix)
-				nw[k] = res
-				out.Add(nw)
+				out.Add(withLast(w, res))
 			}
 		}
+	})
+	if pairErr != nil {
+		return nil, pairErr
 	}
 	return out, nil
 }

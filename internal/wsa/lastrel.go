@@ -2,7 +2,7 @@ package wsa
 
 import (
 	"math/big"
-	"sort"
+	"slices"
 
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/worldset"
@@ -141,54 +141,64 @@ func RepairLast(ws *worldset.WorldSet, attrs []string, maxWorlds int) (*worldset
 // world's last relation becomes the union (GroupPoss) or intersection
 // (GroupCert), over the worlds of its group, of the last relation
 // projected to the columns proj (nil keeps every column) under
-// outSchema. The grouping key is the caller's: π_U of the answer for the
-// algebra's γ, "" for poss and cert (one group holding every world — not
-// grouping on the empty attribute list, which would separate empty
-// answers from non-empty ones), a pre-answer projection or a grouping
-// query's answer for I-SQL's group-worlds-by.
+// outSchema. The grouping key is the caller's, compared by content
+// (World.Hash, verified with World.Equal): π_U of the answer for the
+// algebra's γ, the empty world for poss and cert (one group holding
+// every world — not grouping on the empty attribute list, which would
+// separate empty answers from non-empty ones), a pre-answer projection
+// or a grouping query's answer for I-SQL's group-worlds-by.
 func GroupLast(ws *worldset.WorldSet, kind GroupKind, proj []int, outSchema relation.Schema,
-	key func(worldset.World) (string, error)) (*worldset.WorldSet, error) {
+	key func(worldset.World) (worldset.World, error)) (*worldset.WorldSet, error) {
 	k := ws.NumRelations() - 1
+	type group struct {
+		key worldset.World
+		agg *relation.Relation
+	}
 	type member struct {
-		w   worldset.World
-		key string
+		w worldset.World
+		g *group
 	}
 	members := make([]member, 0, ws.Len())
-	agg := make(map[string]*relation.Relation)
+	groups := map[uint64][]*group{}
 	var keyErr error
 	ws.Each(func(w worldset.World) {
 		if keyErr != nil {
 			return
 		}
-		g, err := key(w)
+		gk, err := key(w)
 		if err != nil {
 			keyErr = err
 			return
 		}
-		members = append(members, member{w, g})
 		r := w[k]
 		if proj != nil {
 			r = r.Project(proj, outSchema)
 		}
-		cur, ok := agg[g]
+		h := gk.Hash()
+		i := slices.IndexFunc(groups[h], func(g *group) bool { return g.key.Equal(gk) })
+		if i < 0 {
+			i = len(groups[h])
+			groups[h] = append(groups[h], &group{key: gk})
+		}
+		g := groups[h][i]
+		members = append(members, member{w, g})
 		switch {
 		case kind == GroupPoss:
 			// The union grows a relation of its own, never an input's.
-			if !ok {
-				cur = relation.New(outSchema)
-				agg[g] = cur
+			if g.agg == nil {
+				g.agg = relation.New(outSchema)
 			}
-			r.Each(func(t relation.Tuple) { cur.Insert(t) })
-		case !ok:
-			agg[g] = r
+			r.Each(func(t relation.Tuple) { g.agg.Insert(t) })
+		case g.agg == nil:
+			g.agg = r
 		default:
 			next := relation.New(outSchema)
-			cur.Each(func(t relation.Tuple) {
+			g.agg.Each(func(t relation.Tuple) {
 				if r.Contains(t) {
 					next.Insert(t)
 				}
 			})
-			agg[g] = next
+			g.agg = next
 		}
 	})
 	if keyErr != nil {
@@ -196,7 +206,7 @@ func GroupLast(ws *worldset.WorldSet, kind GroupKind, proj []int, outSchema rela
 	}
 	out := worldset.New(ws.Names(), replaceLastSchema(ws.Schemas(), outSchema))
 	for _, m := range members {
-		out.Add(withLast(m.w, agg[m.key]))
+		out.Add(withLast(m.w, m.g.agg))
 	}
 	return out, nil
 }
@@ -211,18 +221,12 @@ func DistinctLast(ws *worldset.WorldSet) []*relation.Relation {
 	var res []*relation.Relation
 	byHash := map[uint64][]*relation.Relation{}
 	ws.Each(func(w worldset.World) {
-		r, h := w[k], w[k].ContentHash()
-		for _, seen := range byHash[h] {
-			if seen.Equal(r) {
-				return
-			}
+		if r, h := w[k], w[k].ContentHash(); !slices.ContainsFunc(byHash[h], r.Equal) {
+			byHash[h] = append(byHash[h], r)
+			res = append(res, r)
 		}
-		byHash[h] = append(byHash[h], r)
-		res = append(res, r)
 	})
-	// ContentKey is memoised on each relation, so the sort keys each
-	// answer once.
-	sort.Slice(res, func(i, j int) bool { return res[i].ContentKey() < res[j].ContentKey() })
+	relation.SortByContent(res)
 	return res
 }
 

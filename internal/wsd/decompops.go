@@ -2,7 +2,7 @@ package wsd
 
 import (
 	"math/big"
-	"sort"
+	"slices"
 
 	"worldsetdb/internal/relation"
 )
@@ -172,17 +172,7 @@ func (db *DecompDB) Normalize() *DecompDB {
 			out.Components = append(out.Components, DBComponent{ID: c.ID})
 			continue
 		}
-		comp := DBComponent{ID: c.ID}
-		seen := map[string]bool{}
-		for _, a := range c.Alternatives {
-			stripped := stripCertain(a, out.Certain)
-			key := altContentKey(stripped)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			comp.Alternatives = append(comp.Alternatives, stripped)
-		}
+		comp := DBComponent{ID: c.ID, Alternatives: distinctStripped(c, out.Certain)}
 		if len(comp.Alternatives) == 1 {
 			for ri, r := range comp.Alternatives[0].Rels {
 				foldInto(ri, r)
@@ -238,17 +228,7 @@ func (db *DecompDB) InsertCertain(i int, ts []relation.Tuple) (*DecompDB, map[in
 			out.Components = append(out.Components, c)
 			continue
 		}
-		comp := DBComponent{ID: c.ID}
-		seen := map[string]bool{}
-		for _, a := range c.Alternatives {
-			stripped := stripCertain(a, out.Certain)
-			key := altContentKey(stripped)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			comp.Alternatives = append(comp.Alternatives, stripped)
-		}
+		comp := DBComponent{ID: c.ID, Alternatives: distinctStripped(c, out.Certain)}
 		if len(comp.Alternatives) == 1 {
 			for ri, r := range comp.Alternatives[0].Rels {
 				r.Each(func(t relation.Tuple) { insert(ri, t) })
@@ -274,6 +254,16 @@ func (c DBComponent) contributesTo(rels map[int][]relation.Tuple) bool {
 		}
 	}
 	return false
+}
+
+// distinctStripped returns c's distinct alternatives with the tuples
+// already certain stripped.
+func distinctStripped(c DBComponent, certain []*relation.Relation) []DBAlternative {
+	stripped := make([]DBAlternative, len(c.Alternatives))
+	for ai, a := range c.Alternatives {
+		stripped[ai] = stripCertain(a, certain)
+	}
+	return distinctAlts(stripped)
 }
 
 // stripCertain returns the alternative without tuples that are already
@@ -347,12 +337,8 @@ func (db *DecompDB) Instances(i, budget int) ([]*relation.Relation, error) {
 	if len(deps) == 0 {
 		return []*relation.Relation{db.Certain[i]}, nil
 	}
-	type keyed struct {
-		key string
-		r   *relation.Relation
-	}
-	seen := map[string]bool{}
-	var insts []keyed
+	var insts []*relation.Relation
+	byHash := map[uint64][]*relation.Relation{}
 	choice := make([]int, len(deps))
 	for {
 		inst := db.Certain[i].Clone()
@@ -361,9 +347,9 @@ func (db *DecompDB) Instances(i, budget int) ([]*relation.Relation, error) {
 				r.Each(func(t relation.Tuple) { inst.Insert(t) })
 			}
 		}
-		if key := inst.ContentKey(); !seen[key] {
-			seen[key] = true
-			insts = append(insts, keyed{key, inst})
+		if h := inst.ContentHash(); !slices.ContainsFunc(byHash[h], inst.Equal) {
+			byHash[h] = append(byHash[h], inst)
+			insts = append(insts, inst)
 		}
 		j := 0
 		for ; j < len(deps); j++ {
@@ -377,12 +363,8 @@ func (db *DecompDB) Instances(i, budget int) ([]*relation.Relation, error) {
 			break
 		}
 	}
-	sort.Slice(insts, func(a, b int) bool { return insts[a].key < insts[b].key })
-	out := make([]*relation.Relation, len(insts))
-	for j, kv := range insts {
-		out[j] = kv.r
-	}
-	return out, nil
+	relation.SortByContent(insts)
+	return insts, nil
 }
 
 // satMul returns a·b for positive a and b, or limit+1 once the product

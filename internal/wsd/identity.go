@@ -1,5 +1,7 @@
 package wsd
 
+import "worldsetdb/internal/relation"
+
 // Structural-sharing identity for the paged storage engine: the store's
 // incremental checkpoints and WAL page-delta records need to know, per
 // commit, which components actually changed. Comparing Alternatives
@@ -24,21 +26,24 @@ func SameComponentShape(a, b DBComponent) bool {
 		return false
 	}
 	for i := range a.Alternatives {
-		if !sameAlternativeShape(a.Alternatives[i], b.Alternatives[i]) {
+		if !sameAlternative(a.Alternatives[i], b.Alternatives[i], func(x, y *relation.Relation) bool { return x == y }) {
 			return false
 		}
 	}
 	return true
 }
 
-func sameAlternativeShape(x, y DBAlternative) bool {
+// sameAlternative reports whether x and y make non-empty contributions
+// to the same relation indexes, pairwise same: by pointer for shape, by
+// Relation.Equal for content.
+func sameAlternative(x, y DBAlternative, same func(a, b *relation.Relation) bool) bool {
 	nx := 0
 	for ri, r := range x.Rels {
 		if r == nil || r.Len() == 0 {
 			continue
 		}
 		nx++
-		if y.Rels[ri] != r {
+		if o := y.Rels[ri]; o == nil || !same(r, o) {
 			return false
 		}
 	}

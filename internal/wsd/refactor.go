@@ -1,8 +1,10 @@
 package wsd
 
 import (
+	"slices"
 	"sort"
 
+	"worldsetdb/internal/hashkey"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/worldset"
 )
@@ -185,8 +187,7 @@ func Refactor(ws *worldset.WorldSet) (*DecompDB, error) {
 	total := 1
 	overflow := false
 	for _, root := range roots {
-		comp := DBComponent{}
-		seen := map[string]bool{}
+		var alts []DBAlternative
 		for wi := range worlds {
 			alt := DBAlternative{Rels: map[int]*relation.Relation{}}
 			for _, ii := range blockItems[root] {
@@ -200,12 +201,9 @@ func Refactor(ws *worldset.WorldSet) (*DecompDB, error) {
 					r.Insert(it.t)
 				}
 			}
-			key := altContentKey(alt)
-			if !seen[key] {
-				seen[key] = true
-				comp.Alternatives = append(comp.Alternatives, alt)
-			}
+			alts = append(alts, alt)
 		}
+		comp := DBComponent{Alternatives: distinctAlts(alts)}
 		db.Components = append(db.Components, comp)
 		if total > len(worlds)/len(comp.Alternatives)+1 {
 			overflow = true
@@ -244,21 +242,24 @@ func sigsIndependent(a, b string) bool {
 	return true
 }
 
-// altContentKey returns an injective encoding of an alternative's
-// contributions across relations, for deduplication.
-func altContentKey(a DBAlternative) string {
-	idx := make([]int, 0, len(a.Rels))
-	for ri, r := range a.Rels {
-		if r != nil && r.Len() > 0 {
-			idx = append(idx, ri)
+// distinctAlts drops every alternative whose contributions equal an
+// earlier one's (set semantics: they select identical worlds), matched
+// by content digest and verified with Relation.Equal.
+func distinctAlts(alts []DBAlternative) []DBAlternative {
+	var out []DBAlternative
+	byHash := map[uint64][]DBAlternative{}
+	for _, a := range alts {
+		var h uint64 // XOR over the contributions: independent of map order
+		for ri, r := range a.Rels {
+			if r != nil && r.Len() > 0 {
+				h ^= hashkey.Finalize(hashkey.Mix(uint64(ri), r.ContentHash()))
+			}
+		}
+		same := func(b DBAlternative) bool { return sameAlternative(a, b, (*relation.Relation).Equal) }
+		if !slices.ContainsFunc(byHash[h], same) {
+			byHash[h] = append(byHash[h], a)
+			out = append(out, a)
 		}
 	}
-	sort.Ints(idx)
-	var b []byte
-	for _, ri := range idx {
-		b = append(b, byte(ri>>24), byte(ri>>16), byte(ri>>8), byte(ri), 0x1c)
-		b = append(b, a.Rels[ri].ContentKey()...)
-		b = append(b, 0x1c)
-	}
-	return string(b)
+	return out
 }

@@ -396,7 +396,12 @@ func structureKey(db *DecompDB) string {
 	for _, c := range db.Components {
 		b = append(b, byte(c.ID), 0x1d)
 		for _, a := range c.Alternatives {
-			b = append(b, altContentKey(a)...)
+			for ri := range db.Names {
+				if r := a.Rels[ri]; r != nil && r.Len() > 0 {
+					b = append(b, byte(ri), 0x1c)
+					b = append(b, r.ContentKey()...)
+				}
+			}
 			b = append(b, 0x1d)
 		}
 	}

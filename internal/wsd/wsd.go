@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 
@@ -226,28 +227,18 @@ func RepairByKey(name string, rel *relation.Relation, keyAttrs []string) (*WSD, 
 	if err != nil {
 		return nil, err
 	}
-	groups := map[string][]relation.Tuple{}
-	var order []string
+	groups := relation.NewGroupMap(idx, rel.Len())
 	for _, t := range rel.Tuples() {
-		var key []byte
-		for _, i := range idx {
-			key = t[i].AppendKey(key)
-			key = append(key, 0x1f)
-		}
-		if _, ok := groups[string(key)]; !ok {
-			order = append(order, string(key))
-		}
-		groups[string(key)] = append(groups[string(key)], t)
+		groups.Add(t)
 	}
 	d := New(name, rel.Schema())
-	for _, key := range order {
-		g := groups[key]
-		if len(g) == 1 {
-			d.Certain.Insert(g[0])
+	for _, g := range groups.Groups() {
+		if len(g.Rows) == 1 {
+			d.Certain.Insert(g.Rows[0])
 			continue
 		}
 		comp := Component{}
-		for _, t := range g {
+		for _, t := range g.Rows {
 			comp.Alternatives = append(comp.Alternatives, NewAlternative(rel.Schema(), t))
 		}
 		d.Components = append(d.Components, comp)
@@ -344,7 +335,7 @@ func Decompose(name string, ws *worldset.WorldSet) (*WSD, error) {
 	total := uint64(1)
 	for _, r := range roots {
 		comp := Component{}
-		seen := map[string]bool{}
+		byHash := map[uint64][]*relation.Relation{}
 		for wi := range worlds {
 			rel := relation.New(schema)
 			for _, ti := range blocks[r] {
@@ -352,9 +343,8 @@ func Decompose(name string, ws *worldset.WorldSet) (*WSD, error) {
 					rel.Insert(uncertain[ti])
 				}
 			}
-			key := rel.ContentKey()
-			if !seen[key] {
-				seen[key] = true
+			if h := rel.ContentHash(); !slices.ContainsFunc(byHash[h], rel.Equal) {
+				byHash[h] = append(byHash[h], rel)
 				comp.Alternatives = append(comp.Alternatives, Alternative{rel: rel})
 			}
 		}

@@ -88,7 +88,6 @@ package wsdexec
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/big"
 	"slices"
 	"sort"
@@ -943,8 +942,8 @@ func keepAll(matches []relation.Tuple, s relation.Schema, pred func(relation.Tup
 // for 1 and keeps nothing. nil columns mean nothing to probe with. exact
 // reports that the probe is the whole predicate — every conjunct went
 // into the key — so a match needs no further test: the index compares
-// its key columns exactly (Index.Lookup), and hashExact admitted only
-// constants whose hash equality is comparison equality.
+// its key columns exactly (Index.Lookup), and a value's digest is equal
+// exactly when it compares equal (value.Hash), so every constant probes.
 func probeKey(p ra.Pred, s relation.Schema) (cols []int, key relation.Tuple, exact bool) {
 	type eq struct {
 		col int
@@ -964,7 +963,7 @@ func probeKey(p ra.Pred, s relation.Schema) (cols []int, key relation.Tuple, exa
 				col, c = c, col
 			}
 			i := -1
-			if q.Op == ra.OpEq && col.IsCol && !c.IsCol && c.ParamN == 0 && hashExact(c.Const) {
+			if q.Op == ra.OpEq && col.IsCol && !c.IsCol && c.ParamN == 0 {
 				i = s.Index(col.Col)
 			}
 			if i < 0 || slices.ContainsFunc(eqs, func(e eq) bool { return e.col == i }) {
@@ -986,21 +985,6 @@ func probeKey(p ra.Pred, s relation.Schema) (cols []int, key relation.Tuple, exa
 		cols[i], key[i] = e.col, e.val
 	}
 	return cols, key, exact
-}
-
-// hashExact reports whether hashing finds exactly the values that
-// compare equal to v, which is what lets a hash probe stand in for the
-// scan's `column = v`. It fails for the numerics on which value.Hash and
-// value.Compare part ways: zero (−0.0 equals 0 but digests differently),
-// magnitudes from 2^53 up (an Int and the Float it rounds to compare
-// equal, digest differently) and NaN (which compares equal to every
-// number). Such a constant is scanned for.
-func hashExact(v value.Value) bool {
-	if !v.IsNumeric() {
-		return true
-	}
-	f := math.Abs(v.AsFloat())
-	return f > 0 && f < 1<<53
 }
 
 // mapPieces maps a per-piece function over every non-empty piece of
@@ -1651,7 +1635,7 @@ func (e *engine) evalGroup(n *wsa.Group, sub *frel, outSchema relation.Schema) (
 	c := uc[0]
 	m := e.arity[c]
 	gSchema := relation.NewSchema(n.GroupBy...)
-	sigs := make([]string, m)
+	sigs := make([]*relation.Relation, m)
 	projs := make([]*relation.Relation, m)
 	relation.ParallelChunks(m, relation.NumParts(sub.size()), func(_, lo, hi int) {
 		for a := lo; a < hi; a++ {
@@ -1659,33 +1643,41 @@ func (e *engine) evalGroup(n *wsa.Group, sub *frel, outSchema relation.Schema) (
 			if p := sub.part(c, a); p != nil {
 				p.Each(func(t relation.Tuple) { w.Insert(t) })
 			}
-			sigs[a] = w.Project(gIdx, gSchema).ContentKey()
+			sigs[a] = w.Project(gIdx, gSchema)
 			projs[a] = w.Project(pIdx, outSchema)
 		}
 	})
-	// Aggregate per signature class, in first-alternative order.
-	agg := map[string]*relation.Relation{}
+	// Aggregate per signature class, in first-alternative order: class[a]
+	// is the first alternative whose signature equals a's, found by
+	// content digest and verified with Equal.
+	class := make([]int, m)
+	byHash := map[uint64][]int{}
+	agg := make([]*relation.Relation, m)
 	for a := 0; a < m; a++ {
-		cur, ok := agg[sigs[a]]
-		if !ok {
-			agg[sigs[a]] = projs[a]
+		h := sigs[a].ContentHash()
+		i := slices.IndexFunc(byHash[h], func(b int) bool { return sigs[b].Equal(sigs[a]) })
+		if i < 0 {
+			byHash[h] = append(byHash[h], a)
+			class[a], agg[a] = a, projs[a]
 			continue
 		}
+		b := byHash[h][i]
+		class[a] = b
 		if n.Kind == wsa.GroupPoss {
-			projs[a].Each(func(t relation.Tuple) { cur.Insert(t) })
+			projs[a].Each(func(t relation.Tuple) { agg[b].Insert(t) })
 		} else {
 			next := relation.New(outSchema)
-			cur.Each(func(t relation.Tuple) {
+			agg[b].Each(func(t relation.Tuple) {
 				if projs[a].Contains(t) {
 					next.Insert(t)
 				}
 			})
-			agg[sigs[a]] = next
+			agg[b] = next
 		}
 	}
 	out := newFrel(outSchema)
 	for a := 0; a < m; a++ {
-		out.setPart(c, m, a, agg[sigs[a]])
+		out.setPart(c, m, a, agg[class[a]])
 	}
 	return out, nil
 }
