@@ -31,7 +31,12 @@
 // under MVCC-style versioning. Readers take an immutable snapshot with
 // one atomic pointer load and evaluate against it wait-free; writers
 // serialize per component shard through a transaction that publishes a
-// new catalog version (copy-on-write down to individual relations). I-SQL
+// new catalog version, copy-on-write down to individual relations and,
+// within a relation, down to row segments: relation.Relation keeps its
+// rows in frozen segments shared between versions plus one tail that
+// takes the inserts, and Clone shares them instead of copying, so a
+// commit costs the rows it adds, not the rows of the table it grows
+// (segments merge geometrically, O(log n) of them per relation). I-SQL
 // sessions (internal/isql) run on the catalog: statements in the clean
 // World-set Algebra fragment compile and evaluate through any
 // registered engine — by default wsdexec, natively on the decomposition

@@ -632,3 +632,28 @@ func TestWALLargeRecordRecovered(t *testing.T) {
 		}
 	})
 }
+
+// TestInsertCostIndependentOfTableSize: a single-row insert into a
+// certain table allocates what it adds, not what the table holds. The
+// commit derives the new version of the table by Clone + Insert, and
+// Clone shares the rows instead of copying them, so 16k rows cost what
+// 1k rows do.
+func TestInsertCostIndependentOfTableSize(t *testing.T) {
+	insert := func(rows int) float64 {
+		log := relation.NewSized(relation.NewSchema("K", "V"), rows)
+		for i := 0; i < rows; i++ {
+			log.Insert(relation.Tuple{value.Int(int64(i)), value.Int(int64(i % 7))})
+		}
+		s := FromCatalog(store.New(datagen.CensusRepairDecomp(1000, 40, 1).WithRelation("Log", log.Schema(), log)))
+		next := rows
+		return testing.AllocsPerRun(50, func() {
+			next++
+			mustExec(t, s, fmt.Sprintf("insert into Log values (%d, 1);", next))
+		})
+	}
+	small, large := insert(1000), insert(16000)
+	t.Logf("allocations per single-row insert: %.0f into 1k rows, %.0f into 16k rows", small, large)
+	if large > 1.2*small {
+		t.Errorf("a single-row insert allocates %.0f into 16k rows, %.0f into 1k: it copies the table", large, small)
+	}
+}

@@ -134,15 +134,35 @@ func (t Tuple) String() string {
 // usable; construct with New. Relations are mutable until shared; all
 // algebra operators in package ra allocate fresh results. Once a
 // relation is shared (stored in a world-set, passed to a parallel
-// operator) it must not be mutated: concurrent readers rely on it, and
-// sibling relations created by WithSchema share the row storage.
+// operator) it must not be mutated: concurrent readers rely on it.
+// Deriving a version from a shared relation goes through Clone, which
+// copies no rows: the clone and its first mutation cost O(segments).
 //
 // Rows are stored in hash buckets keyed by the tuples' FNV-1a digest
 // with exact value comparison on collision, so membership tests and
-// inserts allocate no key strings.
+// inserts allocate no key strings. The buckets live in copy-on-write
+// storage: a list of frozen segments, shared with the versions that
+// Clone derives, plus one tail map that takes the inserts. A relation
+// never cloned keeps everything in its tail — one map, as a plain hash
+// set. Cloning shares the tail and marks it frozen; the next mutation
+// on either side moves the frozen tail onto its own segment list and
+// starts a new tail, so a version costs the rows it adds, not the rows
+// it shares. Adjacent segments merge while the newer holds at least
+// half the rows of the older (a binary counter), so a relation has
+// O(log n) segments and a row is copied O(log n) times over its life.
 type Relation struct {
 	schema Schema
+	// segs are the frozen segments, oldest first. Neither the list nor a
+	// segment's map or buckets is ever written in place: a change builds
+	// a new list, and a delete from a segment moves a copy of its rows
+	// into the tail.
+	segs []segment
+	// rows is the tail. While shared is unset no other version reads it
+	// (a WithSchema sibling is the same version), and Insert and Delete
+	// write it in place; shared marks it read by a clone, and the next
+	// mutation moves it onto segs.
 	rows   map[uint64][]Tuple
+	shared atomic.Bool
 	n      int
 
 	// mu guards the lazily computed caches below. The row storage itself
@@ -158,6 +178,12 @@ type Relation struct {
 	// siblings of a relation share one cache: an index built through any
 	// rename of a catalog relation is found through every other.
 	ix atomic.Pointer[indexCache]
+}
+
+// segment is one frozen, shared part of a relation's row storage.
+type segment struct {
+	rows map[uint64][]Tuple
+	n    int
 }
 
 // New returns an empty relation over the given schema.
@@ -203,6 +229,70 @@ func (r *Relation) invalidate() {
 	}
 }
 
+// own makes the tail writable before a mutation: a tail another version
+// shares is moved onto the segment list, merging segments by the
+// binary-counter rule, and replaced by an empty one.
+func (r *Relation) own() {
+	if !r.shared.Load() {
+		return
+	}
+	tail := r.n
+	for _, s := range r.segs {
+		tail -= s.n
+	}
+	if tail > 0 {
+		segs := make([]segment, len(r.segs), len(r.segs)+1)
+		copy(segs, r.segs)
+		segs = append(segs, segment{r.rows, tail})
+		for k := len(segs); k >= 2 && 2*segs[k-1].n >= segs[k-2].n; k-- {
+			segs = append(segs[:k-2], merge(segs[k-2], segs[k-1]))
+		}
+		r.segs = segs
+	}
+	r.rows = make(map[uint64][]Tuple)
+	r.shared.Store(false)
+}
+
+// merge returns one segment holding the rows of a and b, which are
+// disjoint. Buckets present in one of them only are shared, not copied:
+// segment buckets are never written in place.
+func merge(a, b segment) segment {
+	m := make(map[uint64][]Tuple, a.n+b.n)
+	for _, s := range [2]segment{a, b} {
+		for h, bucket := range s.rows {
+			if old, ok := m[h]; ok {
+				bucket = append(old[:len(old):len(old)], bucket...)
+			}
+			m[h] = bucket
+		}
+	}
+	return segment{m, a.n + b.n}
+}
+
+// indexIn returns the position of t in bucket, or -1.
+func indexIn(bucket []Tuple, t Tuple) int {
+	for i, u := range bucket {
+		if t.Equal(u) {
+			return i
+		}
+	}
+	return -1
+}
+
+// has reports whether t, whose digest is h, is stored in any segment or
+// the tail.
+func (r *Relation) has(t Tuple, h uint64) bool {
+	if indexIn(r.rows[h], t) >= 0 {
+		return true
+	}
+	for i := range r.segs {
+		if indexIn(r.segs[i].rows[h], t) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Insert adds a tuple, reporting whether it was new. It panics if the
 // arity does not match the schema: arity mismatches are program bugs, not
 // data errors.
@@ -211,14 +301,10 @@ func (r *Relation) Insert(t Tuple) bool {
 		panic(fmt.Sprintf("relation: inserting arity-%d tuple into schema %v", len(t), r.schema))
 	}
 	h := t.Hash()
-	for _, u := range r.rows[h] {
-		if t.Equal(u) {
-			return false
-		}
+	if r.has(t, h) {
+		return false
 	}
-	r.rows[h] = append(r.rows[h], t)
-	r.n++
-	r.invalidate()
+	r.add(t, h)
 	return true
 }
 
@@ -232,7 +318,12 @@ func (r *Relation) InsertDistinct(t Tuple) {
 	if len(t) != len(r.schema) {
 		panic(fmt.Sprintf("relation: inserting arity-%d tuple into schema %v", len(t), r.schema))
 	}
-	h := t.Hash()
+	r.add(t, t.Hash())
+}
+
+// add appends t, whose digest is h, to the tail.
+func (r *Relation) add(t Tuple, h uint64) {
+	r.own()
 	r.rows[h] = append(r.rows[h], t)
 	r.n++
 	r.invalidate()
@@ -241,45 +332,58 @@ func (r *Relation) InsertDistinct(t Tuple) {
 // InsertValues is Insert with a variadic convenience signature.
 func (r *Relation) InsertValues(vs ...value.Value) bool { return r.Insert(Tuple(vs)) }
 
-// Delete removes a tuple if present, reporting whether it was there.
+// Delete removes a tuple if present, reporting whether it was there. A
+// tuple in a frozen segment moves that segment's rows into the tail —
+// a copy of that segment only — so further deletes from those rows cost
+// what a delete from an unshared relation does.
 func (r *Relation) Delete(t Tuple) bool {
 	h := t.Hash()
-	bucket := r.rows[h]
-	for i, u := range bucket {
-		if t.Equal(u) {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			if len(bucket) == 0 {
-				delete(r.rows, h)
-			} else {
-				r.rows[h] = bucket
-			}
-			r.n--
-			r.invalidate()
-			return true
-		}
+	if !r.has(t, h) {
+		return false
 	}
-	return false
+	r.own()
+	if indexIn(r.rows[h], t) < 0 {
+		s := slices.IndexFunc(r.segs, func(s segment) bool { return indexIn(s.rows[h], t) >= 0 })
+		if len(r.rows) == 0 {
+			r.rows = make(map[uint64][]Tuple, len(r.segs[s].rows))
+		}
+		for k, bucket := range r.segs[s].rows {
+			r.rows[k] = append(r.rows[k], bucket...) // a fresh bucket when the tail has none
+		}
+		r.segs = slices.Delete(slices.Clone(r.segs), s, s+1)
+	}
+	bucket := r.rows[h]
+	i := indexIn(bucket, t)
+	bucket[i] = bucket[len(bucket)-1]
+	if bucket = bucket[:len(bucket)-1]; len(bucket) == 0 {
+		delete(r.rows, h)
+	} else {
+		r.rows[h] = bucket
+	}
+	r.n--
+	r.invalidate()
+	return true
 }
 
 // Contains reports tuple membership.
-func (r *Relation) Contains(t Tuple) bool {
-	for _, u := range r.rows[t.Hash()] {
-		if t.Equal(u) {
-			return true
-		}
-	}
-	return false
-}
+func (r *Relation) Contains(t Tuple) bool { return r.has(t, t.Hash()) }
 
 // ContainsProj reports whether some tuple of r equals t's columns at
 // idx. r's tuples are compared in full, so idx must have length
 // len(r.Schema()). Used to probe set membership with a projection of a
 // wider tuple without materializing it.
 func (r *Relation) ContainsProj(t Tuple, idx []int) bool {
-	for _, u := range r.rows[t.HashOn(idx)] {
+	h := t.HashOn(idx)
+	for _, u := range r.rows[h] {
 		if u.EqualOn(t, nil, idx) {
 			return true
+		}
+	}
+	for i := range r.segs {
+		for _, u := range r.segs[i].rows[h] {
+			if u.EqualOn(t, nil, idx) {
+				return true
+			}
 		}
 	}
 	return false
@@ -288,6 +392,13 @@ func (r *Relation) ContainsProj(t Tuple, idx []int) bool {
 // Each calls f for every tuple in unspecified order. f must not mutate
 // the relation.
 func (r *Relation) Each(f func(Tuple)) {
+	for i := range r.segs {
+		for _, bucket := range r.segs[i].rows {
+			for _, t := range bucket {
+				f(t)
+			}
+		}
+	}
 	for _, bucket := range r.rows {
 		for _, t := range bucket {
 			f(t)
@@ -299,31 +410,39 @@ func (r *Relation) Each(f func(Tuple)) {
 // printing and comparison in tests.
 func (r *Relation) Tuples() []Tuple {
 	out := make([]Tuple, 0, r.n)
-	for _, bucket := range r.rows {
-		out = append(out, bucket...)
-	}
+	r.Each(func(t Tuple) { out = append(out, t) })
 	slices.SortFunc(out, Tuple.Compare)
 	return out
 }
 
-// Clone returns a deep-enough copy (tuples are immutable by convention).
+// Clone returns a new version of r. It shares r's row storage and copies
+// no rows: the shared tail is marked frozen, and whichever of the two is
+// mutated first moves it onto its own segment list, at O(segments).
+// Tuples are immutable by convention. Concurrent readers may clone one
+// published relation; the clone stays mutable, like a relation fresh
+// from New, until it is shared in turn.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{schema: r.schema.Clone(), rows: make(map[uint64][]Tuple, len(r.rows)), n: r.n}
-	for h, bucket := range r.rows {
-		c.rows[h] = append([]Tuple(nil), bucket...)
+	if !r.shared.Load() {
+		r.shared.Store(true)
 	}
+	c := &Relation{schema: r.schema.Clone(), segs: r.segs, rows: r.rows, n: r.n}
+	c.shared.Store(true)
 	return c
 }
 
 // WithSchema returns a relation with the same rows but attribute names
 // replaced by the given schema (same arity). Used for renaming. The
-// result shares row storage and the IndexOn cache with r; neither may
-// be mutated afterwards.
+// result is r's version under other names: it shares the row storage,
+// tail included, and the IndexOn cache. Mutate at most one of the two,
+// and only once the other is no longer used — as an operator extends
+// the rename of its own fresh output; Clone derives a version either
+// side may mutate.
 func (r *Relation) WithSchema(s Schema) *Relation {
 	if len(s) != len(r.schema) {
 		panic("relation: WithSchema arity mismatch")
 	}
-	out := &Relation{schema: s, rows: r.rows, n: r.n}
+	out := &Relation{schema: s, segs: r.segs, rows: r.rows, n: r.n}
+	out.shared.Store(r.shared.Load())
 	out.ix.Store(r.indexCache())
 	return out
 }
@@ -334,14 +453,13 @@ func (r *Relation) Equal(o *Relation) bool {
 	if !r.schema.Equal(o.schema) || r.n != o.n {
 		return false
 	}
-	for _, bucket := range r.rows {
-		for _, t := range bucket {
-			if !o.Contains(t) {
-				return false
-			}
+	equal := true
+	r.Each(func(t Tuple) {
+		if equal && !o.Contains(t) {
+			equal = false
 		}
-	}
-	return true
+	})
+	return equal
 }
 
 // EqualContents reports set equality of tuples after aligning o's columns
@@ -378,11 +496,7 @@ func (r *Relation) ContentKey() string {
 	b.WriteString(strings.Join(r.schema, ","))
 	b.WriteByte('|')
 	keys := make([]string, 0, r.n)
-	for _, bucket := range r.rows {
-		for _, t := range bucket {
-			keys = append(keys, t.Key())
-		}
-	}
+	r.Each(func(t Tuple) { keys = append(keys, t.Key()) })
 	sort.Strings(keys)
 	for _, k := range keys {
 		b.WriteString(k)
@@ -418,11 +532,7 @@ func (r *Relation) ContentHash() uint64 {
 		h = hashkey.Byte(h, ',')
 	}
 	var set uint64
-	for _, bucket := range r.rows {
-		for _, t := range bucket {
-			set ^= hashkey.Finalize(t.Hash())
-		}
-	}
+	r.Each(func(t Tuple) { set ^= hashkey.Finalize(t.Hash()) })
 	h = hashkey.Mix(h, set)
 	h = hashkey.Uint64(h, uint64(r.n))
 	r.chash, r.chValid = h, true
@@ -434,11 +544,7 @@ func (r *Relation) ContentHash() uint64 {
 // collapse (set semantics).
 func (r *Relation) Project(idx []int, names Schema) *Relation {
 	out := New(names)
-	for _, bucket := range r.rows {
-		for _, t := range bucket {
-			out.Insert(t.Project(idx))
-		}
-	}
+	r.Each(func(t Tuple) { out.Insert(t.Project(idx)) })
 	return out
 }
 

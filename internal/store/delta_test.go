@@ -391,6 +391,39 @@ func TestDeltaPatchMismatchErrors(t *testing.T) {
 	}
 }
 
+// TestReplayPatchCostIndependentOfTableSize: replaying one-row insert
+// records costs the rows they add. Each record's applyPatch derives the
+// next replay state by Clone + Insert, and Clone shares the rows, so a
+// 16k-row relation replays like a 1k-row one.
+func TestReplayPatchCostIndependentOfTableSize(t *testing.T) {
+	const records = 64
+	schema := relation.NewSchema("K", "V")
+	replay := func(rows int) float64 {
+		base := relation.NewSized(schema, rows)
+		for i := 0; i < rows; i++ {
+			base.Insert(relation.Tuple{value.Int(int64(i)), value.Int(int64(i % 7))})
+		}
+		patches := make([]*relPatch, records)
+		for i := range patches {
+			patches[i] = &relPatch{Ins: []jsonTuple{{json.Number(fmt.Sprint(rows + i)), json.Number("1")}}}
+		}
+		return testing.AllocsPerRun(5, func() {
+			rel := base
+			for _, p := range patches {
+				var err error
+				if rel, err = applyPatch(rel, schema, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	small, large := replay(1000), replay(16000)
+	t.Logf("allocations replaying %d one-row insert records: %.0f onto 1k rows, %.0f onto 16k rows", records, small, large)
+	if large > 1.2*small {
+		t.Errorf("replaying %d one-row inserts allocates %.0f onto 16k rows, %.0f onto 1k: each record copies the relation", records, large, small)
+	}
+}
+
 // TestDeltaEmptyOnNoChange: diffing a snapshot against itself yields an
 // empty delta.
 func TestDeltaEmptyOnNoChange(t *testing.T) {
