@@ -50,7 +50,11 @@
 // — and for writes the local result is re-factorized and the untouched
 // relations and components spliced back by pointer (wsd.Region — the
 // one enumeration a statement can reach, shared with wsdexec's fallback
-// and the store's engine override). The "legacy" engine is
+// and the store's engine override). In each world that evaluator reads
+// every row once, in storage order — no sort, no copy of a table it
+// only renames, no re-hash of a relation it only renames, an index
+// probe per IN — and sorts a group only where float addition makes the
+// order show. The "legacy" engine is
 // that same arm with every component counted dependent — the
 // full-expansion reference the differential sweeps hold the splice to.
 //

@@ -32,6 +32,9 @@ type selectInfo struct {
 	outExprs []Expr
 	// aggregated reports whether grouping/aggregation applies.
 	aggregated bool
+	// groupIdx holds the group-by attributes' positions in joined:
+	// empty, never nil, without a group-by.
+	groupIdx []int
 	// correlated marks subqueries (appearing in this select's
 	// expressions) that reference enclosing scopes and therefore must be
 	// evaluated per tuple.
@@ -120,10 +123,15 @@ func (s *Session) analyzeSelect(sel *SelectStmt, names []string, schemas []relat
 	// all resolve against the joined schema: per §3's order of
 	// evaluation, the world-manipulating operators apply to the
 	// where-filtered product, before the select list projects.
-	for _, refs := range [][]ColumnRef{sel.GroupBy, sel.ChoiceOf, sel.RepairKey} {
+	info.groupIdx = make([]int, 0, len(sel.GroupBy))
+	for k, refs := range [][]ColumnRef{sel.GroupBy, sel.ChoiceOf, sel.RepairKey} {
 		for _, r := range refs {
-			if info.joined.Index(r.Full()) < 0 {
+			i := info.joined.Index(r.Full())
+			if i < 0 {
 				return nil, &columnNotFoundError{name: r.Full()}
+			}
+			if k == 0 {
+				info.groupIdx = append(info.groupIdx, i)
 			}
 		}
 	}

@@ -23,8 +23,13 @@ import (
 // components contribute to — never a copy of the rest of the catalog:
 // an aggregate over, or a subquery delete from, one 3-alternative
 // component costs 3 small worlds on a 2^40-world catalog of any width,
-// not 2^40. The "legacy" comparison engine is this same arm with every
-// component in the region (see Session.native).
+// not 2^40. Within a world the evaluator (eval.go) reads each row once,
+// in storage order: a single-table pre-answer without a filter is the
+// table itself, renamed, a renamed relation keeps its memoized digest,
+// an IN probes an index of the subquery's answer, and only sum and avg
+// sort a group, so that float addition is the same in every run. The
+// "legacy" comparison engine is this same arm with every component in
+// the region (see Session.native).
 
 // stmtRelations records into the set every base relation the statement
 // can read or write: a select's (or create-table-as query's) from
@@ -62,7 +67,9 @@ func (s *Session) stmtRelations(st Statement, into map[string]bool) {
 // execBounded runs one statement through the bounded arm, for all four
 // statement kinds that can land here. It accounts the statement under
 // op (the fragment feature — or comparison engine — that routed it
-// here) and times all of its work in one exec.bounded span, enumerates
+// here) and times all of its work in one exec.bounded span, which
+// reports the region's components, the worlds enumerated and the rows
+// the evaluator read summed over them (Session.boundedRows), enumerates
 // the region of base the statement's relations depend on and hands it to
 // eval, which returns the evaluated world-set and, for DML, the number
 // of tuples it modified summed over those worlds. The worlds hold the
@@ -88,8 +95,9 @@ func (s *Session) execBounded(tx *store.Tx, base *wsd.DecompDB, st Statement, op
 	if err != nil {
 		return nil, err
 	}
-	sp.SetInt("components", int64(len(region.Deps)))
+	s.boundedRows = 0
 	out, modified, err := eval(ws)
+	sp.SetInt("components", int64(len(region.Deps))).SetInt("worlds", int64(ws.Len())).SetInt("rows", s.boundedRows)
 	if err != nil {
 		return nil, err
 	}

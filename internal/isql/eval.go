@@ -2,6 +2,7 @@ package isql
 
 import (
 	"fmt"
+	"slices"
 
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/worldset"
@@ -25,9 +26,16 @@ type evalCtx struct {
 	tuple   relation.Tuple
 	lifted  map[*SelectStmt]int
 	outer   *evalCtx
+	// cols memoizes where each column reference resolves in the context
+	// chain, so each reference is looked up by name once, not once per
+	// row. The contexts of one chain of schemas — all the worlds of one
+	// evalSelect — share one; resolve creates it when unset.
+	cols map[*ColExpr]colSlot
 	// groupRows is set while evaluating aggregate expressions: the
-	// tuples of the current group.
-	groupRows []relation.Tuple
+	// tuples of the current group, in Tuple.Compare order once
+	// groupSorted is set.
+	groupRows   []relation.Tuple
+	groupSorted bool
 }
 
 // scopeChain returns the tuple schemas of the context chain, innermost
@@ -86,15 +94,20 @@ func (s *Session) evalSelect(sel *SelectStmt, ws *worldset.WorldSet, outer *eval
 	}
 
 	// Phase 3: per world, the where-filtered join (the pre-answer).
+	cols := map[*ColExpr]colSlot{}
 	ctxOf := func(w worldset.World) *evalCtx {
 		return &evalCtx{
 			session: s, world: w,
 			names: cur.Names(), schemas: cur.Schemas(),
-			schema: info.joined, lifted: lifted, outer: outer,
+			schema: info.joined, lifted: lifted, outer: outer, cols: cols,
 		}
 	}
 	pre, err := extendEach(cur, preAnswerName, info.joined, func(w worldset.World) (*relation.Relation, error) {
-		return s.joinWorld(w, fromIdx, info, sel.Where, ctxOf(w))
+		r, err := s.joinWorld(w, fromIdx, info, sel.Where, ctxOf(w))
+		if err == nil {
+			s.boundedRows += int64(r.Len())
+		}
+		return r, err
 	})
 	if err != nil {
 		return nil, err
@@ -253,50 +266,56 @@ func relabelLast(ws *worldset.WorldSet, schema relation.Schema) *worldset.WorldS
 }
 
 // joinWorld computes the where-filtered product of the from relations in
-// one world.
+// one world. It reads each input once, in storage order: a product of
+// sets is a set, so every surviving row goes in without a membership
+// probe, and one from item's rows go in as they are. One from item
+// without a where clause is its own pre-answer, renamed: it keeps the
+// input's memoized digest and indexes.
 func (s *Session) joinWorld(w worldset.World, fromIdx []int, info *selectInfo, where Expr, ctx *evalCtx) (*relation.Relation, error) {
-	out := relation.New(info.joined)
 	if len(fromIdx) == 0 {
-		return out, nil
+		return relation.New(info.joined), nil
 	}
-	rels := make([][]relation.Tuple, len(fromIdx))
-	for i, idx := range fromIdx {
-		rels[i] = w[idx].Tuples()
-		if len(rels[i]) == 0 {
-			return out, nil
+	if len(fromIdx) == 1 && where == nil {
+		return w[fromIdx[0]].WithSchema(info.joined), nil
+	}
+	out := relation.New(info.joined)
+	keep := func(t relation.Tuple) error {
+		if where != nil {
+			ctx.tuple = t
+			if ok, err := ctx.evalBool(where); err != nil || !ok {
+				return err
+			}
 		}
+		out.InsertDistinct(t)
+		return nil
+	}
+	if len(fromIdx) == 1 {
+		var err error
+		w[fromIdx[0]].Each(func(t relation.Tuple) {
+			if err == nil {
+				err = keep(t)
+			}
+		})
+		return out, err
 	}
 	current := make(relation.Tuple, 0, len(info.joined))
 	var rec func(level int) error
 	rec = func(level int) error {
-		if level == len(rels) {
-			t := current.Clone()
-			if where != nil {
-				ctx.tuple = t
-				keep, err := ctx.evalBool(where)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					return nil
-				}
-			}
-			out.Insert(t)
-			return nil
+		if level == len(fromIdx) {
+			return keep(current.Clone())
 		}
-		for _, t := range rels[level] {
+		var err error
+		w[fromIdx[level]].Each(func(t relation.Tuple) {
+			if err != nil {
+				return
+			}
 			current = append(current, t...)
-			if err := rec(level + 1); err != nil {
-				return err
-			}
+			err = rec(level + 1)
 			current = current[:len(current)-len(t)]
-		}
-		return nil
+		})
+		return err
 	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, rec(0)
 }
 
 // evalRow evaluates the select list in the current context.
@@ -315,11 +334,10 @@ func (c *evalCtx) evalRow(exprs []Expr) (relation.Tuple, error) {
 // evalProjection computes the plain (non-aggregated) select list over
 // the pre-answer rows.
 func (s *Session) evalProjection(sel *SelectStmt, info *selectInfo, pre *relation.Relation, ctx *evalCtx) (*relation.Relation, error) {
-	out := relation.New(info.out)
 	if sel.Star {
-		pre.Each(func(t relation.Tuple) { out.Insert(t) })
-		return out, nil
+		return pre.WithSchema(info.out), nil
 	}
+	out := relation.New(info.out)
 	var evalErr error
 	pre.Each(func(t relation.Tuple) {
 		if evalErr != nil {
@@ -343,18 +361,16 @@ func (s *Session) evalProjection(sel *SelectStmt, info *selectInfo, pre *relatio
 // and evaluates the select list once per group (aggregates see the
 // group's rows).
 func (s *Session) evalAggregation(sel *SelectStmt, info *selectInfo, pre *relation.Relation, ctx *evalCtx) (*relation.Relation, error) {
-	gIdx, err := info.joined.Indexes(refNames(sel.GroupBy))
-	if err != nil {
-		return nil, err
-	}
-	// Groups in first-appearance order, each group's rows in pre.Tuples()
-	// order, so float sums and averages add up in one fixed order. gIdx
-	// is empty, not nil (GroupMap's whole-tuple projection), without a
-	// group-by: every row falls into the one group of the empty key.
-	groups := relation.NewGroupMap(gIdx, 0)
-	for _, t := range pre.Tuples() {
-		groups.Add(t)
-	}
+	// A group's rows are read in Tuple.Compare order wherever the order
+	// shows — the order of the sorted pre-answer restricted to the
+	// group — however the rows are stored: the select list reads the
+	// group's least row, and sum and avg sort the group before adding
+	// (evalAgg), so float results do not depend on storage order.
+	// groupIdx is empty, not nil (GroupMap's whole-tuple projection),
+	// without a group-by: every row falls into the one group of the
+	// empty key.
+	groups := relation.NewGroupMap(info.groupIdx, 0)
+	pre.Each(func(t relation.Tuple) { groups.Add(t) })
 	out := relation.New(info.out)
 	// A global aggregate over an empty input produces one row (e.g.
 	// count(*) = 0) only when there is no group-by, matching SQL. The
@@ -365,10 +381,9 @@ func (s *Session) evalAggregation(sel *SelectStmt, info *selectInfo, pre *relati
 	}
 	defer func() { ctx.groupRows = nil }()
 	for _, g := range all {
-		rows := g.Rows
-		ctx.groupRows = rows
-		if len(rows) > 0 {
-			ctx.tuple = rows[0]
+		ctx.groupRows, ctx.groupSorted = g.Rows, false
+		if len(g.Rows) > 0 {
+			ctx.tuple = slices.MinFunc(g.Rows, relation.Tuple.Compare)
 		} else {
 			ctx.tuple = make(relation.Tuple, len(info.joined))
 		}

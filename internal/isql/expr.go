@@ -2,6 +2,7 @@ package isql
 
 import (
 	"fmt"
+	"slices"
 
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/value"
@@ -9,14 +10,36 @@ import (
 	"worldsetdb/internal/wsa"
 )
 
-// resolve finds a column in the context chain, innermost scope first.
-func (c *evalCtx) resolve(ref ColumnRef) (value.Value, error) {
-	for cur := c; cur != nil; cur = cur.outer {
-		if i := cur.schema.Index(ref.Full()); i >= 0 {
-			return cur.tuple[i], nil
+// colSlot is where a column reference resolves: the tuple of the
+// context depth links out along the chain, at position pos.
+type colSlot struct{ depth, pos int }
+
+// resolve finds a column in the context chain, innermost scope first,
+// by name on its first use in the chain and through c.cols after.
+func (c *evalCtx) resolve(col *ColExpr) (value.Value, error) {
+	slot, ok := c.cols[col]
+	if !ok {
+		if c.cols == nil {
+			c.cols = map[*ColExpr]colSlot{}
 		}
+		name := col.Ref.Full()
+		for cur := c; cur != nil && !ok; cur = cur.outer {
+			if slot.pos = cur.schema.Index(name); slot.pos >= 0 {
+				ok = true
+			} else {
+				slot.depth++
+			}
+		}
+		if !ok {
+			return value.Null(), &columnNotFoundError{name: name}
+		}
+		c.cols[col] = slot
 	}
-	return value.Null(), &columnNotFoundError{name: ref.Full()}
+	cur := c
+	for d := slot.depth; d > 0; d-- {
+		cur = cur.outer
+	}
+	return cur.tuple[slot.pos], nil
 }
 
 // evalBool evaluates a boolean expression.
@@ -41,7 +64,7 @@ func (c *evalCtx) evalExpr(e Expr) (value.Value, error) {
 		return value.Null(), fmt.Errorf("isql: unbound parameter $%d (bind it with execute)", n.N)
 
 	case *ColExpr:
-		return c.resolve(n.Ref)
+		return c.resolve(n)
 
 	case *BinExpr:
 		l, err := c.evalExpr(n.L)
@@ -101,12 +124,7 @@ func (c *evalCtx) evalExpr(e Expr) (value.Value, error) {
 		if err != nil {
 			return value.Null(), err
 		}
-		found := false
-		rel.Each(func(t relation.Tuple) {
-			if t[col].Equal(lv) {
-				found = true
-			}
-		})
+		found := len(rel.IndexOn([]int{col}).Lookup(relation.Tuple{lv}, nil)) > 0
 		return value.Bool(found != n.Neg), nil
 
 	case *ExistsExpr:
@@ -242,6 +260,11 @@ func (c *evalCtx) evalAgg(a *AggExpr) (value.Value, error) {
 			return value.Null(), fmt.Errorf("isql: %s(*) is not valid", a.Fn)
 		}
 		return value.Int(int64(len(c.groupRows))), nil
+	}
+	if (a.Fn == "sum" || a.Fn == "avg") && !c.groupSorted {
+		// Float addition is not associative: add in Tuple.Compare order.
+		slices.SortFunc(c.groupRows, relation.Tuple.Compare)
+		c.groupSorted = true
 	}
 	saved := c.tuple
 	defer func() { c.tuple = saved }()

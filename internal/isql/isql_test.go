@@ -21,7 +21,7 @@ func flightsSession() *Session {
 	return FromDB([]string{"HFlights"}, []*relation.Relation{datagen.PaperFlights()})
 }
 
-func mustExec(t *testing.T, s *Session, sql string) *Result {
+func mustExec(t testing.TB, s *Session, sql string) *Result {
 	t.Helper()
 	res, err := s.ExecString(sql)
 	if err != nil {

@@ -96,6 +96,12 @@ type Session struct {
 	// no-ops on the nil span). EXPLAIN ANALYZE and the server's
 	// slow-query log set it around one statement via SetTrace.
 	span *obs.Span
+
+	// boundedRows counts the rows the bounded arm's evaluator reads
+	// tuple by tuple, summed over worlds: every select's pre-answer
+	// (subqueries and derived tables included) and a DELETE's or
+	// UPDATE's table. execBounded reports it on its span.
+	boundedRows int64
 }
 
 // SetTrace attaches a trace root: subsequent statements record their
@@ -745,12 +751,14 @@ func (s *Session) execMutation(st Statement, table string, exprs []Expr,
 				// The region's worlds hold its relation closure, not the
 				// catalog: the table sits at its own index there.
 				out, modified, li := worldset.New(ws.Names(), ws.Schemas()), 0, ws.IndexOf(table)
+				cols := map[*ColExpr]colSlot{}
 				var evalErr error
 				ws.Each(func(w worldset.World) {
 					if evalErr != nil {
 						return
 					}
-					ctx := &evalCtx{session: s, world: w, names: ws.Names(), schemas: ws.Schemas(), schema: schema}
+					s.boundedRows += int64(w[li].Len())
+					ctx := &evalCtx{session: s, world: w, names: ws.Names(), schemas: ws.Schemas(), schema: schema, cols: cols}
 					nw := append(worldset.World{}, w...)
 					nw[li], evalErr = mapTuples(ctx, w[li], rule, func(relation.Tuple) { modified++ })
 					out.Add(nw)

@@ -3,6 +3,7 @@ package relation
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the shared hash-index machinery used by the
@@ -62,21 +63,26 @@ func (ix *Index) Lookup(probe Tuple, probeCols []int) []Tuple {
 // this constant, and the planner's estimator prices selections by it.
 const IndexProbeMin = 64
 
-// indexCache holds the IndexOn indexes of one row storage, keyed by the
-// column list. A relation and its WithSchema siblings share one.
-type indexCache struct {
+// rowMemo holds what is memoized about one row storage regardless of
+// attribute names: the IndexOn indexes, keyed by the column list, and
+// the row-set digest ContentHash combines with the schema. A relation
+// and its WithSchema siblings share one.
+type rowMemo struct {
 	mu     sync.Mutex
 	byCols map[string]*Index
+	// digest is valid once digestOK is set. Concurrent first readers
+	// may both compute it; they store the same value.
+	digest   atomic.Uint64
+	digestOK atomic.Bool
 }
 
-// indexCache returns r's index cache, attaching an empty one on first
-// use.
-func (r *Relation) indexCache() *indexCache {
-	if c := r.ix.Load(); c != nil {
-		return c
+// rowMemo returns r's row memo, attaching an empty one on first use.
+func (r *Relation) rowMemo() *rowMemo {
+	if m := r.memo.Load(); m != nil {
+		return m
 	}
-	r.ix.CompareAndSwap(nil, &indexCache{})
-	return r.ix.Load()
+	r.memo.CompareAndSwap(nil, &rowMemo{})
+	return r.memo.Load()
 }
 
 // IndexOn returns a hash index of r on the columns at cols, building it
@@ -89,12 +95,13 @@ func (r *Relation) indexCache() *indexCache {
 // the relation is mutated; safe for concurrent readers (concurrent first
 // probes build once).
 func (r *Relation) IndexOn(cols []int) *Index {
-	var sig []byte
+	var buf [32]byte
+	sig := buf[:0] // a probe of a cached index allocates no key
 	for _, c := range cols {
 		sig = strconv.AppendInt(sig, int64(c), 10)
 		sig = append(sig, ',')
 	}
-	c := r.indexCache()
+	c := r.rowMemo()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ix, ok := c.byCols[string(sig)]; ok {

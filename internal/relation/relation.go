@@ -173,11 +173,12 @@ type Relation struct {
 	ckValid bool
 	chash   uint64
 	chValid bool
-	// ix caches the IndexOn indexes. An index depends on the rows and on
-	// column positions only, never on attribute names, so the WithSchema
-	// siblings of a relation share one cache: an index built through any
-	// rename of a catalog relation is found through every other.
-	ix atomic.Pointer[indexCache]
+	// memo caches what depends on the rows alone, never on attribute
+	// names — the IndexOn indexes and ContentHash's row-set digest — so
+	// the WithSchema siblings of a relation share one: an index built, or
+	// a digest taken, through any rename of a catalog relation is found
+	// through every other, and a rename is never re-hashed.
+	memo atomic.Pointer[rowMemo]
 }
 
 // segment is one frozen, shared part of a relation's row storage.
@@ -224,8 +225,8 @@ func (r *Relation) invalidate() {
 		r.chash, r.chValid = 0, false
 		r.mu.Unlock()
 	}
-	if r.ix.Load() != nil {
-		r.ix.Store(nil) // detach, not clear: the cache may be shared with siblings
+	if r.memo.Load() != nil {
+		r.memo.Store(nil) // detach, not clear: the memo may be shared with siblings
 	}
 }
 
@@ -433,7 +434,8 @@ func (r *Relation) Clone() *Relation {
 // WithSchema returns a relation with the same rows but attribute names
 // replaced by the given schema (same arity). Used for renaming. The
 // result is r's version under other names: it shares the row storage,
-// tail included, and the IndexOn cache. Mutate at most one of the two,
+// tail included, and the row memo: its IndexOn indexes and the row-set
+// digest under its ContentHash. Mutate at most one of the two,
 // and only once the other is no longer used — as an operator extends
 // the rename of its own fresh output; Clone derives a version either
 // side may mutate.
@@ -443,7 +445,7 @@ func (r *Relation) WithSchema(s Schema) *Relation {
 	}
 	out := &Relation{schema: s, segs: r.segs, rows: r.rows, n: r.n}
 	out.shared.Store(r.shared.Load())
-	out.ix.Store(r.indexCache())
+	out.memo.Store(r.rowMemo())
 	return out
 }
 
@@ -519,7 +521,8 @@ func SortByContent(rs []*Relation) {
 // deduplication) must verify candidates with Equal. Tuple digests are
 // avalanched and combined with XOR, so the digest is independent of
 // iteration order without sorting — unlike ContentKey, computing it
-// allocates nothing.
+// allocates nothing. The row-set part is memoized on the row memo, so
+// a WithSchema rename hashes its schema only.
 func (r *Relation) ContentHash() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -532,7 +535,13 @@ func (r *Relation) ContentHash() uint64 {
 		h = hashkey.Byte(h, ',')
 	}
 	var set uint64
-	r.Each(func(t Tuple) { set ^= hashkey.Finalize(t.Hash()) })
+	if m := r.rowMemo(); m.digestOK.Load() {
+		set = m.digest.Load()
+	} else {
+		r.Each(func(t Tuple) { set ^= hashkey.Finalize(t.Hash()) })
+		m.digest.Store(set)
+		m.digestOK.Store(true)
+	}
 	h = hashkey.Mix(h, set)
 	h = hashkey.Uint64(h, uint64(r.n))
 	r.chash, r.chValid = h, true

@@ -185,7 +185,10 @@ func (db *DecompDB) Size() int {
 // Expand enumerates the represented world-set. It refuses
 // decompositions with more than budget worlds (0 means
 // DefaultExpandBudget), returning a *BudgetError so callers can tell
-// infeasible enumeration apart from real failures.
+// infeasible enumeration apart from real failures. The worlds share
+// db's relations — a certain part no alternative adds to is the same
+// pointer in every world — so, like every relation of a world-set, they
+// are read, never mutated: an operator derives new ones.
 func (db *DecompDB) Expand(budget int) (*worldset.WorldSet, error) {
 	if budget == 0 {
 		budget = DefaultExpandBudget
@@ -198,11 +201,25 @@ func (db *DecompDB) Expand(budget int) (*worldset.WorldSet, error) {
 	if n.Sign() == 0 {
 		return ws, nil
 	}
+	// A relation no alternative contributes to is its certain part in
+	// every world: handed out by pointer, it keeps its memoized digests,
+	// so no world re-hashes it. The others are clones the alternatives
+	// extend.
+	grows := make([]bool, len(db.Certain))
+	for _, c := range db.Components {
+		for _, a := range c.Alternatives {
+			for ri, r := range a.Rels {
+				grows[ri] = grows[ri] || r != nil && r.Len() > 0
+			}
+		}
+	}
 	choice := make([]int, len(db.Components))
 	for {
 		w := make(worldset.World, len(db.Certain))
 		for i, r := range db.Certain {
-			w[i] = r.Clone()
+			if w[i] = r; grows[i] {
+				w[i] = r.Clone()
+			}
 		}
 		for ci, c := range db.Components {
 			for ri, r := range c.Alternatives[choice[ci]].Rels {
