@@ -54,7 +54,13 @@
 // every row once, in storage order — no sort, no copy of a table it
 // only renames, no re-hash of a relation it only renames, an index
 // probe per IN — and sorts a group only where float addition makes the
-// order show. The "legacy" engine is
+// order show. A read that aggregates over one base table builds no
+// world at all when the table's parts are disjoint (no piece tuple in
+// the certain part or in another component's piece): it groups the
+// certain part and each piece once, a large part through its cached
+// index, and evaluates each combination of the region's alternatives
+// (wsd.Region.Combinations) from the chosen parts' groups, in the
+// manner of factorised aggregation. The "legacy" engine is
 // that same arm with every component counted dependent — the
 // full-expansion reference the differential sweeps hold the splice to.
 //

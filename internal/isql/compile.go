@@ -132,12 +132,7 @@ func (s *Session) compileOn(names []string, schemas []relation.Schema, sel *Sele
 			return nil, outsideFragment("query-form group-worlds-by", "isql: query-form group-worlds-by is outside the World-set Algebra fragment (use the attribute form)")
 		}
 		groupBy := resolveRefs(sel.GroupWorlds.Attrs, info.joined)
-		g := &wsa.Group{GroupBy: groupBy, Proj: srcCols, From: q}
-		if sel.Close == ClosePossible {
-			g.Kind = wsa.GroupPoss
-		} else {
-			g.Kind = wsa.GroupCert
-		}
+		g := &wsa.Group{Kind: sel.Close.groupKind(), GroupBy: groupBy, Proj: srcCols, From: q}
 		return renameOut(g, srcCols, outNames), nil
 	}
 

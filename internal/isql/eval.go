@@ -148,11 +148,7 @@ func (s *Session) evalSelect(sel *SelectStmt, ws *worldset.WorldSet, outer *eval
 	// Phase 6: possible/certain — pγ/cγ with the worlds grouped by the
 	// group-worlds-by clause (all together without one).
 	if sel.Close != CloseNone {
-		kind := wsa.GroupCert
-		if sel.Close == ClosePossible {
-			kind = wsa.GroupPoss
-		}
-		withOut, err = wsa.GroupLast(withOut, kind, nil, info.out, s.worldGroupKey(sel.GroupWorlds, withOut, preIdx))
+		withOut, err = wsa.GroupLast(withOut, sel.Close.groupKind(), nil, info.out, s.worldGroupKey(sel.GroupWorlds, withOut, preIdx))
 		if err != nil {
 			return nil, err
 		}
@@ -167,6 +163,15 @@ func (s *Session) evalSelect(sel *SelectStmt, ws *worldset.WorldSet, outer *eval
 		out.Add(append(append(worldset.World{}, w[:k0]...), w[len(w)-1]))
 	})
 	return out, nil
+}
+
+// groupKind is the pγ (possible) or cγ (certain) a closing mode other
+// than CloseNone applies.
+func (m CloseMode) groupKind() wsa.GroupKind {
+	if m == ClosePossible {
+		return wsa.GroupPoss
+	}
+	return wsa.GroupCert
 }
 
 // extendEach is worldset.Extend for an f that can fail: every world
@@ -359,41 +364,48 @@ func (s *Session) evalProjection(sel *SelectStmt, info *selectInfo, pre *relatio
 
 // evalAggregation groups the pre-answer rows by the group-by attributes
 // and evaluates the select list once per group (aggregates see the
-// group's rows).
+// group's rows). groupIdx is empty, not nil (GroupMap's whole-tuple
+// projection), without a group-by: every row falls into the one group
+// of the empty key.
 func (s *Session) evalAggregation(sel *SelectStmt, info *selectInfo, pre *relation.Relation, ctx *evalCtx) (*relation.Relation, error) {
-	// A group's rows are read in Tuple.Compare order wherever the order
-	// shows — the order of the sorted pre-answer restricted to the
-	// group — however the rows are stored: the select list reads the
-	// group's least row, and sum and avg sort the group before adding
-	// (evalAgg), so float results do not depend on storage order.
-	// groupIdx is empty, not nil (GroupMap's whole-tuple projection),
-	// without a group-by: every row falls into the one group of the
-	// empty key.
 	groups := relation.NewGroupMap(info.groupIdx, 0)
 	pre.Each(func(t relation.Tuple) { groups.Add(t) })
 	out := relation.New(info.out)
-	// A global aggregate over an empty input produces one row (e.g.
-	// count(*) = 0) only when there is no group-by, matching SQL. The
-	// group must be non-nil: nil marks "no aggregation context".
-	all := groups.Groups()
-	if len(all) == 0 && len(sel.GroupBy) == 0 {
-		all = []*relation.Group{{Rows: []relation.Tuple{}}}
-	}
-	defer func() { ctx.groupRows = nil }()
-	for _, g := range all {
-		ctx.groupRows, ctx.groupSorted = g.Rows, false
-		if len(g.Rows) > 0 {
-			ctx.tuple = slices.MinFunc(g.Rows, relation.Tuple.Compare)
-		} else {
-			ctx.tuple = make(relation.Tuple, len(info.joined))
+	if groups.Len() == 0 && len(sel.GroupBy) == 0 {
+		row, err := ctx.aggRow(info, []relation.Tuple{}, nil)
+		if err != nil {
+			return nil, err
 		}
-		row, err := ctx.evalRow(info.outExprs)
+		out.Insert(row)
+	}
+	for _, g := range groups.Groups() {
+		row, err := ctx.aggRow(info, g.Rows, slices.MinFunc(g.Rows, relation.Tuple.Compare))
 		if err != nil {
 			return nil, err
 		}
 		out.Insert(row)
 	}
 	return out, nil
+}
+
+// aggRow evaluates the select list over one group — the per-group step
+// both aggregate strategies share (evalAggregation per world, the
+// one-table aggregate per combination of parts). rows are the group's,
+// a slice private to the call: sum and avg sort it in place (evalAgg),
+// so a group's rows are read in Tuple.Compare order wherever the order
+// shows, however they are stored, and float results do not depend on
+// storage order. least is the group's least row in that order, which
+// the select list's plain column references read; nil stands for the
+// empty group a global aggregate over no rows still answers with
+// (count(*) = 0, matching SQL), whose columns read as NULL.
+func (c *evalCtx) aggRow(info *selectInfo, rows []relation.Tuple, least relation.Tuple) (relation.Tuple, error) {
+	// rows is non-nil: nil marks "no aggregation context".
+	c.groupRows, c.groupSorted = rows, false
+	defer func() { c.groupRows = nil }()
+	if c.tuple = least; least == nil {
+		c.tuple = make(relation.Tuple, len(info.joined))
+	}
+	return c.evalRow(info.outExprs)
 }
 
 // evalDivision implements the `divide by ... on ...` extension: output

@@ -52,10 +52,10 @@ func (s *Session) execExplain(n *ExplainStmt) (*Result, error) {
 		return nil, fmt.Errorf("isql: explain analyze: reparsing the statement: %w", err)
 	}
 
-	prev := s.span
-	s.span = trace
+	prev, prevRoot := s.span, s.root
+	s.SetTrace(trace)
 	res, err := s.Exec(inner)
-	s.span = prev
+	s.span, s.root = prev, prevRoot
 	trace.End()
 	if err != nil {
 		trace.Release()

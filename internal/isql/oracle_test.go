@@ -7,10 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"worldsetdb/internal/obs"
 	"worldsetdb/internal/randquery"
 	"worldsetdb/internal/relation"
+	"worldsetdb/internal/store"
 	"worldsetdb/internal/value"
 	"worldsetdb/internal/worldset"
+	"worldsetdb/internal/wsd"
 )
 
 // oracleSeed draws the base tables of one oracle script: R(A, B) and
@@ -46,7 +49,10 @@ func oracleSeed(rng *rand.Rand) ([]string, []*relation.Relation) {
 // NOT IN with the complement taken in plain Go; each is checked again
 // with the subquery selecting every column of its table, where that
 // table has a column of the outer column's name, so the evaluator must
-// pick that column out of several.
+// pick that column out of several. Each aggregate's strategy is read
+// off its exec.bounded span; beside the generated statements every
+// script runs four aggregates over a table whose parts mostly overlap,
+// and each strategy must run at least 30 times.
 func TestBoundedEvaluatorOracle(t *testing.T) {
 	scripts, perScript := 40, 24
 	if testing.Short() {
@@ -54,6 +60,7 @@ func TestBoundedEvaluatorOracle(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20070611))
 	var aggs, ins, notIns int
+	strategies := map[string]int{}
 	for i := 0; i < scripts; i++ {
 		names, rels := oracleSeed(rng)
 		schemas := []relation.Schema{rels[0].Schema(), rels[1].Schema()}
@@ -67,12 +74,30 @@ func TestBoundedEvaluatorOracle(t *testing.T) {
 		for _, sql := range setup {
 			mustExec(t, s, sql)
 		}
+		// P projects a repair of R to B. Tuples of distinct components, or
+		// of a component and the certain part, that differ only in A
+		// project to one tuple, and the factorized projection keeps each
+		// where it was, so P's parts mostly overlap and its aggregates
+		// take the worlds path.
+		for _, sql := range []string{"create table Q as select * from R repair by key A;", "create table P as select B from Q;"} {
+			mustExec(t, s, sql)
+			setup = append(setup, sql)
+		}
 		ws := s.WorldSet()
 		if ws == nil {
 			t.Fatalf("script %d: catalog not expandable after %v", i, setup)
 		}
-		for j := 0; j < perScript; j++ {
-			sql := gen.Select()
+		stmts := make([]string, perScript)
+		for j := range stmts {
+			stmts[j] = gen.Select()
+		}
+		// P's aggregates come from a generator of their own, so the
+		// statements over the other tables stay as generated.
+		prng := rand.New(rand.NewSource(int64(i)))
+		for j := 0; j < 4; j++ {
+			stmts = append(stmts, aggregateOverP(prng))
+		}
+		for _, sql := range stmts {
 			st, err := Parse(sql)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
@@ -84,8 +109,10 @@ func TestBoundedEvaluatorOracle(t *testing.T) {
 			switch in, _ := sel.Where.(*InExpr); {
 			case sel.Close == CloseNone && len(sel.Items) > 0 && isAggregate(sel):
 				aggs++
-				if got, want := answerKeys(mustExec(t, s, sql).Answers), answerKeys(aggOracle(t, ws, sel)); got != want {
-					fail("answers:\n%s\nplain Go:\n%s", got, want)
+				res, attrs := execTraced(t, s, sql)
+				strategies[attrs["eval"]]++
+				if got, want := answerKeys(res.Answers), answerKeys(aggOracle(t, ws, sel)); got != want {
+					fail("eval=%s answers:\n%s\nplain Go:\n%s", attrs["eval"], got, want)
 				}
 			case in != nil:
 				left := in.Left.(*ColExpr).Ref.Name
@@ -122,10 +149,126 @@ func TestBoundedEvaluatorOracle(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d aggregates, %d IN, %d NOT IN checked", aggs, ins, notIns)
+	t.Logf("%d aggregates (by strategy %v), %d IN, %d NOT IN checked", aggs, strategies, ins, notIns)
 	if aggs < 100 || ins < 30 || notIns < 10 {
 		t.Fatalf("oracle too small: %d aggregates, %d IN, %d NOT IN", aggs, ins, notIns)
 	}
+	if min := 30; !testing.Short() && (strategies["parts"] < min || strategies["worlds"] < min) {
+		t.Fatalf("each aggregate strategy must run at least %d times: %v", min, strategies)
+	}
+}
+
+// TestOneTableAggregateOverlappingParts: hand-built decompositions of
+// T(G, V) where a piece repeats a certain tuple, or two components share
+// a tuple, or both. Concatenating the chosen parts' groups would count
+// such a tuple twice, so every aggregate must take the worlds path, and
+// its answers must equal the plain-Go oracle's. With the overlaps taken
+// out the same aggregates take the parts path, except on the legacy
+// engine, which never does.
+func TestOneTableAggregateOverlappingParts(t *testing.T) {
+	row := func(g, v int64) relation.Tuple { return relation.Tuple{value.Int(g), value.Int(v)} }
+	schema := relation.NewSchema("G", "V")
+	piece := func(rows ...relation.Tuple) wsd.DBAlternative {
+		r := relation.New(schema)
+		for _, t := range rows {
+			r.Insert(t)
+		}
+		return wsd.DBAlternative{Rels: map[int]*relation.Relation{0: r}}
+	}
+	catalog := func(repeat, share bool) *wsd.DecompDB {
+		db := wsd.NewDecompDB([]string{"T"}, []relation.Schema{schema})
+		for _, t := range []relation.Tuple{row(1, 10), row(2, 20), row(2, 21)} {
+			db.Certain[0].Insert(t)
+		}
+		first, third := row(1, 12), row(3, 31)
+		if repeat {
+			first = row(1, 10) // in the certain part
+		}
+		if share {
+			third = row(3, 30) // in component 2
+		}
+		db.Components = []wsd.DBComponent{
+			{ID: 1, Alternatives: []wsd.DBAlternative{piece(first), piece(row(1, 11))}},
+			{ID: 2, Alternatives: []wsd.DBAlternative{piece(row(3, 30)), piece(row(2, 22))}},
+			{ID: 3, Alternatives: []wsd.DBAlternative{piece(third), piece()}},
+		}
+		return db
+	}
+	stmts := []string{
+		"select count(*) as N from T;",
+		"select sum(V) as S from T;",
+		"select min(V) as S from T where V >= 11;",
+		"select max(V) as S from T where V != 30;",
+		"select G, count(*) as N from T group by G;",
+		"select G, count(*) as N from T where V < 30 group by G;",
+	}
+	for _, c := range []struct {
+		repeat, share bool
+		engine        string
+		want          string
+	}{
+		{true, false, "", "worlds"},
+		{false, true, "", "worlds"},
+		{true, true, "", "worlds"},
+		{false, false, "", "parts"},
+		{false, false, legacyEngine, "worlds"},
+	} {
+		s := FromCatalog(store.New(catalog(c.repeat, c.share)))
+		s.Engine = c.engine
+		ws := s.WorldSet()
+		for _, sql := range stmts {
+			st, err := Parse(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, attrs := execTraced(t, s, sql)
+			if attrs["eval"] != c.want {
+				t.Errorf("%+v, %s: eval=%s", c, sql, attrs["eval"])
+			}
+			if got, want := answerKeys(res.Answers), answerKeys(aggOracle(t, ws, st.(*SelectStmt))); got != want {
+				t.Errorf("%+v, %s: answers\n%s\nplain Go:\n%s", c, sql, got, want)
+			}
+		}
+	}
+}
+
+// aggregateOverP returns one aggregate over P(B) in the shapes
+// randquery's StmtGen generates: count(*), sum, min or max of B, or a
+// count grouped by B, with or without a comparison of B with a
+// constant.
+func aggregateOverP(rng *rand.Rand) string {
+	where := ""
+	if rng.Intn(2) == 0 {
+		ops := []string{"=", "!=", "<", ">="}
+		where = fmt.Sprintf(" where B %s %d", ops[rng.Intn(len(ops))], rng.Intn(8))
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return fmt.Sprintf("select count(*) as N from P%s;", where)
+	case 1:
+		return fmt.Sprintf("select %s(B) as S from P%s;", []string{"sum", "min", "max"}[rng.Intn(3)], where)
+	}
+	return fmt.Sprintf("select B, count(*) as N from P%s group by B;", where)
+}
+
+// execTraced runs sql with a trace attached and returns its result and
+// the attributes of its exec.bounded span (none when it took the native
+// arm).
+func execTraced(tb testing.TB, s *Session, sql string) (*Result, map[string]string) {
+	tb.Helper()
+	tr := obs.NewTrace("stmt")
+	s.SetTrace(tr)
+	defer s.SetTrace(nil)
+	res := mustExec(tb, s, sql)
+	attrs := map[string]string{}
+	for _, c := range tr.Children() {
+		if c.Name == "exec.bounded" {
+			for _, a := range c.SortedAttrs() {
+				attrs[a.Key] = a.Val
+			}
+		}
+	}
+	return res, attrs
 }
 
 // isAggregate reports whether a select item holds an aggregate.

@@ -96,6 +96,9 @@ type Session struct {
 	// no-ops on the nil span). EXPLAIN ANALYZE and the server's
 	// slow-query log set it around one statement via SetTrace.
 	span *obs.Span
+	// root is the trace root SetTrace (or EXPLAIN ANALYZE) attached —
+	// the statement span, wherever span has descended to.
+	root *obs.Span
 
 	// boundedRows counts the rows the bounded arm's evaluator reads
 	// tuple by tuple, summed over worlds: every select's pre-answer
@@ -106,7 +109,7 @@ type Session struct {
 
 // SetTrace attaches a trace root: subsequent statements record their
 // stage and operator spans as children. Pass nil to disable.
-func (s *Session) SetTrace(sp *obs.Span) { s.span = sp }
+func (s *Session) SetTrace(sp *obs.Span) { s.span, s.root = sp, sp }
 
 // legacyEngine is the comparison engine's name (see Session.Engine).
 const legacyEngine = "legacy"

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,19 +20,21 @@ import (
 type Index struct {
 	cols    []int
 	buckets map[uint64][]Tuple
+	// groups is Groups' split of the buckets by key, made on first use.
+	groups atomic.Pointer[[]IndexGroup]
 }
 
 // BuildIndex indexes r's tuples on the columns at cols (nil = all
 // columns).
 func BuildIndex(r *Relation, cols []int) *Index {
 	ix := &Index{cols: cols, buckets: make(map[uint64][]Tuple, r.Len())}
-	r.Each(func(t Tuple) { ix.Add(t) })
+	r.Each(func(t Tuple) { ix.add(t) })
 	return ix
 }
 
-// Add appends a tuple to the index. Unlike Relation.Insert this keeps
+// add appends a tuple to the index. Unlike Relation.Insert this keeps
 // duplicates: an index is a multimap from key columns to rows.
-func (ix *Index) Add(t Tuple) {
+func (ix *Index) add(t Tuple) {
 	h := t.HashOn(ix.cols)
 	ix.buckets[h] = append(ix.buckets[h], t)
 }
@@ -54,6 +57,59 @@ func (ix *Index) Lookup(probe Tuple, probeCols []int) []Tuple {
 		}
 	}
 	return bucket
+}
+
+// IndexGroup is one distinct key of an Index: the rows holding it, and
+// the least of them in Tuple.Compare order.
+type IndexGroup struct {
+	Rows  []Tuple
+	Least Tuple
+}
+
+// Groups calls f once per distinct key of the index, in unspecified
+// order. A bucket holds one key's rows unless digests collide; such a
+// bucket is split by EqualOn. The groups are made on first use and kept
+// with the index, so later calls compare no rows. Their rows are the
+// index's own, shared by every reader of the relation: f must not
+// modify them.
+func (ix *Index) Groups(f func(IndexGroup)) {
+	groups := ix.groups.Load()
+	if groups == nil {
+		split := make([]IndexGroup, 0, len(ix.buckets))
+		add := func(rows []Tuple) {
+			split = append(split, IndexGroup{Rows: rows, Least: slices.MinFunc(rows, Tuple.Compare)})
+		}
+		for _, bucket := range ix.buckets {
+			for len(bucket) > 0 {
+				key := bucket[0]
+				i := 1
+				for i < len(bucket) && bucket[i].EqualOn(key, ix.cols, ix.cols) {
+					i++
+				}
+				if i == len(bucket) {
+					add(bucket)
+					break
+				}
+				// Digest collision: split off key's rows, go on with the rest.
+				var same, rest []Tuple
+				for _, t := range bucket {
+					if t.EqualOn(key, ix.cols, ix.cols) {
+						same = append(same, t)
+					} else {
+						rest = append(rest, t)
+					}
+				}
+				add(same)
+				bucket = rest
+			}
+		}
+		// Concurrent first callers may each split; they store equal lists.
+		ix.groups.Store(&split)
+		groups = &split
+	}
+	for _, g := range *groups {
+		f(g)
+	}
 }
 
 // IndexProbeMin is the smallest relation worth reading through a cached

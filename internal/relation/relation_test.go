@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -215,6 +216,57 @@ func TestWithSchemaSharesIndexCache(t *testing.T) {
 	}
 	if r.IndexOn([]int{1}) != want {
 		t.Fatal("mutating a copy dropped the original's index")
+	}
+}
+
+// TestIndexGroupsSplitsCollisions: Index.Groups hands over each distinct
+// key once with exactly its rows and the least of them — a
+// collision-free bucket as it is, and a bucket holding two keys under
+// one planted digest split by EqualOn — and keeps the split for the
+// next call.
+func TestIndexGroupsSplitsCollisions(t *testing.T) {
+	ix := &Index{cols: []int{0}, buckets: map[uint64][]Tuple{
+		7: {tup(1, 10), tup(2, 20), tup(1, 11), tup(2, 21), tup(1, 12)},
+		9: {tup(3, 30), tup(3, 31)},
+	}}
+	own := ix.buckets[9]
+	got := map[int64][]Tuple{}
+	ix.Groups(func(g IndexGroup) {
+		rows := g.Rows
+		k := rows[0][0].AsInt()
+		if !g.Least.Equal(slices.MinFunc(rows, Tuple.Compare)) {
+			t.Fatalf("key %d: least row %v", k, g.Least)
+		}
+		if _, dup := got[k]; dup {
+			t.Fatalf("key %d handed over twice", k)
+		}
+		for _, r := range rows {
+			if r[0].AsInt() != k {
+				t.Fatalf("group of key %d holds %v", k, r)
+			}
+		}
+		if k == 3 && &rows[0] != &own[0] {
+			t.Fatal("a collision-free bucket was copied")
+		}
+		got[k] = rows
+	})
+	want := map[int64]int{1: 3, 2: 2, 3: 2}
+	for k, n := range want {
+		if len(got[k]) != n {
+			t.Fatalf("key %d: %d rows, want %d (groups %v)", k, len(got[k]), n, got)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d groups, want %d", len(got), len(want))
+	}
+	if b := ix.buckets[7]; !b[0].Equal(tup(1, 10)) || !b[1].Equal(tup(2, 20)) || len(b) != 5 {
+		t.Fatalf("splitting changed the bucket: %v", b)
+	}
+	kept := ix.groups.Load()
+	n := 0
+	ix.Groups(func(IndexGroup) { n++ })
+	if kept == nil || ix.groups.Load() != kept || n != len(want) {
+		t.Fatalf("second call: %d groups, split kept %v", n, kept != nil && ix.groups.Load() == kept)
 	}
 }
 

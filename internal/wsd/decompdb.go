@@ -190,12 +190,9 @@ func (db *DecompDB) Size() int {
 // pointer in every world — so, like every relation of a world-set, they
 // are read, never mutated: an operator derives new ones.
 func (db *DecompDB) Expand(budget int) (*worldset.WorldSet, error) {
-	if budget == 0 {
-		budget = DefaultExpandBudget
-	}
 	n := db.Worlds()
-	if !n.IsInt64() || n.Int64() > int64(budget) {
-		return nil, &BudgetError{Worlds: n, Budget: budget}
+	if err := overBudget(n, budget); err != nil {
+		return nil, err
 	}
 	ws := worldset.New(db.Names, db.Schemas)
 	if n.Sign() == 0 {
@@ -240,6 +237,18 @@ func (db *DecompDB) Expand(budget int) (*worldset.WorldSet, error) {
 		}
 	}
 	return ws, nil
+}
+
+// overBudget returns the *BudgetError refusing n worlds under budget
+// (0 = DefaultExpandBudget), or nil when they fit.
+func overBudget(n *big.Int, budget int) error {
+	if budget == 0 {
+		budget = DefaultExpandBudget
+	}
+	if !n.IsInt64() || n.Int64() > int64(budget) {
+		return &BudgetError{Worlds: n, Budget: budget}
+	}
+	return nil
 }
 
 // String renders the decomposition compactly.

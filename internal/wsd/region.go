@@ -108,6 +108,42 @@ func (rg *Region) Enumerate(budget int) (*worldset.WorldSet, error) {
 	return local.Expand(budget)
 }
 
+// Combinations walks the worlds Enumerate would build without building
+// them: it calls f once per combination of the region's alternatives,
+// choice[i] being the alternative taken from component Deps[i] (f must
+// not keep choice), and stops at f's first error. Like Enumerate it
+// walks nothing when the represented world-set is empty, and it refuses
+// a region beyond budget with the same *BudgetError before calling f.
+func (rg *Region) Combinations(budget int, f func(choice []int) error) error {
+	if rg.empty() {
+		return nil
+	}
+	n := big.NewInt(1)
+	var m big.Int
+	for _, ci := range rg.Deps {
+		n.Mul(n, m.SetInt64(int64(len(rg.db.Components[ci].Alternatives))))
+	}
+	if err := overBudget(n, budget); err != nil {
+		return err
+	}
+	choice := make([]int, len(rg.Deps))
+	for {
+		if err := f(choice); err != nil {
+			return err
+		}
+		i := 0
+		for ; i < len(choice); i++ {
+			if choice[i]++; choice[i] < len(rg.db.Components[rg.Deps[i]].Alternatives) {
+				break
+			}
+			choice[i] = 0
+		}
+		if i == len(choice) {
+			return nil
+		}
+	}
+}
+
 // empty reports whether the decomposition holds a component with no
 // alternatives, which makes its represented world-set empty.
 func (rg *Region) empty() bool {

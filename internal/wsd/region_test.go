@@ -91,6 +91,57 @@ func TestRegionOfEmptyWorldSet(t *testing.T) {
 	}
 }
 
+// TestRegionCombinations: Combinations visits each combination of the
+// region's alternatives once — the worlds Enumerate builds, each
+// rebuilt here from its choice — refuses with Enumerate's BudgetError
+// before visiting any, and visits none of an empty world-set.
+func TestRegionCombinations(t *testing.T) {
+	db := regionDB()
+	rg := RegionOf(db, map[string]bool{"R": true, "T": true}, false)
+	var be *BudgetError
+	called := false
+	err := rg.Combinations(9, func([]int) error { called = true; return nil })
+	if !errors.As(err, &be) || be.Worlds.Int64() != 10 || be.Budget != 9 || called {
+		t.Fatalf("budget 9: want a BudgetError at 10 combinations before any visit, got %v (visited %v)", err, called)
+	}
+	want, err := rg.Enumerate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := worldset.New(want.Names(), want.Schemas())
+	err = rg.Combinations(0, func(choice []int) error {
+		w := make(worldset.World, len(want.Names()))
+		for li, name := range want.Names() {
+			ri := db.IndexOf(name)
+			w[li] = db.Certain[ri].Clone()
+			for i, ci := range rg.Deps {
+				if r := db.Components[ci].Alternatives[choice[i]].Rels[ri]; r != nil {
+					r.Each(func(t relation.Tuple) { w[li].Insert(t) })
+				}
+			}
+		}
+		if !got.Add(w) {
+			t.Fatalf("combination %v visited twice", choice)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualWorlds(want) {
+		t.Fatalf("combinations\n%s\nwant the enumerated worlds\n%s", got, want)
+	}
+	stop := errors.New("stop")
+	n := 0
+	if err := rg.Combinations(0, func([]int) error { n++; return stop }); err != stop || n != 1 {
+		t.Fatalf("an error from f: got %v after %d visits, want it after 1", err, n)
+	}
+	db.Components[1].Alternatives = nil
+	if err := rg.Combinations(0, func([]int) error { n++; return nil }); err != nil || n != 1 {
+		t.Fatalf("empty world-set: %v, %d visits", err, n-1)
+	}
+}
+
 // TestRegionClosure: a component contributing to R and S whose first two
 // alternatives differ in S alone. The region of {R} enumerates S beside
 // R — three distinct worlds, not the two R alone tells apart — and
