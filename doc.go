@@ -64,18 +64,17 @@
 // that same arm with every component counted dependent — the
 // full-expansion reference the differential sweeps hold the splice to.
 //
-// Re-factorization (wsd.Refactor, the multi-relation generalization of
-// wsd.Decompose) closes the loop: any enumerated world-set — a fallback
-// output, a bounded-arm result, a FromWorldSet seed — is factorized
-// back into certain tuples plus independent components (verified
-// blocks of pairwise-dependent tuples, spanning relations when the
-// dependency does), so one entangled step never permanently
-// de-factorizes a pipeline. A census-repair pipeline at 2^40 worlds
-// (repair → select → certain/possible aggregation) runs each statement
-// in milliseconds with the catalog staying linear-size throughout,
-// while the same script on the explicit world-set path refuses with a
-// typed wsd.BudgetError — the one error shape shared by wsd's Expand,
-// the store, and the session's world budget.
+// Re-factorization (wsd.Refactor) closes the loop: any enumerated
+// world-set — a fallback output, a bounded-arm result, a session's
+// world-set seed — is factorized back into certain tuples plus
+// independent components (verified blocks of pairwise-dependent tuples,
+// spanning relations when the dependency does), so one entangled step
+// never permanently de-factorizes a pipeline. A census-repair pipeline
+// at 2^40 worlds (repair → select → certain/possible aggregation) runs
+// each statement in milliseconds with the catalog staying linear-size
+// throughout, while the same script on the explicit world-set path
+// refuses with a typed wsd.BudgetError — the one error shape shared by
+// wsd's Expand, the store, and the session's world budget.
 //
 // # The transactional write path
 //

@@ -17,7 +17,9 @@ import (
 	"worldsetdb/internal/datagen"
 	"worldsetdb/internal/isql"
 	"worldsetdb/internal/relation"
+	"worldsetdb/internal/wsa"
 	"worldsetdb/internal/wsd"
+	"worldsetdb/internal/wsdexec"
 )
 
 func main() {
@@ -30,21 +32,23 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("decomposed in %v:\n", time.Since(start))
-	fmt.Printf("  worlds represented: %d (= 2^40)\n", d.NumWorlds())
+	fmt.Printf("  worlds represented: %s (= 2^40)\n", d.Worlds())
 	fmt.Printf("  representation size: %d tuples (the input itself)\n", d.Size())
 	fmt.Printf("  components: %d (one per violated key)\n\n", len(d.Components))
 
+	// Certain and possible tuples come out of the factorized engine,
+	// which scans each component once instead of enumerating worlds.
 	start = time.Now()
-	cert := d.Cert()
+	cert := answer(wsa.NewCert(&wsa.Rel{Name: "Census"}), d)
 	fmt.Printf("certain tuples (hold in every repair): %d, computed in %v\n",
 		cert.Len(), time.Since(start))
 
 	start = time.Now()
-	poss := d.Poss()
+	poss := answer(wsa.NewPoss(&wsa.Rel{Name: "Census"}), d)
 	fmt.Printf("possible tuples (hold in some repair): %d, computed in %v\n\n",
 		poss.Len(), time.Since(start))
 
-	if _, err := d.Rep(1 << 20); err != nil {
+	if _, err := d.Expand(wsd.DefaultExpandBudget); err != nil {
 		fmt.Println("explicit expansion correctly refused:", err)
 	}
 
@@ -89,10 +93,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ws, err := small.Rep(0)
+	ws, err := small.Expand(0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\npaper's 5-row census: %d repairs from a size-%d decomposition\n",
 		ws.Len(), small.Size())
+}
+
+// answer evaluates a poss or cert query natively on the decomposition
+// and returns its answer, which such a query leaves certain.
+func answer(q wsa.Expr, d *wsd.DecompDB) *relation.Relation {
+	out, _, err := wsdexec.EvalOpts(q, d, &wsdexec.Options{NoFallback: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return out.Certain[len(out.Names)-1]
 }

@@ -147,7 +147,7 @@ func CensusRepairDecomp(n, nDup int, seed int64) *wsd.DecompDB {
 	if err != nil {
 		panic(err) // generated input always has the SSN column
 	}
-	return wsd.FromWSD(repair).WithRelation("Census", census.Schema(), census)
+	return repair.WithRelation("Census", census.Schema(), census)
 }
 
 // RandomRelation generates a relation over the given schema with up to

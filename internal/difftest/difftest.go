@@ -127,10 +127,8 @@ func CheckDecomp(q wsa.Expr, db *wsd.DecompDB) (*wsdexec.Plan, error) {
 // the reference evaluation of the enumeration. Where CheckDecomp pins
 // the factorized engine, CheckStore additionally pins the snapshot
 // plumbing. The same query then runs once more through a 4-way
-// component-sharded snapshot, where store.Query hands the engine the
-// component-to-shard map and its parallel scans chunk along shard
-// boundaries: sharding may change the scatter scheduling, never the
-// rendered answer. The one-shard plan is returned so sweeps can count
+// sharded snapshot: sharding changes which shard homes each relation,
+// never the rendered answer. The one-shard plan is returned so sweeps can count
 // what they exercised.
 func CheckStore(q wsa.Expr, db *wsd.DecompDB) (*wsdexec.Plan, error) {
 	ws, err := db.Expand(0)

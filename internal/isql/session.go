@@ -209,7 +209,7 @@ func (s *Session) Views() []string {
 
 func (s *Session) maxWorlds() int {
 	if s.MaxWorlds == 0 {
-		return 1 << 20
+		return wsd.DefaultExpandBudget
 	}
 	return s.MaxWorlds
 }

@@ -15,20 +15,6 @@ type SimplifyOptions struct {
 	DropNullaryOuterPad bool
 }
 
-// Simplify rewrites e into a smaller equivalent plan using sound local
-// rules: projection/projection and rename/rename fusion, identity
-// projection and empty-rename elimination, σ_true removal, and products
-// with the nullary relation {⟨⟩}.
-func Simplify(e Expr, opt SimplifyOptions) Expr {
-	for {
-		next, changed := simplifyOnce(e, opt)
-		if !changed {
-			return next
-		}
-		e = next
-	}
-}
-
 func simplifyOnce(e Expr, opt SimplifyOptions) (Expr, bool) {
 	switch n := e.(type) {
 	case *Base, *Lit, nil:
@@ -222,8 +208,11 @@ func (c SchemaCatalog) SchemaOf(name string) (relation.Schema, bool) {
 	return s, ok
 }
 
-// SimplifyWith is Simplify with a catalog so identity projections over
-// base tables are also eliminated.
+// SimplifyWith rewrites e into a smaller equivalent plan using sound
+// local rules: projection/projection and rename/rename fusion, identity
+// projection and empty-rename elimination, σ_true removal, and products
+// with the nullary relation {⟨⟩}. The catalog lets identity projections
+// over base tables be eliminated too.
 func SimplifyWith(e Expr, cat Catalog, opt SimplifyOptions) Expr {
 	for {
 		next, changed := simplifyOnceCat(e, cat, opt)

@@ -149,12 +149,6 @@ type Options struct {
 	// NoPrune disables the branch-and-bound bound (the pre-stats
 	// exhaustive behavior) — the ablation arm of the PLAN benchmarks.
 	NoPrune bool
-	// PruneSlack is the bound factor: a candidate whose cost exceeds
-	// PruneSlack times the best complete plan found so far is pruned —
-	// its lower bound (no rewrite sequence improves a plan by more than
-	// PruneSlack, empirically generous) already exceeds a known plan.
-	// Default 16.
-	PruneSlack float64
 	// Search, when non-nil, receives the expanded/pruned counts of this
 	// search (also accumulated into SearchExpanded/SearchPruned).
 	Search *SearchStats
@@ -181,12 +175,11 @@ func (o *Options) stats() Stats {
 	return o.Stats
 }
 
-func (o *Options) pruneSlack() float64 {
-	if o == nil || o.PruneSlack == 0 {
-		return 16
-	}
-	return o.PruneSlack
-}
+// pruneSlack is the branch-and-bound factor: a candidate whose cost
+// exceeds pruneSlack times the best complete plan found so far is
+// pruned — its lower bound (no rewrite sequence improves a plan by more
+// than pruneSlack, empirically generous) already exceeds a known plan.
+const pruneSlack = 16
 
 // Optimize searches the rewrite space for the cheapest equivalent plan
 // under Cost, using the verified Figure 7 equivalences. It returns the
@@ -416,7 +409,7 @@ func splitConjuncts(ctx *Context, p ra.Pred, lq, rq wsa.Expr) (l, r, rest []ra.P
 
 // OptimizeOpts is Optimize with explicit search bounds. The best-first
 // search is pruned branch-and-bound style: a candidate whose cost
-// exceeds PruneSlack times the best complete plan found so far cannot
+// exceeds pruneSlack times the best complete plan found so far cannot
 // (under the bound's assumption on achievable improvement) lead to a
 // better plan and is dropped, and — the frontier being a min-heap —
 // the search stops outright once the cheapest remaining candidate is
@@ -440,9 +433,8 @@ func OptimizeOpts(q wsa.Expr, env *wsa.Env, completeInput bool, opt *Options) (w
 	heap.Init(f)
 
 	expanded, pruned := 0, 0
-	slack := opt.pruneSlack()
 	prune := func(cost float64) bool {
-		return !(opt != nil && opt.NoPrune) && cost > best.cost*slack
+		return !(opt != nil && opt.NoPrune) && cost > best.cost*pruneSlack
 	}
 	for f.Len() > 0 && expanded < opt.maxExpansions() {
 		cur := heap.Pop(f).(*item)

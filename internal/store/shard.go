@@ -736,39 +736,6 @@ func (c *Catalog) PendingCommits() int {
 	return n
 }
 
-// CompShards maps each component of the snapshot's decomposition to its
-// home shard — the shard of the lowest-indexed relation it contributes
-// tuples to (shard 0 for a component contributing nowhere). nil when
-// there is a single shard and so no boundary to align with; query
-// execution uses the map to align its parallel scan chunks with shard
-// boundaries (wsdexec.Options.Shards).
-func (s *Snapshot) CompShards() []int {
-	nshards := len(s.shardVers)
-	if nshards <= 1 {
-		return nil
-	}
-	out := make([]int, len(s.DB.Components))
-	for ci, c := range s.DB.Components {
-		home := 0
-		first := -1
-		for _, a := range c.Alternatives {
-			for ri, r := range a.Rels {
-				if r == nil || r.Len() == 0 {
-					continue
-				}
-				if first < 0 || ri < first {
-					first = ri
-				}
-			}
-		}
-		if first >= 0 {
-			home = shardOfName(s.DB.Names[first], nshards)
-		}
-		out[ci] = home
-	}
-	return out
-}
-
 // ShardStat is one shard's commit statistics.
 type ShardStat struct {
 	Shard     int    `json:"shard"`

@@ -13,8 +13,10 @@ import (
 	"sync"
 	"testing"
 
+	"worldsetdb/internal/ra"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/value"
+	"worldsetdb/internal/wsa"
 	"worldsetdb/internal/wsd"
 )
 
@@ -583,12 +585,12 @@ func TestCrossShardComponentRoutes(t *testing.T) {
 	}
 }
 
-// TestMergeComponentsSnapshotRace: a reader merging components that
-// span shards, racing commits that rewrite those same components, must
-// see only its immutable snapshot — the merge result is byte-identical
-// to the serial merge of the same snapshot, every iteration, under
-// -race. This is the cross-shard snapshot-isolation guarantee for
-// wsd.MergeComponents.
+// TestMergeComponentsSnapshotRace: a reader whose query merges
+// components that span shards, racing commits that rewrite those same
+// components, must see only its immutable snapshot — the answer is
+// byte-identical to the serial evaluation of the same snapshot, every
+// iteration, under -race. This is the cross-shard snapshot-isolation
+// guarantee for the factorized engine's bounded component merge.
 func TestMergeComponentsSnapshotRace(t *testing.T) {
 	names := shardNames(4)
 	rels := make([]*relation.Relation, len(names))
@@ -601,18 +603,32 @@ func TestMergeComponentsSnapshotRace(t *testing.T) {
 			ri: relation.FromRows(relation.NewSchema("X"), relation.Tuple{value.Int(int64(v))})}}
 	}
 	// Component 0 on shard 0's relation, component 1 on shard 1's: the
-	// merge spans shards.
+	// product of the two relations couples their choices, so the query
+	// merges components that span shards.
 	db.Components = append(db.Components,
 		wsd.DBComponent{Alternatives: []wsd.DBAlternative{alt1(0, 1), alt1(0, 2)}},
 		wsd.DBComponent{Alternatives: []wsd.DBAlternative{alt1(1, 10), alt1(1, 20)}},
 	)
+	q := wsa.NewProduct(&wsa.Rel{Name: names[0]},
+		&wsa.Rename{Pairs: []ra.RenamePair{{From: "X", To: "Y"}}, From: &wsa.Rel{Name: names[1]}})
 	c := NewSharded(db, 4)
 	snap := c.Snapshot()
-	ref, err := wsd.MergeComponents(snap.DB, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
+	query := func() string {
+		t.Helper()
+		out, plan, err := Query(snap, "", q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.Native || len(plan.Merges) < 1 {
+			t.Fatalf("want a native plan that merges components, got %v", plan)
+		}
+		ws, err := out.Expand(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ws.String()
 	}
-	refStr := ref.String()
+	ref := query()
 
 	stop := make(chan struct{})
 	var writerErr error
@@ -639,12 +655,8 @@ func TestMergeComponentsSnapshotRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		merged, err := wsd.MergeComponents(snap.DB, []int{0, 1})
-		if err != nil {
-			t.Fatalf("iteration %d: %v", i, err)
-		}
-		if got := merged.String(); got != refStr {
-			t.Fatalf("iteration %d: racing merge differs from serial merge of the same snapshot\n--- got ---\n%s\n--- want ---\n%s", i, got, refStr)
+		if got := query(); got != ref {
+			t.Fatalf("iteration %d: racing evaluation differs from the serial one of the same snapshot\n--- got ---\n%s\n--- want ---\n%s", i, got, ref)
 		}
 	}
 	close(stop)

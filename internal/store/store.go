@@ -352,17 +352,6 @@ func Query(snap *Snapshot, engine string, q wsa.Expr, budget int) (*wsd.DecompDB
 // the rewrite search entirely.
 func QueryOpts(snap *Snapshot, engine string, q wsa.Expr, opt *wsdexec.Options) (*wsd.DecompDB, *wsdexec.Plan, error) {
 	if engine == "" || engine == "wsdexec" {
-		if sh := snap.CompShards(); sh != nil && (opt == nil || opt.Shards == nil) {
-			// Scatter/gather on a sharded snapshot: hand the engine the
-			// component-to-shard map so its parallel scans chunk along
-			// shard boundaries. Copy — opt may be a caller's cached value.
-			o := wsdexec.Options{}
-			if opt != nil {
-				o = *opt
-			}
-			o.Shards = sh
-			opt = &o
-		}
 		return wsdexec.EvalOpts(q, snap.DB, opt)
 	}
 	plan := &wsdexec.Plan{

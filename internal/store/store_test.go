@@ -155,11 +155,11 @@ func TestQueryRegistryEngineRefactors(t *testing.T) {
 // TestQueryBudgetErrorShape: an engine that must expand a 2^40-world
 // catalog reports the shared wsd.BudgetError.
 func TestQueryBudgetErrorShape(t *testing.T) {
-	d, err := wsd.RepairByKey("Census", datagen.Census(100, 40, 7), []string{"SSN"})
+	db, err := wsd.RepairByKey("Census", datagen.Census(100, 40, 7), []string{"SSN"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(wsd.FromWSD(d)) // 2^40 worlds in the catalog itself
+	c := New(db) // 2^40 worlds in the catalog itself
 	_, _, err = Query(c.Snapshot(), "reference", &wsa.Rel{Name: "Census"}, 0)
 	var be *wsd.BudgetError
 	if !errors.As(err, &be) {

@@ -7,26 +7,25 @@ import (
 	"worldsetdb/internal/ra"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/worldset"
+	"worldsetdb/internal/wsd"
 )
 
 // AnswerName is the name under which the answer relation R_{k+1} is
 // carried during evaluation.
 const AnswerName = "$ans"
 
-// DefaultMaxWorlds bounds the number of worlds an evaluation may create;
-// repair-by-key can be exponential (Proposition 4.2), so the reference
-// evaluator refuses runaway world-sets instead of exhausting memory.
-const DefaultMaxWorlds = 1 << 20
-
 // Options tune the reference evaluator.
 type Options struct {
-	// MaxWorlds caps the world-set size; 0 means DefaultMaxWorlds.
+	// MaxWorlds caps the world-set size; 0 means wsd.DefaultExpandBudget.
+	// Repair-by-key can be exponential (Proposition 4.2), so the
+	// reference evaluator refuses runaway world-sets instead of
+	// exhausting memory.
 	MaxWorlds int
 }
 
 func (o *Options) maxWorlds() int {
 	if o == nil || o.MaxWorlds == 0 {
-		return DefaultMaxWorlds
+		return wsd.DefaultExpandBudget
 	}
 	return o.MaxWorlds
 }

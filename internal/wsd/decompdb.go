@@ -11,11 +11,10 @@ import (
 	"worldsetdb/internal/worldset"
 )
 
-// This file extends world-set decompositions from a single relation to
-// whole databases: a DecompDB represents a finite set of worlds over
-// ⟨R1, …, Rk⟩ as per-relation certain tuples plus independent
-// components whose alternatives may contribute tuples to several
-// relations at once. The represented world-set is
+// A DecompDB represents a finite set of worlds over ⟨R1, …, Rk⟩ as
+// per-relation certain tuples plus independent components whose
+// alternatives may contribute tuples to several relations at once. The
+// represented world-set is
 //
 //	rep(D) = { ⟨C1 ∪ a(1), …, Ck ∪ a(k)⟩ | a = (a₁, …, aₙ), aᵢ ∈ Components[i] }
 //
@@ -101,47 +100,6 @@ func FromComplete(names []string, rels []*relation.Relation) *DecompDB {
 	}
 	db := NewDecompDB(names, schemas)
 	copy(db.Certain, rels)
-	return db
-}
-
-// FromWSD lifts a single-relation decomposition into a DecompDB over
-// one relation, sharing the underlying relations.
-func FromWSD(d *WSD) *DecompDB {
-	db := NewDecompDB([]string{d.Name}, []relation.Schema{d.Schema})
-	db.Certain[0] = d.Certain
-	for _, c := range d.Components {
-		comp := DBComponent{}
-		for _, a := range c.Alternatives {
-			comp.Alternatives = append(comp.Alternatives,
-				DBAlternative{Rels: map[int]*relation.Relation{0: a.rel}})
-		}
-		db.Components = append(db.Components, comp)
-	}
-	return db
-}
-
-// FromWorldSet returns a trivial decomposition of an explicit
-// world-set: a singleton world-set becomes all-certain (the best case
-// for the factorized engine); otherwise one component with one
-// alternative per world. It is always correct, never succinct — the
-// "complete to incomplete" direction used to lift world-set inputs and
-// fallback outputs into decomposition space.
-func FromWorldSet(ws *worldset.WorldSet) *DecompDB {
-	db := NewDecompDB(ws.Names(), ws.Schemas())
-	worlds := ws.Worlds()
-	if len(worlds) == 1 {
-		copy(db.Certain, worlds[0])
-		return db
-	}
-	comp := DBComponent{}
-	for _, w := range worlds {
-		alt := DBAlternative{Rels: make(map[int]*relation.Relation, len(w))}
-		for i, r := range w {
-			alt.Rels[i] = r
-		}
-		comp.Alternatives = append(comp.Alternatives, alt)
-	}
-	db.Components = []DBComponent{comp}
 	return db
 }
 

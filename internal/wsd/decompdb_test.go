@@ -3,9 +3,7 @@ package wsd_test
 import (
 	"errors"
 	"math/big"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"worldsetdb/internal/datagen"
 	"worldsetdb/internal/relation"
@@ -27,66 +25,18 @@ func TestBudgetErrorTyped(t *testing.T) {
 	if d.Worlds().Cmp(want) != 0 {
 		t.Fatalf("Worlds() = %s, want 2^40", d.Worlds())
 	}
-	_, err = d.Rep(0)
+	_, err = d.Expand(0)
 	var be *wsd.BudgetError
 	if !errors.As(err, &be) {
-		t.Fatalf("Rep over budget returned %v, want *wsd.BudgetError", err)
+		t.Fatalf("Expand over budget returned %v, want *wsd.BudgetError", err)
 	}
 	if be.Worlds.Cmp(want) != 0 || be.Budget != wsd.DefaultExpandBudget {
 		t.Fatalf("BudgetError = {%s, %d}, want {2^40, %d}", be.Worlds, be.Budget, wsd.DefaultExpandBudget)
 	}
-
-	db := wsd.FromWSD(d)
-	if db.Worlds().Cmp(want) != 0 {
-		t.Fatalf("DecompDB.Worlds() = %s, want 2^40", db.Worlds())
-	}
-	if _, err := db.Expand(1 << 10); !errors.As(err, &be) {
+	if _, err := d.Expand(1 << 10); !errors.As(err, &be) {
 		t.Fatalf("Expand over budget returned %v, want *wsd.BudgetError", err)
 	} else if be.Budget != 1<<10 {
 		t.Fatalf("BudgetError budget = %d, want %d", be.Budget, 1<<10)
-	}
-}
-
-// TestFromWSDExpandMatchesRep: lifting a single-relation decomposition
-// preserves the represented world-set.
-func TestFromWSDExpandMatchesRep(t *testing.T) {
-	d, err := wsd.RepairByKey("Census", datagen.PaperCensus(), []string{"SSN"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := d.Rep(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := wsd.FromWSD(d).Expand(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("FromWSD expansion differs:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestFromWorldSetRoundTrip: the trivial decomposition of any world-set
-// expands back to it, and singletons become all-certain.
-func TestFromWorldSetRoundTrip(t *testing.T) {
-	names := []string{"R", "S"}
-	schemas := []relation.Schema{relation.NewSchema("A", "B"), relation.NewSchema("C")}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ws := datagen.RandomWorldSet(rng, names, schemas, 3, 3, 4)
-		db := wsd.FromWorldSet(ws)
-		if ws.Len() == 1 && len(db.Components) != 0 {
-			return false
-		}
-		back, err := db.Expand(0)
-		if err != nil {
-			return false
-		}
-		return back.Equal(ws)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

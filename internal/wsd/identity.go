@@ -68,18 +68,3 @@ func (db *DecompDB) MaxComponentID() uint64 {
 	}
 	return max
 }
-
-// ComponentByID returns the index of the component with the given
-// stable ID, or -1. Linear scan — callers diffing whole snapshots
-// should build their own map.
-func (db *DecompDB) ComponentByID(id uint64) int {
-	if id == 0 {
-		return -1
-	}
-	for i := range db.Components {
-		if db.Components[i].ID == id {
-			return i
-		}
-	}
-	return -1
-}

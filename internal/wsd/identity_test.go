@@ -79,10 +79,4 @@ func TestMaxComponentID(t *testing.T) {
 	if got := db.MaxComponentID(); got != 9 {
 		t.Fatalf("MaxComponentID = %d, want 9", got)
 	}
-	if got := db.ComponentByID(9); got != 1 {
-		t.Fatalf("ComponentByID(9) = %d, want 1", got)
-	}
-	if got := db.ComponentByID(0); got != -1 {
-		t.Fatalf("ComponentByID(0) = %d, want -1", got)
-	}
 }

@@ -1,143 +1,16 @@
 package wsd
 
-import (
-	"fmt"
-	"math/big"
-	"sort"
-
-	"worldsetdb/internal/relation"
-)
-
-// This file implements bounded component merging: collapsing a chosen
-// set of components of a DecompDB into a single component whose
-// alternatives are the combinations of the members' alternatives. The
-// merged decomposition represents exactly the same world-set, and the
-// cost — the arity of the new component — is the product of just the
-// merged components' alternative counts, independent of every other
-// component. Query operators whose result couples the choices of
-// several components (aggregation, cross-component products,
-// intersections, differences) use it to resolve the entanglement
-// locally instead of enumerating the whole world-set.
-
-// mergeMaxAlternatives bounds the merged component a single
-// MergeComponents call will materialize, whatever the caller's budget:
-// beyond it the merge is no better than enumeration.
-const mergeMaxAlternatives = 1 << 30
-
-// MergeCost returns the alternative count of the component that
-// MergeComponents(db, ids) would build: the product of the listed
-// components' alternative counts. Duplicate ids count once. It is the
-// enumeration cost of resolving an entanglement among exactly these
-// components, and is what callers compare against their expansion
-// budget before merging.
-func MergeCost(db *DecompDB, ids []int) *big.Int {
-	seen := map[int]bool{}
-	cost := big.NewInt(1)
-	var m big.Int
-	for _, id := range ids {
-		if seen[id] || id < 0 || id >= len(db.Components) {
-			continue
-		}
-		seen[id] = true
-		cost.Mul(cost, m.SetInt64(int64(len(db.Components[id].Alternatives))))
-	}
-	return cost
-}
-
 // MergeAlt returns the member alternative selected for the k-th merged
 // component (in ascending id order) by the combined alternative m, for
 // members with the given arities: the mixed-radix digit of m with index
-// 0 fastest-varying — the same enumeration order Expand uses. It is
-// exported so the factorized engine can mirror the layout of
-// MergeComponents without materializing the merged component.
+// 0 fastest-varying — the same enumeration order Expand uses. It is the
+// layout of a bounded component merge: the factorized engine collapses
+// coupled components into one whose alternative m combines the members'
+// MergeAlt choices, without materializing the merged component.
 func MergeAlt(arities []int, k, m int) int {
 	stride := 1
 	for i := 0; i < k; i++ {
 		stride *= arities[i]
 	}
 	return (m / stride) % arities[k]
-}
-
-// MergeComponents returns a decomposition representing the same
-// world-set as db in which the listed components are collapsed into a
-// single component placed at the position of the smallest id. The new
-// component's alternatives enumerate the members' choice combinations
-// in mixed-radix order (smallest id fastest-varying, like Expand); each
-// combined alternative contributes, per relation, the union of the
-// member alternatives' contributions. The result has
-// MergeCost(db, ids) alternatives in the merged component.
-//
-// Alternatives are kept positional and are not deduplicated, so
-// Worlds() of the result may be an upper bound when member alternatives
-// overlap in content — the same caveat as Normalize documents for
-// cross-component duplicates; Expand still deduplicates. Callers that
-// want a minimal component can Normalize the result.
-func MergeComponents(db *DecompDB, ids []int) (*DecompDB, error) {
-	sorted := append([]int{}, ids...)
-	sort.Ints(sorted)
-	uniq := sorted[:0]
-	for i, id := range sorted {
-		if id < 0 || id >= len(db.Components) {
-			return nil, fmt.Errorf("wsd: merge of component %d out of range [0,%d)", id, len(db.Components))
-		}
-		if i == 0 || id != sorted[i-1] {
-			uniq = append(uniq, id)
-		}
-	}
-	if len(uniq) == 0 {
-		return nil, fmt.Errorf("wsd: merge of no components")
-	}
-	out := db.clone()
-	if len(uniq) == 1 {
-		return out, nil
-	}
-
-	if c := MergeCost(db, uniq); !c.IsInt64() || c.Int64() > mergeMaxAlternatives {
-		return nil, fmt.Errorf("wsd: merge of components %v would materialize %s alternatives (max %d)", uniq, c, mergeMaxAlternatives)
-	}
-	arities := make([]int, len(uniq))
-	cost := 1
-	for k, id := range uniq {
-		arities[k] = len(db.Components[id].Alternatives)
-		cost *= arities[k]
-	}
-	merged := DBComponent{Alternatives: make([]DBAlternative, cost)}
-	for m := 0; m < cost; m++ {
-		alt := DBAlternative{Rels: map[int]*relation.Relation{}}
-		for k, id := range uniq {
-			member := db.Components[id].Alternatives[MergeAlt(arities, k, m)]
-			for ri, r := range member.Rels {
-				if r == nil || r.Len() == 0 {
-					continue
-				}
-				if cur := alt.Rels[ri]; cur == nil {
-					alt.Rels[ri] = r
-				} else {
-					u := cur.Clone()
-					r.Each(func(t relation.Tuple) { u.Insert(t) })
-					alt.Rels[ri] = u
-				}
-			}
-		}
-		merged.Alternatives[m] = alt
-	}
-
-	// Splice: the merged component replaces the smallest member id; the
-	// other members disappear.
-	drop := map[int]bool{}
-	for _, id := range uniq[1:] {
-		drop[id] = true
-	}
-	comps := out.Components[:0]
-	for ci, c := range out.Components {
-		switch {
-		case ci == uniq[0]:
-			comps = append(comps, merged)
-		case drop[ci]:
-		default:
-			comps = append(comps, c)
-		}
-	}
-	out.Components = comps
-	return out, nil
 }

@@ -1,111 +1,10 @@
 package wsd_test
 
 import (
-	"math/rand"
 	"testing"
 
-	"worldsetdb/internal/datagen"
-	"worldsetdb/internal/relation"
 	"worldsetdb/internal/wsd"
 )
-
-// TestMergeComponentsRoundTrip checks, on randomized decompositions,
-// that merging a chosen component subset preserves the represented
-// world-set byte-for-byte: the merged decomposition expands to a
-// rendering identical to the original's, the merged component's arity
-// equals MergeCost, and re-factorizing the merged expansion round-trips
-// byte-identically as well.
-func TestMergeComponentsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	names := []string{"R", "S"}
-	schemas := []relation.Schema{relation.NewSchema("A", "B"), relation.NewSchema("C")}
-	trials := 0
-	for i := 0; i < 300; i++ {
-		db := datagen.RandomDecompDB(rng, names, schemas, 3, 3, 4, 3, 2)
-		if len(db.Components) < 2 {
-			continue
-		}
-		trials++
-		var ids []int
-		for ci := range db.Components {
-			if rng.Intn(2) == 0 {
-				ids = append(ids, ci)
-			}
-		}
-		if len(ids) < 2 {
-			ids = []int{0, len(db.Components) - 1}
-		}
-		merged, err := wsd.MergeComponents(db, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, got := len(db.Components)-len(dedup(ids))+1, len(merged.Components); got != want {
-			t.Fatalf("merge of %v: %d components, want %d", ids, got, want)
-		}
-		// The merged component sits at the position of the smallest id
-		// (only larger ids are spliced out), with MergeCost alternatives.
-		pos := ids[0]
-		for _, id := range ids[1:] {
-			if id < pos {
-				pos = id
-			}
-		}
-		cost := wsd.MergeCost(db, ids)
-		if got := int64(len(merged.Components[pos].Alternatives)); got != cost.Int64() {
-			t.Fatalf("merge of %v: %d alternatives at position %d, want MergeCost %s", ids, got, pos, cost)
-		}
-		want, err := db.Expand(1 << 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := merged.Expand(1 << 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Fatalf("merge of %v changed the represented world-set\ngot:\n%s\nwant:\n%s", ids, got, want)
-		}
-		re, err := wsd.Refactor(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := re.Expand(1 << 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.String() != want.String() {
-			t.Fatalf("Refactor round-trip of merge %v diverged\ngot:\n%s\nwant:\n%s", ids, back, want)
-		}
-	}
-	if trials < 50 {
-		t.Fatalf("too few multi-component inputs exercised: %d", trials)
-	}
-}
-
-func dedup(ids []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// TestMergeComponentsErrors covers the argument validation.
-func TestMergeComponentsErrors(t *testing.T) {
-	names := []string{"R"}
-	schemas := []relation.Schema{relation.NewSchema("A")}
-	db := wsd.NewDecompDB(names, schemas)
-	if _, err := wsd.MergeComponents(db, nil); err == nil {
-		t.Fatal("merge of no components must fail")
-	}
-	if _, err := wsd.MergeComponents(db, []int{0}); err == nil {
-		t.Fatal("merge of an out-of-range component must fail")
-	}
-}
 
 // TestMergeAltEnumeratesAllCombinations: the mixed-radix layout is a
 // bijection between combined alternatives and member choices, matching

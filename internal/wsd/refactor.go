@@ -23,7 +23,6 @@ const (
 // world-set decomposition: the "incomplete back to decomposed"
 // direction that keeps multi-statement pipelines polynomial in the
 // decomposition size after an entangled step has forced enumeration.
-// It generalizes the single-relation Decompose to whole databases.
 //
 // Tuples present in every world become certain; the remaining
 // (relation, tuple) occurrences are partitioned into blocks of

@@ -1,7 +1,8 @@
 package wsd_test
 
 import (
-	"math"
+	"errors"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,7 @@ import (
 	"worldsetdb/internal/worldset"
 	"worldsetdb/internal/wsa"
 	"worldsetdb/internal/wsd"
+	"worldsetdb/internal/wsdexec"
 )
 
 // TestRepairByKeyCensus: the paper's 5-row census decomposes into 1
@@ -21,21 +23,24 @@ func TestRepairByKeyCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Certain.Len() != 1 {
-		t.Errorf("certain tuples = %d, want 1 (SSN 333)", d.Certain.Len())
+	if len(d.Names) != 1 || d.Names[0] != "Census" {
+		t.Errorf("relations = %v, want [Census]", d.Names)
+	}
+	if d.Certain[0].Len() != 1 {
+		t.Errorf("certain tuples = %d, want 1 (SSN 333)", d.Certain[0].Len())
 	}
 	if len(d.Components) != 2 {
 		t.Errorf("components = %d, want 2", len(d.Components))
 	}
-	if d.NumWorlds() != 4 {
-		t.Errorf("worlds = %d, want 4", d.NumWorlds())
+	if d.Worlds().Int64() != 4 {
+		t.Errorf("worlds = %s, want 4", d.Worlds())
 	}
 	if d.Size() != 5 {
 		t.Errorf("size = %d, want 5 (the input tuples)", d.Size())
 	}
 }
 
-// TestRepairDecompositionMatchesEnumeration: Rep(wsd.RepairByKey(R)) equals
+// TestRepairDecompositionMatchesEnumeration: wsd.RepairByKey(R) expands to
 // the reference repair-by-key world enumeration.
 func TestRepairDecompositionMatchesEnumeration(t *testing.T) {
 	census := datagen.PaperCensus()
@@ -43,7 +48,7 @@ func TestRepairDecompositionMatchesEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Rep(0)
+	got, err := d.Expand(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,36 +68,41 @@ func TestRepairDecompositionMatchesEnumeration(t *testing.T) {
 
 // TestHugeRepairWithoutEnumeration is the point of the representation:
 // 40 duplicated SSNs mean 2^40 repairs — far beyond enumeration — yet
-// possible and certain answers come out in microseconds from the
-// decomposition.
+// possible and certain answers come out of the factorized engine
+// without expanding a world, and expansion is refused with the typed
+// budget error.
 func TestHugeRepairWithoutEnumeration(t *testing.T) {
 	census := datagen.Census(10000, 40, 7)
 	d, err := wsd.RepairByKey("Census", census, []string{"SSN"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := d.NumWorlds(), uint64(1)<<40; got != want {
-		t.Fatalf("worlds = %d, want 2^40 = %d", got, want)
+	want := new(big.Int).Lsh(big.NewInt(1), 40)
+	if d.Worlds().Cmp(want) != 0 {
+		t.Fatalf("worlds = %s, want 2^40", d.Worlds())
 	}
 	if d.Size() != census.Len() {
 		t.Fatalf("size = %d, want the %d input tuples", d.Size(), census.Len())
 	}
-	poss := d.Poss()
+	poss := closed(t, wsa.ClosePoss, d)
 	if poss.Len() != census.Len() {
 		t.Errorf("every input tuple is possible: got %d of %d", poss.Len(), census.Len())
 	}
-	cert := d.Cert()
+	cert := closed(t, wsa.CloseCert, d)
 	// Exactly the tuples of non-duplicated SSNs are certain.
 	if got, want := cert.Len(), census.Len()-2*40; got != want {
 		t.Errorf("certain tuples = %d, want %d", got, want)
 	}
-	if _, err := d.Rep(1 << 16); err == nil {
-		t.Error("expansion of 2^40 worlds must be refused")
+	_, err = d.Expand(1 << 16)
+	var be *wsd.BudgetError
+	if !errors.As(err, &be) || be.Worlds.Cmp(want) != 0 || be.Budget != 1<<16 {
+		t.Errorf("expansion of 2^40 worlds returned %v, want a *wsd.BudgetError for 2^40 over 2^16", err)
 	}
 }
 
-// TestPossCertAgainstExpansion: on expandable decompositions, Poss and
-// Cert agree with the explicit union/intersection over worlds.
+// TestPossCertAgainstExpansion: on expandable repairs, the factorized
+// engine's poss and cert agree with the explicit union/intersection
+// over the expanded worlds.
 func TestPossCertAgainstExpansion(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -101,16 +111,16 @@ func TestPossCertAgainstExpansion(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ws, err := d.Rep(0)
+		ws, err := d.Expand(0)
 		if err != nil {
 			return false
 		}
 		worlds := ws.Worlds()
-		union := relation.New(d.Schema)
+		union := relation.New(census.Schema())
 		inter := worlds[0][0].Clone()
 		for _, w := range worlds {
 			w[0].Each(func(tup relation.Tuple) { union.Insert(tup) })
-			next := relation.New(d.Schema)
+			next := relation.New(census.Schema())
 			inter.Each(func(tup relation.Tuple) {
 				if w[0].Contains(tup) {
 					next.Insert(tup)
@@ -118,25 +128,46 @@ func TestPossCertAgainstExpansion(t *testing.T) {
 			})
 			inter = next
 		}
-		return d.Poss().Equal(union) && d.Cert().Equal(inter)
+		return closed(t, wsa.ClosePoss, d).Equal(union) && closed(t, wsa.CloseCert, d).Equal(inter)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestDecomposeRoundTrip: Decompose followed by Rep reproduces the
-// world-set, and independent structure is actually factored.
+// closed evaluates poss or cert of the decomposition's first relation
+// natively with the factorized engine and returns the answer, which
+// must come out certain: no component contributes to it.
+func closed(t *testing.T, kind wsa.CloseKind, d *wsd.DecompDB) *relation.Relation {
+	t.Helper()
+	q := &wsa.Close{Kind: kind, From: &wsa.Rel{Name: d.Names[0]}}
+	out, _, err := wsdexec.EvalOpts(q, d, &wsdexec.Options{NoFallback: true})
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	ans := len(out.Names) - 1
+	for _, c := range out.Components {
+		for _, a := range c.Alternatives {
+			if r := a.Rel(ans); r != nil && r.Len() > 0 {
+				t.Fatalf("%s: a component contributes to the answer", q)
+			}
+		}
+	}
+	return out.Certain[ans]
+}
+
+// TestDecomposeRoundTrip: Refactor of a one-relation world-set
+// followed by Expand reproduces the world-set.
 func TestDecomposeRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ws := datagen.RandomWorldSet(rng, []string{"R"},
 			[]relation.Schema{relation.NewSchema("A", "B")}, 3, 4, 6)
-		d, err := wsd.Decompose("R", ws)
+		d, err := wsd.Refactor(ws)
 		if err != nil {
 			return false
 		}
-		back, err := d.Rep(0)
+		back, err := d.Expand(0)
 		if err != nil {
 			return false
 		}
@@ -147,39 +178,32 @@ func TestDecomposeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecomposeFactorsProducts: a world-set that is a genuine product of
-// two independent choices decomposes into two components (succinctness),
-// not one.
+// TestDecomposeFactorsProducts: a one-relation world-set that is a
+// genuine product of two independent choices refactors into two
+// components (succinctness), not one.
 func TestDecomposeFactorsProducts(t *testing.T) {
 	schema := relation.NewSchema("A")
-	mk := func(vals ...int64) *relation.Relation {
-		r := relation.New(schema)
-		for _, v := range vals {
-			r.InsertValues(intVal(v))
-		}
-		return r
-	}
 	// Worlds: {1 or 2} × {10 or 20} — four worlds.
 	ws := worldset.New([]string{"R"}, []relation.Schema{schema})
 	for _, a := range []int64{1, 2} {
 		for _, b := range []int64{10, 20} {
-			ws.Add(worldset.World{mk(a, b)})
+			ws.Add(worldset.World{intRel(schema, a, b)})
 		}
 	}
-	d, err := wsd.Decompose("R", ws)
+	d, err := wsd.Refactor(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Components) != 2 {
 		t.Fatalf("expected 2 independent components, got %d:\n%s", len(d.Components), d)
 	}
-	if d.NumWorlds() != 4 {
-		t.Fatalf("worlds = %d, want 4", d.NumWorlds())
+	if d.Worlds().Int64() != 4 {
+		t.Fatalf("worlds = %s, want 4", d.Worlds())
 	}
 	if d.Size() != 4 {
 		t.Fatalf("size = %d, want 4 (2 + 2 alternatives)", d.Size())
 	}
-	back, err := d.Rep(0)
+	back, err := d.Expand(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,24 +216,17 @@ func TestDecomposeFactorsProducts(t *testing.T) {
 // together, never both absent) cannot factor and stay in one component.
 func TestDecomposeCorrelatedFallsBack(t *testing.T) {
 	schema := relation.NewSchema("A")
-	mk := func(vals ...int64) *relation.Relation {
-		r := relation.New(schema)
-		for _, v := range vals {
-			r.InsertValues(intVal(v))
-		}
-		return r
-	}
 	ws := worldset.New([]string{"R"}, []relation.Schema{schema})
-	ws.Add(worldset.World{mk(1)})
-	ws.Add(worldset.World{mk(2)})
-	d, err := wsd.Decompose("R", ws)
+	ws.Add(worldset.World{intRel(schema, 1)})
+	ws.Add(worldset.World{intRel(schema, 2)})
+	d, err := wsd.Refactor(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Components) != 1 {
 		t.Fatalf("XOR tuples must share a component, got %d", len(d.Components))
 	}
-	back, err := d.Rep(0)
+	back, err := d.Expand(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,17 +235,10 @@ func TestDecomposeCorrelatedFallsBack(t *testing.T) {
 	}
 }
 
-// TestNumWorldsSaturates: overflow saturates instead of wrapping.
-func TestNumWorldsSaturates(t *testing.T) {
-	d := wsd.New("R", relation.NewSchema("A"))
-	alt := wsd.NewAlternative(d.Schema)
-	comp := wsd.Component{Alternatives: []wsd.Alternative{alt, alt, alt, alt}}
-	for i := 0; i < 40; i++ { // 4^40 = 2^80 > 2^64
-		d.Components = append(d.Components, comp)
+func intRel(schema relation.Schema, vals ...int64) *relation.Relation {
+	r := relation.New(schema)
+	for _, v := range vals {
+		r.InsertValues(value.Int(v))
 	}
-	if d.NumWorlds() != math.MaxUint64 {
-		t.Fatalf("expected saturation at MaxUint64, got %d", d.NumWorlds())
-	}
+	return r
 }
-
-func intVal(v int64) value.Value { return value.Int(v) }

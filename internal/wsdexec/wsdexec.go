@@ -54,9 +54,9 @@
 // resolves them with a decision tree, in order:
 //
 //  1. Merge locally (bounded component merging): collapse exactly the
-//     coupled components into one, in the wsd.MergeComponents
-//     mixed-radix layout, when the merge cost — the product of just
-//     those components' alternative counts — fits the expansion budget.
+//     coupled components into one, in the wsd.MergeAlt mixed-radix
+//     layout, when the merge cost — the product of just those
+//     components' alternative counts — fits the expansion budget.
 //     Evaluation stays native and the cost depends on the coupled
 //     components only, never on the world count: a 2^40-world
 //     decomposition aggregates over two 2-alternative components by
@@ -129,14 +129,6 @@ type Options struct {
 	// enumerate-on-entangle behavior; differential tests use it to
 	// compare the merged and expanded evaluations of one query.
 	NoMerge bool
-	// Shards, when non-nil, maps each component index of the input
-	// decomposition to its home shard in a sharded catalog
-	// (store.Snapshot.CompShards). Per-piece parallel scans order their
-	// work units by shard so chunk boundaries align with shard
-	// boundaries — the scatter half of scatter/gather query execution.
-	// Results are gathered into fixed per-piece cells, so the ordering
-	// never changes what a query answers.
-	Shards []int
 	// Trace, when non-nil, receives one child span per stage and per
 	// operator evaluated (with merge events and component counts). nil —
 	// the default — keeps evaluation allocation-free of tracing.
@@ -289,7 +281,6 @@ func EvalOpts(q wsa.Expr, db *wsd.DecompDB, opt *Options) (*wsd.DecompDB, *Plan,
 	e := &engine{db: db, env: env, st: st, budget: opt.budget(), trace: trace,
 		arity: make([]int, len(db.Components), len(db.Components)+4)}
 	if opt != nil {
-		e.shards = opt.Shards
 		e.noMerge = opt.NoMerge
 	}
 	for ci, c := range db.Components {
@@ -392,7 +383,6 @@ type engine struct {
 	arity   []int
 	budget  int
 	noMerge bool             // strictly disable merging (differential ablation arm)
-	shards  []int            // component index -> home shard (Options.Shards); nil at one shard
 	slaved  map[int]slaveRef // nil until the first merge
 	merges  []MergeStep
 	trace   *obs.Span // current operator span; nil = tracing off
@@ -471,7 +461,7 @@ func (e *engine) compRelNames(comps []int) []string {
 
 // merge collapses the given live components (sorted, at least two) into
 // a fresh component whose alternatives enumerate their choice
-// combinations in the wsd.MergeComponents mixed-radix layout, recording
+// combinations in the wsd.MergeAlt mixed-radix layout, recording
 // the members as slaved to the new root. It fails with a detailed
 // entangleError when the combined alternative count exceeds the
 // expansion budget (or merging is disabled) — the caller propagates it
@@ -999,24 +989,6 @@ func probeKey(p ra.Pred, s relation.Schema) (cols []int, key relation.Tuple, exa
 func (e *engine) mapPieces(sub *frel, outSchema relation.Schema, fn func(piece) *relation.Relation) *frel {
 	slots := sub.pieces()
 	parts := relation.NumParts(sub.size())
-	if sh := e.shards; sh != nil && parts > 1 && len(slots) > 2 {
-		// Scatter: group the per-piece work units by the owning shard so
-		// parallel chunks align with catalog shards. Stable, and results
-		// gather into per-slot cells, so the answer is order-independent.
-		// A stored view's list is shared: sort a copy.
-		slots = append([]piece(nil), slots...)
-		sort.SliceStable(slots[1:], func(i, j int) bool {
-			a, b := slots[1+i].c, slots[1+j].c
-			sa, sb := 0, 0
-			if a >= 0 && a < len(sh) {
-				sa = sh[a]
-			}
-			if b >= 0 && b < len(sh) {
-				sb = sh[b]
-			}
-			return sa < sb
-		})
-	}
 	results := make([]*relation.Relation, len(slots))
 	relation.ParallelChunks(len(slots), parts, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -256,11 +256,10 @@ func TestEntangledFallback(t *testing.T) {
 // refusal instead of silently exploding.
 func TestFallbackRefusedBeyondBudget(t *testing.T) {
 	census := datagen.Census(200, 40, 7)
-	d, err := wsd.RepairByKey("Clean", census, []string{"SSN"})
+	db, err := wsd.RepairByKey("Clean", census, []string{"SSN"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := wsd.FromWSD(d)
 	// choice-of over the (uncertain) repaired relation entangles.
 	q := &wsa.Choice{Attrs: []string{"POB"}, From: &wsa.Rel{Name: "Clean"}}
 	_, _, err = Eval(q, db)
