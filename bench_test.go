@@ -313,7 +313,7 @@ func BenchmarkWSDRepair(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				out, _, err := wsdexec.EvalOpts(cert, d, &wsdexec.Options{NoFallback: true})
+				out, _, err := wsdexec.Eval(cert, d)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -337,7 +337,7 @@ func BenchmarkWSDX(b *testing.B) {
 		db := wsd.FromComplete([]string{"Census"}, []*relation.Relation{census})
 		b.Run(fmt.Sprintf("wsdexec/dups=%d", dups), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, plan, err := wsdexec.EvalOpts(certQ, db, &wsdexec.Options{NoFallback: true})
+				_, plan, err := wsdexec.Eval(certQ, db)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -350,7 +350,7 @@ func BenchmarkWSDX(b *testing.B) {
 	smallDB := wsd.FromComplete([]string{"Census"}, []*relation.Relation{datagen.Census(50, 12, 3)})
 	b.Run("wsdexecSmall/dups=12", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := wsdexec.EvalOpts(certQ, smallDB, &wsdexec.Options{NoFallback: true}); err != nil {
+			if _, _, err := wsdexec.Eval(certQ, smallDB); err != nil {
 				b.Fatal(err)
 			}
 		}

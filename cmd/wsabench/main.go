@@ -1,8 +1,8 @@
 // Command wsabench is the timed regression gate for the engine's hot
 // paths. It times the ops of six families — WSDX (an indexed point
 // select), TXN (WAL commit, group commit, prepared and parameterized
-// execution, recovery), AGG (the bounded aggregate and the enumeration
-// fallback), SHARD (routed inserts, scattered reads), PLAN (the rewrite
+// execution, recovery), AGG (the bounded aggregate and the region
+// enumeration of an engine override), SHARD (routed inserts, scattered reads), PLAN (the rewrite
 // search, product chains) and CKPT (incremental and no-op checkpoints,
 // recovery by delta) — and diffs each against the committed
 // BENCH_results.json baseline.
@@ -201,7 +201,7 @@ func main() {
 	}{
 		{"WSDX", "indexed point select over the stored 2^40-world repair", expWSDX},
 		{"TXN", "WAL commit, group commit, prepared and parameterized execution, recovery replay", expTxn},
-		{"AGG", "bounded aggregate and enumeration fallback, 2^10 → 2^42 worlds", expAgg},
+		{"AGG", "bounded aggregate and engine-override region enumeration, 2^10 → 2^42 worlds", expAgg},
 		{"SHARD", "routed inserts and scattered reads, 1 vs 4 shards", expShard},
 		{"PLAN", "pruned vs exhaustive rewrite search, ordered vs written product chains", expPlan},
 		{"CKPT", "incremental and no-op checkpoints, recovery by delta", expCkpt},
@@ -268,7 +268,7 @@ func expWSDX() {
 	q := rewrite.Prelower(wsa.NewPoss(&wsa.Select{
 		Pred: ra.EqConst("SSN", value.Int(100517)), From: &wsa.Rel{Name: "Clean"}}), wsa.NewEnv(db.Names, db.Schemas))
 	d := bench("WSDX/point-select/dups=40", func() {
-		_, plan, err := wsdexec.EvalOpts(q, db, &wsdexec.Options{NoRewrite: true, NoFallback: true})
+		_, plan, err := wsdexec.EvalOpts(q, db, &wsdexec.Options{NoRewrite: true})
 		must(err)
 		if !plan.Native {
 			must(fmt.Errorf("WSDX point-select plan not native: %v", plan))
@@ -462,9 +462,11 @@ func txnCommitLatency(op string, k int) time.Duration {
 }
 
 // expAgg times (1) an aggregate over a one-component choice region on a
-// catalog holding 2^10 → 2^40 repair worlds besides, and (2) the
-// engine's enumeration fallback (merging off) for R × S over two coupled
-// 4-alternative components among d independent spectators.
+// catalog holding 2^10 → 2^40 repair worlds besides, and (2) the region
+// enumeration of the "reference" engine override (store.Query) for
+// R × S over two coupled 4-alternative components among d independent
+// spectators: enumerate the 16 combinations, evaluate, re-factorize and
+// splice the spectators back.
 func expAgg() {
 	fmt.Printf("%-10s %-16s %-14s\n", "dup SSNs", "worlds", "bounded agg")
 	for _, dups := range []int{10, 20, 30, 40} {
@@ -488,17 +490,18 @@ func expAgg() {
 		fmt.Printf("%-10d %-16s %-14s\n", dups, s.Worlds(), dAgg)
 	}
 
-	fmt.Printf("\n%-12s %-10s %-14s\n", "spectators", "worlds", "fallback")
+	fmt.Printf("\n%-12s %-10s %-14s\n", "spectators", "worlds", "region")
 	for _, d := range []int{8, 12, 38} {
 		db, q := aggTornDB(4, d)
-		dFallback := bench(fmt.Sprintf("AGG/fallback/spect=%d", d), func() {
-			_, plan, err := wsdexec.EvalOpts(q, db, &wsdexec.Options{NoMerge: true, ExpandBudget: 1 << 20})
+		snap := store.New(db).Snapshot()
+		dRegion := bench(fmt.Sprintf("AGG/fallback/spect=%d", d), func() {
+			_, plan, err := store.Query(snap, "reference", q, 1<<20)
 			must(err)
 			if plan.Native {
-				must(fmt.Errorf("AGG NoMerge run evaluated natively: %v", plan))
+				must(fmt.Errorf("AGG reference override evaluated natively: %v", plan))
 			}
 		})
-		fmt.Printf("%-12d %-10s %-14s\n", d, fmt.Sprintf("2^%d", 4+d), dFallback)
+		fmt.Printf("%-12d %-10s %-14s\n", d, fmt.Sprintf("2^%d", 4+d), dRegion)
 	}
 }
 

@@ -49,8 +49,8 @@
 // the mentioned relations plus whatever those components contribute to
 // — and for writes the local result is re-factorized and the untouched
 // relations and components spliced back by pointer (wsd.Region — the
-// one enumeration a statement can reach, shared with wsdexec's fallback
-// and the store's engine override). In each world that evaluator reads
+// one enumeration a statement can reach, shared with the store's
+// engine override). In each world that evaluator reads
 // every row once, in storage order — no sort, no copy of a table it
 // only renames, no re-hash of a relation it only renames, an index
 // probe per IN — and sorts a group only where float addition makes the
@@ -65,8 +65,8 @@
 // full-expansion reference the differential sweeps hold the splice to.
 //
 // Re-factorization (wsd.Refactor) closes the loop: any enumerated
-// world-set — a fallback output, a bounded-arm result, a session's
-// world-set seed — is factorized back into certain tuples plus
+// world-set — an engine override's output, a bounded-arm result, a
+// session's world-set seed — is factorized back into certain tuples plus
 // independent components (verified blocks of pairwise-dependent tuples,
 // spanning relations when the dependency does), so one entangled step
 // never permanently de-factorizes a pipeline. A census-repair pipeline
@@ -349,7 +349,7 @@
 // compile (with plan-cache hit/miss), the rewrite search, every
 // wsdexec operator (with contributing-component counts, a selection's
 // access path — access=index|scan with probed and scanned tuple counts
-// — merge events and their costs, fallback expansion), commit staging,
+// — merge and refinement events and their costs), commit staging,
 // the group-commit queue wait and the WAL fsync (with batch size, and
 // the participant count of a cross-shard commit).
 //
@@ -376,7 +376,8 @@
 // internal/difftest runs every query through all three engines on
 // randomized world-sets — through wsdexec natively on randomized
 // decompositions via CheckDecomp, and through the store/session path
-// (snapshot + region-bounded, re-factorized fallbacks) via CheckStore — requiring
+// (snapshot, natively and by the region-bounded, re-factorized engine
+// override) via CheckStore — requiring
 // world-set-identical (byte-identical, for decomposed inputs) answers,
 // including under the race detector with partitioning forced on.
 // golden_test.go pins the paper's running examples (Figure 2 pipeline,

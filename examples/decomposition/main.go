@@ -104,7 +104,7 @@ func main() {
 // answer evaluates a poss or cert query natively on the decomposition
 // and returns its answer, which such a query leaves certain.
 func answer(q wsa.Expr, d *wsd.DecompDB) *relation.Relation {
-	out, _, err := wsdexec.EvalOpts(q, d, &wsdexec.Options{NoFallback: true})
+	out, _, err := wsdexec.Eval(q, d)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -144,11 +144,11 @@ func TestGoldenCensusRepairWSDX(t *testing.T) {
 	census := datagen.Census(50, 40, 7)
 	db := wsd.FromComplete([]string{"Census"}, []*relation.Relation{census})
 	repair := &wsa.RepairKey{Attrs: []string{"SSN"}, From: &wsa.Rel{Name: "Census"}}
-	outC, planC, err := wsdexec.EvalOpts(wsa.NewCert(repair), db, &wsdexec.Options{NoFallback: true})
+	outC, planC, err := wsdexec.Eval(wsa.NewCert(repair), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outP, planP, err := wsdexec.EvalOpts(wsa.NewPoss(repair), db, &wsdexec.Options{NoFallback: true})
+	outP, planP, err := wsdexec.Eval(wsa.NewPoss(repair), db)
 	if err != nil {
 		t.Fatal(err)
 	}

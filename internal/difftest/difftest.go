@@ -15,8 +15,9 @@
 // CheckDecomp, which runs wsdexec natively on the decomposition and the
 // other two on its (expandable) enumeration, requiring byte-identical
 // rendered world-sets; CheckStore runs the same queries the way an
-// I-SQL session select does — through the store.Query snapshot path
-// with re-factorized fallbacks — against the reference engine.
+// I-SQL session select does — through the store.Query snapshot path,
+// natively and by the reference engine override over the dependent
+// region, re-factorized and spliced — against the reference engine.
 package difftest
 
 import (
@@ -121,15 +122,16 @@ func CheckDecomp(q wsa.Expr, db *wsd.DecompDB) (*wsdexec.Plan, error) {
 
 // CheckStore is the store-path differential check: the query runs the
 // way an I-SQL session select does — through store.Query against a
-// catalog snapshot holding the decomposition, with entangled fallbacks
-// enumerating only the region they depend on, re-factorized and spliced
-// (wsd.Region) — and the expanded result must render byte-identically to
-// the reference evaluation of the enumeration. Where CheckDecomp pins
-// the factorized engine, CheckStore additionally pins the snapshot
-// plumbing. The same query then runs once more through a 4-way
-// sharded snapshot: sharding changes which shard homes each relation,
-// never the rendered answer. The one-shard plan is returned so sweeps can count
-// what they exercised.
+// catalog snapshot holding the decomposition — and once more through
+// the "reference" engine override, which enumerates only the region the
+// query depends on, re-factorizes the output and splices the other
+// components back (wsd.Region). Each expanded result must render
+// byte-identically to the reference evaluation of the enumeration.
+// Where CheckDecomp pins the factorized engine, CheckStore additionally
+// pins the snapshot plumbing and the splice. Both run on a one-shard
+// and a 4-way sharded snapshot: sharding changes which shard homes each
+// relation, never the rendered answer. The one-shard native plan is
+// returned so sweeps can count what they exercised.
 func CheckStore(q wsa.Expr, db *wsd.DecompDB) (*wsdexec.Plan, error) {
 	ws, err := db.Expand(0)
 	if err != nil {
@@ -142,20 +144,22 @@ func CheckStore(q wsa.Expr, db *wsd.DecompDB) (*wsdexec.Plan, error) {
 	var first *wsdexec.Plan
 	for _, shards := range []int{1, 4} {
 		snap := store.NewSharded(db, shards).Snapshot()
-		out, plan, err := store.Query(snap, "", q, 0)
-		if err != nil {
-			return nil, fmt.Errorf("store path (%d shards) failed for %s where the reference succeeded: %w", shards, q, err)
-		}
-		got, err := out.Expand(0)
-		if err != nil {
-			return nil, fmt.Errorf("store result (%d shards) of %s not expandable (plan %v): %w", shards, q, plan, err)
-		}
-		if g, w := got.String(), ref.String(); g != w {
-			return nil, fmt.Errorf("store path (%d shards, plan %v) disagrees with the reference for %s\ninput:\n%s\nreference:\n%s\nstore:\n%s",
-				shards, plan, q, db, w, g)
-		}
-		if first == nil {
-			first = plan
+		for _, engine := range []string{"", "reference"} {
+			out, plan, err := store.Query(snap, engine, q, 0)
+			if err != nil {
+				return nil, fmt.Errorf("store path (%d shards, engine %q) failed for %s where the reference succeeded: %w", shards, engine, q, err)
+			}
+			got, err := out.Expand(0)
+			if err != nil {
+				return nil, fmt.Errorf("store result (%d shards, engine %q) of %s not expandable (plan %v): %w", shards, engine, q, plan, err)
+			}
+			if g, w := got.String(), ref.String(); g != w {
+				return nil, fmt.Errorf("store path (%d shards, engine %q, plan %v) disagrees with the reference for %s\ninput:\n%s\nreference:\n%s\nstore:\n%s",
+					shards, engine, plan, q, db, w, g)
+			}
+			if first == nil {
+				first = plan
+			}
 		}
 	}
 	return first, nil
@@ -169,13 +173,13 @@ func CheckStore(q wsa.Expr, db *wsd.DecompDB) (*wsdexec.Plan, error) {
 // — and every statement, DML included, must agree on answers and
 // affected counts, with every session's state expanding to the same
 // world-set after each statement. On the native session fragment
-// statements evaluate natively (merging components at worst; callers
-// that require zero engine fallbacks assert it on stats), choice-of and
-// repair-by-key over an uncertain answer fall back over the region they
-// depend on, and statements outside the fragment take the bounded arm —
-// in both cases only the dependent components enumerated, the rest
-// spliced back — whose parity with the legacy session (every component
-// dependent, i.e. the full expansion) this check pins.
+// statements evaluate natively (merging or refining components at
+// worst), and statements outside the fragment take the bounded arm —
+// only the dependent components enumerated, the rest spliced back —
+// whose parity with the legacy session (every component dependent,
+// i.e. the full expansion) this check pins. The reference and
+// translated sessions evaluate fragment statements by engine override
+// over the dependent region, spliced back the same way.
 func CheckSQLScript(names []string, rels []*relation.Relation, stmts []string, stats *isql.ExecStats) error {
 	engines := []string{"", "reference", "translated", "legacy"}
 	for _, sql := range stmts {

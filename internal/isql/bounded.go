@@ -20,8 +20,7 @@ import (
 // subquery — are evaluated world by world, but a statement only reads
 // the relations its tree mentions, so only the region of the
 // decomposition those relations depend on is enumerated (wsd.Region,
-// the enumeration wsdexec's fallback and the store's engine override
-// share), and each of its worlds holds only the region's relation
+// the enumeration the store's engine override shares), and each of its worlds holds only the region's relation
 // closure — the mentioned relations plus whatever the region's
 // components contribute to — never a copy of the rest of the catalog:
 // an aggregate over, or a subquery delete from, one 3-alternative

@@ -177,8 +177,8 @@ func TestBoundedCTASSplicesIndependentComponents(t *testing.T) {
 	// still enumerates Clean beside it: without it those components'
 	// worlds would collapse, a write would drop their Clean
 	// alternatives, and an affected count would be taken over too few
-	// worlds. Each statement — a subquery DELETE, an aggregate CTAS, an
-	// engine fallback — must match the legacy session (every component
+	// worlds. Each statement — a subquery DELETE, an aggregate CTAS, a
+	// choice-of refinement — must match the legacy session (every component
 	// enumerated, every relation in every world) in answers, affected
 	// count and the world-set after it, and leave Clean as it was.
 	census := datagen.Census(24, 4, 7)
@@ -217,17 +217,16 @@ func TestBoundedCTASSplicesIndependentComponents(t *testing.T) {
 		}
 	}
 	ops := native.Stats.Snapshot()
-	if ops.LegacyOps["expression subquery"] != 1 || ops.LegacyOps["aggregation"] != 1 || ops.Fallbacks != 1 {
-		t.Fatalf("the DELETE and the aggregate must run bounded and the choice-of fall back: %+v", ops)
+	if ops.LegacyOps["expression subquery"] != 1 || ops.LegacyOps["aggregation"] != 1 || ops.MergeOps["choice-of over an uncertain answer"] != 1 {
+		t.Fatalf("the DELETE and the aggregate must run bounded and the choice-of refine natively: %+v", ops)
 	}
 }
 
 // TestEntangledStatementsWorldCountIndependent: choice-of over an
-// uncertain answer is the one native-arm step that enumerates, and it
-// enumerates the region its relations depend on — U's 2 worlds on a
-// 2^41-world catalog — with the repair components spliced back
+// uncertain answer refines the one component the answer depends on —
+// U's, on a 2^41-world catalog — and leaves the repair components
 // untouched. A choice-of over the repair itself is refused at the
-// repair's own 2^40 combinations, not the catalog's count.
+// merge of the repair's own 2^40 combinations, not the catalog's count.
 func TestEntangledStatementsWorldCountIndependent(t *testing.T) {
 	setup := []string{
 		"create table T (A);", "insert into T values (1);", "insert into T values (2);",
@@ -238,7 +237,8 @@ func TestEntangledStatementsWorldCountIndependent(t *testing.T) {
 		mustExec(t, s, sql)
 		mustExec(t, ref, sql)
 	}
-	before := s.Stats.Snapshot().Fallbacks
+	const op = "choice-of over an uncertain answer"
+	before := s.Stats.Snapshot().MergeOps[op]
 	stmts := []string{
 		"select certain A from U choice of A;",
 		"select possible A from U choice of A;",
@@ -246,8 +246,8 @@ func TestEntangledStatementsWorldCountIndependent(t *testing.T) {
 	}
 	for _, sql := range stmts {
 		res, want := mustExec(t, s, sql), mustExec(t, ref, sql)
-		if res.Plan == nil || res.Plan.FallbackOp == "" {
-			t.Fatalf("%s: want an engine fallback, plan %v", sql, res.Plan)
+		if res.Plan == nil || !res.Plan.Native || len(res.Plan.Merges) != 1 || len(res.Plan.Merges[0].Components) != 1 {
+			t.Fatalf("%s: want a native refinement of U's one component, plan %v", sql, res.Plan)
 		}
 		if len(res.Answers) != len(want.Answers) {
 			t.Fatalf("%s: %d answers, the 2-world session has %d", sql, len(res.Answers), len(want.Answers))
@@ -258,8 +258,8 @@ func TestEntangledStatementsWorldCountIndependent(t *testing.T) {
 			}
 		}
 	}
-	if got := s.Stats.Snapshot().Fallbacks - before; got != uint64(len(stmts)) {
-		t.Fatalf("stats count %d fallbacks, want %d", got, len(stmts))
+	if got := s.Stats.Snapshot().MergeOps[op] - before; got != uint64(len(stmts)) {
+		t.Fatalf("stats count %d refinements, want %d", got, len(stmts))
 	}
 	// 2^40 repairs × the worlds the reference session ends with.
 	want := new(big.Int).Lsh(ref.Worlds(), 40)
@@ -270,7 +270,7 @@ func TestEntangledStatementsWorldCountIndependent(t *testing.T) {
 		t.Fatalf("catalog size %d after the entangled CTAS is not linear in the input", size)
 	}
 	if r := mustExec(t, s, "select certain Name from Clean;"); r.Plan == nil || !r.Plan.Native {
-		t.Fatalf("repair region not native after the fallbacks (plan %v)", r.Plan)
+		t.Fatalf("repair region not native after the refinements (plan %v)", r.Plan)
 	}
 
 	_, err := s.ExecString("select certain Name from Clean choice of Name;")
@@ -279,15 +279,14 @@ func TestEntangledStatementsWorldCountIndependent(t *testing.T) {
 		t.Fatalf("choice-of over Clean: want *wsd.BudgetError, got %v", err)
 	}
 	if got, want := be.Worlds.String(), "1099511627776"; got != want { // 2^40
-		t.Fatalf("budget error cost = %s, want the repair region's %s", got, want)
+		t.Fatalf("budget error cost = %s, want the repair's merge of %s", got, want)
 	}
 }
 
-// TestPreparedFallbackMemo: what is left of the prepared-statement
-// fallback memo is that there is none — a prepared statement that falls
-// back attempts the native path again on every execution, so once DML
-// moves the decomposition into a shape the native path handles it runs
-// natively.
+// TestPreparedFallbackMemo: there is no prepared-statement memo of how
+// a plan ran — a prepared choice-of over an uncertain answer refines
+// natively on every execution, naming the component it refined, and
+// once DML empties the answer it runs with no refinement at all.
 func TestPreparedFallbackMemo(t *testing.T) {
 	s := NewSession()
 	mustExec(t, s, "create table T (A);")
@@ -296,16 +295,16 @@ func TestPreparedFallbackMemo(t *testing.T) {
 	mustExec(t, s, "create table U as select * from T choice of A;")
 	mustExec(t, s, "prepare q as select certain A from U choice of A;")
 
-	// choice-of over the uncertain U entangles, and the plan names the
-	// coupled components.
+	// choice-of over the uncertain U refines U's component, and the
+	// plan names it.
 	res := mustExec(t, s, "execute q;")
-	if res.Plan == nil || res.Plan.Native || len(res.Plan.FallbackComponents) == 0 {
-		t.Fatalf("choice-of over uncertain U should fall back and name its components, plan %v", res.Plan)
+	if res.Plan == nil || !res.Plan.Native || len(res.Plan.Merges) != 1 || len(res.Plan.Merges[0].Components) != 1 {
+		t.Fatalf("choice-of over uncertain U should refine its component, plan %v", res.Plan)
 	}
-	// Emptying U folds its component away: the statement runs natively.
+	// Emptying U folds its component away: nothing is left to refine.
 	mustExec(t, s, "delete from U;")
-	if res = mustExec(t, s, "execute q;"); res.Plan == nil || !res.Plan.Native {
-		t.Fatalf("after the shape moved the statement must run natively, plan %v", res.Plan)
+	if res = mustExec(t, s, "execute q;"); res.Plan == nil || !res.Plan.Native || len(res.Plan.Merges) != 0 {
+		t.Fatalf("after the shape moved the statement must run with no refinement, plan %v", res.Plan)
 	}
 }
 

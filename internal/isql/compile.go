@@ -16,8 +16,8 @@ import (
 // relations or columns, ambiguity) surface directly.
 type fragmentError struct {
 	// op is the short name of the fragment feature that routed the
-	// statement to the fallback evaluator ("aggregation", "divide-by",
-	// ...), the key execution statistics attribute fallbacks to.
+	// statement to the bounded arm ("aggregation", "divide-by", ...),
+	// the key execution statistics attribute bounded evaluations to.
 	op  string
 	msg string
 }

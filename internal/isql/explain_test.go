@@ -21,8 +21,8 @@ import (
 // probed through its cached index, the one-tuple alternatives scanned),
 // a join whose entanglement resolves by one
 // bounded component merge, an aggregate outside the WSA fragment
-// (the bounded arm), a choice-of over an uncertain answer (the engine
-// fallback, enumerating the one component Pick1 depends on), a plain
+// (the bounded arm), a choice-of over an uncertain answer (a native
+// refinement of the one component Pick1 depends on), a plain
 // insert (commit + WAL only), and a DELETE
 // whose predicate holds a subquery (the bounded arm under the commit).
 // Durations are normalized to t=X; everything else — span names,
@@ -35,7 +35,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	s := FromCatalog(cat)
 
 	// Seed: the 2^40-world census (1000 people, 40 uncertain) plus a
-	// 3-row Tiny table for the merge and fallback statements.
+	// 3-row Tiny table for the merge and refinement statements.
 	census := datagen.Census(1000, 40, 7)
 	if err := importRelation(s, "Census", census); err != nil {
 		t.Fatal(err)

@@ -7,33 +7,37 @@ import (
 	"worldsetdb/internal/value"
 )
 
+// roundTripStatements cover every statement form and expression shape
+// the parser knows; TestParseRoundTrip and FuzzParseRoundTrip's seed
+// corpus share them.
+var roundTripStatements = []string{
+	"select * from Flights;",
+	"select certain Arr from HFlights choice of Dep;",
+	"select possible CID from W where Skill = 'Web';",
+	"select R1.CID, R1.EID from Company_Emp R1, (select * from U choice of EID) R2 where R1.CID = R2.CID and R1.EID != R2.EID;",
+	"select A.Year, sum(A.Price) as Revenue from (select * from Lineitem choice of Year) as A where Quantity not in (select * from Lineitem choice of Quantity) group by A.Year;",
+	"select * from Census repair by key SSN;",
+	"select certain CID, Skill from V, Emp_Skills where V.EID = Emp_Skills.EID group worlds by (select CID from V);",
+	"select certain Arr from HFlights choice of Dep group worlds by Dep;",
+	"select Arr from (select Arr, Dep from HFlights) as F1 divide by (select Dep from HFlights) as F2 on F1.Dep = F2.Dep;",
+	"select F1.Arr from HFlights F1 where not exists (select * from HFlights F2 where not exists (select * from HFlights F3 where F3.Dep = F2.Dep and F3.Arr = F1.Arr));",
+	"insert into Flights values ('ZRH', 'BCN'), ('ZRH', 'ATL');",
+	"delete from Flights where Arr = 'ATL';",
+	"update Flights set Arr = 'BCN' where Dep = 'FRA';",
+	"create view V as select * from Flights;",
+	"create table T (A, B, C);",
+	"create table U as select * from Flights choice of Dep;",
+	"drop table T;",
+	"select possible Year from YQ as Y where (select sum(Price) from L where L.Year = Y.Year) - Y.Revenue > 1000000;",
+	"select A, count(*) as N, min(B) as Lo, max(B) as Hi, avg(B) as M from R group by A;",
+	"select * from R where A >= 1 and (B < 2 or not C = 3);",
+}
+
 // TestParseRoundTrip checks that parsing the String() rendering of a
 // parsed statement reproduces the same rendering — the stability
 // property the tooling relies on.
 func TestParseRoundTrip(t *testing.T) {
-	statements := []string{
-		"select * from Flights;",
-		"select certain Arr from HFlights choice of Dep;",
-		"select possible CID from W where Skill = 'Web';",
-		"select R1.CID, R1.EID from Company_Emp R1, (select * from U choice of EID) R2 where R1.CID = R2.CID and R1.EID != R2.EID;",
-		"select A.Year, sum(A.Price) as Revenue from (select * from Lineitem choice of Year) as A where Quantity not in (select * from Lineitem choice of Quantity) group by A.Year;",
-		"select * from Census repair by key SSN;",
-		"select certain CID, Skill from V, Emp_Skills where V.EID = Emp_Skills.EID group worlds by (select CID from V);",
-		"select certain Arr from HFlights choice of Dep group worlds by Dep;",
-		"select Arr from (select Arr, Dep from HFlights) as F1 divide by (select Dep from HFlights) as F2 on F1.Dep = F2.Dep;",
-		"select F1.Arr from HFlights F1 where not exists (select * from HFlights F2 where not exists (select * from HFlights F3 where F3.Dep = F2.Dep and F3.Arr = F1.Arr));",
-		"insert into Flights values ('ZRH', 'BCN'), ('ZRH', 'ATL');",
-		"delete from Flights where Arr = 'ATL';",
-		"update Flights set Arr = 'BCN' where Dep = 'FRA';",
-		"create view V as select * from Flights;",
-		"create table T (A, B, C);",
-		"create table U as select * from Flights choice of Dep;",
-		"drop table T;",
-		"select possible Year from YQ as Y where (select sum(Price) from L where L.Year = Y.Year) - Y.Revenue > 1000000;",
-		"select A, count(*) as N, min(B) as Lo, max(B) as Hi, avg(B) as M from R group by A;",
-		"select * from R where A >= 1 and (B < 2 or not C = 3);",
-	}
-	for _, sql := range statements {
+	for _, sql := range roundTripStatements {
 		st1, err := Parse(sql)
 		if err != nil {
 			t.Fatalf("parse %q: %v", sql, err)
@@ -163,11 +167,15 @@ func TestOperatorPrecedence(t *testing.T) {
 	}
 }
 
+// roundTripFloats are float literals whose rendering must re-parse as
+// the same float.
+var roundTripFloats = []string{"0.0", "1234567.0", "1000000000000000000000.0", "2.5", "0.000001"}
+
 // TestFloatLiteralRoundTrip: a float literal renders so that it
 // re-parses to a float of the same value — an integral float keeps a
 // fraction — so parse → String() → parse is a fixed point.
 func TestFloatLiteralRoundTrip(t *testing.T) {
-	for _, lit := range []string{"0.0", "1234567.0", "1000000000000000000000.0", "2.5", "0.000001"} {
+	for _, lit := range roundTripFloats {
 		st, err := Parse("insert into T values (" + lit + ");")
 		if err != nil {
 			t.Fatal(err)
@@ -186,6 +194,34 @@ func TestFloatLiteralRoundTrip(t *testing.T) {
 			t.Errorf("Float(%g) renders %q, re-parsing to %v (%s)", f, renderLiteral(value.Float(f)), v, v.Kind())
 		}
 	}
+}
+
+// FuzzParseRoundTrip: no input makes the parser panic, and a statement
+// that parses renders (String) to text that parses back to the same
+// rendering. The WAL logs that rendering as a commit's provenance and
+// ReplayRecord re-parses it, so the fixed point is a durability
+// property.
+func FuzzParseRoundTrip(f *testing.F) {
+	for _, sql := range roundTripStatements {
+		f.Add(sql)
+	}
+	for _, lit := range roundTripFloats {
+		f.Add("insert into T values (" + lit + ");")
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		st, err := Parse(sql)
+		if err != nil {
+			return
+		}
+		rendered := st.String()
+		st2, err := Parse(rendered)
+		if err != nil {
+			t.Fatalf("%q parses, but its rendering %q does not: %v", sql, rendered, err)
+		}
+		if again := st2.String(); again != rendered {
+			t.Fatalf("%q renders %q, which re-parses to %q", sql, rendered, again)
+		}
+	})
 }
 
 // TestQuotedStringLiteralRoundTrip: embedded quotes double on render

@@ -152,7 +152,7 @@ func (p *Prepared) Compiles() int {
 // operators — on a small catalog the rewriter dominates per-request
 // cost, and it depends only on the query and the schema, exactly what
 // the fingerprint pins. Compilation errors — including the
-// fragmentError that routes a select to the fallback evaluator — are
+// fragmentError that routes a select to the bounded arm — are
 // returned uncached.
 func (p *Prepared) planFor(s *Session, snap *store.Snapshot) (wsa.Expr, error) {
 	sel, ok := p.Stmt.(*SelectStmt)

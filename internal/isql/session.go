@@ -61,10 +61,11 @@ type Session struct {
 	viewsVersion uint64
 
 	// MaxWorlds bounds explicit world materialization: the enumeration
-	// budget of the bounded input and of engine fallbacks, repair-by-key
-	// in the world-at-a-time evaluator, and distinct-answer listing. 0
-	// means the package default of 1<<20. Violations surface as
-	// *wsd.BudgetError — the shape wsd's Expand and the store report.
+	// budget of the bounded input and of an engine override's region,
+	// the alternatives a native merge or refinement may build,
+	// repair-by-key in the world-at-a-time evaluator, and distinct-answer
+	// listing. 0 means the package default of 1<<20. Violations surface
+	// as *wsd.BudgetError — the shape wsd's Expand and the store report.
 	MaxWorlds int
 
 	// RetryConflicts bounds automatic conflict retry: a COMMIT that loses
@@ -75,16 +76,19 @@ type Session struct {
 	RetryConflicts int
 
 	// Stats, when set, receives execution accounting (native/merged/
-	// fallback/bounded counters per operator). A server shares one
+	// bounded counters per operator). A server shares one
 	// instance across its sessions; nil disables recording.
 	Stats *ExecStats
 
 	// Engine picks the engine for statements in the clean WSA fragment:
 	// "" or "wsdexec" evaluate natively on the decomposition; any other
-	// name in the wsa registry ("reference", "translated")
-	// evaluates on the budget-guarded expansion of the region the query
-	// depends on, with the output re-factorized and the rest spliced
-	// back; the special name "legacy" is the differential
+	// name in the wsa registry ("reference", "translated") is an engine
+	// override (store.QueryOpts), the one place a compiled query is
+	// evaluated over enumerated worlds: the budget-guarded expansion of
+	// the region the query depends on, with the output re-factorized and
+	// the rest spliced back, counted in Stats like the comparison
+	// engine's statements under the engine's name; the special name
+	// "legacy" is the differential
 	// reference for the bounded arm: nothing compiles, and every
 	// statement (tuple-local DML included) runs through execBounded
 	// with every component counted dependent — the full enumeration the
@@ -374,9 +378,9 @@ func (s *Session) execSelect(sel *SelectStmt) (*Result, error) {
 func (s *Session) execSelectWith(sel *SelectStmt, pre *Prepared, args []value.Value) (*Result, error) {
 	if pre == nil {
 		// Outside EXECUTE there is nothing to bind a placeholder with —
-		// reject on the statement tree, before either execution path (a
-		// fragment fallback could otherwise short-circuit past the
-		// unbound slot and silently answer).
+		// reject on the statement tree, before either execution path (the
+		// bounded arm could otherwise short-circuit past the unbound slot
+		// and silently answer).
 		if p := maxParam(sel); p > 0 {
 			return nil, fmt.Errorf("isql: unbound parameter $%d (bind it with execute)", p)
 		}
@@ -403,17 +407,17 @@ func (s *Session) execSelectWith(sel *SelectStmt, pre *Prepared, args []value.Va
 		out, plan, err := store.QueryOpts(snap, s.Engine, q, opts)
 		if plan != nil {
 			xsp.SetInt("merges", int64(len(plan.Merges)))
-			if plan.FallbackEngine == "" {
+			if plan.Native {
 				xsp.Set("path", "native")
 			} else {
-				xsp.Set("path", "fallback:"+plan.FallbackEngine)
+				xsp.Set("path", "override:"+s.Engine)
 			}
 		}
 		xsp.End()
 		if err != nil {
 			return nil, err
 		}
-		s.Stats.recordPlan(plan)
+		s.Stats.recordPlan(plan, s.Engine)
 		answers, err := out.Instances(len(out.Names)-1, s.maxWorlds())
 		if err != nil {
 			return nil, err
@@ -495,7 +499,7 @@ func (s *Session) execCreateTableAs(n *CreateTableAsStmt) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			s.Stats.recordPlan(plan)
+			s.Stats.recordPlan(plan, s.Engine)
 			db := out.RenameRelation(len(out.Names)-1, n.Name).Normalize()
 			tx.SetDB(db)
 			res = &Result{Decomp: db, Plan: plan}

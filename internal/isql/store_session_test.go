@@ -217,7 +217,7 @@ func TestConcurrentSessionsSharedCatalog(t *testing.T) {
 }
 
 // TestStoreSessionParityRandomized is the session-level differential:
-// scripts covering the fragment and the fallback paths run through both
+// scripts covering the fragment and the bounded-arm paths run through both
 // the store-backed default path and the legacy explicit world-set path,
 // and must produce identical distinct answers and world counts at every
 // step.
@@ -355,7 +355,7 @@ func intVal(i int64) value.Value { return value.Int(i) }
 
 // TestGenuineCompileErrorsSurfaceDirectly: a typo on a 2^40-world
 // catalog must report the real error (unknown column/relation), not a
-// BudgetError from a pointless fallback expansion.
+// BudgetError from a pointless bounded-arm expansion.
 func TestGenuineCompileErrorsSurfaceDirectly(t *testing.T) {
 	s := FromDB([]string{"Census"}, []*relation.Relation{pipelineCensus()})
 	for _, sql := range censusPipeline[:2] {

@@ -115,6 +115,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Gauge("wsdb_catalog_version", "Latest committed catalog version.", "", float64(snap.Version))
 	p.Gauge("wsdb_catalog_size", "Decomposition size (total stored tuples).", "", float64(snap.DB.Size()))
 	p.Gauge("wsdb_catalog_components", "Independent components in the catalog decomposition.", "", float64(len(snap.DB.Components)))
+	maxAlts := 0
+	for arity := range snap.Stats().AltHist {
+		maxAlts = max(maxAlts, arity)
+	}
+	p.Gauge("wsdb_catalog_max_alternatives", "Alternatives of the largest component in the catalog decomposition.", "", float64(maxAlts))
 	p.Gauge("wsdb_catalog_worlds_log2", "Base-2 logarithm (floor) of the represented world count.", "", worldsLog2(snap.DB))
 	p.Gauge("wsdb_catalog_shards", "Catalog shards.", "", float64(s.cat.Shards()))
 	s.mu.Lock()
@@ -138,15 +143,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, pc := range []struct {
 		path string
 		v    uint64
-	}{{"native", es.Native}, {"merged", es.Merged}, {"fallback", es.Fallbacks}, {"legacy", es.Legacy}} {
+	}{{"native", es.Native}, {"merged", es.Merged}, {"legacy", es.Legacy}} {
 		p.Counter("wsdb_exec_path_total", "Compiled-statement executions per evaluation path.", obs.Label("path", pc.path), pc.v)
 	}
 	for _, kc := range []struct {
 		kind string
 		ops  map[string]uint64
-	}{{"merge", es.MergeOps}, {"fallback", es.FallbackOps}, {"legacy", es.LegacyOps}} {
+	}{{"merge", es.MergeOps}, {"legacy", es.LegacyOps}} {
 		for _, op := range sortedKeys(kc.ops) {
-			p.Counter("wsdb_exec_op_total", "Merges, fallbacks and legacy evaluations attributed to the causing operator.",
+			p.Counter("wsdb_exec_op_total", "Merges, refinements and legacy evaluations attributed to the causing operator.",
 				obs.Label("kind", kc.kind)+","+obs.Label("op", op), kc.ops[op])
 		}
 	}

@@ -60,7 +60,7 @@ func testMetricsEndpoint(t *testing.T, nshards int) {
 	ts, _ := walServer(t, nshards)
 
 	// Traffic on several paths: a repair CTAS (native), a select, an
-	// aggregate (legacy fallback), and inserts routing to shards.
+	// aggregate (the bounded arm), and inserts routing to shards.
 	if code, out := post(t, ts.URL+"/exec", `
 create table Clean as select * from Census repair by key SSN;
 select certain Name from Clean;
@@ -91,6 +91,7 @@ insert into Audit values ('b', 2);
 	for _, series := range []string{
 		"wsdb_catalog_version",
 		"wsdb_catalog_components",
+		"wsdb_catalog_max_alternatives",
 		"wsdb_catalog_worlds_log2",
 		"wsdb_catalog_shards",
 		"wsdb_requests_total",
@@ -133,6 +134,54 @@ insert into Audit values ('b', 2);
 	// The repaired relation reports its decomposition split.
 	if !strings.Contains(string(data), `wsdb_relation_alternative_tuples{relation="Clean"}`) {
 		t.Error("missing decomposition gauge for relation Clean")
+	}
+}
+
+// TestMetricsMaxAlternatives: wsdb_catalog_max_alternatives reports
+// the largest component's alternative count, and shows a choice-of over
+// an uncertain answer refining a 2-alternative component into 4.
+func TestMetricsMaxAlternatives(t *testing.T) {
+	ts := serveCat(t, store.New(nil))
+	gauge := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.LintProm(data); err != nil {
+			t.Fatalf("invalid Prometheus exposition: %v", err)
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if v, ok := strings.CutPrefix(line, "wsdb_catalog_max_alternatives "); ok {
+				return v
+			}
+		}
+		t.Fatal("missing wsdb_catalog_max_alternatives")
+		return ""
+	}
+	if got := gauge(); got != "0" {
+		t.Fatalf("empty catalog: max alternatives %s, want 0", got)
+	}
+	for _, step := range []struct{ sql, want string }{
+		{`create table T (A, B);
+insert into T values (1, 'x');
+insert into T values (1, 'y');
+insert into T values (2, 'x');
+insert into T values (2, 'y');
+create table U as select * from T choice of A;`, "2"},
+		{"create table P as select * from U choice of B;", "4"},
+	} {
+		if code, out := post(t, ts.URL+"/exec", step.sql); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", step.sql, code, out)
+		}
+		if got := gauge(); got != step.want {
+			t.Fatalf("after %q: max alternatives %s, want %s", step.sql, got, step.want)
+		}
 	}
 }
 

@@ -101,7 +101,7 @@ type Server struct {
 	// stats
 	execs atomic.Uint64
 	// exec is the server-wide execution accounting (native / merged /
-	// fallback / legacy, attributed per operator), shared by every
+	// legacy, attributed per operator), shared by every
 	// session the server creates.
 	exec *isql.ExecStats
 	// Request-latency histograms per endpoint; their counts double as
@@ -475,11 +475,10 @@ type Stats struct {
 	Prepared  []string `json:"prepared,omitempty"`
 	Sessions  int      `json:"sessions"`
 	// Exec breaks executions down by evaluation path: native on the
-	// decomposition (merged counts those that merged components),
-	// engine-level enumeration fallbacks, and "legacy": bounded-arm
-	// evaluations of statements outside the WSA fragment, subquery
-	// DELETE/UPDATE included — attributed per operator, the
-	// serving-path view of the "fallbacks should be rare" invariant.
+	// decomposition (merged counts those that merged or refined
+	// components), and "legacy": bounded-arm evaluations of statements
+	// outside the WSA fragment, subquery DELETE/UPDATE included —
+	// attributed per operator.
 	Exec isql.ExecStatsSnapshot `json:"exec"`
 	// Shards holds per-shard commit statistics (published epoch,
 	// commits, validation conflicts, queued group commits, segment

@@ -27,7 +27,7 @@
 // Registry engines that need explicit world-sets get a budget-guarded
 // expansion (surfacing wsd.BudgetError, the same error shape the
 // session and Expand report) and their output is re-factorized with
-// wsd.Refactor, so even a fallback step hands the next statement a
+// wsd.Refactor, so even an engine override hands the next statement a
 // decomposition, not an enumeration.
 //
 // # One write path
@@ -336,12 +336,12 @@ func (c *Catalog) Update(fn func(*Tx) error) error { return c.UpdateRouted(nil, 
 // answer relation (named wsa.AnswerName), plus the plan describing how
 // it ran. An empty engine name (or "wsdexec") runs the factorized
 // engine natively on the decomposition. Any other name from the wsa
-// engine registry evaluates on the explicit worlds of the region the
-// query's relations depend on (wsd.Region, budget-guarded, 0 = default)
-// — the enumeration the factorized engine's own fallback takes — and
-// the result is re-factorized with the components outside the region
-// spliced back, so the catalog stays decomposed whichever engine
-// answered.
+// engine registry is an engine override, the one place a compiled query
+// is evaluated over explicit worlds: it evaluates on the worlds of the
+// region the query's relations depend on (wsd.Region, budget-guarded,
+// 0 = default), and the result is re-factorized with the components
+// outside the region spliced back, so the catalog stays decomposed
+// whichever engine answered. Its plan is not Native.
 func Query(snap *Snapshot, engine string, q wsa.Expr, budget int) (*wsd.DecompDB, *wsdexec.Plan, error) {
 	return QueryOpts(snap, engine, q, &wsdexec.Options{ExpandBudget: budget})
 }
@@ -354,11 +354,7 @@ func QueryOpts(snap *Snapshot, engine string, q wsa.Expr, opt *wsdexec.Options) 
 	if engine == "" || engine == "wsdexec" {
 		return wsdexec.EvalOpts(q, snap.DB, opt)
 	}
-	plan := &wsdexec.Plan{
-		FallbackOp:     "engine override",
-		FallbackEngine: engine,
-		InputWorlds:    snap.DB.Worlds(),
-	}
+	plan := &wsdexec.Plan{InputWorlds: snap.DB.Worlds()}
 	budget := 0
 	if opt != nil {
 		budget = opt.ExpandBudget

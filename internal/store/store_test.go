@@ -167,6 +167,58 @@ func TestQueryBudgetErrorShape(t *testing.T) {
 	}
 }
 
+// TestOverrideEnumeratesDependentRegion: an engine override evaluates
+// R × S over the 16 combinations of the two 4-alternative components R
+// and S depend on, however many binary spectator components (on T)
+// sit beside them — at 38 (16·2^38 worlds) it still answers, and the
+// spectators come back as the components they were. It allocates no
+// more at 38 spectators than at 3, nor more beside 16 unrelated 1000-row
+// certain relations than without them: its worlds hold R and S, not
+// the catalog.
+func TestOverrideEnumeratesDependentRegion(t *testing.T) {
+	schemas := []relation.Schema{relation.NewSchema("A"), relation.NewSchema("B"), relation.NewSchema("C")}
+	comp := func(ri, n int) wsd.DBComponent {
+		c := wsd.DBComponent{}
+		for a := 0; a < n; a++ {
+			r := relation.New(schemas[ri])
+			r.Insert(relation.Tuple{value.Int(int64(a))})
+			c.Alternatives = append(c.Alternatives, wsd.DBAlternative{Rels: map[int]*relation.Relation{ri: r}})
+		}
+		return c
+	}
+	q := wsa.NewProduct(&wsa.Rel{Name: "R"}, &wsa.Rel{Name: "S"})
+	var allocs []float64
+	for _, arm := range []struct{ spect, wide int }{{3, 0}, {38, 0}, {38, 16}} {
+		db := wsd.NewDecompDB([]string{"R", "S", "T"}, schemas)
+		db.Components = append(db.Components, comp(0, 4), comp(1, 4))
+		for i := 0; i < arm.spect; i++ {
+			db.Components = append(db.Components, comp(2, 2))
+		}
+		for i := 0; i < arm.wide; i++ {
+			r := datagen.Census(1000, 0, int64(i)+1)
+			db = db.WithRelation(fmt.Sprintf("Other%d", i), r.Schema(), r)
+		}
+		snap := New(db).Snapshot()
+		out, plan, err := Query(snap, "reference", q, 16)
+		if err != nil {
+			t.Fatalf("%d spectators: %v", arm.spect, err)
+		}
+		if plan.Native {
+			t.Fatalf("%d spectators: override plan claims native", arm.spect)
+		}
+		if out.Worlds().Cmp(db.Worlds()) != 0 {
+			t.Fatalf("%d spectators: output has %s worlds, input %s", arm.spect, out.Worlds(), db.Worlds())
+		}
+		a := testing.AllocsPerRun(10, func() { Query(snap, "reference", q, 16) })
+		t.Logf("%d spectators, %d unrelated relations: %.0f allocations", arm.spect, arm.wide, a)
+		allocs = append(allocs, a)
+	}
+	if allocs[1] > 1.1*allocs[0] || allocs[2] > 1.1*allocs[1] {
+		t.Errorf("allocations at 3 / 38 spectators / 38 beside 16 relations: %.0f / %.0f / %.0f; they grow with the catalog",
+			allocs[0], allocs[1], allocs[2])
+	}
+}
+
 // TestConcurrentReadersOneWriter hammers the catalog with concurrent
 // snapshot readers during writer commits; every reader must observe a
 // consistent version (table count matches the version's expectation).

@@ -17,8 +17,8 @@ import (
 // result unchanged. The enumeration cost is the product of just the
 // region's alternative counts: the same locality bound component merging
 // gives the native operators. It is the one enumeration a statement can
-// reach — the session's bounded arm, the factorized engine's fallback and
-// the store's engine override all go through it.
+// reach — the session's bounded arm and the store's engine override
+// both go through it.
 //
 // The enumerated worlds hold only the region's relation closure: the
 // relations the statement mentions plus every relation a region

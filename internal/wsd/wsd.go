@@ -45,8 +45,9 @@ const DefaultExpandBudget = 1 << 20
 // decomposition represents more worlds than the caller's budget. It is
 // a dedicated type so callers can tell "too big to enumerate" apart
 // from genuine failures (schema mismatches, empty world-sets): the
-// factorized engine in internal/wsdexec keys its fallback decision on
-// it, and benchmarks use it to assert that no enumeration happened.
+// factorized engine in internal/wsdexec refuses a merge or refinement
+// beyond its budget with an error that unwraps to it, and benchmarks
+// use it to assert that no enumeration happened.
 type BudgetError struct {
 	// Worlds is the exact represented world count.
 	Worlds *big.Int

@@ -141,7 +141,7 @@ func TestPossCertAgainstExpansion(t *testing.T) {
 func closed(t *testing.T, kind wsa.CloseKind, d *wsd.DecompDB) *relation.Relation {
 	t.Helper()
 	q := &wsa.Close{Kind: kind, From: &wsa.Rel{Name: d.Names[0]}}
-	out, _, err := wsdexec.EvalOpts(q, d, &wsdexec.Options{NoFallback: true})
+	out, _, err := wsdexec.Eval(q, d)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}

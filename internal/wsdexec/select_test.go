@@ -60,7 +60,7 @@ func spanInt(t *testing.T, sp *obs.Span, key string) int64 {
 func selectAccess(t *testing.T, q wsa.Expr, db *wsd.DecompDB) (answer *relation.Relation, access string) {
 	t.Helper()
 	tr := obs.NewTrace("test")
-	out, _, err := EvalOpts(q, db, &Options{NoRewrite: true, NoFallback: true, Trace: tr})
+	out, _, err := EvalOpts(q, db, &Options{NoRewrite: true, Trace: tr})
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
@@ -175,7 +175,7 @@ func TestPointSelectTouchesWhatItSelects(t *testing.T) {
 		q := rewrite.Prelower(wsa.NewPoss(&wsa.Select{
 			Pred: ra.EqConst("SSN", value.Int(100517)), From: &wsa.Rel{Name: "Clean"}}), wsa.NewEnv(db.Names, db.Schemas))
 		tr := obs.NewTrace("test")
-		if _, plan, err := EvalOpts(q, db, &Options{NoRewrite: true, NoFallback: true, Trace: tr}); err != nil || !plan.Native {
+		if _, plan, err := EvalOpts(q, db, &Options{NoRewrite: true, Trace: tr}); err != nil || !plan.Native {
 			t.Fatalf("rows=%d: point select not native: %v %v", rows, plan, err)
 		}
 		sel := spansNamed(tr, "op:select")

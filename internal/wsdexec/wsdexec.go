@@ -44,50 +44,36 @@
 // Figure 7 equivalences that are sound on arbitrary world-sets, which
 // eliminates many group-worlds-by/choice-of operators outright.
 //
-// # Entanglement and bounded merging
+// # Entanglement, merging and refinement
 //
 // Operators whose result would couple the choices of two distinct
 // components — pγ/cγ aggregation and group-worlds-by over answers
 // spanning components, products/joins of subqueries uncertain in
 // different components, the cross-component cases of ∩ and − — cannot
 // be expressed directly in the additive factored form. The engine
-// resolves them with a decision tree, in order:
+// merges exactly the coupled components into one, in the wsd.MergeAlt
+// mixed-radix layout: evaluation stays native and its cost depends on
+// the coupled components only, never on the world count — a 2^40-world
+// decomposition aggregates over two 2-alternative components by
+// materializing a 2×2 = 4-alternative merge. Components absorbed by a
+// merge are recorded as slaved to the merged root; factored relations
+// already holding parts on them are promoted onto the root at their
+// next use.
 //
-//  1. Merge locally (bounded component merging): collapse exactly the
-//     coupled components into one, in the wsd.MergeAlt mixed-radix
-//     layout, when the merge cost — the product of just those
-//     components' alternative counts — fits the expansion budget.
-//     Evaluation stays native and the cost depends on the coupled
-//     components only, never on the world count: a 2^40-world
-//     decomposition aggregates over two 2-alternative components by
-//     materializing a 2×2 = 4-alternative merge. Components absorbed by
-//     a merge are recorded as slaved to the merged root; factored
-//     relations already holding parts on them are promoted onto the
-//     root at their next use. Each merge is recorded in Plan.Merges.
-//
-//  2. Fall back to enumeration: when the operator cannot merge at all
-//     — choice-of and repair-by-key over uncertain answers refine
-//     worlds individually, which no finite merge expresses — the engine
-//     enumerates the region of the input the query's relations depend
-//     on (wsd.Region, refusing via *wsd.BudgetError when the region's
-//     combination count exceeds the budget) and runs the query through
-//     the reference evaluator. The enumerated output is re-factorized
-//     and the components outside the region spliced back before it is
-//     returned, so downstream statements keep working on a
-//     decomposition and the untouched components stay factored. A merge
-//     whose cost exceeds the budget takes the same step, but can only be
-//     refused there: the region holds the coupled components, so its
-//     combination count is at least the merge cost.
-//
-// Every evaluation returns a Plan recording whether it stayed native,
-// the merges it performed, and, on fallback, the operator plus the
-// coupled component ids and relation names that forced enumeration —
-// benchmarks count those.
+// Choice-of and repair-by-key over an uncertain answer branch each
+// world; they refine — a merge with a fan-out: the components the
+// operator couples merge, and each merged alternative splits into one
+// alternative per branch of the world it stands for (evalChoice,
+// evalRepair). One number, the expansion budget, caps the alternatives
+// a merge or refinement may build; beyond it the evaluation is refused
+// with an error naming the coupled components and relations, which
+// unwraps to *wsd.BudgetError. Every evaluation returns a Plan
+// recording its merges and refinements (Plan.Merges).
 package wsdexec
 
 import (
-	"errors"
 	"fmt"
+	"maps"
 	"math/big"
 	"slices"
 	"sort"
@@ -110,9 +96,8 @@ func init() {
 
 // Options tune the factorized engine.
 type Options struct {
-	// ExpandBudget caps the alternatives a component merge may build and
-	// the worlds the fallback may enumerate; 0 means
-	// wsd.DefaultExpandBudget.
+	// ExpandBudget caps the alternatives a component merge or
+	// refinement may build; 0 means wsd.DefaultExpandBudget.
 	ExpandBudget int
 	// NoRewrite disables the pre-lowering rewrite pass
 	// (rewrite.Prelower).
@@ -121,14 +106,6 @@ type Options struct {
 	// estimated piece cardinality (reorderProducts); benchmarks use it
 	// as the naive-order ablation arm.
 	NoReorder bool
-	// NoFallback turns entangling operators into errors instead of
-	// enumerating; tests and benchmarks use it to prove evaluations
-	// stayed native.
-	NoFallback bool
-	// NoMerge disables bounded component merging, restoring the
-	// enumerate-on-entangle behavior; differential tests use it to
-	// compare the merged and expanded evaluations of one query.
-	NoMerge bool
 	// Trace, when non-nil, receives one child span per stage and per
 	// operator evaluated (with merge events and component counts). nil —
 	// the default — keeps evaluation allocation-free of tracing.
@@ -142,10 +119,10 @@ func (o *Options) budget() int {
 	return o.ExpandBudget
 }
 
-// MergeStep records one bounded component merge performed during
-// native evaluation: the operator that required it, the (live)
+// MergeStep records one bounded component merge or refinement performed
+// during evaluation: the operator that required it, the (live)
 // component ids that were merged, and the alternative count of the
-// merged component.
+// component that replaced them.
 type MergeStep struct {
 	Op         string
 	Components []int
@@ -154,31 +131,20 @@ type MergeStep struct {
 
 // Plan records how a query was evaluated.
 type Plan struct {
-	// Native reports that the query ran entirely on the decomposition,
-	// with no world enumeration.
+	// Native reports that the query ran on the decomposition, with no
+	// world enumeration; false only for a store engine override.
 	Native bool
-	// FallbackOp names the operator that entangled components and
-	// forced enumeration ("" when Native).
-	FallbackOp string
-	// FallbackEngine is the engine that evaluated the enumerated region
-	// ("reference", or the store's engine override; "" when Native).
-	FallbackEngine string
-	// FallbackComponents and FallbackRelations identify, on fallback,
-	// the coupled component ids and the relation names they range over
-	// ("derived" for components created during evaluation).
-	FallbackComponents []int
-	FallbackRelations  []string
 	// InputWorlds is the exact world count of the input decomposition,
 	// computed once per decomposition and shared: read it, do not modify
 	// it.
 	InputWorlds *big.Int
 	// NewComponents counts components created by choice-of,
-	// repair-by-key and merging during native evaluation, net of the
-	// components absorbed into merges.
+	// repair-by-key, merging and refinement, net of the components
+	// absorbed into merges.
 	NewComponents int
-	// Merges lists the bounded component merges performed during native
-	// evaluation, in order; MergeCost is the largest merged component's
-	// alternative count (1 when no merge happened).
+	// Merges lists the bounded component merges and refinements, in
+	// order; MergeCost is the largest resulting component's alternative
+	// count (1 when no merge happened).
 	Merges    []MergeStep
 	MergeCost int
 	// Rewritten reports that rewrite.Prelower changed the query before
@@ -193,50 +159,15 @@ type Plan struct {
 }
 
 func (p *Plan) String() string {
-	if p.Native {
-		s := fmt.Sprintf("native (worlds=%s, new components=%d, rewritten=%v)",
-			p.InputWorlds, p.NewComponents, p.Rewritten)
-		for _, m := range p.Merges {
-			s += fmt.Sprintf("; merged components %v (cost %d) at %s", m.Components, m.Cost, m.Op)
-		}
-		return s
+	if !p.Native {
+		return fmt.Sprintf("enumerated (worlds=%s)", p.InputWorlds)
 	}
-	s := fmt.Sprintf("fallback at %s via %s engine (worlds=%s)",
-		p.FallbackOp, p.FallbackEngine, p.InputWorlds)
-	if len(p.FallbackComponents) > 0 {
-		s += fmt.Sprintf("; entangled components %v", p.FallbackComponents)
-	}
-	if len(p.FallbackRelations) > 0 {
-		s += fmt.Sprintf(" over relations %v", p.FallbackRelations)
+	s := fmt.Sprintf("native (worlds=%s, new components=%d, rewritten=%v)",
+		p.InputWorlds, p.NewComponents, p.Rewritten)
+	for _, m := range p.Merges {
+		s += fmt.Sprintf("; merged components %v (cost %d) at %s", m.Components, m.Cost, m.Op)
 	}
 	return s
-}
-
-// entangleError is the internal signal that an operator's result cannot
-// be expressed in the additive factored form without merging more
-// component choices than the budget allows. It carries the coupled
-// component ids and the relation names they range over, so fallback
-// diagnostics name the culprits instead of a bare operator.
-type entangleError struct {
-	op     string
-	comps  []int
-	rels   []string
-	cost   *big.Int // merge cost; nil when the operator cannot merge at all
-	budget int
-}
-
-func (e *entangleError) Error() string {
-	msg := fmt.Sprintf("wsdexec: %s entangles decomposition components", e.op)
-	if len(e.comps) > 0 {
-		msg += fmt.Sprintf(" %v", e.comps)
-	}
-	if len(e.rels) > 0 {
-		msg += fmt.Sprintf(" (relations %v)", e.rels)
-	}
-	if e.cost != nil {
-		msg += fmt.Sprintf("; merge cost %s exceeds expand budget %d", e.cost, e.budget)
-	}
-	return msg
 }
 
 // Eval evaluates q over the decomposition and returns the decomposition
@@ -257,7 +188,7 @@ func EvalOpts(q wsa.Expr, db *wsd.DecompDB, opt *Options) (*wsd.DecompDB, *Plan,
 		// only its bound copies (wsa.BindParams) evaluate.
 		return nil, nil, fmt.Errorf("wsdexec: plan holds unbound parameter $%d (bind it before evaluation)", n)
 	}
-	plan := &Plan{MergeCost: 1,
+	plan := &Plan{Native: true, MergeCost: 1,
 		InputWorlds: db.Derived([]byte("wsdexec.worlds"), func() any { return db.Worlds() }).(*big.Int)}
 	var trace *obs.Span
 	if opt != nil {
@@ -280,69 +211,21 @@ func EvalOpts(q wsa.Expr, db *wsd.DecompDB, opt *Options) (*wsd.DecompDB, *Plan,
 	}
 	e := &engine{db: db, env: env, st: st, budget: opt.budget(), trace: trace,
 		arity: make([]int, len(db.Components), len(db.Components)+4)}
-	if opt != nil {
-		e.noMerge = opt.NoMerge
-	}
 	for ci, c := range db.Components {
 		e.arity[ci] = len(c.Alternatives)
 	}
 	ans, err := e.eval(run)
-	if err == nil {
-		plan.Native = true
-		plan.Merges = e.merges
-		for _, m := range e.merges {
-			if m.Cost > plan.MergeCost {
-				plan.MergeCost = m.Cost
-			}
-		}
-		for ci := len(db.Components); ci < len(e.arity); ci++ {
-			if _, slaved := e.slaved[ci]; !slaved {
-				plan.NewComponents++
-			}
-		}
-		for ci := range db.Components {
-			if _, slaved := e.slaved[ci]; slaved {
-				plan.NewComponents--
-			}
-		}
-		return e.buildOutput(ans), plan, nil
-	}
-	var ent *entangleError
-	if !errors.As(err, &ent) {
-		return nil, nil, err
-	}
-	plan.FallbackComponents = ent.comps
-	plan.FallbackRelations = ent.rels
-	if opt != nil && opt.NoFallback {
-		return nil, nil, fmt.Errorf("wsdexec: fallback disabled: %w", err)
-	}
-	// Fallback: enumerate the region the query's relations depend on and
-	// run the query through the reference evaluator. The rewritten form
-	// is equivalent and often cheaper, so the fallback evaluates it, not q.
-	plan.FallbackOp, plan.FallbackEngine = ent.op, "reference"
-	region := wsd.RegionOf(db, wsa.Relations(run), false)
-	fb := trace.Child("fallback").Set("op", ent.op).SetInt("components", int64(len(region.Deps)))
-	defer fb.End()
-	xp := fb.Child("expand")
-	ws, xerr := region.Enumerate(opt.budget())
-	xp.End()
-	if xerr != nil {
-		return nil, nil, fmt.Errorf("%v; the region it depends on is not enumerable: %w", ent, xerr)
-	}
-	out, err := wsa.Eval(run, ws)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Re-factorize the enumerated output so one entangled step does not
-	// permanently de-factorize a pipeline: downstream statements keep
-	// paying decomposition-size costs, not world-count costs.
-	rf := fb.Child("refactor")
-	re, err := region.Refactor(out)
-	rf.End()
-	if err != nil {
-		return nil, nil, err
+	plan.Merges = e.merges
+	for _, m := range e.merges {
+		if m.Cost > plan.MergeCost {
+			plan.MergeCost = m.Cost
+		}
 	}
-	return re, plan, nil
+	plan.NewComponents = len(e.arity) - len(db.Components) - len(e.slaved)
+	return e.buildOutput(ans), plan, nil
 }
 
 // EvalWorldSet is the world-set-level entry point registered as the
@@ -374,25 +257,17 @@ type slaveRef struct {
 
 // engine carries the evaluation state: the input decomposition and the
 // component universe (the input's components plus those created by
-// choice-of, repair-by-key and bounded merging, identified by index
+// choice-of, repair-by-key, merging and refinement, identified by index
 // into arity), plus the slaved-component registry of performed merges.
 type engine struct {
-	db      *wsd.DecompDB
-	env     *wsa.Env
-	st      rewrite.Stats // planner statistics of db (cardinality attrs on trace spans)
-	arity   []int
-	budget  int
-	noMerge bool             // strictly disable merging (differential ablation arm)
-	slaved  map[int]slaveRef // nil until the first merge
-	merges  []MergeStep
-	trace   *obs.Span // current operator span; nil = tracing off
-}
-
-// addComponent registers a fresh component with n alternatives and
-// returns its id.
-func (e *engine) addComponent(n int) int {
-	e.arity = append(e.arity, n)
-	return len(e.arity) - 1
+	db     *wsd.DecompDB
+	env    *wsa.Env
+	st     rewrite.Stats // planner statistics of db (cardinality attrs on trace spans)
+	arity  []int
+	budget int
+	slaved map[int]slaveRef // nil until the first merge
+	merges []MergeStep
+	trace  *obs.Span // current operator span; nil = tracing off
 }
 
 // liveComps maps each component id through the slaved registry to its
@@ -413,106 +288,127 @@ func (e *engine) liveComps(ids []int) []int {
 	return out
 }
 
-// mergeCostBig returns the product of the components' alternative
-// counts: the arity of the component merge would build.
-func (e *engine) mergeCostBig(comps []int) *big.Int {
-	n := big.NewInt(1)
-	var m big.Int
+// mergeArity returns the alternative count of the merge of the given
+// live components — the product of their arities, 1 for none — or the
+// refusal when it exceeds the budget.
+func (e *engine) mergeArity(op string, comps []int) (int, error) {
+	cost, f := big.NewInt(1), new(big.Int)
 	for _, c := range comps {
-		n.Mul(n, m.SetInt64(int64(e.arity[c])))
+		cost.Mul(cost, f.SetInt64(int64(e.arity[c])))
 	}
-	return n
+	if !cost.IsInt64() || cost.Int64() > int64(e.budget) {
+		return 0, e.overBudget(op, "merge", comps, cost)
+	}
+	return int(cost.Int64()), nil
 }
 
 // compRelNames names what the given components range over: the
 // relations their alternatives contribute tuples to for input
 // components, "derived" for components created during evaluation
-// (choice-of, repair-by-key, earlier merges). Used by entanglement
-// diagnostics.
+// (choice-of, repair-by-key, earlier merges). Used by budget refusals.
 func (e *engine) compRelNames(comps []int) []string {
-	seen := map[string]bool{}
 	var out []string
-	add := func(s string) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
+	for ri, name := range e.db.Names {
+		if slices.ContainsFunc(e.db.Pieces(ri), func(p wsd.Piece) bool { return slices.Contains(comps, p.Comp) }) {
+			out = append(out, name)
 		}
 	}
-	for _, c := range comps {
-		if c >= len(e.db.Components) {
-			add("derived")
-			continue
-		}
-		ris := map[int]bool{}
-		for _, a := range e.db.Components[c].Alternatives {
-			for ri, r := range a.Rels {
-				if r != nil && r.Len() > 0 {
-					ris[ri] = true
-				}
-			}
-		}
-		for ri := range ris {
-			add(e.db.Names[ri])
-		}
+	if slices.ContainsFunc(comps, func(c int) bool { return c >= len(e.db.Components) }) {
+		out = append(out, "derived")
 	}
 	sort.Strings(out)
 	return out
 }
 
+// overBudget refuses a merge or refinement ("step") of comps that would
+// build cost alternatives, more than the budget: the error names the
+// coupled components and the relations they range over, and wraps the
+// *wsd.BudgetError every budget refusal reports.
+func (e *engine) overBudget(op, step string, comps []int, cost *big.Int) error {
+	return fmt.Errorf("wsdexec: %s entangles decomposition components %v (relations %v); %s cost %s: %w",
+		op, comps, e.compRelNames(comps), step, cost, &wsd.BudgetError{Worlds: cost, Budget: e.budget})
+}
+
 // merge collapses the given live components (sorted, at least two) into
 // a fresh component whose alternatives enumerate their choice
-// combinations in the wsd.MergeAlt mixed-radix layout, recording
-// the members as slaved to the new root. It fails with a detailed
-// entangleError when the combined alternative count exceeds the
-// expansion budget (or merging is disabled) — the caller propagates it
-// and the top level falls back to enumerating the dependent region.
-func (e *engine) merge(op string, comps []int) (int, error) {
-	cost := e.mergeCostBig(comps)
-	// One number budgets merges and enumeration alike.
-	if e.noMerge || !cost.IsInt64() || cost.Int64() > int64(e.budget) {
-		return 0, &entangleError{
-			op:     op,
-			comps:  append([]int{}, comps...),
-			rels:   e.compRelNames(comps),
-			cost:   cost,
-			budget: e.budget,
-		}
+// combinations in the wsd.MergeAlt mixed-radix layout: a refinement
+// that splits nothing.
+func (e *engine) merge(op string, comps []int) error {
+	return e.refine(op, comps, nil, func(func(int) int) ([]*relation.Relation, error) { return nil, nil })
+}
+
+// refine replaces the given live components (sorted; none for a fresh
+// component) by one fresh component: merged alternative m of their
+// wsd.MergeAlt layout becomes one alternative per relation branches
+// returns for the world m stands for — alt(k) is the alternative m
+// selects of comps[k] — each out's part there; no branch keeps m as one
+// alternative with no part. The members are recorded as slaved to the
+// new root — a refined alternative selects the member alternatives of
+// the merged one it came from — and so is every component slaved to a
+// member (path compression). With members the step is budgeted and
+// recorded in Plan.Merges.
+func (e *engine) refine(op string, comps []int, out *frel, branches func(alt func(k int) int) ([]*relation.Relation, error)) error {
+	n, err := e.mergeArity(op, comps)
+	if err != nil {
+		return err
 	}
-	n := int(cost.Int64())
 	arities := make([]int, len(comps))
 	for k, c := range comps {
 		arities[k] = e.arity[c]
 	}
-	root := e.addComponent(n)
+	var merged []int                 // the merged alternative of each refined one
+	var refined []*relation.Relation // and its part
+	for m := 0; m < n; m++ {
+		ps, err := branches(func(k int) int { return wsd.MergeAlt(arities, k, m) })
+		if err != nil {
+			return err
+		}
+		if len(ps) == 0 {
+			merged, refined = append(merged, m), append(refined, nil)
+		}
+		for _, p := range ps {
+			merged, refined = append(merged, m), append(refined, p)
+		}
+		if len(comps) > 0 && len(merged) > e.budget {
+			return e.overBudget(op, "refinement", comps, big.NewInt(int64(len(merged))))
+		}
+	}
+	total := len(merged)
+	e.arity = append(e.arity, total)
+	root := len(e.arity) - 1
+	if slices.ContainsFunc(refined, func(p *relation.Relation) bool { return p != nil }) {
+		out.parts[root] = refined
+	}
+	if len(comps) == 0 {
+		return nil
+	}
 	if e.slaved == nil {
 		e.slaved = map[int]slaveRef{}
 	}
-	members := map[int]bool{}
 	for k, c := range comps {
-		am := make([]int, n)
-		for m := 0; m < n; m++ {
-			am[m] = wsd.MergeAlt(arities, k, m)
+		am := make([]int, total)
+		for j, m := range merged {
+			am[j] = wsd.MergeAlt(arities, k, m)
 		}
 		e.slaved[c] = slaveRef{root: root, altMap: am}
-		members[c] = true
 	}
 	// Path-compress: components previously slaved to a member now chain
 	// through it; rewrite them to point at the new root directly.
 	for id, ref := range e.slaved {
-		if !members[ref.root] {
+		if !slices.Contains(comps, ref.root) {
 			continue
 		}
 		inner := e.slaved[ref.root]
-		nm := make([]int, n)
-		for m := 0; m < n; m++ {
-			nm[m] = ref.altMap[inner.altMap[m]]
+		nm := make([]int, total)
+		for j := range nm {
+			nm[j] = ref.altMap[inner.altMap[j]]
 		}
 		e.slaved[id] = slaveRef{root: root, altMap: nm}
 	}
-	e.merges = append(e.merges, MergeStep{Op: op, Components: append([]int{}, comps...), Cost: n})
+	e.merges = append(e.merges, MergeStep{Op: op, Components: append([]int{}, comps...), Cost: total})
 	e.trace.Event("merge").Set("op", op).
-		Set("components", fmt.Sprintf("%v", comps)).SetInt("cost", int64(n))
-	return root, nil
+		Set("components", fmt.Sprintf("%v", comps)).SetInt("cost", int64(total))
+	return nil
 }
 
 // promote returns f with no part keyed on a slaved component: parts of
@@ -595,28 +491,42 @@ func (e *engine) buildOutput(ans *frel) *wsd.DecompDB {
 			continue
 		}
 		comp := wsd.DBComponent{Alternatives: make([]wsd.DBAlternative, m)}
+		var prev []int // the member alternatives the previous one selected
 		for a := 0; a < m; a++ {
 			alt := wsd.DBAlternative{Rels: map[int]*relation.Relation{}}
 			if ci < len(e.db.Components) {
-				for ri, r := range e.db.Components[ci].Alternatives[a].Rels {
-					alt.Rels[ri] = r
+				maps.Copy(alt.Rels, e.db.Components[ci].Alternatives[a].Rels)
+			}
+			choice := make([]int, len(members[ci]))
+			for i, b := range members[ci] {
+				choice[i] = e.slaved[b].altMap[a]
+			}
+			if a > 0 && len(choice) > 0 && slices.Equal(choice, prev) {
+				// The refinements of one merged alternative re-emit the
+				// same member contributions: share them.
+				maps.Copy(alt.Rels, comp.Alternatives[a-1].Rels)
+				delete(alt.Rels, k)
+			} else if len(choice) > 0 {
+				contrib := map[int][]*relation.Relation{}
+				for i, b := range members[ci] {
+					for ri, r := range e.db.Components[b].Alternatives[choice[i]].Rels {
+						if r != nil && r.Len() > 0 {
+							contrib[ri] = append(contrib[ri], r)
+						}
+					}
+				}
+				for ri, rs := range contrib {
+					u := rs[0]
+					if len(rs) > 1 {
+						u = u.Clone()
+						for _, r := range rs[1:] {
+							r.Each(func(t relation.Tuple) { u.Insert(t) })
+						}
+					}
+					alt.Rels[ri] = u
 				}
 			}
-			for _, b := range members[ci] {
-				ref := e.slaved[b]
-				for ri, r := range e.db.Components[b].Alternatives[ref.altMap[a]].Rels {
-					if r == nil || r.Len() == 0 {
-						continue
-					}
-					if cur := alt.Rels[ri]; cur == nil {
-						alt.Rels[ri] = r
-					} else {
-						u := cur.Clone()
-						r.Each(func(t relation.Tuple) { u.Insert(t) })
-						alt.Rels[ri] = u
-					}
-				}
-			}
+			prev = choice
 			if p := ans.part(ci, a); p != nil && p.Len() > 0 {
 				alt.Rels[k] = p
 			}
@@ -1116,7 +1026,7 @@ func (e *engine) evalProduct(lq, rq wsa.Expr, pred ra.Pred, outSchema relation.S
 		// Entangled: merge exactly the coupled components, promote both
 		// operands onto the merged root, and continue on the
 		// same-component path.
-		if _, err := e.merge("product of subqueries uncertain in distinct components",
+		if err := e.merge("product of subqueries uncertain in distinct components",
 			e.liveComps(append(append([]int{}, lu...), ru...))); err != nil {
 			return nil, err
 		}
@@ -1146,12 +1056,11 @@ func (e *engine) evalProduct(lq, rq wsa.Expr, pred ra.Pred, outSchema relation.S
 	// partL×partR, computed in parallel across slots.
 	comps := append(append([]int{}, lu...), ru...)
 	sort.Ints(comps)
-	comps = dedupInts(comps)
-	type slot struct{ c, a int }
-	var slots []slot
+	comps = slices.Compact(comps)
+	var slots []slotRef
 	for _, c := range comps {
 		for a := 0; a < e.arity[c]; a++ {
-			slots = append(slots, slot{c, a})
+			slots = append(slots, slotRef{c, a})
 		}
 	}
 	results := make([]*relation.Relation, len(slots))
@@ -1231,8 +1140,10 @@ func (e *engine) evalSetOp(kind wsa.BinOpKind, lq, rq wsa.Expr, outSchema relati
 		if len(needs) == 0 {
 			return out, nil
 		}
-		if err := e.mergeCoupled(opName, needs); err != nil {
-			return nil, err
+		for _, g := range e.coupledGroups(needs) {
+			if err := e.merge(opName, g); err != nil {
+				return nil, err
+			}
 		}
 	}
 }
@@ -1406,87 +1317,69 @@ func (e *engine) combineSetOp(kind wsa.BinOpKind, lf, rf *frel, outSchema relati
 	return out, nil
 }
 
-// mergeCoupled resolves the coupled component sets to live roots,
-// groups overlapping sets into connected groups (they must merge
-// together), and performs one merge per group, smallest member first.
-func (e *engine) mergeCoupled(op string, needs [][]int) error {
-	parent := map[int]int{}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+// coupledGroups resolves the coupled component sets to live roots and
+// joins overlapping sets into groups (they must merge together), each
+// sorted, ordered by smallest member.
+func (e *engine) coupledGroups(needs [][]int) [][]int {
+	var groups [][]int
 	for _, set := range needs {
-		live := e.liveComps(set)
-		for _, c := range live {
-			if _, ok := parent[c]; !ok {
-				parent[c] = c
+		g := e.liveComps(set)
+		kept := groups[:0]
+		for _, h := range groups {
+			if slices.ContainsFunc(h, func(c int) bool { return slices.Contains(g, c) }) {
+				g = append(g, h...)
+			} else {
+				kept = append(kept, h)
 			}
 		}
-		for _, c := range live[1:] {
-			parent[find(live[0])] = find(c)
-		}
+		slices.Sort(g)
+		groups = append(kept, slices.Compact(g))
 	}
-	groups := map[int][]int{}
-	for x := range parent {
-		r := find(x)
-		groups[r] = append(groups[r], x)
-	}
-	gs := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		sort.Ints(g)
-		gs = append(gs, g)
-	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i][0] < gs[j][0] })
-	for _, g := range gs {
-		// A singleton group cannot arise: every coupled set spans at
-		// least two live components (see combineSetOp's call sites).
-		if len(g) < 2 {
-			continue
-		}
-		if _, err := e.merge(op, g); err != nil {
-			return err
-		}
-	}
-	return nil
+	slices.SortFunc(groups, func(a, b []int) int { return a[0] - b[0] })
+	return groups
 }
 
-// evalChoice implements χ_U. On a certain answer — identical in every
-// world — each world branches into one world per distinct U-group:
-// exactly a fresh independent component whose alternatives are the
-// groups. An uncertain answer would need the new component's refinement
-// to stay correlated with existing choices, which the independent
-// product cannot express — entangled.
+// evalChoice implements χ_U: every world branches into one world per
+// distinct U-value of its answer (an empty answer keeps the world as it
+// is). The refinement merges the components contributing a row to the
+// answer — none for a certain answer, whose groups make a fresh
+// independent component — and splits each merged alternative into one
+// alternative per U-group of the answer in the world it stands for.
 func (e *engine) evalChoice(n *wsa.Choice, sub *frel, outSchema relation.Schema) (*frel, error) {
 	sub = e.promote(sub)
-	if uc := sub.uncertainComps(); len(uc) > 0 {
-		live := e.liveComps(uc)
-		return nil, &entangleError{op: "choice-of over an uncertain answer",
-			comps: live, rels: e.compRelNames(live)}
-	}
-	if sub.cert.Empty() {
-		// Empty answer: every world survives with the empty answer.
-		return newFrel(outSchema), nil
-	}
 	idx, err := sub.schema.Indexes(n.Attrs)
 	if err != nil {
 		return nil, err
 	}
-	groups := relation.NewGroupMap(idx, sub.cert.Len())
-	sub.cert.Each(func(t relation.Tuple) { groups.Add(t) })
-	gs := append([]*relation.Group{}, groups.Groups()...)
-	sort.Slice(gs, func(i, j int) bool { return gs[i].Key.Less(gs[j].Key) })
-	c := e.addComponent(len(gs))
+	comps := sub.uncertainComps()
 	out := newFrel(outSchema)
-	for a, g := range gs {
-		p := relation.New(outSchema)
-		for _, t := range g.Rows {
-			p.InsertDistinct(t)
+	if len(comps) == 0 && sub.cert.Empty() {
+		return out, nil // every world survives with the empty answer
+	}
+	err = e.refine("choice-of over an uncertain answer", comps, out, func(alt func(int) int) ([]*relation.Relation, error) {
+		w := sub.cert
+		if len(comps) > 0 {
+			w = w.Clone()
+			for k, c := range comps {
+				if p := sub.part(c, alt(k)); p != nil {
+					p.Each(func(t relation.Tuple) { w.Insert(t) })
+				}
+			}
 		}
-		out.setPart(c, len(gs), a, p)
+		groups := relation.NewGroupMap(idx, w.Len())
+		w.Each(func(t relation.Tuple) { groups.Add(t) })
+		gs := slices.SortedFunc(slices.Values(groups.Groups()), func(a, b *relation.Group) int { return a.Key.Compare(b.Key) })
+		branches := make([]*relation.Relation, len(gs))
+		for a, g := range gs {
+			branches[a] = relation.New(outSchema)
+			for _, t := range g.Rows {
+				branches[a].InsertDistinct(t)
+			}
+		}
+		return branches, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -1534,17 +1427,18 @@ func (e *engine) evalClose(n *wsa.Close, sub *frel, outSchema relation.Schema) (
 		})
 	}
 	// The certain part is handed on, not copied: extended in place when
-	// the operand owns it, copied — into a set sized for everything the
-	// components could add — only when a component adds a tuple to a
-	// certain part someone else holds.
+	// the operand owns it, and cloned — sharing its row segments — only
+	// when a component adds a tuple to a certain part someone else holds.
 	out := &frel{schema: outSchema, cert: sub.cert, parts: map[int][]*relation.Relation{}}
 	add := func(t relation.Tuple) {
 		if out.cert == sub.cert && !sub.ownCert {
 			if sub.cert.Contains(t) {
 				return
 			}
-			out.cert = relation.NewSized(outSchema, sub.size())
-			sub.cert.Each(out.cert.InsertDistinct)
+			out.cert = sub.cert.Clone()
+			if !outSchema.Equal(out.cert.Schema()) {
+				out.cert = out.cert.WithSchema(outSchema)
+			}
 		}
 		out.cert.Insert(t)
 	}
@@ -1597,7 +1491,7 @@ func (e *engine) evalGroup(n *wsa.Group, sub *frel, outSchema relation.Schema) (
 		// Native multi-component aggregation: merge the components the
 		// answer depends on, promote onto the merged root, and run the
 		// single-component signature-class aggregation over it.
-		if _, err := e.merge("group-worlds-by over an answer uncertain in several components",
+		if err := e.merge("group-worlds-by over an answer uncertain in several components",
 			e.liveComps(uc)); err != nil {
 			return nil, err
 		}
@@ -1654,51 +1548,157 @@ func (e *engine) evalGroup(n *wsa.Group, sub *frel, outSchema relation.Schema) (
 	return out, nil
 }
 
-// evalRepair implements repair-by-key on a certain answer — the §2
-// census view: every key group with several candidate tuples becomes a
-// fresh independent component with one single-tuple alternative per
-// candidate; singleton groups stay certain. The construction is linear
-// in the answer and represents ∏ |group| worlds. Uncertain answers
-// would need per-world key groups — entangled.
+// evalRepair implements repair-by-key: every world branches into one
+// world per way of keeping one row of each key group of its answer.
+// Only a group that conflicts — two of its distinct rows occur together
+// in some world — changes anything. One of certain rows alone becomes a
+// fresh component with one single-row alternative per row, as on a
+// certain answer: linear in the answer, ∏ |group| worlds. The others
+// link the components holding their rows into clusters, each refined:
+// its components merged, and each merged alternative split into one
+// alternative per choice of a row in each conflicting group present in
+// the world it stands for.
 func (e *engine) evalRepair(n *wsa.RepairKey, sub *frel, outSchema relation.Schema) (*frel, error) {
 	sub = e.promote(sub)
-	if uc := sub.uncertainComps(); len(uc) > 0 {
-		live := e.liveComps(uc)
-		return nil, &entangleError{op: "repair-by-key over an uncertain answer",
-			comps: live, rels: e.compRelNames(live)}
-	}
 	idx, err := sub.schema.Indexes(n.Attrs)
 	if err != nil {
 		return nil, err
 	}
+	// Rows by key group: a group's certain rows first, then its part
+	// rows, each with the slot it came from (one slot's rows adjacent).
 	groups := relation.NewGroupMap(idx, sub.cert.Len())
 	sub.cert.Each(func(t relation.Tuple) { groups.Add(t) })
+	from := map[*relation.Group][]slotRef{}
+	comps := sub.uncertainComps()
+	for _, c := range comps {
+		for a, p := range sub.parts[c] {
+			if p != nil {
+				p.Each(func(t relation.Tuple) {
+					g := groups.Add(t)
+					from[g] = append(from[g], slotRef{c, a})
+				})
+			}
+		}
+	}
 	gs := append([]*relation.Group{}, groups.Groups()...)
 	sort.Slice(gs, func(i, j int) bool { return gs[i].Key.Less(gs[j].Key) })
+	type unit struct {
+		comps  []int
+		groups []*relation.Group
+	}
+	var units []unit
+	var needs [][]int
+	moved := map[*relation.Group]bool{}
 	out := newFrel(outSchema)
 	for _, g := range gs {
-		if len(g.Rows) == 1 {
-			out.cert.Insert(g.Rows[0])
-			continue
-		}
-		rows := append([]relation.Tuple{}, g.Rows...)
-		sort.Slice(rows, func(i, j int) bool { return rows[i].Less(rows[j]) })
-		c := e.addComponent(len(rows))
-		for a, t := range rows {
-			p := relation.New(outSchema)
-			p.InsertDistinct(t)
-			out.setPart(c, len(rows), a, p)
+		ncert := len(g.Rows) - len(from[g])
+		switch {
+		case !repairConflicts(g.Rows, ncert, from[g]):
+			if ncert > 0 {
+				out.cert.Insert(g.Rows[0]) // the group's only certain row
+			}
+		case ncert == len(g.Rows):
+			units = append(units, unit{groups: []*relation.Group{g}})
+		default:
+			moved[g] = true
+			ids := make([]int, len(from[g]))
+			for i, s := range from[g] {
+				ids[i] = s.c
+			}
+			needs = append(needs, ids)
 		}
 	}
-	return out, nil
+	cluster := map[int]int{} // component → its unit
+	for _, cl := range e.coupledGroups(needs) {
+		for _, c := range cl {
+			cluster[c] = len(units)
+		}
+		units = append(units, unit{comps: cl})
+	}
+	for _, g := range gs {
+		if moved[g] {
+			u := &units[cluster[from[g][0].c]]
+			u.groups = append(u.groups, g)
+		}
+	}
+	// Part rows stay in their slots, but for those of moved groups.
+	for _, c := range comps {
+		_, refined := cluster[c]
+		for a, p := range sub.parts[c] {
+			if p != nil && refined {
+				kept := relation.New(outSchema)
+				p.Each(func(t relation.Tuple) {
+					if !moved[groups.Get(t, idx)] {
+						kept.InsertDistinct(t)
+					}
+				})
+				p = kept
+			}
+			if p != nil && p.Len() > 0 {
+				out.setPart(c, e.arity[c], a, p)
+			}
+		}
+	}
+	for _, u := range units {
+		err := e.refine("repair-by-key over an uncertain answer", u.comps, out, func(alt func(int) int) ([]*relation.Relation, error) {
+			var choices [][]relation.Tuple // per group present, its rows here
+			var lens []int
+			n := 1
+			for _, g := range u.groups {
+				ncert := len(g.Rows) - len(from[g])
+				rows := append([]relation.Tuple{}, g.Rows[:ncert]...)
+				for r, s := range from[g] {
+					if s.a == alt(slices.Index(u.comps, s.c)) {
+						rows = append(rows, g.Rows[ncert+r])
+					}
+				}
+				slices.SortFunc(rows, relation.Tuple.Compare)
+				if rows = slices.CompactFunc(rows, func(a, b relation.Tuple) bool { return a.Compare(b) == 0 }); len(rows) > 0 {
+					if n > e.budget/len(rows) {
+						return nil, e.overBudget("repair-by-key over an uncertain answer", "refinement", u.comps, big.NewInt(int64(n*len(rows))))
+					}
+					n *= len(rows)
+					choices, lens = append(choices, rows), append(lens, len(rows))
+				}
+			}
+			if len(choices) == 0 {
+				return nil, nil
+			}
+			repairs := make([]*relation.Relation, n)
+			for j := range repairs {
+				repairs[j] = relation.NewSized(outSchema, len(choices))
+				for gi, rows := range choices {
+					repairs[j].InsertDistinct(rows[wsd.MergeAlt(lens, gi, j)])
+				}
+			}
+			return repairs, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	// Parts left on the members fold onto the refined roots.
+	return e.promote(out), nil
 }
 
-func dedupInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
+// slotRef names one (component, alternative) slot of an frel.
+type slotRef struct{ c, a int }
+
+// repairConflicts reports whether a key group's rows — the first ncert
+// certain, the others from the slots in from, one slot's rows adjacent
+// — hold two distinct rows that occur together in some world: two
+// certain rows, a certain row and a different part row, different rows
+// of two components (independent, so some world holds both), or two
+// rows of one slot.
+func repairConflicts(rows []relation.Tuple, ncert int, from []slotRef) bool {
+	differ := slices.ContainsFunc(rows, func(t relation.Tuple) bool { return !t.Equal(rows[0]) })
+	if ncert > 0 || !differ {
+		return differ
+	}
+	for i := 1; i < len(from); i++ {
+		if from[i] == from[i-1] || from[i].c != from[0].c {
+			return true
 		}
 	}
-	return out
+	return false
 }

@@ -1,6 +1,7 @@
 package wsdexec
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -36,11 +37,11 @@ func TestCensusRepair2p40(t *testing.T) {
 	best := time.Duration(0)
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		outC, planC, err := EvalOpts(repairQuery(wsa.CloseCert), db, &Options{NoFallback: true})
+		outC, planC, err := Eval(repairQuery(wsa.CloseCert), db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outP, planP, err := EvalOpts(repairQuery(wsa.ClosePoss), db, &Options{NoFallback: true})
+		outP, planP, err := Eval(repairQuery(wsa.ClosePoss), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestNativeAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference failed for %s: %v", q, err)
 		}
-		out, plan, err := EvalOpts(q, db, &Options{NoFallback: true})
+		out, plan, err := Eval(q, db)
 		if err != nil {
 			t.Fatalf("wsdexec failed for %s: %v", q, err)
 		}
@@ -141,7 +142,7 @@ func TestGroupWorldsBySingleComponent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, plan, err := EvalOpts(q, db, &Options{NoFallback: true, NoRewrite: true})
+		out, plan, err := EvalOpts(q, db, &Options{NoRewrite: true})
 		if err != nil {
 			t.Fatalf("wsdexec failed for %s: %v", q, err)
 		}
@@ -170,7 +171,7 @@ func TestGroupWorldsByMultiComponentMerges(t *testing.T) {
 	}
 	repair := &wsa.RepairKey{Attrs: []string{"SSN"}, From: &wsa.Rel{Name: "Census"}}
 	q := wsa.NewPossGroup([]string{"POB"}, []string{"Name"}, repair)
-	out, plan, err := EvalOpts(q, db, &Options{NoRewrite: true, NoFallback: true})
+	out, plan, err := EvalOpts(q, db, &Options{NoRewrite: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +194,12 @@ func TestGroupWorldsByMultiComponentMerges(t *testing.T) {
 	}
 }
 
-// TestEntangledFallback: a self-join of the repaired relation pairs
-// tuples across key groups — genuinely entangling two components. With
-// merging disabled the engine must record a fallback (with component
-// detail) and still agree with the reference; with merging it must stay
-// native and agree too.
-func TestEntangledFallback(t *testing.T) {
+// TestEntangledProductMerges: a self-join of the repaired relation
+// pairs tuples across key groups — genuinely entangling two components.
+// The engine merges them, stays native and agrees with the reference;
+// a budget below the merge cost refuses with the entangled components
+// named.
+func TestEntangledProductMerges(t *testing.T) {
 	census := datagen.PaperCensus()
 	db := wsd.FromComplete([]string{"Census"}, []*relation.Relation{census})
 	repair := &wsa.RepairKey{Attrs: []string{"SSN"}, From: &wsa.Rel{Name: "Census"}}
@@ -207,8 +208,10 @@ func TestEntangledFallback(t *testing.T) {
 		From: &wsa.Project{Columns: []string{"Name"}, From: repair}}
 	q := wsa.NewProduct(left, right)
 
-	if _, _, err := EvalOpts(q, db, &Options{NoFallback: true, NoMerge: true}); err == nil {
-		t.Fatal("expected an entanglement error with fallback and merging disabled")
+	_, _, err := EvalOpts(q, db, &Options{ExpandBudget: 2})
+	var be *wsd.BudgetError
+	if !errors.As(err, &be) || !strings.Contains(err.Error(), "entangles decomposition components") {
+		t.Fatalf("budget 2: want a budget refusal naming the entangled components, got %v", err)
 	}
 	ws, err := db.Expand(0)
 	if err != nil {
@@ -218,56 +221,41 @@ func TestEntangledFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(out *wsd.DecompDB, label string) {
-		t.Helper()
-		got, err := out.Expand(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.EqualWorlds(want) {
-			t.Fatalf("%s result disagrees with reference\ngot:\n%s\nwant:\n%s", label, got, want)
-		}
-	}
-
-	out, plan, err := EvalOpts(q, db, &Options{NoMerge: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Native || plan.FallbackOp == "" || plan.FallbackEngine == "" {
-		t.Fatalf("expected a recorded fallback, got plan %v", plan)
-	}
-	if len(plan.FallbackComponents) == 0 {
-		t.Fatalf("fallback plan must name the entangled components, got %v", plan)
-	}
-	check(out, "fallback")
-
-	out, plan, err = Eval(q, db)
+	out, plan, err := Eval(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !plan.Native || len(plan.Merges) == 0 {
 		t.Fatalf("expected a native merged plan, got %v", plan)
 	}
-	check(out, "merged")
-}
-
-// TestFallbackRefusedBeyondBudget: when an entangling query meets an
-// input too large to enumerate, the error carries the typed budget
-// refusal instead of silently exploding.
-func TestFallbackRefusedBeyondBudget(t *testing.T) {
-	census := datagen.Census(200, 40, 7)
-	db, err := wsd.RepairByKey("Clean", census, []string{"SSN"})
+	got, err := out.Expand(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// choice-of over the (uncertain) repaired relation entangles.
-	q := &wsa.Choice{Attrs: []string{"POB"}, From: &wsa.Rel{Name: "Clean"}}
-	_, _, err = Eval(q, db)
-	if err == nil {
-		t.Fatal("expected an error: entangled query over 2^40 worlds")
+	if !got.EqualWorlds(want) {
+		t.Fatalf("merged result disagrees with reference\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if !strings.Contains(err.Error(), "exceed the expansion budget") {
-		t.Fatalf("error %v does not carry the budget refusal", err)
+}
+
+// TestFallbackRefusedBeyondBudget: choice-of over the repaired relation
+// couples every one of its 40 components, and their 2^40-alternative
+// merge is refused with the typed budget error, naming the components
+// and the relation, instead of silently exploding.
+func TestFallbackRefusedBeyondBudget(t *testing.T) {
+	db := datagen.CensusRepairDecomp(200, 40, 1)
+	q := &wsa.Choice{Attrs: []string{"POB"}, From: &wsa.Rel{Name: "Clean"}}
+	_, _, err := Eval(q, db)
+	var be *wsd.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("choice-of over 2^40 worlds: want a *wsd.BudgetError, got %v", err)
+	}
+	if want := new(big.Int).Lsh(big.NewInt(1), 40); be.Worlds.Cmp(want) != 0 || be.Budget != wsd.DefaultExpandBudget {
+		t.Fatalf("refusal reports %s against budget %d, want 2^40 against %d", be.Worlds, be.Budget, wsd.DefaultExpandBudget)
+	}
+	for _, frag := range []string{"choice-of over an uncertain answer", "relations [Clean]", "merge cost"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Fatalf("error %q lacks %q", err, frag)
+		}
 	}
 }
 
@@ -301,5 +289,28 @@ func TestEvalWorldSetMultiWorld(t *testing.T) {
 				t.Fatalf("wsdexec disagrees with reference for %s\ninput:\n%s\ngot:\n%s\nwant:\n%s", q, ws, got, want)
 			}
 		}
+	}
+}
+
+// TestPossSharesCertainPart: poss over the census repair adds the
+// components' rows to a certain part the catalog holds, so it derives
+// its own version of that part by relation.Clone — sharing the row
+// segments — instead of copying the ~10k certain rows one by one. A
+// copy allocates per row (10106 allocations per evaluation, measured);
+// the clone allocates 125.
+func TestPossSharesCertainPart(t *testing.T) {
+	db := datagen.CensusRepairDecomp(10000, 40, 1)
+	q := wsa.NewPoss(&wsa.Rel{Name: "Clean"})
+	out, _, err := Eval(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := out.Certain[len(out.Names)-1].Len(), db.Certain[0].Len()+2*40; got != want {
+		t.Fatalf("poss holds %d rows, want %d", got, want)
+	}
+	const ceiling = 1000 // well below one allocation per certain row
+	if allocs := testing.AllocsPerRun(10, func() { Eval(q, db) }); allocs > ceiling {
+		t.Fatalf("poss over %d certain rows allocates %.0f times per evaluation, want at most %d",
+			db.Certain[0].Len(), allocs, ceiling)
 	}
 }
